@@ -144,7 +144,7 @@ func RunE14One(seed int64, clients, opsPerClient int) E14Row {
 	topo := nemesis.Topology{
 		Proposers: []msg.NodeID{1},
 		Coords: [][]msg.NodeID{
-			cl.Cfg.ShardGroup(0), cl.Cfg.ShardGroup(1),
+			cl.Cfg.ShardCoords(0), cl.Cfg.ShardCoords(1),
 		},
 		Acceptors: cl.Cfg.Acceptors,
 		Learners:  cl.Cfg.Learners,

@@ -17,37 +17,36 @@ type vote struct {
 	vval cstruct.Cmd
 }
 
-// coordTally is the 2a bookkeeping of one instance in a multicoordinated
-// round: the latest value forwarded by each group member for the tally's
-// round. The instance is accepted once a coordinator quorum has forwarded
-// the same value; two different values within one round are the Section 4.2
-// collision.
+// coordTally is the 2a bookkeeping of one instance in one round: the latest
+// value forwarded by each member of the round's group. The instance is
+// accepted once a coordinator quorum has forwarded the same value; two
+// different values within one round are the Section 4.2 collision.
 type coordTally struct {
 	rnd  ballot.Ballot
 	vals map[msg.NodeID]cstruct.Cmd
 }
 
-// Acceptor is a multi-instance Classic Paxos acceptor. Accepted votes are
-// written to stable storage before the 2b message is sent (they must survive
-// crashes, Section 4.4); the current round is volatile and is outrun on
-// recovery by bumping the MCount incarnation counter.
+// Acceptor is a multi-instance acceptor. Accepted votes are written to stable
+// storage before the 2b message is sent (they must survive crashes, Section
+// 4.4); the current round is volatile and is outrun on recovery by bumping
+// the MCount incarnation counter.
 //
-// Sharded deployments (cfg.Shards > 1) run one leader per instance residue
-// class, so the acceptor keeps one current round per shard: leader k's phase
-// 1 claims only instances ≡ k (mod shards) and cannot stale-out the other
-// shards' leaders. Accepts are persisted through the shard's commit stream
-// when the backend has one (storage.ShardedStable) — all streams feed the
-// one replayable log, so a restart rebuilds every shard from a single
-// replay.
+// Sharded deployments (cfg.Shards > 1) run one coordinator group per
+// instance residue class, so the acceptor keeps one current round per shard:
+// a phase 1 on shard k claims only instances ≡ k (mod shards) and cannot
+// stale-out the other shards' rounds. Accepts are persisted through the
+// shard's commit stream when the backend has one (storage.ShardedStable) —
+// all streams feed the one replayable log, so a restart rebuilds every shard
+// from a single replay.
 //
-// Multicoordinated deployments (cfg.CoordsPerShard ≥ 2) serve each shard's
-// round with a coordinator group: the acceptor tallies 2a messages per
-// (instance, round) by group member and accepts only once ⌊c/2⌋+1 members
-// forwarded the same value (Section 4.1 per shard). Conflicting values
-// within one round promote the shard to the successor round, with the
-// promise broadcast to the whole group (the Section 4.2 coordinated
-// recovery). Partial tallies are persisted alongside votes so a restart
-// replays the in-flight coordinator votes too.
+// Every round is served by a coordinator group (Config.RoundGroup): the
+// acceptor tallies 2a messages per (instance, round) by group member and
+// accepts once ⌊c/2⌋+1 members forwarded the same value (Section 4.1 per
+// shard) — on the first 2a at c = 1. Conflicting values within one round
+// promote the shard to the successor round, with the promise sent to the
+// whole group (the Section 4.2 coordinated recovery). Partial tallies are
+// persisted alongside votes so a restart replays the in-flight coordinator
+// votes too.
 //
 // The stable store may be the simulated in-memory Disk or the on-disk WAL
 // (internal/wal): building a fresh Acceptor over a replayed store — what a
@@ -221,36 +220,27 @@ func (a *Acceptor) onCatchup(mm msg.CatchupReq) {
 
 // onP1a is action Phase1b scoped to the claimed shard: join round mm.Rnd for
 // that shard if it is news, reporting every past vote of the shard's
-// instances so the new leader can finish interrupted ones. In
-// multicoordinated mode the promise is broadcast to the whole shard group —
-// every member completes phase 1 independently — and a 1a for the round
-// already joined (a competing member's 1a, or a retransmission) re-sends
-// the promise instead of a Stale, keeping concurrent group starts from
-// chasing each other.
+// instances so the round's coordinators can finish interrupted ones. The
+// promise goes to the round's whole group — every member completes phase 1
+// independently — and a 1a for the round already joined (a competing
+// member's 1a, or a retransmission after a lost promise wave) re-sends the
+// promise instead of a Stale.
 func (a *Acceptor) onP1a(_ msg.NodeID, mm msg.P1a) {
 	shard := int(mm.Shard)
 	if shard >= a.cfg.NShards() {
 		return // misconfigured sender; no shard of ours to promise
 	}
-	if !a.rnds[shard].Less(mm.Rnd) {
-		if a.cfg.Multicoordinated() && mm.Rnd.Equal(a.rnds[shard]) {
-			a.send1b(shard, mm.Rnd, nil)
-			return
-		}
+	if mm.Rnd.Less(a.rnds[shard]) {
 		a.env.Send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
 		return
 	}
 	a.setRnd(shard, mm.Rnd)
-	var to []msg.NodeID
-	if !a.cfg.Multicoordinated() {
-		to = []msg.NodeID{mm.Coord}
-	}
-	a.send1b(shard, mm.Rnd, to)
+	a.send1b(shard, mm.Rnd)
 }
 
-// send1b reports the shard's past votes in a promise for round r. An empty
-// destination list broadcasts to the shard's coordinator group.
-func (a *Acceptor) send1b(shard int, r ballot.Ballot, to []msg.NodeID) {
+// send1b reports the shard's past votes in a promise for round r to the
+// round's coordinator group.
+func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 	votes := make([]msg.InstVote, 0, len(a.votes))
 	for inst, v := range a.votes {
 		if a.cfg.ShardOf(inst) != shard {
@@ -258,18 +248,17 @@ func (a *Acceptor) send1b(shard int, r ballot.Ballot, to []msg.NodeID) {
 		}
 		votes = append(votes, msg.InstVote{Inst: inst, VRnd: v.vrnd, VVal: wrap(v.vval)})
 	}
-	if len(to) == 0 {
-		to = a.cfg.ShardGroup(shard)
-	}
-	node.Broadcast(a.env, to, msg.P1bMulti{
+	node.Broadcast(a.env, a.cfg.RoundGroup(shard, r), msg.P1bMulti{
 		Rnd: r, Acc: a.env.ID(), Votes: votes, Shard: uint32(shard),
 	})
 }
 
-// onP2a is action Phase2b: accept the value unless a higher round was heard
-// of on the instance's shard, then notify every learner. Multicoordinated
-// shards route through the coordinator-quorum tally instead of accepting
-// the first 2a.
+// onP2a is action Phase2b (Section 4.1 per shard): unless a higher round was
+// heard of on the instance's shard, tally the member's 2a for (instance,
+// round) and accept once a coordinator quorum forwarded the same value.
+// Conflicting values within the round are the Section 4.2 collision: promote
+// the shard to the successor round so the group re-establishes it
+// (coordinated recovery).
 func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	shard := a.cfg.ShardOf(mm.Inst)
 	if mm.Rnd.Less(a.rnds[shard]) {
@@ -280,25 +269,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if !ok {
 		return
 	}
-	if a.cfg.Multicoordinated() {
-		a.onP2aMulti(shard, mm, cmd)
-		return
-	}
-	if v, voted := a.votes[mm.Inst]; voted && v.vrnd.Equal(mm.Rnd) && !v.vval.Equal(cmd) {
-		// An acceptor accepts at most one value per round (Section 2.1.2).
-		return
-	}
-	a.setRnd(shard, mm.Rnd)
-	a.accept(shard, mm.Inst, mm.Rnd, cmd)
-}
-
-// onP2aMulti is the multicoordinated Phase2b (Section 4.1 per shard): tally
-// the member's 2a for (instance, round) and accept only once a coordinator
-// quorum forwarded the same value. Conflicting values within the round are
-// the Section 4.2 collision: promote the shard to the successor round so
-// the group re-establishes it (coordinated recovery).
-func (a *Acceptor) onP2aMulti(shard int, mm msg.P2a, cmd cstruct.Cmd) {
-	if !a.cfg.InShardGroup(shard, mm.Coord) {
+	if !a.cfg.InRoundGroup(shard, mm.Rnd, mm.Coord) {
 		return // a non-member 2a never counts toward a coordinator quorum
 	}
 	if v, voted := a.votes[mm.Inst]; voted && !v.vrnd.Less(mm.Rnd) {
@@ -330,7 +301,7 @@ func (a *Acceptor) onP2aMulti(shard int, mm msg.P2a, cmd cstruct.Cmd) {
 	}
 	t.vals[mm.Coord] = cmd
 	a.setRnd(shard, mm.Rnd)
-	if len(t.vals) < a.cfg.CoordQuorumSize(shard) {
+	if len(t.vals) < a.cfg.CoordQuorumSize() {
 		// Partial tally: persist the in-flight coordinator votes through the
 		// shard's commit stream so a restart replays them with the votes.
 		a.persistTally(shard, mm.Inst, t, cmd)
@@ -399,7 +370,7 @@ func (a *Acceptor) promote(shard int, j ballot.Ballot) {
 	}
 	a.promotions++
 	a.setRnd(shard, j)
-	a.send1b(shard, j, nil)
+	a.send1b(shard, j)
 }
 
 // setRnd advances the volatile round of one shard. Following Section 4.4,
@@ -431,8 +402,7 @@ func (a *Acceptor) OnRecover() {
 }
 
 // restore rebuilds the vote map — and each shard's round floor — from the
-// stable store, plus the in-flight coordinator tallies of multicoordinated
-// deployments. One scan covers every shard: the log is shared. The scan
+// stable store, plus the in-flight coordinator tallies. One scan covers every shard: the log is shared. The scan
 // starts at the persisted compaction floor: everything below it was
 // truncated, so probing those keys would only find tombstoned holes.
 func (a *Acceptor) restore() {
@@ -451,9 +421,6 @@ func (a *Acceptor) restore() {
 				a.votes[inst] = vote{vrnd: vr.VRnd, vval: vr.Cmds[0]}
 				a.setRnd(a.cfg.ShardOf(inst), vr.VRnd)
 			}
-		}
-		if !a.cfg.Multicoordinated() {
-			continue
 		}
 		rec, ok := a.disk.Get(tallyRecKey(inst))
 		if !ok {

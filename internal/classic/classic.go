@@ -1,18 +1,24 @@
-// Package classic implements Classic Paxos (Lamport, "Paxos Made Simple")
-// as described in Section 2.1 of the Multicoordinated Paxos paper. It is the
-// three-communication-step, single-leader baseline: proposals reach the
-// leader, which runs phase 2 against a majority of acceptors; learners learn
-// from a quorum of matching 2b votes.
+// Package classic is the deployed protocol engine: multi-instance Paxos
+// whose rounds are served by coordinator groups of size c = CoordsPerShard
+// (Section 4.1 of the Multicoordinated Paxos paper, applied per shard).
+// There is one round path, parameterised by c. Every member of a round's
+// group forwards the shard's sequence-numbered proposal stream as 2a
+// messages, acceptors accept an instance once a coordinator quorum
+// (⌊c/2⌋+1) forwarded the same value, and learners learn from a quorum of
+// matching 2b votes. Classic Paxos (Section 2.1) is the case c = 1: the one
+// coordinator quorum is the round's owner alone, so an acceptor accepts on
+// the first 2a.
 //
-// The implementation is multi-instance (one consensus instance per slot of a
-// replicated command log) with the standard "phase 1 a priori" optimization:
-// the leader runs a single phase 1 covering every instance, so in stable
-// runs each command costs exactly three message delays: propose → 2a → 2b.
+// Phase 1 runs once per round and covers every instance of the shard, so in
+// stable runs each command costs exactly three message delays at any c:
+// propose → 2a → 2b.
 package classic
 
 import (
 	"fmt"
+	"slices"
 
+	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/quorum"
@@ -37,18 +43,17 @@ type Config struct {
 	// total order by instance number (internal/smr.Merger). 0 or 1 means the
 	// classic single-sequencer deployment.
 	Shards int
-	// CoordsPerShard is the size c of each shard's coordinator group. With
-	// c ≥ 2 a shard's round is multicoordinated (Section 4.1 applied per
-	// shard): the first c coordinators of ShardCoords(k) form shard k's
-	// group, every member independently forwards the shard's proposal
-	// stream as 2a messages, and acceptors accept an instance only once a
-	// coordinator quorum (⌊c/2⌋+1, a quorum.CoordSystem per shard) has
-	// forwarded the same value for it — so ⌊c/2⌋ coordinator crashes per
+	// CoordsPerShard is the paper's c: the number of coordinators serving
+	// each round of a shard (RoundGroup). Acceptors accept an instance once a
+	// coordinator quorum — ⌊c/2⌋+1 members, a quorum.CoordSystem per shard —
+	// forwarded the same value for it, so ⌊c/2⌋ coordinator crashes per
 	// shard mask without a round change, at unchanged latency and acceptor
 	// quorum size. Conflicting 2a values within one round are the Section
 	// 4.2 collision: acceptors promote the shard to the successor round and
-	// the group re-establishes it. 0 or 1 keeps the single-coordinated
-	// rounds of Classic Paxos.
+	// the group re-establishes it. 0 or 1 means c = 1: the group is the
+	// round's owner alone and its quorum is that single coordinator —
+	// Classic Paxos, where a crashed owner costs a round change by whichever
+	// standby takes the shard over.
 	CoordsPerShard int
 }
 
@@ -81,7 +86,7 @@ func (c Config) ShardCoords(shard int) []msg.NodeID {
 	return out
 }
 
-// NCoordsPerShard returns the coordinator group size per shard (at least 1).
+// NCoordsPerShard returns the coordinator group size c per shard (at least 1).
 func (c Config) NCoordsPerShard() int {
 	if c.CoordsPerShard < 2 {
 		return 1
@@ -89,52 +94,41 @@ func (c Config) NCoordsPerShard() int {
 	return c.CoordsPerShard
 }
 
-// Multicoordinated reports whether shard rounds are served by coordinator
-// groups with quorum-counted 2a forwarding (CoordsPerShard ≥ 2).
-func (c Config) Multicoordinated() bool { return c.NCoordsPerShard() > 1 }
-
-// ShardGroup returns the coordinator group serving shard's rounds: the
-// first CoordsPerShard coordinators of ShardCoords(shard). With c = 1 the
-// group is the shard's primary alone.
-func (c Config) ShardGroup(shard int) []msg.NodeID {
-	g := c.ShardCoords(shard)
-	if n := c.NCoordsPerShard(); len(g) > n {
-		return g[:n]
+// RoundGroup returns the coordinators serving round r of shard — the one
+// place a round's coordinator set is decided: the c members of
+// ShardCoords(shard) starting at the position of r's owner, wrapping around
+// (position 0 when r names no coordinator of the shard, as the zero round and
+// an acceptor's recovery floor do). A shard deployed with exactly c
+// coordinators is served by all of them in every round; at c = 1 the group
+// is the round's owner alone, so a standby that starts a round takes the
+// shard over.
+func (c Config) RoundGroup(shard int, r ballot.Ballot) []msg.NodeID {
+	all := c.ShardCoords(shard)
+	n := c.NCoordsPerShard()
+	if len(all) <= n {
+		return all
 	}
-	return g
-}
-
-// InShardGroup reports whether id belongs to shard's coordinator group.
-func (c Config) InShardGroup(shard int, id msg.NodeID) bool {
-	for _, co := range c.ShardGroup(shard) {
-		if co == id {
-			return true
-		}
+	start := max(slices.Index(all, msg.NodeID(r.ID)), 0)
+	out := make([]msg.NodeID, n)
+	for i := range out {
+		out[i] = all[(start+i)%len(all)]
 	}
-	return false
+	return out
 }
 
-// CoordSystems builds the per-shard coordinator quorum systems, verifying
-// at cluster-build time that every shard has a full group of CoordsPerShard
-// coordinators and that majority quorums are feasible (Assumption 3).
-func (c Config) CoordSystems() ([]quorum.CoordSystem, error) {
-	for k := 0; k < c.NShards(); k++ {
-		if got := len(c.ShardGroup(k)); got < c.NCoordsPerShard() {
-			return nil, fmt.Errorf("classic: shard %d has %d coordinators, group size %d requires more deployed coordinators",
-				k, got, c.NCoordsPerShard())
-		}
-	}
-	return quorum.ShardCoordSystems(c.NShards(), c.NCoordsPerShard())
+// InRoundGroup reports whether id serves round r of shard.
+func (c Config) InRoundGroup(shard int, r ballot.Ballot, id msg.NodeID) bool {
+	return slices.Contains(c.RoundGroup(shard, r), id)
 }
 
-// CoordQuorumSize returns the 2a quorum a value needs from shard's
-// coordinator group before an acceptor may accept it: ⌊c/2⌋+1, which is 1
-// in single-coordinated deployments.
-func (c Config) CoordQuorumSize(shard int) int {
-	return quorum.MustCoordSystem(len(c.ShardGroup(shard))).Size()
+// CoordQuorumSize returns the 2a quorum a value needs from a round's group
+// before an acceptor may accept it: ⌊c/2⌋+1, which is 1 at c = 1.
+func (c Config) CoordQuorumSize() int {
+	return quorum.MustCoordSystem(c.NCoordsPerShard()).Size()
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration, including that every shard deploys at
+// least a full group of CoordsPerShard coordinators.
 func (c Config) Validate() error {
 	switch {
 	case len(c.Coords) == 0:
@@ -148,9 +142,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("classic: %d shards need at least as many coordinators, have %d",
 			c.NShards(), len(c.Coords))
 	}
-	if c.Multicoordinated() {
-		if _, err := c.CoordSystems(); err != nil {
-			return err
+	for k := 0; k < c.NShards(); k++ {
+		if got := len(c.ShardCoords(k)); got < c.NCoordsPerShard() {
+			return fmt.Errorf("classic: shard %d has %d coordinators, group size %d requires more deployed coordinators",
+				k, got, c.NCoordsPerShard())
 		}
 	}
 	return nil

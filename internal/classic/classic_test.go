@@ -1,11 +1,22 @@
 package classic
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/msg"
 	"mcpaxos/internal/sim"
 )
+
+// eachC runs a test body at c = 1 (Classic Paxos: the round's owner alone)
+// and c = 3 (a coordinator group): one round path, two group sizes.
+func eachC(t *testing.T, body func(t *testing.T, c int)) {
+	for _, c := range []int{1, 3} {
+		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) { body(t, c) })
+	}
+}
 
 func TestConfigValidate(t *testing.T) {
 	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1})
@@ -30,98 +41,117 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSingleDecision(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1})
-	cl.Lead(0)
-	cl.Prop.Propose(cstruct.Cmd{ID: 7})
-	cl.Sim.Run()
-	got, ok := cl.Learners[0].Learned(0)
-	if !ok || got.ID != 7 {
-		t.Fatalf("instance 0: learned %v/%v, want command 7", got, ok)
-	}
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
+		cl.Lead(0)
+		cl.Prop.Propose(cstruct.Cmd{ID: 7})
+		cl.Sim.Run()
+		got, ok := cl.Learners[0].Learned(0)
+		if !ok || got.ID != 7 {
+			t.Fatalf("instance 0: learned %v/%v, want command 7", got, ok)
+		}
+	})
 }
 
 func TestThreeCommunicationSteps(t *testing.T) {
-	// E1 shape: with phase 1 pre-executed, propose→learn takes exactly 3
-	// message delays (propose, 2a, 2b) — Section 2.1.2.
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 5, F: 2, Seed: 1})
-	cl.Lead(0)
-	start := cl.Sim.Now()
-	cl.Prop.Propose(cstruct.Cmd{ID: 1})
-	cl.Sim.Run()
-	lt, ok := cl.LearnTime[0]
-	if !ok {
-		t.Fatalf("nothing learned")
-	}
-	if steps := lt - start; steps != 3 {
-		t.Errorf("learned in %d steps, want 3", steps)
-	}
+	eachC(t, func(t *testing.T, c int) {
+		// E1 shape: with phase 1 pre-executed, propose→learn takes exactly 3
+		// message delays (propose, 2a, 2b) — Section 2.1.2.
+		cl := NewCluster(ClusterOpts{NAcceptors: 5, F: 2, Seed: 1, CoordsPerShard: c})
+		cl.Lead(0)
+		start := cl.Sim.Now()
+		cl.Prop.Propose(cstruct.Cmd{ID: 1})
+		cl.Sim.Run()
+		lt, ok := cl.LearnTime[0]
+		if !ok {
+			t.Fatalf("nothing learned")
+		}
+		if steps := lt - start; steps != 3 {
+			t.Errorf("learned in %d steps, want 3", steps)
+		}
+	})
 }
 
 func TestManyInstancesInOrder(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1})
-	cl.Lead(0)
-	const n = 50
-	for i := 0; i < n; i++ {
-		cl.Prop.Propose(cstruct.Cmd{ID: uint64(1000 + i)})
-	}
-	cl.Sim.Run()
-	if cl.Learners[0].LearnedCount() != n {
-		t.Fatalf("learned %d instances, want %d", cl.Learners[0].LearnedCount(), n)
-	}
-	for i := 0; i < n; i++ {
-		got, ok := cl.Learners[0].Learned(uint64(i))
-		if !ok || got.ID != uint64(1000+i) {
-			t.Errorf("instance %d: got %v/%v", i, got, ok)
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
+		cl.Lead(0)
+		const n = 50
+		for i := 0; i < n; i++ {
+			cl.Prop.Propose(cstruct.Cmd{ID: uint64(1000 + i)})
 		}
-	}
+		cl.Sim.Run()
+		if cl.Learners[0].LearnedCount() != n {
+			t.Fatalf("learned %d instances, want %d", cl.Learners[0].LearnedCount(), n)
+		}
+		for i := 0; i < n; i++ {
+			got, ok := cl.Learners[0].Learned(uint64(i))
+			if !ok || got.ID != uint64(1000+i) {
+				t.Errorf("instance %d: got %v/%v", i, got, ok)
+			}
+		}
+	})
 }
 
 func TestAllLearnersAgree(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, NLearners: 3, F: 1, Seed: 1})
-	cl.Lead(0)
-	for i := 0; i < 10; i++ {
-		cl.Prop.Propose(cstruct.Cmd{ID: uint64(10 + i)})
-	}
-	cl.Sim.Run()
-	for inst := uint64(0); inst < 10; inst++ {
-		ref, ok := cl.Learners[0].Learned(inst)
-		if !ok {
-			t.Fatalf("learner 0 missing instance %d", inst)
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, NLearners: 3, F: 1, Seed: 1, CoordsPerShard: c})
+		cl.Lead(0)
+		for i := 0; i < 10; i++ {
+			cl.Prop.Propose(cstruct.Cmd{ID: uint64(10 + i)})
 		}
-		for li, l := range cl.Learners[1:] {
-			got, ok := l.Learned(inst)
-			if !ok || !got.Equal(ref) {
-				t.Errorf("learner %d instance %d: got %v/%v want %v", li+1, inst, got, ok, ref)
+		cl.Sim.Run()
+		for inst := uint64(0); inst < 10; inst++ {
+			ref, ok := cl.Learners[0].Learned(inst)
+			if !ok {
+				t.Fatalf("learner 0 missing instance %d", inst)
+			}
+			for li, l := range cl.Learners[1:] {
+				got, ok := l.Learned(inst)
+				if !ok || !got.Equal(ref) {
+					t.Errorf("learner %d instance %d: got %v/%v want %v", li+1, inst, got, ok, ref)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestProposalBeforeLeadershipIsQueued(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1})
-	cl.Prop.Propose(cstruct.Cmd{ID: 3})
-	cl.Sim.Run() // proposal reaches coordinator before any round exists
-	if cl.Learners[0].LearnedCount() != 0 {
-		t.Fatalf("nothing should be learned without a leader")
-	}
-	cl.Lead(0)
-	cl.Sim.Run()
-	if got, ok := cl.Learners[0].Learned(0); !ok || got.ID != 3 {
-		t.Fatalf("queued proposal not decided after leadership: %v/%v", got, ok)
-	}
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
+		cl.Prop.Propose(cstruct.Cmd{ID: 3})
+		cl.Sim.Run() // proposal reaches coordinator before any round exists
+		if cl.Learners[0].LearnedCount() != 0 {
+			t.Fatalf("nothing should be learned without a leader")
+		}
+		cl.Lead(0)
+		cl.Sim.Run()
+		if got, ok := cl.Learners[0].Learned(0); !ok || got.ID != 3 {
+			t.Fatalf("queued proposal not decided after leadership: %v/%v", got, ok)
+		}
+	})
 }
 
+// A client's retransmission of a tagged submission maps to the slot its
+// first receipt was stamped into: one instance, however often it is retried
+// and whether or not the slot has decided yet.
 func TestDuplicateProposalsDecideOnce(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1})
-	cl.Lead(0)
-	cmd := cstruct.Cmd{ID: 9}
-	cl.Prop.Propose(cmd)
-	cl.Sim.Run()
-	cl.Prop.Propose(cmd) // client retransmission
-	cl.Sim.Run()
-	if n := cl.Learners[0].LearnedCount(); n != 1 {
-		t.Fatalf("duplicate proposal created %d instances, want 1", n)
-	}
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
+		cl.Lead(0)
+		sub := msg.Propose{Cmd: cstruct.Cmd{ID: 9}, Client: 7, Req: 1}
+		cl.Coords[0].OnMessage(7, sub)
+		cl.Coords[0].OnMessage(7, sub) // retry racing the first stamp
+		cl.Sim.Run()
+		cl.Coords[0].OnMessage(7, sub) // retry after the decision
+		cl.Sim.Run()
+		if n := cl.Learners[0].LearnedCount(); n != 1 {
+			t.Fatalf("duplicate proposal created %d instances, want 1", n)
+		}
+		if stamped, restamped, _ := cl.Coords[0].IngressCounts(); stamped != 1 || restamped != 0 {
+			t.Fatalf("ingress stamped %d slots (%d restamped), want 1 and 0", stamped, restamped)
+		}
+	})
 }
 
 func TestLeaderChangeAdoptsAcceptedValues(t *testing.T) {
@@ -142,6 +172,38 @@ func TestLeaderChangeAdoptsAcceptedValues(t *testing.T) {
 	}
 	if !cl.Coords[1].Leading() {
 		t.Errorf("coordinator 1 should have completed phase 1")
+	}
+}
+
+// Repair rejoins a live round only if the restarted coordinator serves it.
+// At c = 1 a standby that took the shard over owns its round alone, so the
+// old owner coming back finds no group to rejoin: it must outbid the round,
+// not probe it forever.
+func TestRepairOutbidsRoundServedWithoutIt(t *testing.T) {
+	cl := NewCluster(ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1, Seed: 1, RetryEvery: 10})
+	cl.Lead(0)
+	cl.Prop.Propose(cstruct.Cmd{ID: 1})
+	cl.Sim.RunUntil(cl.Sim.Now() + 50)
+	cl.Sim.Crash(cl.Cfg.Coords[0])
+	cl.Coords[1].BecomeLeader()
+	cl.Sim.RunUntil(cl.Sim.Now() + 50)
+	standby := cl.Coords[1].Rnd()
+
+	fresh := NewCoordinator(cl.Sim.Env(cl.Cfg.Coords[0]), cl.Cfg)
+	fresh.RetryEvery = 10
+	cl.Sim.Register(cl.Cfg.Coords[0], fresh)
+	cl.Sim.Recover(cl.Cfg.Coords[0])
+	cl.Coords[0] = fresh
+	fresh.Repair()
+	cl.Prop.Propose(cstruct.Cmd{ID: 2})
+	cl.Sim.RunUntil(cl.Sim.Now() + 500)
+
+	if !fresh.Leading() || !standby.Less(fresh.Rnd()) {
+		t.Fatalf("restarted owner leading=%v at round %v, want a round above the standby's %v",
+			fresh.Leading(), fresh.Rnd(), standby)
+	}
+	if got := cl.Learners[0].LearnedCount(); got != 2 {
+		t.Fatalf("learned %d/2 across the takeover and the owner's return", got)
 	}
 }
 
@@ -204,18 +266,50 @@ func TestStaleTriggersHigherRound(t *testing.T) {
 }
 
 func TestLossyNetworkWithRetransmission(t *testing.T) {
-	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 42, RetryEvery: 20})
-	cl.Sim.SetDrop(sim.DropProb(0.2))
-	cl.Coords[0].BecomeLeader()
-	cl.Sim.RunUntil(1_000)
-	const n = 20
-	for i := 0; i < n; i++ {
-		cl.Prop.Propose(cstruct.Cmd{ID: uint64(500 + i)})
-	}
-	cl.Sim.RunUntil(5_000)
-	if got := cl.Learners[0].LearnedCount(); got != n {
-		t.Fatalf("lossy run learned %d/%d instances", got, n)
-	}
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 42, RetryEvery: 20, CoordsPerShard: c})
+		cl.Sim.SetDrop(sim.DropProb(0.2))
+		cl.Coords[0].BecomeLeader()
+		cl.Sim.RunUntil(1_000)
+		const n = 20
+		for i := 0; i < n; i++ {
+			cl.Prop.Propose(cstruct.Cmd{ID: uint64(500 + i)})
+		}
+		cl.Sim.RunUntil(5_000)
+		if got := cl.Learners[0].LearnedCount(); got != n {
+			t.Fatalf("lossy run learned %d/%d instances", got, n)
+		}
+	})
+}
+
+// A lost promise wave must not wedge phase 1: the coordinator retransmits
+// its 1a, and an acceptor that already joined the round re-sends its promise
+// instead of rejecting the retransmission as stale.
+func TestLostPromiseRecoveredByRetransmit(t *testing.T) {
+	eachC(t, func(t *testing.T, c int) {
+		cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1, RetryEvery: 20, CoordsPerShard: c})
+		lost := 0
+		cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+			// The whole first wave: every acceptor's promise to every member.
+			if m.Type() == msg.TP1b && lost < 3*c {
+				lost++
+				return true
+			}
+			return false
+		})
+		cl.Coords[0].BecomeLeader()
+		cl.Prop.Propose(cstruct.Cmd{ID: 1})
+		cl.Sim.RunUntil(5_000)
+		if lost != 3*c {
+			t.Fatalf("dropped %d promises, want the full first wave of %d", lost, 3*c)
+		}
+		if !cl.Coords[0].Leading() {
+			t.Fatal("coordinator never established its round after the promise wave was lost")
+		}
+		if got := cl.Learners[0].LearnedCount(); got != 1 {
+			t.Fatalf("learned %d/1 after the lost promise wave", got)
+		}
+	})
 }
 
 func TestDiskWritesOnePerAcceptedValue(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"mcpaxos/internal/storage"
 )
 
-// Cluster wires a full Classic Paxos deployment into a simulator: a set of
+// Cluster wires a full deployment into a simulator: a set of
 // coordinators, acceptors with their disks, learners, and one proposer. It
 // is the building block of tests and experiments.
 type Cluster struct {
@@ -37,19 +37,18 @@ type ClusterOpts struct {
 	Seed       int64
 	RetryEvery int64 // 0 disables retransmission
 	// MaxInflight bounds each coordinator's pipeline window; 0 is unbounded.
-	// In sharded deployments each shard-leader gets its own window, so the
+	// In sharded deployments each shard's group gets its own window, so the
 	// aggregate pipeline is Shards × MaxInflight.
 	MaxInflight int
 	// Shards > 1 partitions the instance space across that many concurrent
-	// leaders: coordinator i sequences instances ≡ i (mod Shards). NCoords
-	// is raised to Shards if lower; extra coordinators are standbys for
-	// shard i mod Shards.
+	// coordinator groups: coordinator i serves instances ≡ i (mod Shards).
 	Shards int
-	// CoordsPerShard ≥ 2 makes each shard's round multicoordinated: the
-	// first CoordsPerShard coordinators of shard k's residue class form its
-	// group and acceptors accept on a coordinator quorum of matching 2a
-	// messages, so ⌊c/2⌋ coordinator crashes per shard mask without a round
-	// change. NCoords is raised to Shards×CoordsPerShard if lower.
+	// CoordsPerShard is the paper's c, the coordinator group size serving
+	// each shard's rounds (Config.CoordsPerShard): acceptors accept on a
+	// coordinator quorum of ⌊c/2⌋+1 matching 2a messages, so ⌊c/2⌋
+	// coordinator crashes per shard mask without a round change. 0 or 1 is
+	// Classic Paxos. NCoords is raised to Shards×CoordsPerShard if lower;
+	// coordinators beyond that are standbys for shard i mod Shards.
 	CoordsPerShard int
 	// Stable supplies acceptor i's stable store (e.g. a WAL opened on a
 	// real directory); nil defaults to a fresh in-memory Disk.
@@ -65,14 +64,7 @@ func NewCluster(o ClusterOpts) *Cluster {
 	if o.NLearners == 0 {
 		o.NLearners = 1
 	}
-	if o.Shards > o.NCoords {
-		o.NCoords = o.Shards
-	}
-	if o.CoordsPerShard > 1 {
-		if need := max(o.Shards, 1) * o.CoordsPerShard; o.NCoords < need {
-			o.NCoords = need
-		}
-	}
+	o.NCoords = max(o.NCoords, max(o.Shards, 1)*max(o.CoordsPerShard, 1))
 	s := sim.New(o.Seed)
 	cfg := Config{
 		Quorums:        quorum.MustAcceptorSystem(o.NAcceptors, o.F, 0),
@@ -169,9 +161,9 @@ func (cl *Cluster) Lead(i int) {
 
 // LeadAll runs phase 1 on every shard's primary (coordinators 0..NShards−1)
 // and drains the simulator: each residue class then has an independent
-// sequencer with its own pipeline window. In multicoordinated deployments
-// the acceptors broadcast their promises to the whole group, so one 1a per
-// shard establishes the round at every group member.
+// coordinator group with its own pipeline window. The acceptors send their
+// promises to the round's whole group, so one 1a per shard establishes the
+// round at every group member.
 func (cl *Cluster) LeadAll() {
 	for i := 0; i < cl.Cfg.NShards(); i++ {
 		cl.Coords[i].BecomeLeader()
@@ -190,7 +182,7 @@ func (cl *Cluster) ShardRound(shard int) ballot.Ballot {
 }
 
 // RoundChanges sums the post-establishment round changes across every
-// coordinator: a crash-masked multicoordinated drain reports 0.
+// coordinator: a crash-masked drain reports 0.
 func (cl *Cluster) RoundChanges() int {
 	n := 0
 	for _, co := range cl.Coords {

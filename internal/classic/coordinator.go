@@ -1,7 +1,8 @@
 package classic
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/batch"
@@ -31,60 +32,47 @@ type reqKey struct {
 	req    uint64
 }
 
-// ingressRec remembers where a client request was stamped: the instance and
-// the ID of the stamped value (the command itself, or the batch wrapping
-// it). If the instance later decides a different value — the stamp lost a
-// collision with a concurrent failover stamper or a gap fill — the mismatch
-// tells the ingress to restamp the retried request at a fresh slot.
-type ingressRec struct {
-	inst uint64
-	val  uint64
-}
-
-// Coordinator drives phase 2 of a shard's rounds. In single-coordinated
-// deployments (CoordsPerShard ≤ 1) it is the Classic Paxos leader: at most
-// one coordinator should believe itself leader at a time for liveness;
-// safety holds regardless (Section 2.1.2).
+// Coordinator is one member of the coordinator groups serving its shard's
+// rounds (Section 4.1 applied per shard; the group of a round is
+// Config.RoundGroup). Every member independently forwards the shard's
+// sequence-numbered proposal stream as 2a messages for deterministically
+// identical instances (instance = Seq·N + shard), and acceptors accept only
+// on a coordinator quorum of matching 2as — so ⌊c/2⌋ member crashes mask
+// without a round change. Any coordinator of the shard may start a round
+// (1a); acceptors send their promise to the round's whole group and each
+// member completes phase 1 independently, the group analogue of Phase2Start.
+// At c = 1 the group is the round's owner alone — the Classic Paxos leader:
+// at most one coordinator should start rounds at a time for liveness; safety
+// holds regardless (Section 2.1.2).
 //
-// In multicoordinated deployments (CoordsPerShard = c ≥ 2) it is one member
-// of its shard's coordinator group (Section 4.1 applied per shard): every
-// member independently forwards the shard's sequence-numbered proposal
-// stream as 2a messages for deterministically identical instances
-// (instance = Seq·N + shard), and acceptors accept only on a coordinator
-// quorum of matching 2as — so ⌊c/2⌋ member crashes mask without a round
-// change. Any member may start a round (1a); acceptors broadcast their
-// promise to the whole group and each member completes phase 1
-// independently, the group analogue of Phase2Start.
-//
-// Coordinators keep no stable state: a recovered coordinator simply starts
-// (or adopts) a fresh, higher round (Section 4.4).
+// Coordinators keep no stable state: a recovered coordinator repairs its
+// round state from the acceptors or starts a fresh, higher round (Section
+// 4.4). State is bounded by the open window: everything about an instance is
+// dropped once the shard's contiguous learned frontier passes it.
 type Coordinator struct {
 	env node.Env
 	cfg Config
 
 	crnd    ballot.Ballot
 	leading bool // phase 1 completed for crnd
-	// p1bs buffers promises per candidate round: single-coordinated mode
-	// only ever fills the entry for crnd, group members also collect rounds
-	// started by their peers (or by an acceptor's collision promotion).
+	// p1bs buffers promises per candidate round: the own round's, and those
+	// started by group peers (or by an acceptor's collision promotion).
 	p1bs map[ballot.Ballot]map[msg.NodeID]msg.P1bMulti
 
+	// nextInst is one past the highest instance assigned so far.
 	nextInst uint64
-	// accepted values the new leader must re-propose, per instance.
-	proposals map[uint64]cstruct.Cmd // values sent in 2a for this round
-	byCmd     map[uint64]uint64      // command ID → instance (dedup)
-	pending   []cstruct.Cmd          // proposals queued until leadership or a window slot
-	queued    map[uint64]bool        // command IDs currently in pending (dedup)
+	// proposals holds the value bound to every assigned instance at or above
+	// the learned frontier: what this member forwards (or will forward) as 2a.
+	proposals map[uint64]cstruct.Cmd
 
-	// MaxInflight > 0 bounds how many assigned instances may be unlearned at
-	// once (the pipeline window, Paxos' alpha): proposals beyond it queue in
-	// pending and drain as instances are learned. 0 leaves the pipeline
+	// MaxInflight > 0 bounds how many forwarded instances may be unlearned at
+	// once (the pipeline window, Paxos' alpha): assignments beyond it queue in
+	// unsent and drain as instances are learned. 0 leaves the pipeline
 	// unbounded.
 	MaxInflight int
-	open        int // assigned instances not yet learned
 
 	// Shard is the residue class this coordinator sequences in a sharded
-	// deployment (cfg.Shards > 1): it only assigns instances ≡ Shard (mod
+	// deployment (cfg.Shards > 1): it only forwards instances ≡ Shard (mod
 	// cfg.NShards()) and its phase 1 claims only those instances. Set it
 	// before the first round; unsharded deployments leave it 0.
 	Shard int
@@ -92,16 +80,16 @@ type Coordinator struct {
 	// RetryEvery > 0 enables periodic retransmission of unlearned 2a
 	// messages and of the current 1a while phase 1 is incomplete.
 	RetryEvery int64
-	learned    map[uint64]bool
-	// wantLead records whether this coordinator currently tries to lead;
-	// only aspiring leaders chase Stale rejections (Section 4.3 expects a
-	// single leader driving round changes). Group members are co-equal and
-	// ignore it.
-	wantLead bool
 
-	// Group-member state (multicoordinated mode only).
-	sent   map[uint64]bool // instances whose 2a went out in crnd
-	unsent []uint64        // assigned instances awaiting a window slot
+	// lo is the shard's contiguous learned frontier as a sequence number:
+	// every owned instance below seqInst(lo) is learned and forgotten.
+	// learned holds the instances learned out of order above it.
+	lo      uint64
+	learned map[uint64]bool
+	// sent is the open window: instances whose 2a went out in crnd and that
+	// are not yet learned — exactly what retransmission re-sends.
+	sent   map[uint64]bool
+	unsent []uint64 // assigned instances awaiting a window slot
 	// attempt is the highest round this member sent a 1a for; it damps the
 	// stale-chase so one rejection wave yields one new round.
 	attempt ballot.Ballot
@@ -120,7 +108,7 @@ type Coordinator struct {
 	// while repairing.
 	repairTarget ballot.Ballot
 
-	// --- server-side ingress sequencing (multicoordinated mode) ---
+	// --- server-side ingress sequencing ---
 	// Clients submit unsequenced proposals tagged (Client, Req); whichever
 	// group member they reach stamps the next free per-shard Seq and shares
 	// the stamped proposal with its peers, so the group keeps assigning
@@ -149,9 +137,13 @@ type Coordinator struct {
 	// observed stamp (local or shared by a peer) advances it, so a failover
 	// stamper resumes the counter instead of colliding with past slots.
 	ingressNext uint64
-	byReq       map[reqKey]ingressRec
-	ing         *batch.Batcher
-	ingArmed    bool
+	// byReq maps a client request to the instance its command was stamped
+	// into. An entry always names the slot's current value: a stamp displaced
+	// by a collision or a gap fill forgets its requests (bind), so the
+	// client's retry is restamped at a fresh slot.
+	byReq    map[reqKey]uint64
+	ing      *batch.Batcher
+	ingArmed bool
 	// bufKeys/bufd track the (client, req) keys buffered in the open
 	// ingress batch, in arrival order, so the flush can bind them all to
 	// the stamped instance (and retries of buffered commands are absorbed).
@@ -159,7 +151,7 @@ type Coordinator struct {
 	bufd    map[reqKey]bool
 
 	stamped   uint64 // sequence slots stamped at this member's ingress
-	restamped uint64 // client retries restamped after losing their slot
+	restamped uint64 // client requests that lost their stamped slot
 	filled    uint64 // no-op fills adopted for stalled instances
 }
 
@@ -173,26 +165,11 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 		cfg:       cfg,
 		p1bs:      make(map[ballot.Ballot]map[msg.NodeID]msg.P1bMulti),
 		proposals: make(map[uint64]cstruct.Cmd),
-		byCmd:     make(map[uint64]uint64),
-		queued:    make(map[uint64]bool),
 		learned:   make(map[uint64]bool),
 		sent:      make(map[uint64]bool),
-		byReq:     make(map[reqKey]ingressRec),
+		byReq:     make(map[reqKey]uint64),
 		bufd:      make(map[reqKey]bool),
 	}
-}
-
-// multi reports whether this coordinator runs as a shard-group member.
-func (c *Coordinator) multi() bool { return c.cfg.Multicoordinated() }
-
-// member reports whether this coordinator belongs to its shard's group.
-// Standbys beyond the group stay passive in multicoordinated mode: a 2a
-// from a non-member would never count toward a coordinator quorum.
-func (c *Coordinator) member() bool {
-	if !c.multi() {
-		return true
-	}
-	return c.cfg.InShardGroup(c.Shard, c.env.ID())
 }
 
 // Leading reports whether phase 1 has completed for the current round.
@@ -202,33 +179,27 @@ func (c *Coordinator) Leading() bool { return c.leading }
 func (c *Coordinator) Rnd() ballot.Ballot { return c.crnd }
 
 // RoundChanges counts round establishments after the first: a crash-free
-// multicoordinated drain reports 0 even when a group member died.
+// drain reports 0 even when a member of a c ≥ 3 group died.
 func (c *Coordinator) RoundChanges() int { return c.roundChanges }
 
 // BecomeLeader starts phase 1 of a round higher than any this coordinator
-// has seen, claiming leadership (action Phase1a). In multicoordinated mode
-// the started round is served by the whole shard group, not this member
-// alone.
+// has seen (action Phase1a). The round is served by its whole group — this
+// coordinator alone at c = 1, which is how a standby takes a shard over.
 func (c *Coordinator) BecomeLeader() {
-	c.wantLead = true
 	c.startRound(ballot.SingleScheme{}.Next(ballot.Max(c.crnd, c.attempt), uint32(c.env.ID())))
 }
 
-// StepDown makes the coordinator stop acting as leader: it keeps queueing
-// proposals but no longer assigns instances or chases higher rounds.
-func (c *Coordinator) StepDown() {
-	c.wantLead = false
-	c.leading = false
-}
+// StepDown makes the coordinator stop forwarding: it keeps recording the
+// proposal stream but sends no 2a until a round is established again.
+func (c *Coordinator) StepDown() { c.leading = false }
 
 // BecomeLeaderAt starts phase 1 at the given incarnation; used after
 // recovery to dominate pre-crash rounds.
 func (c *Coordinator) BecomeLeaderAt(mcount uint32) {
-	c.wantLead = true
 	c.startRound(ballot.SingleScheme{}.First(mcount, uint32(c.env.ID())))
 }
 
-// Repair reconstructs a restarted group member's volatile round state from
+// Repair reconstructs a restarted coordinator's volatile round state from
 // the acceptors (the Section 4.4 recovery applied to coordinators): a fresh
 // 1a at the member's current (restarted: zero) round never outbids the
 // shard's live round — acceptors either re-send their promise (round
@@ -237,18 +208,12 @@ func (c *Coordinator) BecomeLeaderAt(mcount uint32) {
 // past vote of the shard, so establishment re-forwards the unlearned
 // history under the live round: abandoned slots decide instead of
 // retransmitting forever, and a successful repair costs zero round changes.
-// Single-coordinated deployments have no co-equal group to rejoin; they
-// fall back to starting a fresh higher round.
+// A live round this coordinator does not serve (a standby took the shard
+// over at c = 1) is outbid instead. Standbys outside the shard's first group
+// stay passive.
 func (c *Coordinator) Repair() {
-	if !c.multi() {
-		c.BecomeLeader()
+	if c.leading || !c.cfg.InRoundGroup(c.Shard, c.crnd, c.env.ID()) {
 		return
-	}
-	if !c.member() {
-		return
-	}
-	if c.leading {
-		return // nothing to repair
 	}
 	c.repairing = true
 	c.probe()
@@ -282,38 +247,11 @@ func (c *Coordinator) startRound(r ballot.Ballot) {
 			delete(c.p1bs, past)
 		}
 	}
-	if c.multi() {
-		// Group members never re-queue: every assignment is bound to its
-		// instance by the proposal's sequence number, so the new round
-		// re-forwards the same (instance, value) pairs once established.
-		c.sent = make(map[uint64]bool)
-		c.unsent = nil
-		c.open = 0
-		c.send1a()
-		c.armRetry()
-		return
-	}
-	// Unlearned assignments from the abandoned round may have reached no
-	// acceptor, so their 2a will not resurface in the new round's 1b picks:
-	// release the dedup claim and re-queue the command. If the old 2a did
-	// get accepted somewhere, the pick re-registers it in byCmd and the
-	// queued copy is skipped; at worst a command occupies two instances,
-	// which replicas already dedup by command ID. Instance order keeps the
-	// re-queue deterministic (map iteration is not).
-	var orphaned []uint64
-	for inst := range c.proposals {
-		if !c.learned[inst] {
-			orphaned = append(orphaned, inst)
-		}
-	}
-	sort.Slice(orphaned, func(i, j int) bool { return orphaned[i] < orphaned[j] })
-	for _, inst := range orphaned {
-		cmd := c.proposals[inst]
-		delete(c.byCmd, cmd.ID)
-		c.enqueue(cmd)
-	}
-	c.proposals = make(map[uint64]cstruct.Cmd)
-	c.open = 0
+	// Nothing is re-queued: every assignment is bound to its instance by the
+	// proposal's sequence number, so the new round re-forwards the same
+	// (instance, value) pairs once established.
+	c.sent = make(map[uint64]bool)
+	c.unsent = nil
 	c.send1a()
 	c.armRetry()
 }
@@ -331,28 +269,12 @@ func (c *Coordinator) stride() uint64 { return uint64(c.cfg.NShards()) }
 // owns reports whether inst belongs to this coordinator's residue class.
 func (c *Coordinator) owns(inst uint64) bool { return c.cfg.ShardOf(inst) == c.Shard }
 
-// nextOwned returns the smallest instance ≥ n in this coordinator's residue
-// class.
-func (c *Coordinator) nextOwned(n uint64) uint64 {
-	s, k := c.stride(), uint64(c.Shard)
-	if n <= k {
-		return k
-	}
-	if rem := (n - k) % s; rem != 0 {
-		return n + s - rem
-	}
-	return n
-}
-
 // seqInst maps a per-shard sequence number to its instance: the fixed,
 // coordination-free assignment every group member agrees on.
 func (c *Coordinator) seqInst(seq uint64) uint64 { return seq*c.stride() + uint64(c.Shard) }
 
 // OnMessage implements node.Handler.
 func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
-	if !c.member() {
-		return
-	}
 	switch mm := m.(type) {
 	case msg.Propose:
 		c.onPropose(mm)
@@ -361,7 +283,7 @@ func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
 	case msg.Stale:
 		c.onStale(mm)
 	case msg.P2b:
-		// Leaders may watch 2b traffic to garbage-collect retransmissions.
+		// Learners acknowledge decided instances so retransmission stops.
 		c.noteLearned(mm.Inst)
 	case msg.Fill:
 		c.onFill(mm)
@@ -372,74 +294,45 @@ func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
 // learner in hosts that wire one) and frees its pipeline slot.
 func (c *Coordinator) MarkLearned(inst uint64) { c.noteLearned(inst) }
 
-// Pending reports how many proposals wait for leadership or a window slot.
-func (c *Coordinator) Pending() int { return len(c.pending) + len(c.unsent) }
+// Pending reports how many assigned instances wait for a window slot.
+func (c *Coordinator) Pending() int { return len(c.unsent) }
 
-// Inflight reports how many assigned instances are not yet learned.
-func (c *Coordinator) Inflight() int { return c.open }
+// Inflight reports how many forwarded instances are not yet learned.
+func (c *Coordinator) Inflight() int { return len(c.sent) }
+
+// Retained reports how many instances the coordinator holds state for
+// (assigned values plus out-of-order learns), for memory-bound tests.
+func (c *Coordinator) Retained() int { return len(c.proposals) + len(c.learned) }
+
+// isLearned reports whether an owned instance is known decided.
+func (c *Coordinator) isLearned(inst uint64) bool {
+	return inst/c.stride() < c.lo || c.learned[inst]
+}
 
 func (c *Coordinator) noteLearned(inst uint64) {
-	if !c.owns(inst) {
-		// Another shard's instance: no pipeline slot or retransmission of
-		// ours depends on it, so tracking it would only grow state N× in
-		// sharded runs.
-		return
-	}
-	if c.learned[inst] {
+	// Another shard's instance never matters here: no pipeline slot or
+	// retransmission of ours depends on it.
+	if !c.owns(inst) || c.isLearned(inst) {
 		return
 	}
 	c.learned[inst] = true
-	if c.multi() {
-		if c.sent[inst] && c.open > 0 {
-			c.open--
-		}
-		c.drainUnsent()
-		return
+	delete(c.sent, inst)
+	// Everything below the contiguous frontier is forgotten: state stays
+	// bounded by the open window instead of growing with the run.
+	for at := c.seqInst(c.lo); c.learned[at]; at = c.seqInst(c.lo) {
+		delete(c.learned, at)
+		delete(c.proposals, at)
+		c.lo++
 	}
-	if _, assigned := c.proposals[inst]; assigned && c.open > 0 {
-		c.open--
-	}
-	c.drainPending()
+	c.drainUnsent()
 }
 
-// drainPending assigns queued proposals while leading and the pipeline
-// window has room.
-func (c *Coordinator) drainPending() {
-	if !c.leading {
-		return
-	}
-	for len(c.pending) > 0 && (c.MaxInflight <= 0 || c.open < c.MaxInflight) {
-		cmd := c.pending[0]
-		c.pending = c.pending[1:]
-		delete(c.queued, cmd.ID)
-		if _, dup := c.byCmd[cmd.ID]; dup {
-			continue
-		}
-		c.assign(cmd)
-	}
-}
-
-func (c *Coordinator) onPropose(mm msg.Propose) {
-	if c.multi() {
-		c.onProposeMulti(mm)
-		return
-	}
-	if _, dup := c.byCmd[mm.Cmd.ID]; dup {
-		return
-	}
-	if !c.leading || (c.MaxInflight > 0 && c.open >= c.MaxInflight) {
-		c.enqueue(mm.Cmd)
-		return
-	}
-	c.assign(mm.Cmd)
-}
-
-// onProposeMulti records a sequence-numbered proposal at its fixed instance
-// and forwards it within the window. A proposal without a sequence number is
-// an unsequenced client submission: it is stamped at this member's ingress
+// onPropose records a sequence-numbered proposal at its fixed instance and
+// forwards it within the window. A proposal without a sequence number is an
+// unsequenced client submission: it is stamped at this member's ingress
 // (untagged unsequenced proposals cannot be placed deterministically across
-// the group and are dropped).
-func (c *Coordinator) onProposeMulti(mm msg.Propose) {
+// a group and are dropped).
+func (c *Coordinator) onPropose(mm msg.Propose) {
 	if !mm.HasSeq {
 		if mm.Client != 0 {
 			c.onIngress(mm)
@@ -452,32 +345,56 @@ func (c *Coordinator) onProposeMulti(mm msg.Propose) {
 		c.ingressNext = mm.Seq + 1
 	}
 	inst := c.seqInst(mm.Seq)
+	switch cur, have := c.proposals[inst]; {
+	case c.isLearned(inst):
+		// Decided before this copy arrived: only its request keys still
+		// matter — a late client retry must map to the decided slot instead
+		// of being stamped a second time. (A value known to have lost the
+		// slot keeps its requests unmapped: they must restamp.)
+		if have && !cur.Equal(mm.Cmd) {
+			return
+		}
+		c.indexValue(inst, mm.Cmd)
+	case !have:
+		c.bind(inst, mm.Cmd)
+		c.trySend(inst)
+	case cur.Equal(mm.Cmd):
+		// Retransmitted proposal: refresh the in-flight 2a so a lost one is
+		// eventually replaced.
+		if c.leading && c.sent[inst] {
+			c.send2a(inst, cur)
+			c.armRetry()
+		}
+	default:
+		if !c.converge(inst, mm.Cmd, cur) {
+			return
+		}
+	}
 	if mm.Client != 0 {
 		// A peer's stamp share carries the request key: record it so a
 		// client failing over to this member maps to the same slot.
-		c.recordReq(reqKey{mm.Client, mm.Req}, inst, mm.Cmd.ID)
+		c.recordReq(reqKey{mm.Client, mm.Req}, inst)
 	}
-	if cmd, dup := c.proposals[inst]; dup {
-		if !cmd.Equal(mm.Cmd) && !c.learned[inst] {
-			c.converge(inst, mm.Cmd, cmd)
-			return
+}
+
+// bind makes cmd this member's value for an instance. Requests stamped into
+// a displaced value lost their slot — to a concurrent failover stamper, a gap
+// fill, or the acceptors' pick — and are forgotten, so their clients' retries
+// are restamped at a fresh slot.
+func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
+	if old, ok := c.proposals[inst]; ok && !old.Equal(cmd) {
+		for k, at := range c.byReq {
+			if at == inst {
+				delete(c.byReq, k)
+				c.restamped++
+			}
 		}
-		// Retransmitted proposal: refresh the in-flight 2a so a lost one is
-		// eventually replaced.
-		if c.leading && c.sent[inst] && !c.learned[inst] {
-			c.send2a(inst, cmd)
-			c.armRetry()
-		}
-		return
 	}
-	// Dedup is by instance here, not byCmd: the seq fixes the placement, so
-	// the single-path command-ID map stays untouched in group mode.
-	c.proposals[inst] = mm.Cmd
+	c.proposals[inst] = cmd
 	if inst >= c.nextInst {
 		c.nextInst = inst + c.stride()
 	}
-	c.indexValue(inst, mm.Cmd)
-	c.trySend(inst)
+	c.indexValue(inst, cmd)
 }
 
 // converge resolves a divergence between this member's value and a peer's
@@ -495,21 +412,21 @@ func (c *Coordinator) onProposeMulti(mm msg.Propose) {
 // would otherwise become possible, breaking the pick rule's safety. So a
 // member that already forwarded the losing value in the current round adopts
 // the winner but converges through a fresh round instead of re-sending
-// within this one.
-func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) {
+// within this one. It reports whether the incoming value was adopted.
+func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (adopted bool) {
 	if !c.prefer(inst, incoming, existing) {
 		// Our value wins: re-share it so the peer adopts — it may have filled
 		// a no-op (or stamped a loser) because it never saw our stamp share.
 		c.shareStamp(inst, existing, 0, 0)
-		return
+		return false
 	}
-	c.proposals[inst] = incoming
-	c.indexValue(inst, incoming)
+	c.bind(inst, incoming)
 	if c.sent[inst] {
 		c.startRound(ballot.SingleScheme{}.Next(ballot.Max(c.attempt, c.crnd), uint32(c.env.ID())))
-		return
+	} else {
+		c.trySend(inst)
 	}
-	c.trySend(inst)
+	return true
 }
 
 // prefer reports whether value a beats value b for an instance under the
@@ -537,7 +454,7 @@ func (c *Coordinator) indexValue(inst uint64, val cstruct.Cmd) {
 	}
 	for _, cc := range inner {
 		if client, req, ok := c.ReqOf(cc); ok {
-			c.recordReq(reqKey{client, req}, inst, val.ID)
+			c.recordReq(reqKey{client, req}, inst)
 		}
 	}
 }
@@ -548,27 +465,16 @@ func (c *Coordinator) indexValue(inst uint64, val cstruct.Cmd) {
 // request buffers in the ingress batch and is stamped on flush.
 func (c *Coordinator) onIngress(mm msg.Propose) {
 	k := reqKey{mm.Client, mm.Req}
-	if rec, ok := c.byReq[k]; ok {
-		if cmd, have := c.proposals[rec.inst]; have && cmd.ID == rec.val {
-			if !c.learned[rec.inst] {
-				if c.leading && c.sent[rec.inst] {
-					c.send2a(rec.inst, cmd)
-					c.armRetry()
-				} else {
-					c.trySend(rec.inst)
-				}
-				// Re-share the stamp: the retry may mean the original share
-				// was lost, leaving peers without the assignment.
-				c.shareStamp(rec.inst, cmd, mm.Client, mm.Req)
-			}
-			// Learned instances need nothing from the ingress: the client's
-			// replay probes re-elicit the reply from the learners' caches.
-			return
+	if inst, ok := c.byReq[k]; ok {
+		// Learned instances need nothing from the ingress: the client's
+		// replay probes re-elicit the reply from the learners' caches.
+		if !c.isLearned(inst) {
+			c.forward(inst)
+			// Re-share the stamp: the retry may mean the original share was
+			// lost, leaving peers without the assignment.
+			c.shareStamp(inst, c.proposals[inst], mm.Client, mm.Req)
 		}
-		// The slot decided a different value (the stamp lost a collision
-		// with a concurrent failover stamper or a gap fill): restamp.
-		delete(c.byReq, k)
-		c.restamped++
+		return
 	}
 	if c.bufd[k] {
 		// A retry of a command still buffered: the client has waited out its
@@ -601,20 +507,16 @@ func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
 	// or 2as after a failover overlap).
 	var inst uint64
 	for {
-		seq := c.ingressNext
+		inst = c.seqInst(c.ingressNext)
 		c.ingressNext++
-		inst = c.seqInst(seq)
-		if _, occ := c.proposals[inst]; !occ && !c.learned[inst] {
+		if _, occ := c.proposals[inst]; !occ && !c.isLearned(inst) {
 			break
 		}
 	}
-	for _, k := range keys {
-		c.recordReq(k, inst, cmd.ID)
-	}
 	c.stamped++
-	c.proposals[inst] = cmd
-	if inst >= c.nextInst {
-		c.nextInst = inst + c.stride()
+	c.bind(inst, cmd)
+	for _, k := range keys {
+		c.recordReq(k, inst)
 	}
 	c.trySend(inst)
 	var client msg.NodeID
@@ -629,27 +531,28 @@ func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
 	c.shareStamp(inst, cmd, client, req)
 }
 
-// shareStamp replicates a stamped proposal to the other group members.
+// shareStamp replicates a stamped proposal to the other members of the
+// current round's group (nobody at c = 1).
 func (c *Coordinator) shareStamp(inst uint64, cmd cstruct.Cmd, client msg.NodeID, req uint64) {
 	m := msg.Propose{Cmd: cmd, Seq: inst / c.stride(), HasSeq: true, Client: client, Req: req}
-	for _, id := range c.cfg.ShardGroup(c.Shard) {
+	for _, id := range c.cfg.RoundGroup(c.Shard, c.crnd) {
 		if id != c.env.ID() {
 			c.env.Send(id, m)
 		}
 	}
 }
 
-// recordReq remembers a request key's stamped slot, sweeping learned
-// entries once the map outgrows reqTrackMax.
-func (c *Coordinator) recordReq(k reqKey, inst uint64, val uint64) {
+// recordReq remembers the slot a request key was stamped into, sweeping
+// learned entries once the map outgrows reqTrackMax.
+func (c *Coordinator) recordReq(k reqKey, inst uint64) {
 	if len(c.byReq) >= reqTrackMax {
-		for kk, rec := range c.byReq {
-			if c.learned[rec.inst] {
+		for kk, at := range c.byReq {
+			if c.isLearned(at) {
 				delete(c.byReq, kk)
 			}
 		}
 	}
-	c.byReq[k] = ingressRec{inst: inst, val: val}
+	c.byReq[k] = inst
 }
 
 // armIngress schedules the time-triggered flush of a partial ingress batch.
@@ -664,8 +567,9 @@ func (c *Coordinator) armIngress() {
 }
 
 // IngressCounts reports the ingress stamping activity: sequence slots
-// stamped at this member, client retries restamped after losing their slot
-// to a collision, and no-op fills adopted for stalled instances.
+// stamped at this member, client requests that lost their stamped slot to a
+// collision (restamped on retry), and no-op fills adopted for stalled
+// instances.
 func (c *Coordinator) IngressCounts() (stamped, restamped, filled uint64) {
 	return c.stamped, c.restamped, c.filled
 }
@@ -680,7 +584,7 @@ func (c *Coordinator) IngressCounts() (stamped, restamped, filled uint64) {
 // the real value over the no-op, so the split cannot outlive a watch period.
 // A client command that loses its slot to a fill is restamped on retry.
 func (c *Coordinator) onFill(mm msg.Fill) {
-	if !c.owns(mm.Inst) || c.learned[mm.Inst] {
+	if !c.owns(mm.Inst) || c.isLearned(mm.Inst) {
 		return
 	}
 	if cmd, ok := c.proposals[mm.Inst]; ok {
@@ -688,136 +592,83 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 		// stamp share would otherwise answer this same Fill with a no-op and
 		// the two values would collide at the acceptors.
 		c.shareStamp(mm.Inst, cmd, 0, 0)
-		if !c.leading {
-			return
-		}
-		if !c.multi() || c.sent[mm.Inst] {
-			c.send2a(mm.Inst, cmd)
-			c.armRetry()
-		} else {
-			c.trySend(mm.Inst)
-		}
+		c.forward(mm.Inst)
 		return
 	}
 	if c.FillCmd == nil {
 		return
 	}
-	if c.multi() {
-		// Fill every local hole from the stalled instance through this
-		// member's frontier, not just the one: a crashed stamper may have
-		// orphaned many slots, and draining them one learner watch period at
-		// a time would crawl.
-		end := c.nextInst
-		if mm.Inst >= end {
-			end = mm.Inst + c.stride()
-		}
-		for inst := mm.Inst; inst < end; inst += c.stride() {
-			if c.learned[inst] {
-				continue
-			}
-			if _, ok := c.proposals[inst]; ok {
-				continue
-			}
-			if seq := inst / c.stride(); seq >= c.ingressNext {
-				c.ingressNext = seq + 1
-			}
-			cmd := c.FillCmd(inst)
-			c.proposals[inst] = cmd
-			if inst >= c.nextInst {
-				c.nextInst = inst + c.stride()
-			}
-			c.filled++
-			c.trySend(inst)
-		}
-		return
-	}
-	// Single-coordinated mode: only the leader binds values, but the same
-	// range fill applies — an idle shard's leader never claimed the slots its
-	// peers' progress made the merged order wait on, so the stalled instance
-	// sits at or above its frontier.
-	if !c.leading {
-		return
-	}
-	end := c.nextInst
-	if mm.Inst >= end {
-		end = mm.Inst + c.stride()
-	}
+	// Fill every local hole from the stalled instance through this member's
+	// frontier, not just the one: a crashed stamper may have orphaned many
+	// slots — or an idle shard never claimed the slots its peers' progress
+	// made the merged order wait on — and draining them one learner watch
+	// period at a time would crawl.
+	end := max(c.nextInst, mm.Inst+c.stride())
 	for inst := mm.Inst; inst < end; inst += c.stride() {
-		if c.learned[inst] {
+		if _, ok := c.proposals[inst]; ok || c.isLearned(inst) {
 			continue
 		}
-		if _, ok := c.proposals[inst]; ok {
-			continue
+		if seq := inst / c.stride(); seq >= c.ingressNext {
+			c.ingressNext = seq + 1
 		}
-		cmd := c.FillCmd(inst)
-		c.proposals[inst] = cmd
-		if inst >= c.nextInst {
-			c.nextInst = inst + c.stride()
-		}
-		c.open++
+		c.bind(inst, c.FillCmd(inst))
 		c.filled++
-		c.send2a(inst, cmd)
+		c.trySend(inst)
 	}
-	c.armRetry()
+}
+
+// forward puts an assigned instance's 2a on the wire: a retransmission if it
+// is already in flight in this round, a first send within the window
+// otherwise.
+func (c *Coordinator) forward(inst uint64) {
+	if c.leading && c.sent[inst] {
+		c.send2a(inst, c.proposals[inst])
+		c.armRetry()
+		return
+	}
+	c.trySend(inst)
 }
 
 // trySend forwards an assigned instance's 2a if the member is leading and
 // the window has room; otherwise the instance queues until a learn frees a
 // slot (or until the next round establishment sweeps it).
 func (c *Coordinator) trySend(inst uint64) {
-	if !c.leading || c.learned[inst] || c.sent[inst] {
-		return
-	}
-	if c.MaxInflight > 0 && c.open >= c.MaxInflight {
-		c.unsent = append(c.unsent, inst)
-		return
-	}
-	c.sent[inst] = true
-	c.open++
-	c.send2a(inst, c.proposals[inst])
-	c.armRetry()
-}
-
-func (c *Coordinator) drainUnsent() {
-	sentAny := false
-	for len(c.unsent) > 0 && (c.MaxInflight <= 0 || c.open < c.MaxInflight) {
-		inst := c.unsent[0]
-		c.unsent = c.unsent[1:]
-		if c.learned[inst] || c.sent[inst] {
-			continue
-		}
-		c.sent[inst] = true
-		c.open++
-		c.send2a(inst, c.proposals[inst])
-		sentAny = true
-	}
-	if sentAny {
+	if c.launch(inst) {
 		c.armRetry()
 	}
 }
 
-// enqueue adds a command to pending unless it is already waiting there
-// (proposers retransmit, so the same Propose can arrive many times while
-// the window is full).
-func (c *Coordinator) enqueue(cmd cstruct.Cmd) {
-	if c.queued[cmd.ID] {
-		return
-	}
-	c.queued[cmd.ID] = true
-	c.pending = append(c.pending, cmd)
+// windowFull reports whether the pipeline window has no free slot.
+func (c *Coordinator) windowFull() bool {
+	return c.MaxInflight > 0 && len(c.sent) >= c.MaxInflight
 }
 
-// assign gives the command the next free owned instance and runs phase 2a.
-func (c *Coordinator) assign(cmd cstruct.Cmd) {
-	inst := c.nextOwned(c.nextInst)
-	c.nextInst = inst + c.stride()
-	c.byCmd[cmd.ID] = inst
-	c.proposals[inst] = cmd
-	if !c.learned[inst] {
-		c.open++
+// launch is trySend without arming the retry timer; it reports whether a 2a
+// went out.
+func (c *Coordinator) launch(inst uint64) bool {
+	if !c.leading || c.sent[inst] || c.isLearned(inst) {
+		return false
 	}
-	c.send2a(inst, cmd)
-	c.armRetry()
+	if c.windowFull() {
+		c.unsent = append(c.unsent, inst)
+		return false
+	}
+	c.sent[inst] = true
+	c.send2a(inst, c.proposals[inst])
+	return true
+}
+
+// drainUnsent forwards queued assignments while the window has room.
+func (c *Coordinator) drainUnsent() {
+	sent := false
+	for len(c.unsent) > 0 && !c.windowFull() {
+		inst := c.unsent[0]
+		c.unsent = c.unsent[1:]
+		sent = c.launch(inst) || sent
+	}
+	if sent {
+		c.armRetry()
+	}
 }
 
 func (c *Coordinator) send2a(inst uint64, cmd cstruct.Cmd) {
@@ -829,19 +680,15 @@ func (c *Coordinator) send2a(inst uint64, cmd cstruct.Cmd) {
 // onP1b collects promises; once a classic quorum has joined a round the
 // coordinator adopts the constrained values (highest vrnd per instance,
 // Section 2.1.2's picking rule) and opens the floor for new proposals.
-// Group members also accept promises for rounds their peers (or an
-// acceptor's collision promotion) started: acceptors broadcast each
-// promise to the whole group, so every member establishes the round
-// independently — the group analogue of Phase2Start.
+// Promises for rounds started by a group peer (or by an acceptor's collision
+// promotion) count too: acceptors send each promise to the round's whole
+// group, so every member establishes the round independently — the group
+// analogue of Phase2Start.
 func (c *Coordinator) onP1b(mm msg.P1bMulti) {
-	if c.multi() {
-		if int(mm.Shard) != c.Shard {
-			return
-		}
-		if mm.Rnd.Less(c.crnd) || (mm.Rnd.Equal(c.crnd) && c.leading) {
-			return
-		}
-	} else if c.leading || !mm.Rnd.Equal(c.crnd) {
+	if int(mm.Shard) != c.Shard {
+		return
+	}
+	if mm.Rnd.Less(c.crnd) || (mm.Rnd.Equal(c.crnd) && c.leading) {
 		return
 	}
 	byAcc, ok := c.p1bs[mm.Rnd]
@@ -874,7 +721,8 @@ func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMul
 	} else {
 		c.everLed = true
 	}
-	// Pick, per instance, the vval of the highest vrnd reported.
+	// Pick, per instance, the vval of the highest vrnd reported. A picked
+	// value overrides the local assignment: it may already be chosen.
 	type pick struct {
 		vrnd ballot.Ballot
 		cmd  cstruct.Cmd
@@ -882,76 +730,43 @@ func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMul
 	picks := make(map[uint64]pick)
 	for _, p1b := range byAcc {
 		for _, v := range p1b.Votes {
-			if !c.owns(v.Inst) {
-				// Acceptors scope their promises to the claimed shard, but a
-				// pre-sharding log or a misrouted reply may report foreign
-				// instances: those belong to another shard's leader.
+			// Acceptors scope their promises to the claimed shard, but a
+			// pre-sharding log or a misrouted reply may report foreign
+			// instances: those belong to another shard's group.
+			if !c.owns(v.Inst) || c.isLearned(v.Inst) {
 				continue
 			}
 			cmd, ok := unwrap(v.VVal)
 			if !ok {
 				continue
 			}
-			cur, seen := picks[v.Inst]
-			if !seen || cur.vrnd.Less(v.VRnd) {
+			if cur, seen := picks[v.Inst]; !seen || cur.vrnd.Less(v.VRnd) {
 				picks[v.Inst] = pick{vrnd: v.VRnd, cmd: cmd}
 			}
 		}
 	}
-	insts := make([]uint64, 0, len(picks))
-	for inst := range picks {
-		insts = append(insts, inst)
+	for inst, p := range picks {
+		c.bind(inst, p.cmd)
 	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	if c.multi() {
-		// Picked values override local assignments (a pick may already be
-		// chosen), then every unlearned assignment is re-forwarded under the
-		// new round in instance order, respecting the window.
-		for _, inst := range insts {
-			p := picks[inst]
-			if inst >= c.nextInst {
-				c.nextInst = inst + c.stride()
-			}
-			c.proposals[inst] = p.cmd
-			c.indexValue(inst, p.cmd)
-		}
-		c.sent = make(map[uint64]bool)
-		c.unsent = nil
-		c.open = 0
-		all := make([]uint64, 0, len(c.proposals))
-		for inst := range c.proposals {
-			all = append(all, inst)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		for _, inst := range all {
-			if !c.learned[inst] {
-				c.trySend(inst)
-			}
-		}
-		return
+	// Every unlearned assignment is re-forwarded under the new round,
+	// respecting the window. Instance order, not map order — here and in
+	// every loop that sends: the sequence must be deterministic or a
+	// probabilistic dropper's dice land on different messages run to run,
+	// breaking seed reproducibility.
+	c.sent = make(map[uint64]bool)
+	c.unsent = nil
+	for _, inst := range slices.Sorted(maps.Keys(c.proposals)) {
+		c.trySend(inst)
 	}
-	for _, inst := range insts {
-		p := picks[inst]
-		if inst >= c.nextInst {
-			c.nextInst = inst + c.stride()
-		}
-		c.byCmd[p.cmd.ID] = inst
-		c.proposals[inst] = p.cmd
-		if !c.learned[inst] {
-			c.open++
-		}
-		c.send2a(inst, p.cmd)
-	}
-	c.drainPending()
 }
 
 // onStale reacts to an acceptor whose round outruns ours: start a higher
-// round to regain the ability to get values accepted (Section 4.3). Group
-// members are co-equal, so any member may chase, damped by attempt so one
+// round to regain the ability to get values accepted (Section 4.3). Every
+// coordinator that sent a 1a or 2a may chase, damped by attempt so one
 // rejection wave yields one new round per member.
 func (c *Coordinator) onStale(mm msg.Stale) {
-	if c.multi() {
-		if c.repairing && !c.leading {
+	if c.repairing && !c.leading {
+		if c.cfg.InRoundGroup(c.Shard, mm.Rnd, c.env.ID()) {
 			// Repair adopts the live round exactly: outbidding it here would
 			// force the round change the whole exercise exists to avoid.
 			if c.repairTarget.Less(mm.Rnd) {
@@ -961,20 +776,15 @@ func (c *Coordinator) onStale(mm msg.Stale) {
 			}
 			return
 		}
-		cur := ballot.Max(c.attempt, c.crnd)
-		if mm.Rnd.Less(cur) {
-			return // rejection of an attempt already superseded
-		}
-		c.startRound(ballot.SingleScheme{}.Next(ballot.Max(cur, mm.Rnd), uint32(c.env.ID())))
-		return
+		// The live round is served without this coordinator: there is no
+		// group to rejoin, only a round to outbid.
+		c.repairing = false
 	}
-	if !c.wantLead {
-		return
+	cur := ballot.Max(c.attempt, c.crnd)
+	if mm.Rnd.Less(cur) {
+		return // rejection of an attempt already superseded
 	}
-	if c.crnd.Less(mm.Rnd) {
-		next := ballot.SingleScheme{}.Next(mm.Rnd, uint32(c.env.ID()))
-		c.startRound(next)
-	}
+	c.startRound(ballot.SingleScheme{}.Next(ballot.Max(cur, mm.Rnd), uint32(c.env.ID())))
 }
 
 func (c *Coordinator) armRetry() {
@@ -1000,41 +810,17 @@ func (c *Coordinator) OnTimer(tag int) {
 	}
 	outstanding := false
 	switch {
-	case !c.leading:
-		if c.repairing {
-			c.probe()
-			outstanding = true
-		} else if !c.crnd.IsZero() {
-			c.send1a()
-			outstanding = true
-		}
-	case c.multi():
-		// Instance order, not map order: the retransmission sequence must be
-		// deterministic or a probabilistic dropper's dice land on different
-		// messages run to run, breaking seed reproducibility.
-		insts := make([]uint64, 0, len(c.sent))
-		for inst := range c.sent {
-			if !c.learned[inst] {
-				insts = append(insts, inst)
-			}
-		}
-		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-		for _, inst := range insts {
+	case c.leading:
+		for _, inst := range slices.Sorted(maps.Keys(c.sent)) {
 			c.send2a(inst, c.proposals[inst])
 			outstanding = true
 		}
-	default:
-		insts := make([]uint64, 0, len(c.proposals))
-		for inst := range c.proposals {
-			if !c.learned[inst] {
-				insts = append(insts, inst)
-			}
-		}
-		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-		for _, inst := range insts {
-			c.send2a(inst, c.proposals[inst])
-			outstanding = true
-		}
+	case c.repairing:
+		c.probe()
+		outstanding = true
+	case !c.crnd.IsZero():
+		c.send1a()
+		outstanding = true
 	}
 	if outstanding {
 		c.armRetry()

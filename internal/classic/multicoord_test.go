@@ -1,18 +1,21 @@
 package classic
 
 import (
+	"fmt"
 	"testing"
 
 	"mcpaxos/internal/ballot"
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/quorum"
 )
 
-// These tests cover the multicoordinated shard path (Section 4.1 applied
-// per shard): coordinator groups with quorum-counted 2a forwarding, the
-// Section 4.2 collision promotion, and the crash-masking claim — one group
-// member dying costs zero round changes.
+// These tests cover what only a group of c ≥ 2 coordinators shows on the one
+// round path (Section 4.1 applied per shard): quorum-counted 2a forwarding,
+// the Section 4.2 collision promotion, and the crash-masking claim — one
+// group member dying costs zero round changes. Behaviour that holds at every
+// c is tested over c ∈ {1, 3} in the other files (eachC).
 
 func mcCmd(id uint64) cstruct.Cmd { return cstruct.Cmd{ID: id, Key: "k", Op: cstruct.OpWrite} }
 
@@ -29,13 +32,14 @@ func TestConfigValidateMulticoord(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid multicoordinated config rejected: %v", err)
 	}
-	if got := ok.ShardGroup(0); len(got) != 3 || got[0] != 100 || got[1] != 102 || got[2] != 104 {
+	r := ballot.Ballot{MinCount: 1, ID: 100}
+	if got := ok.RoundGroup(0, r); len(got) != 3 || got[0] != 100 || got[1] != 102 || got[2] != 104 {
 		t.Errorf("shard 0 group %v, want [100 102 104]", got)
 	}
-	if got := ok.CoordQuorumSize(1); got != 2 {
+	if got := ok.CoordQuorumSize(); got != 2 {
 		t.Errorf("coord quorum size %d for c=3, want 2", got)
 	}
-	if ok.InShardGroup(0, 101) || !ok.InShardGroup(1, 103) {
+	if ok.InRoundGroup(0, r, 101) || !ok.InRoundGroup(1, r, 103) {
 		t.Error("group membership misassigned across shards")
 	}
 
@@ -48,11 +52,48 @@ func TestConfigValidateMulticoord(t *testing.T) {
 
 	single := base
 	single.Coords = []msg.NodeID{100}
-	if single.Multicoordinated() {
-		t.Error("default config must stay single-coordinated")
+	if got := single.CoordQuorumSize(); got != 1 {
+		t.Errorf("c = 1 quorum size %d, want 1", got)
 	}
-	if got := single.CoordQuorumSize(0); got != 1 {
-		t.Errorf("single-coordinated quorum size %d, want 1", got)
+}
+
+// The group of a round is the c coordinators of the shard starting at the
+// round's owner: every coordinator when the shard deploys exactly c, the
+// owner alone at c = 1 (a standby's round is served by the standby), a
+// wrapping window when standbys exist beyond a larger group.
+func TestRoundGroup(t *testing.T) {
+	cfg := Config{Coords: []msg.NodeID{100, 101, 102, 103, 104, 105, 106, 107}, Shards: 2}
+	round := func(owner msg.NodeID) ballot.Ballot { return ballot.Ballot{MinCount: 1, ID: uint32(owner)} }
+	for _, tc := range []struct {
+		c     int
+		shard int
+		r     ballot.Ballot
+		want  []msg.NodeID
+	}{
+		{1, 0, ballot.Zero, []msg.NodeID{100}},
+		{1, 0, round(100), []msg.NodeID{100}},
+		{1, 0, round(104), []msg.NodeID{104}},
+		{1, 1, round(107), []msg.NodeID{107}},
+		{1, 1, ballot.Ballot{MCount: 2}, []msg.NodeID{101}}, // acceptor recovery floor: no owner
+		{3, 0, round(100), []msg.NodeID{100, 102, 104}},
+		{3, 0, round(104), []msg.NodeID{104, 106, 100}},
+		{3, 1, round(999), []msg.NodeID{101, 103, 105}},
+		{4, 1, round(105), []msg.NodeID{101, 103, 105, 107}}, // exactly c deployed: all, in deployment order
+	} {
+		cfg.CoordsPerShard = tc.c
+		got := cfg.RoundGroup(tc.shard, tc.r)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("c=%d shard %d round %v: group %v, want %v", tc.c, tc.shard, tc.r, got, tc.want)
+		}
+		for _, id := range cfg.Coords {
+			in := false
+			for _, w := range tc.want {
+				in = in || w == id
+			}
+			if cfg.InRoundGroup(tc.shard, tc.r, id) != in {
+				t.Errorf("c=%d shard %d round %v: InRoundGroup(%v) = %v", tc.c, tc.shard, tc.r, id, !in)
+			}
+		}
 	}
 }
 
@@ -255,6 +296,31 @@ func TestMulticoordDivergentStampsConverge(t *testing.T) {
 	}
 	if got.ID != x.ID {
 		t.Fatalf("decided command %d, want the preference winner %d", got.ID, x.ID)
+	}
+}
+
+// A stamp share can reach a member after the learners' acknowledgement of
+// its instance did (the share's first connection was slow). The member has
+// nothing left to forward, but it must still learn the request keys: the
+// client's late retry maps to the decided slot instead of being stamped — and
+// decided — a second time.
+func TestMulticoordLateShareStillIndexesRequests(t *testing.T) {
+	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 67, CoordsPerShard: 3})
+	cl.LeadAll()
+	co := cl.Coords[2]
+	co.ReqOf = func(c cstruct.Cmd) (msg.NodeID, uint64, bool) { return 7, c.ID, true }
+	batched := batch.Pack([]cstruct.Cmd{mcCmd(11), mcCmd(12)})
+
+	co.MarkLearned(0)
+	co.OnMessage(cl.Cfg.Coords[0], msg.Propose{Cmd: batched, Seq: 0, HasSeq: true})
+	co.OnMessage(7, msg.Propose{Cmd: mcCmd(12), Client: 7, Req: 12})
+	cl.Sim.Run()
+
+	if stamped, _, _ := co.IngressCounts(); stamped != 0 {
+		t.Fatalf("late retry of a decided request was stamped again (%d slots)", stamped)
+	}
+	if got := co.Retained(); got != 0 {
+		t.Errorf("member retains %d entries for an instance decided before its share arrived", got)
 	}
 }
 

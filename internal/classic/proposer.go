@@ -2,34 +2,33 @@ package classic
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 )
 
-// routed is an unlearned proposal plus where it was sent: shard ≥ 0 pins the
-// command to one shard's coordinator group, −1 broadcasts to every
-// coordinator. seq is the command's per-shard sequence number, which
-// multicoordinated groups map to a fixed instance — retransmissions carry
-// the same seq so every group member keeps the same placement.
+// routed is an unlearned proposal plus where it was sent: the shard whose
+// coordinators it is pinned to and its per-shard sequence number, which the
+// coordinators map to a fixed instance — retransmissions carry the same seq
+// so every coordinator keeps the same placement.
 type routed struct {
-	cmd    cstruct.Cmd
-	shard  int
-	seq    uint64
-	hasSeq bool
+	cmd   cstruct.Cmd
+	shard int
+	seq   uint64
 }
 
-// Proposer is a Classic Paxos proposer. Unsharded, it forwards commands to
-// every coordinator (only the leader acts on them); sharded, ProposeTo pins
-// a command to one shard's coordinator group — retransmissions follow the
-// same route, so a command never occupies instances in two shards. Each
-// shard's proposal stream is numbered 0, 1, 2, … (ProposeSeq takes the
-// caller's numbering, e.g. the batch router's; ProposeTo stamps from the
-// proposer's own per-shard counter): multicoordinated groups derive the
-// instance from the sequence number, so every member forwards the same
-// proposal for the same instance with no coordination.
+// Proposer submits shard-pinned, sequence-numbered proposals to a shard's
+// coordinators — retransmissions follow the same route, so a command never
+// occupies instances in two shards. Each shard's proposal stream is numbered
+// 0, 1, 2, … (ProposeSeq takes the caller's numbering, e.g. the batch
+// router's; ProposeTo stamps from the proposer's own per-shard counter):
+// coordinators derive the instance from the sequence number, so every member
+// of a round's group forwards the same proposal for the same instance with
+// no coordination, and a standby that takes the shard over already holds the
+// stream.
 type Proposer struct {
 	env node.Env
 	cfg Config
@@ -52,24 +51,16 @@ func NewProposer(env node.Env, cfg Config) *Proposer {
 	}
 }
 
-// Propose submits a command to every coordinator (action Propose).
-// Multicoordinated deployments need a shard-pinned, sequence-numbered
-// stream, so the command is routed to the shard its ID hashes to instead.
+// Propose submits a command to the shard its ID hashes to (action Propose).
 func (p *Proposer) Propose(cmd cstruct.Cmd) {
-	if p.cfg.Multicoordinated() {
-		p.ProposeTo(int(cmd.ID%uint64(p.cfg.NShards())), cmd)
-		return
-	}
-	p.inflight[cmd.ID] = routed{cmd: cmd, shard: -1}
-	node.Broadcast(p.env, p.cfg.Coords, msg.Propose{Cmd: cmd})
-	p.armRetry()
+	p.ProposeTo(int(cmd.ID%uint64(p.cfg.NShards())), cmd)
 }
 
-// ProposeTo submits a command to one shard's coordinator group — the
-// primary that sequences the residue class plus its standbys, so the shard
-// keeps deciding across a primary failover. The command is stamped with the
-// shard's next sequence number from the proposer's own counter; callers
-// that already number the stream (the batch router) use ProposeSeq.
+// ProposeTo submits a command to one shard's coordinators — the group
+// serving its round plus any standbys, so the shard keeps deciding across a
+// failover. The command is stamped with the shard's next sequence number
+// from the proposer's own counter; callers that already number the stream
+// (the batch router) use ProposeSeq.
 func (p *Proposer) ProposeTo(shard int, cmd cstruct.Cmd) {
 	p.checkShard(shard)
 	seq := p.nextSeq[shard]
@@ -77,23 +68,21 @@ func (p *Proposer) ProposeTo(shard int, cmd cstruct.Cmd) {
 	p.submit(shard, seq, cmd)
 }
 
-// ProposeSeq submits a command to one shard's coordinator group under the
+// ProposeSeq submits a command to one shard's coordinators under the
 // caller's per-shard sequence number (the batch router numbers each shard's
 // flushed batches 0, 1, 2, …). The proposer's own counter advances past it,
 // so ProposeTo may safely follow ProposeSeq traffic; the reverse mix would
-// reuse a sequence number the counter already consumed — in a
-// multicoordinated deployment that maps two commands to one instance and
-// silently strands the second, so it panics instead (attach the router
-// before any ProposeTo traffic, or route everything through it).
+// reuse a sequence number the counter already consumed — that maps two
+// commands to one instance and silently strands the second, so it panics
+// instead (attach the router before any ProposeTo traffic, or route
+// everything through it).
 func (p *Proposer) ProposeSeq(shard int, seq uint64, cmd cstruct.Cmd) {
 	p.checkShard(shard)
-	if seq < p.nextSeq[shard] && p.cfg.Multicoordinated() {
+	if seq < p.nextSeq[shard] {
 		panic(fmt.Sprintf("classic: ProposeSeq reuses shard %d seq %d (next unused: %d)",
 			shard, seq, p.nextSeq[shard]))
 	}
-	if seq >= p.nextSeq[shard] {
-		p.nextSeq[shard] = seq + 1
-	}
+	p.nextSeq[shard] = seq + 1
 	p.submit(shard, seq, cmd)
 }
 
@@ -109,19 +98,14 @@ func (p *Proposer) checkShard(shard int) {
 }
 
 func (p *Proposer) submit(shard int, seq uint64, cmd cstruct.Cmd) {
-	p.inflight[cmd.ID] = routed{cmd: cmd, shard: shard, seq: seq, hasSeq: true}
-	node.Broadcast(p.env, p.shardTargets(shard), msg.Propose{Cmd: cmd, Seq: seq, HasSeq: true})
+	r := routed{cmd: cmd, shard: shard, seq: seq}
+	p.inflight[cmd.ID] = r
+	p.send(r)
 	p.armRetry()
 }
 
-// shardTargets returns where a shard-pinned proposal is broadcast: the
-// whole coordinator group in multicoordinated mode (every member forwards
-// it), the primary plus standbys otherwise.
-func (p *Proposer) shardTargets(shard int) []msg.NodeID {
-	if p.cfg.Multicoordinated() {
-		return p.cfg.ShardGroup(shard)
-	}
-	return p.cfg.ShardCoords(shard)
+func (p *Proposer) send(r routed) {
+	node.Broadcast(p.env, p.cfg.ShardCoords(r.shard), msg.Propose{Cmd: r.cmd, Seq: r.seq, HasSeq: true})
 }
 
 func (p *Proposer) armRetry() {
@@ -143,19 +127,8 @@ func (p *Proposer) OnTimer(tag int) {
 	}
 	// Command-ID order, not map order: a deterministic retransmission
 	// sequence keeps seeded nemesis runs reproducible under lossy networks.
-	ids := make([]uint64, 0, len(p.inflight))
-	for id := range p.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := p.inflight[id]
-		if r.shard >= 0 {
-			node.Broadcast(p.env, p.shardTargets(r.shard),
-				msg.Propose{Cmd: r.cmd, Seq: r.seq, HasSeq: r.hasSeq})
-			continue
-		}
-		node.Broadcast(p.env, p.cfg.Coords, msg.Propose{Cmd: r.cmd})
+	for _, id := range slices.Sorted(maps.Keys(p.inflight)) {
+		p.send(p.inflight[id])
 	}
 	p.env.SetTimer(p.RetryEvery, timerRetry)
 }

@@ -105,56 +105,58 @@ func snapshotLearned(m map[uint64]cstruct.Cmd) map[uint64]cstruct.Cmd {
 // several instances. The restarted acceptor must restore exactly those
 // votes from its WAL and report them in the next leader's phase 1.
 func TestWALRecoveryAfterAccept(t *testing.T) {
-	wc := newWALCluster(t, ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 7, NLearners: 2})
-	wc.Lead(0)
-	for i := 0; i < 6; i++ {
-		wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
-		wc.Sim.Run()
-	}
-	votesBefore := make(map[uint64]cstruct.Cmd)
-	for inst := range wc.LearnedCmds {
-		if _, cmd, ok := wc.Accs[0].Vote(inst); ok {
-			votesBefore[inst] = cmd
+	eachC(t, func(t *testing.T, c int) {
+		wc := newWALCluster(t, ClusterOpts{NAcceptors: 3, F: 1, Seed: 7, NLearners: 2, CoordsPerShard: c})
+		wc.Lead(0)
+		for i := 0; i < 6; i++ {
+			wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
+			wc.Sim.Run()
 		}
-	}
-	if len(votesBefore) != 6 {
-		t.Fatalf("acceptor 0 voted in %d/6 instances before crash", len(votesBefore))
-	}
-	before := snapshotLearned(wc.LearnedCmds)
-
-	wc.hardCrash(0)
-	// The cluster keeps deciding on the surviving quorum.
-	for i := 6; i < 10; i++ {
-		wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
-		wc.Sim.Run()
-	}
-
-	a := wc.restart(0)
-	for inst, want := range votesBefore {
-		vrnd, got, ok := a.Vote(inst)
-		if !ok || got.ID != want.ID {
-			t.Errorf("instance %d: vote lost across restart: want c%d, got %v (ok=%v)", inst, want.ID, got, ok)
+		votesBefore := make(map[uint64]cstruct.Cmd)
+		for inst := range wc.LearnedCmds {
+			if _, cmd, ok := wc.Accs[0].Vote(inst); ok {
+				votesBefore[inst] = cmd
+			}
 		}
-		if vrnd.IsZero() {
-			t.Errorf("instance %d: restored vote has zero round", inst)
+		if len(votesBefore) != 6 {
+			t.Fatalf("acceptor 0 voted in %d/6 instances before crash", len(votesBefore))
 		}
-	}
-	if a.Rnd().MCount == 0 {
-		t.Error("recovery did not bump the incarnation counter")
-	}
+		before := snapshotLearned(wc.LearnedCmds)
 
-	// A new leader round must re-integrate the recovered acceptor without
-	// disturbing any decided instance.
-	wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
-	wc.Sim.Run()
-	for i := 10; i < 13; i++ {
-		wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
+		wc.hardCrash(0)
+		// The cluster keeps deciding on the surviving quorum.
+		for i := 6; i < 10; i++ {
+			wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
+			wc.Sim.Run()
+		}
+
+		a := wc.restart(0)
+		for inst, want := range votesBefore {
+			vrnd, got, ok := a.Vote(inst)
+			if !ok || got.ID != want.ID {
+				t.Errorf("instance %d: vote lost across restart: want c%d, got %v (ok=%v)", inst, want.ID, got, ok)
+			}
+			if vrnd.IsZero() {
+				t.Errorf("instance %d: restored vote has zero round", inst)
+			}
+		}
+		if a.Rnd().MCount == 0 {
+			t.Error("recovery did not bump the incarnation counter")
+		}
+
+		// A new leader round must re-integrate the recovered acceptor without
+		// disturbing any decided instance.
+		wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
 		wc.Sim.Run()
-	}
-	if got := len(wc.LearnedCmds); got < 13 {
-		t.Fatalf("cluster learned %d instances, want ≥ 13", got)
-	}
-	wc.checkNoLossNoConflict(before)
+		for i := 10; i < 13; i++ {
+			wc.Prop.Propose(cstruct.Cmd{ID: uint64(100 + i), Key: "k"})
+			wc.Sim.Run()
+		}
+		if got := len(wc.LearnedCmds); got < 13 {
+			t.Fatalf("cluster learned %d instances, want ≥ 13", got)
+		}
+		wc.checkNoLossNoConflict(before)
+	})
 }
 
 // TestWALRecoveryAfterPromise crashes an acceptor right after phase 1: it
@@ -162,27 +164,29 @@ func TestWALRecoveryAfterAccept(t *testing.T) {
 // dominating incarnation round, and the cluster must still decide
 // everything once the leader chases past the recovered round.
 func TestWALRecoveryAfterPromise(t *testing.T) {
-	wc := newWALCluster(t, ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 11, NLearners: 2})
-	wc.Lead(0) // all three acceptors have promised, none has voted
-	wc.hardCrash(0)
-	a := wc.restart(0)
-	if _, _, ok := a.Vote(0); ok {
-		t.Error("acceptor that never voted restored a vote")
-	}
-	// The promise itself was volatile (Section 4.4): recovery substitutes
-	// the incarnation bump, which must dominate the promised round.
-	if !wc.Coords[0].Rnd().Less(a.Rnd()) {
-		t.Errorf("recovered round %v does not dominate promised round %v", a.Rnd(), wc.Coords[0].Rnd())
-	}
-	before := snapshotLearned(wc.LearnedCmds)
-	for i := 0; i < 8; i++ {
-		wc.Prop.Propose(cstruct.Cmd{ID: uint64(200 + i), Key: "k"})
-		wc.Sim.Run()
-	}
-	if got := len(wc.LearnedCmds); got != 8 {
-		t.Fatalf("cluster learned %d/8 after promise-crash recovery", got)
-	}
-	wc.checkNoLossNoConflict(before)
+	eachC(t, func(t *testing.T, c int) {
+		wc := newWALCluster(t, ClusterOpts{NAcceptors: 3, F: 1, Seed: 11, NLearners: 2, CoordsPerShard: c})
+		wc.Lead(0) // all three acceptors have promised, none has voted
+		wc.hardCrash(0)
+		a := wc.restart(0)
+		if _, _, ok := a.Vote(0); ok {
+			t.Error("acceptor that never voted restored a vote")
+		}
+		// The promise itself was volatile (Section 4.4): recovery substitutes
+		// the incarnation bump, which must dominate the promised round.
+		if !wc.Coords[0].Rnd().Less(a.Rnd()) {
+			t.Errorf("recovered round %v does not dominate promised round %v", a.Rnd(), wc.Coords[0].Rnd())
+		}
+		before := snapshotLearned(wc.LearnedCmds)
+		for i := 0; i < 8; i++ {
+			wc.Prop.Propose(cstruct.Cmd{ID: uint64(200 + i), Key: "k"})
+			wc.Sim.Run()
+		}
+		if got := len(wc.LearnedCmds); got != 8 {
+			t.Fatalf("cluster learned %d/8 after promise-crash recovery", got)
+		}
+		wc.checkNoLossNoConflict(before)
+	})
 }
 
 // TestWALRecoveryMidBatch crashes an acceptor in the middle of a batched,
@@ -190,63 +194,65 @@ func TestWALRecoveryAfterPromise(t *testing.T) {
 // are still in flight. After restart every command of every batch must be
 // learned exactly once, with no instance changing its value.
 func TestWALRecoveryMidBatch(t *testing.T) {
-	wc := newWALCluster(t, ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 13,
-		NLearners: 2, MaxInflight: 4})
-	wc.Lead(0)
+	eachC(t, func(t *testing.T, c int) {
+		wc := newWALCluster(t, ClusterOpts{NAcceptors: 3, F: 1, Seed: 13,
+			NLearners: 2, MaxInflight: 4, CoordsPerShard: c})
+		wc.Lead(0)
 
-	const commands, batchSize = 32, 8
-	bt := batch.NewBatcher(batchSize, 0, wc.Sim.Now, func(c cstruct.Cmd) {
-		wc.Prop.Propose(c)
-	})
-	for i := 0; i < commands; i++ {
-		bt.Add(cstruct.Cmd{ID: uint64(300 + i), Key: "k", Op: cstruct.OpWrite})
-	}
-	bt.Flush()
+		const commands, batchSize = 32, 8
+		bt := batch.NewBatcher(batchSize, 0, wc.Sim.Now, func(c cstruct.Cmd) {
+			wc.Prop.Propose(c)
+		})
+		for i := 0; i < commands; i++ {
+			bt.Add(cstruct.Cmd{ID: uint64(300 + i), Key: "k", Op: cstruct.OpWrite})
+		}
+		bt.Flush()
 
-	// Deliver two communication steps' worth of events: the 2a messages
-	// are out and the acceptors have persisted some batches, but learns
-	// are still in flight — then kill acceptor 0 mid-stream.
-	wc.Sim.RunUntil(wc.Sim.Now() + 2)
-	mid := snapshotLearned(wc.LearnedCmds)
-	wc.hardCrash(0)
-	wc.Sim.Run()
+		// Deliver two communication steps' worth of events: the 2a messages
+		// are out and the acceptors have persisted some batches, but learns
+		// are still in flight — then kill acceptor 0 mid-stream.
+		wc.Sim.RunUntil(wc.Sim.Now() + 2)
+		mid := snapshotLearned(wc.LearnedCmds)
+		wc.hardCrash(0)
+		wc.Sim.Run()
 
-	a := wc.restart(0)
-	wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
-	wc.Sim.Run()
+		a := wc.restart(0)
+		wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
+		wc.Sim.Run()
 
-	// Every command must be learned exactly once (batches unpacked;
-	// replicas dedup by ID, so count distinct IDs).
-	got := make(map[uint64]int)
-	for _, cmd := range wc.LearnedCmds {
-		if sub, ok := batch.Unpack(cmd); ok {
-			for _, c := range sub {
-				got[c.ID]++
+		// Every command must be learned exactly once (batches unpacked;
+		// replicas dedup by ID, so count distinct IDs).
+		got := make(map[uint64]int)
+		for _, cmd := range wc.LearnedCmds {
+			if sub, ok := batch.Unpack(cmd); ok {
+				for _, c := range sub {
+					got[c.ID]++
+				}
+			} else {
+				got[cmd.ID]++
 			}
-		} else {
-			got[cmd.ID]++
 		}
-	}
-	for i := 0; i < commands; i++ {
-		id := uint64(300 + i)
-		if got[id] == 0 {
-			t.Errorf("command c%d lost across mid-batch crash", id)
+		for i := 0; i < commands; i++ {
+			id := uint64(300 + i)
+			if got[id] == 0 {
+				t.Errorf("command c%d lost across mid-batch crash", id)
+			}
 		}
-	}
-	wc.checkNoLossNoConflict(mid)
+		wc.checkNoLossNoConflict(mid)
 
-	// And the cluster stays live with the recovered acceptor back in.
-	wc.Prop.Propose(cstruct.Cmd{ID: 999, Key: "k"})
-	wc.Sim.Run()
-	found := false
-	for _, cmd := range wc.LearnedCmds {
-		if cmd.ID == 999 {
-			found = true
+		// And the cluster stays live with the recovered acceptor back in.
+		wc.Prop.Propose(cstruct.Cmd{ID: 999, Key: "k"})
+		wc.Sim.Run()
+		found := false
+		for _, cmd := range wc.LearnedCmds {
+			if cmd.ID == 999 {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Error("cluster stopped deciding after mid-batch recovery")
-	}
+		if !found {
+			t.Error("cluster stopped deciding after mid-batch recovery")
+		}
+	})
 }
 
 // TestWALRecoveryShardedMidBatch is the sharded crash scenario: two
@@ -257,94 +263,96 @@ func TestWALRecoveryMidBatch(t *testing.T) {
 // every command of every shard is learned exactly once, in a mergeable total
 // order.
 func TestWALRecoveryShardedMidBatch(t *testing.T) {
-	wc := newWALCluster(t, ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1, Seed: 17,
-		NLearners: 2, MaxInflight: 2, Shards: 2})
-	wc.LeadAll()
+	eachC(t, func(t *testing.T, c int) {
+		wc := newWALCluster(t, ClusterOpts{NAcceptors: 3, F: 1, Seed: 17,
+			NLearners: 2, MaxInflight: 2, Shards: 2, CoordsPerShard: c})
+		wc.LeadAll()
 
-	const commands, batchSize = 48, 4
-	router := batch.NewRouter(2, batchSize, 0, wc.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
-		wc.Prop.ProposeSeq(shard, seq, c)
-	})
-	for i := 0; i < commands; i++ {
-		router.Route(cstruct.Cmd{ID: uint64(400 + i), Key: "k", Op: cstruct.OpWrite})
-	}
-	router.FlushAll()
-
-	// Let both shards persist a few batches, then kill acceptor 0 with
-	// instances of BOTH residue classes in flight.
-	wc.Sim.RunUntil(wc.Sim.Now() + 2)
-	mid := snapshotLearned(wc.LearnedCmds)
-	wc.hardCrash(0)
-	wc.Sim.Run()
-
-	a := wc.restart(0)
-	// One replay must have rebuilt votes in both residue classes.
-	shardsSeen := make(map[int]int)
-	for inst := uint64(0); inst < uint64(commands); inst++ {
-		if _, _, ok := a.Vote(inst); ok {
-			shardsSeen[wc.Cfg.ShardOf(inst)]++
+		const commands, batchSize = 48, 4
+		router := batch.NewRouter(2, batchSize, 0, wc.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
+			wc.Prop.ProposeSeq(shard, seq, c)
+		})
+		for i := 0; i < commands; i++ {
+			router.Route(cstruct.Cmd{ID: uint64(400 + i), Key: "k", Op: cstruct.OpWrite})
 		}
-	}
-	if len(shardsSeen) != 2 {
-		t.Fatalf("replayed votes cover shards %v, want both shards of one log", shardsSeen)
-	}
-	// Recovery bumps the incarnation for every shard's round floor.
-	for shard := 0; shard < 2; shard++ {
-		if a.ShardRnd(shard).MCount == 0 {
-			t.Errorf("shard %d round floor not bumped on recovery", shard)
-		}
-	}
+		router.FlushAll()
 
-	// Both shard-leaders step to rounds dominating the recovered floors.
-	wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
-	wc.Coords[1].BecomeLeaderAt(a.Rnd().MCount + 1)
-	wc.Sim.Run()
+		// Let both shards persist a few batches, then kill acceptor 0 with
+		// instances of BOTH residue classes in flight.
+		wc.Sim.RunUntil(wc.Sim.Now() + 2)
+		mid := snapshotLearned(wc.LearnedCmds)
+		wc.hardCrash(0)
+		wc.Sim.Run()
 
-	// Every command learned exactly once (batches unpacked, dedup by ID).
-	got := make(map[uint64]int)
-	for _, cmd := range wc.LearnedCmds {
-		if sub, ok := batch.Unpack(cmd); ok {
-			for _, c := range sub {
-				got[c.ID]++
+		a := wc.restart(0)
+		// One replay must have rebuilt votes in both residue classes.
+		shardsSeen := make(map[int]int)
+		for inst := uint64(0); inst < uint64(commands); inst++ {
+			if _, _, ok := a.Vote(inst); ok {
+				shardsSeen[wc.Cfg.ShardOf(inst)]++
 			}
-		} else {
-			got[cmd.ID]++
 		}
-	}
-	for i := 0; i < commands; i++ {
-		id := uint64(400 + i)
-		if got[id] == 0 {
-			t.Errorf("command c%d lost across sharded mid-batch crash", id)
+		if len(shardsSeen) != 2 {
+			t.Fatalf("replayed votes cover shards %v, want both shards of one log", shardsSeen)
 		}
-	}
-	wc.checkNoLossNoConflict(mid)
+		// Recovery bumps the incarnation for every shard's round floor.
+		for shard := 0; shard < 2; shard++ {
+			if a.ShardRnd(shard).MCount == 0 {
+				t.Errorf("shard %d round floor not bumped on recovery", shard)
+			}
+		}
 
-	// The learned instances merge back into one gapless total order.
-	m := smr.NewMerger(nil)
-	insts := make([]uint64, 0, len(wc.LearnedCmds))
-	for inst := range wc.LearnedCmds {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		m.Add(inst, wc.LearnedCmds[inst])
-	}
-	if m.Buffered() != 0 {
-		t.Errorf("merged total order has a permanent gap at instance %d (%d buffered)",
-			m.Next(), m.Buffered())
-	}
+		// Both shard-leaders step to rounds dominating the recovered floors.
+		wc.Coords[0].BecomeLeaderAt(a.Rnd().MCount + 1)
+		wc.Coords[1].BecomeLeaderAt(a.Rnd().MCount + 1)
+		wc.Sim.Run()
 
-	// Both shards keep deciding with the recovered acceptor back in.
-	wc.Prop.ProposeTo(0, cstruct.Cmd{ID: 990, Key: "k"})
-	wc.Prop.ProposeTo(1, cstruct.Cmd{ID: 991, Key: "k"})
-	wc.Sim.Run()
-	found := map[uint64]bool{}
-	for _, cmd := range wc.LearnedCmds {
-		found[cmd.ID] = true
-	}
-	if !found[990] || !found[991] {
-		t.Errorf("shards stopped deciding after recovery: got 990=%v 991=%v", found[990], found[991])
-	}
+		// Every command learned exactly once (batches unpacked, dedup by ID).
+		got := make(map[uint64]int)
+		for _, cmd := range wc.LearnedCmds {
+			if sub, ok := batch.Unpack(cmd); ok {
+				for _, c := range sub {
+					got[c.ID]++
+				}
+			} else {
+				got[cmd.ID]++
+			}
+		}
+		for i := 0; i < commands; i++ {
+			id := uint64(400 + i)
+			if got[id] == 0 {
+				t.Errorf("command c%d lost across sharded mid-batch crash", id)
+			}
+		}
+		wc.checkNoLossNoConflict(mid)
+
+		// The learned instances merge back into one gapless total order.
+		m := smr.NewMerger(nil)
+		insts := make([]uint64, 0, len(wc.LearnedCmds))
+		for inst := range wc.LearnedCmds {
+			insts = append(insts, inst)
+		}
+		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+		for _, inst := range insts {
+			m.Add(inst, wc.LearnedCmds[inst])
+		}
+		if m.Buffered() != 0 {
+			t.Errorf("merged total order has a permanent gap at instance %d (%d buffered)",
+				m.Next(), m.Buffered())
+		}
+
+		// Both shards keep deciding with the recovered acceptor back in.
+		wc.Prop.ProposeTo(0, cstruct.Cmd{ID: 990, Key: "k"})
+		wc.Prop.ProposeTo(1, cstruct.Cmd{ID: 991, Key: "k"})
+		wc.Sim.Run()
+		found := map[uint64]bool{}
+		for _, cmd := range wc.LearnedCmds {
+			found[cmd.ID] = true
+		}
+		if !found[990] || !found[991] {
+			t.Errorf("shards stopped deciding after recovery: got 990=%v 991=%v", found[990], found[991])
+		}
+	})
 }
 
 // TestWALRecoveryMulticoordTallyReplay crashes a WAL-backed acceptor while

@@ -328,25 +328,20 @@ func (h *clientHandler) send(p *pendingCmd) {
 		msg.Propose{Cmd: p.cmd, Client: h.env.ID(), Req: p.req})
 }
 
-// targets picks where a proposal goes. Multicoordinated shards funnel the
-// initial send to the group's first member — the shard's primary stamper:
-// one stamper at a time keeps concurrent submissions from colliding over
-// sequence slots, and stamping is cheap enough not to need the Section 4.1
-// load-balance lever. Retries rotate through the group one member at a
-// time, so a dead primary is failed over without fanning a retry burst into
-// multiple simultaneous stampers. Single-coordinated shards always target
-// the primary plus its standbys (only the leader assigns; duplicates dedup
-// by command ID).
+// targets picks where a proposal goes. The initial send is funnelled to the
+// shard's first coordinator — its primary stamper: one stamper at a time
+// keeps concurrent submissions from colliding over sequence slots, and
+// stamping is cheap enough not to need the Section 4.1 load-balance lever.
+// Retries rotate through the shard's coordinators one at a time, so a dead
+// primary is failed over without fanning a retry burst into multiple
+// simultaneous stampers.
 func (h *clientHandler) targets(shard, attempt int) []msg.NodeID {
-	if !h.cfg.Multicoordinated() {
-		return h.cfg.ShardCoords(shard)
-	}
-	group := h.cfg.ShardGroup(shard)
-	i := attempt % len(group)
+	coords := h.cfg.ShardCoords(shard)
+	i := attempt % len(coords)
 	if i != 0 {
 		h.stats.Rotations++
 	}
-	return group[i : i+1]
+	return coords[i : i+1]
 }
 
 // OnMessage implements node.Handler: submissions are routed, replies resolve

@@ -203,8 +203,8 @@ func TestClientShardRoundRobin(t *testing.T) {
 	env := &fakeEnv{id: msg.NodeID(spec.Clients[0].ID)}
 	h := newClientHandler(env, cfg, spec)
 	want := []msg.NodeID{
-		cfg.ShardGroup(0)[0], cfg.ShardGroup(1)[0],
-		cfg.ShardGroup(0)[0], cfg.ShardGroup(1)[0],
+		cfg.ShardCoords(0)[0], cfg.ShardCoords(1)[0],
+		cfg.ShardCoords(0)[0], cfg.ShardCoords(1)[0],
 	}
 	for i, w := range want {
 		mark := len(env.sent)
@@ -273,10 +273,11 @@ func TestClientRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestClientSingleCoordinatedTargets: without coordinator groups the client
-// targets the shard's primary and standbys on every attempt (the failover
-// route), never a single rotating member.
-func TestClientSingleCoordinatedTargets(t *testing.T) {
+// TestClientStandbyRotationAtC1: targeting has no mode — at c = 1 the first
+// send goes to the shard's primary alone and retries rotate through the
+// shard's standbys one at a time, exactly as they rotate through a c = 3
+// group (TestClientRetryRotatesGroup).
+func TestClientStandbyRotationAtC1(t *testing.T) {
 	spec := LocalSpec(2, 1, 3, 1, 1)
 	// Two standby coordinators beyond the two primaries.
 	spec.Coords = append(spec.Coords, NodeSpec{ID: 110}, NodeSpec{ID: 111})
@@ -288,13 +289,18 @@ func TestClientSingleCoordinatedTargets(t *testing.T) {
 	env := &fakeEnv{id: msg.NodeID(spec.Clients[0].ID)}
 	h := newClientHandler(env, cfg, spec)
 	h.propose(cstruct.Cmd{ID: cmdID(1, 0), Key: "k", Op: cstruct.OpWrite}) // shard 0: first round-robin pick
-	got := proposeTargets(env.sent, 0)
-	want := cfg.ShardCoords(0)
-	if !equalIDs(got, want) {
-		t.Fatalf("single-coordinated send targeted %v, want primary+standbys %v", got, want)
+	coords := cfg.ShardCoords(0)
+	if got := proposeTargets(env.sent, 0); !equalIDs(got, coords[:1]) {
+		t.Fatalf("first send targeted %v, want the primary %v", got, coords[:1])
 	}
-	if h.stats.Rotations != 0 {
-		t.Fatal("single-coordinated shards must not rotate")
+	mark := len(env.sent)
+	env.now += 2 * h.retryEvery
+	h.OnTimer(tagClientRetry)
+	if got := proposeTargets(env.sent, mark); !equalIDs(got, coords[1:2]) {
+		t.Fatalf("retry targeted %v, want the standby %v", got, coords[1:2])
+	}
+	if h.stats.Rotations != 1 {
+		t.Fatalf("rotations = %d, want 1", h.stats.Rotations)
 	}
 }
 

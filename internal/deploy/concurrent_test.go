@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mcpaxos/internal/faults"
+	"mcpaxos/internal/msg"
 )
 
 // checkMergedOrder fails the test unless both learner replicas converged on
@@ -122,4 +125,89 @@ func TestTwoClientsOneDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkMergedOrder(t, rep, len(spec.Clients)*perClient)
+}
+
+// TestLiveC1ConcurrentIngressAndRepair: a c = 1 deployment runs the same
+// round path as a coordinator group, so it has what the group has — ingress
+// batching with idempotent (client, request) stamping under concurrent
+// callers, and a restarted primary that rejoins through Repair.
+func TestLiveC1ConcurrentIngressAndRepair(t *testing.T) {
+	spec := LocalSpec(1, 1, 3, 2, 1)
+	spec.RetryEvery = 20 * time.Millisecond
+	rep, cli := openLocal(t, spec)
+
+	const callers, perCaller = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				if _, err := cli.Set(fmt.Sprintf("g%d-k%d", g, i), fmt.Sprintf("v%d", i)).Result(); err != nil {
+					errs <- fmt.Errorf("caller %d op %d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	const ops = callers * perCaller
+	checkMergedOrder(t, rep, ops)
+	if stamped, _, _ := rep.IngressCounts(); stamped == 0 || stamped >= ops {
+		t.Fatalf("ingress stamped %d slots for %d ops, want batching: 0 < stamped < ops", stamped, ops)
+	}
+
+	// The primary dies and comes back as a fresh process: Repair rejoins the
+	// live round from the acceptors and the next write is acked.
+	primary := spec.Coords[0].ID
+	if !rep.Kill(primary) {
+		t.Fatalf("coordinator %d was not hosted", primary)
+	}
+	if err := rep.Restart(primary); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if _, err := cli.Set("after-restart", "1").Result(); err != nil {
+		t.Fatalf("write after the primary's restart: %v", err)
+	}
+	checkMergedOrder(t, rep, ops+1)
+	if got := rep.RoundChanges(); got != 0 {
+		t.Errorf("repair paid %d round changes, want 0", got)
+	}
+}
+
+// TestLiveLostPromiseRecovered is the live twin of the simulator's
+// TestLostPromiseRecoveredByRetransmit: every acceptor→coordinator link is
+// cut while a c = 1 replica opens, so the primary's first promise wave is
+// lost. Once the links heal, its retransmitted 1a must draw the promises
+// again — an acceptor that answered the retransmission with Stale would
+// leave the shard leaderless forever.
+func TestLiveLostPromiseRecovered(t *testing.T) {
+	f := faults.New(1)
+	spec := LocalSpec(1, 1, 3, 1, 1)
+	spec.RetryEvery = 10 * time.Millisecond
+	spec.RequestTimeout = 10 * time.Second
+	spec.Faults = f
+	for _, a := range spec.Acceptors {
+		f.Cut(msg.NodeID(a.ID), msg.NodeID(spec.Coords[0].ID))
+	}
+	_, cli := openLocal(t, spec)
+	// Wait until every acceptor's promise has been dropped on the cut link:
+	// the acceptors have joined the round and the first wave is lost.
+	for deadline := time.Now().Add(10 * time.Second); f.Stats().Dropped < uint64(len(spec.Acceptors)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("the promise wave never reached the cut links: %+v", f.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, a := range spec.Acceptors {
+		f.Restore(msg.NodeID(a.ID), msg.NodeID(spec.Coords[0].ID))
+	}
+	if _, err := cli.Set("k", "v").Result(); err != nil {
+		t.Fatalf("write after the promise links healed: %v", err)
+	}
 }

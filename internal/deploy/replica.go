@@ -422,7 +422,7 @@ func (r *Replica) openNode(id msg.NodeID) error {
 			// others advanced. Nudge the owning group to fill it.
 			fetch.OnStall = func(frontier uint64) {
 				shard := r.cfg.ShardOf(frontier)
-				node.Broadcast(env, r.cfg.ShardGroup(shard), msg.Fill{Inst: frontier, Learner: id})
+				node.Broadcast(env, r.cfg.ShardCoords(shard), msg.Fill{Inst: frontier, Learner: id})
 			}
 			// Snapshot-shipping escalation: when a log pull is refused below
 			// a peer's retention floor, the fetcher ships the peer's snapshot
@@ -696,12 +696,12 @@ func (r *Replica) Kill(id uint32) bool {
 // back up, rebuilding its handler from scratch the way a process restart
 // would: a WAL-backed acceptor reloads its votes from stable storage and
 // its recovery hook runs; a restarted coordinator repairs its volatile
-// round state by probing the acceptors (classic.Coordinator.Repair), so
-// abandoned slots decide instead of retransmitting forever; a restarted
-// learner rejoins through the catch-up protocol, pulling the decided
-// prefix from its peers before resuming live quorum counting.
+// round state by probing the acceptors (classic.Coordinator.Repair),
+// rejoining the live round with zero round changes, so abandoned slots
+// decide instead of retransmitting forever; a restarted learner rejoins
+// through the catch-up protocol, pulling the decided prefix from its peers
+// before resuming live quorum counting.
 func (r *Replica) Restart(id uint32) error {
-	role, idx := r.roleOf(msg.NodeID(id))
 	if err := r.openNode(msg.NodeID(id)); err != nil {
 		return err
 	}
@@ -709,16 +709,13 @@ func (r *Replica) Restart(id uint32) error {
 	h := r.nodes[msg.NodeID(id)]
 	r.mu.Unlock()
 	h.agent.Do(func(hd node.Handler) {
-		if rec, ok := hd.(node.Recoverable); ok {
-			rec.OnRecover()
+		switch n := hd.(type) {
+		case *classic.Coordinator:
+			n.Repair()
+		case node.Recoverable:
+			n.OnRecover()
 		}
 	})
-	if role == "coordinator" && (r.cfg.Multicoordinated() || idx < r.cfg.NShards()) {
-		// Group members rejoin at the live round (zero round changes);
-		// single-coordinated shard primaries re-take their round. Standbys
-		// of single-coordinated shards stay passive, as before.
-		h.agent.Do(func(hd node.Handler) { hd.(*classic.Coordinator).Repair() })
-	}
 	return nil
 }
 
@@ -1004,9 +1001,9 @@ func (r *Replica) NetStats() transport.TCPStats {
 }
 
 // IngressCounts sums the server-side ingress activity across the hosted,
-// live coordinators: sequence slots stamped, client retries restamped after
-// losing their slot to a collision, and no-op fills adopted for stalled
-// instances.
+// live coordinators: sequence slots stamped, client requests that lost their
+// stamped slot to a collision (restamped on retry), and no-op fills adopted
+// for stalled instances.
 func (r *Replica) IngressCounts() (stamped, restamped, filled uint64) {
 	for _, h := range r.coordHosts() {
 		h.agent.Do(func(hd node.Handler) {

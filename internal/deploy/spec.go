@@ -39,16 +39,19 @@ type NodeSpec struct {
 // of the deployment; which nodes a process actually runs is chosen at Open.
 //
 // Ordering is meaningful: coordinator i (in Coords order) serves shard
-// i mod Shards, and the first CoordsPerShard coordinators of each residue
-// class form that shard's group — the convention of classic.Config.
+// i mod Shards, and a round is served by CoordsPerShard coordinators of its
+// shard's residue class starting at the round's owner — the convention of
+// classic.Config.RoundGroup.
 type ClusterSpec struct {
 	// Shards partitions the instance space across that many concurrent
 	// sequencer groups (Mencius-style residue classes). 0 or 1 means one.
 	Shards int
-	// CoordsPerShard is the coordinator group size c per shard: with c ≥ 2
-	// a shard's round is multicoordinated and ⌊c/2⌋ coordinator crashes per
-	// shard mask without a round change. 0 or 1 keeps single-coordinated
-	// rounds.
+	// CoordsPerShard is the paper's c, the number of coordinators serving
+	// each shard's rounds: acceptors accept on ⌊c/2⌋+1 matching 2as, so
+	// ⌊c/2⌋ coordinator crashes per shard mask without a round change. It
+	// parameterises the one round path rather than selecting a mode: 0 or 1
+	// is c = 1, Classic Paxos, with the same ingress stamping, batching and
+	// restart repair as any larger group.
 	CoordsPerShard int
 
 	// Coords, Acceptors and Learners list the protocol nodes. Clients lists

@@ -101,11 +101,11 @@ type Propose struct {
 	AccQuorum []NodeID
 	// Seq, when HasSeq is set, is the command's per-shard sequence number in
 	// a sharded deployment: the proposal stream of shard k is numbered 0, 1,
-	// 2, … at submission. Multicoordinated shard groups (Section 4.1 applied
-	// per shard) rely on it to assign identical instances without
-	// coordination: every group member independently maps the proposal to
-	// instance Seq·N + k, so their 2a messages for the same proposal name
-	// the same instance. Single-coordinated deployments ignore it.
+	// 2, … at submission. Coordinator groups (Section 4.1 applied per shard)
+	// rely on it to assign identical instances without coordination: every
+	// coordinator of the shard independently maps the proposal to instance
+	// Seq·N + k, so their 2a messages for the same proposal name the same
+	// instance — at any group size, one included.
 	Seq    uint64
 	HasSeq bool
 	// Client and Req tag an *unsequenced* client submission: a proposal

@@ -157,28 +157,6 @@ func (s CoordSystem) IsQuorum(got int) bool { return got >= s.Size() }
 // quorum intact: nc − Size().
 func (s CoordSystem) MaxFailures() int { return s.nc - s.Size() }
 
-// ShardCoordSystems builds one coordinator quorum system per shard for a
-// sharded multicoordinated deployment: every shard's rounds are served by
-// its own group of perShard coordinators, and any majority of a group is a
-// coordinator quorum. Majority quorums within one group trivially satisfy
-// the Coord-quorum Requirement (Assumption 3: two coordinator quorums of
-// the same round intersect); the constructor still goes through
-// NewCoordSystem so degenerate group sizes are rejected at build time.
-func ShardCoordSystems(nShards, perShard int) ([]CoordSystem, error) {
-	if nShards < 1 {
-		return nil, fmt.Errorf("quorum: need at least one shard, got %d", nShards)
-	}
-	out := make([]CoordSystem, nShards)
-	for k := range out {
-		s, err := NewCoordSystem(perShard)
-		if err != nil {
-			return nil, fmt.Errorf("quorum: shard %d: %w", k, err)
-		}
-		out[k] = s
-	}
-	return out, nil
-}
-
 // String renders the system.
 func (s CoordSystem) String() string {
 	return fmt.Sprintf("coords{n=%d quorum=%d}", s.nc, s.Size())
