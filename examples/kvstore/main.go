@@ -24,7 +24,7 @@ func main() {
 
 	spec := mcpaxos.LocalSpec(2, 3, 3, 2, 1)
 	spec.BatchMax = 8                     // pack up to 8 writes per consensus instance
-	spec.BatchWait = 2 * time.Millisecond // ... or whatever arrived within 2ms
+	spec.BatchWait = 2 * time.Millisecond // ... waiting at most 2ms for company (a quiet shard stamps at once)
 	spec.WALDir = walDir                  // acceptors persist votes on disk
 	spec, err = spec.ResolveEphemeral()
 	if err != nil {

@@ -118,6 +118,9 @@ type Coordinator struct {
 	// batcher: client submissions buffer at the stamping member and are
 	// packed into one batch command per sequence slot, so stamping does not
 	// serialize the hot path. Max < 2 stamps every submission individually.
+	// Wait is the upper bound a buffered command waits for company, not a
+	// fixed price: a quiet shard stamps at once (see stampIfQuiet). 0 flushes on
+	// size only, with no early stamp either.
 	IngressBatchMax  int
 	IngressBatchWait int64
 	// FillCmd, when set, constructs the canonical no-op for an instance the
@@ -149,6 +152,10 @@ type Coordinator struct {
 	// the stamped instance (and retries of buffered commands are absorbed).
 	bufKeys []reqKey
 	bufd    map[reqKey]bool
+	// burst records that the last batch stamped here carried more than one
+	// command: submissions are arriving together, so the next one waits for
+	// company (size or timer) instead of being stamped at once.
+	burst bool
 
 	stamped   uint64 // sequence slots stamped at this member's ingress
 	restamped uint64 // client requests that lost their stamped slot
@@ -325,6 +332,8 @@ func (c *Coordinator) noteLearned(inst uint64) {
 		c.lo++
 	}
 	c.drainUnsent()
+	// This learn may have emptied the pipeline under buffered submissions.
+	c.stampIfQuiet()
 }
 
 // onPropose records a sequence-numbered proposal at its fixed instance and
@@ -377,11 +386,19 @@ func (c *Coordinator) onPropose(mm msg.Propose) {
 	}
 }
 
-// bind makes cmd this member's value for an instance. Requests stamped into
-// a displaced value lost their slot — to a concurrent failover stamper, a gap
-// fill, or the acceptors' pick — and are forgotten, so their clients' retries
-// are restamped at a fresh slot.
+// bind makes cmd this member's value for an instance and indexes the request
+// keys its constituents imply.
 func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
+	c.place(inst, cmd)
+	c.indexValue(inst, cmd)
+}
+
+// place is bind without the request index, for the stamping path that
+// already holds the keys. Requests stamped into a displaced value lost their
+// slot — to a concurrent failover stamper, a gap fill, or the acceptors' pick
+// — and are forgotten, so their clients' retries are restamped at a fresh
+// slot.
+func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
 	if old, ok := c.proposals[inst]; ok && !old.Equal(cmd) {
 		for k, at := range c.byReq {
 			if at == inst {
@@ -394,7 +411,6 @@ func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
 	if inst >= c.nextInst {
 		c.nextInst = inst + c.stride()
 	}
-	c.indexValue(inst, cmd)
 }
 
 // converge resolves a divergence between this member's value and a peer's
@@ -490,7 +506,26 @@ func (c *Coordinator) onIngress(mm msg.Propose) {
 		c.ing = batch.NewBatcher(c.IngressBatchMax, c.IngressBatchWait, c.env.Now, c.stampFlush)
 	}
 	c.ing.Add(mm.Cmd)
+	c.stampIfQuiet()
 	c.armIngress()
+}
+
+// stampIfQuiet stamps whatever the ingress batcher holds at once when waiting
+// would gain nothing: this member leads, its pipeline is empty, and the last
+// batch it stamped carried a single command, so no company arrived last time
+// either. A burst (one multi-command batch) flips the shard back to size/timer
+// batching — without that, the first command of every synchronized
+// closed-loop burst would fly alone and the rest wait out its flight — and a
+// timer flush that carries a single command flips it forward again. Otherwise
+// IngressBatchMax and the IngressBatchWait timer apply, so no command leaves
+// the batcher later than the timer would release it. Size-only batching
+// (IngressBatchWait = 0) is never cut short: hosts choose it for
+// deterministic batch boundaries.
+func (c *Coordinator) stampIfQuiet() {
+	if c.ing != nil && c.leading && len(c.sent) == 0 && len(c.unsent) == 0 &&
+		c.IngressBatchWait > 0 && !c.burst {
+		c.ing.Flush()
+	}
 }
 
 // stampFlush binds one flushed ingress batch (or lone command) to the next
@@ -514,7 +549,10 @@ func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
 		}
 	}
 	c.stamped++
-	c.bind(inst, cmd)
+	c.burst = len(keys) > 1
+	// The keys are in hand: indexing through bind would decode the batch
+	// packed a line ago to recover the same (client, req) pairs.
+	c.place(inst, cmd)
 	for _, k := range keys {
 		c.recordReq(k, inst)
 	}
@@ -555,14 +593,18 @@ func (c *Coordinator) recordReq(k reqKey, inst uint64) {
 	c.byReq[k] = inst
 }
 
-// armIngress schedules the time-triggered flush of a partial ingress batch.
+// armIngress schedules the time-triggered flush of a partial ingress batch
+// for the batch's own deadline: a timer left pending by a batch that flushed
+// early (by size, or at once on a quiet shard) fires on a younger batch, and
+// re-arming a full IngressBatchWait from then would hold that batch up to
+// twice the bound.
 func (c *Coordinator) armIngress() {
 	if c.ingArmed || c.ing == nil {
 		return
 	}
-	if _, ok := c.ing.Deadline(); ok {
+	if at, ok := c.ing.Deadline(); ok {
 		c.ingArmed = true
-		c.env.SetTimer(c.IngressBatchWait, timerIngress)
+		c.env.SetTimer(at-c.env.Now(), timerIngress)
 	}
 }
 

@@ -128,6 +128,43 @@ func TestLiveTCPRetryMasksDeadWindowMember(t *testing.T) {
 	}
 }
 
+// TestLiveTCPQuietShardSkipsBatchTimer: BatchWait is a bound, not a price. One
+// caller issuing writes back to back never has company in the ingress batch,
+// so each write is stamped when it arrives — with BatchWait at 100 ms, twenty
+// of them waiting out the timer would take 2 s. The 1 s limit is fifty times
+// the expected loop time: it tells the two behaviours apart, it is not a
+// latency assertion.
+func TestLiveTCPQuietShardSkipsBatchTimer(t *testing.T) {
+	spec := LocalSpec(1, 3, 3, 2, 1)
+	spec.BatchWait = 100 * time.Millisecond
+	rep, cli := openLocal(t, spec)
+
+	// The first write also pays round establishment, and the client retries
+	// it meanwhile: a retry that reached a backup member before the primary's
+	// stamp share sits in that member's batcher for up to BatchWait. Let it
+	// flush so the count below sees only the measured writes.
+	if _, err := cli.Set("warm", "up").Result(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	time.Sleep(2 * spec.BatchWait)
+	const n = 20
+	before, _, _ := rep.IngressCounts()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := cli.Set("k", fmt.Sprintf("v%d", i)).Result(); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	took := time.Since(start)
+	after, _, _ := rep.IngressCounts()
+	if got := after - before; got != n {
+		t.Errorf("ingress stamped %d slots for %d sequential writes, want one each", got, n)
+	}
+	if took >= time.Second {
+		t.Errorf("%d sequential writes took %v: each waited out the %v batch timer", n, took, spec.BatchWait)
+	}
+}
+
 // liveE13Run drives one E13-style run over real sockets: `commands` writes
 // through 2 shards served by coordinator groups of 3, optionally killing one
 // group member per shard mid-stream. It returns the merged apply order, the

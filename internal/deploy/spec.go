@@ -101,8 +101,10 @@ type ClusterSpec struct {
 	// coordinator (client submissions packed into one consensus instance);
 	// 0 means 8. 1 disables batching.
 	BatchMax int
-	// BatchWait bounds the latency a buffered command waits for its batch to
-	// fill; 0 means 2ms.
+	// BatchWait is the upper bound a buffered command waits for its batch to
+	// fill, not a fixed price: a quiet shard — the stamping coordinator leads,
+	// has nothing in flight, and its last batch carried a single command —
+	// stamps at once. 0 means 2ms; negative flushes on size only.
 	BatchWait time.Duration
 	// Window bounds each coordinator's pipeline of unlearned instances; 0
 	// leaves it unbounded.

@@ -18,7 +18,8 @@ type LiveResult struct {
 	Commands int
 	// Shards and CoordsPerShard name the deployment shape.
 	Shards, CoordsPerShard int
-	// BatchMax is the client-side batch size.
+	// BatchMax is the per-shard ingress batch size at the stamping
+	// coordinator (ClusterSpec.BatchMax).
 	BatchMax int
 	// P50, P90, P99 and Max are proposal-to-reply latency percentiles.
 	P50, P90, P99, Max time.Duration
@@ -46,9 +47,11 @@ type LiveResult struct {
 
 // RunLiveLatency stands up a full deployment on loopback TCP (every node in
 // this process, each behind its own socket), drives `commands` KV writes
-// through the client's batched, shard-routed path, and reports latency
-// percentiles. With coordsPerShard ≥ 2 each shard is served by a
-// multicoordinated group; the client load-balances its quorum windows.
+// through the client's shard-routed path — batched server-side, at each
+// shard's stamping coordinator — and reports latency percentiles. With
+// coordsPerShard ≥ 2 each shard is served by a multicoordinated group; the
+// client sends to the shard's primary and rotates through the group on
+// silence.
 func RunLiveLatency(shards, coordsPerShard, nAcceptors, commands, batchMax int) (LiveResult, error) {
 	spec := LocalSpec(shards, coordsPerShard, nAcceptors, 2, 1)
 	spec.BatchMax = batchMax
