@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"encoding/gob"
-
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 )
@@ -21,6 +19,13 @@ import (
 // one physical fsync. A backend that cannot make a record durable must
 // panic rather than return: acking an accept without stable storage would
 // break the Paxos safety argument (Section 4.4).
+//
+// Record vocabulary: acceptors store uint32 and uint64 counters,
+// ballot.Ballot rounds, VoteRec and TallyRec values, and nothing else. The
+// on-disk backend defines a byte form for exactly these types (internal/wal,
+// record.go), returns them from Get with the same concrete type they were
+// Put with, and panics on a value outside the set; the in-memory Disk holds
+// any value.
 type Stable interface {
 	// Put durably stores value under key, counting one synchronous write.
 	Put(key string, value any)
@@ -102,9 +107,9 @@ var _ Stable = (*Disk)(nil)
 // vote's round plus the accepted value flattened to its representative
 // command sequence (every c-struct is ⊥ • σ for its Commands() σ, so the
 // value is rebuilt with the deployment's c-struct set on restore, exactly
-// as the wire codec does). A shared, gob-friendly shape keeps the on-disk
-// WAL backend-agnostic: it serializes records without knowing which
-// protocol wrote them.
+// as the wire codec does). One shape shared by every protocol keeps the
+// on-disk WAL protocol-agnostic: it serializes records without knowing
+// which acceptor wrote them.
 type VoteRec struct {
 	// Inst scopes the vote to one consensus instance (multi-instance
 	// classic deployments); generalized single-instance protocols use 0.
@@ -152,14 +157,3 @@ const (
 	// recovery scans start here and catch-up requests below it are refused.
 	KeyFloor = "floor"
 )
-
-// The record vocabulary is registered with gob so the WAL backend can
-// serialize Stable values held as interfaces. Registration is global, so
-// importing this package (which every Stable user does) is enough.
-func init() {
-	gob.Register(uint32(0))
-	gob.Register(uint64(0))
-	gob.Register(VoteRec{})
-	gob.Register(TallyRec{})
-	gob.Register(ballot.Ballot{})
-}

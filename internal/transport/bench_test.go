@@ -79,13 +79,7 @@ func benchDecode(b *testing.B, c Codec) {
 }
 
 func BenchmarkEncodeBinary(b *testing.B) { benchEncode(b, Codec{Set: cstruct.SingleValueSet{}}) }
-func BenchmarkEncodeGob(b *testing.B) {
-	benchEncode(b, Codec{Set: cstruct.SingleValueSet{}, Legacy: true})
-}
 func BenchmarkDecodeBinary(b *testing.B) { benchDecode(b, Codec{Set: cstruct.SingleValueSet{}}) }
-func BenchmarkDecodeGob(b *testing.B) {
-	benchDecode(b, Codec{Set: cstruct.SingleValueSet{}, Legacy: true})
-}
 
 // TestEncodeAllocs pins the binary encoder's allocation budget: appending
 // any message type into a warm caller-owned buffer allocates nothing

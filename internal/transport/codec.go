@@ -6,41 +6,33 @@
 //
 // # Wire format
 //
-// Every encoded message starts with a version byte: verBinary (0x02) frames
-// carry the hand-rolled binary encoding below; verGob (0x01) frames carry
-// the legacy gob encoding of the flattened wire struct (gob.go), kept for
-// one release as a differential-fuzz baseline. After the version byte a
-// binary frame is:
+// Every encoded message is one frame:
 //
-//	[type tag: 1 byte]  [flags: 1 byte]  [fields...]
+//	[version: 1 byte = 0x02]  [type tag: 1 byte]  [flags: 1 byte]  [fields...]
 //
-// where flags packs the optional-field markers (HasVal, Any, Multi, HasSeq)
-// and the fields are fixed per type tag: integers are unsigned varints,
-// ballots are four varints (MCount, MinCount, ID, RType), and commands,
+// where flags packs the optional-field markers (HasVal, Any, Multi, HasSeq,
+// HasClient, HasFloor) and the fields are fixed per type tag, built from the
+// layouts package wire defines (shared with the WAL's record codec):
+// integers are unsigned varints, ballots are four varints, and commands,
 // strings and node-ID sets are length-prefixed sections. The encoding is
 // canonical — one byte string per message value — so encode∘decode is the
-// identity on the wire form (FuzzCodecRoundTrip enforces it).
+// identity on the wire form (FuzzCodecRoundTrip enforces it, and the golden
+// frames in golden_test.go pin the bytes). Any other version byte is
+// rejected.
 package transport
 
 import (
 	"fmt"
-	"math"
 
-	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/wire"
 )
 
-// Wire format versions: the first byte of every encoded frame.
-const (
-	// verGob marks a legacy gob-encoded frame (one release of backward
-	// compatibility; see gob.go).
-	verGob = 0x01
-	// verBinary marks a hand-rolled binary frame.
-	verBinary = 0x02
-)
+// verBinary is the wire format version: the first byte of every frame.
+const verBinary = 0x02
 
-// Flag bits of a binary frame's flags byte.
+// Flag bits of a frame's flags byte.
 const (
 	// flagHasVal distinguishes a nil c-struct from ⊥ (P1b/P2a/P2b).
 	flagHasVal = 1 << 0
@@ -61,25 +53,9 @@ const (
 )
 
 // Codec encodes protocol messages for the TCP transport. It needs the
-// deployment's c-struct set to rebuild values on receipt. The zero codec
-// encodes the binary format; Legacy switches encoding to the gob fallback
-// (decoding always accepts both, dispatched on the version byte).
+// deployment's c-struct set to rebuild values on receipt.
 type Codec struct {
 	Set cstruct.Set
-	// Legacy encodes frames with the previous release's gob codec instead
-	// of the binary format. Decode is unaffected.
-	Legacy bool
-}
-
-// AppendEncode serializes m onto dst and returns the extended slice. The
-// result is owned by the caller; encoding a known message type into a slice
-// with sufficient capacity performs no allocation beyond the message's own
-// Commands() flattening.
-func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
-	if c.Legacy {
-		return appendEncodeGob(dst, m)
-	}
-	return appendEncodeBinary(dst, m)
 }
 
 // Encode serializes m into a fresh slice.
@@ -91,17 +67,17 @@ func (c Codec) Encode(m msg.Message) ([]byte, error) {
 // returned message references is copied out, so callers may reuse the slice
 // immediately (the TCP reader decodes from one pooled scratch buffer).
 func (c Codec) Decode(data []byte) (msg.Message, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("transport: decode: empty frame")
+	if len(data) < 3 {
+		return nil, fmt.Errorf("transport: decode: truncated header")
 	}
-	switch data[0] {
-	case verBinary:
-		return c.decodeBinary(data[1:])
-	case verGob:
-		return c.decodeGob(data[1:])
-	default:
+	if data[0] != verBinary {
 		return nil, fmt.Errorf("transport: decode: unknown wire version %#x", data[0])
 	}
+	m, err := c.decode(msg.Type(data[1]), data[2], &wire.Reader{B: data[3:]})
+	if err != nil {
+		return nil, fmt.Errorf("transport: decode: %w", err)
+	}
+	return m, nil
 }
 
 // encodable reports whether m is a known wire message type (the only
@@ -116,51 +92,14 @@ func encodable(m msg.Message) bool {
 	return false
 }
 
-// --- binary encoding ---
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-func appendBallot(dst []byte, b ballot.Ballot) []byte {
-	dst = appendUvarint(dst, uint64(b.MCount))
-	dst = appendUvarint(dst, uint64(b.MinCount))
-	dst = appendUvarint(dst, uint64(b.ID))
-	return appendUvarint(dst, uint64(b.RType))
-}
-
-func appendCmd(dst []byte, c cstruct.Cmd) []byte {
-	dst = appendUvarint(dst, c.ID)
-	dst = appendUvarint(dst, uint64(len(c.Key)))
-	dst = append(dst, c.Key...)
-	dst = append(dst, byte(c.Op))
-	dst = appendUvarint(dst, uint64(len(c.Payload)))
-	return append(dst, c.Payload...)
-}
-
-func appendCmds(dst []byte, cs []cstruct.Cmd) []byte {
-	dst = appendUvarint(dst, uint64(len(cs)))
-	for _, c := range cs {
-		dst = appendCmd(dst, c)
-	}
-	return dst
-}
+// --- encoding ---
 
 func appendNodeIDs(dst []byte, ids []msg.NodeID) []byte {
-	dst = appendUvarint(dst, uint64(len(ids)))
+	dst = wire.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = appendUvarint(dst, uint64(id))
+		dst = wire.AppendUvarint(dst, uint64(id))
 	}
 	return dst
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // appendVal writes a non-nil c-struct as a length-prefixed command
@@ -170,15 +109,19 @@ func appendString(dst []byte, s string) []byte {
 func appendVal(dst []byte, v cstruct.CStruct) []byte {
 	if sv, ok := v.(cstruct.SingleValue); ok {
 		if c, set := sv.Value(); set {
-			dst = appendUvarint(dst, 1)
-			return appendCmd(dst, c)
+			dst = wire.AppendUvarint(dst, 1)
+			return wire.AppendCmd(dst, c)
 		}
-		return appendUvarint(dst, 0)
+		return wire.AppendUvarint(dst, 0)
 	}
-	return appendCmds(dst, v.Commands())
+	return wire.AppendCmds(dst, v.Commands())
 }
 
-func appendEncodeBinary(dst []byte, m msg.Message) ([]byte, error) {
+// AppendEncode serializes m onto dst and returns the extended slice. The
+// result is owned by the caller; encoding a known message type into a slice
+// with sufficient capacity performs no allocation beyond the message's own
+// Commands() flattening.
+func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 	switch mm := m.(type) {
 	case msg.Propose:
 		var flags byte
@@ -190,23 +133,23 @@ func appendEncodeBinary(dst []byte, m msg.Message) ([]byte, error) {
 			flags |= flagHasClient
 		}
 		dst = append(dst, verBinary, byte(msg.TPropose), flags)
-		dst = appendCmd(dst, mm.Cmd)
+		dst = wire.AppendCmd(dst, mm.Cmd)
 		dst = appendNodeIDs(dst, mm.AccQuorum)
-		dst = appendUvarint(dst, mm.Inst)
+		dst = wire.AppendUvarint(dst, mm.Inst)
 		if mm.HasSeq {
-			dst = appendUvarint(dst, mm.Seq)
+			dst = wire.AppendUvarint(dst, mm.Seq)
 		}
 		if hasClient {
-			dst = appendUvarint(dst, uint64(mm.Client))
-			dst = appendUvarint(dst, mm.Req)
+			dst = wire.AppendUvarint(dst, uint64(mm.Client))
+			dst = wire.AppendUvarint(dst, mm.Req)
 		}
 		return dst, nil
 	case msg.P1a:
 		dst = append(dst, verBinary, byte(msg.TP1a), 0)
-		dst = appendUvarint(dst, mm.Inst)
-		dst = appendBallot(dst, mm.Rnd)
-		dst = appendUvarint(dst, uint64(mm.Coord))
-		return appendUvarint(dst, uint64(mm.Shard)), nil
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		dst = wire.AppendUvarint(dst, uint64(mm.Coord))
+		return wire.AppendUvarint(dst, uint64(mm.Shard)), nil
 	case msg.P1b:
 		hasVal := mm.VVal != nil
 		var flags byte
@@ -214,23 +157,23 @@ func appendEncodeBinary(dst []byte, m msg.Message) ([]byte, error) {
 			flags |= flagHasVal
 		}
 		dst = append(dst, verBinary, byte(msg.TP1b), flags)
-		dst = appendUvarint(dst, mm.Inst)
-		dst = appendBallot(dst, mm.Rnd)
-		dst = appendUvarint(dst, uint64(mm.Acc))
-		dst = appendBallot(dst, mm.VRnd)
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
+		dst = wire.AppendBallot(dst, mm.VRnd)
 		if hasVal {
 			dst = appendVal(dst, mm.VVal)
 		}
 		return dst, nil
 	case msg.P1bMulti:
 		dst = append(dst, verBinary, byte(msg.TP1b), flagMulti)
-		dst = appendBallot(dst, mm.Rnd)
-		dst = appendUvarint(dst, uint64(mm.Acc))
-		dst = appendUvarint(dst, uint64(mm.Shard))
-		dst = appendUvarint(dst, uint64(len(mm.Votes)))
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
+		dst = wire.AppendUvarint(dst, uint64(mm.Shard))
+		dst = wire.AppendUvarint(dst, uint64(len(mm.Votes)))
 		for _, v := range mm.Votes {
-			dst = appendUvarint(dst, v.Inst)
-			dst = appendBallot(dst, v.VRnd)
+			dst = wire.AppendUvarint(dst, v.Inst)
+			dst = wire.AppendBallot(dst, v.VRnd)
 			if v.VVal != nil {
 				dst = append(dst, 1)
 				dst = appendVal(dst, v.VVal)
@@ -249,9 +192,9 @@ func appendEncodeBinary(dst []byte, m msg.Message) ([]byte, error) {
 			flags |= flagAny
 		}
 		dst = append(dst, verBinary, byte(msg.TP2a), flags)
-		dst = appendUvarint(dst, mm.Inst)
-		dst = appendBallot(dst, mm.Rnd)
-		dst = appendUvarint(dst, uint64(mm.Coord))
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		dst = wire.AppendUvarint(dst, uint64(mm.Coord))
 		if hasVal {
 			dst = appendVal(dst, mm.Val)
 		}
@@ -263,236 +206,84 @@ func appendEncodeBinary(dst []byte, m msg.Message) ([]byte, error) {
 			flags |= flagHasVal
 		}
 		dst = append(dst, verBinary, byte(msg.TP2b), flags)
-		dst = appendUvarint(dst, mm.Inst)
-		dst = appendBallot(dst, mm.Rnd)
-		dst = appendUvarint(dst, uint64(mm.Acc))
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
 		if hasVal {
 			dst = appendVal(dst, mm.Val)
 		}
 		return dst, nil
 	case msg.Stale:
 		dst = append(dst, verBinary, byte(msg.TStale), 0)
-		dst = appendUvarint(dst, mm.Inst)
-		dst = appendUvarint(dst, uint64(mm.Acc))
-		dst = appendBallot(dst, mm.Rnd)
-		return appendBallot(dst, mm.Got), nil
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
+		dst = wire.AppendBallot(dst, mm.Rnd)
+		return wire.AppendBallot(dst, mm.Got), nil
 	case msg.Heartbeat:
 		dst = append(dst, verBinary, byte(msg.THeartbeat), 0)
-		dst = appendUvarint(dst, uint64(mm.From))
-		return appendUvarint(dst, mm.Epoch), nil
+		dst = wire.AppendUvarint(dst, uint64(mm.From))
+		return wire.AppendUvarint(dst, mm.Epoch), nil
 	case msg.Reply:
 		dst = append(dst, verBinary, byte(msg.TReply), 0)
-		dst = appendUvarint(dst, mm.CmdID)
-		dst = appendUvarint(dst, uint64(mm.From))
-		dst = appendUvarint(dst, mm.Inst)
-		return appendString(dst, mm.Result), nil
+		dst = wire.AppendUvarint(dst, mm.CmdID)
+		dst = wire.AppendUvarint(dst, uint64(mm.From))
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		return wire.AppendString(dst, mm.Result), nil
 	case msg.CatchupReq:
 		dst = append(dst, verBinary, byte(msg.TCatchupReq), 0)
-		dst = appendUvarint(dst, uint64(mm.Learner))
-		dst = appendUvarint(dst, mm.From)
-		return appendUvarint(dst, uint64(mm.Max)), nil
+		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
+		dst = wire.AppendUvarint(dst, mm.From)
+		return wire.AppendUvarint(dst, uint64(mm.Max)), nil
 	case msg.CatchupResp:
 		var flags byte
 		if mm.Floor != 0 {
 			flags |= flagHasFloor
 		}
 		dst = append(dst, verBinary, byte(msg.TCatchupResp), flags)
-		dst = appendUvarint(dst, uint64(mm.Learner))
-		dst = appendUvarint(dst, mm.From)
-		dst = appendUvarint(dst, mm.Frontier)
+		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
+		dst = wire.AppendUvarint(dst, mm.From)
+		dst = wire.AppendUvarint(dst, mm.Frontier)
 		if mm.Floor != 0 {
-			dst = appendUvarint(dst, mm.Floor)
+			dst = wire.AppendUvarint(dst, mm.Floor)
 		}
-		return appendCmds(dst, mm.Cmds), nil
+		return wire.AppendCmds(dst, mm.Cmds), nil
 	case msg.Fill:
 		dst = append(dst, verBinary, byte(msg.TFill), 0)
-		dst = appendUvarint(dst, mm.Inst)
-		return appendUvarint(dst, uint64(mm.Learner)), nil
+		dst = wire.AppendUvarint(dst, mm.Inst)
+		return wire.AppendUvarint(dst, uint64(mm.Learner)), nil
 	case msg.Done:
 		dst = append(dst, verBinary, byte(msg.TDone), 0)
-		dst = appendUvarint(dst, uint64(mm.From))
-		dst = appendUvarint(dst, mm.Frontier)
-		return appendUvarint(dst, mm.Watermark), nil
+		dst = wire.AppendUvarint(dst, uint64(mm.From))
+		dst = wire.AppendUvarint(dst, mm.Frontier)
+		return wire.AppendUvarint(dst, mm.Watermark), nil
 	case msg.SnapReq:
 		dst = append(dst, verBinary, byte(msg.TSnapReq), 0)
-		dst = appendUvarint(dst, uint64(mm.Learner))
-		return appendUvarint(dst, mm.From), nil
+		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
+		return wire.AppendUvarint(dst, mm.From), nil
 	case msg.SnapResp:
 		dst = append(dst, verBinary, byte(msg.TSnapResp), 0)
-		dst = appendUvarint(dst, uint64(mm.Learner))
-		dst = appendUvarint(dst, mm.Frontier)
-		dst = appendUvarint(dst, uint64(mm.Crc))
-		dst = appendUvarint(dst, uint64(mm.Seq))
-		dst = appendUvarint(dst, uint64(mm.Total))
-		dst = appendUvarint(dst, uint64(len(mm.Chunk)))
+		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
+		dst = wire.AppendUvarint(dst, mm.Frontier)
+		dst = wire.AppendUvarint(dst, uint64(mm.Crc))
+		dst = wire.AppendUvarint(dst, uint64(mm.Seq))
+		dst = wire.AppendUvarint(dst, uint64(mm.Total))
+		dst = wire.AppendUvarint(dst, uint64(len(mm.Chunk)))
 		return append(dst, mm.Chunk...), nil
 	default:
 		return nil, fmt.Errorf("transport: unknown message type %T", m)
 	}
 }
 
-// --- binary decoding ---
+// --- decoding ---
 
-// binReader walks a binary frame with sticky error handling; every read is
-// bounds-checked so arbitrary input can never panic or allocate more than
-// the frame's own length.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("transport: decode: truncated or invalid %s", what)
-	}
-}
-
-func (r *binReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	var v uint64
-	for i := 0; i < len(r.b); i++ {
-		c := r.b[i]
-		if i == 9 && c > 1 {
-			r.fail(what)
-			return 0
-		}
-		v |= uint64(c&0x7f) << (7 * i)
-		if c < 0x80 {
-			r.b = r.b[i+1:]
-			return v
-		}
-		if i == 9 {
-			break
-		}
-	}
-	r.fail(what)
-	return 0
-}
-
-func (r *binReader) u32(what string) uint32 {
-	v := r.uvarint(what)
-	if r.err == nil && v > math.MaxUint32 {
-		r.fail(what)
-	}
-	return uint32(v)
-}
-
-func (r *binReader) byteVal(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail(what)
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *binReader) ballot() ballot.Ballot {
-	return ballot.Ballot{
-		MCount:   r.u32("ballot"),
-		MinCount: r.u32("ballot"),
-		ID:       r.u32("ballot"),
-		RType:    r.u32("ballot"),
-	}
-}
-
-// bytesVal copies a length-prefixed byte section out of the frame (the
-// frame buffer is pooled scratch, reused after Decode).
-func (r *binReader) bytesVal(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(what)
-		return nil
-	}
-	var out []byte
-	if n > 0 {
-		out = append([]byte(nil), r.b[:n]...)
-	}
-	r.b = r.b[n:]
-	return out
-}
-
-// stringVal copies a length-prefixed string out of the frame.
-func (r *binReader) stringVal(what string) string {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *binReader) cmd() cstruct.Cmd {
-	var c cstruct.Cmd
-	c.ID = r.uvarint("cmd id")
-	c.Key = r.stringVal("cmd key")
-	c.Op = cstruct.OpKind(r.byteVal("cmd op"))
-	n := r.uvarint("cmd payload")
-	if r.err != nil {
-		return c
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("cmd payload")
-		return c
-	}
-	if n > 0 {
-		// Copy: the frame buffer is pooled scratch, reused after Decode.
-		c.Payload = append([]byte(nil), r.b[:n]...)
-	}
-	r.b = r.b[n:]
-	return c
-}
-
-func (r *binReader) cmds() []cstruct.Cmd {
-	n := r.uvarint("cmd count")
-	if r.err != nil {
-		return nil
-	}
-	// Every encoded command takes ≥4 bytes (id, klen, op, plen): a larger
-	// count is corrupt, and checking first bounds the allocation by the
-	// frame's own size.
-	if n > uint64(len(r.b))/4 {
-		r.fail("cmd count")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]cstruct.Cmd, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.cmd())
-	}
-	return out
-}
-
-func (r *binReader) nodeIDs() []msg.NodeID {
-	n := r.uvarint("node count")
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) { // every ID takes ≥1 byte
-		r.fail("node count")
-		return nil
-	}
+func readNodeIDs(r *wire.Reader) []msg.NodeID {
+	n := r.Count("node count", 1) // every ID takes ≥1 byte
 	if n == 0 {
 		return nil
 	}
 	out := make([]msg.NodeID, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, msg.NodeID(r.u32("node id")))
+	for i := 0; i < n && r.Err == nil; i++ {
+		out = append(out, msg.NodeID(r.U32("node id")))
 	}
 	return out
 }
@@ -506,210 +297,201 @@ func (c Codec) rebuild(cmds []cstruct.Cmd, has bool) cstruct.CStruct {
 	return cstruct.AppendSeq(c.Set.Bottom(), cmds)
 }
 
-func (c Codec) decodeBinary(data []byte) (msg.Message, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("transport: decode: truncated header")
-	}
-	typ, flags := msg.Type(data[0]), data[1]
-	r := &binReader{b: data[2:]}
+// decode reads the fields of one frame of type typ; its errors name the
+// failure only (Decode adds the package prefix).
+func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, error) {
 	var m msg.Message
 	switch typ {
 	case msg.TPropose:
 		if flags&^(flagHasSeq|flagHasClient) != 0 {
-			return nil, fmt.Errorf("transport: decode: bad propose flags %#x", flags)
+			return nil, fmt.Errorf("bad propose flags %#x", flags)
 		}
 		mm := msg.Propose{HasSeq: flags&flagHasSeq != 0}
-		mm.Cmd = r.cmd()
-		mm.AccQuorum = r.nodeIDs()
-		mm.Inst = r.uvarint("inst")
+		mm.Cmd = r.Cmd()
+		mm.AccQuorum = readNodeIDs(r)
+		mm.Inst = r.Uvarint("inst")
 		if mm.HasSeq {
-			mm.Seq = r.uvarint("seq")
+			mm.Seq = r.Uvarint("seq")
 		}
 		if flags&flagHasClient != 0 {
-			mm.Client = msg.NodeID(r.u32("client"))
-			mm.Req = r.uvarint("req")
-			if r.err == nil && mm.Client == 0 && mm.Req == 0 {
+			mm.Client = msg.NodeID(r.U32("client"))
+			mm.Req = r.Uvarint("req")
+			if r.Err == nil && mm.Client == 0 && mm.Req == 0 {
 				// Canonical encoding: the flag is set iff the key is non-zero.
-				r.fail("client key")
+				r.Fail("client key")
 			}
 		}
 		m = mm
 	case msg.TP1a:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad 1a flags %#x", flags)
+			return nil, fmt.Errorf("bad 1a flags %#x", flags)
 		}
 		m = msg.P1a{
-			Inst:  r.uvarint("inst"),
-			Rnd:   r.ballot(),
-			Coord: msg.NodeID(r.u32("coord")),
-			Shard: r.u32("shard"),
+			Inst:  r.Uvarint("inst"),
+			Rnd:   r.Ballot(),
+			Coord: msg.NodeID(r.U32("coord")),
+			Shard: r.U32("shard"),
 		}
 	case msg.TP1b:
 		if flags&flagMulti != 0 {
 			if flags != flagMulti {
-				return nil, fmt.Errorf("transport: decode: bad multi-1b flags %#x", flags)
+				return nil, fmt.Errorf("bad multi-1b flags %#x", flags)
 			}
 			mm := msg.P1bMulti{
-				Rnd:   r.ballot(),
-				Acc:   msg.NodeID(r.u32("acc")),
-				Shard: r.u32("shard"),
+				Rnd:   r.Ballot(),
+				Acc:   msg.NodeID(r.U32("acc")),
+				Shard: r.U32("shard"),
 			}
-			n := r.uvarint("vote count")
-			if r.err == nil && n > uint64(len(r.b))/6 {
-				// Each vote takes ≥6 bytes (inst, 4 ballot varints, has byte).
-				r.fail("vote count")
-			}
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				v := msg.InstVote{Inst: r.uvarint("vote inst"), VRnd: r.ballot()}
-				switch r.byteVal("vote has") {
+			// Each vote takes ≥6 bytes (inst, 4 ballot varints, has byte).
+			n := r.Count("vote count", 6)
+			for i := 0; i < n && r.Err == nil; i++ {
+				v := msg.InstVote{Inst: r.Uvarint("vote inst"), VRnd: r.Ballot()}
+				switch r.Byte("vote has") {
 				case 1:
-					v.VVal = c.rebuild(r.cmds(), true)
+					v.VVal = c.rebuild(r.Cmds(), true)
 				case 0:
 				default:
-					r.fail("vote has")
+					r.Fail("vote has")
 				}
 				mm.Votes = append(mm.Votes, v)
 			}
 			m = mm
 		} else {
 			if flags&^flagHasVal != 0 {
-				return nil, fmt.Errorf("transport: decode: bad 1b flags %#x", flags)
+				return nil, fmt.Errorf("bad 1b flags %#x", flags)
 			}
 			mm := msg.P1b{
-				Inst: r.uvarint("inst"),
-				Rnd:  r.ballot(),
-				Acc:  msg.NodeID(r.u32("acc")),
-				VRnd: r.ballot(),
+				Inst: r.Uvarint("inst"),
+				Rnd:  r.Ballot(),
+				Acc:  msg.NodeID(r.U32("acc")),
+				VRnd: r.Ballot(),
 			}
 			if flags&flagHasVal != 0 {
-				mm.VVal = c.rebuild(r.cmds(), true)
+				mm.VVal = c.rebuild(r.Cmds(), true)
 			}
 			m = mm
 		}
 	case msg.TP2a:
 		if flags&^(flagHasVal|flagAny) != 0 {
-			return nil, fmt.Errorf("transport: decode: bad 2a flags %#x", flags)
+			return nil, fmt.Errorf("bad 2a flags %#x", flags)
 		}
 		mm := msg.P2a{
-			Inst:  r.uvarint("inst"),
-			Rnd:   r.ballot(),
-			Coord: msg.NodeID(r.u32("coord")),
+			Inst:  r.Uvarint("inst"),
+			Rnd:   r.Ballot(),
+			Coord: msg.NodeID(r.U32("coord")),
 			Any:   flags&flagAny != 0,
 		}
 		if flags&flagHasVal != 0 {
-			mm.Val = c.rebuild(r.cmds(), true)
+			mm.Val = c.rebuild(r.Cmds(), true)
 		}
 		m = mm
 	case msg.TP2b:
 		if flags&^flagHasVal != 0 {
-			return nil, fmt.Errorf("transport: decode: bad 2b flags %#x", flags)
+			return nil, fmt.Errorf("bad 2b flags %#x", flags)
 		}
 		mm := msg.P2b{
-			Inst: r.uvarint("inst"),
-			Rnd:  r.ballot(),
-			Acc:  msg.NodeID(r.u32("acc")),
+			Inst: r.Uvarint("inst"),
+			Rnd:  r.Ballot(),
+			Acc:  msg.NodeID(r.U32("acc")),
 		}
 		if flags&flagHasVal != 0 {
-			mm.Val = c.rebuild(r.cmds(), true)
+			mm.Val = c.rebuild(r.Cmds(), true)
 		}
 		m = mm
 	case msg.TStale:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad stale flags %#x", flags)
+			return nil, fmt.Errorf("bad stale flags %#x", flags)
 		}
 		m = msg.Stale{
-			Inst: r.uvarint("inst"),
-			Acc:  msg.NodeID(r.u32("acc")),
-			Rnd:  r.ballot(),
-			Got:  r.ballot(),
+			Inst: r.Uvarint("inst"),
+			Acc:  msg.NodeID(r.U32("acc")),
+			Rnd:  r.Ballot(),
+			Got:  r.Ballot(),
 		}
 	case msg.THeartbeat:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad heartbeat flags %#x", flags)
+			return nil, fmt.Errorf("bad heartbeat flags %#x", flags)
 		}
-		m = msg.Heartbeat{From: msg.NodeID(r.u32("from")), Epoch: r.uvarint("epoch")}
+		m = msg.Heartbeat{From: msg.NodeID(r.U32("from")), Epoch: r.Uvarint("epoch")}
 	case msg.TReply:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad reply flags %#x", flags)
+			return nil, fmt.Errorf("bad reply flags %#x", flags)
 		}
 		m = msg.Reply{
-			CmdID:  r.uvarint("cmd id"),
-			From:   msg.NodeID(r.u32("from")),
-			Inst:   r.uvarint("inst"),
-			Result: r.stringVal("result"),
+			CmdID:  r.Uvarint("cmd id"),
+			From:   msg.NodeID(r.U32("from")),
+			Inst:   r.Uvarint("inst"),
+			Result: r.String("result"),
 		}
 	case msg.TCatchupReq:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad catchup-req flags %#x", flags)
+			return nil, fmt.Errorf("bad catchup-req flags %#x", flags)
 		}
 		m = msg.CatchupReq{
-			Learner: msg.NodeID(r.u32("learner")),
-			From:    r.uvarint("from"),
-			Max:     r.u32("max"),
+			Learner: msg.NodeID(r.U32("learner")),
+			From:    r.Uvarint("from"),
+			Max:     r.U32("max"),
 		}
 	case msg.TCatchupResp:
 		if flags&^flagHasFloor != 0 {
-			return nil, fmt.Errorf("transport: decode: bad catchup-resp flags %#x", flags)
+			return nil, fmt.Errorf("bad catchup-resp flags %#x", flags)
 		}
 		mm := msg.CatchupResp{
-			Learner:  msg.NodeID(r.u32("learner")),
-			From:     r.uvarint("from"),
-			Frontier: r.uvarint("frontier"),
+			Learner:  msg.NodeID(r.U32("learner")),
+			From:     r.Uvarint("from"),
+			Frontier: r.Uvarint("frontier"),
 		}
 		if flags&flagHasFloor != 0 {
-			mm.Floor = r.uvarint("floor")
-			if r.err == nil && mm.Floor == 0 {
+			mm.Floor = r.Uvarint("floor")
+			if r.Err == nil && mm.Floor == 0 {
 				// Canonical encoding: the flag is set iff Floor is non-zero.
-				r.fail("floor")
+				r.Fail("floor")
 			}
 		}
-		mm.Cmds = r.cmds()
+		mm.Cmds = r.Cmds()
 		m = mm
 	case msg.TFill:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad fill flags %#x", flags)
+			return nil, fmt.Errorf("bad fill flags %#x", flags)
 		}
 		m = msg.Fill{
-			Inst:    r.uvarint("inst"),
-			Learner: msg.NodeID(r.u32("learner")),
+			Inst:    r.Uvarint("inst"),
+			Learner: msg.NodeID(r.U32("learner")),
 		}
 	case msg.TDone:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad done flags %#x", flags)
+			return nil, fmt.Errorf("bad done flags %#x", flags)
 		}
 		m = msg.Done{
-			From:      msg.NodeID(r.u32("from")),
-			Frontier:  r.uvarint("frontier"),
-			Watermark: r.uvarint("watermark"),
+			From:      msg.NodeID(r.U32("from")),
+			Frontier:  r.Uvarint("frontier"),
+			Watermark: r.Uvarint("watermark"),
 		}
 	case msg.TSnapReq:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad snap-req flags %#x", flags)
+			return nil, fmt.Errorf("bad snap-req flags %#x", flags)
 		}
 		m = msg.SnapReq{
-			Learner: msg.NodeID(r.u32("learner")),
-			From:    r.uvarint("from"),
+			Learner: msg.NodeID(r.U32("learner")),
+			From:    r.Uvarint("from"),
 		}
 	case msg.TSnapResp:
 		if flags != 0 {
-			return nil, fmt.Errorf("transport: decode: bad snap-resp flags %#x", flags)
+			return nil, fmt.Errorf("bad snap-resp flags %#x", flags)
 		}
 		m = msg.SnapResp{
-			Learner:  msg.NodeID(r.u32("learner")),
-			Frontier: r.uvarint("frontier"),
-			Crc:      r.u32("crc"),
-			Seq:      r.u32("seq"),
-			Total:    r.u32("total"),
-			Chunk:    r.bytesVal("chunk"),
+			Learner:  msg.NodeID(r.U32("learner")),
+			Frontier: r.Uvarint("frontier"),
+			Crc:      r.U32("crc"),
+			Seq:      r.U32("seq"),
+			Total:    r.U32("total"),
+			Chunk:    r.Bytes("chunk"),
 		}
 	default:
-		return nil, fmt.Errorf("transport: decode: unknown wire type %d", typ)
+		return nil, fmt.Errorf("unknown wire type %d", typ)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("transport: decode: %d trailing bytes", len(r.b))
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -206,100 +206,32 @@ func codecCases(set cstruct.Set) []struct {
 }
 
 // TestCodecTableRoundTrip drives every message type and edge case through
-// both codecs: the decoded message must equal the original, and the binary
-// encoding must be canonical (encode∘decode is the identity on the wire
-// form).
+// the codec: the decoded message must equal the original, and the encoding
+// must be canonical (encode∘decode is the identity on the wire form).
 func TestCodecTableRoundTrip(t *testing.T) {
 	set := cstruct.SingleValueSet{}
-	for _, legacy := range []bool{false, true} {
-		c := Codec{Set: set, Legacy: legacy}
-		for _, tc := range codecCases(set) {
-			enc, err := c.Encode(tc.m)
-			if err != nil {
-				t.Fatalf("legacy=%v %s: encode: %v", legacy, tc.name, err)
-			}
-			wantVer := byte(verBinary)
-			if legacy {
-				wantVer = verGob
-			}
-			if enc[0] != wantVer {
-				t.Fatalf("legacy=%v %s: version byte %#x", legacy, tc.name, enc[0])
-			}
-			out, err := c.Decode(enc)
-			if err != nil {
-				t.Fatalf("legacy=%v %s: decode: %v", legacy, tc.name, err)
-			}
-			if !msgEq(tc.m, out) {
-				t.Errorf("legacy=%v %s: mangled:\n in  %+v\n out %+v", legacy, tc.name, tc.m, out)
-			}
-			enc2, err := c.Encode(out)
-			if err != nil {
-				t.Fatalf("legacy=%v %s: re-encode: %v", legacy, tc.name, err)
-			}
-			if !bytes.Equal(enc, enc2) {
-				t.Errorf("legacy=%v %s: encode∘decode not identity on wire form:\n% x\n% x",
-					legacy, tc.name, enc, enc2)
-			}
-		}
-	}
-}
-
-// TestCodecDifferentialGobBinary cross-decodes: every case encoded by the
-// binary codec and by the legacy gob codec must decode to the same message
-// through the shared Decode dispatch.
-func TestCodecDifferentialGobBinary(t *testing.T) {
-	set := cstruct.SingleValueSet{}
-	bin := Codec{Set: set}
-	gob := Codec{Set: set, Legacy: true}
+	c := Codec{Set: set}
 	for _, tc := range codecCases(set) {
-		be, err := bin.Encode(tc.m)
+		enc, err := c.Encode(tc.m)
 		if err != nil {
-			t.Fatalf("%s: binary encode: %v", tc.name, err)
+			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		ge, err := gob.Encode(tc.m)
+		if enc[0] != verBinary {
+			t.Fatalf("%s: version byte %#x", tc.name, enc[0])
+		}
+		out, err := c.Decode(enc)
 		if err != nil {
-			t.Fatalf("%s: gob encode: %v", tc.name, err)
+			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		bm, err := bin.Decode(be)
+		if !msgEq(tc.m, out) {
+			t.Errorf("%s: mangled:\n in  %+v\n out %+v", tc.name, tc.m, out)
+		}
+		enc2, err := c.Encode(out)
 		if err != nil {
-			t.Fatalf("%s: binary decode: %v", tc.name, err)
+			t.Fatalf("%s: re-encode: %v", tc.name, err)
 		}
-		gm, err := bin.Decode(ge) // same codec decodes both versions
-		if err != nil {
-			t.Fatalf("%s: gob decode: %v", tc.name, err)
-		}
-		if !msgEq(bm, gm) {
-			t.Errorf("%s: binary and gob decode disagree:\n bin %+v\n gob %+v", tc.name, bm, gm)
-		}
-	}
-}
-
-// TestGobPooledFramesStandalone checks the pooled legacy encoder's
-// type-definition prefix capture: many frames encoded through one pooled
-// coder must each decode standalone, in any order.
-func TestGobPooledFramesStandalone(t *testing.T) {
-	set := cstruct.SingleValueSet{}
-	c := Codec{Set: set, Legacy: true}
-	var frames [][]byte
-	var msgs []msg.Message
-	for i := 0; i < 50; i++ {
-		for _, tc := range codecCases(set) {
-			enc, err := c.Encode(tc.m)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			frames = append(frames, enc)
-			msgs = append(msgs, tc.m)
-		}
-	}
-	// Decode in reverse: no frame may depend on state from an earlier one.
-	for i := len(frames) - 1; i >= 0; i-- {
-		out, err := c.Decode(frames[i])
-		if err != nil {
-			t.Fatalf("frame %d: decode: %v", i, err)
-		}
-		if !msgEq(msgs[i], out) {
-			t.Fatalf("frame %d mangled: %+v vs %+v", i, msgs[i], out)
+		if !bytes.Equal(enc, enc2) {
+			t.Errorf("%s: encode∘decode not identity on wire form:\n% x\n% x", tc.name, enc, enc2)
 		}
 	}
 }
@@ -391,7 +323,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		"truncated binary": {verBinary, byte(msg.TP1a)},
 		"bad type":         {verBinary, 0xEE, 0},
 		"bad flags":        {verBinary, byte(msg.THeartbeat), 0xFF, 0, 0},
-		"truncated gob":    {verGob, 0x01},
+		"overlong varint":  {verBinary, byte(msg.THeartbeat), 0, 0x81, 0x00, 0},
 	}
 	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil {

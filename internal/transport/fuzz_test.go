@@ -57,21 +57,18 @@ func fuzzSeeds() []msg.Message {
 // never panic, and every frame it does accept must round-trip —
 // encode∘decode is the identity on the wire form, so re-encoding the
 // decoded message yields the same bytes and the same message again. The
-// seed corpus carries each message in both wire versions, so mutations
-// explore the binary and the legacy gob format.
+// seed corpus is the checked-in golden frames plus every codecCases edge
+// case (nil vs ⊥ values, empty sections, max-varint fields).
 func FuzzCodecRoundTrip(f *testing.F) {
 	set := cstruct.SingleValueSet{}
 	c := Codec{Set: set}
-	legacy := Codec{Set: set, Legacy: true}
-	for _, m := range fuzzSeeds() {
-		data, err := c.Encode(m)
+	for _, g := range goldenFrames {
+		f.Add(unhex(f, g.hex))
+	}
+	for _, tc := range codecCases(set) {
+		data, err := c.Encode(tc.m)
 		if err != nil {
-			f.Fatalf("encode seed %T: %v", m, err)
-		}
-		f.Add(data)
-		data, err = legacy.Encode(m)
-		if err != nil {
-			f.Fatalf("gob encode seed %T: %v", m, err)
+			f.Fatalf("encode seed %s: %v", tc.name, err)
 		}
 		f.Add(data)
 	}
@@ -100,53 +97,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode∘decode not identity on wire form for %T:\n% x\n% x", m, enc, enc2)
-		}
-	})
-}
-
-// FuzzCodecDifferential cross-checks the two wire formats: any frame the
-// decoder accepts (binary or legacy gob) is re-encoded through the *other*
-// codec, decoded again, and the two decodes must agree semantically. This
-// pins the hand-rolled binary codec to the gob codec it replaces for the
-// one release both are live.
-func FuzzCodecDifferential(f *testing.F) {
-	set := cstruct.SingleValueSet{}
-	bin := Codec{Set: set}
-	gob := Codec{Set: set, Legacy: true}
-	for _, m := range fuzzSeeds() {
-		be, err := bin.Encode(m)
-		if err != nil {
-			f.Fatalf("encode seed %T: %v", m, err)
-		}
-		f.Add(be)
-		ge, err := gob.Encode(m)
-		if err != nil {
-			f.Fatalf("gob encode seed %T: %v", m, err)
-		}
-		f.Add(ge)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := bin.Decode(data)
-		if err != nil {
-			return
-		}
-		// Route the message through the other format than the one it
-		// arrived in.
-		other := bin
-		if data[0] == verBinary {
-			other = gob
-		}
-		enc, err := other.Encode(m)
-		if err != nil {
-			t.Fatalf("cross-encode %T: %v", m, err)
-		}
-		m2, err := other.Decode(enc)
-		if err != nil {
-			t.Fatalf("cross-decode %T: %v", m, err)
-		}
-		if !msgEq(m, m2) {
-			t.Fatalf("formats disagree for %T:\n in  %+v\n out %+v", m, m, m2)
 		}
 	})
 }

@@ -1,11 +1,12 @@
 package wal_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/storage"
 	"mcpaxos/internal/wal"
 )
@@ -52,7 +53,7 @@ func TestCompactReclaimsDroppedSpace(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, wal.Options{SegmentBytes: 512})
 	defer w.Close()
-	big := strings.Repeat("x", 256)
+	big := storage.VoteRec{Cmds: []cstruct.Cmd{{ID: 1, Payload: bytes.Repeat([]byte("x"), 256)}}}
 	keys := make([]string, 0, 64)
 	for i := 0; i < 64; i++ {
 		k := keyN("vote/", i)

@@ -1,8 +1,9 @@
 // Package wal implements the acceptors' stable storage as a real on-disk
-// write-ahead log: an append-only sequence of CRC32-framed, gob-encoded
-// record batches split across size-bounded segment files. It replaces the
-// simulated in-memory storage.Disk behind the storage.Stable interface with
-// something a process restart actually survives.
+// write-ahead log: an append-only sequence of CRC32-framed record batches,
+// in the versioned binary record form of record.go, split across
+// size-bounded segment files. It replaces the simulated in-memory
+// storage.Disk behind the storage.Stable interface with something a process
+// restart actually survives.
 //
 // Durability follows the paper's accounting (Sections 4.2 and 4.4): every
 // Put/PutAll is one logical synchronous write and returns only once its
@@ -14,15 +15,16 @@
 // On Open the log is replayed: the newest valid snapshot seeds the key
 // index, the remaining segments are applied in order, and a torn tail
 // (a partially written final frame, the expected result of a crash during
-// a write) is detected by its CRC and truncated away. Snapshot writes the
-// compacted index as a single frame and garbage-collects the segments it
-// covers.
+// a write) is detected by its CRC and truncated away. Only a frame that
+// fails its CRC can be torn: one that passes but does not decode — another
+// format version, or corruption the checksum happens to cover — is refused
+// with ErrCorrupt and its file left untouched, never truncated. Snapshot
+// writes the compacted index as a single frame and garbage-collects the
+// segments it covers.
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -33,11 +35,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"mcpaxos/internal/wire"
 )
 
-// Rec is one key/value record. Values must be gob-encodable; interface
-// values must have their concrete types registered with encoding/gob (the
-// storage package registers the acceptor record vocabulary).
+// Rec is one key/value record. Val must be of the acceptor record
+// vocabulary — uint32, uint64, ballot.Ballot, storage.VoteRec or
+// storage.TallyRec — which is all the record codec gives a byte form
+// (record.go); Append fails on anything else.
 type Rec struct {
 	Key string
 	Val any
@@ -49,15 +54,6 @@ type Rec struct {
 // Tombstones never appear in the index and thus vanish from the next
 // snapshot, which is what reclaims their space.
 type tombstone struct{}
-
-func init() { gob.Register(tombstone{}) }
-
-// snapshot is the payload of a snapshot file: the full key index as of all
-// segments with index < Since.
-type snapshot struct {
-	Since uint64
-	Recs  []Rec
-}
 
 // Options parameterizes Open.
 type Options struct {
@@ -80,8 +76,9 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports corruption that torn-tail truncation cannot repair: a
-// bad frame in the middle of the log rather than at its end.
-var ErrCorrupt = errors.New("wal: corrupt record before log tail")
+// bad frame in the middle of the log rather than at its end, or an intact
+// frame anywhere whose payload this build cannot decode.
+var ErrCorrupt = errors.New("wal: corrupt or undecodable record")
 
 // walBatch is one commit's worth of records waiting for the group-commit
 // leader.
@@ -230,7 +227,7 @@ func (w *WAL) Append(recs []Rec) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	frame, err := encodeFrame(recs)
+	frame, err := encodeFrame(newFrame(), recs)
 	if err != nil {
 		return err
 	}
@@ -250,13 +247,7 @@ func (w *WAL) Append(recs []Rec) error {
 	// the commit still blocks below until the record is on disk, and a
 	// concurrent Snapshot folds queued records in, so nothing covered by
 	// segment GC can be lost.
-	for _, r := range recs {
-		if _, dead := r.Val.(tombstone); dead {
-			delete(w.index, r.Key)
-		} else {
-			w.index[r.Key] = r.Val
-		}
-	}
+	w.apply(recs)
 	w.writes.Add(1)
 	w.queue = append(w.queue, b)
 	if w.flushing {
@@ -389,21 +380,21 @@ func (w *WAL) Snapshot() error {
 	}
 	since := w.segIdx
 	w.mu.Lock()
-	snap := snapshot{Since: since, Recs: make([]Rec, 0, len(w.index))}
+	recs := make([]Rec, 0, len(w.index))
 	for k, v := range w.index {
-		snap.Recs = append(snap.Recs, Rec{Key: k, Val: v})
+		recs = append(recs, Rec{Key: k, Val: v})
 	}
 	w.mu.Unlock()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
+	frame, err := encodeFrame(wire.AppendUvarint(newFrame(), since), recs)
+	if err != nil {
+		return err
 	}
 	tmp := w.snapPath(since) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if _, err := f.Write(frameBytes(payload.Bytes())); err != nil {
+	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
@@ -566,14 +557,12 @@ func (w *WAL) replay() error {
 	since := uint64(0)
 	loaded := len(snaps) == 0
 	for i := len(snaps) - 1; i >= 0; i-- {
-		snap, ok := w.loadSnapshot(snaps[i])
+		snapSince, recs, ok := w.loadSnapshot(snaps[i])
 		if !ok {
 			continue // unreadable snapshot: fall back to an older one
 		}
-		for _, r := range snap.Recs {
-			w.index[r.Key] = r.Val
-		}
-		since = snap.Since
+		w.apply(recs)
+		since = snapSince
 		loaded = true
 		break
 	}
@@ -607,25 +596,38 @@ func (w *WAL) replay() error {
 }
 
 // loadSnapshot reads one snapshot file; ok is false on any corruption.
-func (w *WAL) loadSnapshot(since uint64) (snapshot, bool) {
-	data, err := os.ReadFile(w.snapPath(since))
+func (w *WAL) loadSnapshot(idx uint64) (since uint64, recs []Rec, ok bool) {
+	data, err := os.ReadFile(w.snapPath(idx))
 	if err != nil {
-		return snapshot{}, false
+		return 0, nil, false
 	}
 	payload, n, ok := decodeFrame(data)
 	if !ok || n != len(data) {
-		return snapshot{}, false
+		return 0, nil, false
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return snapshot{}, false
+	since, recs, err = decodeSnapshot(payload)
+	return since, recs, err == nil
+}
+
+// apply folds records into the key index: a tombstone deletes its key,
+// anything else overwrites it. Callers hold mu or are inside Open.
+func (w *WAL) apply(recs []Rec) {
+	for _, r := range recs {
+		if _, dead := r.Val.(tombstone); dead {
+			delete(w.index, r.Key)
+		} else {
+			w.index[r.Key] = r.Val
+		}
 	}
-	return snap, true
 }
 
 // replaySegment applies one segment's frames to the index. On the last
-// segment a bad frame is a torn tail: everything from it on is truncated.
-// Anywhere else it is unrepairable corruption.
+// segment a frame that fails its length or CRC check is a torn tail:
+// everything from it on is truncated. Anywhere else it is unrepairable
+// corruption — as is, in any segment, a frame whose CRC verifies but whose
+// payload does not decode: a crash cannot produce one (the checksum covers
+// the whole payload), so truncating it would discard acked records, and the
+// likeliest cause is a directory written in another record format.
 func (w *WAL) replaySegment(idx uint64, last bool) error {
 	path := w.segPath(idx)
 	data, err := os.ReadFile(path)
@@ -638,17 +640,11 @@ func (w *WAL) replaySegment(idx uint64, last bool) error {
 		if !ok {
 			break
 		}
-		var recs []Rec
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&recs); err != nil {
-			break // undecodable payload: treat like a CRC failure
+		recs, err := decodeBatch(payload)
+		if err != nil {
+			return fmt.Errorf("%w: segment %d offset %d: intact frame does not decode: %v", ErrCorrupt, idx, off, err)
 		}
-		for _, r := range recs {
-			if _, dead := r.Val.(tombstone); dead {
-				delete(w.index, r.Key)
-			} else {
-				w.index[r.Key] = r.Val
-			}
-		}
+		w.apply(recs)
 		off += n
 	}
 	if off == len(data) {
@@ -671,16 +667,11 @@ func (w *WAL) replaySegment(idx uint64, last bool) error {
 	return nil
 }
 
-// anyIntactFrame reports whether a replayable frame starts at any offset
-// of data. Length sanity rejects nearly all garbage before the CRC runs.
+// anyIntactFrame reports whether a CRC-valid frame starts at any offset of
+// data. Length sanity rejects nearly all garbage before the CRC runs.
 func anyIntactFrame(data []byte) bool {
 	for o := 0; o+frameHeader < len(data); o++ {
-		payload, _, ok := decodeFrame(data[o:])
-		if !ok {
-			continue
-		}
-		var recs []Rec
-		if gob.NewDecoder(bytes.NewReader(payload)).Decode(&recs) == nil {
+		if _, _, ok := decodeFrame(data[o:]); ok {
 			return true
 		}
 	}
@@ -689,25 +680,29 @@ func anyIntactFrame(data []byte) bool {
 
 // ---------------------------------------------------------------- frames --
 
-// frameBytes wraps payload as [len][crc][payload].
-func frameBytes(payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(payload, crcTable))
-	copy(out[frameHeader:], payload)
-	return out
+// A frame is [payload length: 4 bytes][CRC32-C of payload: 4 bytes][payload],
+// the payload being a record list in the form of record.go.
+
+// newFrame starts a frame buffer: the header reserved, the payload opened
+// with its version byte.
+func newFrame() []byte {
+	return append(make([]byte, frameHeader, 128), recVersion)
 }
 
-// encodeFrame serializes one record batch as a single frame.
-func encodeFrame(recs []Rec) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(recs); err != nil {
-		return nil, fmt.Errorf("wal: encode: %w", err)
+// encodeFrame completes the frame begun in buf: recs are encoded straight
+// onto the payload, then the reserved header is filled in.
+func encodeFrame(buf []byte, recs []Rec) ([]byte, error) {
+	buf, err := appendRecs(buf, recs)
+	if err != nil {
+		return nil, err
 	}
-	if payload.Len() > maxFrameBytes {
-		return nil, fmt.Errorf("wal: record batch of %d bytes exceeds frame limit", payload.Len())
+	payload := buf[frameHeader:]
+	if len(payload) > maxFrameBytes {
+		return nil, fmt.Errorf("wal: frame payload of %d bytes exceeds the %d-byte limit", len(payload), maxFrameBytes)
 	}
-	return frameBytes(payload.Bytes()), nil
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	return buf, nil
 }
 
 // decodeFrame reads one frame from the head of data. It returns the

@@ -2,8 +2,9 @@ package wal_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,11 +20,6 @@ import (
 
 // The WAL must be a drop-in stable storage for acceptors.
 var _ storage.Stable = (*wal.WAL)(nil)
-
-func init() {
-	// Test values travel through the log's any-typed records.
-	gob.Register("")
-}
 
 func mustOpen(t *testing.T, dir string, opts wal.Options) *wal.WAL {
 	t.Helper()
@@ -389,5 +385,109 @@ func TestGroupCommitLeaderStopsAfterFsyncFailure(t *testing.T) {
 	}
 	if err := w.Append([]wal.Rec{{Key: "c", Val: uint64(3)}}); err == nil {
 		t.Error("Append succeeded on a dead log")
+	}
+}
+
+// foreignFrame frames payload exactly as the log does — length, CRC-32C —
+// whatever the payload holds.
+func foreignFrame(payload []byte) []byte {
+	out := make([]byte, 8+len(payload))
+	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	copy(out[8:], payload)
+	return out
+}
+
+// TestOpenRefusesIntactUndecodableFrame: a crash tears a frame, and a torn
+// frame fails its CRC. One whose CRC verifies but whose payload this build
+// cannot decode — another record format, another version byte — was written
+// whole and acknowledged; treating it as a torn tail would truncate acked
+// votes away and open "successfully" on what is left. Open must refuse with
+// ErrCorrupt, in the tail segment as much as mid-log, and leave the file's
+// bytes alone.
+func TestOpenRefusesIntactUndecodableFrame(t *testing.T) {
+	// What a gob-era build put in a frame, and a well-formed batch stamped
+	// with a version this build does not know.
+	gobPayload := []byte("\x0c\xff\x81\x02\x01\x01\x03Rec\x01\xff\x82\x00\x00\x21\xff\x82")
+	futurePayload := []byte{0x02, 1, 1, 'k', 2, 7}
+	first := func(dir string) string { return filepath.Join(dir, "00000001.wal") }
+
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, dir string) (victim string)
+	}{
+		{"tail-only-foreign-frames", func(t *testing.T, dir string) string {
+			// A directory written entirely by another format.
+			var seg []byte
+			for i := 0; i < 3; i++ {
+				seg = append(seg, foreignFrame(gobPayload)...)
+			}
+			if err := os.WriteFile(first(dir), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return first(dir)
+		}},
+		{"tail-after-good-records", func(t *testing.T, dir string) string {
+			w := mustOpen(t, dir, wal.Options{})
+			w.Put("a", uint64(1))
+			w.Put("b", uint64(2))
+			w.Close()
+			if err := wal.AppendGarbage(dir, foreignFrame(gobPayload)); err != nil {
+				t.Fatal(err)
+			}
+			return first(dir)
+		}},
+		{"tail-unknown-version", func(t *testing.T, dir string) string {
+			w := mustOpen(t, dir, wal.Options{})
+			w.Put("a", uint64(1))
+			w.Close()
+			if err := wal.AppendGarbage(dir, foreignFrame(futurePayload)); err != nil {
+				t.Fatal(err)
+			}
+			return first(dir)
+		}},
+		{"mid-log", func(t *testing.T, dir string) string {
+			w := mustOpen(t, dir, wal.Options{SegmentBytes: 64})
+			for i := 0; i < 40; i++ {
+				w.Put("k", uint64(i))
+			}
+			if w.SegmentCount() < 3 {
+				t.Fatal("need several segments")
+			}
+			w.Close()
+			f, err := os.OpenFile(first(dir), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(foreignFrame(gobPayload)); err != nil {
+				t.Fatal(err)
+			}
+			return first(dir)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			victim := tc.build(t, dir)
+			before, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := wal.Open(dir, wal.Options{})
+			if err == nil {
+				w.Close()
+				t.Fatalf("Open succeeded with %d keys over an intact frame it cannot decode", w.Len())
+			}
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Errorf("err = %v, want ErrCorrupt", err)
+			}
+			after, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("refused log was modified: %d bytes before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
