@@ -315,9 +315,9 @@ func nemesisExp(seed int64, seeds, liveSeeds int) {
 		fmt.Printf("  seed %-4d ops=%d acked=%d resolved=%d applied=%d events=%d %v  %s\n",
 			r.Seed, r.Ops, r.Acked, r.Resolved, r.Applied, r.FaultEvents,
 			r.Elapsed.Round(time.Millisecond), status)
-		fmt.Printf("           net: dropped=%d dup=%d delayed=%d skewed=%d  client: retries=%d abandoned=%d probes=%d\n",
+		fmt.Printf("           net: dropped=%d dup=%d delayed=%d skewed=%d  client: retries=%d probes=%d\n",
 			r.Net.Dropped, r.Net.Duplicated, r.Net.Delayed, r.Net.Skewed,
-			r.Client.Retries, r.Client.Abandoned, r.Client.ReplayProbes)
+			r.Client.Retries, r.Client.ReplayProbes)
 		fmt.Printf("           recovery: replays=%d catchup-reqs=%d chunks=%d cmds=%d resyncs=%d probes=%d fallbacks=%d snap-installs=%d\n",
 			r.Replays, r.Catchup.Reqs, r.Catchup.Chunks, r.Catchup.Cmds, r.Catchup.Resyncs, r.Catchup.Probes, r.Catchup.Fallbacks, r.Catchup.SnapInstalls)
 		fmt.Printf("           disk: wal-segs=%d wal-bytes=%d snap-files=%d snap-bytes=%d  compaction: saves=%d watermark=%d resident-log=%d\n",
@@ -384,8 +384,8 @@ func live(shards, coords, commands, batchMax int) {
 	fmt.Printf("  throughput: %.0f cmds/s over %v wall\n", r.Throughput, r.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  wire: %.0f bytes/cmd (%d total)  codec: encode %.0f ns/frame, decode %.0f ns/frame\n",
 		r.BytesPerCmd, r.WireBytes, r.EncodeNsPerFrame, r.DecodeNsPerFrame)
-	fmt.Printf("  retries=%d dup-replies=%d abandoned=%d replay-probes=%d round-changes=%d\n",
-		r.Retries, r.DupReplies, r.Abandoned, r.ReplayProbes, r.RoundChanges)
+	fmt.Printf("  retries=%d dup-replies=%d replay-probes=%d round-changes=%d\n",
+		r.Retries, r.DupReplies, r.ReplayProbes, r.RoundChanges)
 	fmt.Println("  (every message crosses a real socket; the sim experiments above measure")
 	fmt.Println("   the same stack in communication steps instead of wall time)")
 }

@@ -53,6 +53,21 @@ type Stats struct {
 	SnapReqs, SnapChunks, SnapInstalls, SnapAborts uint64
 }
 
+// Plus returns the component-wise sum (for aggregating learners).
+func (s Stats) Plus(o Stats) Stats {
+	s.Reqs += o.Reqs
+	s.Chunks += o.Chunks
+	s.Cmds += o.Cmds
+	s.Resyncs += o.Resyncs
+	s.Probes += o.Probes
+	s.Fallbacks += o.Fallbacks
+	s.SnapReqs += o.SnapReqs
+	s.SnapChunks += o.SnapChunks
+	s.SnapInstalls += o.SnapInstalls
+	s.SnapAborts += o.SnapAborts
+	return s
+}
+
 // Fetcher drives one learner's catch-up. Not safe for concurrent use: every
 // method must run on the learner's mailbox goroutine.
 type Fetcher struct {

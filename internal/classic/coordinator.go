@@ -823,8 +823,15 @@ func (c *Coordinator) onStale(mm msg.Stale) {
 		c.repairing = false
 	}
 	cur := ballot.Max(c.attempt, c.crnd)
-	if mm.Rnd.Less(cur) {
-		return // rejection of an attempt already superseded
+	if mm.Rnd.LessEq(cur) {
+		// Rejection of an attempt already superseded. That includes a round
+		// this coordinator itself started or serves (ballots carry their
+		// owner, so equality means exactly that): the acceptor is not ahead,
+		// it answered an older message — a repairing member's zero-round
+		// probe draws one such Stale per acceptor, and those still in flight
+		// when the first promises establish the live round must not outbid
+		// the round the repair just rejoined.
+		return
 	}
 	c.startRound(ballot.SingleScheme{}.Next(ballot.Max(cur, mm.Rnd), uint32(c.env.ID())))
 }

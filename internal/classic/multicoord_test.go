@@ -392,6 +392,39 @@ func TestMulticoordMemberRestartRepairs(t *testing.T) {
 	}
 }
 
+// A repairing coordinator's zero-round probe draws one Stale per acceptor,
+// all naming the live round. The simulator delivers them in one step; over
+// sockets the stragglers can land after the first promises have already
+// re-established that round — and must then be ignored, not outbid (live
+// TestLiveC1ConcurrentIngressAndRepair paid a round change one run in ten).
+func TestRepairIgnoresLateStaleAtLiveRound(t *testing.T) {
+	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 61, RetryEvery: 4})
+	cl.LeadAll()
+	live := cl.ShardRound(0)
+	victim := cl.Cfg.Coords[0]
+	cl.Sim.Crash(victim)
+	fresh := NewCoordinator(cl.Sim.Env(victim), cl.Cfg)
+	fresh.RetryEvery = 4
+	cl.Sim.Register(victim, fresh)
+	cl.Sim.Recover(victim)
+	cl.Coords[0] = fresh
+	fresh.Repair()
+	cl.Sim.Run()
+	if !fresh.Leading() || !fresh.Rnd().Equal(live) {
+		t.Fatalf("repair: leading=%v at %v, want the live round %v", fresh.Leading(), fresh.Rnd(), live)
+	}
+
+	late := cl.Cfg.Acceptors[2]
+	fresh.OnMessage(late, msg.Stale{Acc: late, Rnd: live})
+	cl.Sim.Run()
+	if got := cl.ShardRound(0); !got.Equal(live) || !fresh.Rnd().Equal(live) {
+		t.Fatalf("a late Stale at the live round moved it %v → %v (coordinator at %v)", live, got, fresh.Rnd())
+	}
+	if got := cl.RoundChanges(); got != 0 {
+		t.Errorf("repair paid %d round changes, want 0", got)
+	}
+}
+
 // Two shards, each with its own coordinator group: killing one member per
 // shard must mask on both shards at once, and the surviving members'
 // identical seq→instance assignment must keep the merged order gapless.

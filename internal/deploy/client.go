@@ -10,7 +10,6 @@ import (
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
-	"mcpaxos/internal/runtime"
 	"mcpaxos/internal/smr"
 	"mcpaxos/internal/transport"
 )
@@ -60,13 +59,6 @@ type ClientStats struct {
 	// DupReplies counts replies dropped because another learner replica
 	// answered first — the duplicate-response suppression at work.
 	DupReplies uint64
-	// Noops is retained for printer compatibility; the client no longer
-	// injects alignment no-ops (idle shards are filled server-side).
-	Noops uint64
-	// Abandoned is retained for printer compatibility; sequence-slot
-	// liveness moved server-side with the ingress stamp, so a timed-out call
-	// simply stops retrying.
-	Abandoned uint64
 	// ReplayProbes counts retry rounds that also broadcast the proposal to
 	// the learners, soliciting cached replies for already-applied commands.
 	ReplayProbes uint64
@@ -84,10 +76,8 @@ type ClientStats struct {
 // one. Each command's Call resolves when the first learner replica reports
 // its apply result.
 type Client struct {
-	id     msg.NodeID
-	net    *runtime.Network
-	tcp    *transport.TCP
-	agent  *runtime.Agent
+	id msg.NodeID
+	*endpoint
 	h      *clientHandler
 	closed atomic.Bool
 }
@@ -108,23 +98,16 @@ func Dial(spec ClusterSpec, id uint32) (*Client, error) {
 	if !found {
 		return nil, fmt.Errorf("deploy: %d is not a client of the spec", id)
 	}
-	c := &Client{id: msg.NodeID(id), net: runtime.NewNetwork()}
-	c.net.Tick = spec.tick()
-	c.agent = c.net.Spawn(c.id, func(env node.Env) node.Handler {
+	// A client is built and routed like any node (openEndpoint) and has no
+	// start step: it sends nothing until its first Propose.
+	c := &Client{id: msg.NodeID(id)}
+	c.endpoint, err = openEndpoint(spec, c.id, func(env node.Env) node.Handler {
 		c.h = newClientHandler(env, cfg, spec)
 		return c.h
 	})
-	ln, err := spec.listen(spec.addrs()[c.id])
 	if err != nil {
-		c.net.Stop()
 		return nil, err
 	}
-	tcp := transport.NewTCPOnListener(c.id, ln, spec.addrs(), transport.Codec{Set: cstruct.SingleValueSet{}},
-		func(from msg.NodeID, m msg.Message) { c.agent.Inject(from, m) })
-	tcp.SetFaults(spec.Faults, spec.tick())
-	c.tcp = tcp
-	c.net.SetFaults(spec.Faults) // clock skew reaches the client's timers too
-	c.net.SetFallback(func(_, to msg.NodeID, m msg.Message) { _ = tcp.Send(to, m) })
 	return c, nil
 }
 
@@ -167,11 +150,6 @@ func (c *Client) Get(key string) *Call {
 	return c.Propose(smr.GetCmd(0, key))
 }
 
-// Flush is retained for API compatibility: submissions are forwarded as they
-// arrive and batching happens server-side at the ingress stamper, so there
-// is no client-side stream to flush.
-func (c *Client) Flush() {}
-
 // Wait blocks until every given call resolves or the timeout elapses; it
 // returns the first call error, if any.
 func (c *Client) Wait(calls []*Call, timeout time.Duration) error {
@@ -206,8 +184,7 @@ func (c *Client) NetStats() transport.TCPStats { return c.tcp.Stats() }
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.agent.Do(func(node.Handler) { c.h.failAll(fmt.Errorf("deploy: client closed")) })
-	c.tcp.Close()
-	c.net.Stop()
+	c.stop()
 	return nil
 }
 

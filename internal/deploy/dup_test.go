@@ -141,7 +141,6 @@ func TestReplyReplayReelicitsLostReplies(t *testing.T) {
 	f.Cut(300, client)
 	f.Cut(301, client)
 	call := cli.Set("lost", "1")
-	cli.Flush()
 	// The command applies on both learners while every reply frame dies.
 	for _, l := range []uint32{300, 301} {
 		if err := rep.WaitApplied(l, 3, 15*time.Second); err != nil {

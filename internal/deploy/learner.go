@@ -1,0 +1,433 @@
+package deploy
+
+import (
+	"sync"
+
+	"mcpaxos/internal/batch"
+	"mcpaxos/internal/catchup"
+	"mcpaxos/internal/classic"
+	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
+	"mcpaxos/internal/smr"
+	"mcpaxos/internal/snapshot"
+)
+
+// learner is one learner node of a deployment: the protocol learner counting
+// 2b quorums, the merger restoring the total order across shards, the replica
+// state machine with its merged apply order (inner command IDs, batches
+// unpacked), and the recovery concerns around them — replaying cached replies
+// for retransmitted proposals, serving peer catch-up pulls from the retained
+// decided prefix, driving its own catch-up fetcher, and snapshotting,
+// watermark gossip and truncation. It knows only its node.Env, so any host
+// (the TCP endpoint, a test's fake) can run it.
+//
+// Two disciplines guard it. l and fetch belong to the mailbox goroutine:
+// OnMessage and OnTimer run there, and anything else reaches them through
+// Agent.Do. Every field below mu is guarded by mu, because the inspection
+// methods of Replica read them from other goroutines.
+type learner struct {
+	env    node.Env
+	cfg    classic.Config
+	peers  []msg.NodeID // the other learners: catch-up sources and Done gossip targets
+	every  int          // ClusterSpec.SnapshotEvery
+	retain uint64       // log instances kept below the watermark
+	l      *classic.Learner
+	fetch  *catchup.Fetcher
+	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir,
+	// else memory-only); the store synchronises itself.
+	snaps *snapshot.Store
+
+	mu     sync.Mutex
+	rep    *smr.Replica
+	merger *smr.Merger
+	order  []uint64
+	// log retains the raw delivered command of every instance (log[i] is
+	// instance logBase+i, noop padding and packed batches included): the
+	// decided prefix peers pull during learner catch-up.
+	log []cstruct.Cmd
+	// replay caches recent apply results per client so a retransmitted
+	// proposal for an already-applied command re-elicits its reply.
+	replay *smr.ReplyCache
+	// catchup suppresses reply sends while the learner is replaying a pulled
+	// prefix: the results land in replay (a client probe re-elicits any it
+	// still needs) without an O(history) reply storm on rejoin.
+	catchup bool
+	// replayed counts replies re-elicited from the replay cache.
+	replayed uint64
+
+	// Compaction state (Spec.SnapshotEvery > 0). logBase is the instance
+	// log[0] holds: the retained prefix is [logBase, logBase+len(log)), and a
+	// peer pull below logBase is refused with the floor attached so the
+	// requester escalates to snapshot transfer. snapFrontier is the frontier
+	// of the newest snapshot — the Done frontier this learner gossips.
+	// peerDone records each peer's last gossiped frontier, and watermark is
+	// the monotone cluster minimum over all of them: the truncation gate.
+	logBase      uint64
+	snapFrontier uint64
+	snapSaves    uint64
+	peerDone     map[msg.NodeID]uint64
+	watermark    uint64
+}
+
+var _ node.Handler = (*learner)(nil)
+var _ node.TimerHandler = (*learner)(nil)
+
+// newLearner builds a learner over env from the shared protocol config, the
+// spec's tuning and its already-opened snapshot store. It sends nothing:
+// the catch-up fetcher's first probe goes out when the host starts it, once
+// the node has a route to its peers.
+func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snapshot.Store) *learner {
+	l := &learner{
+		env: env, cfg: cfg, every: spec.SnapshotEvery, retain: spec.retain(), snaps: snaps,
+		rep:      smr.NewReplica(smr.NewKVStore()),
+		replay:   smr.NewReplyCache(replyCacheSize, clientShift),
+		peerDone: make(map[msg.NodeID]uint64),
+	}
+	for _, p := range cfg.Learners {
+		if p != env.ID() {
+			l.peers = append(l.peers, p)
+		}
+	}
+	l.merger = smr.NewMerger(l.deliver)
+	l.l = classic.NewLearner(env, cfg, l.onLearn)
+	// A repaired coordinator re-forwards its shard's whole history; the
+	// acceptors' re-announcements of already-learned instances land here.
+	// Re-acknowledge them so the repaired member's pipeline window drains
+	// instead of wedging on decided slots.
+	l.l.OnDuplicate = l.ack
+	l.merger.OnRelease = l.l.Release
+	// A restarted learner reloads its newest durable snapshot before
+	// anything else: the merger jumps to the snapshot frontier, so the
+	// catch-up fetcher pulls only the log suffix above it.
+	if blob, fr, ok := snaps.Latest(); ok {
+		l.installBlob(fr, blob)
+	}
+	// Peer learners serve the decided prefix a rejoining learner missed;
+	// until the fetcher reaches a peer's frontier, replies for replayed
+	// history stay suppressed.
+	l.catchup = len(l.peers) > 0
+	l.fetch = catchup.New(env, l.peers, catchupChunk, l.next, l.buffered, l.feed)
+	l.fetch.RetryTicks = spec.retryTicks()
+	l.fetch.WatchTicks = spec.fillTicks()
+	// Durable-tier fallback: if no peer learner retains the prefix this
+	// learner is missing, the acceptors re-announce their votes and the
+	// ordinary quorum counting relearns it.
+	l.fetch.Acceptors = cfg.Acceptors
+	l.fetch.OnStall = l.onStall
+	l.fetch.Install = l.installBlob
+	if l.every > 0 {
+		l.fetch.OnWatch = l.gossip
+	}
+	return l
+}
+
+// deliver is the merger's callback: instance inst left the merge in total
+// order. It retains the raw command for peer pulls, applies the inner
+// commands and answers their clients. Caller holds l.mu (every merger.Add
+// and SkipTo does).
+func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
+	l.log = append(l.log, cmd)
+	inner, isBatch := batch.Unpack(cmd)
+	if !isBatch {
+		inner = []cstruct.Cmd{cmd}
+	}
+	for _, c := range inner {
+		res, dup := "noop", false
+		if c.Key != noopKey {
+			// Fill skips occupy an instance but never reach the state
+			// machine or the apply order. A command seen before — its first
+			// stamp decided after all and the client's retry was restamped
+			// at a second instance — re-elicits its cached result without
+			// re-applying or re-entering the merged order.
+			_, dup = l.rep.Result(c.ID)
+			res = l.rep.ApplyOnce(c)
+			if !dup {
+				l.order = append(l.order, c.ID)
+			}
+		}
+		if to := replyTo(c.ID); to != 0 {
+			if !dup {
+				l.replay.Put(c.ID, inst, res)
+			}
+			if !l.catchup {
+				l.env.Send(to, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: inst, Result: res})
+			}
+		}
+	}
+}
+
+// feed hands one decided instance to the merger and cuts a snapshot once the
+// merge frontier is a full interval past the last one. The fetcher feeds
+// pulled instances through it; onLearn feeds the live ones.
+func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.merger.Add(inst, cmd)
+	if fr := l.merger.Next(); l.every > 0 && fr >= l.snapFrontier+uint64(l.every) {
+		l.cutSnapshot(fr)
+	}
+}
+
+// onLearn is the protocol learner's callback: a quorum of 2bs decided inst.
+func (l *learner) onLearn(inst uint64, cmd cstruct.Cmd) {
+	l.feed(inst, cmd)
+	l.ack(inst)
+}
+
+// ack quiesces the owning group's retransmission of a learned instance (the
+// live counterpart of the simulator's MarkLearned hook).
+func (l *learner) ack(inst uint64) {
+	node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)), msg.P2b{Inst: inst})
+}
+
+// next and buffered expose the merge frontier to the fetcher.
+func (l *learner) next() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.merger.Next()
+}
+
+func (l *learner) buffered() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.merger.Buffered()
+}
+
+// onStall is the fetcher's report of a frozen frontier that no catch-up pull
+// can move: the stalled instance was never decided — its sequence slot died
+// with a crashed ingress stamper, or its shard idled while the others
+// advanced. Nudge the owning group to fill it.
+func (l *learner) onStall(frontier uint64) {
+	node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(frontier)),
+		msg.Fill{Inst: frontier, Learner: l.env.ID()})
+}
+
+// gossip runs the compaction watermark protocol on the gap-watch cadence:
+// each tick recomputes the cluster minimum over the gossiped snapshot
+// frontiers, ratchets the local watermark, truncates the retained log down
+// to the retention floor, and re-gossips Done to the peer learners (their
+// minimum) and the acceptors (their vote-history truncation gate). A peer
+// that has never reported holds the minimum at zero, so truncation starts
+// only once every learner has a snapshot.
+func (l *learner) gossip() {
+	l.mu.Lock()
+	fr := l.snapFrontier
+	wm := fr
+	for _, p := range l.peers {
+		if pf := l.peerDone[p]; pf < wm {
+			wm = pf
+		}
+	}
+	if wm > l.watermark {
+		l.watermark = wm
+	}
+	wm = l.watermark
+	if wm > l.retain {
+		l.truncate(wm - l.retain)
+	}
+	l.mu.Unlock()
+	done := msg.Done{From: l.env.ID(), Frontier: fr, Watermark: wm}
+	node.Broadcast(l.env, l.peers, done)
+	node.Broadcast(l.env, l.cfg.Acceptors, done)
+}
+
+// cutSnapshot encodes and saves a snapshot of the applied state at frontier
+// fr. Caller holds l.mu.
+func (l *learner) cutSnapshot(fr uint64) {
+	dm, ok := l.rep.Machine().(smr.DurableMachine)
+	if !ok {
+		return
+	}
+	ex := l.replay.Export()
+	replies := make([]snapshot.Reply, len(ex))
+	for i, e := range ex {
+		replies[i] = snapshot.Reply{CmdID: e.CmdID, Inst: e.Inst, Result: e.Result}
+	}
+	blob := snapshot.Encode(snapshot.Snapshot{
+		Frontier: fr,
+		State:    dm.MarshalState(),
+		Order:    append([]uint64(nil), l.order...),
+		Replies:  replies,
+	})
+	if l.snaps.Save(fr, blob) != nil {
+		return // save failed: keep gossiping the old frontier, retention stays safe
+	}
+	l.snapFrontier = fr
+	l.snapSaves++
+}
+
+// installBlob replaces the learner's applied state with an encoded snapshot
+// — its own newest one at build, or a peer's shipped by the fetcher after a
+// log pull was refused below the peer's retention floor: machine state,
+// apply order, dedup floor and reply cache all jump to the snapshot's
+// frontier, the retained log resets to empty at that base, and the merger
+// skips there so only the suffix replays. It reports false — nothing
+// installed — for a blob that does not decode to the announced frontier, a
+// snapshot at or behind the current frontier, or a machine that cannot
+// restore.
+func (l *learner) installBlob(frontier uint64, blob []byte) bool {
+	s, err := snapshot.Decode(blob)
+	if err != nil || s.Frontier != frontier {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	dm, ok := l.rep.Machine().(smr.DurableMachine)
+	if !ok || s.Frontier <= l.merger.Next() {
+		return false
+	}
+	if err := dm.RestoreState(s.State); err != nil {
+		return false
+	}
+	// Seed duplicate suppression with the snapshot's original results: a
+	// command applied below the frontier and later restamped (its client
+	// retried into a second instance) must re-elicit the result of its
+	// first application, not a recomputed one.
+	results := make(map[uint64]string, len(s.Replies))
+	exported := make([]smr.ExportedReply, len(s.Replies))
+	for i, rp := range s.Replies {
+		results[rp.CmdID] = rp.Result
+		exported[i] = smr.ExportedReply{CmdID: rp.CmdID, Inst: rp.Inst, Result: rp.Result}
+	}
+	for _, id := range s.Order {
+		l.rep.Seed(id, results[id])
+	}
+	l.order = append([]uint64(nil), s.Order...)
+	l.replay.Restore(exported)
+	l.log = nil
+	l.logBase = s.Frontier
+	if s.Frontier > l.snapFrontier {
+		l.snapFrontier = s.Frontier
+	}
+	// SkipTo flushes any buffered suffix through deliver, which appends to
+	// the (now empty) log relative to the new base.
+	l.merger.SkipTo(s.Frontier)
+	// The installed blob becomes this learner's own newest snapshot, so it
+	// can serve transfers (and survive restarts, if durable) without waiting
+	// for its next cut.
+	l.snaps.Save(s.Frontier, blob)
+	return true
+}
+
+// truncate drops the retained log and reply-cache records below floor.
+// Caller holds l.mu.
+func (l *learner) truncate(floor uint64) {
+	if floor <= l.logBase {
+		return
+	}
+	drop := min(floor-l.logBase, uint64(len(l.log)))
+	l.log = append([]cstruct.Cmd(nil), l.log[drop:]...)
+	l.logBase += drop
+	l.replay.EvictBelow(l.logBase)
+}
+
+// OnMessage implements node.Handler.
+func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
+	switch mm := m.(type) {
+	case msg.Propose:
+		l.onReplayProbe(mm)
+	case msg.CatchupReq:
+		l.serve(mm)
+	case msg.CatchupResp:
+		l.fetch.OnResp(mm)
+		if l.fetch.Synced() {
+			l.mu.Lock()
+			l.catchup = false
+			l.mu.Unlock()
+		}
+	case msg.Done:
+		// No ratchet on a peer's gossiped snapshot frontier: a peer that
+		// restarted with volatile snapshots honestly reports a lower one, and
+		// holding the cluster minimum down until it re-covers is exactly the
+		// conservative behaviour the watermark needs (the watermark itself
+		// never regresses — it only stops advancing).
+		l.mu.Lock()
+		l.peerDone[mm.From] = mm.Frontier
+		l.mu.Unlock()
+	case msg.SnapReq:
+		l.serveSnap(mm)
+	case msg.SnapResp:
+		l.fetch.OnSnapResp(mm)
+	default:
+		l.l.OnMessage(from, m)
+	}
+}
+
+// OnTimer implements node.TimerHandler (the fetcher owns every learner
+// timer).
+func (l *learner) OnTimer(tag int) { l.fetch.OnTimer(tag) }
+
+// onReplayProbe answers a client's retransmitted proposal from the replay
+// cache: an already-applied command whose replies were all lost can never
+// be re-elicited by the consensus path (the learners deduplicate it), so
+// the cached result is re-sent instead. Commands not yet applied draw no
+// answer here — the ordinary apply-time reply covers them.
+func (l *learner) onReplayProbe(mm msg.Propose) {
+	inner, isBatch := batch.Unpack(mm.Cmd)
+	if !isBatch {
+		inner = []cstruct.Cmd{mm.Cmd}
+	}
+	var hits []msg.Reply
+	l.mu.Lock()
+	for _, c := range inner {
+		if replyTo(c.ID) == 0 {
+			continue
+		}
+		if rec, ok := l.replay.Get(c.ID); ok {
+			l.replayed++
+			hits = append(hits, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
+		}
+	}
+	l.mu.Unlock()
+	for _, rep := range hits {
+		l.env.Send(replyTo(rep.CmdID), rep)
+	}
+}
+
+// serve answers a peer learner's catch-up request with one chunk of the
+// retained decided prefix (bounded by catchupChunk and by the requester's
+// own bound).
+func (l *learner) serve(mm msg.CatchupReq) {
+	max := uint32(catchupChunk)
+	if mm.Max > 0 && mm.Max < max {
+		max = mm.Max
+	}
+	resp := msg.CatchupResp{Learner: l.env.ID(), From: mm.From}
+	l.mu.Lock()
+	resp.Frontier = l.merger.Next()
+	if mm.From < l.logBase {
+		// The requested prefix was compacted away: refuse with the floor so
+		// the requester escalates to snapshot transfer.
+		resp.Floor = l.logBase
+	} else if rel := mm.From - l.logBase; rel < uint64(len(l.log)) {
+		end := min(rel+uint64(max), uint64(len(l.log)))
+		resp.Cmds = append([]cstruct.Cmd(nil), l.log[rel:end]...)
+	}
+	l.mu.Unlock()
+	l.env.Send(mm.Learner, resp)
+}
+
+// snapChunkBytes sizes SnapResp chunks: big enough to move a snapshot in a
+// handful of messages, comfortably under the transport's frame cap.
+const snapChunkBytes = 48 << 10
+
+// serveSnap streams this learner's newest snapshot to a peer whose log pull
+// was refused. No snapshot (or only one at or below the requester's own
+// frontier) answers Total 0 — a no-op the requester's retry rotates past.
+func (l *learner) serveSnap(mm msg.SnapReq) {
+	blob, fr, ok := l.snaps.Latest()
+	if !ok || fr <= mm.From {
+		l.env.Send(mm.Learner, msg.SnapResp{Learner: l.env.ID()})
+		return
+	}
+	crc := snapshot.Crc(blob)
+	total := uint32((len(blob) + snapChunkBytes - 1) / snapChunkBytes)
+	for seq := uint32(0); seq < total; seq++ {
+		lo := int(seq) * snapChunkBytes
+		l.env.Send(mm.Learner, msg.SnapResp{
+			Learner: l.env.ID(), Frontier: fr, Crc: crc,
+			Seq: seq, Total: total, Chunk: blob[lo:min(lo+snapChunkBytes, len(blob))],
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mcpaxos/internal/msg"
 	"mcpaxos/internal/smr"
 )
 
@@ -165,6 +166,84 @@ func TestLiveTCPQuietShardSkipsBatchTimer(t *testing.T) {
 	}
 }
 
+// TestLiveTCPBringUpNeedsNoRetry: a node's first message follows its route,
+// so nothing in bring-up waits on a retransmission timer. With RetryEvery
+// stretched to 2 s — any lost first message costs seconds — a fresh
+// deployment acks its first write and reports both learners synced inside a
+// second, and so does a learner restarted behind 50 writes. (When the learner
+// sent its first catch-up probe before it had a socket, the probe was always
+// dropped, both learners sat in catch-up mode withholding replies, and the
+// first ack waited for the client's replay probe at 4 × RetryEvery.)
+func TestLiveTCPBringUpNeedsNoRetry(t *testing.T) {
+	spec := LocalSpec(1, 3, 3, 2, 1)
+	spec.RetryEvery = 2 * time.Second
+	spec.RequestTimeout = 30 * time.Second
+	start := time.Now()
+	rep, cli := openLocal(t, spec)
+	if _, err := cli.Set("first", "1").Result(); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Open + Dial + first acked write took %v, want under 1s (one retry interval is %v)", took, spec.RetryEvery)
+	}
+	awaitSynced := func(what string, since time.Time, learners ...uint32) {
+		t.Helper()
+		for _, id := range learners {
+			for {
+				synced, err := rep.CatchupSynced(id)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if synced {
+					break
+				}
+				if time.Since(since) > 10*time.Second {
+					t.Fatalf("%s: learner %d never synced", what, id)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if took := time.Since(since); took > time.Second {
+			t.Errorf("%s: learners %v synced after %v, want under 1s", what, learners, took)
+		}
+	}
+	awaitSynced("bring-up", start, 300, 301)
+
+	if !rep.Kill(301) {
+		t.Fatal("learner 301 was not hosted")
+	}
+	var calls []*Call
+	for i := 0; i < 50; i++ {
+		calls = append(calls, cli.Set(fmt.Sprintf("k%d", i), "v"))
+	}
+	if err := cli.Wait(calls, 30*time.Second); err != nil {
+		t.Fatalf("writes during the learner's downtime: %v", err)
+	}
+	// The surviving learner's transport still holds its connection to the
+	// dead incarnation: an endpoint never reads its outbound connections, so
+	// it learns of a peer's death only when a write fails, and whatever it
+	// sends before that — here, the answer to the restarted learner's probe —
+	// goes into the dead socket. Nothing else makes 300 write to 301 for a
+	// watch period (8 s), so flush that link first: what this test times is
+	// the restarted learner's own first step, not the transport's.
+	survivor, _ := rep.host(300)
+	for flushed := time.Now(); survivor.tcp.Send(301, msg.Done{From: 300}) == nil; time.Sleep(time.Millisecond) {
+		if time.Since(flushed) > 10*time.Second {
+			t.Fatal("learner 300's link to the killed learner never failed")
+		}
+	}
+	restart := time.Now()
+	if err := rep.Restart(301); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	awaitSynced("restart", restart, 301)
+	a, errA := rep.Applied(300)
+	b, errB := rep.Applied(301)
+	if errA != nil || errB != nil || a != 51 || b != a {
+		t.Errorf("applied after the restarted learner synced: %d (%v) vs %d (%v), want 51 on both", a, errA, b, errB)
+	}
+}
+
 // liveE13Run drives one E13-style run over real sockets: `commands` writes
 // through 2 shards served by coordinator groups of 3, optionally killing one
 // group member per shard mid-stream. It returns the merged apply order, the
@@ -187,7 +266,6 @@ func liveE13Run(t *testing.T, commands int, crash bool) (order []uint64, roundCh
 	for i := 0; i < half; i++ {
 		calls = append(calls, cli.Set(fmt.Sprintf("k%d", i%8), fmt.Sprintf("v%d", i)))
 	}
-	cli.Flush()
 	if err := cli.Wait(calls[:half], 30*time.Second); err != nil {
 		t.Fatalf("first half: %v", err)
 	}

@@ -11,6 +11,11 @@
 // spreads proposals across the shards, load-balances each shard's
 // coordinator group, retries with backoff across coordinator failures, and
 // correlates apply results back to the submitted commands.
+//
+// Layout: spec.go declares the deployment; replica.go hosts nodes (build,
+// route, start — the endpoint constructor there also serves client.go);
+// learner.go is the learner node, a node.Handler that knows only its
+// node.Env; inspect.go is Replica's read-only side.
 package deploy
 
 import (
@@ -62,10 +67,6 @@ type ClusterSpec struct {
 	Learners  []NodeSpec
 	Clients   []NodeSpec
 
-	// F is the number of acceptor crashes tolerated; 0 means the majority
-	// default (len(Acceptors)-1)/2.
-	F int
-
 	// WALDir, when set, gives every acceptor a durable write-ahead log under
 	// WALDir/acc-<id>; empty keeps votes in process memory (demos, tests).
 	WALDir string
@@ -116,19 +117,6 @@ type ClusterSpec struct {
 	// RequestTimeout fails a client call that has drawn no reply after this
 	// long; 0 means 15s.
 	RequestTimeout time.Duration
-	// Tick is the duration of one protocol time unit on the wall clock; 0
-	// means 1ms.
-	Tick time.Duration
-
-	// ReplyCache bounds the per-client reply-replay cache each learner
-	// keeps (applied command IDs → results, evicted by per-client
-	// watermark), so a retransmitted proposal for an already-applied
-	// command re-elicits its reply instead of being silently deduplicated.
-	// 0 means 512 entries per client; negative disables replay.
-	ReplyCache int
-	// CatchupChunk bounds how many instances one learner catch-up response
-	// carries (chunked state transfer to a rejoining learner); 0 means 128.
-	CatchupChunk int
 	// FillAfter is how long a learner lets its merge frontier sit frozen
 	// with later instances buffered before nudging the stalled instance's
 	// coordinator group to fill the slot (msg.Fill) — the recovery path for
@@ -183,12 +171,25 @@ func (s ClusterSpec) listen(addr string) (net.Listener, error) {
 
 // Spec defaults.
 const (
-	defaultBatchMax     = 8
-	defaultBatchWait    = 2 * time.Millisecond
-	defaultRetryEvery   = 25 * time.Millisecond
-	defaultTimeout      = 15 * time.Second
-	defaultReplyCache   = 512
-	defaultCatchupChunk = 128
+	defaultBatchMax   = 8
+	defaultBatchWait  = 2 * time.Millisecond
+	defaultRetryEvery = 25 * time.Millisecond
+	defaultTimeout    = 15 * time.Second
+)
+
+// Fixed parameters: no deployment, benchmark or test ever set them to
+// anything else, so they are not knobs.
+const (
+	// tick is the duration of one protocol time unit on the wall clock.
+	tick = time.Millisecond
+	// replyCacheSize bounds the per-client reply-replay cache each learner
+	// keeps (applied command IDs → results, evicted by per-client
+	// watermark), so a retransmitted proposal for an already-applied
+	// command re-elicits its reply instead of being silently deduplicated.
+	replyCacheSize = 512
+	// catchupChunk bounds how many instances one learner catch-up response
+	// carries (chunked state transfer to a rejoining learner).
+	catchupChunk = 128
 )
 
 // noopKey marks a fill no-op command: when a learner's merged order stalls
@@ -298,23 +299,9 @@ func (s ClusterSpec) batchMax() int {
 	return s.BatchMax
 }
 
-func (s ClusterSpec) tick() time.Duration {
-	if s.Tick <= 0 {
-		return time.Millisecond
-	}
-	return s.Tick
-}
-
 // ticks converts a wall-clock duration to protocol time units, at least 1.
-func (s ClusterSpec) ticks(d time.Duration) int64 {
-	if d <= 0 {
-		return 1
-	}
-	t := int64(d / s.tick())
-	if t < 1 {
-		t = 1
-	}
-	return t
+func ticks(d time.Duration) int64 {
+	return max(int64(d/tick), 1)
 }
 
 func (s ClusterSpec) retryTicks() int64 {
@@ -322,7 +309,7 @@ func (s ClusterSpec) retryTicks() int64 {
 	if d <= 0 {
 		d = defaultRetryEvery
 	}
-	return s.ticks(d)
+	return ticks(d)
 }
 
 func (s ClusterSpec) timeoutTicks() int64 {
@@ -330,26 +317,7 @@ func (s ClusterSpec) timeoutTicks() int64 {
 	if d <= 0 {
 		d = defaultTimeout
 	}
-	return s.ticks(d)
-}
-
-// replyCacheSize normalizes the per-client reply-replay bound: 0 means the
-// default, negative disables replay entirely.
-func (s ClusterSpec) replyCacheSize() int {
-	if s.ReplyCache < 0 {
-		return 0
-	}
-	if s.ReplyCache == 0 {
-		return defaultReplyCache
-	}
-	return s.ReplyCache
-}
-
-func (s ClusterSpec) catchupChunk() uint32 {
-	if s.CatchupChunk < 1 {
-		return defaultCatchupChunk
-	}
-	return uint32(s.CatchupChunk)
+	return ticks(d)
 }
 
 // retain normalizes the retention slack below the compaction watermark: 0
@@ -372,7 +340,7 @@ func (s ClusterSpec) fillTicks() int64 {
 	if d <= 0 {
 		return 4 * s.retryTicks()
 	}
-	return s.ticks(d)
+	return ticks(d)
 }
 
 func (s ClusterSpec) batchWaitTicks() int64 {
@@ -383,7 +351,7 @@ func (s ClusterSpec) batchWaitTicks() int64 {
 	if d == 0 {
 		d = defaultBatchWait
 	}
-	return s.ticks(d)
+	return ticks(d)
 }
 
 // config builds the classic.Config the protocol agents share, validating the
@@ -392,11 +360,8 @@ func (s ClusterSpec) config() (classic.Config, error) {
 	if len(s.Acceptors) == 0 {
 		return classic.Config{}, fmt.Errorf("deploy: no acceptors")
 	}
-	f := s.F
-	if f <= 0 {
-		f = (len(s.Acceptors) - 1) / 2
-	}
-	qs, err := quorum.NewAcceptorSystem(len(s.Acceptors), f, 0)
+	// Majority quorums: the most acceptor crashes a classic round tolerates.
+	qs, err := quorum.NewAcceptorSystem(len(s.Acceptors), (len(s.Acceptors)-1)/2, 0)
 	if err != nil {
 		return classic.Config{}, fmt.Errorf("deploy: acceptor quorums: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mcpaxos/internal/batch"
-	"mcpaxos/internal/core"
 	"mcpaxos/internal/cstruct"
 )
 
@@ -29,8 +28,10 @@ func NewReplica(machine Machine) *Replica {
 	return &Replica{machine: machine, applied: make(map[uint64]string)}
 }
 
-// UpdateFn returns the learner callback feeding this replica.
-func (r *Replica) UpdateFn() core.UpdateFn {
+// UpdateFn returns the learner callback feeding this replica (a
+// core.UpdateFn, spelled out so the live path does not link the
+// simulator-only engine for a type name).
+func (r *Replica) UpdateFn() func(cstruct.CStruct, []cstruct.Cmd) {
 	return func(_ cstruct.CStruct, fresh []cstruct.Cmd) {
 		for _, c := range fresh {
 			r.ApplyOnce(c)

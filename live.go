@@ -28,10 +28,9 @@ type LiveResult struct {
 	// Throughput is Commands per second of Elapsed.
 	Throughput float64
 	// Retries and DupReplies are the client's retransmission and
-	// duplicate-suppression counters; Abandoned counts batches that failed
-	// their callers at the request timeout, ReplayProbes the retry rounds
+	// duplicate-suppression counters; ReplayProbes counts the retry rounds
 	// that also solicited the learners' reply caches.
-	Retries, DupReplies, Abandoned, ReplayProbes uint64
+	Retries, DupReplies, ReplayProbes uint64
 	// RoundChanges sums post-establishment round changes across the
 	// coordinators: a healthy run reports 0.
 	RoundChanges int
@@ -109,7 +108,6 @@ func RunLiveLatency(shards, coordsPerShard, nAcceptors, commands, batchMax int) 
 		Elapsed:    elapsed,
 		Throughput: float64(commands) / elapsed.Seconds(),
 		Retries:    st.Retries, DupReplies: st.DupReplies,
-		Abandoned:    st.Abandoned,
 		ReplayProbes: st.ReplayProbes,
 		RoundChanges: rep.RoundChanges(),
 		WireBytes:    wireBytes,

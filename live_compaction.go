@@ -117,7 +117,6 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 				c := done + i
 				calls = append(calls, cli.Set(fmt.Sprintf("k%d", c%64), fmt.Sprintf("v%d", c)))
 			}
-			cli.Flush()
 			if err := cli.Wait(calls, 60*time.Second); err != nil {
 				return run, fmt.Errorf("e16 window at %d: %w", done, err)
 			}

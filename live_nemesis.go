@@ -203,7 +203,6 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 				default:
 					call = cli.Get(op.Key)
 				}
-				cli.Flush()
 				out, err := call.Result()
 				if err != nil {
 					// No response: a write stays in the history with Ret = ∞
