@@ -265,6 +265,15 @@ func (b *Batcher) Deadline() (at int64, ok bool) {
 // Pending reports how many commands are buffered.
 func (b *Batcher) Pending() int { return len(b.pending) }
 
+// Drain hands back whatever is buffered, unflushed, and leaves the batcher
+// empty: for a host that stops being the one to flush and passes the commands
+// on instead. The caller owns the returned slice.
+func (b *Batcher) Drain() []cstruct.Cmd {
+	out := b.pending
+	b.pending = nil
+	return out
+}
+
 // Flush emits whatever is buffered: a lone command passes through unwrapped,
 // two or more are packed into one batch command. The pending buffer's
 // backing array is kept for the next batch — Pack copies the constituents

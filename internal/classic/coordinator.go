@@ -1,6 +1,7 @@
 package classic
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 
@@ -16,6 +17,8 @@ const (
 	timerRetry = 1
 	// timerIngress drives the time-triggered flush of the ingress batcher.
 	timerIngress = 2
+	// timerRelay bounds how long a relayed submission waits for its stamp.
+	timerRelay = 3
 )
 
 // reqTrackMax bounds the ingress idempotency map: past this size, entries
@@ -25,11 +28,26 @@ const (
 // command ID at apply time — wasteful but safe.
 const reqTrackMax = 4096
 
+// relayMax bounds the submissions a member remembers having relayed to the
+// shard's stamper. Each is dropped the moment its stamp is seen, so the set
+// only fills when the stamper has stopped confirming — and a member that
+// fills it takes the stamping over instead of relaying blind.
+const relayMax = 1024
+
 // reqKey is the ingress idempotency key: the issuing client and its
 // per-client request counter, carried by unsequenced proposals.
 type reqKey struct {
 	client msg.NodeID
 	req    uint64
+}
+
+// relayedReq is one submission passed on to the shard's stamper, kept with
+// its body until somebody's stamp for it is seen: if none is, this member
+// stamps it itself.
+type relayedReq struct {
+	cmd cstruct.Cmd
+	n   uint64 // arrival order, the order a takeover stamps in
+	at  int64  // env time it was relayed
 }
 
 // Coordinator is one member of the coordinator groups serving its shard's
@@ -136,6 +154,27 @@ type Coordinator struct {
 	// command at a wasted second instance.
 	ReqOf func(cmd cstruct.Cmd) (client msg.NodeID, req uint64, ok bool)
 
+	// stamper is the member this one believes is stamping the shard's ingress:
+	// itself after a stamp of its own, otherwise the peer whose fresh stamp
+	// share it saw last; zero while it has seen neither, when it stamps what
+	// it is sent. One stamper at a time is what keeps concurrent submissions
+	// from colliding over sequence slots, and clients do not agree on a member
+	// — each prefers whichever answered it last — so a member that is not the
+	// stamper relays a fresh submission there instead of stamping it (relay).
+	// The belief is only a hint, like the evidence that moves it: wrong, it
+	// costs a collision or a wait, never safety.
+	stamper msg.NodeID
+	// relayed holds what this member passed on and has not yet seen stamped
+	// (recordReq drops an entry). It is what makes relaying live: everything
+	// in it is stamped here once the stamper is reported down, once an entry
+	// has waited relayWait, or once a request arrives a second time.
+	relayed    map[reqKey]relayedReq
+	relayN     uint64
+	relayArmed bool
+	// retryArmed marks a pending timerRetry: one timer serves the whole open
+	// window, however many sends arm it.
+	retryArmed bool
+
 	// ingressNext is the next unassigned per-shard sequence number; every
 	// observed stamp (local or shared by a peer) advances it, so a failover
 	// stamper resumes the counter instead of colliding with past slots.
@@ -176,6 +215,7 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 		sent:      make(map[uint64]bool),
 		byReq:     make(map[reqKey]uint64),
 		bufd:      make(map[reqKey]bool),
+		relayed:   make(map[reqKey]relayedReq),
 	}
 }
 
@@ -281,10 +321,10 @@ func (c *Coordinator) owns(inst uint64) bool { return c.cfg.ShardOf(inst) == c.S
 func (c *Coordinator) seqInst(seq uint64) uint64 { return seq*c.stride() + uint64(c.Shard) }
 
 // OnMessage implements node.Handler.
-func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
+func (c *Coordinator) OnMessage(from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
 	case msg.Propose:
-		c.onPropose(mm)
+		c.onPropose(from, mm)
 	case msg.P1bMulti:
 		c.onP1b(mm)
 	case msg.Stale:
@@ -294,6 +334,10 @@ func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
 		c.noteLearned(mm.Inst)
 	case msg.Fill:
 		c.onFill(mm)
+	case msg.PeerDown:
+		if mm.Node == c.stamper {
+			c.takeOver()
+		}
 	}
 }
 
@@ -341,7 +385,7 @@ func (c *Coordinator) noteLearned(inst uint64) {
 // unsequenced client submission: it is stamped at this member's ingress
 // (untagged unsequenced proposals cannot be placed deterministically across
 // a group and are dropped).
-func (c *Coordinator) onPropose(mm msg.Propose) {
+func (c *Coordinator) onPropose(from msg.NodeID, mm msg.Propose) {
 	if !mm.HasSeq {
 		if mm.Client != 0 {
 			c.onIngress(mm)
@@ -349,9 +393,12 @@ func (c *Coordinator) onPropose(mm msg.Propose) {
 		return
 	}
 	// Every observed stamp advances the ingress counter, so this member can
-	// take over stamping without colliding with slots already claimed.
+	// take over stamping without colliding with slots already claimed. A
+	// stamp that does advance it is fresh — the re-shares of converge and
+	// onFill never are — and says who is stamping now.
 	if mm.Seq >= c.ingressNext {
 		c.ingressNext = mm.Seq + 1
+		c.follow(from)
 	}
 	inst := c.seqInst(mm.Seq)
 	switch cur, have := c.proposals[inst]; {
@@ -500,14 +547,105 @@ func (c *Coordinator) onIngress(mm msg.Propose) {
 		c.ing.Flush()
 		return
 	}
+	if _, again := c.relayed[k]; again {
+		// Relayed before and here again: the client retried, or the relay came
+		// back round a cycle of members each believing another is the stamper
+		// (a cycle passes through at most c members, so it ends at the first
+		// one it reaches twice). Either way nobody stamped it.
+		c.takeOver()
+		return
+	}
+	if c.stamper != 0 && c.stamper != c.env.ID() {
+		if len(c.relayed) < relayMax {
+			c.relay(k, mm)
+			return
+		}
+		c.takeOver()
+	}
+	c.buffer(k, mm.Cmd)
+	c.stampIfQuiet()
+	c.armIngress()
+}
+
+// buffer adds one fresh submission to the open ingress batch.
+func (c *Coordinator) buffer(k reqKey, cmd cstruct.Cmd) {
 	c.bufd[k] = true
 	c.bufKeys = append(c.bufKeys, k)
 	if c.ing == nil {
 		c.ing = batch.NewBatcher(c.IngressBatchMax, c.IngressBatchWait, c.env.Now, c.stampFlush)
 	}
-	c.ing.Add(mm.Cmd)
+	c.ing.Add(cmd)
+}
+
+// relay passes a fresh submission on, unchanged, to the member believed to be
+// stamping, and remembers it until that member's stamp share (or anybody's)
+// shows it stamped.
+func (c *Coordinator) relay(k reqKey, mm msg.Propose) {
+	c.relayN++
+	c.relayed[k] = relayedReq{cmd: mm.Cmd, n: c.relayN, at: c.env.Now()}
+	c.env.Send(c.stamper, mm)
+	c.armRelay()
+}
+
+// follow notes a fresh stamp share from a group peer: that peer is stamping,
+// so this member is not — whatever it has buffered unstamped goes to the peer
+// too. Stamping it here would make this member's next share the fresh one and
+// the two would trade places for as long as both receive submissions.
+func (c *Coordinator) follow(from msg.NodeID) {
+	if from == c.stamper || from == c.env.ID() || !c.cfg.InRoundGroup(c.Shard, c.crnd, from) {
+		return // includes a proposer's pre-stamped stream, which names no stamper
+	}
+	c.stamper = from
+	if c.ing == nil {
+		return
+	}
+	keys := c.bufKeys
+	c.bufKeys = nil
+	for i, cmd := range c.ing.Drain() {
+		delete(c.bufd, keys[i])
+		c.relay(keys[i], msg.Propose{Cmd: cmd, Client: keys[i].client, Req: keys[i].req})
+	}
+}
+
+// takeOver makes this member the shard's stamper and stamps everything it
+// relayed that nobody has stamped since, in the order it arrived.
+func (c *Coordinator) takeOver() {
+	c.stamper = c.env.ID()
+	for _, k := range slices.SortedFunc(maps.Keys(c.relayed), func(a, b reqKey) int {
+		return cmp.Compare(c.relayed[a].n, c.relayed[b].n)
+	}) {
+		c.buffer(k, c.relayed[k].cmd)
+	}
+	clear(c.relayed)
 	c.stampIfQuiet()
 	c.armIngress()
+}
+
+// relayWait is how long a relayed submission may go unstamped before this
+// member stamps it itself: half its own retransmission interval, which hosts
+// set well above a round trip. It is what keeps relaying live when the
+// stamper dies with no evidence (a partition, a silent host): the outage then
+// costs this one wait, not a client retry interval per command.
+func (c *Coordinator) relayWait() int64 { return max(c.RetryEvery/2, 1) }
+
+// armRelay schedules the relay check for the oldest remembered relay's
+// deadline. Without retransmission (RetryEvery = 0) there are no timers, and
+// evidence or a second receipt are the takeover triggers left.
+func (c *Coordinator) armRelay() {
+	if c.relayArmed || c.RetryEvery <= 0 || len(c.relayed) == 0 {
+		return
+	}
+	c.relayArmed = true
+	c.env.SetTimer(c.oldestRelay()+c.relayWait()-c.env.Now(), timerRelay)
+}
+
+// oldestRelay is the env time of the longest-waiting remembered relay.
+func (c *Coordinator) oldestRelay() int64 {
+	oldest := c.env.Now()
+	for _, r := range c.relayed {
+		oldest = min(oldest, r.at)
+	}
+	return oldest
 }
 
 // stampIfQuiet stamps whatever the ingress batcher holds at once when waiting
@@ -549,6 +687,7 @@ func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
 		}
 	}
 	c.stamped++
+	c.stamper = c.env.ID()
 	c.burst = len(keys) > 1
 	// The keys are in hand: indexing through bind would decode the batch
 	// packed a line ago to recover the same (client, req) pairs.
@@ -591,6 +730,7 @@ func (c *Coordinator) recordReq(k reqKey, inst uint64) {
 		}
 	}
 	c.byReq[k] = inst
+	delete(c.relayed, k)
 }
 
 // armIngress schedules the time-triggered flush of a partial ingress batch
@@ -758,6 +898,9 @@ func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMul
 			delete(c.p1bs, past)
 		}
 	}
+	if !c.cfg.InRoundGroup(c.Shard, r, c.stamper) {
+		c.stamper = 0 // the believed stamper does not serve this round
+	}
 	if c.everLed {
 		c.roundChanges++
 	} else {
@@ -837,7 +980,8 @@ func (c *Coordinator) onStale(mm msg.Stale) {
 }
 
 func (c *Coordinator) armRetry() {
-	if c.RetryEvery > 0 {
+	if c.RetryEvery > 0 && !c.retryArmed {
+		c.retryArmed = true
 		c.env.SetTimer(c.RetryEvery, timerRetry)
 	}
 }
@@ -854,9 +998,18 @@ func (c *Coordinator) OnTimer(tag int) {
 		}
 		return
 	}
+	if tag == timerRelay {
+		c.relayArmed = false
+		if c.oldestRelay()+c.relayWait() <= c.env.Now() {
+			c.takeOver()
+		}
+		c.armRelay()
+		return
+	}
 	if tag != timerRetry || c.RetryEvery <= 0 {
 		return
 	}
+	c.retryArmed = false
 	outstanding := false
 	switch {
 	case c.leading:

@@ -35,6 +35,9 @@ type Proposer struct {
 
 	// RetryEvery > 0 enables retransmission of unlearned proposals.
 	RetryEvery int64
+	// retryArmed marks a pending timerRetry: one timer retransmits everything
+	// in flight, however many submissions arm it.
+	retryArmed bool
 	inflight   map[uint64]routed
 	nextSeq    []uint64 // per-shard sequence counter for ProposeTo
 }
@@ -109,7 +112,8 @@ func (p *Proposer) send(r routed) {
 }
 
 func (p *Proposer) armRetry() {
-	if p.RetryEvery > 0 {
+	if p.RetryEvery > 0 && !p.retryArmed {
+		p.retryArmed = true
 		p.env.SetTimer(p.RetryEvery, timerRetry)
 	}
 }
@@ -122,7 +126,11 @@ func (p *Proposer) OnMessage(msg.NodeID, msg.Message) {}
 
 // OnTimer implements node.TimerHandler.
 func (p *Proposer) OnTimer(tag int) {
-	if tag != timerRetry || p.RetryEvery <= 0 || len(p.inflight) == 0 {
+	if tag != timerRetry {
+		return
+	}
+	p.retryArmed = false
+	if len(p.inflight) == 0 {
 		return
 	}
 	// Command-ID order, not map order: a deterministic retransmission
@@ -130,5 +138,5 @@ func (p *Proposer) OnTimer(tag int) {
 	for _, id := range slices.Sorted(maps.Keys(p.inflight)) {
 		p.send(p.inflight[id])
 	}
-	p.env.SetTimer(p.RetryEvery, timerRetry)
+	p.armRetry()
 }

@@ -2,7 +2,8 @@ package deploy
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -52,9 +53,12 @@ type ClientStats struct {
 	// Proposed counts submitted commands; Resolved counts replies matched to
 	// a call; Failed counts calls that timed out.
 	Proposed, Resolved, Failed uint64
-	// Retries counts proposal retransmissions (dropped connections, slow or
-	// crashed coordinators); Rotations counts retries that failed over to a
-	// non-primary member of the shard's coordinator group.
+	// Retries counts timer-driven retransmissions only: a proposal that went
+	// unanswered for its whole retry interval. Rotations counts commands moved
+	// to another member of their shard's coordinator group, whatever moved
+	// them — the retry timer, a reply showing that another member answers, or
+	// evidence that the targeted member is unreachable. A failover that costs
+	// no interval therefore shows as rotations without retries.
 	Retries, Rotations uint64
 	// DupReplies counts replies dropped because another learner replica
 	// answered first — the duplicate-response suppression at work.
@@ -69,12 +73,15 @@ type ClientStats struct {
 // shard's coordinator group assigns the sequence number at ingress, so any
 // number of Clients (and any number of goroutines per Client) share one
 // deployment without coordinating. Submissions spread round-robin across the
-// shards; each proposal initially targets the shard's primary stamper and
-// retries rotate through the group with exponential backoff, so a crashed or
-// unreachable coordinator is masked. The idempotency tag makes retries safe:
-// a re-received request maps to its already-stamped slot instead of a fresh
-// one. Each command's Call resolves when the first learner replica reports
-// its apply result.
+// shards; each proposal targets the shard's preferred member — the primary
+// stamper until a failover teaches the client otherwise — and retries rotate
+// through the group with exponential backoff, so a crashed or unreachable
+// coordinator is masked. The preference follows the member that answers, and
+// leaves a member the transport reports unreachable, so an outage costs one
+// hop once instead of a retry interval per command. The idempotency tag makes
+// retries safe: a re-received request maps to its already-stamped slot
+// instead of a fresh one. Each command's Call resolves when the first learner
+// replica reports its apply result.
 type Client struct {
 	id msg.NodeID
 	*endpoint
@@ -205,9 +212,15 @@ type proposeMsg struct {
 // maps every re-receipt to the already-stamped slot, so retrying is safe no
 // matter how many group members see it.
 type pendingCmd struct {
-	shard    int
-	req      uint64
-	cmd      cstruct.Cmd
+	shard int
+	req   uint64
+	cmd   cstruct.Cmd
+	// member indexes, in coords[shard], the member the last transmission went
+	// to.
+	member int
+	// attempts counts timer-driven retransmissions. Being re-routed by a reply
+	// or by evidence is not an attempt: nothing was waited out, so it brings
+	// the learner replay probe no closer.
 	attempts int
 	next     int64 // env time of the next retry
 	deadline int64 // env time at which the call fails
@@ -229,6 +242,23 @@ type clientHandler struct {
 	pend  map[uint64]*pendingCmd // command ID → retry state
 	rr    uint64                 // shard rotation cursor
 
+	// coords is ShardCoords(shard) per shard: the members a command of the
+	// shard may be sent to, the shard's primary first.
+	coords [][]msg.NodeID
+	// pref is, per shard, the index in coords[shard] of the member new
+	// submissions go to: 0 — the primary stamper — on a fresh client, then
+	// whichever member a failed-over command's last attempt went to when its
+	// reply came, or the next member round the group when the preferred one is
+	// reported unreachable. Any member is a correct target (a backup relays to
+	// the stamper); the preference only saves the hop, or the timer.
+	pref []int
+	// moved counts, per shard, the preference moves made on evidence since the
+	// shard last answered. Evidence is cheap to produce — with a whole group
+	// down every re-route can raise more — so it walks the group once and
+	// then stops; the retry timer paces from there, as it does without
+	// evidence.
+	moved []int
+
 	retryEvery   int64
 	timeoutTicks int64
 	retryArmed   bool
@@ -239,13 +269,19 @@ var _ node.Handler = (*clientHandler)(nil)
 var _ node.TimerHandler = (*clientHandler)(nil)
 
 func newClientHandler(env node.Env, cfg classic.Config, spec ClusterSpec) *clientHandler {
-	return &clientHandler{
+	h := &clientHandler{
 		env: env, cfg: cfg, spec: spec,
 		calls:        make(map[uint64]*Call),
 		pend:         make(map[uint64]*pendingCmd),
+		pref:         make([]int, cfg.NShards()),
+		moved:        make([]int, cfg.NShards()),
 		retryEvery:   spec.retryTicks(),
 		timeoutTicks: spec.timeoutTicks(),
 	}
+	for shard := range h.pref {
+		h.coords = append(h.coords, cfg.ShardCoords(shard))
+	}
+	return h
 }
 
 // propose stamps, registers and routes one command from the mailbox
@@ -288,10 +324,11 @@ func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
 		// client, making (client, req) a sound ingress idempotency key.
 		req: cmd.ID & (1<<clientShift - 1),
 		cmd: cmd,
-		// The first retry waits twice the base interval: under a burst the
-		// end-to-end reply time legitimately exceeds one interval, and a
-		// premature retransmission only adds to the load it is waiting out.
-		next:     h.env.Now() + 2*h.retryEvery,
+		// Every submission is funnelled to one member per shard: one stamper
+		// at a time keeps concurrent submissions from colliding over sequence
+		// slots, and stamping is cheap enough not to need the Section 4.1
+		// load-balance lever.
+		member:   h.pref[shard],
 		deadline: h.env.Now() + h.timeoutTicks,
 	}
 	h.pend[cmd.ID] = p
@@ -299,49 +336,80 @@ func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
 	h.armRetry()
 }
 
-// send transmits one tagged, unsequenced proposal to its current targets.
+// send transmits p's tagged, unsequenced proposal to the member it targets
+// and restarts its retry clock. The first two waits are twice the base
+// interval — under a burst the end-to-end reply time legitimately exceeds
+// one, and a premature retransmission only adds to the load it is waiting
+// out — and the wait doubles from the second retry on.
 func (h *clientHandler) send(p *pendingCmd) {
-	node.Broadcast(h.env, h.targets(p.shard, p.attempts),
-		msg.Propose{Cmd: p.cmd, Client: h.env.ID(), Req: p.req})
+	p.next = h.env.Now() + h.retryEvery<<uint(min(max(p.attempts, 1), 5))
+	h.env.Send(h.coords[p.shard][p.member], msg.Propose{Cmd: p.cmd, Client: h.env.ID(), Req: p.req})
 }
 
-// targets picks where a proposal goes. The initial send is funnelled to the
-// shard's first coordinator — its primary stamper: one stamper at a time
-// keeps concurrent submissions from colliding over sequence slots, and
-// stamping is cheap enough not to need the Section 4.1 load-balance lever.
-// Retries rotate through the shard's coordinators one at a time, so a dead
-// primary is failed over without fanning a retry burst into multiple
-// simultaneous stampers.
-func (h *clientHandler) targets(shard, attempt int) []msg.NodeID {
-	coords := h.cfg.ShardCoords(shard)
-	i := attempt % len(coords)
-	if i != 0 {
+// moveTo transmits p to member i of its shard's group: the one place a
+// command changes member, so the one place a rotation is counted.
+func (h *clientHandler) moveTo(p *pendingCmd, i int) {
+	if i != p.member {
+		p.member = i
 		h.stats.Rotations++
 	}
-	return coords[i : i+1]
+	h.send(p)
+}
+
+// prefer makes member i the shard's preference and re-sends, at once and
+// once, every pending command of the shard that is waiting on another member:
+// what was learned from one command's failover — or from the transport — is
+// not paid for again by each of the others' timers.
+func (h *clientHandler) prefer(shard, i int) {
+	h.pref[shard] = i
+	// Deterministic order (map iteration is not), and submission order: a
+	// member that takes the stamping over stamps in the order it receives.
+	for _, id := range slices.Sorted(maps.Keys(h.pend)) {
+		if p := h.pend[id]; p.shard == shard && p.member != i {
+			h.moveTo(p, i)
+		}
+	}
 }
 
 // OnMessage implements node.Handler: submissions are routed, replies resolve
-// calls; everything else is ignored.
+// calls, evidence of an unreachable member moves the preference off it;
+// everything else is ignored.
 func (h *clientHandler) OnMessage(_ msg.NodeID, m msg.Message) {
-	if pm, ok := m.(proposeMsg); ok {
-		h.proposeCall(pm.Cmd, pm.call)
-		return
+	switch mm := m.(type) {
+	case proposeMsg:
+		h.proposeCall(mm.Cmd, mm.call)
+	case msg.Reply:
+		h.onReply(mm)
+	case msg.PeerDown:
+		for shard, i := range h.pref {
+			if n := len(h.coords[shard]); h.coords[shard][i] == mm.Node && h.moved[shard] < n-1 {
+				h.moved[shard]++
+				h.prefer(shard, (i+1)%n)
+			}
+		}
 	}
-	mm, ok := m.(msg.Reply)
-	if !ok {
-		return
-	}
+}
+
+// onReply resolves the call a reply answers. Replies come from the learners,
+// so which member got the command decided is inferred: the one its last
+// transmission went to. If that is not the shard's preference the command had
+// to fail over to be answered, and the preference follows it.
+func (h *clientHandler) onReply(mm msg.Reply) {
 	call, ok := h.calls[mm.CmdID]
 	if !ok {
 		h.stats.DupReplies++
 		return
 	}
+	p := h.pend[mm.CmdID]
 	delete(h.calls, mm.CmdID)
 	delete(h.pend, mm.CmdID)
 	h.stats.Resolved++
 	call.result, call.end = mm.Result, time.Now()
 	close(call.done)
+	h.moved[p.shard] = 0
+	if p.member != h.pref[p.shard] {
+		h.prefer(p.shard, p.member)
+	}
 }
 
 // OnTimer implements node.TimerHandler: due proposals are retransmitted with
@@ -355,12 +423,7 @@ func (h *clientHandler) OnTimer(tag int) {
 	h.retryArmed = false
 	now := h.env.Now()
 	// Deterministic retry order (map iteration is not).
-	ids := make([]uint64, 0, len(h.pend))
-	for id := range h.pend {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(h.pend)) {
 		p := h.pend[id]
 		if now >= p.deadline {
 			h.failCmd(id, fmt.Errorf("deploy: no reply for command %d after %d attempts", id, p.attempts+1))
@@ -369,11 +432,12 @@ func (h *clientHandler) OnTimer(tag int) {
 		if now < p.next {
 			continue
 		}
+		// Retries rotate through the shard's coordinators one at a time, so a
+		// dead member is failed over without fanning a retry burst into
+		// several simultaneous stampers.
 		p.attempts++
 		h.stats.Retries++
-		backoff := h.retryEvery << uint(min(p.attempts, 5))
-		p.next = now + backoff
-		h.send(p)
+		h.moveTo(p, (p.member+1)%len(h.coords[p.shard]))
 		if p.attempts >= 2 {
 			// The command may already be applied with every reply frame
 			// lost — the ingress dedups it and the consensus path never

@@ -304,4 +304,141 @@ func TestClientStandbyRotationAtC1(t *testing.T) {
 	}
 }
 
+// write proposes one KV write from the mailbox goroutine.
+func write(h *clientHandler) *Call {
+	return h.propose(cstruct.Cmd{Key: "k", Op: cstruct.OpWrite})
+}
+
+// TestClientPreferenceFollowsAnsweringMember: when a command that had to fail
+// over is answered, the member its last attempt went to becomes the shard's
+// preference — new submissions start there — and the shard's other pending
+// commands are re-sent to it at once, once, with their retry clocks restarted
+// and their attempt counts untouched, instead of each waiting out its own
+// timer against the member that does not answer.
+func TestClientPreferenceFollowsAnsweringMember(t *testing.T) {
+	spec, h, env := multiSpec(t)
+	group := ids(spec.Coords)
+	a := write(h)
+	env.now += h.retryEvery
+	b, c := write(h), write(h)
+	env.now += h.retryEvery // a is due, b and c are not
+	h.OnTimer(tagClientRetry)
+	if h.stats.Retries != 1 || h.stats.Rotations != 1 || h.pend[a.ID].member != 1 {
+		t.Fatalf("after a's retry: %+v, a at member %d; want 1 retry, 1 rotation, member 1", h.stats, h.pend[a.ID].member)
+	}
+
+	mark := len(env.sent)
+	h.OnMessage(300, msg.Reply{CmdID: a.ID, From: 300})
+	if got := proposeTargets(env.sent, mark); !equalIDs(got, []msg.NodeID{group[1], group[1]}) {
+		t.Fatalf("a's reply re-sent to %v, want b and c to the answering member %v", got, group[1])
+	}
+	for _, call := range []*Call{b, c} {
+		p := h.pend[call.ID]
+		if p.attempts != 0 || p.next != env.now+2*h.retryEvery {
+			t.Fatalf("re-routed command: attempts %d, next retry at %d; want 0 and a restarted clock (%d)",
+				p.attempts, p.next, env.now+2*h.retryEvery)
+		}
+	}
+	if h.stats.Retries != 1 || h.stats.Rotations != 3 || h.stats.ReplayProbes != 0 {
+		t.Fatalf("stats %+v: a re-route is a rotation, not a retry, and probes no learner; want 1 retry, 3 rotations", h.stats)
+	}
+
+	// Exactly once: the next reply finds nothing waiting on another member,
+	// and the timer finds nothing due.
+	mark = len(env.sent)
+	h.OnMessage(300, msg.Reply{CmdID: b.ID, From: 300})
+	h.OnTimer(tagClientRetry)
+	if got := proposeTargets(env.sent, mark); len(got) != 0 {
+		t.Fatalf("c was sent again (%v) although it already waits on the preferred member", got)
+	}
+	write(h)
+	if got := proposeTargets(env.sent, mark); !equalIDs(got, []msg.NodeID{group[1]}) {
+		t.Fatalf("new submission targeted %v, want the preferred member %v", got, group[1])
+	}
+}
+
+// TestClientPeerDownAdvancesPreference: evidence that the preferred member is
+// unreachable moves the preference to the next member and takes the shard's
+// pending commands along, in submission order, with no timer involved.
+// Evidence about any other node changes nothing.
+func TestClientPeerDownAdvancesPreference(t *testing.T) {
+	spec, h, env := multiSpec(t)
+	group := ids(spec.Coords)
+	a, b := write(h), write(h)
+
+	mark := len(env.sent)
+	h.OnMessage(h.env.ID(), msg.PeerDown{Node: group[0]})
+	if got := proposeTargets(env.sent, mark); !equalIDs(got, []msg.NodeID{group[1], group[1]}) {
+		t.Fatalf("evidence re-sent to %v, want both pending commands to %v", got, group[1])
+	}
+	if first := env.sent[mark].m.(msg.Propose); first.Cmd.ID != a.ID {
+		t.Fatalf("re-sent command %d first, want submission order (a = %d, b = %d)", first.Cmd.ID, a.ID, b.ID)
+	}
+	if h.stats.Retries != 0 || h.stats.Rotations != 2 {
+		t.Fatalf("stats %+v, want 0 retries and 2 rotations", h.stats)
+	}
+
+	mark = len(env.sent)
+	h.OnMessage(h.env.ID(), msg.PeerDown{Node: group[2]})              // not the preference
+	h.OnMessage(h.env.ID(), msg.PeerDown{Node: group[0]})              // not any more
+	h.OnMessage(h.env.ID(), msg.PeerDown{Node: ids(spec.Learners)[0]}) // not a coordinator
+	if len(env.sent) != mark || h.pref[0] != 1 {
+		t.Fatalf("evidence about other nodes sent %d frames and left the preference at member %d; want 0 and 1",
+			len(env.sent)-mark, h.pref[0])
+	}
+	write(h)
+	if got := proposeTargets(env.sent, mark); !equalIDs(got, []msg.NodeID{group[1]}) {
+		t.Fatalf("new submission targeted %v, want %v", got, group[1])
+	}
+}
+
+// TestClientEvidenceCannotSpin: with every member of the group unreachable
+// each re-route can raise fresh evidence against the next member. Evidence
+// walks the group once between two replies — at most one frame per pending
+// command per event — and then stops: the retry timer paces from there, as it
+// does without evidence. A reply renews the allowance.
+func TestClientEvidenceCannotSpin(t *testing.T) {
+	spec, h, env := multiSpec(t)
+	group := ids(spec.Coords)
+	const pending = 4
+	var calls []*Call
+	for i := 0; i < pending; i++ {
+		calls = append(calls, write(h))
+	}
+	moves := 0
+	for round := 0; round < 10; round++ {
+		for _, member := range group {
+			mark := len(env.sent)
+			h.OnMessage(h.env.ID(), msg.PeerDown{Node: member})
+			switch sent := len(env.sent) - mark; sent {
+			case 0:
+			case pending:
+				moves++
+			default:
+				t.Fatalf("one event sent %d frames, want 0 or one per pending command (%d)", sent, pending)
+			}
+		}
+	}
+	if moves != len(group)-1 {
+		t.Fatalf("30 events moved the preference %d times, want %d: once round the group", moves, len(group)-1)
+	}
+	if h.stats.Retries != 0 {
+		t.Fatalf("evidence counted %d timer retries", h.stats.Retries)
+	}
+	// The timer still rotates, exactly as it does without evidence.
+	env.now += 2 * h.retryEvery
+	mark := len(env.sent)
+	h.OnTimer(tagClientRetry)
+	if got := proposeTargets(env.sent, mark); len(got) != pending || h.stats.Retries != pending {
+		t.Fatalf("timer retried %v (%d counted), want all %d pending commands", got, h.stats.Retries, pending)
+	}
+
+	h.OnMessage(300, msg.Reply{CmdID: calls[0].ID, From: 300})
+	mark = len(env.sent)
+	h.OnMessage(h.env.ID(), msg.PeerDown{Node: group[h.pref[0]]})
+	if sent := len(env.sent) - mark; sent != pending-1 {
+		t.Fatalf("evidence after a reply sent %d frames, want %d: the allowance is per reply", sent, pending-1)
+	}
+}
+
 var _ node.Handler = (*clientHandler)(nil)

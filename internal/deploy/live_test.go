@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mcpaxos/internal/msg"
 	"mcpaxos/internal/smr"
 )
 
@@ -95,14 +94,16 @@ func TestLiveTCPWALRecoveryState(t *testing.T) {
 	}
 }
 
-// TestLiveTCPRetryMasksDeadWindowMember: kill one coordinator before any
-// traffic. When the client's rotating initial window lands on the dead
-// member, the proposal stalls until the retry path rebroadcasts to the
-// whole group — which must complete it without a round change.
+// TestLiveTCPRetryMasksDeadWindowMember: kill the member every submission is
+// funnelled to — the stamping primary — before the traffic. The group must
+// complete every proposal without a round change, and the client must get
+// there on evidence, not on its timer: the lost connection moves its
+// preference to the next member, which takes the stamping over when it finds
+// the primary unreachable, so no proposal waits out a retry interval.
 func TestLiveTCPRetryMasksDeadWindowMember(t *testing.T) {
 	spec := LocalSpec(1, 3, 3, 1, 1)
 	spec.BatchMax = 1
-	spec.RetryEvery = 20 * time.Millisecond
+	spec.RetryEvery = 250 * time.Millisecond
 	rep, cli := openLocal(t, spec)
 
 	// Bootstrap traffic so the round is established everywhere.
@@ -112,8 +113,6 @@ func TestLiveTCPRetryMasksDeadWindowMember(t *testing.T) {
 	if !rep.Kill(spec.Coords[0].ID) {
 		t.Fatal("kill failed")
 	}
-	// Enough proposals that the rotation necessarily lands windows on the
-	// dead member; every one must still complete.
 	calls := make([]*Call, 0, 6)
 	for i := 0; i < 6; i++ {
 		calls = append(calls, cli.Set(fmt.Sprintf("k%d", i), "v"))
@@ -121,8 +120,8 @@ func TestLiveTCPRetryMasksDeadWindowMember(t *testing.T) {
 	if err := cli.Wait(calls, 20*time.Second); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if st := cli.Stats(); st.Retries == 0 {
-		t.Fatal("expected at least one retry against the dead window member")
+	if st := cli.Stats(); st.Retries != 0 || st.Resolved != 7 {
+		t.Fatalf("client stats %+v: want all 7 calls resolved with no timer-driven retry", st)
 	}
 	if rc := rep.RoundChanges(); rc != 0 {
 		t.Fatalf("round changes = %d, want 0 (group masks the dead member)", rc)
@@ -219,19 +218,10 @@ func TestLiveTCPBringUpNeedsNoRetry(t *testing.T) {
 	if err := cli.Wait(calls, 30*time.Second); err != nil {
 		t.Fatalf("writes during the learner's downtime: %v", err)
 	}
-	// The surviving learner's transport still holds its connection to the
-	// dead incarnation: an endpoint never reads its outbound connections, so
-	// it learns of a peer's death only when a write fails, and whatever it
-	// sends before that — here, the answer to the restarted learner's probe —
-	// goes into the dead socket. Nothing else makes 300 write to 301 for a
-	// watch period (8 s), so flush that link first: what this test times is
-	// the restarted learner's own first step, not the transport's.
-	survivor, _ := rep.host(300)
-	for flushed := time.Now(); survivor.tcp.Send(301, msg.Done{From: 300}) == nil; time.Sleep(time.Millisecond) {
-		if time.Since(flushed) > 10*time.Second {
-			t.Fatal("learner 300's link to the killed learner never failed")
-		}
-	}
+	// Nothing makes the surviving learner write to 301 for a watch period
+	// (8 s), so its link to the dead incarnation is idle: the restarted
+	// learner's probe is answered in time only because the endpoint watches
+	// its outbound connections and evicted that link when 301 died.
 	restart := time.Now()
 	if err := rep.Restart(301); err != nil {
 		t.Fatalf("restart: %v", err)
@@ -241,6 +231,92 @@ func TestLiveTCPBringUpNeedsNoRetry(t *testing.T) {
 	b, errB := rep.Applied(301)
 	if errA != nil || errB != nil || a != 51 || b != a {
 		t.Errorf("applied after the restarted learner synced: %d (%v) vs %d (%v), want 51 on both", a, errA, b, errB)
+	}
+}
+
+// TestLiveTCPPrimaryKillCostsNoRetry: losing the stamping primary costs the
+// caller one hop, once, and no timer anywhere. RetryEvery is stretched to 2 s,
+// so a single command that waited for the client's retry (4 s) or for the
+// relaying member's bounded wait (4 s) would blow the 1 s bounds below. The
+// primary is killed with writes in flight: the client's lost connection moves
+// its preference to the next member, that member finds the primary
+// unreachable when it relays and takes the stamping over, and every write
+// resolves with zero retries, zero round changes and nothing stamped twice.
+// Then the split that sticky preferences create: the primary returns and a
+// client dialled since uses it, while the client that lived through the
+// outage stays with the member that answered it. One of the two members
+// stamps and the other relays, so the split costs nothing either.
+func TestLiveTCPPrimaryKillCostsNoRetry(t *testing.T) {
+	spec := LocalSpec(1, 3, 3, 2, 2)
+	spec.RetryEvery = 2 * time.Second
+	spec.RequestTimeout = 30 * time.Second
+	rep, survivor := openLocal(t, spec)
+	spec = rep.spec // resolved addresses, for the second client
+	if _, err := survivor.Set("warm", "up").Result(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	wantQuiet := func(what string, clients ...*Client) {
+		t.Helper()
+		for _, cli := range clients {
+			if st := cli.Stats(); st.Retries != 0 || st.Failed != 0 {
+				t.Errorf("%s: client %v stats %+v, want no timer-driven retry and no failed call", what, cli.id, st)
+			}
+		}
+		if rc := rep.RoundChanges(); rc != 0 {
+			t.Errorf("%s: %d round changes, want 0", what, rc)
+		}
+		if _, restamped, _ := rep.IngressCounts(); restamped != 0 {
+			t.Errorf("%s: %d requests lost their stamped slot, want 0", what, restamped)
+		}
+	}
+
+	const n = 20
+	start := time.Now()
+	var calls []*Call
+	for i := 0; i < n; i++ {
+		calls = append(calls, survivor.Set(fmt.Sprintf("a%d", i), "v"))
+	}
+	if !rep.Kill(spec.Coords[0].ID) {
+		t.Fatal("the primary was not hosted")
+	}
+	for i := n; i < 2*n; i++ {
+		calls = append(calls, survivor.Set(fmt.Sprintf("a%d", i), "v"))
+	}
+	if err := survivor.Wait(calls, 20*time.Second); err != nil {
+		t.Fatalf("writes across the kill: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("%d writes across the primary's death took %v, want under 1s (one retry is %v)", 2*n, took, 2*spec.RetryEvery)
+	}
+	wantQuiet("primary killed under load", survivor)
+
+	if err := rep.Restart(spec.Coords[0].ID); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	// One write through the member the survivor prefers: its stamp share tells
+	// the restarted primary who is stamping.
+	if _, err := survivor.Set("after", "restart").Result(); err != nil {
+		t.Fatalf("write after the restart: %v", err)
+	}
+	fresh, err := Dial(spec, spec.Clients[1].ID)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer fresh.Close()
+	start = time.Now()
+	calls = calls[:0]
+	for i := 0; i < n; i++ {
+		calls = append(calls, survivor.Set(fmt.Sprintf("s%d", i), "v"), fresh.Set(fmt.Sprintf("f%d", i), "v"))
+	}
+	if err := survivor.Wait(calls, 20*time.Second); err != nil {
+		t.Fatalf("split clients: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("%d writes from clients split over two members took %v, want under 1s", 2*n, took)
+	}
+	wantQuiet("clients split over two members", survivor, fresh)
+	if err := rep.WaitApplied(300, 4*n+2, 10*time.Second); err != nil {
+		t.Error(err)
 	}
 }
 

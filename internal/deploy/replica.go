@@ -49,6 +49,11 @@ func openEndpoint(spec ClusterSpec, id msg.NodeID, build func(node.Env) node.Han
 	e.tcp = transport.NewTCPOnListener(id, ln, addrs, transport.Codec{Set: cstruct.SingleValueSet{}},
 		func(from msg.NodeID, m msg.Message) { e.agent.Inject(from, m) })
 	e.tcp.SetFaults(spec.Faults, tick)
+	// A lost connection is failure evidence, delivered to the handler like any
+	// message (msg.PeerDown). It comes off the transport's own goroutine, never
+	// from inside a Send: the sender may be this node's mailbox, and a mailbox
+	// that enqueues into itself deadlocks once it is full.
+	e.tcp.OnPeerDown(func(peer msg.NodeID) { e.agent.Inject(id, msg.PeerDown{Node: peer}) })
 	e.net.SetFallback(func(_, to msg.NodeID, m msg.Message) {
 		_ = e.tcp.Send(to, m) // send failure is message loss, which the model allows
 	})

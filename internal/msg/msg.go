@@ -44,6 +44,7 @@ const (
 	TDone
 	TSnapReq
 	TSnapResp
+	TPeerDown
 )
 
 // String renders the message type.
@@ -77,6 +78,8 @@ func (t Type) String() string {
 		return "snap-req"
 	case TSnapResp:
 		return "snap-resp"
+	case TPeerDown:
+		return "peer-down"
 	default:
 		return "unknown"
 	}
@@ -375,6 +378,23 @@ func (SnapResp) Type() Type { return TSnapResp }
 
 // Instance implements Message.
 func (m SnapResp) Instance() uint64 { return m.Frontier }
+
+// PeerDown is a local event, never a wire message (the codec refuses it): a
+// node's host reports that it lost its connection to Node, or could not open
+// one. It is failure evidence in the sense of an unreliable failure detector
+// (Ω): a live node can be reported — a reset connection — and a dead one
+// missed — a silent partition — so handlers may act sooner on it, but nothing
+// safety depends on may be decided by it, and liveness must hold without it.
+type PeerDown struct {
+	// Node is the peer the host could not reach.
+	Node NodeID
+}
+
+// Type implements Message.
+func (PeerDown) Type() Type { return TPeerDown }
+
+// Instance implements Message.
+func (PeerDown) Instance() uint64 { return 0 }
 
 // Heartbeat is exchanged by coordinators for failure detection and leader
 // election.

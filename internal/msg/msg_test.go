@@ -22,6 +22,7 @@ func TestMessageTypes(t *testing.T) {
 		{P2b{Inst: 5, Rnd: b, Acc: 200}, TP2b, 5},
 		{Stale{Inst: 6, Acc: 200, Rnd: b}, TStale, 6},
 		{Heartbeat{From: 100}, THeartbeat, 0},
+		{PeerDown{Node: 100}, TPeerDown, 0},
 	}
 	for _, c := range cases {
 		if c.m.Type() != c.want {
@@ -37,6 +38,7 @@ func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TPropose: "propose", TP1a: "1a", TP1b: "1b", TP2a: "2a", TP2b: "2b",
 		TStale: "stale", THeartbeat: "heartbeat", TUnknown: "unknown",
+		TPeerDown: "peer-down",
 	} {
 		if ty.String() != want {
 			t.Errorf("Type(%d).String() = %q want %q", ty, ty.String(), want)

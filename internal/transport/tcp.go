@@ -30,6 +30,17 @@ const frameHdrLen = 8
 // maxFrame refuses absurd frames on both ends of a connection.
 const maxFrame = 16 << 20
 
+// dialTimeout bounds a connection attempt. Send dials on its caller's
+// goroutine — a node's mailbox — so a peer that neither accepts nor refuses
+// must not park it for the kernel's connect timeout.
+const dialTimeout = time.Second
+
+// downQueueDepth bounds the unreachable-peer reports waiting for the
+// OnPeerDown consumer. A peer yields one report per connection loss, so this
+// covers every peer of a deployment failing at once; past it reports are
+// dropped, never waited for — they are hints (msg.PeerDown).
+const downQueueDepth = 64
+
 // maxPooledFrame caps the scratch buffers the frame pool retains: a rare
 // multi-megabyte frame must not pin its buffer in the pool forever.
 const maxPooledFrame = 1 << 20
@@ -85,10 +96,18 @@ type TCP struct {
 	addrs map[msg.NodeID]string
 	recv  RecvFn
 
-	ln        net.Listener
-	mu        sync.Mutex
-	peers     map[msg.NodeID]*peer
-	accepted  map[net.Conn]struct{}
+	ln       net.Listener
+	mu       sync.Mutex
+	peers    map[msg.NodeID]*peer
+	accepted map[net.Conn]struct{}
+	// unreachable marks the peers reported down since their last successful
+	// dial, which makes the report edge-triggered: one per connection loss or
+	// first refused dial, not one per Send that fails afterwards.
+	unreachable map[msg.NodeID]bool
+	// down carries those reports to the OnPeerDown consumer. Senders never
+	// block on it: a report is raised from inside Send, possibly on the very
+	// goroutine the consumer would deliver it to.
+	down      chan msg.NodeID
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -105,13 +124,16 @@ type TCP struct {
 	faultTick atomic.Int64 // nanoseconds per fault-delay tick
 }
 
-// peer is one outbound connection with its writer goroutine.
+// peer is one outbound connection with its writer and watcher goroutines.
 type peer struct {
 	conn net.Conn
 	ch   chan msg.Message
 	// dead is closed when the writer exits; messages enqueued after that
 	// are lost, and the next Send redials.
 	dead chan struct{}
+	// lost is closed by the watcher when the remote end closed or reset the
+	// connection, so an idle writer learns of it without having to write.
+	lost chan struct{}
 }
 
 // NewTCP starts a TCP endpoint for node id: addrs maps every node to a
@@ -130,18 +152,66 @@ func NewTCP(id msg.NodeID, addrs map[msg.NodeID]string, codec Codec, recv RecvFn
 // it on Close.
 func NewTCPOnListener(id msg.NodeID, ln net.Listener, addrs map[msg.NodeID]string, codec Codec, recv RecvFn) *TCP {
 	t := &TCP{
-		id:       id,
-		codec:    codec,
-		addrs:    addrs,
-		recv:     recv,
-		ln:       ln,
-		peers:    make(map[msg.NodeID]*peer),
-		accepted: make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
+		id:          id,
+		codec:       codec,
+		addrs:       addrs,
+		recv:        recv,
+		ln:          ln,
+		peers:       make(map[msg.NodeID]*peer),
+		accepted:    make(map[net.Conn]struct{}),
+		unreachable: make(map[msg.NodeID]bool),
+		down:        make(chan msg.NodeID, downQueueDepth),
+		closed:      make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t
+}
+
+// OnPeerDown starts the one consumer of this endpoint's unreachable-peer
+// reports: fn runs, on a goroutine of its own, once each time an established
+// connection to a peer is lost (the remote end closed or reset it, or a write
+// failed) and once when a peer that was not connected refuses a dial; further
+// failed dials to it stay silent until one succeeds. The report is evidence,
+// not a verdict (msg.PeerDown). fn may block — the senders that raise reports
+// never wait for it — and reports raised before the call are delivered after
+// it. Call it at most once, before Close.
+func (t *TCP) OnPeerDown(fn func(msg.NodeID)) {
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		for {
+			select {
+			case id := <-t.down:
+				fn(id)
+			case <-t.closed:
+				return
+			}
+		}
+	}()
+}
+
+// reportDown queues one unreachable-peer report without blocking. Caller
+// holds t.mu.
+func (t *TCP) reportDown(to msg.NodeID) {
+	t.unreachable[to] = true
+	select {
+	case t.down <- to:
+	default:
+	}
+}
+
+// peerLost evicts p — the next Send redials — and reports the peer
+// unreachable: once per connection, by whichever of its watcher and its
+// writer notices first.
+func (t *TCP) peerLost(to msg.NodeID, p *peer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.peers[to] != p {
+		return
+	}
+	delete(t.peers, to)
+	t.reportDown(to)
 }
 
 // Addr returns the bound listen address (useful with ":0" ports).
@@ -308,12 +378,15 @@ func (t *TCP) peer(to msg.NodeID) (*peer, error) {
 	}
 	// Dial outside the lock: a slow dial to one peer must not block sends
 	// to the others.
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %v: %w", to, err)
-	}
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err != nil {
+		if !t.unreachable[to] {
+			t.reportDown(to)
+		}
+		return nil, fmt.Errorf("transport: dial %v: %w", to, err)
+	}
 	if p, ok := t.peers[to]; ok { // lost the dial race
 		c.Close()
 		return p, nil
@@ -324,26 +397,47 @@ func (t *TCP) peer(to msg.NodeID) (*peer, error) {
 		return nil, fmt.Errorf("transport: endpoint closed")
 	default:
 	}
-	p := &peer{conn: c, ch: make(chan msg.Message, sendQueueDepth), dead: make(chan struct{})}
+	p := &peer{
+		conn: c, ch: make(chan msg.Message, sendQueueDepth),
+		dead: make(chan struct{}), lost: make(chan struct{}),
+	}
 	t.peers[to] = p
-	t.wg.Add(1)
+	delete(t.unreachable, to)
+	t.wg.Add(2)
 	go t.writeLoop(to, p)
+	go t.watch(to, p)
 	return p, nil
+}
+
+// watch blocks reading one outbound connection. Each direction of a link has
+// its own connection and this one carries no inbound bytes, so the read
+// returns only when the remote end closed or reset it (or the writer closed
+// it on its way out): the peer is evicted at that moment, not when a later
+// write happens to fail — frames written in between would go into a dead
+// incarnation's socket — and the idle writer is woken to release the
+// connection.
+func (t *TCP) watch(to msg.NodeID, p *peer) {
+	defer t.wg.Done()
+	var b [1]byte
+	for {
+		if _, err := p.conn.Read(b[:]); err != nil {
+			break
+		}
+	}
+	t.peerLost(to, p)
+	close(p.lost)
 }
 
 // writeLoop drains one peer's message queue, encoding each message into one
 // pooled scratch buffer and writing header plus payload in one bw.Write.
-// The writer owns the connection: on any error (or shutdown) it evicts
-// itself and closes the conn, so an evicted connection never leaks its fd
-// or leaves the remote reader blocked mid-frame.
+// The writer owns the connection: on any error, on the watcher's word that
+// the remote end is gone, or on shutdown it evicts itself and closes the
+// conn, so an evicted connection never leaks its fd or leaves the remote
+// reader blocked mid-frame.
 func (t *TCP) writeLoop(to msg.NodeID, p *peer) {
 	defer t.wg.Done()
 	defer func() {
-		t.mu.Lock()
-		if t.peers[to] == p {
-			delete(t.peers, to)
-		}
-		t.mu.Unlock()
+		t.peerLost(to, p)
 		close(p.dead)
 		p.conn.Close()
 	}()
@@ -391,6 +485,8 @@ func (t *TCP) writeLoop(to msg.NodeID, p *peer) {
 			if err := bw.Flush(); err != nil {
 				return
 			}
+		case <-p.lost:
+			return
 		case <-t.closed:
 			bw.Flush()
 			return

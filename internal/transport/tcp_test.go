@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,4 +271,126 @@ func TestTCPSendToUnknownNode(t *testing.T) {
 	if err := tr.Send(99, msg.Heartbeat{From: 1}); err == nil {
 		t.Errorf("sending to an unknown node must error")
 	}
+	// A local event has no wire form: it is refused, whoever it is addressed to.
+	if err := tr.Send(1, msg.PeerDown{Node: 99}); err == nil {
+		t.Errorf("msg.PeerDown must never cross the wire")
+	}
+}
+
+// TestTCPIdleLinkNoticesPeerClose: an endpoint watches its outbound
+// connections, so it learns that a peer died when the peer's socket closes —
+// not when some later write fails. The link here is idle from the first frame
+// on: the death is still reported within 100 ms, and the first frame sent
+// after the peer is back on the same address arrives instead of going into
+// the dead incarnation's socket.
+func TestTCPIdleLinkNoticesPeerClose(t *testing.T) {
+	codec := Codec{Set: cstruct.SingleValueSet{}}
+	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
+	c2 := &counter{}
+	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs[2] = t2.Addr()
+	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	down := make(chan msg.NodeID, 8)
+	t1.OnPeerDown(func(id msg.NodeID) { down <- id })
+
+	if err := t1.Send(2, msg.Heartbeat{From: 1, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "initial delivery", 3*time.Second, func() bool { return c2.count() == 1 })
+
+	t2.Close()
+	select {
+	case id := <-down:
+		if id != 2 {
+			t.Fatalf("reported %v down, want n2", id)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("idle link did not report its peer's close within 100ms")
+	}
+
+	c2b := &counter{}
+	t2b, err := NewTCP(2, addrs, codec, c2b.recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2b.Close()
+	if err := t1.Send(2, msg.Heartbeat{From: 1, Epoch: 2}); err != nil {
+		t.Fatalf("first send to the restarted peer: %v", err)
+	}
+	waitFor(t, "the first frame to reach the restarted peer", 3*time.Second,
+		func() bool { return c2b.count() == 1 })
+	select {
+	case id := <-down:
+		t.Fatalf("second report (%v) for one connection loss", id)
+	default:
+	}
+}
+
+// TestTCPDeadPeerReportedOnceWithoutBlocking: the unreachable-peer report is
+// edge-triggered and never waits for its consumer. 2000 Sends to a peer that
+// refuses connections are issued from inside the recv callback while the
+// consumer refuses to make progress until the callback has returned — a
+// report delivered synchronously from Send (into the mailbox of the node that
+// is sending, say) would deadlock here — and together they raise one report.
+func TestTCPDeadPeerReportedOnceWithoutBlocking(t *testing.T) {
+	codec := Codec{Set: cstruct.SingleValueSet{}}
+	// Node 2's address refuses connections: it was bound once and released.
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: gone.Addr().String(), 3: "127.0.0.1:0"}
+	gone.Close()
+
+	const sends = 2000
+	sent := make(chan struct{})
+	var self atomic.Pointer[TCP]
+	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {
+		for i := 0; i < sends; i++ {
+			if self.Load().Send(2, msg.Heartbeat{From: 1, Epoch: uint64(i)}) == nil {
+				t.Error("send to a dead peer reported success")
+			}
+		}
+		close(sent)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	self.Store(t1)
+	addrs[1] = t1.Addr()
+	var reports atomic.Int32
+	t1.OnPeerDown(func(id msg.NodeID) {
+		<-sent
+		if id != 2 {
+			t.Errorf("reported %v down, want n2", id)
+		}
+		reports.Add(1)
+	})
+	t3, err := NewTCP(3, addrs, codec, func(msg.NodeID, msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t3.Close()
+	if err := t3.Send(1, msg.Heartbeat{From: 3}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sent:
+	case <-time.After(20 * time.Second):
+		t.Fatal("sends from inside the recv callback never completed")
+	}
+	// Every report was queued by a Send that has returned; the consumer holds
+	// at most the first.
+	if n := len(t1.down); n != 0 {
+		t.Fatalf("%d further reports queued for one dead peer", n)
+	}
+	waitFor(t, "the report", 3*time.Second, func() bool { return reports.Load() == 1 })
 }
