@@ -54,6 +54,10 @@ type E13Row struct {
 	// Promotions counts collision-triggered acceptor promotions
 	// (Section 4.2); conflict-free runs report 0.
 	Promotions int
+	// WritesPerInstPerAcc is the acceptors' synchronous disk writes during
+	// the drain per instance per acceptor: the paper charges a
+	// multicoordinated round what a classic one costs, 1 (Section 4.4).
+	WritesPerInstPerAcc float64
 	// Order is the merged total order of applied command IDs, for
 	// order-equality checks across sweep points.
 	Order []uint64
@@ -95,6 +99,9 @@ func RunE13One(seed int64, commands, coordsPerShard int, crash bool, batchSize, 
 		base[k] = cl.ShardRound(k)
 	}
 	cl.Sim.Metrics().Reset()
+	for _, d := range cl.Disks {
+		d.ResetWrites()
+	}
 	start := cl.Sim.Now()
 	router := batch.NewRouter(shards, batchSize, 0, cl.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
 		cl.Prop.ProposeSeq(shard, seq, c)
@@ -152,6 +159,9 @@ func RunE13One(seed int64, commands, coordsPerShard int, crash bool, batchSize, 
 	}
 	if row.Commands > 0 {
 		row.MsgsPerCmd = float64(row.Msgs) / float64(row.Commands)
+	}
+	if row.Instances > 0 {
+		row.WritesPerInstPerAcc = float64(cl.TotalDiskWrites()) / float64(row.Instances*len(cl.Accs))
 	}
 	return row
 }

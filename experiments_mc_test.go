@@ -18,6 +18,14 @@ func TestE13CrashMasking(t *testing.T) {
 		byMode[r.Mode] = r
 	}
 
+	// One synchronous write per accepted instance per acceptor, whatever the
+	// group size (Section 4.4): a partial 2a tally is not a write.
+	for _, r := range rows {
+		if r.WritesPerInstPerAcc != 1 {
+			t.Errorf("%s: %.2f writes/inst/acc, want 1.00", r.Mode, r.WritesPerInstPerAcc)
+		}
+	}
+
 	c3crash := byMode["c=3+crash"]
 	if c3crash.RoundChanges != 0 {
 		t.Errorf("c=3 crash paid %d round changes, want 0 (coordinator quorums must mask)", c3crash.RoundChanges)

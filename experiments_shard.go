@@ -116,23 +116,23 @@ func RunE12Scaling(seed int64, commands int, shardCounts []int, batchSize, windo
 }
 
 // E12DurableRow reports the stable-storage half of the sharded run: every
-// shard's accepts flow through its own WAL commit stream, all feeding each
-// acceptor's one replayable log.
+// shard's accepts land in each acceptor's one replayable log, one append per
+// accepted instance.
 type E12DurableRow struct {
 	Shards   int
 	Commands int
 	// Fsyncs is the total physical data-file fsyncs across acceptor WALs.
 	Fsyncs uint64
-	// StreamAppends is, per shard, the commit batches appended across all
-	// acceptors' logs through that shard's streams.
-	StreamAppends []uint64
+	// ShardAccepts is, per shard, the instances accepted across all
+	// acceptors, read back from the acceptors after the run.
+	ShardAccepts []uint64
 	// FsyncsPerCmdPerAcc normalizes as in E11.
 	FsyncsPerCmdPerAcc float64
 }
 
 // RunE12Durable runs the sharded stream over WAL-backed acceptors and
-// reports per-shard commit-stream accounting: N concurrent group-commit
-// streams, one shared log per acceptor.
+// reports the per-shard accepts behind the shared fsyncs: N concurrent
+// leaders, one log per acceptor.
 func RunE12Durable(dir string, seed int64, commands, shards, batchSize, window int) (E12DurableRow, error) {
 	var (
 		wals    []*wal.WAL
@@ -168,18 +168,20 @@ func RunE12Durable(dir string, seed int64, commands, shards, batchSize, window i
 	cl.Sim.Run()
 
 	row := E12DurableRow{
-		Shards:        shards,
-		Commands:      rep.Applied(),
-		StreamAppends: make([]uint64, shards),
+		Shards:       shards,
+		Commands:     rep.Applied(),
+		ShardAccepts: make([]uint64, shards),
 	}
 	for _, w := range wals {
 		row.Fsyncs += w.Fsyncs()
-		for _, st := range w.StreamStats() {
-			if st.Shard < shards {
-				row.StreamAppends[st.Shard] += st.Appends
+		w.Close()
+	}
+	for inst := range cl.LearnedCmds {
+		for _, a := range cl.Accs {
+			if _, _, ok := a.Vote(inst); ok {
+				row.ShardAccepts[cl.Cfg.ShardOf(inst)]++
 			}
 		}
-		w.Close()
 	}
 	if row.Commands > 0 && len(wals) > 0 {
 		row.FsyncsPerCmdPerAcc = float64(row.Fsyncs) / (float64(row.Commands) * float64(len(wals)))
@@ -191,7 +193,7 @@ func RunE12Durable(dir string, seed int64, commands, shards, batchSize, window i
 	return row, nil
 }
 
-// RunE12 runs the scaling sweep and the durable per-shard-stream run,
+// RunE12 runs the scaling sweep and the durable run,
 // creating WAL directories under a temporary root that is removed
 // afterwards.
 func RunE12(seed int64, commands int, shardCounts []int, batchSize, window int) ([]E12Row, E12DurableRow, error) {

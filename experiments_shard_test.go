@@ -45,8 +45,8 @@ func TestE12MergerDrains(t *testing.T) {
 	}
 }
 
-// The durable sharded run must push every shard's accepts through its own
-// commit stream while sharing the acceptors' logs and group-commit fsyncs.
+// The durable sharded run must land every shard's accepts in the acceptors'
+// shared logs, under shared group-commit fsyncs.
 func TestE12DurableStreams(t *testing.T) {
 	row, err := RunE12Durable(t.TempDir(), 3, 64, 4, 8, 2)
 	if err != nil {
@@ -55,9 +55,9 @@ func TestE12DurableStreams(t *testing.T) {
 	if row.Commands != 64 {
 		t.Fatalf("applied %d/64", row.Commands)
 	}
-	for shard, appends := range row.StreamAppends {
-		if appends == 0 {
-			t.Errorf("shard %d: no commit-stream appends", shard)
+	for shard, accepts := range row.ShardAccepts {
+		if accepts == 0 {
+			t.Errorf("shard %d: no acceptor holds a vote of it", shard)
 		}
 	}
 	if row.FsyncsPerCmdPerAcc > 0.5 {

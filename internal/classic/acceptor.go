@@ -26,44 +26,45 @@ type coordTally struct {
 	vals map[msg.NodeID]cstruct.Cmd
 }
 
-// Acceptor is a multi-instance acceptor. Accepted votes are written to stable
-// storage before the 2b message is sent (they must survive crashes, Section
-// 4.4); the current round is volatile and is outrun on recovery by bumping
-// the MCount incarnation counter.
+// Acceptor is a multi-instance acceptor. Its stable state is the paper's
+// (Section 4.4): the accepted votes, written before the 2b leaves — one
+// synchronous write per accepted value — and the MCount of the rounds it
+// joins (storage.Incarnation). The rounds themselves are volatile, and so are
+// the partial 2a tallies: a collided round costs no write, and a restarted
+// acceptor rebuilds a tally from the coordinators' ordinary 2a retransmission.
 //
 // Sharded deployments (cfg.Shards > 1) run one coordinator group per
 // instance residue class, so the acceptor keeps one current round per shard:
 // a phase 1 on shard k claims only instances ≡ k (mod shards) and cannot
-// stale-out the other shards' rounds. Accepts are persisted through the
-// shard's commit stream when the backend has one (storage.ShardedStable) —
-// all streams feed the one replayable log, so a restart rebuilds every shard
-// from a single replay.
+// stale-out the other shards' rounds. Every shard's accepts go to the one
+// log, so a restart rebuilds every shard from a single replay.
 //
 // Every round is served by a coordinator group (Config.RoundGroup): the
 // acceptor tallies 2a messages per (instance, round) by group member and
 // accepts once ⌊c/2⌋+1 members forwarded the same value (Section 4.1 per
 // shard) — on the first 2a at c = 1. Conflicting values within one round
 // promote the shard to the successor round, with the promise sent to the
-// whole group (the Section 4.2 coordinated recovery). Partial tallies are
-// persisted alongside votes so a restart replays the in-flight coordinator
-// votes too.
+// whole group (the Section 4.2 coordinated recovery).
 //
 // The stable store may be the simulated in-memory Disk or the on-disk WAL
-// (internal/wal): building a fresh Acceptor over a replayed store — what a
-// process restart does — rebuilds the vote map from the persisted records.
+// (internal/wal). Building an Acceptor over a store that already holds its
+// records — what a process restart does — is the recovery: the votes are
+// reloaded and every shard starts above any round the previous life can have
+// joined. No host has to ask for it.
 type Acceptor struct {
 	env  node.Env
 	cfg  Config
 	disk storage.Stable
+	inc  storage.Incarnation
 
 	rnds    []ballot.Ballot // volatile: highest round heard of, per shard
 	votes   map[uint64]vote
 	tallies map[uint64]*coordTally
 
-	// floor is the compaction floor (storage.KeyFloor): vote and tally
-	// records below it were durably truncated because the cluster watermark
-	// passed them. Catch-up requests below it are refused (the learner must
-	// escalate to snapshot transfer) and recovery scans start here.
+	// floor is the compaction floor (storage.KeyFloor): vote records below
+	// it were durably truncated because the cluster watermark passed them.
+	// Catch-up requests below it are refused (the learner must escalate to
+	// snapshot transfer) and recovery scans start here.
 	floor uint64
 	// dropped counts records dropped since the last physical compaction;
 	// once it crosses compactAfterDrops the backend is asked to reclaim
@@ -83,20 +84,11 @@ const compactAfterDrops = 256
 var _ node.Handler = (*Acceptor)(nil)
 var _ node.Recoverable = (*Acceptor)(nil)
 
-// NewAcceptor builds an acceptor bound to env and disk.
+// NewAcceptor builds an acceptor bound to env and disk. Over a disk an
+// earlier acceptor wrote to, this is that acceptor's recovery.
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{
-		env: env, cfg: cfg, disk: disk,
-		rnds:    make([]ballot.Ballot, cfg.NShards()),
-		votes:   make(map[uint64]vote),
-		tallies: make(map[uint64]*coordTally),
-	}
-	a.restore()
-	// First start: persist the incarnation record once (the paper's "in the
-	// normal case, acceptors write on disk only once, when started").
-	if _, ok := disk.Get(storage.KeyMCount); !ok {
-		disk.Put(storage.KeyMCount, uint32(0))
-	}
+	a := &Acceptor{env: env, cfg: cfg, disk: disk}
+	a.load()
 	return a
 }
 
@@ -157,8 +149,8 @@ func (a *Acceptor) Floor() uint64 { return a.floor }
 
 // onDone applies the cluster compaction watermark a learner gossiped:
 // everything below Watermark is covered by a snapshot some live learner can
-// serve, so the vote and tally history of those instances — kept only so the
-// durable-tier fallback could replay them — is dead weight. The records are
+// serve, so the vote history of those instances — kept only so the durable-
+// tier fallback could replay them — is dead weight. The records are
 // dropped durably (tombstones survive a crash; replay must not resurrect
 // them), the floor is persisted so recovery scans start past the hole, and
 // the backend is asked to physically reclaim space once enough has died.
@@ -174,10 +166,7 @@ func (a *Acceptor) onDone(mm msg.Done) {
 			delete(a.votes, inst)
 			keys = append(keys, voteKey(inst))
 		}
-		if _, ok := a.tallies[inst]; ok {
-			delete(a.tallies, inst)
-			keys = append(keys, tallyRecKey(inst))
-		}
+		delete(a.tallies, inst)
 	}
 	a.floor = wm
 	storage.DropKeys(a.disk, keys)
@@ -301,30 +290,23 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	}
 	t.vals[mm.Coord] = cmd
 	a.setRnd(shard, mm.Rnd)
-	if len(t.vals) < a.cfg.CoordQuorumSize() {
-		// Partial tally: persist the in-flight coordinator votes through the
-		// shard's commit stream so a restart replays them with the votes.
-		a.persistTally(shard, mm.Inst, t, cmd)
-		return
+	if len(t.vals) >= a.cfg.CoordQuorumSize() {
+		a.accept(mm.Inst, mm.Rnd, cmd)
 	}
-	a.accept(shard, mm.Inst, mm.Rnd, cmd)
 }
 
-// accept persists the vote (one group-commit write on the shard's stream)
-// and announces it to every learner.
-func (a *Acceptor) accept(shard int, inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
+// accept persists the vote (one group-commit write) and announces it to
+// every learner.
+func (a *Acceptor) accept(inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
 	v := vote{vrnd: r, vval: cmd}
 	a.votes[inst] = v
-	// The completed tally's job is done; the persisted vote shadows its
-	// on-disk record at restore. Dropping it bounds acceptor memory at the
-	// in-flight instances instead of every instance ever decided.
+	// The completed tally's job is done. Dropping it bounds acceptor memory
+	// at the in-flight instances instead of every instance ever decided.
 	delete(a.tallies, inst)
 	// The accept must hit stable storage before the 2b leaves (one
 	// synchronous write per accepted value, Section 4.4). The high-water
-	// mark rides along in the same write for recovery scans. In sharded
-	// deployments the write goes through the shard's commit stream — still
-	// one logical write on the one shared log.
-	storage.PutAllSharded(a.disk, shard, map[string]any{
+	// mark rides along in the same write for recovery scans.
+	a.disk.PutAll(map[string]any{
 		voteKey(inst):      storage.VoteRec{Inst: inst, VRnd: r, Cmds: []cstruct.Cmd{cmd}},
 		storage.KeyMaxInst: a.highWater(inst),
 	})
@@ -336,20 +318,6 @@ func (a *Acceptor) announce(inst uint64, v vote) {
 	for _, l := range a.cfg.Learners {
 		a.env.Send(l, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval)})
 	}
-}
-
-// persistTally writes the partial coordinator tally of one instance, with
-// the high-water mark riding along for the recovery scan.
-func (a *Acceptor) persistTally(shard int, inst uint64, t *coordTally, cmd cstruct.Cmd) {
-	coords := make([]uint32, 0, len(t.vals))
-	for co := range t.vals {
-		coords = append(coords, uint32(co))
-	}
-	sort.Slice(coords, func(i, j int) bool { return coords[i] < coords[j] })
-	storage.PutAllSharded(a.disk, shard, map[string]any{
-		tallyRecKey(inst):  storage.TallyRec{Inst: inst, Rnd: t.rnd, Coords: coords, Cmds: []cstruct.Cmd{cmd}},
-		storage.KeyMaxInst: a.highWater(inst),
-	})
 }
 
 // highWater returns the recovery-scan bound covering inst.
@@ -373,75 +341,53 @@ func (a *Acceptor) promote(shard int, j ballot.Ballot) {
 	a.send1b(shard, j)
 }
 
-// setRnd advances the volatile round of one shard. Following Section 4.4,
-// plain round changes are not persisted: recovery bumps MCount instead.
+// setRnd advances the volatile round of one shard. Following Section 4.4 the
+// round is not persisted, only its MCount, and that only when it is news —
+// before anything that names r leaves.
 func (a *Acceptor) setRnd(shard int, r ballot.Ballot) {
 	if a.rnds[shard].Less(r) {
+		a.inc.Observe(r)
 		a.rnds[shard] = r
 	}
 }
 
-// OnRecover implements node.Recoverable: volatile state is rebuilt from the
-// journal and the incarnation counter is bumped with one disk write so that
-// the recovered acceptor's rounds — every shard's — dominate anything it may
-// have promised before the crash (Section 4.4).
-func (a *Acceptor) OnRecover() {
-	a.rnds = make([]ballot.Ballot, a.cfg.NShards())
+// OnRecover implements node.Recoverable for hosts that restart a node in
+// place (sim.Recover). A host that rebuilds the node has already recovered
+// it: NewAcceptor loads the same way.
+func (a *Acceptor) OnRecover() { a.load() }
+
+// load brings the acceptor to the state its disk dictates, dropping whatever
+// volatile state it held. The votes come back from the persisted compaction
+// floor up — below it everything was truncated — and every shard's round
+// starts where storage.LoadIncarnation says: at Zero on a first start, above
+// any round the previous life can have joined otherwise (one disk write,
+// Section 4.4).
+func (a *Acceptor) load() {
 	a.votes = make(map[uint64]vote)
 	a.tallies = make(map[uint64]*coordTally)
-	a.restore()
-	mc := uint32(0)
-	if rec, ok := a.disk.Get(storage.KeyMCount); ok {
-		mc = rec.(uint32)
-	}
-	mc++
-	a.disk.Put(storage.KeyMCount, mc)
-	for i := range a.rnds {
-		a.rnds[i] = ballot.Max(a.rnds[i], ballot.Ballot{MCount: mc})
-	}
-}
-
-// restore rebuilds the vote map — and each shard's round floor — from the
-// stable store, plus the in-flight coordinator tallies. One scan covers every shard: the log is shared. The scan
-// starts at the persisted compaction floor: everything below it was
-// truncated, so probing those keys would only find tombstoned holes.
-func (a *Acceptor) restore() {
+	a.floor, a.dropped = 0, 0
 	if rec, ok := a.disk.Get(storage.KeyFloor); ok {
 		a.floor = rec.(uint64)
 	}
-	rec, ok := a.disk.Get(storage.KeyMaxInst)
-	if !ok {
-		return
-	}
-	hi := rec.(uint64)
-	for inst := a.floor; inst <= hi; inst++ {
-		if rec, ok := a.disk.Get(voteKey(inst)); ok {
-			vr := rec.(storage.VoteRec)
-			if len(vr.Cmds) > 0 {
+	voted := ballot.Zero
+	if hi, ok := a.disk.Get(storage.KeyMaxInst); ok {
+		for inst := a.floor; inst <= hi.(uint64); inst++ {
+			rec, ok := a.disk.Get(voteKey(inst))
+			if !ok {
+				continue
+			}
+			if vr := rec.(storage.VoteRec); len(vr.Cmds) > 0 {
 				a.votes[inst] = vote{vrnd: vr.VRnd, vval: vr.Cmds[0]}
-				a.setRnd(a.cfg.ShardOf(inst), vr.VRnd)
+				voted = ballot.Max(voted, vr.VRnd)
 			}
 		}
-		rec, ok := a.disk.Get(tallyRecKey(inst))
-		if !ok {
-			continue
-		}
-		tr := rec.(storage.TallyRec)
-		if len(tr.Cmds) == 0 {
-			continue
-		}
-		if v, voted := a.votes[inst]; voted && !v.vrnd.Less(tr.Rnd) {
-			continue // the tally completed into a persisted vote
-		}
-		t := &coordTally{rnd: tr.Rnd, vals: make(map[msg.NodeID]cstruct.Cmd, len(tr.Coords))}
-		for _, co := range tr.Coords {
-			t.vals[msg.NodeID(co)] = tr.Cmds[0]
-		}
-		a.tallies[inst] = t
-		a.setRnd(a.cfg.ShardOf(inst), tr.Rnd)
+	}
+	var start ballot.Ballot
+	a.inc, start = storage.LoadIncarnation(a.disk, voted)
+	a.rnds = make([]ballot.Ballot, a.cfg.NShards())
+	for i := range a.rnds {
+		a.rnds[i] = start
 	}
 }
 
 func voteKey(inst uint64) string { return fmt.Sprintf("vote/%d", inst) }
-
-func tallyRecKey(inst uint64) string { return fmt.Sprintf("tally/%d", inst) }

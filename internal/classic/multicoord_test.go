@@ -228,11 +228,14 @@ func TestMulticoordNonMember2aIgnored(t *testing.T) {
 
 // Conflicting 2a values within one round are the Section 4.2 collision:
 // every acceptor promotes the shard to the successor round, the group
-// re-establishes it, and the shard keeps deciding afterwards.
+// re-establishes it, and the shard keeps deciding afterwards. The collided
+// round costs no acceptor a disk write — the paper's case against fast
+// rounds, whose collisions each cost one.
 func TestMulticoordCollisionPromotes(t *testing.T) {
 	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 47, CoordsPerShard: 3})
 	cl.LeadAll()
 	r := cl.Coords[0].Rnd()
+	writes := cl.TotalDiskWrites()
 
 	// Two members disagree on instance 0 — impossible through the seq-routed
 	// proposer, injected directly to model a byzantine-free divergence (e.g.
@@ -256,10 +259,16 @@ func TestMulticoordCollisionPromotes(t *testing.T) {
 	if cl.RoundChanges() == 0 {
 		t.Error("group never re-established the promoted round")
 	}
+	if got := cl.TotalDiskWrites() - writes; got != 0 {
+		t.Errorf("the collided round cost %d disk writes, want 0", got)
+	}
 
 	// The shard keeps deciding in the recovered round.
 	cl.Prop.ProposeTo(0, mcCmd(803))
 	cl.Sim.Run()
+	if got := cl.TotalDiskWrites() - writes; got != uint64(len(cl.Accs)) {
+		t.Errorf("one accepted instance cost %d disk writes, want one per acceptor", got)
+	}
 	found := false
 	for _, cmd := range cl.LearnedCmds {
 		if cmd.ID == 803 {

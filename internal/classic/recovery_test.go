@@ -1,11 +1,15 @@
 package classic
 
 import (
+	"encoding/hex"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -54,9 +58,8 @@ func (wc *walCluster) hardCrash(i int) {
 }
 
 // restart rebuilds acceptor i from its log directory: reopen (replaying the
-// segments and truncating any torn tail), construct a brand-new Acceptor
-// over the replayed store, and run the recovery hook (one incarnation
-// write, Section 4.4).
+// segments and truncating any torn tail) and construct a brand-new Acceptor
+// over the replayed store (one incarnation write, Section 4.4).
 func (wc *walCluster) restart(i int) *Acceptor {
 	wc.t.Helper()
 	id := wc.Cfg.Acceptors[i]
@@ -64,11 +67,15 @@ func (wc *walCluster) restart(i int) *Acceptor {
 	if err != nil {
 		wc.t.Fatalf("reopen wal %d: %v", i, err)
 	}
+	// The process died with its handler: nothing recovers in place (over a
+	// closed log). Building the replacement over the replayed store is the
+	// recovery.
+	wc.Sim.Register(id, nil)
+	wc.Sim.Recover(id)
 	a := NewAcceptor(wc.Sim.Env(id), wc.Cfg, w)
 	wc.Sim.Register(id, a)
 	wc.Accs[i] = a
 	wc.Disks[i] = w
-	wc.Sim.Recover(id)
 	return a
 }
 
@@ -355,51 +362,70 @@ func TestWALRecoveryShardedMidBatch(t *testing.T) {
 	})
 }
 
-// TestWALRecoveryMulticoordTallyReplay crashes a WAL-backed acceptor while
-// it holds a partial coordinator tally (one of the required two matching
-// 2as of a 3-member group arrived). The restart must replay the coord-vote
-// state — round, tallied members and value — from the one log, alongside
-// the votes, and the cluster must then drain a batched stream through the
-// recovered deployment without losing or conflicting anything.
-func TestWALRecoveryMulticoordTallyReplay(t *testing.T) {
+// TestWALRecoveryPartialTallyIsVolatile crashes a WAL-backed acceptor while
+// it holds a partial coordinator tally (one of the required two matching 2as
+// of a 3-member group arrived). The tally cost no write and is not on disk:
+// the restarted acceptor knows nothing of it, and the instance completes
+// anyway, from the coordinators' ordinary retransmission. The cluster must
+// then drain a batched stream through the recovered deployment without
+// losing or conflicting anything.
+func TestWALRecoveryPartialTallyIsVolatile(t *testing.T) {
 	wc := newWALCluster(t, ClusterOpts{NAcceptors: 3, F: 1, Seed: 29,
-		NLearners: 2, CoordsPerShard: 3})
+		NLearners: 2, CoordsPerShard: 3, RetryEvery: 4})
 	wc.LeadAll()
-	r := wc.Coords[0].Rnd()
 
-	// A real decided instance first, so the replay covers votes and tallies.
+	// A real decided instance first, so the replay has a vote to restore.
 	wc.Prop.ProposeTo(0, cstruct.Cmd{ID: 800, Key: "k"})
 	wc.Sim.Run()
 	if _, ok := wc.LearnedCmds[0]; !ok {
 		t.Fatal("baseline instance undecided")
 	}
 
-	// One member's 2a for instance 1 reaches acceptor 0 and nothing else:
-	// a partial tally, persisted through the shard stream.
-	wc.Accs[0].OnMessage(wc.Cfg.Coords[0], msg.P2a{
-		Inst: 1, Rnd: r, Coord: wc.Cfg.Coords[0], Val: wrap(cstruct.Cmd{ID: 801, Key: "k"}),
-	})
+	// With two of the three members down, instance 1 gets no further than a
+	// one-member tally at every acceptor.
+	wc.Sim.Crash(wc.Cfg.Coords[1])
+	wc.Sim.Crash(wc.Cfg.Coords[2])
+	writes := wc.TotalDiskWrites()
+	wc.Prop.ProposeTo(0, cstruct.Cmd{ID: 801, Key: "k"})
+	wc.Sim.RunUntil(wc.Sim.Now() + 20)
+	if _, coords, ok := wc.Accs[0].Tally(1); !ok || len(coords) != 1 {
+		t.Fatalf("partial tally = (%v, %v), want one member's 2a", coords, ok)
+	}
+	if got := wc.TotalDiskWrites() - writes; got != 0 {
+		t.Errorf("partial tallies cost %d disk writes, want 0", got)
+	}
 	wc.hardCrash(0)
 	a := wc.restart(0)
 
 	if _, _, ok := a.Vote(0); !ok {
 		t.Error("decided instance's vote lost across restart")
 	}
-	tr, coords, ok := a.Tally(1)
-	if !ok {
-		t.Fatal("partial coordinator tally lost across restart")
+	if _, _, ok := a.Tally(1); ok {
+		t.Error("a partial tally came back from disk")
 	}
-	if !tr.Equal(r) || len(coords) != 1 || coords[0] != wc.Cfg.Coords[0] {
-		t.Errorf("replayed tally = (%v, %v), want (%v, [%v])", tr, coords, r, wc.Cfg.Coords[0])
+	if _, ok := wc.Disks[0].Get("tally/1"); ok {
+		t.Error("a tally record is on disk")
 	}
 	if a.Rnd().MCount == 0 {
 		t.Error("recovery did not bump the incarnation counter")
 	}
 
+	// A second member returns, and with another acceptor down nothing decides
+	// without the recovered one. Retransmitted 2as at the old round draw Stale
+	// from it, the group moves above its floor and re-forwards instance 1: it
+	// decides the value the lost tally held.
+	wc.Sim.Crash(wc.Cfg.Acceptors[1])
+	wc.Sim.Recover(wc.Cfg.Coords[1])
+	wc.Sim.Run()
+	if got, ok := wc.LearnedCmds[1]; !ok || got.ID != 801 {
+		t.Fatalf("instance 1 learned %v (ok=%v) after the restart, want c801", got, ok)
+	}
+	if vrnd, got, ok := a.Vote(1); !ok || got.ID != 801 || vrnd.MCount != a.Rnd().MCount {
+		t.Errorf("recovered acceptor's vote for instance 1 = c%d@%v (ok=%v), want c801 above its floor", got.ID, vrnd, ok)
+	}
+
 	// The recovered deployment keeps deciding: a batched stream drains with
-	// every command learned and no learner conflict (the recovered
-	// acceptor's round floor forces the group into a higher round, which
-	// re-forwards instance 1 too).
+	// every command learned and no learner conflict.
 	mid := snapshotLearned(wc.LearnedCmds)
 	const commands, batchSize = 24, 4
 	// The proposer's own per-shard counter continues past the pre-crash
@@ -472,5 +498,119 @@ func TestWALShardedRoundIsolation(t *testing.T) {
 	if !a.ShardRnd(0).Less(a.ShardRnd(1)) {
 		t.Errorf("expected shard 1 round %v above shard 0 round %v after shard 1 re-led",
 			a.ShardRnd(1), a.ShardRnd(0))
+	}
+}
+
+// parentSegment is an acceptor log as the build before this one wrote it, one
+// frame a line: the first-start incarnation record (0); an accept at
+// ⟨1:3,100⟩ — above that counter, which did not follow the joined rounds
+// then; and a partial-tally record for instance 1 in the same round, a type
+// nothing writes any more.
+const parentSegment = `
+00 00 00 0b 84 16 40 5a 01 01 06 6d 63 6f 75 6e 74 01 00
+00 00 00 1f b8 23 55 eb 01 02 06 76 6f 74 65 2f 30 04 00 01 03 64 00 01 0a 01 6b 02 00 07 6d 61 78 69 6e 73 74 02 00
+00 00 00 22 eb 6a a6 e2 01 02 07 74 61 6c 6c 79 2f 31 05 01 01 03 64 00 01 64 01 0b 01 6b 02 00 07 6d 61 78 69 6e 73 74 02 01`
+
+// TestWALRecoveryFromParentDirectory: a log directory written by the previous
+// build opens, replays its vote, drops the tally record, and the acceptor
+// built over it recovers above the restored vote's round, not merely above
+// its stored counter.
+func TestWALRecoveryFromParentDirectory(t *testing.T) {
+	seg, err := hex.DecodeString(strings.NewReplacer(" ", "", "\n", "").Replace(parentSegment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatalf("the parent's directory does not open: %v", err)
+	}
+	defer w.Close()
+	if _, ok := w.Get("tally/1"); ok {
+		t.Error("the tally record survived the replay")
+	}
+
+	cfg := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: 3}).Cfg
+	a := NewAcceptor(&sinkEnv{id: cfg.Acceptors[0]}, cfg, w)
+	voted := ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}
+	if vrnd, cmd, ok := a.Vote(0); !ok || !vrnd.Equal(voted) || cmd.ID != 10 {
+		t.Errorf("restored vote = c%d@%v (ok=%v), want c10@%v", cmd.ID, vrnd, ok, voted)
+	}
+	if _, _, ok := a.Tally(1); ok {
+		t.Error("a tally came back from the parent's record")
+	}
+	if want := (ballot.Ballot{MCount: 2}); a.Rnd() != want {
+		t.Errorf("recovered at %v, want %v: above the restored vote", a.Rnd(), want)
+	}
+	if got := w.Writes(); got != 1 {
+		t.Errorf("recovery cost %d writes, want 1", got)
+	}
+}
+
+// sinkEnv is a node.Env that keeps what its agent sends.
+type sinkEnv struct {
+	id   msg.NodeID
+	sent []msg.Message
+}
+
+func (e *sinkEnv) ID() msg.NodeID                   { return e.id }
+func (e *sinkEnv) Now() int64                       { return 0 }
+func (e *sinkEnv) Send(_ msg.NodeID, m msg.Message) { e.sent = append(e.sent, m) }
+func (e *sinkEnv) SetTimer(int64, int)              {}
+
+// TestPromiseSurvivesRecovery: an acceptor rebuilt over its store answers no
+// round it can have joined in its previous life (Section 4.4). It votes at
+// round vote, promises round promise (another coordinator's) and restarts; a
+// 2a at probe, between the two, must then be refused — when the whole
+// exchange happens at an MCount some earlier recovery raised the cluster to
+// (the acceptor's own restart count dominates nothing), and when a peer's
+// recovery lifted the rounds after the vote.
+func TestPromiseSurvivesRecovery(t *testing.T) {
+	cfg := NewCluster(ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1, Seed: 1}).Cfg
+	for _, tc := range []struct {
+		name                 string
+		vote, promise, probe ballot.Ballot
+	}{
+		{"rounds already at the incarnation the restart reaches",
+			ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+		{"a peer's recovery lifted the rounds after the vote",
+			ballot.Ballot{MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, disk := &sinkEnv{id: cfg.Acceptors[0]}, &storage.Disk{}
+			a := NewAcceptor(env, cfg, disk)
+			a.OnMessage(100, msg.P2a{Inst: 0, Rnd: tc.vote, Coord: 100, Val: wrap(cstruct.Cmd{ID: 1})})
+			if vrnd, _, ok := a.Vote(0); !ok || !vrnd.Equal(tc.vote) {
+				t.Fatalf("no vote at %v before the crash", tc.vote)
+			}
+			a.OnMessage(101, msg.P1a{Rnd: tc.promise, Coord: 101})
+			if !a.Rnd().Equal(tc.promise) {
+				t.Fatalf("joined %v, want the promised %v", a.Rnd(), tc.promise)
+			}
+
+			pre := disk.Writes()
+			env.sent = nil
+			a = NewAcceptor(env, cfg, disk)
+			if got := disk.Writes() - pre; got != 1 {
+				t.Errorf("recovery cost %d writes, want 1", got)
+			}
+			if !tc.promise.Less(a.Rnd()) {
+				t.Errorf("recovered at %v, not above the promised %v", a.Rnd(), tc.promise)
+			}
+			a.OnMessage(100, msg.P2a{Inst: 1, Rnd: tc.probe, Coord: 100, Val: wrap(cstruct.Cmd{ID: 2})})
+			if _, _, ok := a.Vote(1); ok {
+				t.Errorf("voted at %v after promising %v", tc.probe, tc.promise)
+			}
+			var st msg.Stale
+			if len(env.sent) == 1 {
+				st, _ = env.sent[0].(msg.Stale)
+			}
+			if !tc.promise.Less(st.Rnd) {
+				t.Errorf("the 2a at %v drew %v, want one Stale above %v", tc.probe, env.sent, tc.promise)
+			}
+		})
 	}
 }

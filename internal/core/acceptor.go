@@ -13,12 +13,13 @@ import (
 // c-struct in round i only when a whole i-coordquorum forwarded compatible
 // values, merging their greatest lower bounds into its accepted value. In
 // fast rounds it extends its value directly with proposals. Accepted values
-// are persisted before the 2b leaves; the current round is volatile
-// (Section 4.4).
+// are persisted before the 2b leaves; the current round is volatile, only
+// its MCount is stable (Section 4.4, storage.Incarnation).
 type Acceptor struct {
 	env  node.Env
 	cfg  Config
 	disk storage.Stable
+	inc  storage.Incarnation
 
 	rnd  ballot.Ballot
 	vrnd ballot.Ballot
@@ -45,21 +46,11 @@ var _ node.Handler = (*Acceptor)(nil)
 var _ node.Recoverable = (*Acceptor)(nil)
 
 // NewAcceptor builds an acceptor bound to env and disk. The stable store
-// may be the simulated Disk or the on-disk WAL: a fresh Acceptor over a
-// replayed store rebuilds its accepted value from the persisted record.
+// may be the simulated Disk or the on-disk WAL. Over a store an earlier
+// acceptor wrote to, this is that acceptor's recovery.
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{
-		env:      env,
-		cfg:      cfg,
-		disk:     disk,
-		vval:     cfg.Set.Bottom(),
-		twoAs:    make(map[msg.NodeID]cstruct.CStruct),
-		proposed: make(map[uint64]bool),
-	}
-	a.restore()
-	if _, ok := disk.Get(storage.KeyMCount); !ok {
-		disk.Put(storage.KeyMCount, uint32(0))
-	}
+	a := &Acceptor{env: env, cfg: cfg, disk: disk}
+	a.load()
 	return a
 }
 
@@ -101,6 +92,7 @@ func (a *Acceptor) onP1a(mm msg.P1a) {
 
 // joinRound sets rnd and sends the 1b to every coordinator of the round.
 func (a *Acceptor) joinRound(r ballot.Ballot) {
+	a.inc.Observe(r)
 	a.rnd = r
 	if a.PersistRnd {
 		a.disk.Put(storage.KeyRnd, r) // ablation: naive per-round-change write
@@ -229,6 +221,7 @@ func (a *Acceptor) tryFastAppend() {
 
 // accept persists and announces the vote.
 func (a *Acceptor) accept(r ballot.Ballot, v cstruct.CStruct) {
+	a.inc.Observe(r)
 	a.rnd = ballot.Max(a.rnd, r)
 	a.vrnd = r
 	a.vval = v
@@ -276,32 +269,28 @@ func (a *Acceptor) promote(j ballot.Ballot) {
 	a.joinRound(j)
 }
 
-// OnRecover implements node.Recoverable (Section 4.4): reload the accepted
-// value, bump the incarnation with one disk write, keep rnd volatile.
-func (a *Acceptor) OnRecover() {
-	a.rnd, a.vrnd = ballot.Zero, ballot.Zero
-	a.vval = a.cfg.Set.Bottom()
+// OnRecover implements node.Recoverable for hosts that restart a node in
+// place (sim.Recover). A host that rebuilds the node has already recovered
+// it: NewAcceptor loads the same way.
+func (a *Acceptor) OnRecover() { a.load() }
+
+// load brings the acceptor to the state its disk dictates, dropping whatever
+// volatile state it held: the accepted value comes back, and the round starts
+// where storage.LoadIncarnation says — at Zero on a first start, above any
+// round the previous life can have joined otherwise (one disk write, Section
+// 4.4).
+func (a *Acceptor) load() {
+	a.vrnd, a.vval = ballot.Zero, a.cfg.Set.Bottom()
 	a.twoARnd = ballot.Zero
 	a.twoAs = make(map[msg.NodeID]cstruct.CStruct)
 	a.proposals = nil
 	a.proposed = make(map[uint64]bool)
-	a.restore()
-	mc := uint32(0)
-	if rec, ok := a.disk.Get(storage.KeyMCount); ok {
-		mc = rec.(uint32)
-	}
-	mc++
-	a.disk.Put(storage.KeyMCount, mc)
-	a.rnd = ballot.Max(a.rnd, ballot.Ballot{MCount: mc})
-}
-
-func (a *Acceptor) restore() {
 	if rec, ok := a.disk.Get(storage.KeyVote); ok {
 		v := rec.(storage.VoteRec)
 		a.vrnd = v.VRnd
 		a.vval = cstruct.AppendSeq(a.cfg.Set.Bottom(), v.Cmds)
-		a.rnd = ballot.Max(a.rnd, v.VRnd)
 	}
+	a.inc, a.rnd = storage.LoadIncarnation(a.disk, a.vrnd)
 }
 
 func valsOf(m map[msg.NodeID]cstruct.CStruct) []cstruct.CStruct {

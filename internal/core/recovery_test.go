@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/msg"
 	"mcpaxos/internal/storage"
 	"mcpaxos/internal/wal"
 )
@@ -49,11 +51,15 @@ func (wc *walCoreCluster) restart(i int) *Acceptor {
 	if err != nil {
 		wc.t.Fatalf("reopen wal %d: %v", i, err)
 	}
+	// The process died with its handler: nothing recovers in place (over a
+	// closed log). Building the replacement over the replayed store is the
+	// recovery.
+	wc.Sim.Register(id, nil)
+	wc.Sim.Recover(id)
 	a := NewAcceptor(wc.Sim.Env(id), wc.Cfg, w)
 	wc.Sim.Register(id, a)
 	wc.Accs[i] = a
 	wc.Disks[i] = w
-	wc.Sim.Recover(id)
 	return a
 }
 
@@ -154,5 +160,68 @@ func TestWALRecoveryCoreAfterPromise(t *testing.T) {
 	}
 	if !wc.Agreement() {
 		t.Error("learners disagree after promise-crash recovery")
+	}
+}
+
+// sinkEnv is a node.Env that keeps what its agent sends.
+type sinkEnv struct {
+	id   msg.NodeID
+	sent []msg.Message
+}
+
+func (e *sinkEnv) ID() msg.NodeID                   { return e.id }
+func (e *sinkEnv) Now() int64                       { return 0 }
+func (e *sinkEnv) Send(_ msg.NodeID, m msg.Message) { e.sent = append(e.sent, m) }
+func (e *sinkEnv) SetTimer(int64, int)              {}
+
+// TestPromiseSurvivesRecovery: an acceptor rebuilt over its store answers no
+// round it can have joined in its previous life (Section 4.4). It votes at
+// round vote, promises round promise (another coordinator's) and restarts; a
+// 2a at probe, between the two, must then be refused — when the whole
+// exchange happens at an MCount some earlier recovery raised the cluster to
+// (the acceptor's own restart count dominates nothing), and when a peer's
+// recovery lifted the rounds after the vote.
+func TestPromiseSurvivesRecovery(t *testing.T) {
+	cfg := NewCluster(ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1, Seed: 1,
+		Scheme: ballot.SingleScheme{}, Set: cstruct.SingleValueSet{}}).Cfg
+	for _, tc := range []struct {
+		name                 string
+		vote, promise, probe ballot.Ballot
+	}{
+		{"rounds already at the incarnation the restart reaches",
+			ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+		{"a peer's recovery lifted the rounds after the vote",
+			ballot.Ballot{MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, disk := &sinkEnv{id: cfg.Acceptors[0]}, &storage.Disk{}
+			a := NewAcceptor(env, cfg, disk)
+			a.OnMessage(100, msg.P2a{Rnd: tc.vote, Coord: 100, Val: cstruct.NewSingleValue(cstruct.Cmd{ID: 1})})
+			if !a.VRnd().Equal(tc.vote) {
+				t.Fatalf("no vote at %v before the crash", tc.vote)
+			}
+			a.OnMessage(101, msg.P1a{Rnd: tc.promise, Coord: 101})
+			if !a.Rnd().Equal(tc.promise) {
+				t.Fatalf("joined %v, want the promised %v", a.Rnd(), tc.promise)
+			}
+
+			pre := disk.Writes()
+			env.sent = nil
+			a = NewAcceptor(env, cfg, disk)
+			if got := disk.Writes() - pre; got != 1 {
+				t.Errorf("recovery cost %d writes, want 1", got)
+			}
+			a.OnMessage(100, msg.P2a{Rnd: tc.probe, Coord: 100, Val: cstruct.NewSingleValue(cstruct.Cmd{ID: 2})})
+			if !a.VRnd().Equal(tc.vote) {
+				t.Errorf("voted at %v after promising %v", a.VRnd(), tc.promise)
+			}
+			var st msg.Stale
+			if len(env.sent) == 1 {
+				st, _ = env.sent[0].(msg.Stale)
+			}
+			if !tc.promise.Less(st.Rnd) {
+				t.Errorf("the 2a at %v drew %v, want one Stale above %v", tc.probe, env.sent, tc.promise)
+			}
+		})
 	}
 }

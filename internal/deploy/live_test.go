@@ -5,6 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"mcpaxos/internal/ballot"
+	"mcpaxos/internal/classic"
+	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/smr"
 )
 
@@ -91,6 +95,122 @@ func TestLiveTCPWALRecoveryState(t *testing.T) {
 	}
 	if err := rep.WaitApplied(300, 4, 10*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// acceptorRounds reads every hosted acceptor's current round and its log's
+// write count.
+func acceptorRounds(rep *Replica) (rnds map[uint32]ballot.Ballot, writes map[uint32]uint64) {
+	rnds, writes = make(map[uint32]ballot.Ballot), make(map[uint32]uint64)
+	for _, n := range rep.spec.Acceptors {
+		e, ok := rep.host(msg.NodeID(n.ID))
+		if !ok {
+			continue
+		}
+		e.agent.Do(func(hd node.Handler) { rnds[n.ID] = hd.(*classic.Acceptor).Rnd() })
+		rep.mu.Lock()
+		writes[n.ID] = rep.wals[msg.NodeID(n.ID)].Writes()
+		rep.mu.Unlock()
+	}
+	return rnds, writes
+}
+
+// TestLiveTCPReopenOverWALRecoversEveryAcceptor: closing a deployment and
+// opening the same spec over the same WALDir is a crash and recovery of
+// every acceptor — nobody has to ask for it. No acceptor comes back at a
+// round it held in its first life (the reopened primaries start from empty
+// coordinator state and would re-issue those very rounds), the first life's
+// writes are still there, and new commands decide.
+func TestLiveTCPReopenOverWALRecoversEveryAcceptor(t *testing.T) {
+	spec := LocalSpec(2, 3, 3, 1, 2)
+	spec.BatchMax = 2
+	spec.RetryEvery = 20 * time.Millisecond
+	spec.WALDir = t.TempDir()
+	spec, err := spec.ResolveEphemeral()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each life brings its own client: request IDs restart with a client, and
+	// a reused (client, request) pair is a duplicate, not a new command.
+	life := func(client int, keys ...string) (*Replica, *Client) {
+		t.Helper()
+		rep, err := Open(spec)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		t.Cleanup(func() { rep.Close() })
+		cli, err := Dial(spec, spec.Clients[client].ID)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		var calls []*Call
+		for _, k := range keys {
+			calls = append(calls, cli.Set(k, "v-"+k))
+		}
+		if err := cli.Wait(calls, 20*time.Second); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		return rep, cli
+	}
+
+	rep, cli := life(0, "a", "b", "c", "d")
+	first, _ := acceptorRounds(rep)
+	firstShards := rep.ShardRounds()
+	cli.Close()
+	rep.Close()
+
+	rep, _ = life(1, "e", "f")
+	second, _ := acceptorRounds(rep)
+	for id, r := range first {
+		if second[id].MCount <= r.MCount {
+			t.Errorf("acceptor %d serves %v after the reopen, not above the incarnation of its first life's %v", id, second[id], r)
+		}
+	}
+	for k, r := range rep.ShardRounds() {
+		if !firstShards[k].Less(r) {
+			t.Errorf("shard %d serves %v after the reopen, not above the first life's %v", k, r, firstShards[k])
+		}
+	}
+	if err := rep.WaitApplied(300, 6, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		if v, ok, _ := rep.Get(300, k); !ok || v != "v-"+k {
+			t.Errorf("%s = %q (%v) after the reopen, want %q", k, v, ok, "v-"+k)
+		}
+	}
+}
+
+// TestLiveTCPAcceptorRestartIsOneWrite: Replica.Restart of a WAL-backed
+// acceptor recovers it once — one incarnation write, a round above the one it
+// served — and the deployment keeps deciding.
+func TestLiveTCPAcceptorRestartIsOneWrite(t *testing.T) {
+	spec := LocalSpec(1, 3, 3, 1, 1)
+	spec.RetryEvery = 20 * time.Millisecond
+	spec.WALDir = t.TempDir()
+	rep, cli := openLocal(t, spec)
+	if err := cli.Wait([]*Call{cli.Set("a", "1"), cli.Set("b", "2")}, 20*time.Second); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	victim := spec.Acceptors[0].ID
+	before, _ := acceptorRounds(rep)
+	if !rep.Kill(victim) {
+		t.Fatal("kill failed")
+	}
+	if err := rep.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	// The reopened log counts from zero: what it reads now is the restart's.
+	after, writes := acceptorRounds(rep)
+	if writes[victim] != 1 {
+		t.Errorf("restart cost acceptor %d %d writes, want exactly 1", victim, writes[victim])
+	}
+	if want := (ballot.Ballot{MCount: before[victim].MCount + 1}); after[victim] != want {
+		t.Errorf("acceptor %d restarted at %v, want %v", victim, after[victim], want)
+	}
+	if err := cli.Wait([]*Call{cli.Set("c", "3")}, 20*time.Second); err != nil {
+		t.Fatalf("wait after the restart: %v", err)
 	}
 }
 

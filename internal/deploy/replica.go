@@ -230,8 +230,9 @@ func (r *Replica) openNode(id msg.NodeID) error {
 // its crash lost: a coordinator repairs its round state by probing the
 // acceptors (classic.Coordinator.Repair) and rejoins the live round with zero
 // round changes, so abandoned slots decide instead of retransmitting forever;
-// an acceptor runs its recovery hook over the votes its WAL reloaded; a
-// learner's probe begins the pull of the decided prefix from its peers.
+// a learner's probe begins the pull of the decided prefix from its peers. An
+// acceptor takes no step here: building it over its WAL was its recovery
+// (openNode), on a restart and on a whole-process reopen of a WALDir alike.
 func (r *Replica) start(id msg.NodeID, restarted bool) {
 	e, ok := r.host(id)
 	if !ok {
@@ -244,10 +245,6 @@ func (r *Replica) start(id msg.NodeID, restarted bool) {
 				n.Repair()
 			} else if _, idx := r.roleOf(id); idx < r.cfg.NShards() {
 				n.BecomeLeader()
-			}
-		case *classic.Acceptor:
-			if restarted {
-				n.OnRecover()
 			}
 		case *learner:
 			n.fetch.Start()
@@ -288,9 +285,9 @@ func (r *Replica) Kill(id uint32) bool {
 
 // Restart brings a previously killed (or never-opened) node of the spec
 // back up, rebuilding its handler from scratch the way a process restart
-// would — a WAL-backed acceptor reloads its votes from stable storage, a
-// learner its newest durable snapshot — and starting it as restarted (see
-// start).
+// would — a WAL-backed acceptor recovers from stable storage (its votes, and
+// a round above any its previous life joined), a learner reloads its newest
+// durable snapshot — and starting it as restarted (see start).
 func (r *Replica) Restart(id uint32) error {
 	if err := r.openNode(msg.NodeID(id)); err != nil {
 		return err

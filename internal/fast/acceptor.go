@@ -19,6 +19,7 @@ type Acceptor struct {
 	env  node.Env
 	cfg  Config
 	disk storage.Stable
+	inc  storage.Incarnation
 
 	rnd    ballot.Ballot
 	vrnd   ballot.Ballot
@@ -46,14 +47,11 @@ var _ node.Handler = (*Acceptor)(nil)
 var _ node.Recoverable = (*Acceptor)(nil)
 
 // NewAcceptor builds an acceptor bound to env and disk. The stable store
-// may be the simulated Disk or the on-disk WAL: a fresh Acceptor over a
-// replayed store rebuilds its vote from the persisted record.
+// may be the simulated Disk or the on-disk WAL. Over a store an earlier
+// acceptor wrote to, this is that acceptor's recovery.
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{env: env, cfg: cfg, disk: disk, seen2b: make(map[msg.NodeID]msg.P2b)}
-	a.restore()
-	if _, ok := disk.Get(storage.KeyMCount); !ok {
-		disk.Put(storage.KeyMCount, uint32(0))
-	}
+	a := &Acceptor{env: env, cfg: cfg, disk: disk}
+	a.load()
 	return a
 }
 
@@ -82,7 +80,7 @@ func (a *Acceptor) onP1a(mm msg.P1a) {
 		a.env.Send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnd, Got: mm.Rnd})
 		return
 	}
-	a.rnd = mm.Rnd
+	a.join(mm.Rnd)
 	a.seen2b = make(map[msg.NodeID]msg.P2b)
 	p1b := msg.P1b{Rnd: mm.Rnd, Acc: a.env.ID(), VRnd: a.vrnd}
 	if a.hasVal {
@@ -100,7 +98,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	}
 	if mm.Any {
 		if a.rnd.Less(mm.Rnd) || !a.hasAny || a.anyRnd.Less(mm.Rnd) {
-			a.rnd = ballot.Max(a.rnd, mm.Rnd)
+			a.join(mm.Rnd)
 			a.anyRnd = mm.Rnd
 			a.hasAny = true
 			a.seen2b = make(map[msg.NodeID]msg.P2b)
@@ -142,9 +140,18 @@ func (a *Acceptor) tryFastAccept() {
 	a.accept(a.rnd, a.proposals[0])
 }
 
+// join advances the current round, volatile but for its MCount, which is
+// made stable first when it is news (Section 4.4).
+func (a *Acceptor) join(r ballot.Ballot) {
+	if a.rnd.Less(r) {
+		a.inc.Observe(r)
+		a.rnd = r
+	}
+}
+
 // accept persists and announces the vote.
 func (a *Acceptor) accept(r ballot.Ballot, cmd cstruct.Cmd) {
-	a.rnd = ballot.Max(a.rnd, r)
+	a.join(r)
 	a.vrnd = r
 	a.vval = cmd
 	a.hasVal = true
@@ -207,7 +214,7 @@ func (a *Acceptor) maybeUncoordRecover() {
 	}
 	out := pickConverging(reps, a.cfg.Quorums, a.cfg.Scheme)
 	a.recoveries++
-	a.rnd = next
+	a.join(next)
 	a.seen2b = make(map[msg.NodeID]msg.P2b)
 	a.hasAny = true // next fast round implicitly authorizes acceptance
 	a.anyRnd = next
@@ -219,29 +226,24 @@ func (a *Acceptor) maybeUncoordRecover() {
 	}
 }
 
-// OnRecover implements node.Recoverable (Section 4.4).
-func (a *Acceptor) OnRecover() {
-	a.rnd, a.vrnd, a.vval, a.hasVal = ballot.Zero, ballot.Zero, cstruct.Cmd{}, false
+// OnRecover implements node.Recoverable for hosts that restart a node in
+// place (sim.Recover). A host that rebuilds the node has already recovered
+// it: NewAcceptor loads the same way.
+func (a *Acceptor) OnRecover() { a.load() }
+
+// load brings the acceptor to the state its disk dictates, dropping whatever
+// volatile state it held: the vote comes back, and the round starts where
+// storage.LoadIncarnation says — at Zero on a first start, above any round
+// the previous life can have joined otherwise (one disk write, Section 4.4).
+func (a *Acceptor) load() {
+	a.vrnd, a.vval, a.hasVal = ballot.Zero, cstruct.Cmd{}, false
 	a.hasAny, a.anyRnd = false, ballot.Zero
 	a.proposals = nil
 	a.seen2b = make(map[msg.NodeID]msg.P2b)
-	a.restore()
-	mc := uint32(0)
-	if rec, ok := a.disk.Get(storage.KeyMCount); ok {
-		mc = rec.(uint32)
-	}
-	mc++
-	a.disk.Put(storage.KeyMCount, mc)
-	a.rnd = ballot.Max(a.rnd, ballot.Ballot{MCount: mc})
-}
-
-func (a *Acceptor) restore() {
 	if rec, ok := a.disk.Get(storage.KeyVote); ok {
-		v := rec.(storage.VoteRec)
-		if len(v.Cmds) == 0 {
-			return
+		if v := rec.(storage.VoteRec); len(v.Cmds) > 0 {
+			a.vrnd, a.vval, a.hasVal = v.VRnd, v.Cmds[0], true
 		}
-		a.vrnd, a.vval, a.hasVal = v.VRnd, v.Cmds[0], true
-		a.rnd = ballot.Max(a.rnd, v.VRnd)
 	}
+	a.inc, a.rnd = storage.LoadIncarnation(a.disk, a.vrnd)
 }

@@ -7,6 +7,7 @@ import (
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/quorum"
+	"mcpaxos/internal/storage"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -237,6 +238,57 @@ func TestAcceptorCrashRecoveryKeepsVote(t *testing.T) {
 	}
 	if cl.Accs[0].Rnd().MCount == 0 {
 		t.Errorf("recovery must bump the acceptor's incarnation")
+	}
+}
+
+// TestPromiseSurvivesRecovery: an acceptor rebuilt over its store answers no
+// round it can have joined in its previous life (Section 4.4). It votes at
+// round vote, promises round promise and restarts; a 2a at probe, between the
+// two, must then be refused — when the whole exchange happens at an MCount
+// some earlier recovery raised the cluster to (the acceptor's own restart
+// count dominates nothing), and when a peer's recovery lifted the rounds
+// after the vote.
+func TestPromiseSurvivesRecovery(t *testing.T) {
+	cfg := NewCluster(ClusterOpts{NAcceptors: 4, F: 1, E: 1, Seed: 1}).Cfg
+	for _, tc := range []struct {
+		name                 string
+		vote, promise, probe ballot.Ballot
+	}{
+		{"rounds already at the incarnation the restart reaches",
+			ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+		{"a peer's recovery lifted the rounds after the vote",
+			ballot.Ballot{MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, disk := &sinkEnv{id: cfg.Acceptors[0]}, &storage.Disk{}
+			a := NewAcceptor(env, cfg, disk)
+			a.OnMessage(100, msg.P2a{Rnd: tc.vote, Coord: 100, Val: wrap(cstruct.Cmd{ID: 1})})
+			if vrnd, _, ok := a.Vote(); !ok || !vrnd.Equal(tc.vote) {
+				t.Fatalf("no vote at %v before the crash", tc.vote)
+			}
+			a.OnMessage(100, msg.P1a{Rnd: tc.promise, Coord: 100})
+			if !a.Rnd().Equal(tc.promise) {
+				t.Fatalf("joined %v, want the promised %v", a.Rnd(), tc.promise)
+			}
+
+			pre := disk.Writes()
+			env.sent = nil
+			a = NewAcceptor(env, cfg, disk)
+			if got := disk.Writes() - pre; got != 1 {
+				t.Errorf("recovery cost %d writes, want 1", got)
+			}
+			a.OnMessage(100, msg.P2a{Rnd: tc.probe, Coord: 100, Val: wrap(cstruct.Cmd{ID: 2})})
+			if vrnd, _, _ := a.Vote(); !vrnd.Equal(tc.vote) {
+				t.Errorf("voted at %v after promising %v", vrnd, tc.promise)
+			}
+			var st msg.Stale
+			if len(env.sent) == 1 {
+				st, _ = env.sent[0].(msg.Stale)
+			}
+			if !tc.promise.Less(st.Rnd) {
+				t.Errorf("the 2a at %v drew %v, want one Stale above %v", tc.probe, env.sent, tc.promise)
+			}
+		})
 	}
 }
 

@@ -89,13 +89,11 @@ func (n *Network) Spawn(id msg.NodeID, build func(env node.Env) node.Handler) *A
 }
 
 // Restart models a process crash-and-restart of node id: the old agent is
-// stopped and its handler (the process's volatile state) discarded, build
-// constructs a fresh handler — for an acceptor, typically over a reopened
-// WAL whose replay rebuilds the durable state — and, if the new handler is
-// node.Recoverable, OnRecover runs before any message is delivered (the
-// acceptor's one incarnation write per recovery, Section 4.4). Messages
-// sent to id while it is down are dropped, as the asynchronous model
-// allows.
+// stopped and its handler (the process's volatile state) discarded, and build
+// constructs a fresh handler — for an acceptor, over a reopened WAL, which is
+// the acceptor's recovery (Section 4.4): nothing more is asked of the
+// handler. Messages sent to id while it is down are dropped, as the
+// asynchronous model allows.
 func (n *Network) Restart(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
 	n.mu.Lock()
 	old := n.agents[id]
@@ -104,22 +102,7 @@ func (n *Network) Restart(id msg.NodeID, build func(env node.Env) node.Handler) 
 	if old != nil {
 		old.Stop()
 	}
-	a := &Agent{
-		id:    id,
-		net:   n,
-		inbox: make(chan inbound, 1024),
-		done:  make(chan struct{}),
-	}
-	a.handler = build(a.env())
-	if r, ok := a.handler.(node.Recoverable); ok {
-		r.OnRecover()
-	}
-	n.mu.Lock()
-	n.agents[id] = a
-	n.mu.Unlock()
-	a.wg.Add(1)
-	go a.loop()
-	return a
+	return n.Spawn(id, build)
 }
 
 // SetFaults installs (or, with nil, removes) an adversarial fault injector
@@ -277,6 +260,10 @@ func (a *Agent) enqueue(in inbound) {
 
 func (a *Agent) loop() {
 	defer a.wg.Done()
+	// However the loop ends — Stop, or handler code that exits the goroutine
+	// (a t.Fatal inside Do is a runtime.Goexit) — the agent is done: later
+	// Inject and Do calls return instead of filling a dead inbox.
+	defer a.once.Do(func() { close(a.done) })
 	a.loopGID.Store(gid())
 	for {
 		select {
@@ -284,8 +271,7 @@ func (a *Agent) loop() {
 			switch in.kind {
 			case kindMsg:
 				if df, ok := in.m.(doFunc); ok {
-					df.fn(a.handler)
-					close(df.done)
+					a.run(df)
 					continue
 				}
 				a.handler.OnMessage(in.from, in.m)
@@ -298,6 +284,13 @@ func (a *Agent) loop() {
 			return
 		}
 	}
+}
+
+// run executes one Do closure, releasing its caller even if fn exits the
+// goroutine.
+func (a *Agent) run(df doFunc) {
+	defer close(df.done)
+	df.fn(a.handler)
 }
 
 // Stop terminates the agent and waits for its mailbox goroutine. Pending

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"path/filepath"
+	rt "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -102,6 +103,38 @@ func TestAgentDoFromOwnGoroutine(t *testing.T) {
 	})
 	if !nested {
 		t.Fatal("nested Do did not run")
+	}
+}
+
+// TestAgentDoSurvivesGoexit: a closure that exits the mailbox goroutine (what
+// a t.Fatal inside Do does) must release its caller at once, and leave the
+// agent stopped — later Do and Inject calls return instead of queueing for a
+// goroutine that is gone.
+func TestAgentDoSurvivesGoexit(t *testing.T) {
+	n := NewNetwork()
+	defer n.Stop()
+	c := &collector{}
+	a := n.Spawn(1, func(node.Env) node.Handler { return c })
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		a.Do(func(node.Handler) { rt.Goexit() })
+		ran := false
+		a.Do(func(node.Handler) { ran = true })
+		if ran {
+			t.Error("Do ran a closure on an agent whose mailbox goroutine had exited")
+		}
+		for i := 0; i < 2*cap(a.inbox); i++ {
+			a.Inject(2, msg.Heartbeat{From: 2}) // would block once the dead inbox filled
+		}
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("Do, or a later Do or Inject, blocked after the closure exited the mailbox goroutine")
+	}
+	if c.count() != 0 {
+		t.Errorf("%d messages reached the handler of a dead mailbox", c.count())
 	}
 }
 

@@ -21,11 +21,12 @@ import (
 // break the Paxos safety argument (Section 4.4).
 //
 // Record vocabulary: acceptors store uint32 and uint64 counters,
-// ballot.Ballot rounds, VoteRec and TallyRec values, and nothing else. The
-// on-disk backend defines a byte form for exactly these types (internal/wal,
-// record.go), returns them from Get with the same concrete type they were
-// Put with, and panics on a value outside the set; the in-memory Disk holds
-// any value.
+// ballot.Ballot rounds and VoteRec values, and nothing else — the paper's
+// ⟨MCount of rnd, vrnd, vval⟩ (Section 4.4; Incarnation owns the first) plus
+// the scan bounds that find the votes again. The on-disk backend defines a
+// byte form for exactly these types (internal/wal, record.go), returns them
+// from Get with the same concrete type they were Put with, and panics on a
+// value outside the set; the in-memory Disk holds any value.
 type Stable interface {
 	// Put durably stores value under key, counting one synchronous write.
 	Put(key string, value any)
@@ -40,30 +41,6 @@ type Stable interface {
 	ResetWrites()
 	// Len returns the number of distinct keys stored.
 	Len() int
-}
-
-// ShardedStable is an optional extension of Stable for sharded deployments
-// (N leaders over instance residue classes): PutAllShard is PutAll routed
-// through the backend's per-shard commit stream, so each shard's accepts form
-// an attributable stream — with per-stream accounting — while still feeding
-// the one shared, replayable log. Recovery is unchanged: replaying the single
-// log rebuilds every shard's votes. Backends without shard streams are used
-// through the PutAllSharded helper, which falls back to plain PutAll.
-type ShardedStable interface {
-	Stable
-	// PutAllShard durably stores records through shard's commit stream:
-	// one logical synchronous write on the shared log.
-	PutAllShard(shard int, records map[string]any)
-}
-
-// PutAllSharded writes one commit batch through st's shard stream when the
-// backend has one, and through plain PutAll otherwise.
-func PutAllSharded(st Stable, shard int, records map[string]any) {
-	if ss, ok := st.(ShardedStable); ok {
-		ss.PutAllShard(shard, records)
-		return
-	}
-	st.PutAll(records)
 }
 
 // Compacter is an optional extension of Stable for log compaction: once the
@@ -120,31 +97,8 @@ type VoteRec struct {
 	Cmds []cstruct.Cmd
 }
 
-// TallyRec is the persisted coordinator-vote tally of one in-progress
-// multicoordinated instance: the acceptor has received matching 2a messages
-// from Coords — fewer than a coordinator quorum — for the value Cmds in
-// round Rnd. Persisting the partial tally is not required for safety (the
-// recovery incarnation bump already dominates every pre-crash round) but it
-// makes the in-flight coordinator votes replayable: a restarted acceptor
-// reports exactly which group members had forwarded an instance when the
-// process died, instead of losing that evidence with the heap.
-type TallyRec struct {
-	// Inst is the tallied consensus instance.
-	Inst uint64
-	// Rnd is the multicoordinated round the 2a messages belong to.
-	Rnd ballot.Ballot
-	// Coords lists the coordinator ids (msg.NodeID values) whose matching
-	// 2a messages have been received so far.
-	Coords []uint32
-	// Cmds is the forwarded value's representative command sequence.
-	Cmds []cstruct.Cmd
-}
-
 // Stable record keys shared by the acceptor implementations.
 const (
-	// KeyMCount holds the uint32 incarnation counter bumped once per
-	// recovery (Section 4.4).
-	KeyMCount = "mcount"
 	// KeyMaxInst holds the uint64 high-water instance for recovery scans
 	// of multi-instance logs.
 	KeyMaxInst = "maxinst"
@@ -152,8 +106,8 @@ const (
 	KeyVote = "vote"
 	// KeyRnd holds the persisted round of the PersistRnd ablation.
 	KeyRnd = "rnd"
-	// KeyFloor holds the uint64 compaction floor: vote and tally records
-	// below it were truncated (the cluster watermark passed them), so
-	// recovery scans start here and catch-up requests below it are refused.
+	// KeyFloor holds the uint64 compaction floor: vote records below it were
+	// truncated (the cluster watermark passed them), so recovery scans start
+	// here and catch-up requests below it are refused.
 	KeyFloor = "floor"
 )

@@ -20,6 +20,11 @@ import (
 // The vocabulary is closed — the tags below are every type an acceptor
 // stores (storage.Stable) plus the log's own deletion marker — so decoding
 // hands back values of exactly the concrete type that was appended.
+//
+// tagTally is reserved: earlier builds logged an acceptor's partial 2a
+// tallies under it. Nothing encodes it any more, but a directory such a
+// build wrote must still open, so the decoder reads the record and hands it
+// back as a deletion of its key.
 
 // recVersion is the first payload byte of every frame. A payload that opens
 // with anything else was written by another build, and Open refuses the
@@ -33,7 +38,7 @@ const (
 	tagUint64              // varint
 	tagBallot              // ballot
 	tagVote                // storage.VoteRec: Inst, VRnd, Cmds
-	tagTally               // storage.TallyRec: Inst, Rnd, counted Coords, Cmds
+	tagTally               // reserved, decode-only: Inst, Rnd, counted Coords, Cmds
 )
 
 // appendRecs appends the counted record list recs to dst. The only failure
@@ -54,14 +59,6 @@ func appendRecs(dst []byte, recs []Rec) ([]byte, error) {
 		case storage.VoteRec:
 			dst = wire.AppendUvarint(append(dst, tagVote), v.Inst)
 			dst = wire.AppendBallot(dst, v.VRnd)
-			dst = wire.AppendCmds(dst, v.Cmds)
-		case storage.TallyRec:
-			dst = wire.AppendUvarint(append(dst, tagTally), v.Inst)
-			dst = wire.AppendBallot(dst, v.Rnd)
-			dst = wire.AppendUvarint(dst, uint64(len(v.Coords)))
-			for _, c := range v.Coords {
-				dst = wire.AppendUvarint(dst, uint64(c))
-			}
 			dst = wire.AppendCmds(dst, v.Cmds)
 		default:
 			return nil, fmt.Errorf("wal: record %q: %T is outside the record vocabulary", r.Key, r.Val)
@@ -89,12 +86,13 @@ func readRecs(r *wire.Reader) []Rec {
 		case tagVote:
 			rec.Val = storage.VoteRec{Inst: r.Uvarint("vote inst"), VRnd: r.Ballot(), Cmds: r.Cmds()}
 		case tagTally:
-			t := storage.TallyRec{Inst: r.Uvarint("tally inst"), Rnd: r.Ballot()}
+			r.Uvarint("tally inst")
+			r.Ballot()
 			for c := r.Count("coord count", 1); c > 0 && r.Err == nil; c-- {
-				t.Coords = append(t.Coords, r.U32("coord"))
+				r.U32("coord")
 			}
-			t.Cmds = r.Cmds()
-			rec.Val = t
+			r.Cmds()
+			rec.Val = tombstone{}
 		default:
 			r.Fail("record tag")
 		}

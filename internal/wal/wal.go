@@ -40,9 +40,9 @@ import (
 )
 
 // Rec is one key/value record. Val must be of the acceptor record
-// vocabulary — uint32, uint64, ballot.Ballot, storage.VoteRec or
-// storage.TallyRec — which is all the record codec gives a byte form
-// (record.go); Append fails on anything else.
+// vocabulary — uint32, uint64, ballot.Ballot or storage.VoteRec — which is
+// all the record codec gives a byte form (record.go); Append fails on
+// anything else.
 type Rec struct {
 	Key string
 	Val any
@@ -115,9 +115,6 @@ type WAL struct {
 	writes atomic.Uint64 // logical synchronous writes (commit batches)
 	fsyncs atomic.Uint64 // physical data-file fsyncs
 	swept  int           // orphaned .tmp files removed by Open
-
-	// streams holds the per-shard commit streams (stream.go).
-	streams streams
 }
 
 // Open opens (creating if needed) the log in dir, replays it into the key

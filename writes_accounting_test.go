@@ -21,7 +21,9 @@ import (
 //     coordinator even holds a storage.Stable, so every write counted on
 //     the cluster's stores is an acceptor's;
 //   - acceptors perform exactly one group-commit write per flushed batch
-//     (one consensus instance = one PutAll), never more;
+//     (one consensus instance = one PutAll), never more — at c = 1 and in
+//     the deployed configuration, coordinator groups of three (a partial 2a
+//     tally is not a write), sharded or not;
 //   - recovery performs exactly one write (the incarnation bump).
 func TestDiskWriteAccountingProperty(t *testing.T) {
 	backends := map[string]func(t *testing.T, trial int) func(i int) storage.Stable{
@@ -39,6 +41,7 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 			}
 		},
 	}
+	shapes := []struct{ c, shards int }{{1, 1}, {3, 1}, {3, 2}}
 	for name, mkStable := range backends {
 		t.Run(name, func(t *testing.T) {
 			trials := 6
@@ -46,15 +49,17 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 				trials = 3 // real fsyncs: keep the I/O bounded
 			}
 			rng := rand.New(rand.NewSource(99))
-			for trial := 0; trial < trials; trial++ {
+			for trial := 0; trial < trials*len(shapes); trial++ {
+				shape := shapes[trial%len(shapes)]
 				commands := 1 + rng.Intn(40)
 				batchSize := 1 + rng.Intn(8)
 				seed := rng.Int63()
 				cl := classic.NewCluster(classic.ClusterOpts{
-					NCoords: 1, NAcceptors: 3, F: 1, Seed: seed,
+					NAcceptors: 3, F: 1, Seed: seed,
+					CoordsPerShard: shape.c, Shards: shape.shards,
 					Stable: mkStable(t, trial),
 				})
-				cl.Lead(0)
+				cl.LeadAll()
 				for _, d := range cl.Disks {
 					d.ResetWrites()
 				}
@@ -71,15 +76,15 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 				instances := len(cl.LearnedCmds)
 				wantInstances := (commands + batchSize - 1) / batchSize
 				if instances != wantInstances {
-					t.Fatalf("trial %d (cmds=%d batch=%d): %d instances, want %d",
-						trial, commands, batchSize, instances, wantInstances)
+					t.Fatalf("trial %d (c=%d shards=%d cmds=%d batch=%d): %d instances, want %d",
+						trial, shape.c, shape.shards, commands, batchSize, instances, wantInstances)
 				}
 				// One group-commit write per flushed batch per acceptor;
 				// coordinators contribute nothing (they hold no store).
 				for i, d := range cl.Disks {
 					if got := d.Writes(); got != uint64(instances) {
-						t.Errorf("trial %d (cmds=%d batch=%d): acceptor %d performed %d writes for %d flushed batches",
-							trial, commands, batchSize, i, got, instances)
+						t.Errorf("trial %d (c=%d shards=%d cmds=%d batch=%d): acceptor %d performed %d writes for %d flushed batches",
+							trial, shape.c, shape.shards, commands, batchSize, i, got, instances)
 					}
 				}
 
