@@ -397,7 +397,7 @@ func RunE6DiskWrites(seed int64, commands int) E6Result {
 	// Recovery cost: crash and recover one multicoord acceptor.
 	before := mcl.Disks[0].Writes()
 	mcl.Sim.Crash(mcl.Cfg.Acceptors[0])
-	mcl.Sim.Recover(mcl.Cfg.Acceptors[0])
+	mcl.Restart(mcl.Cfg.Acceptors[0])
 	mcl.Sim.Run()
 	res.RecoveryWrites = mcl.Disks[0].Writes() - before
 	return res

@@ -171,7 +171,9 @@ func RunE14One(seed int64, clients, opsPerClient int) E14Row {
 			case nemesis.FaultCrash:
 				cl.Sim.Crash(ev.Node)
 			case nemesis.FaultRecover:
-				cl.Sim.Recover(ev.Node)
+				// A real restart: an acceptor comes back from its disk, a
+				// coordinator from nothing, and repairs.
+				cl.Restart(ev.Node)
 			}
 		})
 	}

@@ -82,13 +82,40 @@ type Acceptor struct {
 const compactAfterDrops = 256
 
 var _ node.Handler = (*Acceptor)(nil)
-var _ node.Recoverable = (*Acceptor)(nil)
 
-// NewAcceptor builds an acceptor bound to env and disk. Over a disk an
-// earlier acceptor wrote to, this is that acceptor's recovery.
+// NewAcceptor builds an acceptor bound to env, in the state disk dictates:
+// the votes come back from the persisted compaction floor up — below it
+// everything was truncated — and every shard's round starts where
+// storage.LoadIncarnation says: at Zero on a first start, above any round the
+// previous life can have joined otherwise (one disk write, Section 4.4).
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{env: env, cfg: cfg, disk: disk}
-	a.load()
+	a := &Acceptor{
+		env: env, cfg: cfg, disk: disk,
+		votes:   make(map[uint64]vote),
+		tallies: make(map[uint64]*coordTally),
+		rnds:    make([]ballot.Ballot, cfg.NShards()),
+	}
+	if rec, ok := disk.Get(storage.KeyFloor); ok {
+		a.floor = rec.(uint64)
+	}
+	voted := ballot.Zero
+	if hi, ok := disk.Get(storage.KeyMaxInst); ok {
+		for inst := a.floor; inst <= hi.(uint64); inst++ {
+			rec, ok := disk.Get(voteKey(inst))
+			if !ok {
+				continue
+			}
+			if vr := rec.(storage.VoteRec); len(vr.Cmds) > 0 {
+				a.votes[inst] = vote{vrnd: vr.VRnd, vval: vr.Cmds[0]}
+				voted = ballot.Max(voted, vr.VRnd)
+			}
+		}
+	}
+	var start ballot.Ballot
+	a.inc, start = storage.LoadIncarnation(disk, voted)
+	for i := range a.rnds {
+		a.rnds[i] = start
+	}
 	return a
 }
 
@@ -169,12 +196,15 @@ func (a *Acceptor) onDone(mm msg.Done) {
 		delete(a.tallies, inst)
 	}
 	a.floor = wm
-	storage.DropKeys(a.disk, keys)
+	if len(keys) > 0 {
+		a.disk.Drop(keys)
+	}
 	a.disk.Put(storage.KeyFloor, wm)
 	a.dropped += len(keys)
-	if a.dropped >= compactAfterDrops {
+	// A failed compaction loses nothing (the log is merely longer than it
+	// need be), so the only reaction is to try again at the next watermark.
+	if a.dropped >= compactAfterDrops && a.disk.Compact() == nil {
 		a.dropped = 0
-		storage.CompactStable(a.disk)
 	}
 }
 
@@ -261,7 +291,8 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if !a.cfg.InRoundGroup(shard, mm.Rnd, mm.Coord) {
 		return // a non-member 2a never counts toward a coordinator quorum
 	}
-	if v, voted := a.votes[mm.Inst]; voted && !v.vrnd.Less(mm.Rnd) {
+	v, voted := a.votes[mm.Inst]
+	if voted && !v.vrnd.Less(mm.Rnd) {
 		// Already voted at this round (or a higher one): the extra member's
 		// or retransmitted 2a adds nothing to tally — re-announce the vote
 		// so lost 2b messages are eventually replaced.
@@ -277,21 +308,31 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	} else if mm.Rnd.Less(t.rnd) {
 		return // stale 2a for a round this instance already left
 	}
-	if prev, seen := t.vals[mm.Coord]; seen && prev.Equal(cmd) {
-		return // pure retransmission of a 2a already tallied
-	}
-	for _, other := range t.vals {
-		if !other.Equal(cmd) {
-			// Two group members forwarded different values for the same
-			// (shard, round, instance): collision, Section 4.2.
-			a.promote(shard, ballot.SingleScheme{}.Next(t.rnd, t.rnd.ID))
+	// A pure retransmission of a 2a already tallied changes nothing.
+	if prev, seen := t.vals[mm.Coord]; !seen || !prev.Equal(cmd) {
+		for _, other := range t.vals {
+			if !other.Equal(cmd) {
+				// Two group members forwarded different values for the same
+				// (shard, round, instance): collision, Section 4.2.
+				a.promote(shard, ballot.SingleScheme{}.Next(t.rnd, t.rnd.ID))
+				return
+			}
+		}
+		t.vals[mm.Coord] = cmd
+		a.setRnd(shard, mm.Rnd)
+		if len(t.vals) >= a.cfg.CoordQuorumSize() {
+			a.accept(mm.Inst, mm.Rnd, cmd)
 			return
 		}
 	}
-	t.vals[mm.Coord] = cmd
-	a.setRnd(shard, mm.Rnd)
-	if len(t.vals) >= a.cfg.CoordQuorumSize() {
-		a.accept(mm.Inst, mm.Rnd, cmd)
+	// Tallied, not acceptable yet: re-send the vote an earlier round left
+	// here, if any (Section 4.3, processes keep re-sending their last message;
+	// announcing a vote already cast is always safe). A repaired member
+	// re-forwards instances that decided before it restarted; its peers have
+	// forgotten them and never second those 2as, so this 2b, through the
+	// learners' OnDuplicate ack, is all that drains them from its window.
+	if voted {
+		a.announce(mm.Inst, v)
 	}
 }
 
@@ -348,45 +389,6 @@ func (a *Acceptor) setRnd(shard int, r ballot.Ballot) {
 	if a.rnds[shard].Less(r) {
 		a.inc.Observe(r)
 		a.rnds[shard] = r
-	}
-}
-
-// OnRecover implements node.Recoverable for hosts that restart a node in
-// place (sim.Recover). A host that rebuilds the node has already recovered
-// it: NewAcceptor loads the same way.
-func (a *Acceptor) OnRecover() { a.load() }
-
-// load brings the acceptor to the state its disk dictates, dropping whatever
-// volatile state it held. The votes come back from the persisted compaction
-// floor up — below it everything was truncated — and every shard's round
-// starts where storage.LoadIncarnation says: at Zero on a first start, above
-// any round the previous life can have joined otherwise (one disk write,
-// Section 4.4).
-func (a *Acceptor) load() {
-	a.votes = make(map[uint64]vote)
-	a.tallies = make(map[uint64]*coordTally)
-	a.floor, a.dropped = 0, 0
-	if rec, ok := a.disk.Get(storage.KeyFloor); ok {
-		a.floor = rec.(uint64)
-	}
-	voted := ballot.Zero
-	if hi, ok := a.disk.Get(storage.KeyMaxInst); ok {
-		for inst := a.floor; inst <= hi.(uint64); inst++ {
-			rec, ok := a.disk.Get(voteKey(inst))
-			if !ok {
-				continue
-			}
-			if vr := rec.(storage.VoteRec); len(vr.Cmds) > 0 {
-				a.votes[inst] = vote{vrnd: vr.VRnd, vval: vr.Cmds[0]}
-				voted = ballot.Max(voted, vr.VRnd)
-			}
-		}
-	}
-	var start ballot.Ballot
-	a.inc, start = storage.LoadIncarnation(a.disk, voted)
-	a.rnds = make([]ballot.Ballot, a.cfg.NShards())
-	for i := range a.rnds {
-		a.rnds[i] = start
 	}
 }
 

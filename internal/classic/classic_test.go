@@ -189,12 +189,8 @@ func TestRepairOutbidsRoundServedWithoutIt(t *testing.T) {
 	cl.Sim.RunUntil(cl.Sim.Now() + 50)
 	standby := cl.Coords[1].Rnd()
 
-	fresh := NewCoordinator(cl.Sim.Env(cl.Cfg.Coords[0]), cl.Cfg)
-	fresh.RetryEvery = 10
-	cl.Sim.Register(cl.Cfg.Coords[0], fresh)
-	cl.Sim.Recover(cl.Cfg.Coords[0])
-	cl.Coords[0] = fresh
-	fresh.Repair()
+	cl.Restart(cl.Cfg.Coords[0])
+	fresh := cl.Coords[0]
 	cl.Prop.Propose(cstruct.Cmd{ID: 2})
 	cl.Sim.RunUntil(cl.Sim.Now() + 500)
 
@@ -204,6 +200,49 @@ func TestRepairOutbidsRoundServedWithoutIt(t *testing.T) {
 	}
 	if got := cl.Learners[0].LearnedCount(); got != 2 {
 		t.Fatalf("learned %d/2 across the takeover and the owner's return", got)
+	}
+}
+
+// A coordinator keeps no stable state (Section 4.4): restarted, it is a new
+// Coordinator that knows nothing of the round it led or the 2a it had
+// outstanding, and Repair is what finishes that instance — from the
+// acceptors' promises, since with proposer retransmission off nobody will
+// submit the command again. (Resumed in place, the old object kept its
+// window, believed a retry timer armed that the crash had cancelled, and
+// never sent another message.)
+func TestRestartedCoordinatorForgetsAndRepairs(t *testing.T) {
+	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1, RetryEvery: 8})
+	cl.Sim.MaxEvents = 100_000
+	cl.Prop.RetryEvery = 0
+	cl.Lead(0)
+	// Every 2b is lost: the acceptors vote, nobody learns, the 2a stays
+	// outstanding at the coordinator.
+	cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+		_, is2b := m.(msg.P2b)
+		return is2b
+	})
+	cl.Prop.Propose(cstruct.Cmd{ID: 7})
+	cl.Sim.RunUntil(cl.Sim.Now() + 4)
+	old := cl.Coords[0]
+	if !old.Leading() || old.Inflight() != 1 {
+		t.Fatalf("setup: leading=%v inflight=%d, want a leader with one 2a outstanding", old.Leading(), old.Inflight())
+	}
+
+	cl.Sim.Crash(cl.Cfg.Coords[0])
+	cl.Sim.SetDrop(sim.DropNone)
+	cl.Restart(cl.Cfg.Coords[0])
+	fresh := cl.Coords[0]
+	if fresh == old || fresh.Leading() || fresh.Inflight() != 0 || !fresh.Rnd().IsZero() {
+		t.Fatalf("restarted coordinator remembers: same object=%v leading=%v inflight=%d round=%v",
+			fresh == old, fresh.Leading(), fresh.Inflight(), fresh.Rnd())
+	}
+	cl.Sim.Run() // quiesces: nothing retransmits for ever
+	if got, ok := cl.LearnedCmds[0]; !ok || got.ID != 7 {
+		t.Fatalf("instance 0 learned %v (ok=%v), want the command outstanding at the crash", got, ok)
+	}
+	if !fresh.Leading() || fresh.Inflight() != 0 {
+		t.Errorf("after repair: leading=%v inflight=%d, want the live round re-established and the window empty",
+			fresh.Leading(), fresh.Inflight())
 	}
 }
 
@@ -234,7 +273,7 @@ func TestAcceptorCrashRecoveryKeepsVotes(t *testing.T) {
 	// Crash and recover acceptor 0; its vote must survive on disk.
 	accID := cl.Cfg.Acceptors[0]
 	cl.Sim.Crash(accID)
-	cl.Sim.Recover(accID)
+	cl.Restart(accID)
 	vrnd, vval, ok := cl.Accs[0].Vote(0)
 	if !ok || vval.ID != 21 {
 		t.Fatalf("vote lost across recovery: %v %v %v", vrnd, vval, ok)

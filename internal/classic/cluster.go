@@ -1,9 +1,12 @@
 package classic
 
 import (
+	"slices"
+
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/quorum"
 	"mcpaxos/internal/sim"
 	"mcpaxos/internal/storage"
@@ -26,6 +29,10 @@ type Cluster struct {
 	LearnTime map[uint64]int64
 	// LearnedCmds records, per instance, the command learner 0 learned.
 	LearnedCmds map[uint64]cstruct.Cmd
+
+	// recipes holds the bring-up build of every coordinator and acceptor,
+	// the nodes Restart can restart.
+	recipes map[msg.NodeID]func(node.Env) node.Handler
 }
 
 // ClusterOpts parameterizes NewCluster.
@@ -91,27 +98,35 @@ func NewCluster(o ClusterOpts) *Cluster {
 	cl := &Cluster{
 		Sim:         s,
 		Cfg:         cfg,
+		Coords:      make([]*Coordinator, len(cfg.Coords)),
+		Accs:        make([]*Acceptor, len(cfg.Acceptors)),
+		Disks:       make([]storage.Stable, len(cfg.Acceptors)),
 		LearnTime:   make(map[uint64]int64),
 		LearnedCmds: make(map[uint64]cstruct.Cmd),
+		recipes:     make(map[msg.NodeID]func(node.Env) node.Handler),
 	}
 
 	for i, id := range cfg.Coords {
-		c := NewCoordinator(s.Env(id), cfg)
-		c.RetryEvery = o.RetryEvery
-		c.MaxInflight = o.MaxInflight
-		c.Shard = i % cfg.NShards()
-		s.Register(id, c)
-		cl.Coords = append(cl.Coords, c)
+		cl.host(id, func(env node.Env) node.Handler {
+			c := NewCoordinator(env, cfg)
+			c.RetryEvery = o.RetryEvery
+			c.MaxInflight = o.MaxInflight
+			c.Shard = i % cfg.NShards()
+			cl.Coords[i] = c
+			return c
+		})
 	}
 	for i, id := range cfg.Acceptors {
-		var disk storage.Stable = &storage.Disk{}
+		cl.Disks[i] = &storage.Disk{}
 		if o.Stable != nil {
-			disk = o.Stable(i)
+			cl.Disks[i] = o.Stable(i)
 		}
-		a := NewAcceptor(s.Env(id), cfg, disk)
-		s.Register(id, a)
-		cl.Accs = append(cl.Accs, a)
-		cl.Disks = append(cl.Disks, disk)
+		// Disks[i] is read when the recipe runs: a restart over a reopened
+		// log sets it first.
+		cl.host(id, func(env node.Env) node.Handler {
+			cl.Accs[i] = NewAcceptor(env, cfg, cl.Disks[i])
+			return cl.Accs[i]
+		})
 	}
 	for i, id := range cfg.Learners {
 		var fn LearnFn
@@ -150,6 +165,24 @@ func NewCluster(o ClusterOpts) *Cluster {
 	cl.Prop.RetryEvery = o.RetryEvery
 	s.Register(1, cl.Prop)
 	return cl
+}
+
+// host brings node id up with build and keeps the recipe for Restart.
+func (cl *Cluster) host(id msg.NodeID, build func(node.Env) node.Handler) {
+	cl.recipes[id] = build
+	cl.Sim.Restart(id, build)
+}
+
+// Restart restarts coordinator or acceptor id as a process restart would: its
+// bring-up recipe builds a new handler — for an acceptor over Disks[i], which
+// is the recovery — and re-points Coords[i] or Accs[i] at it. A coordinator
+// has no stable state, so it then takes the step deploy.Replica.start takes
+// for a restarted one: Repair.
+func (cl *Cluster) Restart(id msg.NodeID) {
+	cl.Sim.Restart(id, cl.recipes[id])
+	if i := slices.Index(cl.Cfg.Coords, id); i >= 0 {
+		cl.Coords[i].Repair()
+	}
 }
 
 // Lead runs phase 1 on coordinator i and drains the simulator, leaving the

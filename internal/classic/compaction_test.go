@@ -1,10 +1,12 @@
 package classic
 
 import (
+	"errors"
 	"testing"
 
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/storage"
 )
 
 // recorder captures messages sent to an otherwise-unused node ID, standing in
@@ -103,5 +105,54 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 		if _, _, ok := ra.Vote(inst); !ok {
 			t.Errorf("restarted acceptor lost surviving vote %d", inst)
 		}
+	}
+}
+
+// failingCompact is a Disk whose Compact fails while fail is set.
+type failingCompact struct {
+	storage.Disk
+	fail  bool
+	calls int
+}
+
+func (d *failingCompact) Compact() error {
+	d.calls++
+	if d.fail {
+		return errors.New("no space left on device")
+	}
+	return nil
+}
+
+// A failed physical compaction is retried at the next watermark, not after
+// another compactAfterDrops truncations; a successful one starts the count
+// over.
+func TestAcceptorRetriesFailedCompaction(t *testing.T) {
+	disk := &failingCompact{fail: true}
+	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 3,
+		Stable: func(i int) storage.Stable {
+			if i == 0 {
+				return disk
+			}
+			return &storage.Disk{}
+		}})
+	cl.Lead(0)
+	for i := 0; i < compactAfterDrops+2; i++ {
+		cl.Prop.Propose(cstruct.Cmd{ID: uint64(1 + i), Key: "k"})
+	}
+	cl.Sim.Run()
+	done := func(wm uint64) { cl.Accs[0].OnMessage(300, msg.Done{From: 300, Frontier: wm, Watermark: wm}) }
+
+	done(compactAfterDrops)
+	if disk.calls != 1 {
+		t.Fatalf("%d drops asked for %d compactions, want 1", compactAfterDrops, disk.calls)
+	}
+	disk.fail = false
+	done(compactAfterDrops + 1)
+	if disk.calls != 2 {
+		t.Fatalf("a failed compaction was not retried at the next watermark (%d calls)", disk.calls)
+	}
+	done(compactAfterDrops + 2)
+	if disk.calls != 2 {
+		t.Fatalf("a successful compaction did not reset the drop count (%d calls)", disk.calls)
 	}
 }

@@ -196,7 +196,7 @@ func TestMulticoordQuorumGating(t *testing.T) {
 
 	// A second member comes back: proposer retransmissions re-feed it and
 	// the tally completes without a round change.
-	cl.Sim.Recover(cl.Cfg.Coords[1])
+	cl.Restart(cl.Cfg.Coords[1])
 	cl.Sim.Run()
 	if _, ok := cl.LearnedCmds[0]; !ok {
 		t.Fatal("instance still undecided after the quorum re-formed")
@@ -361,13 +361,8 @@ func TestMulticoordMemberRestartRepairs(t *testing.T) {
 
 	// Restart member 1 as a fresh process: a brand-new handler with no
 	// memory of the round it helped serve.
-	fresh := NewCoordinator(cl.Sim.Env(victim), cl.Cfg)
-	fresh.Shard = 0
-	fresh.RetryEvery = 4
-	cl.Sim.Register(victim, fresh)
-	cl.Sim.Recover(victim)
-	cl.Coords[1] = fresh // keep the harness quiesce and metrics pointed at it
-	fresh.Repair()
+	cl.Restart(victim)
+	fresh := cl.Coords[1]
 	cl.Sim.Run()
 
 	if !fresh.Leading() {
@@ -401,6 +396,56 @@ func TestMulticoordMemberRestartRepairs(t *testing.T) {
 	}
 }
 
+// A member repaired after a round change re-forwards, from its promises,
+// instances that decided in the *earlier* round. Its peers trimmed those
+// instances when they were learned and will never second the 2as, so no
+// acceptor can accept them in the live round: the acceptors must answer by
+// re-announcing the votes they hold, and the learner's duplicate ack is what
+// empties the member's window. Without that the member retransmits those
+// slots for life and forwards nothing new.
+func TestMulticoordRepairAfterRoundChangeDrains(t *testing.T) {
+	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 67, CoordsPerShard: 3, RetryEvery: 4, MaxInflight: 4})
+	cl.Sim.MaxEvents = 200_000
+	cl.LeadAll()
+	const decided = 12
+	for i := 0; i < decided; i++ {
+		cl.Prop.ProposeTo(0, mcCmd(uint64(500+i)))
+	}
+	cl.Sim.Run()
+	first := cl.ShardRound(0)
+	cl.Coords[0].BecomeLeader()
+	cl.Sim.Run()
+	live := cl.ShardRound(0)
+	if len(cl.LearnedCmds) != decided || !first.Less(live) {
+		t.Fatalf("setup: %d/%d decided, round %v → %v, want all decided and a round change", len(cl.LearnedCmds), decided, first, live)
+	}
+
+	victim := cl.Cfg.Coords[1]
+	cl.Sim.Crash(victim)
+	others := cl.RoundChanges() - cl.Coords[1].RoundChanges()
+	cl.Restart(victim)
+	cl.Sim.Run() // must return: a wedged window retransmits for ever
+	fresh := cl.Coords[1]
+	if !fresh.Leading() || !fresh.Rnd().Equal(live) || !cl.ShardRound(0).Equal(live) {
+		t.Fatalf("repair: leading=%v at %v, shard at %v, want the live round %v rejoined", fresh.Leading(), fresh.Rnd(), cl.ShardRound(0), live)
+	}
+	if fresh.Inflight() != 0 || fresh.Pending() != 0 {
+		t.Fatalf("repaired member's window never drained: inflight=%d pending=%d", fresh.Inflight(), fresh.Pending())
+	}
+	if got := cl.RoundChanges(); got != others {
+		t.Errorf("restart paid %d round changes, want 0", got-others)
+	}
+
+	// A fresh proposal decides through the repaired member: with member 2
+	// gone, it is the quorum's second vote.
+	cl.Sim.Crash(cl.Cfg.Coords[2])
+	cl.Prop.ProposeTo(0, mcCmd(600))
+	cl.Sim.Run()
+	if got, ok := cl.LearnedCmds[decided]; !ok || got.ID != 600 {
+		t.Fatalf("instance %d learned %v (ok=%v), want the fresh proposal decided through the repaired member", decided, got, ok)
+	}
+}
+
 // A repairing coordinator's zero-round probe draws one Stale per acceptor,
 // all naming the live round. The simulator delivers them in one step; over
 // sockets the stragglers can land after the first promises have already
@@ -412,12 +457,8 @@ func TestRepairIgnoresLateStaleAtLiveRound(t *testing.T) {
 	live := cl.ShardRound(0)
 	victim := cl.Cfg.Coords[0]
 	cl.Sim.Crash(victim)
-	fresh := NewCoordinator(cl.Sim.Env(victim), cl.Cfg)
-	fresh.RetryEvery = 4
-	cl.Sim.Register(victim, fresh)
-	cl.Sim.Recover(victim)
-	cl.Coords[0] = fresh
-	fresh.Repair()
+	cl.Restart(victim)
+	fresh := cl.Coords[0]
 	cl.Sim.Run()
 	if !fresh.Leading() || !fresh.Rnd().Equal(live) {
 		t.Fatalf("repair: leading=%v at %v, want the live round %v", fresh.Leading(), fresh.Rnd(), live)

@@ -58,25 +58,18 @@ func (wc *walCluster) hardCrash(i int) {
 }
 
 // restart rebuilds acceptor i from its log directory: reopen (replaying the
-// segments and truncating any torn tail) and construct a brand-new Acceptor
-// over the replayed store (one incarnation write, Section 4.4).
+// segments and truncating any torn tail) and restart the node over the
+// replayed store — building the replacement is the recovery (one incarnation
+// write, Section 4.4).
 func (wc *walCluster) restart(i int) *Acceptor {
 	wc.t.Helper()
-	id := wc.Cfg.Acceptors[i]
 	w, err := wal.Open(wc.dirs[i], wal.Options{})
 	if err != nil {
 		wc.t.Fatalf("reopen wal %d: %v", i, err)
 	}
-	// The process died with its handler: nothing recovers in place (over a
-	// closed log). Building the replacement over the replayed store is the
-	// recovery.
-	wc.Sim.Register(id, nil)
-	wc.Sim.Recover(id)
-	a := NewAcceptor(wc.Sim.Env(id), wc.Cfg, w)
-	wc.Sim.Register(id, a)
-	wc.Accs[i] = a
 	wc.Disks[i] = w
-	return a
+	wc.Restart(wc.Cfg.Acceptors[i])
+	return wc.Accs[i]
 }
 
 // checkNoLossNoConflict asserts that every instance learned before the
@@ -415,7 +408,7 @@ func TestWALRecoveryPartialTallyIsVolatile(t *testing.T) {
 	// from it, the group moves above its floor and re-forwards instance 1: it
 	// decides the value the lost tally held.
 	wc.Sim.Crash(wc.Cfg.Acceptors[1])
-	wc.Sim.Recover(wc.Cfg.Coords[1])
+	wc.Restart(wc.Cfg.Coords[1])
 	wc.Sim.Run()
 	if got, ok := wc.LearnedCmds[1]; !ok || got.ID != 801 {
 		t.Fatalf("instance 1 learned %v (ok=%v) after the restart, want c801", got, ok)

@@ -43,14 +43,26 @@ type Acceptor struct {
 }
 
 var _ node.Handler = (*Acceptor)(nil)
-var _ node.Recoverable = (*Acceptor)(nil)
 
-// NewAcceptor builds an acceptor bound to env and disk. The stable store
-// may be the simulated Disk or the on-disk WAL. Over a store an earlier
-// acceptor wrote to, this is that acceptor's recovery.
+// NewAcceptor builds an acceptor bound to env, in the state disk (the
+// simulated Disk or the on-disk WAL) dictates. Over a store an earlier acceptor
+// wrote to, this is that acceptor's recovery: the accepted value comes back,
+// and the round starts where storage.LoadIncarnation says — at Zero on a first
+// start, above any round the previous life can have joined otherwise (one disk
+// write, Section 4.4).
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{env: env, cfg: cfg, disk: disk}
-	a.load()
+	a := &Acceptor{
+		env: env, cfg: cfg, disk: disk,
+		vval:     cfg.Set.Bottom(),
+		twoAs:    make(map[msg.NodeID]cstruct.CStruct),
+		proposed: make(map[uint64]bool),
+	}
+	if rec, ok := disk.Get(storage.KeyVote); ok {
+		v := rec.(storage.VoteRec)
+		a.vrnd = v.VRnd
+		a.vval = cstruct.AppendSeq(cfg.Set.Bottom(), v.Cmds)
+	}
+	a.inc, a.rnd = storage.LoadIncarnation(disk, a.vrnd)
 	return a
 }
 
@@ -267,30 +279,6 @@ func (a *Acceptor) promote(j ballot.Ballot) {
 	}
 	a.promotions++
 	a.joinRound(j)
-}
-
-// OnRecover implements node.Recoverable for hosts that restart a node in
-// place (sim.Recover). A host that rebuilds the node has already recovered
-// it: NewAcceptor loads the same way.
-func (a *Acceptor) OnRecover() { a.load() }
-
-// load brings the acceptor to the state its disk dictates, dropping whatever
-// volatile state it held: the accepted value comes back, and the round starts
-// where storage.LoadIncarnation says — at Zero on a first start, above any
-// round the previous life can have joined otherwise (one disk write, Section
-// 4.4).
-func (a *Acceptor) load() {
-	a.vrnd, a.vval = ballot.Zero, a.cfg.Set.Bottom()
-	a.twoARnd = ballot.Zero
-	a.twoAs = make(map[msg.NodeID]cstruct.CStruct)
-	a.proposals = nil
-	a.proposed = make(map[uint64]bool)
-	if rec, ok := a.disk.Get(storage.KeyVote); ok {
-		v := rec.(storage.VoteRec)
-		a.vrnd = v.VRnd
-		a.vval = cstruct.AppendSeq(a.cfg.Set.Bottom(), v.Cmds)
-	}
-	a.inc, a.rnd = storage.LoadIncarnation(a.disk, a.vrnd)
 }
 
 func valsOf(m map[msg.NodeID]cstruct.CStruct) []cstruct.CStruct {

@@ -4,6 +4,7 @@ import (
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/quorum"
 	"mcpaxos/internal/sim"
 	"mcpaxos/internal/storage"
@@ -22,6 +23,10 @@ type Cluster struct {
 	// LearnTimes maps command ID → simulated time learner 0 first learned
 	// a c-struct containing it.
 	LearnTimes map[uint64]int64
+
+	// recipes holds the bring-up build of every coordinator and acceptor,
+	// the nodes Restart can restart.
+	recipes map[msg.NodeID]func(node.Env) node.Handler
 }
 
 // ClusterOpts parameterizes NewCluster.
@@ -78,22 +83,33 @@ func NewCluster(o ClusterOpts) *Cluster {
 		cfg.Learners = append(cfg.Learners, msg.NodeID(300+i))
 	}
 
-	cl := &Cluster{Sim: s, Cfg: cfg, LearnTimes: make(map[uint64]int64)}
-	for _, id := range cfg.Coords {
-		c := NewCoordinator(s.Env(id), cfg)
-		c.RetryEvery = o.RetryEvery
-		s.Register(id, c)
-		cl.Coords = append(cl.Coords, c)
+	cl := &Cluster{
+		Sim:        s,
+		Cfg:        cfg,
+		Coords:     make([]*Coordinator, len(cfg.Coords)),
+		Accs:       make([]*Acceptor, len(cfg.Acceptors)),
+		Disks:      make([]storage.Stable, len(cfg.Acceptors)),
+		LearnTimes: make(map[uint64]int64),
+		recipes:    make(map[msg.NodeID]func(node.Env) node.Handler),
+	}
+	for i, id := range cfg.Coords {
+		cl.host(id, func(env node.Env) node.Handler {
+			cl.Coords[i] = NewCoordinator(env, cfg)
+			cl.Coords[i].RetryEvery = o.RetryEvery
+			return cl.Coords[i]
+		})
 	}
 	for i, id := range cfg.Acceptors {
-		var disk storage.Stable = &storage.Disk{}
+		cl.Disks[i] = &storage.Disk{}
 		if o.Stable != nil {
-			disk = o.Stable(i)
+			cl.Disks[i] = o.Stable(i)
 		}
-		a := NewAcceptor(s.Env(id), cfg, disk)
-		s.Register(id, a)
-		cl.Accs = append(cl.Accs, a)
-		cl.Disks = append(cl.Disks, disk)
+		// Disks[i] is read when the recipe runs: a restart over a reopened
+		// log sets it first.
+		cl.host(id, func(env node.Env) node.Handler {
+			cl.Accs[i] = NewAcceptor(env, cfg, cl.Disks[i])
+			return cl.Accs[i]
+		})
 	}
 	for i, id := range cfg.Learners {
 		var fn UpdateFn
@@ -129,6 +145,18 @@ func NewCluster(o ClusterOpts) *Cluster {
 	}
 	return cl
 }
+
+// host brings node id up with build and keeps the recipe for Restart.
+func (cl *Cluster) host(id msg.NodeID, build func(node.Env) node.Handler) {
+	cl.recipes[id] = build
+	cl.Sim.Restart(id, build)
+}
+
+// Restart restarts coordinator or acceptor id as a process restart would: its
+// bring-up recipe builds a new handler — for an acceptor over Disks[i], which
+// is the recovery; a coordinator comes back knowing nothing (Section 4.4) —
+// and re-points Coords[i] or Accs[i] at it.
+func (cl *Cluster) Restart(id msg.NodeID) { cl.Sim.Restart(id, cl.recipes[id]) }
 
 // Start has coordinator i begin the scheme's first round and drains the
 // simulator: the cluster is then ready for steady-state commands.

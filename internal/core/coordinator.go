@@ -13,8 +13,9 @@ import (
 // appends proposals to its cval with Phase2aClassic. Acceptors only accept
 // what a whole coordinator quorum agrees on.
 //
-// Coordinators keep no stable state (Section 4.4): a recovered coordinator
-// rejoins with a fresh incarnation.
+// Coordinators keep no stable state (Section 4.4): a restarted coordinator
+// is a new Coordinator — it has lost everything, and the round scheme's
+// MCount headroom lets it start dominating rounds all the same.
 type Coordinator struct {
 	env node.Env
 	cfg Config
@@ -51,7 +52,6 @@ type Coordinator struct {
 const timerRetry2a = 1
 
 var _ node.Handler = (*Coordinator)(nil)
-var _ node.Recoverable = (*Coordinator)(nil)
 var _ node.TimerHandler = (*Coordinator)(nil)
 
 // NewCoordinator builds a coordinator bound to env.
@@ -244,19 +244,4 @@ func NextAbove(s ballot.Scheme, b ballot.Ballot, id uint32) ballot.Ballot {
 		n = s.Next(n, id)
 	}
 	return n
-}
-
-// OnRecover implements node.Recoverable: coordinators lose everything and
-// come back as a fresh incarnation (Section 4.4) — the round scheme's
-// MCount headroom lets them start dominating rounds without stable state.
-func (c *Coordinator) OnRecover() {
-	c.crnd = ballot.Zero
-	c.attempt = ballot.Zero
-	c.started = false
-	c.cval = c.cfg.Set.Bottom()
-	c.p1bs = make(map[ballot.Ballot]map[msg.NodeID]msg.P1b)
-	c.proposals = nil
-	c.seen = make(map[uint64]bool)
-	c.learned = make(map[uint64]bool)
-	c.retryArmed = false
 }

@@ -176,7 +176,7 @@ func TestAcceptorCrashRecovery(t *testing.T) {
 	cl.Sim.Run()
 	id := cl.Cfg.Acceptors[0]
 	cl.Sim.Crash(id)
-	cl.Sim.Recover(id)
+	cl.Restart(id)
 	if !cl.Accs[0].VVal().Contains(cstruct.Cmd{ID: 5}) {
 		t.Errorf("accepted value lost across recovery")
 	}
@@ -193,7 +193,7 @@ func TestCoordinatorRecoveryIsStateless(t *testing.T) {
 	cl.Sim.Run()
 	id := cl.Cfg.Coords[0]
 	cl.Sim.Crash(id)
-	cl.Sim.Recover(id)
+	cl.Restart(id)
 	if !cl.Coords[0].Rnd().IsZero() || cl.Coords[0].Started() {
 		t.Errorf("recovered coordinator must be fresh (no stable state)")
 	}

@@ -30,7 +30,6 @@ const timerDriverCheck = 3000
 
 var _ node.Handler = (*LeaderDriver)(nil)
 var _ node.TimerHandler = (*LeaderDriver)(nil)
-var _ node.Recoverable = (*LeaderDriver)(nil)
 
 // NewLeaderDriver builds the driver for coord. hbEvery/hbTimeout configure
 // failure detection; checkEvery the quorum-health probe period.
@@ -94,11 +93,4 @@ func (d *LeaderDriver) OnTimer(tag int) {
 		next = NextAbove(d.cfg.Scheme, next, uint32(d.env.ID()))
 	}
 	d.coord.StartRound(next)
-}
-
-// OnRecover implements node.Recoverable.
-func (d *LeaderDriver) OnRecover() {
-	d.leading = false
-	d.el.OnRecover()
-	d.env.SetTimer(d.checkEvery, timerDriverCheck)
 }

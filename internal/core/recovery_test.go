@@ -44,23 +44,17 @@ func (wc *walCoreCluster) hardCrash(i int) {
 	wc.Disks[i].(*wal.WAL).Close()
 }
 
+// restart reopens acceptor i's log directory and restarts the node over the
+// replayed store: building the replacement is the recovery.
 func (wc *walCoreCluster) restart(i int) *Acceptor {
 	wc.t.Helper()
-	id := wc.Cfg.Acceptors[i]
 	w, err := wal.Open(wc.dirs[i], wal.Options{})
 	if err != nil {
 		wc.t.Fatalf("reopen wal %d: %v", i, err)
 	}
-	// The process died with its handler: nothing recovers in place (over a
-	// closed log). Building the replacement over the replayed store is the
-	// recovery.
-	wc.Sim.Register(id, nil)
-	wc.Sim.Recover(id)
-	a := NewAcceptor(wc.Sim.Env(id), wc.Cfg, w)
-	wc.Sim.Register(id, a)
-	wc.Accs[i] = a
 	wc.Disks[i] = w
-	return a
+	wc.Restart(wc.Cfg.Acceptors[i])
+	return wc.Accs[i]
 }
 
 // TestWALRecoveryCoreAfterAccept crashes an acceptor after it accepted a

@@ -64,7 +64,7 @@ func TestRefinementCrashRun(t *testing.T) {
 	cl.Props[0].Propose(proposed[0])
 	cl.Sim.Run()
 	cl.Sim.Crash(cl.Cfg.Acceptors[0])
-	cl.Sim.Recover(cl.Cfg.Acceptors[0])
+	cl.Restart(cl.Cfg.Acceptors[0])
 	cl.Props[0].Propose(proposed[1])
 	cl.Sim.Run()
 	checkRefined(t, cl, proposed, "after crash/recover")

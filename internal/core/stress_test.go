@@ -64,12 +64,12 @@ func TestSafetyUnderRandomSchedules(t *testing.T) {
 					id := cl.Cfg.Acceptors[rng.Intn(len(cl.Cfg.Acceptors))]
 					cl.Sim.Crash(id)
 					at := cl.Sim.Now() + int64(rng.Intn(30))
-					cl.Sim.At(at, func() { cl.Sim.Recover(id) })
+					cl.Sim.At(at, func() { cl.Restart(id) })
 				case 1:
 					id := cl.Cfg.Coords[rng.Intn(len(cl.Cfg.Coords))]
 					cl.Sim.Crash(id)
 					at := cl.Sim.Now() + int64(rng.Intn(40))
-					cl.Sim.At(at, func() { cl.Sim.Recover(id) })
+					cl.Sim.At(at, func() { cl.Restart(id) })
 				}
 				cl.Sim.RunUntil(cl.Sim.Now() + int64(20+rng.Intn(40)))
 				checkStability()

@@ -37,7 +37,6 @@ type Elector struct {
 
 var _ node.Handler = (*Elector)(nil)
 var _ node.TimerHandler = (*Elector)(nil)
-var _ node.Recoverable = (*Elector)(nil)
 
 // NewElector builds an elector for the hosting node among peers.
 // interval is the heartbeat period; timeout the suspicion threshold.
@@ -127,15 +126,4 @@ func (e *Elector) OnTimer(tag int) {
 		return
 	}
 	e.tick()
-}
-
-// OnRecover implements node.Recoverable: forget stale liveness data and
-// resume heartbeating.
-func (e *Elector) OnRecover() {
-	e.lastSeen = make(map[msg.NodeID]int64)
-	e.leader = 0
-	e.startedAt = e.env.Now()
-	if e.running {
-		e.tick()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/sim"
 )
 
@@ -12,16 +13,23 @@ type electHost struct {
 	history []msg.NodeID
 }
 
+// hostElector brings node id up — for the first time or after a crash — with
+// a freshly built elector, as every host restarts a node.
+func hostElector(s *sim.Sim, id msg.NodeID, ids []msg.NodeID) *electHost {
+	h := &electHost{}
+	s.Restart(id, func(env node.Env) node.Handler {
+		h.el = NewElector(env, ids, 10, 25, func(l msg.NodeID, _ bool) {
+			h.history = append(h.history, l)
+		})
+		return h.el
+	})
+	return h
+}
+
 func buildElectors(s *sim.Sim, ids []msg.NodeID) []*electHost {
 	hosts := make([]*electHost, len(ids))
 	for i, id := range ids {
-		h := &electHost{}
-		el := NewElector(s.Env(id), ids, 10, 25, func(l msg.NodeID, _ bool) {
-			h.history = append(h.history, l)
-		})
-		h.el = el
-		s.Register(id, el)
-		hosts[i] = h
+		hosts[i] = hostElector(s, id, ids)
 	}
 	return hosts
 }
@@ -72,7 +80,7 @@ func TestRecoveredLeaderRegainsLeadership(t *testing.T) {
 	if hosts[1].el.Leader() != 102 {
 		t.Fatalf("setup: 102 should lead, got %v", hosts[1].el.Leader())
 	}
-	s.Recover(101)
+	hostElector(s, 101, ids).el.Start()
 	s.RunUntil(600)
 	if hosts[1].el.Leader() != 101 {
 		t.Errorf("recovered lowest ID must regain leadership, got %v", hosts[1].el.Leader())

@@ -44,14 +44,21 @@ type Acceptor struct {
 const MaxUncoordRecoveries = 8
 
 var _ node.Handler = (*Acceptor)(nil)
-var _ node.Recoverable = (*Acceptor)(nil)
 
-// NewAcceptor builds an acceptor bound to env and disk. The stable store
-// may be the simulated Disk or the on-disk WAL. Over a store an earlier
-// acceptor wrote to, this is that acceptor's recovery.
+// NewAcceptor builds an acceptor bound to env, in the state disk (the
+// simulated Disk or the on-disk WAL) dictates. Over a store an earlier acceptor
+// wrote to, this is that acceptor's recovery: the vote comes back, and the
+// round starts where storage.LoadIncarnation says — at Zero on a first start,
+// above any round the previous life can have joined otherwise (one disk write,
+// Section 4.4).
 func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
-	a := &Acceptor{env: env, cfg: cfg, disk: disk}
-	a.load()
+	a := &Acceptor{env: env, cfg: cfg, disk: disk, seen2b: make(map[msg.NodeID]msg.P2b)}
+	if rec, ok := disk.Get(storage.KeyVote); ok {
+		if v := rec.(storage.VoteRec); len(v.Cmds) > 0 {
+			a.vrnd, a.vval, a.hasVal = v.VRnd, v.Cmds[0], true
+		}
+	}
+	a.inc, a.rnd = storage.LoadIncarnation(disk, a.vrnd)
 	return a
 }
 
@@ -224,26 +231,4 @@ func (a *Acceptor) maybeUncoordRecover() {
 	case len(a.proposals) > 0:
 		a.accept(next, a.proposals[0])
 	}
-}
-
-// OnRecover implements node.Recoverable for hosts that restart a node in
-// place (sim.Recover). A host that rebuilds the node has already recovered
-// it: NewAcceptor loads the same way.
-func (a *Acceptor) OnRecover() { a.load() }
-
-// load brings the acceptor to the state its disk dictates, dropping whatever
-// volatile state it held: the vote comes back, and the round starts where
-// storage.LoadIncarnation says — at Zero on a first start, above any round
-// the previous life can have joined otherwise (one disk write, Section 4.4).
-func (a *Acceptor) load() {
-	a.vrnd, a.vval, a.hasVal = ballot.Zero, cstruct.Cmd{}, false
-	a.hasAny, a.anyRnd = false, ballot.Zero
-	a.proposals = nil
-	a.seen2b = make(map[msg.NodeID]msg.P2b)
-	if rec, ok := a.disk.Get(storage.KeyVote); ok {
-		if v := rec.(storage.VoteRec); len(v.Cmds) > 0 {
-			a.vrnd, a.vval, a.hasVal = v.VRnd, v.Cmds[0], true
-		}
-	}
-	a.inc, a.rnd = storage.LoadIncarnation(a.disk, a.vrnd)
 }

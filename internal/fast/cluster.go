@@ -24,6 +24,10 @@ type Cluster struct {
 	LearnTime int64
 	// LearnedCmd is learner 0's decision.
 	LearnedCmd cstruct.Cmd
+
+	// recipes holds the bring-up build of the coordinator and every
+	// acceptor, the nodes Restart can restart.
+	recipes map[msg.NodeID]func(node.Env) node.Handler
 }
 
 // ClusterOpts parameterizes NewCluster.
@@ -65,18 +69,29 @@ func NewCluster(o ClusterOpts) *Cluster {
 		cfg.Learners = append(cfg.Learners, msg.NodeID(300+i))
 	}
 
-	cl := &Cluster{Sim: s, Cfg: cfg, LearnTime: -1}
-	cl.Coord = NewCoordinator(s.Env(100), cfg)
-	s.Register(100, cl.Coord)
+	cl := &Cluster{
+		Sim:       s,
+		Cfg:       cfg,
+		Accs:      make([]*Acceptor, len(cfg.Acceptors)),
+		Disks:     make([]storage.Stable, len(cfg.Acceptors)),
+		LearnTime: -1,
+		recipes:   make(map[msg.NodeID]func(node.Env) node.Handler),
+	}
+	cl.host(100, func(env node.Env) node.Handler {
+		cl.Coord = NewCoordinator(env, cfg)
+		return cl.Coord
+	})
 	for i, id := range cfg.Acceptors {
-		var disk storage.Stable = &storage.Disk{}
+		cl.Disks[i] = &storage.Disk{}
 		if o.Stable != nil {
-			disk = o.Stable(i)
+			cl.Disks[i] = o.Stable(i)
 		}
-		a := NewAcceptor(s.Env(id), cfg, disk)
-		s.Register(id, a)
-		cl.Accs = append(cl.Accs, a)
-		cl.Disks = append(cl.Disks, disk)
+		// Disks[i] is read when the recipe runs: a restart over a reopened
+		// log sets it first.
+		cl.host(id, func(env node.Env) node.Handler {
+			cl.Accs[i] = NewAcceptor(env, cfg, cl.Disks[i])
+			return cl.Accs[i]
+		})
 	}
 	for i, id := range cfg.Learners {
 		var fn LearnFn
@@ -93,6 +108,17 @@ func NewCluster(o ClusterOpts) *Cluster {
 	}
 	return cl
 }
+
+// host brings node id up with build and keeps the recipe for Restart.
+func (cl *Cluster) host(id msg.NodeID, build func(node.Env) node.Handler) {
+	cl.recipes[id] = build
+	cl.Sim.Restart(id, build)
+}
+
+// Restart restarts the coordinator or acceptor id as a process restart would:
+// its bring-up recipe builds a new handler — for an acceptor over Disks[i],
+// which is the recovery — and re-points Coord or Accs[i] at it.
+func (cl *Cluster) Restart(id msg.NodeID) { cl.Sim.Restart(id, cl.recipes[id]) }
 
 // Propose submits cmd from a proposer node with the given id at the current
 // simulated time: the command goes to coordinators and acceptors, as fast

@@ -232,7 +232,7 @@ func TestAcceptorCrashRecoveryKeepsVote(t *testing.T) {
 	cl.Sim.Run()
 	id := cl.Cfg.Acceptors[0]
 	cl.Sim.Crash(id)
-	cl.Sim.Recover(id)
+	cl.Restart(id)
 	if _, v, ok := cl.Accs[0].Vote(); !ok || v.ID != 77 {
 		t.Errorf("vote lost across recovery")
 	}

@@ -4,13 +4,11 @@ import "mcpaxos/internal/msg"
 
 // MultiHandler fans one node's deliveries out to several colocated agents
 // (e.g. a coordinator plus its leader elector). Messages go to every
-// sub-handler; timer ticks go to every TimerHandler; recovery hooks to every
-// Recoverable.
+// sub-handler; timer ticks go to every TimerHandler.
 type MultiHandler []Handler
 
 var _ Handler = MultiHandler(nil)
 var _ TimerHandler = MultiHandler(nil)
-var _ Recoverable = MultiHandler(nil)
 
 // OnMessage implements Handler.
 func (m MultiHandler) OnMessage(from msg.NodeID, mm msg.Message) {
@@ -24,15 +22,6 @@ func (m MultiHandler) OnTimer(tag int) {
 	for _, h := range m {
 		if th, ok := h.(TimerHandler); ok {
 			th.OnTimer(tag)
-		}
-	}
-}
-
-// OnRecover implements Recoverable.
-func (m MultiHandler) OnRecover() {
-	for _, h := range m {
-		if r, ok := h.(Recoverable); ok {
-			r.OnRecover()
 		}
 	}
 }

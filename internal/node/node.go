@@ -3,6 +3,10 @@
 // goroutine runtime). Protocol agents are pure state machines: all their
 // effects flow through an Env, which makes the same agent code runnable,
 // deterministic and measurable under either host.
+//
+// There is no recovery hook: both hosts restart a node by building a new
+// Handler over its stable storage (sim.Sim.Restart, runtime.Network.Restart),
+// so an agent's constructor is the one place volatile state is initialised.
 package node
 
 import "mcpaxos/internal/msg"
@@ -32,14 +36,6 @@ type Handler interface {
 type TimerHandler interface {
 	// OnTimer fires a previously set timer.
 	OnTimer(tag int)
-}
-
-// Recoverable is implemented by agents that can rebuild their volatile
-// state from stable storage after a crash.
-type Recoverable interface {
-	// OnRecover is invoked by the host when the crashed node restarts,
-	// after volatile state has been discarded.
-	OnRecover()
 }
 
 // Broadcast sends m to every destination via env.

@@ -7,14 +7,12 @@ import (
 )
 
 type stub struct {
-	msgs     int
-	timers   []int
-	recovers int
+	msgs   int
+	timers []int
 }
 
 func (s *stub) OnMessage(msg.NodeID, msg.Message) { s.msgs++ }
 func (s *stub) OnTimer(tag int)                   { s.timers = append(s.timers, tag) }
-func (s *stub) OnRecover()                        { s.recovers++ }
 
 type plain struct{ msgs int }
 
@@ -38,10 +36,6 @@ func TestMultiHandlerFansOut(t *testing.T) {
 	m.OnTimer(7)
 	if len(a.timers) != 1 || len(b.timers) != 1 {
 		t.Errorf("timer not fanned out to TimerHandlers")
-	}
-	m.OnRecover()
-	if a.recovers != 1 || b.recovers != 1 {
-		t.Errorf("recover not fanned out")
 	}
 }
 

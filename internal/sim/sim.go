@@ -2,7 +2,8 @@
 // in this repository. It models the asynchronous crash-recovery system of
 // the paper (Section 2.1.1): messages may be delayed, lost, duplicated and
 // reordered but not corrupted; processes fail by stopping and may recover
-// with only their stable storage intact.
+// with only their stable storage intact — literally: Crash kills a node's
+// handler for good and Restart builds a new one, as internal/runtime does.
 //
 // With the default unit link latency, the simulated time at which a learner
 // learns equals the number of communication steps since the proposal, which
@@ -140,7 +141,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Now() Time { return s.now }
 
 // Register adds a node to the simulation. Registering an existing ID
-// replaces its handler (used when rebuilding an agent after recovery).
+// replaces its handler (to host an agent beside another under a
+// node.MultiHandler); a crashed node comes back through Restart.
 func (s *Sim) Register(id msg.NodeID, h node.Handler) {
 	if n, ok := s.nodes[id]; ok {
 		n.handler = h
@@ -242,8 +244,8 @@ func (s *Sim) at(t Time, fn func()) {
 }
 
 // Crash stops node id: it no longer receives messages or timers and cannot
-// send. Its volatile state is the handler's; hosts rebuild handlers on
-// Recover.
+// send. Its handler, the process's volatile state, is dead: the way back is
+// Restart.
 func (s *Sim) Crash(id msg.NodeID) {
 	n, ok := s.nodes[id]
 	if !ok {
@@ -253,18 +255,21 @@ func (s *Sim) Crash(id msg.NodeID) {
 	n.epoch++
 }
 
-// Recover restarts node id. If the handler implements node.Recoverable its
-// OnRecover hook runs so it can reload stable state.
-func (s *Sim) Recover(id msg.NodeID) {
+// Restart models a crash-and-restart of node id with the build argument
+// runtime.Network.Restart takes: the old handler is discarded with every
+// timer it armed and build constructs the replacement — for an acceptor, over
+// its disk, which is the recovery (Section 4.4); nothing more is asked of the
+// handler. Messages in flight land in whichever handler is live on arrival.
+// A node that is up is crashed first; an unknown id is registered.
+func (s *Sim) Restart(id msg.NodeID, build func(node.Env) node.Handler) {
 	n, ok := s.nodes[id]
-	if !ok || n.up {
-		return
+	if !ok {
+		n = &simNode{id: id}
+		s.nodes[id] = n
 	}
-	n.up = true
 	n.epoch++
-	if r, ok := n.handler.(node.Recoverable); ok {
-		r.OnRecover()
-	}
+	n.up = true
+	n.handler = build(s.Env(id))
 }
 
 // IsUp reports whether node id is currently up.

@@ -7,17 +7,17 @@ import (
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 )
 
 // echoNode counts deliveries and optionally replies.
 type echoNode struct {
-	env      interface{ Send(msg.NodeID, msg.Message) }
-	got      []msg.Message
-	from     []msg.NodeID
-	times    []Time
-	timers   []int
-	replyTo  msg.NodeID
-	recovers int
+	env     node.Env
+	got     []msg.Message
+	from    []msg.NodeID
+	times   []Time
+	timers  []int
+	replyTo msg.NodeID
 }
 
 func (e *echoNode) OnMessage(from msg.NodeID, m msg.Message) {
@@ -29,13 +29,20 @@ func (e *echoNode) OnMessage(from msg.NodeID, m msg.Message) {
 }
 
 func (e *echoNode) OnTimer(tag int) { e.timers = append(e.timers, tag) }
-func (e *echoNode) OnRecover()      { e.recovers++ }
 
 func newEcho(s *Sim, id msg.NodeID) *echoNode {
 	n := &echoNode{}
 	s.Register(id, n)
 	env := s.Env(id)
 	n.env = env
+	return n
+}
+
+// restartEcho restarts id the way every host does: a new handler object
+// built over the Env the simulator hands to build.
+func restartEcho(s *Sim, id msg.NodeID) *echoNode {
+	n := &echoNode{}
+	s.Restart(id, func(env node.Env) node.Handler { n.env = env; return n })
 	return n
 }
 
@@ -131,9 +138,9 @@ func TestCrashBlocksDeliveryAndSending(t *testing.T) {
 	}
 	s.Crash(1)
 	s.Env(1).Send(2, msg.Heartbeat{From: 1})
-	s.Recover(2)
+	b2 := restartEcho(s, 2)
 	s.Run()
-	if len(b.got) != 0 {
+	if len(b.got)+len(b2.got) != 0 {
 		t.Errorf("crashed node must not send")
 	}
 	if len(a.got) != 0 {
@@ -141,20 +148,38 @@ func TestCrashBlocksDeliveryAndSending(t *testing.T) {
 	}
 }
 
-func TestRecoverInvokesHook(t *testing.T) {
+func TestRestartBuildsNewHandler(t *testing.T) {
 	s := New(1)
 	a := newEcho(s, 1)
 	s.Crash(1)
-	s.Recover(1)
-	if a.recovers != 1 {
-		t.Errorf("OnRecover called %d times, want 1", a.recovers)
+	if s.IsUp(1) {
+		t.Fatalf("node must be down after Crash")
 	}
+	var built node.Env
+	fresh := &echoNode{}
+	s.Restart(1, func(env node.Env) node.Handler { built = env; return fresh })
 	if !s.IsUp(1) {
-		t.Errorf("node must be up after recovery")
+		t.Fatalf("node must be up after Restart")
 	}
-	s.Recover(1) // no-op when already up
-	if a.recovers != 1 {
-		t.Errorf("Recover on a live node must be a no-op")
+	if built == nil || built.ID() != 1 {
+		t.Fatalf("build must receive the node's Env, got %v", built)
+	}
+	// The restarted handler is a new object: the dead one hears nothing more.
+	s.Env(1).Send(1, msg.Heartbeat{From: 1})
+	s.Run()
+	if len(a.got) != 0 || len(fresh.got) != 1 {
+		t.Errorf("delivered %d to the dead handler and %d to the restarted one, want 0 and 1",
+			len(a.got), len(fresh.got))
+	}
+	// Restart of a live node is a crash and a restart; of an unknown id, a start.
+	again := restartEcho(s, 1)
+	late := restartEcho(s, 9)
+	s.Env(9).Send(1, msg.Heartbeat{From: 9})
+	s.Env(1).Send(9, msg.Heartbeat{From: 1})
+	s.Run()
+	if len(fresh.got) != 1 || len(again.got) != 1 || len(late.got) != 1 {
+		t.Errorf("after a second restart: previous=%d current=%d new node=%d deliveries, want 1, 1, 1",
+			len(fresh.got), len(again.got), len(late.got))
 	}
 }
 
@@ -176,10 +201,51 @@ func TestTimerCancelledByCrash(t *testing.T) {
 	a := newEcho(s, 1)
 	s.Env(1).SetTimer(5, 1)
 	s.Crash(1)
-	s.Recover(1)
+	fresh := restartEcho(s, 1)
 	s.Run()
-	if len(a.timers) != 0 {
-		t.Errorf("pre-crash timer must not fire after recovery, got %v", a.timers)
+	if len(a.timers)+len(fresh.timers) != 0 {
+		t.Errorf("pre-crash timer must not fire after the restart, got %v / %v", a.timers, fresh.timers)
+	}
+}
+
+// TestRestartDropsStaleTimers is the simulator twin of the runtime test of
+// the same name, so both hosts pin one crash-boundary rule for timers: a
+// timer armed before Restart fires into no handler — not the dead
+// incarnation, and above all not the restarted one under the same ID, where a
+// pre-restart retransmission deadline would be a phantom timeout — while the
+// restarted incarnation's own timers work.
+func TestRestartDropsStaleTimers(t *testing.T) {
+	s := New(1)
+	old := newEcho(s, 7)
+	old.env.SetTimer(30, 1)
+	fresh := restartEcho(s, 7) // no Crash first: Restart is the crash
+	s.RunUntil(80)
+	if len(old.timers)+len(fresh.timers) != 0 {
+		t.Fatalf("stale timer fired: dead incarnation %v, restarted one %v", old.timers, fresh.timers)
+	}
+	fresh.env.SetTimer(2, 2)
+	s.Run()
+	if len(fresh.timers) != 1 || fresh.timers[0] != 2 {
+		t.Fatalf("restarted incarnation's timer never fired: %v", fresh.timers)
+	}
+}
+
+// TestDelayedDeliveryCrossesRestart is the twin for messages: a copy the
+// network delayed lands in whatever incarnation is live on arrival, while
+// timers die with theirs.
+func TestDelayedDeliveryCrossesRestart(t *testing.T) {
+	s := New(1)
+	f := faults.New(1)
+	f.SetReorder(1, 40) // every delivery delayed 1..40 ticks
+	s.SetFaults(f)
+	newEcho(s, 1)
+	first := newEcho(s, 2)
+	s.Env(1).Send(2, msg.Heartbeat{From: 1})
+	second := restartEcho(s, 2)
+	s.Run()
+	if len(first.got) != 0 || len(second.got) != 1 {
+		t.Fatalf("delayed message reached the dead incarnation %d times and the live one %d times, want 0 and 1",
+			len(first.got), len(second.got))
 	}
 }
 
@@ -240,12 +306,11 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 }
 
 func TestSendAcrossCrashBoundary(t *testing.T) {
-	// Pins the documented crash-boundary delivery semantics (the dead epoch
-	// capture that used to sit next to them is gone): a message in flight
-	// when its destination crashes is lost if it arrives while the node is
-	// down, but a message that arrives after the node recovered is
-	// delivered — the network may hold messages arbitrarily long, and a
-	// recovery epoch must not invalidate them.
+	// Pins the documented crash-boundary delivery semantics: a message in
+	// flight when its destination crashes is lost if it arrives while the
+	// node is down, but one that arrives after the node restarted is
+	// delivered, to the new handler — the network may hold messages
+	// arbitrarily long, and a restart epoch must not invalidate them.
 	s := New(1)
 	s.SetLatency(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) Time {
 		return Time(m.(msg.Heartbeat).Epoch) // per-message latency
@@ -255,20 +320,19 @@ func TestSendAcrossCrashBoundary(t *testing.T) {
 
 	// Arrives at t=1, while 2 is down: lost.
 	s.Env(1).Send(2, msg.Heartbeat{From: 1, Epoch: 1})
-	// Arrives at t=5, after 2 recovered at t=3: delivered across the crash.
+	// Arrives at t=5, after 2 restarted at t=3: delivered across the crash.
 	s.Env(1).Send(2, msg.Heartbeat{From: 1, Epoch: 5})
 	s.Crash(2)
-	s.At(3, func() { s.Recover(2) })
+	var b2 *echoNode
+	s.At(3, func() { b2 = restartEcho(s, 2) })
 	s.Run()
 
-	if len(b.got) != 1 {
-		t.Fatalf("delivered %d messages, want exactly the post-recovery one", len(b.got))
+	if len(b.got) != 0 || len(b2.got) != 1 {
+		t.Fatalf("delivered %d messages to the dead handler and %d to the restarted one, want exactly the post-restart one",
+			len(b.got), len(b2.got))
 	}
-	if b.got[0].(msg.Heartbeat).Epoch != 5 {
-		t.Fatalf("wrong survivor: %v", b.got[0])
-	}
-	if b.recovers != 1 {
-		t.Fatalf("recovers = %d, want 1", b.recovers)
+	if b2.got[0].(msg.Heartbeat).Epoch != 5 {
+		t.Fatalf("wrong survivor: %v", b2.got[0])
 	}
 }
 

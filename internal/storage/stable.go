@@ -41,41 +41,15 @@ type Stable interface {
 	ResetWrites()
 	// Len returns the number of distinct keys stored.
 	Len() int
-}
-
-// Compacter is an optional extension of Stable for log compaction: once the
-// cluster-wide watermark passes an instance range, the acceptor drops the
-// range's vote records durably and asks the backend to reclaim the physical
-// space. Backends without compaction support simply retain everything —
-// correct, just unbounded — so callers go through DropKeys/CompactStable.
-type Compacter interface {
 	// Drop durably deletes the records under keys, counting one synchronous
 	// write for the batch (a deletion must survive a crash exactly like a
-	// Put, or the keys would resurrect on replay).
+	// Put, or the keys would resurrect on replay). Acceptors drop a vote
+	// range once the cluster-wide compaction watermark has passed it.
 	Drop(keys []string)
 	// Compact reclaims the space of dropped and superseded records (for a
-	// WAL: rewrite the live index and GC dead segments). It may be a no-op
-	// for backends whose Drop already frees space.
+	// WAL: rewrite the live index and GC dead segments). It is a no-op for
+	// a backend whose Drop already frees space.
 	Compact() error
-}
-
-// DropKeys durably deletes keys from st when the backend supports
-// compaction; it reports whether anything could be dropped.
-func DropKeys(st Stable, keys []string) bool {
-	c, ok := st.(Compacter)
-	if !ok || len(keys) == 0 {
-		return ok
-	}
-	c.Drop(keys)
-	return true
-}
-
-// CompactStable asks st to reclaim dead space, if it can.
-func CompactStable(st Stable) error {
-	if c, ok := st.(Compacter); ok {
-		return c.Compact()
-	}
-	return nil
 }
 
 var _ Stable = (*Disk)(nil)

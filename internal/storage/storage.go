@@ -84,7 +84,7 @@ func (d *Disk) Len() int {
 	return len(d.recs)
 }
 
-// Drop implements Compacter: the records vanish durably with one write.
+// Drop durably deletes the records under keys with one write.
 func (d *Disk) Drop(keys []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -94,5 +94,5 @@ func (d *Disk) Drop(keys []string) {
 	d.writes++
 }
 
-// Compact implements Compacter. A map holds no dead space: no-op.
+// Compact is a no-op: a map holds no dead space.
 func (d *Disk) Compact() error { return nil }

@@ -11,9 +11,6 @@ import (
 	"mcpaxos/internal/wal"
 )
 
-// The WAL must support the compaction contract acceptors truncate through.
-var _ storage.Compacter = (*wal.WAL)(nil)
-
 // A Drop must survive a crash before any Compact runs: tombstones are
 // replayed as deletions, never resurrecting the dropped keys.
 func TestDropSurvivesReopen(t *testing.T) {

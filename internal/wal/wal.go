@@ -195,9 +195,9 @@ func (w *WAL) PutAll(records map[string]any) {
 // Drop durably deletes the records under keys as one atomic batch: one
 // logical synchronous write of tombstone records, so the deletion survives a
 // crash (replaying a tombstone removes the key instead of resurrecting it).
-// It implements storage.Compacter and panics if durability cannot be
-// provided, exactly like Put: forgetting that a vote range was truncated
-// would let recovery serve stale history the cluster already compacted.
+// It panics if durability cannot be provided, exactly like Put: forgetting
+// that a vote range was truncated would let recovery serve stale history the
+// cluster already compacted.
 func (w *WAL) Drop(keys []string) {
 	if len(keys) == 0 {
 		return
@@ -213,7 +213,7 @@ func (w *WAL) Drop(keys []string) {
 
 // Compact reclaims the space of dropped and superseded records by writing
 // the live index as a snapshot and GC'ing the segments (and tombstones) it
-// covers. It implements storage.Compacter.
+// covers.
 func (w *WAL) Compact() error { return w.Snapshot() }
 
 // Append durably stores one batch of records and returns once they are on

@@ -91,7 +91,7 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 				// Recovery is exactly one write: the incarnation bump.
 				pre := cl.Disks[0].Writes()
 				cl.Sim.Crash(cl.Cfg.Acceptors[0])
-				cl.Sim.Recover(cl.Cfg.Acceptors[0])
+				cl.Restart(cl.Cfg.Acceptors[0])
 				cl.Sim.Run()
 				if got := cl.Disks[0].Writes() - pre; got != 1 {
 					t.Errorf("trial %d: recovery performed %d writes, want exactly 1", trial, got)
