@@ -2,6 +2,7 @@ package classic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcpaxos/internal/ballot"
@@ -15,6 +16,11 @@ import (
 type vote struct {
 	vrnd ballot.Ballot
 	vval cstruct.Cmd
+	// by lists the group members whose 2a for (vrnd, vval) has been counted,
+	// which is what tells a member's first 2a from its retransmission once
+	// the vote is cast. Volatile: a vote reloaded from disk has no list and
+	// treats every matching 2a as a retransmission.
+	by []msg.NodeID
 }
 
 // coordTally is the 2a bookkeeping of one instance in one round: the latest
@@ -293,11 +299,18 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	}
 	v, voted := a.votes[mm.Inst]
 	if voted && !v.vrnd.Less(mm.Rnd) {
-		// Already voted at this round (or a higher one): the extra member's
-		// or retransmitted 2a adds nothing to tally — re-announce the vote
-		// so lost 2b messages are eventually replaced.
+		// Already voted at this round (or a higher one): the 2a adds nothing
+		// to tally. A group member's first one — the quorum formed without it
+		// — is noted silently; a second one is a retransmission, so the
+		// member is still waiting: re-announce the vote so lost 2b messages
+		// (or lost learner acks) are eventually replaced.
 		if v.vrnd.Equal(mm.Rnd) && v.vval.Equal(cmd) {
-			a.announce(mm.Inst, v)
+			if v.by != nil && !slices.Contains(v.by, mm.Coord) {
+				v.by = append(v.by, mm.Coord)
+				a.votes[mm.Inst] = v
+			} else {
+				a.announce(mm.Inst, v, true)
+			}
 		}
 		return
 	}
@@ -321,7 +334,13 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 		t.vals[mm.Coord] = cmd
 		a.setRnd(shard, mm.Rnd)
 		if len(t.vals) >= a.cfg.CoordQuorumSize() {
-			a.accept(mm.Inst, mm.Rnd, cmd)
+			// Room for the whole group: the members beyond the quorum are
+			// appended as their 2as arrive.
+			by := make([]msg.NodeID, 0, a.cfg.NCoordsPerShard())
+			for member := range t.vals {
+				by = append(by, member)
+			}
+			a.accept(mm.Inst, vote{vrnd: mm.Rnd, vval: cmd, by: by}, voted)
 			return
 		}
 	}
@@ -332,14 +351,15 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	// forgotten them and never second those 2as, so this 2b, through the
 	// learners' OnDuplicate ack, is all that drains them from its window.
 	if voted {
-		a.announce(mm.Inst, v)
+		a.announce(mm.Inst, v, true)
 	}
 }
 
 // accept persists the vote (one group-commit write) and announces it to
-// every learner.
-func (a *Acceptor) accept(inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
-	v := vote{vrnd: r, vval: cmd}
+// every learner — marked Again when it replaces an earlier round's vote: the
+// instance may have been learned back then, and the coordinators re-forwarding
+// it now are waiting for an ack no unmarked 2b would draw.
+func (a *Acceptor) accept(inst uint64, v vote, again bool) {
 	a.votes[inst] = v
 	// The completed tally's job is done. Dropping it bounds acceptor memory
 	// at the in-flight instances instead of every instance ever decided.
@@ -348,16 +368,17 @@ func (a *Acceptor) accept(inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
 	// synchronous write per accepted value, Section 4.4). The high-water
 	// mark rides along in the same write for recovery scans.
 	a.disk.PutAll(map[string]any{
-		voteKey(inst):      storage.VoteRec{Inst: inst, VRnd: r, Cmds: []cstruct.Cmd{cmd}},
+		voteKey(inst):      storage.VoteRec{Inst: inst, VRnd: v.vrnd, Cmds: []cstruct.Cmd{v.vval}},
 		storage.KeyMaxInst: a.highWater(inst),
 	})
-	a.announce(inst, v)
+	a.announce(inst, v, again)
 }
 
-// announce sends the vote's 2b to every learner.
-func (a *Acceptor) announce(inst uint64, v vote) {
+// announce sends the vote's 2b to every learner; again marks it as drawn by a
+// 2a for an instance this acceptor had already voted in (msg.P2b.Again).
+func (a *Acceptor) announce(inst uint64, v vote, again bool) {
 	for _, l := range a.cfg.Learners {
-		a.env.Send(l, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval)})
+		a.env.Send(l, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval), Again: again})
 	}
 }
 

@@ -34,6 +34,11 @@ const reqTrackMax = 4096
 // fills it takes the stamping over instead of relaying blind.
 const relayMax = 1024
 
+// skipMax bounds the slots one skip hint may claim: the trip count comes off
+// the wire, and a shard that fell further behind than this catches up over
+// several hints instead of stamping an unbounded run of no-ops in one step.
+const skipMax = 1024
+
 // reqKey is the ingress idempotency key: the issuing client and its
 // per-client request counter, carried by unsequenced proposals.
 type reqKey struct {
@@ -137,7 +142,8 @@ type Coordinator struct {
 	// packed into one batch command per sequence slot, so stamping does not
 	// serialize the hot path. Max < 2 stamps every submission individually.
 	// Wait is the upper bound a buffered command waits for company, not a
-	// fixed price: a quiet shard stamps at once (see stampIfQuiet). 0 flushes on
+	// fixed price: the pipeline is the batch clock, and a member with nothing
+	// in flight stamps what it holds at once (see stampIfQuiet). 0 flushes on
 	// size only, with no early stamp either.
 	IngressBatchMax  int
 	IngressBatchWait int64
@@ -157,7 +163,8 @@ type Coordinator struct {
 	// stamper is the member this one believes is stamping the shard's ingress:
 	// itself after a stamp of its own, otherwise the peer whose fresh stamp
 	// share it saw last; zero while it has seen neither, when it stamps what
-	// it is sent. One stamper at a time is what keeps concurrent submissions
+	// it is sent (a restarted member starts from a guess instead, see Repair).
+	// One stamper at a time is what keeps concurrent submissions
 	// from colliding over sequence slots, and clients do not agree on a member
 	// — each prefers whichever answered it last — so a member that is not the
 	// stamper relays a fresh submission there instead of stamping it (relay).
@@ -191,10 +198,6 @@ type Coordinator struct {
 	// the stamped instance (and retries of buffered commands are absorbed).
 	bufKeys []reqKey
 	bufd    map[reqKey]bool
-	// burst records that the last batch stamped here carried more than one
-	// command: submissions are arriving together, so the next one waits for
-	// company (size or timer) instead of being stamped at once.
-	burst bool
 
 	stamped   uint64 // sequence slots stamped at this member's ingress
 	restamped uint64 // client requests that lost their stamped slot
@@ -263,6 +266,13 @@ func (c *Coordinator) Repair() {
 		return
 	}
 	c.repairing = true
+	// Whoever stamped while this member was down still does, and its next
+	// share may arrive after the first client does: guess the next member of
+	// the group rather than stamp beside it. A wrong guess costs one relay
+	// hop; the stamper's share or takeOver's triggers correct it.
+	if g := c.cfg.RoundGroup(c.Shard, c.crnd); len(g) > 1 {
+		c.stamper = g[(slices.Index(g, c.env.ID())+1)%len(g)]
+	}
 	c.probe()
 	c.armRetry()
 }
@@ -648,47 +658,53 @@ func (c *Coordinator) oldestRelay() int64 {
 	return oldest
 }
 
-// stampIfQuiet stamps whatever the ingress batcher holds at once when waiting
-// would gain nothing: this member leads, its pipeline is empty, and the last
-// batch it stamped carried a single command, so no company arrived last time
-// either. A burst (one multi-command batch) flips the shard back to size/timer
-// batching — without that, the first command of every synchronized
-// closed-loop burst would fly alone and the rest wait out its flight — and a
-// timer flush that carries a single command flips it forward again. Otherwise
-// IngressBatchMax and the IngressBatchWait timer apply, so no command leaves
-// the batcher later than the timer would release it. Size-only batching
-// (IngressBatchWait = 0) is never cut short: hosts choose it for
-// deterministic batch boundaries.
+// stampIfQuiet stamps whatever the ingress batcher holds at once when this
+// member leads and has nothing in flight or queued. It runs on every arrival
+// and on the learn that empties the pipeline, so the pipeline is the batch
+// clock: commands batch exactly while an instance is in flight, and a
+// closed-loop caller pays a round trip, not the timer. IngressBatchMax and
+// the IngressBatchWait timer remain as bounds — a full batch flushes into the
+// window by size, and no command leaves the batcher later than the timer
+// would release it. Size-only batching (IngressBatchWait = 0) is never cut
+// short: hosts choose it for deterministic batch boundaries.
 func (c *Coordinator) stampIfQuiet() {
-	if c.ing != nil && c.leading && len(c.sent) == 0 && len(c.unsent) == 0 &&
-		c.IngressBatchWait > 0 && !c.burst {
+	if c.ing != nil && c.leading && len(c.sent) == 0 && len(c.unsent) == 0 && c.IngressBatchWait > 0 {
 		c.ing.Flush()
 	}
 }
 
 // stampFlush binds one flushed ingress batch (or lone command) to the next
-// free sequence slot and launches it: record the assignment, forward the 2a
-// within the window, and share the stamped proposal with the group so every
-// member keeps assigning identical instances.
+// free sequence slot.
 func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
 	keys := c.bufKeys
 	c.bufKeys = nil
 	for _, k := range keys {
 		delete(c.bufd, k)
 	}
-	// Skip slots another stamper already claimed (observed via stamp shares
-	// or 2as after a failover overlap).
-	var inst uint64
+	c.stampAt(c.freeSlot(), cmd, keys)
+}
+
+// freeSlot advances the ingress counter past slots another stamper already
+// claimed (observed via stamp shares or 2as after a failover overlap) and
+// returns the instance of the first free one, still unclaimed.
+func (c *Coordinator) freeSlot() uint64 {
 	for {
-		inst = c.seqInst(c.ingressNext)
-		c.ingressNext++
+		inst := c.seqInst(c.ingressNext)
 		if _, occ := c.proposals[inst]; !occ && !c.isLearned(inst) {
-			break
+			return inst
 		}
+		c.ingressNext++
 	}
+}
+
+// stampAt claims the free slot freeSlot returned for cmd and launches it:
+// record the assignment, forward the 2a within the window, and share the
+// stamped proposal with the group so every member keeps assigning identical
+// instances. keys are the requests cmd carries (none for a skip's no-op).
+func (c *Coordinator) stampAt(inst uint64, cmd cstruct.Cmd, keys []reqKey) {
+	c.ingressNext = inst/c.stride() + 1
 	c.stamped++
 	c.stamper = c.env.ID()
-	c.burst = len(keys) > 1
 	// The keys are in hand: indexing through bind would decode the batch
 	// packed a line ago to recover the same (client, req) pairs.
 	c.place(inst, cmd)
@@ -766,6 +782,10 @@ func (c *Coordinator) IngressCounts() (stamped, restamped, filled uint64) {
 // the real value over the no-op, so the split cannot outlive a watch period.
 // A client command that loses its slot to a fill is restamped on retry.
 func (c *Coordinator) onFill(mm msg.Fill) {
+	if mm.Idle {
+		c.skipThrough(mm.Inst)
+		return
+	}
 	if !c.owns(mm.Inst) || c.isLearned(mm.Inst) {
 		return
 	}
@@ -797,6 +817,42 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 		c.filled++
 		c.trySend(inst)
 	}
+}
+
+// skipThrough answers a learner's skip hint (msg.Fill with Idle set): the
+// shard has consumed fewer slots than its peers and the merged order waits on
+// slots nobody has claimed. Only the shard's stamper answers — the round's
+// first member while nobody has stamped — by flushing what it has buffered
+// and then stamping every still-unclaimed slot through inst with the
+// canonical no-op. A skip is a stamp, shared with the group like any other,
+// so it cannot collide with a concurrent real one; it never touches a slot
+// below the ingress counter (a dead stamper's orphans stay onFill's job), and
+// a second learner's hint finds nothing left to do.
+func (c *Coordinator) skipThrough(inst uint64) {
+	if c.FillCmd == nil || !c.leading || !c.owns(inst) || !c.stamps() {
+		return
+	}
+	if c.ing != nil {
+		c.ing.Flush()
+	}
+	for n := 0; n < skipMax; n++ {
+		at := c.freeSlot()
+		if at > inst {
+			return
+		}
+		c.stampAt(at, c.FillCmd(at), nil)
+		c.filled++
+	}
+}
+
+// stamps reports whether this member is the shard's stamper: by its own
+// belief, or as the first member of the round's group while it has seen
+// nobody stamp.
+func (c *Coordinator) stamps() bool {
+	if c.stamper != 0 {
+		return c.stamper == c.env.ID()
+	}
+	return c.cfg.RoundGroup(c.Shard, c.crnd)[0] == c.env.ID()
 }
 
 // forward puts an assigned instance's 2a on the wire: a retransmission if it

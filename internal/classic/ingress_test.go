@@ -75,12 +75,12 @@ func TestQuietShardStampsLoneSubmissionAtOnce(t *testing.T) {
 	})
 }
 
-// Submissions arriving while an instance is in flight are stamped together
-// by the learn that empties the pipeline. That multi-command batch flips the
-// shard to timer batching: the next lone submission pays BatchWait once, and
-// its single-command flush flips the shard back, so the one after it does
-// not.
-func TestQuietShardLearnFlushesThenTimerOnce(t *testing.T) {
+// The pipeline is the batch clock: submissions arriving while an instance is
+// in flight are stamped together by the learn that empties the pipeline, and
+// a multi-command batch changes nothing for what follows — the next lone
+// submission finds the pipeline empty and is stamped by the step that
+// delivers it.
+func TestPipelineIsTheBatchClock(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
 		submit(co, 0)
@@ -98,59 +98,52 @@ func TestQuietShardLearnFlushesThenTimerOnce(t *testing.T) {
 			t.Fatalf("instance 1 carries %d commands, want the 2 buffered behind instance 0", got)
 		}
 
-		at := cl.Sim.Now()
 		submit(co, 3)
-		cl.Sim.RunUntil(at + ingWait - 1)
-		if got := stampedAt(co); got != 2 {
-			t.Fatalf("stamped %d slots before the timer, want 2: the previous batch was a burst", got)
-		}
-		cl.Sim.RunUntil(at + ingWait)
 		if got := stampedAt(co); got != 3 {
-			t.Fatalf("stamped %d slots at BatchWait, want 3", got)
+			t.Fatalf("stamped %d slots, want 3: a lone submission after a multi-command batch is stamped at once", got)
 		}
 		cl.Sim.Run()
-
-		submit(co, 4)
-		if got := stampedAt(co); got != 4 {
-			t.Fatalf("stamped %d slots, want 4: a single-command timer flush makes the shard quiet again", got)
-		}
-		cl.Sim.Run()
-		if got := len(cl.LearnedCmds); got != 4 {
-			t.Fatalf("learned %d instances, want 4", got)
+		if got := len(cl.LearnedCmds); got != 3 {
+			t.Fatalf("learned %d instances, want 3", got)
 		}
 	})
 }
 
-// After a multi-command batch, a burst of BatchMax submissions in one step
-// stays one instance — the first does not fly alone — and a client's retry of
-// a command still buffered forces the flush as before.
-func TestBurstGuardKeepsBatching(t *testing.T) {
+// A burst of BatchMax submissions delivered in one step to an idle shard
+// splits at the pipeline: the first flies alone, the other seven are one
+// instance, stamped by the learn of the first — long before the timer, set
+// here to ten round trips — and a client's retry of a command still buffered
+// forces the flush as before.
+func TestBurstSplitsAtThePipeline(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
-		for i := 0; i < 3; i++ {
+		co.IngressBatchWait = 20
+		base := cl.Sim.Now()
+		for i := 0; i < ingMax; i++ {
 			submit(co, i)
 		}
-		cl.Sim.Run() // instance 0 alone, instance 1 the burst of two
-		base := stampedAt(co)
-
-		for i := 0; i < ingMax; i++ {
-			submit(co, 10+i)
+		if got := stampedAt(co); got != 1 {
+			t.Fatalf("a burst of %d on an idle shard stamped %d slots in its step, want 1", ingMax, got)
 		}
-		if got := stampedAt(co) - base; got != 1 {
-			t.Fatalf("a burst of %d stamped %d slots, want 1", ingMax, got)
+		cl.Sim.RunWhile(func() bool { return stampedAt(co) < 2 })
+		if now := cl.Sim.Now(); now != cl.LearnTime[0] || now >= base+co.IngressBatchWait {
+			t.Fatalf("second slot stamped at t=%d; want the learn of the first at t=%d, before the timer at t=%d",
+				now, cl.LearnTime[0], base+co.IngressBatchWait)
 		}
 		cl.Sim.Run()
-		if got := batchLen(cl.LearnedCmds[2]); got != ingMax {
-			t.Fatalf("instance 2 carries %d commands, want %d", got, ingMax)
+		if a, b := batchLen(cl.LearnedCmds[0]), batchLen(cl.LearnedCmds[1]); a != 1 || b != ingMax-1 {
+			t.Fatalf("instances carry %d and %d commands, want 1 and %d", a, b, ingMax-1)
 		}
 
-		submit(co, 20)
-		if got := stampedAt(co) - base; got != 1 {
-			t.Fatalf("a lone submission after a burst was stamped at once")
+		holdInFlight(cl)
+		submit(co, 20) // stamped at once, then stuck in flight
+		submit(co, 21)
+		if got := stampedAt(co); got != 3 {
+			t.Fatalf("stamped %d slots, want 3: command 21 waits behind the instance in flight", got)
 		}
-		submit(co, 20) // the client's retry
-		if got := stampedAt(co) - base; got != 2 {
-			t.Fatalf("retry of a buffered command stamped %d slots, want 2", got)
+		submit(co, 21) // the client's retry
+		if got := stampedAt(co); got != 4 {
+			t.Fatalf("retry of a buffered command left %d slots stamped, want 4", got)
 		}
 	})
 }
@@ -219,8 +212,10 @@ func TestBatchWaitBackstopWhenPipelineStuck(t *testing.T) {
 	})
 }
 
-// The flush timer is armed for the batch's own deadline. Batch 1 fills by
-// size at t = 0 and leaves its timer pending; batch 2 opens at t = 1; the
+// With the pipeline stuck, size and timer are the bounds that remain: a full
+// BatchMax still flushes by size into the window, and the flush timer is armed
+// for the batch's own deadline. Batch 1 fills by size at t = 0 and leaves its
+// timer pending; batch 2 opens at t = 1; the
 // pending timer fires at t = BatchWait on a batch one tick too young. Batch 2
 // must stamp at 1 + BatchWait, not a full BatchWait after that firing.
 func TestIngressTimerArmsForBatchDeadline(t *testing.T) {

@@ -51,11 +51,13 @@ type Learner struct {
 	// delivered and GC'd; late 2b duplicates below it are dropped.
 	floor uint64
 
-	// OnDuplicate, when set, observes every 2b for an instance this learner
-	// already learned (retained or released). A repaired coordinator re-2as
-	// its shard's whole history; the acceptors' re-announcements land here,
-	// and the host uses the hook to re-acknowledge the instance so the
-	// repaired member's pipeline window drains instead of wedging.
+	// OnDuplicate, when set, observes every re-announced 2b (msg.P2b.Again)
+	// for an instance this learner already learned (retained or released): a
+	// coordinator is still forwarding the instance — it lost the first ack, or
+	// it is a repaired member re-2aing its shard's whole history — and the
+	// host uses the hook to re-acknowledge it so that member's pipeline window
+	// drains instead of wedging. An acceptor's first 2b arriving after the
+	// quorum that decided the instance is unmarked and draws nothing.
 	OnDuplicate func(inst uint64)
 }
 
@@ -108,14 +110,8 @@ func (l *Learner) OnMessage(_ msg.NodeID, m msg.Message) {
 	if !ok {
 		return
 	}
-	if mm.Inst < l.floor {
-		if l.OnDuplicate != nil {
-			l.OnDuplicate(mm.Inst)
-		}
-		return
-	}
-	if _, done := l.learned[mm.Inst]; done {
-		if l.OnDuplicate != nil {
+	if _, done := l.learned[mm.Inst]; done || mm.Inst < l.floor {
+		if mm.Again && l.OnDuplicate != nil {
 			l.OnDuplicate(mm.Inst)
 		}
 		return

@@ -221,6 +221,48 @@ func TestRelayMutualBeliefsResolve(t *testing.T) {
 	}
 }
 
+// A restarted member hears of the stamper's writes from the acceptors' promises
+// before any stamp share names the stamper (in the live stack the share waits
+// on a fresh dial; here the writes happened while it was down). It must not
+// conclude that nobody stamps: a member brought up through Repair relays from
+// its first submission on. (Stamping what it is sent, it and the live stamper
+// trade collisions for as long as both receive submissions.)
+func TestRelayRepairedMemberDoesNotStampBesideTheStamper(t *testing.T) {
+	cl := relayCluster(0)
+	warmUp(t, cl)
+	cl.Sim.Crash(cl.Cfg.Coords[0])
+	submitTo(cl, 1, 8, 1)
+	cl.Sim.Run()
+	cl.Coords[1].OnMessage(cl.Cfg.Coords[1], msg.PeerDown{Node: cl.Cfg.Coords[0]})
+	cl.Sim.Run()
+	wantDecidedOnce(t, cl, 8, 1, 1)
+
+	cl.Restart(cl.Cfg.Coords[0])
+	back := cl.Coords[0]
+	back.IngressBatchMax, back.IngressBatchWait, back.ReqOf = ingMax, ingWait, cl.Coords[1].ReqOf
+	cl.Sim.Run()
+	if !back.Leading() || back.ingressNext != 0 {
+		t.Fatalf("restarted member: leading=%v, ingress counter %d; want the live round rejoined and no stamp share seen",
+			back.Leading(), back.ingressNext)
+	}
+
+	const ticks = 20
+	base := cl.Sim.Now()
+	for i := uint64(1); i <= ticks; i++ {
+		cl.Sim.At(base+int64(i), func() {
+			submitTo(cl, 0, 9, i)
+			submitTo(cl, 1, 8, 1+i)
+		})
+	}
+	cl.Sim.Run()
+	wantDecidedOnce(t, cl, 9, 1, ticks)
+	wantDecidedOnce(t, cl, 8, 2, 1+ticks)
+	wantNoCollision(t, cl, "a restarted member beside the live stamper")
+	if got := stampedAt(back); got != 0 || back.stamper != cl.Cfg.Coords[1] {
+		t.Errorf("restarted member stamped %d slots and follows %v, want 0 and member 1", got, back.stamper)
+	}
+}
+
 // At c = 1 the round's group is its owner alone: no stamp share is ever sent,
 // so nobody is ever followed and nothing is relayed — the same ingress code,
 // with nothing to do. A standby stamps what it is sent, as it always has.

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"mcpaxos/internal/classic"
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/smr"
 )
 
@@ -297,6 +299,29 @@ func TestLearnerRestartCatchesUp(t *testing.T) {
 // and ordinary quorum counting relearns the prefix. (Found by nemesis
 // seed 14: recover-one-learner and kill-the-other landing on the same
 // tick left both learners empty and the run permanently stalled.)
+// awaitDrained waits until no hosted coordinator has an instance in flight or
+// queued: every learner ack has arrived.
+func awaitDrained(t *testing.T, rep *Replica) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		open := 0
+		for _, e := range rep.hosts(rep.spec.Coords) {
+			e.agent.Do(func(hd node.Handler) {
+				c := hd.(*classic.Coordinator)
+				open += c.Inflight() + c.Pending()
+			})
+		}
+		if open == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator windows never drained: %d instances open", open)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestLearnerCatchupAcceptorFallback(t *testing.T) {
 	spec := LocalSpec(2, 3, 3, 2, 1)
 	spec.RetryEvery = 20 * time.Millisecond
@@ -305,6 +330,10 @@ func TestLearnerCatchupAcceptorFallback(t *testing.T) {
 	if err := cli.Wait([]*Call{cli.Set("a", "1"), cli.Set("b", "2")}, 15*time.Second); err != nil {
 		t.Fatalf("before kills: %v", err)
 	}
+	// A coordinator whose window still holds a or b retransmits its 2a, the
+	// acceptors re-announce, and the restarted learners relearn the prefix
+	// without any catch-up: let every window drain before the kills.
+	awaitDrained(t, rep)
 	if !rep.Kill(300) || !rep.Kill(301) {
 		t.Fatal("kill learners failed")
 	}

@@ -37,6 +37,15 @@ type learner struct {
 	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir,
 	// else memory-only); the store synchronises itself.
 	snaps *snapshot.Store
+	// The skip-hint clock (timerIdle): armed while instances sit buffered
+	// above the merge frontier, it fires every idleEvery ticks — one BatchWait;
+	// 0, never, with a single shard or size-only batching — and a frontier
+	// still at idleNext when it does has sat frozen for a full period, which
+	// earns the lagging shards one hint (idleHinted).
+	idleEvery  int64
+	idleArmed  bool
+	idleNext   uint64
+	idleHinted bool
 
 	mu     sync.Mutex
 	rep    *smr.Replica
@@ -73,6 +82,10 @@ type learner struct {
 var _ node.Handler = (*learner)(nil)
 var _ node.TimerHandler = (*learner)(nil)
 
+// timerIdle is the learner's own timer tag, beside the fetcher's
+// catchup.TagFetch and TagWatch.
+const timerIdle = 103
+
 // newLearner builds a learner over env from the shared protocol config, the
 // spec's tuning and its already-opened snapshot store. It sends nothing:
 // the catch-up fetcher's first probe goes out when the host starts it, once
@@ -89,12 +102,16 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 			l.peers = append(l.peers, p)
 		}
 	}
+	if cfg.NShards() > 1 {
+		l.idleEvery = spec.batchWaitTicks()
+	}
 	l.merger = smr.NewMerger(l.deliver)
 	l.l = classic.NewLearner(env, cfg, l.onLearn)
-	// A repaired coordinator re-forwards its shard's whole history; the
-	// acceptors' re-announcements of already-learned instances land here.
-	// Re-acknowledge them so the repaired member's pipeline window drains
-	// instead of wedging on decided slots.
+	// A coordinator still forwarding a learned instance — it missed the ack,
+	// or it is a repaired member re-forwarding its shard's whole history —
+	// draws re-announcements from the acceptors, and those land here.
+	// Re-acknowledge them so its pipeline window drains instead of wedging on
+	// decided slots.
 	l.l.OnDuplicate = l.ack
 	l.merger.OnRelease = l.l.Release
 	// A restarted learner reloads its newest durable snapshot before
@@ -162,10 +179,49 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 // pulled instances through it; onLearn feeds the live ones.
 func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.merger.Add(inst, cmd)
-	if fr := l.merger.Next(); l.every > 0 && fr >= l.snapFrontier+uint64(l.every) {
+	fr := l.merger.Next()
+	if l.every > 0 && fr >= l.snapFrontier+uint64(l.every) {
 		l.cutSnapshot(fr)
+	}
+	held := l.merger.Buffered() > 0
+	l.mu.Unlock()
+	if held && l.idleEvery > 0 && !l.idleArmed {
+		l.idleNext, l.idleHinted = fr, false
+		l.armIdle()
+	}
+}
+
+func (l *learner) armIdle() {
+	l.idleArmed = true
+	l.env.SetTimer(l.idleEvery, timerIdle)
+}
+
+// onIdle is the skip-hint clock's tick. A merge frontier that has not moved
+// for a full period while learned instances sit buffered above it is waiting
+// on shards that consumed fewer sequence slots than their peers: each is sent
+// one skip hint (msg.Fill with Idle set) naming its last hole, so its stamper
+// claims every slot through it — with what it has buffered, then no-ops — long
+// before the FillAfter watch would. The hint is not repeated at the same
+// frontier: a lost one leaves the stall to that watch, as before.
+func (l *learner) onIdle() {
+	l.idleArmed = false
+	l.mu.Lock()
+	fr, held := l.merger.Next(), l.merger.Buffered() > 0
+	var holes []uint64
+	if fr != l.idleNext {
+		l.idleNext, l.idleHinted = fr, false
+	} else if held && !l.idleHinted {
+		l.idleHinted = true
+		holes = l.merger.Lagging(l.cfg.NShards())
+	}
+	l.mu.Unlock()
+	for _, inst := range holes {
+		node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)),
+			msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
+	}
+	if held {
+		l.armIdle()
 	}
 }
 
@@ -354,9 +410,15 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 	}
 }
 
-// OnTimer implements node.TimerHandler (the fetcher owns every learner
-// timer).
-func (l *learner) OnTimer(tag int) { l.fetch.OnTimer(tag) }
+// OnTimer implements node.TimerHandler: the skip-hint clock is the learner's,
+// every other timer the fetcher's.
+func (l *learner) OnTimer(tag int) {
+	if tag == timerIdle {
+		l.onIdle()
+		return
+	}
+	l.fetch.OnTimer(tag)
+}
 
 // onReplayProbe answers a client's retransmitted proposal from the replay
 // cache: an already-applied command whose replies were all lost can never

@@ -21,7 +21,13 @@ import (
 // learners (so 301… are its peers). tune adjusts the spec first.
 func testLearner(t *testing.T, nLearners int, tune func(*ClusterSpec)) (*learner, *fakeEnv, classic.Config) {
 	t.Helper()
-	spec := LocalSpec(1, 3, 3, nLearners, 1)
+	return testShardedLearner(t, 1, nLearners, tune)
+}
+
+// testShardedLearner is testLearner over the given number of shards.
+func testShardedLearner(t *testing.T, shards, nLearners int, tune func(*ClusterSpec)) (*learner, *fakeEnv, classic.Config) {
+	t.Helper()
+	spec := LocalSpec(shards, 3, 3, nLearners, 1)
 	concreteAddrs(&spec)
 	if tune != nil {
 		tune(&spec)
@@ -222,3 +228,84 @@ func TestLearnerReplayProbe(t *testing.T) {
 		t.Fatalf("probe for an unapplied command sent %d messages (replayed = %d), want silence", len(got), l.replayed)
 	}
 }
+
+// (e) The skip-hint clock. It runs only while instances sit buffered above the
+// merge frontier; a frontier that moved since the last tick earns nothing; one
+// that sat frozen for a full period earns each lagging shard exactly one hint
+// naming its last hole below the highest buffered instance, sent to that
+// shard's whole group; and the hint is not repeated at the same frontier.
+func TestLearnerSkipHint(t *testing.T) {
+	l, env, cfg := testShardedLearner(t, 3, 1, nil)
+	idleTimers := func() (n int) {
+		for _, tm := range env.timers {
+			if tm.tag == timerIdle {
+				n++
+			}
+		}
+		env.timers = nil
+		return n
+	}
+	tick := func(what string, wantTimer int, want ...uint64) {
+		t.Helper()
+		take(env)
+		l.OnTimer(timerIdle)
+		fills, tos := sentTo[msg.Fill](take(env))
+		var got []uint64
+		for i, f := range fills {
+			if !f.Idle || f.Learner != env.id {
+				t.Errorf("%s: sent %+v, want only skip hints of this learner", what, f)
+			}
+			if i%3 == 0 {
+				got = append(got, f.Inst)
+				if group := cfg.ShardCoords(cfg.ShardOf(f.Inst)); !equalIDs(tos[i:i+3], group) {
+					t.Errorf("%s: hint for instance %d went to %v, want its shard's group %v", what, f.Inst, tos[i:i+3], group)
+				}
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: hinted instances %v, want %v", what, got, want)
+		}
+		if n := idleTimers(); n != wantTimer {
+			t.Errorf("%s: %d idle timers set, want %d", what, n, wantTimer)
+		}
+	}
+	cmd := func(i uint64) cstruct.Cmd { return smr.SetCmd(cmdID(1, i), "k", fmt.Sprint(i)) }
+
+	decide(l, cfg, 0, cmd(0))
+	if n := idleTimers(); n != 0 {
+		t.Fatalf("%d idle timers set with nothing buffered, want 0", n)
+	}
+	// Shard 0 runs ahead: instances 3 and 6 wait on shard 1's 1 and 4 and
+	// shard 2's 2 and 5.
+	decide(l, cfg, 3, cmd(3))
+	decide(l, cfg, 6, cmd(6))
+	if n := idleTimers(); n != 1 {
+		t.Fatalf("%d idle timers set by two buffered instances, want 1", n)
+	}
+	decide(l, cfg, 1, cmd(1))
+	tick("frontier moved 1 → 2", 1)
+	tick("frontier frozen at 2 for a period", 1, 5, 4)
+	tick("same frontier again", 1)
+	decide(l, cfg, 2, cmd(2)) // delivers 2 and 3
+	tick("frontier moved 2 → 4", 1)
+	tick("frontier frozen at 4", 1, 5, 4)
+	decide(l, cfg, 4, cmd(4))
+	decide(l, cfg, 5, cmd(5)) // delivers 5 and 6: nothing buffered
+	tick("drained", 0)
+	decide(l, cfg, 9, cmd(9))
+	if n := idleTimers(); n != 1 {
+		t.Fatalf("%d idle timers set by a newly buffered instance, want 1: the clock restarts", n)
+	}
+
+	// One shard, or size-only batching: no clock at all.
+	for name, off := range map[string]*learner{
+		"one shard": first(testLearner(t, 1, nil)),
+		"size only": first(testShardedLearner(t, 3, 1, func(s *ClusterSpec) { s.BatchWait = -1 })),
+	} {
+		if off.idleEvery != 0 {
+			t.Errorf("%s: skip-hint period %d, want 0", name, off.idleEvery)
+		}
+	}
+}
+
+func first(l *learner, _ *fakeEnv, _ classic.Config) *learner { return l }

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +283,81 @@ func TestLiveTCPQuietShardSkipsBatchTimer(t *testing.T) {
 	}
 	if took >= time.Second {
 		t.Errorf("%d sequential writes took %v: each waited out the %v batch timer", n, took, spec.BatchWait)
+	}
+}
+
+// TestLiveTCPClosedLoopSkipsBatchTimer: the pipeline is the batch clock. Three
+// callers in a closed loop never fill a batch of eight, so while a
+// multi-command batch sent the shard back to timer batching every other round
+// of theirs waited out BatchWait — twenty rounds at 100 ms took 1.0–1.1 s.
+// Batching only while an instance is in flight, a round costs a round trip and
+// the loop some tens of milliseconds. The 500 ms limit tells the two
+// behaviours apart; it is not a latency assertion.
+func TestLiveTCPClosedLoopSkipsBatchTimer(t *testing.T) {
+	spec := LocalSpec(1, 3, 3, 2, 1)
+	spec.BatchWait = 100 * time.Millisecond
+	_, cli := openLocal(t, spec)
+	if _, err := cli.Set("warm", "up").Result(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	time.Sleep(2 * spec.BatchWait) // see TestLiveTCPQuietShardSkipsBatchTimer
+
+	const callers, n = 3, 20
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, err := cli.Set(fmt.Sprintf("k%d", g), fmt.Sprintf("v%d", i)).Result(); err != nil {
+					t.Errorf("caller %d write %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if took := time.Since(start); took >= 500*time.Millisecond {
+		t.Errorf("%d callers x %d sequential writes took %v: rounds waited out the %v batch timer", callers, n, took, spec.BatchWait)
+	}
+}
+
+// TestLiveTCPIdleShardIsToldToSkip: shards consume sequence slots at different
+// rates, and the merged order must not sit on the slower one. A client's shard
+// rotation starts at shard 0, so four freshly dialled clients writing once
+// each, one after the other, put every write on shard 0: the second and later
+// ones are decided above slots shard 1 never claimed. With FillAfter stretched
+// to 2 s, each of them waited 2-3 watch periods for the fill nudge — 16 s in
+// all. Now the learners tell shard 1's stamper to skip after one BatchWait.
+func TestLiveTCPIdleShardIsToldToSkip(t *testing.T) {
+	spec := LocalSpec(2, 3, 3, 2, 4)
+	spec.FillAfter = 2 * time.Second
+	spec.RetryEvery = 500 * time.Millisecond
+	rep, first := openLocal(t, spec)
+	spec = rep.spec
+	start := time.Now()
+	for i, cn := range spec.Clients {
+		cli := first
+		if i > 0 {
+			var err error
+			if cli, err = Dial(spec, cn.ID); err != nil {
+				t.Fatalf("dial client %d: %v", i, err)
+			}
+			defer cli.Close()
+		}
+		if _, err := cli.Set(fmt.Sprintf("k%d", i), "v").Result(); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("four writes above an idle shard took %v, want under 1s (FillAfter is %v)", took, spec.FillAfter)
+	}
+	if _, _, filled := rep.IngressCounts(); filled == 0 {
+		t.Error("no slot was filled: shard 1 cannot have been skipped")
+	}
+	if rc := rep.RoundChanges(); rc != 0 {
+		t.Errorf("%d round changes, want 0: a skip is an ordinary stamp", rc)
 	}
 }
 

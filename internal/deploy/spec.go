@@ -103,9 +103,13 @@ type ClusterSpec struct {
 	// 0 means 8. 1 disables batching.
 	BatchMax int
 	// BatchWait is the upper bound a buffered command waits for its batch to
-	// fill, not a fixed price: a quiet shard — the stamping coordinator leads,
-	// has nothing in flight, and its last batch carried a single command —
-	// stamps at once. 0 means 2ms; negative flushes on size only.
+	// fill, not a fixed price: the pipeline is the batch clock — a stamping
+	// coordinator that leads and has nothing in flight stamps what it holds
+	// at once, so commands batch exactly while an instance is in flight. It
+	// is also how long a learner lets its merge frontier sit frozen under
+	// buffered instances before telling the shards that fell behind to skip
+	// the slots they never claimed (msg.Fill with Idle set). 0 means 2ms;
+	// negative flushes on size only, with no early stamp and no skip hint.
 	BatchWait time.Duration
 	// Window bounds each coordinator's pipeline of unlearned instances; 0
 	// leaves it unbounded.
@@ -121,8 +125,8 @@ type ClusterSpec struct {
 	// with later instances buffered before nudging the stalled instance's
 	// coordinator group to fill the slot (msg.Fill) — the recovery path for
 	// a sequence number orphaned by a crashed ingress stamper, and the
-	// alignment path for a shard idling while its peers advance. 0 means
-	// 4 × RetryEvery.
+	// backstop behind the skip hint (see BatchWait) for a shard idling while
+	// its peers advance. 0 means 4 × RetryEvery.
 	FillAfter time.Duration
 
 	// Faults, when set, is installed on the send path of every TCP endpoint

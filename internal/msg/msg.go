@@ -181,12 +181,21 @@ func (P2a) Type() Type { return TP2a }
 // Instance implements Message.
 func (m P2a) Instance() uint64 { return m.Inst }
 
-// P2b is an acceptor's vote: it accepted Val at round Rnd.
+// P2b is an acceptor's vote: it accepted Val at round Rnd. A learner also
+// sends one without a value to the instance's coordinators as its
+// acknowledgement that the instance is learned.
 type P2b struct {
 	Inst uint64
 	Rnd  ballot.Ballot
 	Acc  NodeID
 	Val  cstruct.CStruct
+	// Again marks a 2b drawn by a 2a for an instance the acceptor had already
+	// voted in: a re-announcement of the vote it holds, or a new vote over an
+	// earlier round's. The sender of that 2a may be waiting on an instance
+	// that was learned long ago, so a learner that already knows the instance
+	// re-acknowledges a marked 2b — and only a marked one: the last
+	// acceptor's first 2b for a freshly learned instance draws nothing.
+	Again bool
 }
 
 // Type implements Message.
@@ -297,11 +306,21 @@ func (m CatchupResp) Instance() uint64 { return m.From }
 // derive the identical no-op, so the fill itself cannot collide; if a real
 // proposal survives at some member, Section 4.2 collision promotion decides
 // between it and the no-op.
+//
+// With Idle set it is the skip hint instead (the Mencius skip): the shard has
+// consumed fewer sequence slots than its peers, the merged order waits on
+// slots it never claimed, and Inst names the last of them. Only the shard's
+// stamper answers, by stamping the no-op into every unclaimed slot through
+// Inst as ordinary stamps — after whatever it has buffered — so the hint can
+// be sent early (one BatchWait, not FillAfter) without racing a real stamp.
 type Fill struct {
-	// Inst is the stalled instance (the learner's merge frontier).
+	// Inst is the stalled instance (the learner's merge frontier), or with
+	// Idle the shard's last missing instance below the highest buffered one.
 	Inst uint64
 	// Learner is the requesting learner.
 	Learner NodeID
+	// Idle marks the skip hint.
+	Idle bool
 }
 
 // Type implements Message.

@@ -5,7 +5,7 @@
 // now complete out of order across shards. The Merger buffers learned
 // (instance, command) pairs and delivers them in instance-number order — the
 // total order every replica applies — stalling at a gap until the lagging
-// shard's instance arrives and reporting which shard the gap belongs to.
+// shard's instance arrives and reporting which shards left the holes.
 package smr
 
 import (
@@ -139,14 +139,36 @@ func (m *Merger) Delivered() uint64 { return m.delivered }
 // Buffered reports how many learned instances are held back by a gap.
 func (m *Merger) Buffered() int { return len(m.buf) }
 
-// GapShard names the shard owning the instance the merger is stalled on,
-// given the deployment's shard count; ok is false when nothing is buffered
-// (no gap — the merger is merely waiting for traffic).
-func (m *Merger) GapShard(nShards int) (shard int, ok bool) {
-	if len(m.buf) == 0 || nShards < 1 {
-		return 0, false
+// Lagging names the instances the merged order is held up by, one per shard
+// that left a hole below the highest buffered instance: that shard's last
+// (highest) hole, highest first. A shard listed has consumed fewer sequence
+// slots than the shard that got furthest — which is never listed itself: a
+// hole of its own lies below a slot it has claimed since, so it is in flight,
+// not unclaimed. Nil when nothing is buffered (no gap — the merger is merely
+// waiting for traffic).
+func (m *Merger) Lagging(nShards int) []uint64 {
+	if len(m.buf) == 0 || nShards < 2 {
+		return nil
 	}
-	return int(m.next % uint64(nShards)), true
+	var hi uint64
+	for inst := range m.buf {
+		hi = max(hi, inst)
+	}
+	n := uint64(nShards)
+	var holes []uint64
+	seen := make([]bool, nShards)
+	seen[hi%n] = true
+	// Everything buffered sits above the frontier, so hi > m.next.
+	for inst := hi - 1; len(holes) < nShards-1; inst-- {
+		if _, ok := m.buf[inst]; !ok && !seen[inst%n] {
+			seen[inst%n] = true
+			holes = append(holes, inst)
+		}
+		if inst == m.next {
+			break
+		}
+	}
+	return holes
 }
 
 // ReplicaDeliver adapts a Replica as the merger's deliver function: each

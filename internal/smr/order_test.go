@@ -118,8 +118,8 @@ func TestMergerLaggingShardGap(t *testing.T) {
 	if m.Next() != 1 {
 		t.Fatalf("frontier at %d, want 1", m.Next())
 	}
-	if shard, ok := m.GapShard(shards); !ok || shard != 1 {
-		t.Fatalf("gap attributed to shard %d (ok=%v), want shard 1", shard, ok)
+	if holes := m.Lagging(shards); len(holes) != 1 || holes[0] != 1 {
+		t.Fatalf("holes %v, want [1]: shard 1's instance 1 is all that is missing below instance 4", holes)
 	}
 	if m.Buffered() != 3 || m.MaxBuffered != 3 {
 		t.Fatalf("buffered=%d max=%d, want 3/3", m.Buffered(), m.MaxBuffered)
@@ -128,8 +128,15 @@ func TestMergerLaggingShardGap(t *testing.T) {
 	if got, want := len(*order), 5; got != want {
 		t.Fatalf("delivered %d instances after gap closed, want %d", got, want)
 	}
-	if _, ok := m.GapShard(shards); ok {
-		t.Fatal("gap reported on a drained merger")
+	if holes := m.Lagging(shards); holes != nil {
+		t.Fatalf("holes %v reported on a drained merger", holes)
+	}
+	// Two shards behind by different amounts: each is named once, by its last
+	// hole below the highest buffered instance.
+	m.Add(12, cmdN(112)) // shard 0 runs ahead to its fourth instance
+	m.Add(6, cmdN(106))
+	if holes := m.Lagging(shards); len(holes) != 3 || holes[0] != 11 || holes[1] != 10 || holes[2] != 9 {
+		t.Fatalf("holes %v, want [11 10 9]: the last hole of shards 3, 2 and 1 below shard 0's instance 12", holes)
 	}
 }
 

@@ -50,6 +50,12 @@ const (
 	// flagHasFloor marks a catch-up response carrying the responder's
 	// nonzero retention floor (log compaction: a refusal when Floor > From).
 	flagHasFloor = 1 << 5
+	// flagAgain marks a 2b drawn by a 2a for an instance the acceptor had
+	// already voted in (P2b.Again).
+	flagAgain = 1 << 6
+	// flagIdle marks a Fill as the skip hint (Fill.Idle). Fill carries no
+	// value, so it reuses bit 0.
+	flagIdle = 1 << 0
 )
 
 // Codec encodes protocol messages for the TCP transport. It needs the
@@ -205,6 +211,9 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		if hasVal {
 			flags |= flagHasVal
 		}
+		if mm.Again {
+			flags |= flagAgain
+		}
 		dst = append(dst, verBinary, byte(msg.TP2b), flags)
 		dst = wire.AppendUvarint(dst, mm.Inst)
 		dst = wire.AppendBallot(dst, mm.Rnd)
@@ -248,7 +257,11 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		}
 		return wire.AppendCmds(dst, mm.Cmds), nil
 	case msg.Fill:
-		dst = append(dst, verBinary, byte(msg.TFill), 0)
+		var flags byte
+		if mm.Idle {
+			flags |= flagIdle
+		}
+		dst = append(dst, verBinary, byte(msg.TFill), flags)
 		dst = wire.AppendUvarint(dst, mm.Inst)
 		return wire.AppendUvarint(dst, uint64(mm.Learner)), nil
 	case msg.Done:
@@ -386,13 +399,14 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		}
 		m = mm
 	case msg.TP2b:
-		if flags&^flagHasVal != 0 {
+		if flags&^(flagHasVal|flagAgain) != 0 {
 			return nil, fmt.Errorf("bad 2b flags %#x", flags)
 		}
 		mm := msg.P2b{
-			Inst: r.Uvarint("inst"),
-			Rnd:  r.Ballot(),
-			Acc:  msg.NodeID(r.U32("acc")),
+			Inst:  r.Uvarint("inst"),
+			Rnd:   r.Ballot(),
+			Acc:   msg.NodeID(r.U32("acc")),
+			Again: flags&flagAgain != 0,
 		}
 		if flags&flagHasVal != 0 {
 			mm.Val = c.rebuild(r.Cmds(), true)
@@ -451,12 +465,13 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		mm.Cmds = r.Cmds()
 		m = mm
 	case msg.TFill:
-		if flags != 0 {
+		if flags&^flagIdle != 0 {
 			return nil, fmt.Errorf("bad fill flags %#x", flags)
 		}
 		m = msg.Fill{
 			Inst:    r.Uvarint("inst"),
 			Learner: msg.NodeID(r.U32("learner")),
+			Idle:    flags&flagIdle != 0,
 		}
 	case msg.TDone:
 		if flags != 0 {

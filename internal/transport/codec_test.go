@@ -98,7 +98,7 @@ func msgEq(a, b msg.Message) bool {
 	case msg.P2b:
 		bm, ok := b.(msg.P2b)
 		return ok && am.Inst == bm.Inst && am.Rnd == bm.Rnd && am.Acc == bm.Acc &&
-			valEq(am.Val, bm.Val)
+			am.Again == bm.Again && valEq(am.Val, bm.Val)
 	case msg.Stale:
 		bm, ok := b.(msg.Stale)
 		return ok && am == bm
@@ -178,6 +178,7 @@ func codecCases(set cstruct.Set) []struct {
 		{"2a-bottom", msg.P2a{Inst: 3, Rnd: b, Coord: 104, Val: set.Bottom()}},
 		{"2b", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val}},
 		{"2b-nil-val", msg.P2b{Inst: 4, Rnd: b, Acc: 202}},
+		{"2b-again", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val, Again: true}},
 		{"stale", msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero}},
 		{"heartbeat", msg.Heartbeat{From: 100, Epoch: math.MaxUint64}},
 		{"reply", msg.Reply{CmdID: 1<<40 | 3, From: 300, Inst: 11, Result: "OK"}},
@@ -191,6 +192,7 @@ func codecCases(set cstruct.Set) []struct {
 		}}},
 		{"fill", msg.Fill{Inst: 17, Learner: 300}},
 		{"fill-max", msg.Fill{Inst: math.MaxUint64, Learner: math.MaxUint32}},
+		{"fill-idle", msg.Fill{Inst: 17, Learner: 300, Idle: true}},
 		{"catchup-resp-floor", msg.CatchupResp{Learner: 301, From: 3, Frontier: 96, Floor: 64}},
 		{"done", msg.Done{From: 300, Frontier: 128, Watermark: 96}},
 		{"done-zero", msg.Done{From: 301}},

@@ -14,7 +14,8 @@ import (
 // message type, including the coordinator-id and sequence-number fields of
 // the multicoordinated path (P2a.Coord, Propose.Seq/HasSeq, P1bMulti.Shard)
 // and the server-side ingress fields (Propose.Client/Req: max-varint, zero
-// request, and the absent-flag pre-stamped form; Fill).
+// request, and the absent-flag pre-stamped form; Fill and its skip hint; the
+// re-announced 2b).
 func fuzzSeeds() []msg.Message {
 	b := ballot.Ballot{MCount: 1, MinCount: 2, ID: 3, RType: 4}
 	sv := cstruct.NewSingleValue(cstruct.Cmd{ID: 9, Key: "k", Op: cstruct.OpWrite, Payload: []byte("p")})
@@ -36,6 +37,7 @@ func fuzzSeeds() []msg.Message {
 		msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: sv},
 		msg.P2a{Inst: 3, Rnd: b, Coord: 104, Any: true},
 		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv},
+		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv, Again: true},
 		msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero},
 		msg.Heartbeat{From: 100, Epoch: 9},
 		msg.Reply{CmdID: 1<<40 | 3, From: 300, Inst: 11, Result: "OK"},
@@ -46,6 +48,7 @@ func fuzzSeeds() []msg.Message {
 		}},
 		msg.CatchupResp{Learner: 301, From: 3, Frontier: 96, Floor: 64},
 		msg.Fill{Inst: 17, Learner: 300},
+		msg.Fill{Inst: 17, Learner: 300, Idle: true},
 		msg.Done{From: 300, Frontier: 128, Watermark: 96},
 		msg.SnapReq{Learner: 300, From: 12},
 		msg.SnapResp{Learner: 301, Frontier: 128, Crc: 0xdeadbeef,

@@ -27,6 +27,7 @@ var goldenFrames = []struct{ name, hex string }{
 	{"2a", "02 04 01 03 01 02 03 04 66 01 09 01 6b 02 01 70"},
 	{"2a-any", "02 04 02 03 01 02 03 04 68"},
 	{"2b", "02 05 01 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
+	{"2b-again", "02 05 41 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
 	{"stale", "02 06 00 05 c8 01 01 02 03 04 00 00 00 00"},
 	{"heartbeat", "02 07 00 64 09"},
 	{"reply", "02 08 00 83 80 80 80 80 20 ac 02 0b 02 4f 4b"},
@@ -34,6 +35,7 @@ var goldenFrames = []struct{ name, hex string }{
 	{"catchup-resp", "02 0a 00 ad 02 2a 2c 02 09 01 6b 02 01 70 0a 01 71 00 00"},
 	{"catchup-resp-floor", "02 0a 20 ad 02 03 60 40 00"},
 	{"fill", "02 0b 00 11 ac 02"},
+	{"fill-idle", "02 0b 01 11 ac 02"},
 	{"done", "02 0c 00 ac 02 80 01 60"},
 	{"snap-req", "02 0d 00 ac 02 0c"},
 	{"snap-resp", "02 0e 00 ad 02 80 01 ef fd b6 f5 0d 01 03 03 00 41 ff"},
