@@ -1,7 +1,8 @@
 // Bank: Generic Broadcast over Multicoordinated Paxos (Section 3.3 of the
-// paper). Deposits to different accounts commute and may be delivered in
-// different orders at different replicas; operations on the same account
-// are totally ordered. Replica states converge either way.
+// paper) — the core engine agreeing on command histories. Deposits to
+// different accounts commute and may be delivered in different orders at
+// different replicas; operations on the same account are totally ordered.
+// Replica states converge either way.
 //
 //	go run ./examples/bank
 package main
@@ -11,44 +12,42 @@ import (
 
 	"mcpaxos/internal/core"
 	"mcpaxos/internal/cstruct"
-	"mcpaxos/internal/genbcast"
 	"mcpaxos/internal/smr"
 )
 
 func main() {
-	g := genbcast.NewCluster(genbcast.Opts{
+	cl := core.NewCluster(core.ClusterOpts{
 		NCoords:    3,
 		NAcceptors: 5,
 		F:          2,
 		NLearners:  2,
 		NProposers: 2,
 		Seed:       7,
-		Conflict:   cstruct.KeyConflict, // same account ⇒ ordered
+		Set:        cstruct.NewHistorySet(cstruct.KeyConflict), // same account ⇒ ordered
 	})
 
 	// Attach a bank replica to each learner.
-	replicas := make([]*smr.Replica, len(g.Cfg.Learners))
-	for i, id := range g.Cfg.Learners {
+	replicas := make([]*smr.Replica, len(cl.Cfg.Learners))
+	for i, id := range cl.Cfg.Learners {
 		replicas[i] = smr.NewReplica(smr.NewBank())
-		l := core.NewLearner(g.Sim.Env(id), g.Cfg, replicas[i].UpdateFn())
-		g.Sim.Register(id, l)
-		g.Learners[i] = l
+		l := core.NewLearner(cl.Sim.Env(id), cl.Cfg, replicas[i].UpdateFn())
+		cl.Sim.Register(id, l)
+		cl.Learners[i] = l
 	}
-	g.Start(0)
+	cl.Start(0)
 
 	// Two clients issue concurrent traffic on different accounts
 	// (commuting) and the same account (ordered).
 	id := uint64(1)
 	for round := 0; round < 5; round++ {
-		g.Broadcast(0, smr.DepositCmd(id, "alice", 10))
+		cl.Props[0].Propose(smr.DepositCmd(id, "alice", 10))
 		id++
-		g.Broadcast(1, smr.DepositCmd(id, "bob", 20))
+		cl.Props[1].Propose(smr.DepositCmd(id, "bob", 20))
 		id++
-		g.Sim.Run()
+		cl.Sim.Run()
 	}
-	g.Broadcast(0, smr.WithdrawCmd(id, "alice", 35))
-	id++
-	g.Sim.Run()
+	cl.Props[0].Propose(smr.WithdrawCmd(id, "alice", 35))
+	cl.Sim.Run()
 
 	for i, r := range replicas {
 		bank := r.Machine().(*smr.Bank)
@@ -60,7 +59,8 @@ func main() {
 	} else {
 		fmt.Println("replicas diverged ✗")
 	}
-	if g.CheckPartialOrder() {
+	// Compatible histories order every conflicting pair alike.
+	if cl.Agreement() {
 		fmt.Println("conflicting operations delivered in one order everywhere ✓")
 	}
 }

@@ -8,16 +8,17 @@ import (
 	"mcpaxos/internal/core"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/failure"
-	"mcpaxos/internal/fast"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 	"mcpaxos/internal/sim"
 )
 
-// This file implements the experiment drivers E1-E9 (see DESIGN.md §3 and
-// EXPERIMENTS.md): each regenerates one quantitative claim of the paper's
-// evaluation. bench_test.go and cmd/paxosbench are thin wrappers over these
-// functions.
+// This file implements the experiment drivers E1-E9: each regenerates one
+// quantitative claim of the paper's evaluation, named with its section in
+// the driver's comment and printed beside the measurement by cmd/paxosbench.
+// Every protocol row but Classic Paxos's is a configuration of
+// internal/core. bench_test.go and cmd/paxosbench are thin wrappers over
+// these functions.
 
 // ---------------------------------------------------------------- E1 -----
 
@@ -39,30 +40,20 @@ func RunE1StepsToLearn(seed int64) E1Result {
 	ccl.Sim.Run()
 	out.Steps[ProtocolClassic] = ccl.LearnTime[0] - start
 
-	fcl := fast.NewCluster(fast.ClusterOpts{NAcceptors: 4, F: 1, E: 1, Seed: seed})
-	fcl.Coord.Start()
-	fcl.Sim.Run()
-	start = fcl.Sim.Now()
-	fcl.Propose(1, cstruct.Cmd{ID: 1})
-	fcl.Sim.Run()
-	out.Steps[ProtocolFast] = fcl.LearnTime - start
-
-	mcl := core.NewCluster(core.ClusterOpts{NCoords: 3, NAcceptors: 5, F: 2, Seed: seed})
-	mcl.Start(0)
-	start = mcl.Sim.Now()
-	mcl.Props[0].Propose(cstruct.Cmd{ID: 1})
-	mcl.Sim.Run()
-	out.Steps[ProtocolMulti] = mcl.LearnTimes[1] - start
-
-	gcl := core.NewCluster(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
-		Seed: seed, Scheme: ballot.FastScheme{},
-		Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
-	gcl.Start(0)
-	start = gcl.Sim.Now()
-	gcl.Props[0].Propose(cstruct.Cmd{ID: 1, Key: "k"})
-	gcl.Sim.Run()
-	out.Steps[ProtocolGeneralized] = gcl.LearnTimes[1] - start
-
+	steps := func(o core.ClusterOpts) int64 {
+		o.Seed = seed
+		cl := core.NewCluster(o)
+		cl.Start(0)
+		start := cl.Sim.Now()
+		cl.Props[0].Propose(cstruct.Cmd{ID: 1, Key: "k"})
+		cl.Sim.Run()
+		return cl.LearnTimes[1] - start
+	}
+	out.Steps[ProtocolFast] = steps(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+		Scheme: ballot.FastScheme{}})
+	out.Steps[ProtocolMulti] = steps(core.ClusterOpts{NCoords: 3, NAcceptors: 5, F: 2})
+	out.Steps[ProtocolGeneralized] = steps(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+		Scheme: ballot.FastScheme{}, Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
 	return out
 }
 
@@ -244,80 +235,82 @@ type E5Row struct {
 // RunE5CollisionRecovery forces a collision and measures each recovery
 // strategy (restart 4 extra steps, coordinated 2, uncoordinated 1 — §2.2,
 // §4.2) plus the multicoordinated collision path, whose acceptors never
-// waste disk writes on the collided round.
+// waste disk writes on the collided round. Every row is internal/core: the
+// fast rows are one coordinator's fast rounds over single values, told apart
+// by the scheme and core.Recovery.
 func RunE5CollisionRecovery(seed int64) []E5Row {
 	var out []E5Row
-
-	fastCollision := func(name string, strategy fast.Strategy, scheme ballot.Scheme) {
-		cl := fast.NewCluster(fast.ClusterOpts{NAcceptors: 4, F: 1, E: 1,
-			Seed: seed, Strategy: strategy, Scheme: scheme})
-		cl.Coord.Start()
-		cl.Sim.Run()
+	collide := func(name string, o core.ClusterOpts, base int64) {
+		o.Seed, o.NProposers = seed, 2
+		cl := core.NewCluster(o)
+		cl.Start(0)
 		for _, d := range cl.Disks {
 			d.ResetWrites()
 		}
 		start := cl.Sim.Now()
-		a, b := cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200}
-		cl.Sim.Register(1, nopH{})
-		cl.Sim.Register(2, nopH{})
-		env1, env2 := cl.Sim.Env(1), cl.Sim.Env(2)
-		env1.Send(cl.Cfg.Acceptors[0], msg.Propose{Cmd: a})
-		env1.Send(cl.Cfg.Acceptors[1], msg.Propose{Cmd: a})
-		env2.Send(cl.Cfg.Acceptors[2], msg.Propose{Cmd: b})
-		env2.Send(cl.Cfg.Acceptors[3], msg.Propose{Cmd: b})
-		cl.Sim.After(1, func() {
-			env1.Send(cl.Cfg.Acceptors[2], msg.Propose{Cmd: a})
-			env1.Send(cl.Cfg.Acceptors[3], msg.Propose{Cmd: a})
-			env2.Send(cl.Cfg.Acceptors[0], msg.Propose{Cmd: b})
-			env2.Send(cl.Cfg.Acceptors[1], msg.Propose{Cmd: b})
-			env1.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: a})
-			env2.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: b})
-		})
+		crossPropose(cl, cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200})
 		cl.Sim.Run()
-		if cl.LearnTime < 0 {
-			return
+		if t, ok := firstLearn(cl.LearnTimes); ok {
+			out = append(out, E5Row{
+				Scenario:       name,
+				TotalSteps:     t - start,
+				ExtraSteps:     t - start - base,
+				AcceptorWrites: cl.TotalDiskWrites(),
+			})
 		}
-		out = append(out, E5Row{
-			Scenario:       name,
-			TotalSteps:     cl.LearnTime - start,
-			ExtraSteps:     cl.LearnTime - start - 2,
-			AcceptorWrites: cl.TotalDiskWrites(),
-		})
 	}
-	fastCollision("fast+restart", fast.RecoveryRestart, ballot.FastScheme{})
-	fastCollision("fast+coordinated", fast.RecoveryCoordinated, ballot.FastScheme{})
-	fastCollision("fast+uncoordinated", fast.RecoveryUncoordinated, ballot.FastUncoordScheme{})
+	// Fast rounds: the acceptor halves see opposite first proposals, so the
+	// 2-2 split reaches no fast quorum of 3 and the recovery must run.
+	fast := func(scheme ballot.Scheme, r core.Recovery) core.ClusterOpts {
+		return core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1, Scheme: scheme, Recovery: r}
+	}
+	collide("fast+restart", fast(ballot.FastScheme{}, core.Restart), 2)
+	collide("fast+coordinated", fast(ballot.FastScheme{}, core.Coordinated), 2)
+	collide("fast+uncoordinated", fast(ballot.FastUncoordScheme{}, core.AtAcceptors), 2)
 
 	// Multicoordinated collision: with two coordinators (one quorum of
 	// both), opposite first proposals make the quorum's c-structs
 	// incompatible — nothing can be accepted, acceptors detect and promote
 	// (2 extra steps, and no wasted acceptor writes on the collided round,
 	// Section 4.2).
-	mcl := core.NewCluster(core.ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1,
-		Seed: seed, NProposers: 2})
-	mcl.Start(0)
-	for _, d := range mcl.Disks {
-		d.ResetWrites()
-	}
-	start := mcl.Sim.Now()
-	a, b := cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200}
-	env1, env2 := mcl.Sim.Env(1), mcl.Sim.Env(2)
-	env1.Send(mcl.Cfg.Coords[0], msg.Propose{Cmd: a})
-	env2.Send(mcl.Cfg.Coords[1], msg.Propose{Cmd: b})
-	mcl.Sim.After(1, func() {
-		env1.Send(mcl.Cfg.Coords[1], msg.Propose{Cmd: a})
-		env2.Send(mcl.Cfg.Coords[0], msg.Propose{Cmd: b})
-	})
-	mcl.Sim.Run()
-	if t1, ok := firstLearn(mcl.LearnTimes); ok {
-		out = append(out, E5Row{
-			Scenario:       "multicoord+promote",
-			TotalSteps:     t1 - start,
-			ExtraSteps:     t1 - start - 3,
-			AcceptorWrites: mcl.TotalDiskWrites(),
-		})
-	}
+	collide("multicoord+promote", core.ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1}, 3)
 	return out
+}
+
+// crossPropose has proposers 1 and 2 submit a and b to whoever takes
+// proposals in cl's first round — its acceptors if the round is fast, its
+// coordinators otherwise — a to the first half of them and b to the rest,
+// then, one step later, each to the other half, so the halves see the two in
+// opposite orders. A fast round's coordinator hears both at the second step:
+// a recovery round needs them.
+func crossPropose(cl *core.Cluster, a, b cstruct.Cmd) {
+	targets := cl.Cfg.Coords
+	fast := cl.Cfg.Scheme.IsFast(cl.Cfg.Scheme.First(0, 0))
+	if fast {
+		targets = cl.Cfg.Acceptors
+	}
+	env1, env2 := cl.Sim.Env(1), cl.Sim.Env(2)
+	half := len(targets) / 2
+	for i, tgt := range targets {
+		if i < half {
+			env1.Send(tgt, msg.Propose{Cmd: a})
+		} else {
+			env2.Send(tgt, msg.Propose{Cmd: b})
+		}
+	}
+	cl.Sim.After(1, func() {
+		for i, tgt := range targets {
+			if i < half {
+				env2.Send(tgt, msg.Propose{Cmd: b})
+			} else {
+				env1.Send(tgt, msg.Propose{Cmd: a})
+			}
+		}
+		if fast {
+			env1.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: a})
+			env2.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: b})
+		}
+	})
 }
 
 func firstLearn(m map[uint64]int64) (int64, bool) {
@@ -329,10 +322,6 @@ func firstLearn(m map[uint64]int64) (int64, bool) {
 	}
 	return first, first >= 0
 }
-
-type nopH struct{}
-
-func (nopH) OnMessage(msg.NodeID, msg.Message) {}
 
 // ---------------------------------------------------------------- E6 -----
 
@@ -448,40 +437,12 @@ func RunE7ConflictSweep(seed int64, rhos []float64, trials int) []E7Row {
 				} else {
 					cl = core.NewCluster(core.ClusterOpts{
 						NCoords: 1, NAcceptors: 4, F: 1, E: 1, Seed: tseed, NProposers: 2,
-						Scheme: ballot.FastScheme{}, Exchange2b: true,
+						Scheme: ballot.FastScheme{}, Recovery: core.AtAcceptors,
 						Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
 				}
 				cl.Start(0)
 				start := cl.Sim.Now()
-				// Concurrent proposals with inverted arrival orders.
-				env1, env2 := cl.Sim.Env(1), cl.Sim.Env(2)
-				targets := cl.Cfg.Coords
-				if proto == ProtocolGeneralized {
-					targets = cl.Cfg.Acceptors
-				}
-				half := len(targets) / 2
-				for i, tgt := range targets {
-					if i < half {
-						env1.Send(tgt, msg.Propose{Cmd: a})
-					} else {
-						env2.Send(tgt, msg.Propose{Cmd: b})
-					}
-				}
-				cl.Sim.After(1, func() {
-					for i, tgt := range targets {
-						if i < half {
-							env2.Send(tgt, msg.Propose{Cmd: b})
-						} else {
-							env1.Send(tgt, msg.Propose{Cmd: a})
-						}
-					}
-					// The fast deployment's coordinator also needs the
-					// proposals to finish recovery rounds.
-					if proto == ProtocolGeneralized {
-						env1.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: a})
-						env2.Send(cl.Cfg.Coords[0], msg.Propose{Cmd: b})
-					}
-				})
+				crossPropose(cl, a, b) // concurrent, in inverted arrival orders
 				cl.Sim.Run()
 				promoted := false
 				for _, acc := range cl.Accs {
@@ -647,6 +608,21 @@ type E9Row struct {
 // fast rounds; high jitter ("conflict prone") inverts messages, collapses
 // fast rounds into recovery, and favors classic/multicoordinated rounds.
 func RunE9SpontaneousOrder(seed int64, jitters []int64, trials int) []E9Row {
+	// race starts o's first round, then has two proposers submit at once over
+	// links with the given jitter; it returns the cluster and the steps to its
+	// first learn.
+	race := func(o core.ClusterOpts, jit int64) (*core.Cluster, float64, bool) {
+		o.NProposers = 2
+		cl := core.NewCluster(o)
+		cl.Start(0)
+		cl.Sim.SetLatency(sim.JitterLatency(jit))
+		start := cl.Sim.Now()
+		cl.Props[0].Propose(cstruct.Cmd{ID: 100})
+		cl.Props[1].Propose(cstruct.Cmd{ID: 200})
+		cl.Sim.Run()
+		t, ok := firstLearn(cl.LearnTimes)
+		return cl, float64(t - start), ok
+	}
 	var out []E9Row
 	for _, jit := range jitters {
 		row := E9Row{Jitter: jit}
@@ -655,34 +631,19 @@ func RunE9SpontaneousOrder(seed int64, jitters []int64, trials int) []E9Row {
 		for trial := 0; trial < trials; trial++ {
 			tseed := seed + int64(trial)*104729
 
-			fcl := fast.NewCluster(fast.ClusterOpts{NAcceptors: 4, F: 1, E: 1,
-				Seed: tseed, Strategy: fast.RecoveryCoordinated})
-			fcl.Coord.Start()
-			fcl.Sim.Run()
-			first := fcl.Coord.Rnd()
-			fcl.Sim.SetLatency(sim.JitterLatency(jit))
-			start := fcl.Sim.Now()
-			fcl.Propose(1, cstruct.Cmd{ID: 100})
-			fcl.Propose(2, cstruct.Cmd{ID: 200})
-			fcl.Sim.Run()
-			if fcl.LearnTime >= 0 {
-				fastSteps += float64(fcl.LearnTime - start)
+			fcl, steps, ok := race(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+				Seed: tseed, Scheme: ballot.FastScheme{}, Recovery: core.Coordinated}, jit)
+			if ok {
+				fastSteps += steps
 				fastN++
 			}
-			if !fcl.Coord.Rnd().Equal(first) {
+			if !fcl.Coords[0].Rnd().Equal(fcl.Cfg.Scheme.First(0, uint32(fcl.Cfg.Coords[0]))) {
 				fastColl++
 			}
 
-			mcl := core.NewCluster(core.ClusterOpts{NCoords: 3, NAcceptors: 3,
-				F: 1, Seed: tseed, NProposers: 2})
-			mcl.Start(0)
-			mcl.Sim.SetLatency(sim.JitterLatency(jit))
-			start = mcl.Sim.Now()
-			mcl.Props[0].Propose(cstruct.Cmd{ID: 100})
-			mcl.Props[1].Propose(cstruct.Cmd{ID: 200})
-			mcl.Sim.Run()
-			if t, ok := firstLearn(mcl.LearnTimes); ok {
-				mcSteps += float64(t - start)
+			mcl, steps, ok := race(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1, Seed: tseed}, jit)
+			if ok {
+				mcSteps += steps
 				mcN++
 			}
 			for _, acc := range mcl.Accs {

@@ -84,22 +84,27 @@ func TestE5CollisionCostOrdering(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Scenario] = r
 	}
-	rst, okR := byName["fast+restart"]
-	coo, okC := byName["fast+coordinated"]
-	unc, okU := byName["fast+uncoordinated"]
-	mc, okM := byName["multicoord+promote"]
-	if !okR || !okC || !okU || !okM {
-		t.Fatalf("missing scenarios: %+v", rows)
+	// Sections 2.2 and 4.2: the extra steps each recovery costs over its
+	// round's collision-free latency (fast 2, multicoordinated 3).
+	want := map[string]int64{
+		"fast+restart": 4, "fast+coordinated": 2, "fast+uncoordinated": 1, "multicoord+promote": 2,
 	}
-	if !(unc.TotalSteps < coo.TotalSteps && coo.TotalSteps < rst.TotalSteps) {
-		t.Errorf("recovery latency ordering broken: unc=%d coo=%d rst=%d",
-			unc.TotalSteps, coo.TotalSteps, rst.TotalSteps)
+	for name, extra := range want {
+		r, ok := byName[name]
+		if !ok {
+			t.Fatalf("missing scenario %s: %+v", name, rows)
+		}
+		if r.ExtraSteps != extra {
+			t.Errorf("%s: %d extra steps (total %d), paper says %d", name, r.ExtraSteps, r.TotalSteps, extra)
+		}
 	}
 	// Paper: fast collisions waste acceptor disk writes; multicoordinated
 	// collisions do not (acceptors never accept during the collision).
-	if mc.AcceptorWrites >= coo.AcceptorWrites {
-		t.Errorf("multicoord collision writes (%d) must undercut fast (%d)",
-			mc.AcceptorWrites, coo.AcceptorWrites)
+	mc := byName["multicoord+promote"]
+	for _, name := range []string{"fast+restart", "fast+coordinated", "fast+uncoordinated"} {
+		if r := byName[name]; r.AcceptorWrites <= mc.AcceptorWrites {
+			t.Errorf("%s: %d acceptor writes must exceed multicoord's %d", name, r.AcceptorWrites, mc.AcceptorWrites)
+		}
 	}
 }
 

@@ -25,15 +25,18 @@ type Acceptor struct {
 	vrnd ballot.Ballot
 	vval cstruct.CStruct
 
-	// twoAs holds the latest 2a value per coordinator for round twoARnd.
-	twoARnd ballot.Ballot
-	twoAs   map[msg.NodeID]cstruct.CStruct
+	// twoAs holds the latest 2a value per coordinator of its round.
+	twoAs roundVals
+	// peer2bs holds the current round's non-⊥ 2bs per acceptor, its own
+	// included, for uncoordinated recovery.
+	peer2bs roundVals
 
 	// proposals buffered for fast rounds.
 	proposals []cstruct.Cmd
 	proposed  map[uint64]bool
 
-	// promotions counts collision-triggered round jumps, for experiments.
+	// promotions counts collision-triggered round jumps, for experiments and
+	// for the MaxUncoordRecoveries bound.
 	promotions int
 
 	// PersistRnd disables the Section 4.4 optimization: the acceptor then
@@ -41,6 +44,11 @@ type Acceptor struct {
 	// implementation would. Exists for the disk-write ablation.
 	PersistRnd bool
 }
+
+// MaxUncoordRecoveries bounds the uncoordinated recoveries one acceptor runs:
+// acceptors recovering from different quorums of 2bs can collide again, and
+// the livelock ends with a coordinator's classic round (Section 2.2).
+const MaxUncoordRecoveries = 8
 
 var _ node.Handler = (*Acceptor)(nil)
 
@@ -54,7 +62,6 @@ func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
 	a := &Acceptor{
 		env: env, cfg: cfg, disk: disk,
 		vval:     cfg.Set.Bottom(),
-		twoAs:    make(map[msg.NodeID]cstruct.CStruct),
 		proposed: make(map[uint64]bool),
 	}
 	if rec, ok := disk.Get(storage.KeyVote); ok {
@@ -109,10 +116,7 @@ func (a *Acceptor) joinRound(r ballot.Ballot) {
 	if a.PersistRnd {
 		a.disk.Put(storage.KeyRnd, r) // ablation: naive per-round-change write
 	}
-	if a.twoARnd.Less(r) {
-		a.twoARnd = r
-		a.twoAs = make(map[msg.NodeID]cstruct.CStruct)
-	}
+	a.twoAs.reset(r)
 	out := msg.P1b{Rnd: r, Acc: a.env.ID(), VRnd: a.vrnd, VVal: a.vval}
 	node.Broadcast(a.env, a.cfg.RoundCoords(r), out)
 }
@@ -127,22 +131,15 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if mm.Val == nil {
 		return
 	}
-	if a.twoARnd.Less(mm.Rnd) {
-		a.twoARnd = mm.Rnd
-		a.twoAs = make(map[msg.NodeID]cstruct.CStruct)
-	} else if mm.Rnd.Less(a.twoARnd) {
+	if !a.twoAs.add(a.cfg.Set, mm.Rnd, mm.Coord, mm.Val) {
 		return // stale 2a for a round we already left
-	}
-	// Keep only the longest value per coordinator (values grow in-round).
-	if prev, ok := a.twoAs[mm.Coord]; !ok || a.cfg.Set.Extends(prev, mm.Val) {
-		a.twoAs[mm.Coord] = mm.Val
 	}
 
 	// Collision detection: two coordinators of the same round with
 	// incompatible c-structs. With majority coordquorums any two
 	// coordinators share a quorum, so any incompatible pair is a collision.
-	if !a.cfg.Set.Compatible(valsOf(a.twoAs)...) {
-		a.promote(a.cfg.Scheme.Next(a.twoARnd, a.twoARnd.ID))
+	if a.twoAs.collide(a.cfg.Set) {
+		a.promote(a.cfg.Scheme.Next(a.twoAs.rnd, a.twoAs.rnd.ID))
 		return
 	}
 	a.tryAccept(mm.Rnd)
@@ -152,13 +149,13 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 // from, fold its glb into the accepted value.
 func (a *Acceptor) tryAccept(r ballot.Ballot) {
 	need := a.cfg.CoordQuorumSize(r)
-	if len(a.twoAs) < need {
+	if len(a.twoAs.vals) < need {
 		return
 	}
 	coords := a.cfg.RoundCoords(r)
 	present := make([]msg.NodeID, 0, len(coords))
 	for _, co := range coords {
-		if _, ok := a.twoAs[co]; ok {
+		if _, ok := a.twoAs.vals[co]; ok {
 			present = append(present, co)
 		}
 	}
@@ -171,7 +168,7 @@ func (a *Acceptor) tryAccept(r ballot.Ballot) {
 	for _, sub := range quorum.Subsets(len(present), need) {
 		vals := make([]cstruct.CStruct, 0, need)
 		for _, j := range sub {
-			vals = append(vals, a.twoAs[present[j]])
+			vals = append(vals, a.twoAs.vals[present[j]])
 		}
 		candidates = append(candidates, a.cfg.Set.GLB(vals...))
 	}
@@ -219,15 +216,15 @@ func (a *Acceptor) tryFastAppend() {
 	if !a.cfg.Scheme.IsFast(a.rnd) || !a.rnd.Equal(a.vrnd) {
 		return
 	}
-	grew := false
+	v := a.vval
 	for _, c := range a.proposals {
-		if !a.vval.Contains(c) {
-			a.vval = a.vval.Append(c)
-			grew = true
+		if !v.Contains(c) {
+			v = v.Append(c)
 		}
 	}
-	if grew {
-		a.accept(a.rnd, a.vval)
+	// Appending to a single value is a no-op: accept only what grew.
+	if !a.cfg.Set.Equal(v, a.vval) {
+		a.accept(a.rnd, v)
 	}
 }
 
@@ -243,12 +240,17 @@ func (a *Acceptor) accept(r ballot.Ballot, v cstruct.CStruct) {
 	a.disk.Put(storage.KeyVote, storage.VoteRec{VRnd: r, Cmds: v.Commands()})
 	out := msg.P2b{Rnd: r, Acc: a.env.ID(), Val: v}
 	node.Broadcast(a.env, a.cfg.Learners, out)
-	if a.cfg.Exchange2b {
+	switch {
+	case a.cfg.Recovery == AtAcceptors:
 		for _, p := range a.cfg.Acceptors {
 			if p != a.env.ID() {
 				a.env.Send(p, out)
 			}
 		}
+		a.onPeer2b(out)
+	case a.cfg.Recovery != 0 && a.cfg.Scheme.IsFast(r):
+		// Restart and Coordinated: the round's coordinators watch its votes.
+		node.Broadcast(a.env, a.cfg.RoundCoords(r), out)
 	}
 	// After accepting in a fast round, drain any buffered proposals.
 	if a.cfg.Scheme.IsFast(r) {
@@ -256,18 +258,35 @@ func (a *Acceptor) accept(r ballot.Ballot, v cstruct.CStruct) {
 	}
 }
 
-// onPeer2b detects fast-round collisions acceptor-side when Exchange2b is
-// on: incompatible accepted c-structs within the same round promote
-// everyone to the successor round (Section 4.2).
+// onPeer2b is collision detection at the acceptors (Recovery AtAcceptors,
+// Section 4.2), fed every acceptor's 2bs of the current round, its own
+// included. Before a classic successor round, an acceptor whose vote a peer's
+// contradicts joins that round as if its 1a had arrived. Before a fast one, it
+// waits for a quorum of 2bs that collide, reads them as the successor's 1bs,
+// and accepts there at once: uncoordinated recovery.
 func (a *Acceptor) onPeer2b(mm msg.P2b) {
-	if !a.cfg.Exchange2b || !mm.Rnd.Equal(a.rnd) || mm.Val == nil {
+	if a.cfg.Recovery != AtAcceptors || !mm.Rnd.Equal(a.rnd) || mm.Val == nil {
 		return
 	}
-	if !a.vrnd.Equal(a.rnd) {
+	next := a.cfg.Scheme.Next(a.rnd, a.rnd.ID)
+	if !a.cfg.Scheme.IsFast(next) {
+		if a.vrnd.Equal(a.rnd) && !a.cfg.Set.Compatible(a.vval, mm.Val) {
+			a.promote(next)
+		}
 		return
 	}
-	if !a.cfg.Set.Compatible(a.vval, mm.Val) {
-		a.promote(a.cfg.Scheme.Next(a.rnd, a.rnd.ID))
+	// As at the coordinator, the ⊥ 2bs answering the round's 2a are not read
+	// as 1bs: the sender's first proposal follows them.
+	if mm.Val.Len() == 0 || a.promotions >= MaxUncoordRecoveries {
+		return
+	}
+	a.peer2bs.add(a.cfg.Set, mm.Rnd, mm.Acc, mm.Val)
+	if !a.cfg.Quorums.IsQuorum(len(a.peer2bs.vals), true) || !a.peer2bs.collide(a.cfg.Set) {
+		return
+	}
+	if v, ok := a.cfg.safeValue(a.peer2bs.as1bs(next, a.cfg.Acceptors)); ok {
+		a.promotions++
+		a.accept(next, v)
 	}
 }
 
@@ -279,12 +298,4 @@ func (a *Acceptor) promote(j ballot.Ballot) {
 	}
 	a.promotions++
 	a.joinRound(j)
-}
-
-func valsOf(m map[msg.NodeID]cstruct.CStruct) []cstruct.CStruct {
-	out := make([]cstruct.CStruct, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	return out
 }

@@ -39,7 +39,7 @@ type ClusterOpts struct {
 	Seed       int64
 	Scheme     ballot.Scheme
 	Set        cstruct.Set
-	Exchange2b bool
+	Recovery   Recovery
 	Balance    bool
 	// RetryEvery > 0 enables retransmission at proposers and coordinators.
 	RetryEvery int64
@@ -67,11 +67,11 @@ func NewCluster(o ClusterOpts) *Cluster {
 	}
 	s := sim.New(o.Seed)
 	cfg := Config{
-		Quorums:    quorum.MustAcceptorSystem(o.NAcceptors, o.F, o.E),
-		CoordQ:     quorum.MustCoordSystem(o.NCoords),
-		Scheme:     o.Scheme,
-		Set:        o.Set,
-		Exchange2b: o.Exchange2b,
+		Quorums:  quorum.MustAcceptorSystem(o.NAcceptors, o.F, o.E),
+		CoordQ:   quorum.MustCoordSystem(o.NCoords),
+		Scheme:   o.Scheme,
+		Set:      o.Set,
+		Recovery: o.Recovery,
 	}
 	for i := 0; i < o.NCoords; i++ {
 		cfg.Coords = append(cfg.Coords, msg.NodeID(100+i))

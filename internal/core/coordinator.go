@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -29,6 +32,10 @@ type Coordinator struct {
 
 	// p1bs buffers phase 1b messages per candidate round.
 	p1bs map[ballot.Ballot]map[msg.NodeID]msg.P1b
+
+	// fast2bs holds the 2bs of crnd when it is a fast round, which Restart
+	// and Coordinated recovery watch for a collision.
+	fast2bs roundVals
 
 	// proposals are commands seen (and their chosen acceptor quorums, for
 	// load-balanced deployments).
@@ -126,6 +133,8 @@ func (c *Coordinator) OnMessage(_ msg.NodeID, m msg.Message) {
 		c.onPropose(mm)
 	case msg.P1b:
 		c.onP1b(mm)
+	case msg.P2b:
+		c.onP2b(mm)
 	case msg.Stale:
 		c.onStale(mm)
 	}
@@ -181,24 +190,11 @@ func (c *Coordinator) onP1b(mm msg.P1b) {
 		return
 	}
 
-	reports := make([]Report, 0, len(byAcc))
-	for acc, p := range byAcc {
-		idx := c.cfg.accIndex(acc)
-		if idx < 0 {
-			continue
-		}
-		vval := p.VVal
-		if vval == nil {
-			vval = c.cfg.Set.Bottom()
-		}
-		reports = append(reports, Report{AccIdx: idx, VRnd: p.VRnd, VVal: vval})
-	}
-	cands, err := ProvedSafeSized(c.cfg.Set, c.cfg.Quorums, c.cfg.Scheme, reports)
-	if err != nil || len(cands) == 0 {
+	val, ok := c.cfg.safeValue(slices.Collect(maps.Values(byAcc)))
+	if !ok {
 		// Broken quorum configuration; refuse to make progress unsafely.
 		return
 	}
-	val := PickValue(cands)
 
 	c.crnd = mm.Rnd
 	c.attempt = ballot.Max(c.attempt, mm.Rnd)
@@ -221,6 +217,32 @@ func (c *Coordinator) onP1b(mm msg.P1b) {
 	c.cval = val
 	c.send2a(nil)
 	c.armRetry()
+}
+
+// onP2b watches the fast round this coordinator started (Recovery Restart or
+// Coordinated, Section 4.2). Once its 2bs collide, Restart starts the
+// successor round from phase 1, and Coordinated reads them as the
+// successor's 1bs: Phase2Start runs as soon as they form a quorum. The ⊥ 2bs
+// that answer the round's own 2a are not read: a 1b must report the sender's
+// last vote in the round, and a ⊥ vote is followed by the first proposal.
+func (c *Coordinator) onP2b(mm msg.P2b) {
+	if !c.started || !mm.Rnd.Equal(c.crnd) || !c.cfg.Scheme.IsFast(c.crnd) ||
+		mm.Val == nil || mm.Val.Len() == 0 {
+		return
+	}
+	c.fast2bs.add(c.cfg.Set, mm.Rnd, mm.Acc, mm.Val)
+	if !c.fast2bs.collide(c.cfg.Set) {
+		return
+	}
+	next := c.cfg.Scheme.Next(c.crnd, uint32(c.env.ID()))
+	switch c.cfg.Recovery {
+	case Restart:
+		c.StartRound(next)
+	case Coordinated:
+		for _, p := range c.fast2bs.as1bs(next, c.cfg.Acceptors) {
+			c.onP1b(p)
+		}
+	}
 }
 
 // onStale reacts to acceptors that outran this coordinator's round.

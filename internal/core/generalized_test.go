@@ -157,11 +157,11 @@ func TestGeneralizedFastRoundCommutingConcurrent(t *testing.T) {
 
 func TestGeneralizedFastRoundConflictDetectedViaExchange(t *testing.T) {
 	// Conflicting commands accepted in opposite orders in a fast round:
-	// with Exchange2b on, acceptors detect the incompatibility and promote
+	// with Recovery AtAcceptors, acceptors detect the incompatibility and promote
 	// to the successor classic round (Section 4.2).
 	cl := histCluster(cstruct.AlwaysConflict, ClusterOpts{
 		NCoords: 1, NAcceptors: 4, F: 1, E: 1, Seed: 1,
-		Scheme: ballot.FastScheme{}, NProposers: 2, Exchange2b: true})
+		Scheme: ballot.FastScheme{}, NProposers: 2, Recovery: AtAcceptors})
 	cl.Start(0)
 	a, b := cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200}
 	env1, env2 := cl.Sim.Env(1), cl.Sim.Env(2)
@@ -194,6 +194,107 @@ func TestGeneralizedFastRoundConflictDetectedViaExchange(t *testing.T) {
 	}
 	if !cl.Agreement() {
 		t.Fatalf("learners diverged")
+	}
+}
+
+// Generalized Paxos (Section 2.3) is a configuration of core: one
+// coordinator's fast rounds over histories. The tests below run it under each
+// collision recovery.
+
+var fastRecoveries = []struct {
+	name   string
+	scheme ballot.Scheme
+	r      Recovery
+}{
+	{"none", ballot.FastScheme{}, 0},
+	{"restart", ballot.FastScheme{}, Restart},
+	{"coordinated", ballot.FastScheme{}, Coordinated},
+	{"at-acceptors", ballot.FastScheme{}, AtAcceptors},
+	{"uncoordinated", ballot.FastUncoordScheme{}, AtAcceptors},
+}
+
+func generalizedCluster(scheme ballot.Scheme, r Recovery) *Cluster {
+	return histCluster(cstruct.KeyConflict, ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1, Seed: 1,
+		NLearners: 2, NProposers: 2, Scheme: scheme, Recovery: r})
+}
+
+func TestFastLearningTwoSteps(t *testing.T) {
+	for _, tc := range fastRecoveries {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := generalizedCluster(tc.scheme, tc.r)
+			cl.Start(0)
+			start := cl.Sim.Now()
+			cl.Props[0].Propose(cstruct.Cmd{ID: 1, Key: "a"})
+			cl.Sim.Run()
+			lt, ok := cl.LearnTimes[1]
+			if !ok {
+				t.Fatalf("command not learned")
+			}
+			if steps := lt - start; steps != 2 {
+				t.Errorf("Generalized Paxos learns in %d steps, want 2", steps)
+			}
+		})
+	}
+}
+
+func TestCommutingConcurrentProposalsBothLearned(t *testing.T) {
+	// Commands on different keys reach the acceptors in opposite orders: the
+	// histories stay compatible, so no recovery runs and no round changes.
+	for _, tc := range fastRecoveries {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := generalizedCluster(tc.scheme, tc.r)
+			cl.Start(0)
+			first := cl.Accs[0].Rnd()
+			a := cstruct.Cmd{ID: 10, Key: "x"}
+			b := cstruct.Cmd{ID: 20, Key: "y"}
+			env1, env2 := cl.Sim.Env(1), cl.Sim.Env(2)
+			for i, acc := range cl.Cfg.Acceptors {
+				if i%2 == 0 {
+					env1.Send(acc, msg.Propose{Cmd: a})
+					env2.Send(acc, msg.Propose{Cmd: b})
+				} else {
+					env2.Send(acc, msg.Propose{Cmd: b})
+					env1.Send(acc, msg.Propose{Cmd: a})
+				}
+			}
+			cl.Sim.Run()
+			for _, id := range []uint64{10, 20} {
+				if _, ok := cl.LearnTimes[id]; !ok {
+					t.Fatalf("command %d not learned", id)
+				}
+			}
+			for i, acc := range cl.Accs {
+				if acc.Promotions() != 0 || !acc.Rnd().Equal(first) {
+					t.Errorf("acceptor %d left round %v for %v: commuting commands must not collide", i, first, acc.Rnd())
+				}
+			}
+		})
+	}
+}
+
+func TestConflictingConcurrentProposalsRecover(t *testing.T) {
+	// Two writes to one key accepted in opposite orders, under the recoveries
+	// safe for every command stream over histories (see Recovery): both end
+	// up learned, in one order at every learner.
+	for _, tc := range []struct {
+		name string
+		r    Recovery
+	}{{"restart", Restart}, {"at-acceptors", AtAcceptors}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := generalizedCluster(ballot.FastScheme{}, tc.r)
+			a := cstruct.Cmd{ID: 10, Key: "x", Op: cstruct.OpWrite}
+			b := cstruct.Cmd{ID: 20, Key: "x", Op: cstruct.OpWrite}
+			collide(cl, a, b)
+			cl.Sim.Run()
+			for _, id := range []uint64{10, 20} {
+				if _, ok := cl.LearnTimes[id]; !ok {
+					t.Fatalf("command %d lost in collision recovery", id)
+				}
+			}
+			if !cl.Agreement() {
+				t.Fatalf("learners diverged")
+			}
+		})
 	}
 }
 

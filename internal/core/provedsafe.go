@@ -6,6 +6,7 @@ import (
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/msg"
 	"mcpaxos/internal/quorum"
 )
 
@@ -142,6 +143,29 @@ func PickValue(cands []cstruct.CStruct) cstruct.CStruct {
 		}
 	}
 	return best
+}
+
+// safeValue is Phase2Start's pick for the round a quorum of acceptors
+// answered with p1bs: PickValue of ProvedSafe. ok is false on a broken quorum
+// configuration, where no pick is safe.
+func (c Config) safeValue(p1bs []msg.P1b) (v cstruct.CStruct, ok bool) {
+	reports := make([]Report, 0, len(p1bs))
+	for _, p := range p1bs {
+		idx := c.accIndex(p.Acc)
+		if idx < 0 {
+			continue
+		}
+		vval := p.VVal
+		if vval == nil {
+			vval = c.Set.Bottom()
+		}
+		reports = append(reports, Report{AccIdx: idx, VRnd: p.VRnd, VVal: vval})
+	}
+	cands, err := ProvedSafeSized(c.Set, c.Quorums, c.Scheme, reports)
+	if err != nil || len(cands) == 0 {
+		return nil, false
+	}
+	return PickValue(cands), true
 }
 
 func sortedKeys(m map[int]cstruct.CStruct) []int {

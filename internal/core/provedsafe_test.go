@@ -70,6 +70,27 @@ func TestProvedSafeTakesLubOfQuorumGlbs(t *testing.T) {
 	}
 }
 
+func TestProvedSafeFastRoundThreshold(t *testing.T) {
+	// n=4, E=1: a fast quorum holds 3, so within a quorum Q of 3 reports at a
+	// fast round k, v may have been chosen at k iff at least |Q|−E = 2 of them
+	// voted v — the Fast Paxos pick rule of Section 2.2, which the
+	// Coordinated and uncoordinated recoveries apply to 2bs.
+	set := cstruct.SingleValueSet{}
+	sys := quorum.MustAcceptorSystem(4, 1, 1)
+	scheme := ballot.FastScheme{}
+	k := scheme.First(0, 100)
+	a, b, c := cstruct.NewSingleValue(cstruct.Cmd{ID: 1}), cstruct.NewSingleValue(cstruct.Cmd{ID: 2}),
+		cstruct.NewSingleValue(cstruct.Cmd{ID: 3})
+	got, err := ProvedSafeSized(set, sys, scheme, []Report{{0, k, a}, {1, k, a}, {2, k, b}})
+	if err != nil || len(got) != 1 || !set.Equal(got[0], a) {
+		t.Errorf("a value with |Q|−E votes must be forced, got %v (%v)", got, err)
+	}
+	got, err = ProvedSafeSized(set, sys, scheme, []Report{{0, k, a}, {1, k, b}, {2, k, c}})
+	if err != nil || len(got) != 1 || got[0].Len() != 0 {
+		t.Errorf("a three-way split must leave the pick free (⊥), got %v (%v)", got, err)
+	}
+}
+
 func TestProvedSafeEmptyQuorum(t *testing.T) {
 	set := cstruct.SingleValueSet{}
 	sys := quorum.MustAcceptorSystem(3, 1, 0)

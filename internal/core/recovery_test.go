@@ -178,14 +178,28 @@ func (e *sinkEnv) SetTimer(int64, int)              {}
 func TestPromiseSurvivesRecovery(t *testing.T) {
 	cfg := NewCluster(ClusterOpts{NCoords: 2, NAcceptors: 3, F: 1, Seed: 1,
 		Scheme: ballot.SingleScheme{}, Set: cstruct.SingleValueSet{}}).Cfg
+	checkPromiseSurvivesRecovery(t, cfg, 101)
+}
+
+// TestFastPromiseSurvives: the same under Fast Paxos's rounds, where the one
+// coordinator both votes the acceptor and later promises it.
+func TestFastPromiseSurvives(t *testing.T) {
+	checkPromiseSurvivesRecovery(t, fastCluster(cstruct.SingleValueSet{}, ballot.FastScheme{}, Coordinated).Cfg, 100)
+}
+
+// checkPromiseSurvivesRecovery runs both cases over cfg; coordinator 100 sends
+// the 2as and promiser the 1a.
+func checkPromiseSurvivesRecovery(t *testing.T, cfg Config, promiser msg.NodeID) {
+	t.Helper()
+	pid := uint32(promiser)
 	for _, tc := range []struct {
 		name                 string
 		vote, promise, probe ballot.Ballot
 	}{
 		{"rounds already at the incarnation the restart reaches",
-			ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+			ballot.Ballot{MCount: 1, MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: pid}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
 		{"a peer's recovery lifted the rounds after the vote",
-			ballot.Ballot{MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: 101}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
+			ballot.Ballot{MinCount: 3, ID: 100}, ballot.Ballot{MCount: 1, MinCount: 5, ID: pid}, ballot.Ballot{MCount: 1, MinCount: 4, ID: 100}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env, disk := &sinkEnv{id: cfg.Acceptors[0]}, &storage.Disk{}
@@ -194,7 +208,7 @@ func TestPromiseSurvivesRecovery(t *testing.T) {
 			if !a.VRnd().Equal(tc.vote) {
 				t.Fatalf("no vote at %v before the crash", tc.vote)
 			}
-			a.OnMessage(101, msg.P1a{Rnd: tc.promise, Coord: 101})
+			a.OnMessage(promiser, msg.P1a{Rnd: tc.promise, Coord: promiser})
 			if !a.Rnd().Equal(tc.promise) {
 				t.Fatalf("joined %v, want the promised %v", a.Rnd(), tc.promise)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/sim"
@@ -84,5 +85,36 @@ func TestRefinementJitteredRuns(t *testing.T) {
 		}
 		cl.Sim.Run()
 		checkRefined(t, cl, proposed, fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// TestRefinementFastCollisionRuns maps the E5 collisions into the abstract
+// specification. A Restart run maps after every event. Coordinated and
+// uncoordinated runs map only once recovered: they read an acceptor's 2b as
+// its 1b for the next round while the acceptor still sits in the collided
+// one, and the mapping takes an acceptor's mbal from its own round, so until
+// the next round's 2a (or vote) reaches it the collided round looks open.
+func TestRefinementFastCollisionRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		scheme     ballot.Scheme
+		r          Recovery
+		everyEvent bool
+	}{
+		{"restart", ballot.FastScheme{}, Restart, true},
+		{"coordinated", ballot.FastScheme{}, Coordinated, false},
+		{"uncoordinated", ballot.FastUncoordScheme{}, AtAcceptors, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := fastCluster(cstruct.SingleValueSet{}, tc.scheme, tc.r)
+			proposed := []cstruct.Cmd{{ID: 100}, {ID: 200}}
+			collide(cl, proposed[0], proposed[1])
+			for cl.Sim.Step() {
+				if tc.everyEvent {
+					checkRefined(t, cl, proposed, fmt.Sprintf("at t=%d", cl.Sim.Now()))
+				}
+			}
+			checkRefined(t, cl, proposed, "after "+tc.name+" recovery")
+		})
 	}
 }

@@ -164,15 +164,14 @@ func (P1b) Type() Type { return TP1b }
 // Instance implements Message.
 func (m P1b) Instance() uint64 { return m.Inst }
 
-// P2a carries a coordinator's picked value for round Rnd. In fast rounds the
-// coordinator may send Any=true instead of a value, authorizing acceptors to
-// accept proposals directly (Section 2.2).
+// P2a carries a coordinator's picked value for round Rnd. In a fast round
+// that value is typically ⊥, which acceptors then extend with proposals they
+// receive directly (Section 2.2).
 type P2a struct {
 	Inst  uint64
 	Rnd   ballot.Ballot
 	Coord NodeID
 	Val   cstruct.CStruct
-	Any   bool
 }
 
 // Type implements Message.

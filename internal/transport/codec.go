@@ -10,8 +10,8 @@
 //
 //	[version: 1 byte = 0x02]  [type tag: 1 byte]  [flags: 1 byte]  [fields...]
 //
-// where flags packs the optional-field markers (HasVal, Any, Multi, HasSeq,
-// HasClient, HasFloor) and the fields are fixed per type tag, built from the
+// where flags packs the optional-field markers (HasVal, Multi, HasSeq,
+// HasClient, HasFloor, Again, Idle) and the fields are fixed per type tag, built from the
 // layouts package wire defines (shared with the WAL's record codec):
 // integers are unsigned varints, ballots are four varints, and commands,
 // strings and node-ID sets are length-prefixed sections. The encoding is
@@ -36,8 +36,6 @@ const verBinary = 0x02
 const (
 	// flagHasVal distinguishes a nil c-struct from ⊥ (P1b/P2a/P2b).
 	flagHasVal = 1 << 0
-	// flagAny marks a fast-round "any value" 2a (P2a).
-	flagAny = 1 << 1
 	// flagMulti marks a multi-instance P1bMulti promise (type tag TP1b).
 	flagMulti = 1 << 2
 	// flagHasSeq marks a proposal carrying its per-shard sequence number.
@@ -193,9 +191,6 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		var flags byte
 		if hasVal {
 			flags |= flagHasVal
-		}
-		if mm.Any {
-			flags |= flagAny
 		}
 		dst = append(dst, verBinary, byte(msg.TP2a), flags)
 		dst = wire.AppendUvarint(dst, mm.Inst)
@@ -385,14 +380,13 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 			m = mm
 		}
 	case msg.TP2a:
-		if flags&^(flagHasVal|flagAny) != 0 {
+		if flags&^flagHasVal != 0 {
 			return nil, fmt.Errorf("bad 2a flags %#x", flags)
 		}
 		mm := msg.P2a{
 			Inst:  r.Uvarint("inst"),
 			Rnd:   r.Ballot(),
 			Coord: msg.NodeID(r.U32("coord")),
-			Any:   flags&flagAny != 0,
 		}
 		if flags&flagHasVal != 0 {
 			mm.Val = c.rebuild(r.Cmds(), true)

@@ -94,7 +94,7 @@ func msgEq(a, b msg.Message) bool {
 	case msg.P2a:
 		bm, ok := b.(msg.P2a)
 		return ok && am.Inst == bm.Inst && am.Rnd == bm.Rnd && am.Coord == bm.Coord &&
-			am.Any == bm.Any && valEq(am.Val, bm.Val)
+			valEq(am.Val, bm.Val)
 	case msg.P2b:
 		bm, ok := b.(msg.P2b)
 		return ok && am.Inst == bm.Inst && am.Rnd == bm.Rnd && am.Acc == bm.Acc &&
@@ -174,7 +174,6 @@ func codecCases(set cstruct.Set) []struct {
 			{Inst: math.MaxUint64, VRnd: bMax, VVal: set.Bottom()},
 		}}},
 		{"2a-val", msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: val}},
-		{"2a-any", msg.P2a{Inst: 3, Rnd: b, Coord: 104, Any: true}},
 		{"2a-bottom", msg.P2a{Inst: 3, Rnd: b, Coord: 104, Val: set.Bottom()}},
 		{"2b", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val}},
 		{"2b-nil-val", msg.P2b{Inst: 4, Rnd: b, Acc: 202}},
@@ -261,12 +260,8 @@ func TestCodecRoundtripAllTypes(t *testing.T) {
 		t.Errorf("P1b value mangled: %v", p1b.VVal)
 	}
 	p2a := roundtrip(t, c, msg.P2a{Rnd: b, Coord: 100, Val: h}).(msg.P2a)
-	if !set.Equal(p2a.Val, h) || p2a.Any {
+	if !set.Equal(p2a.Val, h) {
 		t.Errorf("P2a mangled: %+v", p2a)
-	}
-	anyMsg := roundtrip(t, c, msg.P2a{Rnd: b, Coord: 100, Any: true}).(msg.P2a)
-	if !anyMsg.Any || anyMsg.Val != nil {
-		t.Errorf("Any flag mangled: %+v", anyMsg)
 	}
 	p2b := roundtrip(t, c, msg.P2b{Rnd: b, Acc: 201, Val: h}).(msg.P2b)
 	if !set.Equal(p2b.Val, h) {
@@ -326,6 +321,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		"bad type":         {verBinary, 0xEE, 0},
 		"bad flags":        {verBinary, byte(msg.THeartbeat), 0xFF, 0, 0},
 		"overlong varint":  {verBinary, byte(msg.THeartbeat), 0, 0x81, 0x00, 0},
+		// Bit 1 of a 2a's flags was the fast-round "any value" mark; no
+		// message sets it any more.
+		"retired 2a flag": {verBinary, byte(msg.TP2a), 0x02, 0x03, 0x01, 0x02, 0x03, 0x04, 0x68},
 	}
 	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil {

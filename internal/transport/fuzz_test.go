@@ -35,7 +35,6 @@ func fuzzSeeds() []msg.Message {
 			{Inst: 4, VRnd: ballot.Zero},
 		}},
 		msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: sv},
-		msg.P2a{Inst: 3, Rnd: b, Coord: 104, Any: true},
 		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv},
 		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv, Again: true},
 		msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero},

@@ -25,7 +25,6 @@ var goldenFrames = []struct{ name, hex string }{
 	{"1b", "02 03 01 02 01 02 03 04 c8 01 01 02 03 04 01 09 01 6b 02 01 70"},
 	{"1b-multi", "02 03 04 01 02 03 04 c9 01 01 02 00 01 02 03 04 01 01 09 01 6b 02 01 70 04 00 00 00 00 00"},
 	{"2a", "02 04 01 03 01 02 03 04 66 01 09 01 6b 02 01 70"},
-	{"2a-any", "02 04 02 03 01 02 03 04 68"},
 	{"2b", "02 05 01 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
 	{"2b-again", "02 05 41 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
 	{"stale", "02 06 00 05 c8 01 01 02 03 04 00 00 00 00"},
