@@ -7,13 +7,13 @@ package smr
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/wire"
 )
 
 // Machine is a deterministic state machine. For generic broadcast
@@ -127,48 +127,30 @@ func (s *KVStore) Len() int {
 func (s *KVStore) Snapshot() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
+	for _, k := range sortedKeys(s.data) {
 		fmt.Fprintf(&b, "%s=%s;", k, s.data[k])
 	}
 	return b.String()
 }
 
-// MarshalState implements DurableMachine: sorted length-prefixed key/value
-// pairs, deterministic across replicas with equal contents.
+// MarshalState implements DurableMachine: the key/value pairs in the state
+// form of appendState, each value a string.
 func (s *KVStore) MarshalState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		out = appendLenPrefixed(out, k)
-		out = appendLenPrefixed(out, s.data[k])
-	}
-	return out
+	return appendState(s.data, wire.AppendString)
 }
 
 // RestoreState implements DurableMachine, replacing the store's contents.
 func (s *KVStore) RestoreState(data []byte) error {
-	pairs, err := parsePairs(data)
+	m, err := readState(data, func(r *wire.Reader) string { return r.String("kv value") })
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = make(map[string]string, len(pairs))
-	for _, p := range pairs {
-		s.data[p.k] = p.v
-	}
+	s.data = m
 	return nil
 }
 
@@ -248,104 +230,73 @@ func (b *Bank) Balance(account string) int64 {
 func (b *Bank) Snapshot() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	keys := make([]string, 0, len(b.balances))
-	for k := range b.balances {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var sb strings.Builder
-	for _, k := range keys {
+	for _, k := range sortedKeys(b.balances) {
 		fmt.Fprintf(&sb, "%s=%d;", k, b.balances[k])
 	}
 	return sb.String()
 }
 
-// MarshalState implements DurableMachine.
+// MarshalState implements DurableMachine: the balances in the state form of
+// appendState, each a varint of the balance's two's-complement bits.
 func (b *Bank) MarshalState() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	keys := make([]string, 0, len(b.balances))
-	for k := range b.balances {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		out = appendLenPrefixed(out, k)
-		out = binary.AppendUvarint(out, uint64(b.balances[k]))
-	}
-	return out
+	return appendState(b.balances, func(dst []byte, v int64) []byte { return wire.AppendUvarint(dst, uint64(v)) })
 }
 
 // RestoreState implements DurableMachine.
 func (b *Bank) RestoreState(data []byte) error {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return errBadState
-	}
-	data = data[off:]
-	balances := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var err error
-		if k, data, err = readLenPrefixed(data); err != nil {
-			return err
-		}
-		v, off := binary.Uvarint(data)
-		if off <= 0 {
-			return errBadState
-		}
-		data = data[off:]
-		balances[k] = int64(v)
-	}
-	if len(data) != 0 {
-		return errBadState
+	m, err := readState(data, func(r *wire.Reader) int64 { return int64(r.Uvarint("balance")) })
+	if err != nil {
+		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.balances = balances
+	b.balances = m
 	return nil
 }
 
 var _ DurableMachine = (*Bank)(nil)
 
-var errBadState = errors.New("smr: malformed machine state")
-
-func appendLenPrefixed(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-func readLenPrefixed(b []byte) (string, []byte, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 || n > uint64(len(b)-off) {
-		return "", nil, errBadState
+// appendState renders a machine's map in the one state form both machines
+// share, built from package wire's layouts: the key count, then each key as
+// a string followed by its value as val appends it, keys in ascending order
+// so replicas with equal contents marshal equal bytes.
+func appendState[V any](m map[string]V, val func([]byte, V) []byte) []byte {
+	out := wire.AppendUvarint(nil, uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		out = val(wire.AppendString(out, k), m[k])
 	}
-	return string(b[off : off+int(n)]), b[off+int(n):], nil
+	return out
 }
 
-type kvPair struct{ k, v string }
-
-func parsePairs(data []byte) ([]kvPair, error) {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, errBadState
-	}
-	data = data[off:]
-	pairs := make([]kvPair, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var p kvPair
-		var err error
-		if p.k, data, err = readLenPrefixed(data); err != nil {
-			return nil, err
+// readState parses appendState's form, reading each value with val. Like
+// every wire layout it is canonical: keys must ascend strictly, and the
+// count is checked against the input before anything is allocated.
+func readState[V any](data []byte, val func(*wire.Reader) V) (map[string]V, error) {
+	r := &wire.Reader{B: data}
+	n := r.Count("state key count", 2) // a key length and a value byte at least
+	m := make(map[string]V, n)
+	prev := ""
+	for i := 0; i < n && r.Err == nil; i++ {
+		k := r.String("state key")
+		if i > 0 && k <= prev {
+			r.Fail("state key order")
 		}
-		if p.v, data, err = readLenPrefixed(data); err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, p)
+		m[k], prev = val(r), k
 	}
-	if len(data) != 0 {
-		return nil, errBadState
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("smr: malformed machine state: %w", err)
 	}
-	return pairs, nil
+	return m, nil
 }

@@ -4,24 +4,29 @@
 // below Frontier is redundant for this node — any peer can be caught up by
 // shipping the snapshot and replaying only the log suffix.
 //
-// The wire/disk form is a sequence of CRC-framed chunks so a snapshot can be
-// streamed, stored, and verified incrementally; installation is atomic —
-// Decode either returns the complete snapshot or an error, never a partial
-// state. On disk the Store writes through a .tmp file and an fsync-then-
-// rename, sweeps orphaned .tmp files on open, and keeps the newest valid
-// snapshot loadable even if a later write was torn.
+// A snapshot's wire and disk form is one wire frame, the frame a WAL record
+// batch is, whose payload is built from package wire's layouts:
+//
+//	[version 0x02] [frontier] [state: bytes] [order: count × cmd id]
+//	[replies: count × (cmd id, instance, result: string)]
+//
+// Decode is all-or-nothing: the complete snapshot or an error, never a
+// partial state. On disk the Store keeps each blob as a checkpoint of package
+// wal — installed by wal.WriteCheckpoint through .tmp, fsync and rename, and
+// picked back up by wal.LoadCheckpoint's rule — so a torn newest file falls
+// back to an older one and a directory whose newest intact file does not
+// decode, or whose every file is torn, refuses to open, as a WAL does.
 package snapshot
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+
+	"mcpaxos/internal/wal"
+	"mcpaxos/internal/wire"
 )
 
 // Reply is one exported reply-cache record: it seeds duplicate suppression
@@ -50,212 +55,78 @@ type Snapshot struct {
 }
 
 const (
-	magic      = "MCSN"
-	version    = 0x01
-	chunkBytes = 32 << 10
-	// maxSection bounds any single length prefix inside the payload so a
-	// corrupt varint cannot drive a huge allocation before the CRC check
-	// has a chance to reject the frame.
-	maxSection = 1 << 30
+	// version is the payload's first byte; a payload opening with any
+	// other was written by another build and does not decode.
+	version = 0x02
+	// maxPayload bounds a blob's payload. Order grows with history, so the
+	// bound sits far above the WAL's; a longer claimed length is corruption,
+	// not an allocation.
+	maxPayload = 1 << 30
 )
 
-var (
-	// ErrCorrupt reports a snapshot blob that failed structural or CRC
-	// validation. Nothing was installed.
-	ErrCorrupt = errors.New("snapshot: corrupt or truncated blob")
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+// ErrCorrupt reports a snapshot blob that failed its frame check or does not
+// decode. Nothing was installed.
+var ErrCorrupt = errors.New("snapshot: corrupt or truncated blob")
 
-// Encode renders s as a self-contained chunked blob: a CRC-framed header
-// carrying the frontier, total payload length and whole-payload CRC,
-// followed by CRC-framed payload chunks. The blob is what Store persists
-// and what SnapResp messages ship in slices.
+// Encode renders s as one self-contained frame: what Store persists and what
+// SnapResp messages ship in slices.
 func Encode(s Snapshot) []byte {
-	payload := appendPayload(nil, s)
-
-	header := make([]byte, 0, 32)
-	header = append(header, magic...)
-	header = append(header, version)
-	header = binary.AppendUvarint(header, s.Frontier)
-	header = binary.AppendUvarint(header, uint64(len(payload)))
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(payload, castagnoli))
-
-	blob := appendFrame(nil, header)
-	for off := 0; off < len(payload); off += chunkBytes {
-		end := off + chunkBytes
-		if end > len(payload) {
-			end = len(payload)
-		}
-		blob = appendFrame(blob, payload[off:end])
-	}
-	return blob
-}
-
-// Decode parses a blob produced by Encode. It is all-or-nothing: any framing
-// damage, CRC mismatch, truncation or trailing garbage yields ErrCorrupt
-// (possibly wrapped) and a zero Snapshot.
-func Decode(blob []byte) (Snapshot, error) {
-	header, rest, err := readFrame(blob)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if len(header) < len(magic)+1 || string(header[:len(magic)]) != magic ||
-		header[len(magic)] != version {
-		return Snapshot{}, fmt.Errorf("%w: bad header", ErrCorrupt)
-	}
-	hr := header[len(magic)+1:]
-	frontier, n := binary.Uvarint(hr)
-	if n <= 0 {
-		return Snapshot{}, fmt.Errorf("%w: bad header frontier", ErrCorrupt)
-	}
-	hr = hr[n:]
-	payloadLen, n := binary.Uvarint(hr)
-	if n <= 0 || payloadLen > maxSection {
-		return Snapshot{}, fmt.Errorf("%w: bad header length", ErrCorrupt)
-	}
-	hr = hr[n:]
-	if len(hr) != 4 {
-		return Snapshot{}, fmt.Errorf("%w: bad header trailer", ErrCorrupt)
-	}
-	wantCRC := binary.LittleEndian.Uint32(hr)
-
-	payload := make([]byte, 0, payloadLen)
-	for len(rest) > 0 {
-		var chunk []byte
-		chunk, rest, err = readFrame(rest)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if uint64(len(payload))+uint64(len(chunk)) > payloadLen {
-			return Snapshot{}, fmt.Errorf("%w: payload overruns header length", ErrCorrupt)
-		}
-		payload = append(payload, chunk...)
-	}
-	if uint64(len(payload)) != payloadLen {
-		return Snapshot{}, fmt.Errorf("%w: payload short: %d of %d bytes", ErrCorrupt, len(payload), payloadLen)
-	}
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return Snapshot{}, fmt.Errorf("%w: payload CRC mismatch", ErrCorrupt)
-	}
-
-	s, err := parsePayload(payload)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s.Frontier = frontier
-	return s, nil
-}
-
-// appendPayload renders the snapshot body: state bytes, apply order, reply
-// records, each section length-prefixed.
-func appendPayload(b []byte, s Snapshot) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s.State)))
-	b = append(b, s.State...)
-	b = binary.AppendUvarint(b, uint64(len(s.Order)))
+	b := make([]byte, wire.FrameHeader, 64+len(s.State)+8*len(s.Order)+16*len(s.Replies))
+	b = wire.AppendUvarint(append(b, version), s.Frontier)
+	b = wire.AppendBytes(b, s.State)
+	b = wire.AppendUvarint(b, uint64(len(s.Order)))
 	for _, id := range s.Order {
-		b = binary.AppendUvarint(b, id)
+		b = wire.AppendUvarint(b, id)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Replies)))
+	b = wire.AppendUvarint(b, uint64(len(s.Replies)))
 	for _, r := range s.Replies {
-		b = binary.AppendUvarint(b, r.CmdID)
-		b = binary.AppendUvarint(b, r.Inst)
-		b = binary.AppendUvarint(b, uint64(len(r.Result)))
-		b = append(b, r.Result...)
+		b = wire.AppendUvarint(b, r.CmdID)
+		b = wire.AppendUvarint(b, r.Inst)
+		b = wire.AppendString(b, r.Result)
 	}
-	return b
+	return wire.SealFrame(b)
 }
 
-func parsePayload(p []byte) (Snapshot, error) {
-	var s Snapshot
-	bad := func(what string) (Snapshot, error) {
-		return Snapshot{}, fmt.Errorf("%w: payload %s", ErrCorrupt, what)
+// Decode parses a blob produced by Encode. It is all-or-nothing: framing
+// damage, a checksum mismatch, truncation or trailing garbage yields
+// ErrCorrupt (wrapped) and a zero Snapshot.
+func Decode(blob []byte) (Snapshot, error) {
+	payload, n, ok := wire.ReadFrame(blob, maxPayload)
+	if !ok || n != len(blob) {
+		return Snapshot{}, fmt.Errorf("%w: torn or damaged frame", ErrCorrupt)
 	}
-	stateLen, n := binary.Uvarint(p)
-	if n <= 0 || stateLen > uint64(len(p)-n) {
-		return bad("state length")
-	}
-	p = p[n:]
-	if stateLen > 0 {
-		s.State = append([]byte(nil), p[:stateLen]...)
-	}
-	p = p[stateLen:]
+	return decodePayload(payload)
+}
 
-	orderLen, n := binary.Uvarint(p)
-	if n <= 0 || orderLen > uint64(len(p)-n) {
-		return bad("order length")
+// decodePayload parses a frame's payload through wire.Reader.
+func decodePayload(p []byte) (Snapshot, error) {
+	r := &wire.Reader{B: p}
+	if r.Byte("version") != version {
+		r.Fail("version")
 	}
-	p = p[n:]
-	if orderLen > 0 {
-		s.Order = make([]uint64, 0, orderLen)
-	}
-	for i := uint64(0); i < orderLen; i++ {
-		id, n := binary.Uvarint(p)
-		if n <= 0 {
-			return bad("order entry")
+	s := Snapshot{Frontier: r.Uvarint("frontier"), State: r.Bytes("state")}
+	if n := r.Count("order count", 1); n > 0 {
+		s.Order = make([]uint64, n)
+		for i := range s.Order {
+			s.Order[i] = r.Uvarint("order entry")
 		}
-		p = p[n:]
-		s.Order = append(s.Order, id)
 	}
-
-	nReplies, n := binary.Uvarint(p)
-	if n <= 0 || nReplies > uint64(len(p)-n) {
-		return bad("reply count")
-	}
-	p = p[n:]
-	if nReplies > 0 {
-		s.Replies = make([]Reply, 0, nReplies)
-	}
-	for i := uint64(0); i < nReplies; i++ {
-		var r Reply
-		if r.CmdID, n = binary.Uvarint(p); n <= 0 {
-			return bad("reply cmd id")
+	if n := r.Count("reply count", 3); n > 0 {
+		s.Replies = make([]Reply, n)
+		for i := range s.Replies {
+			s.Replies[i] = Reply{CmdID: r.Uvarint("reply cmd id"), Inst: r.Uvarint("reply instance"),
+				Result: r.String("reply result")}
 		}
-		p = p[n:]
-		if r.Inst, n = binary.Uvarint(p); n <= 0 {
-			return bad("reply instance")
-		}
-		p = p[n:]
-		resLen, n := binary.Uvarint(p)
-		if n <= 0 || resLen > uint64(len(p)-n) {
-			return bad("reply result length")
-		}
-		p = p[n:]
-		r.Result = string(p[:resLen])
-		p = p[resLen:]
-		s.Replies = append(s.Replies, r)
 	}
-	if len(p) != 0 {
-		return bad("trailing bytes")
+	if err := r.Finish(); err != nil {
+		return Snapshot{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return s, nil
-}
-
-// appendFrame writes one CRC frame: u32 length, u32 CRC32-C, body.
-func appendFrame(b, body []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoli))
-	return append(b, body...)
-}
-
-func readFrame(b []byte) (body, rest []byte, err error) {
-	if len(b) < 8 {
-		return nil, nil, fmt.Errorf("%w: short frame header", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(b)
-	crc := binary.LittleEndian.Uint32(b[4:])
-	if n > maxSection || uint64(len(b)-8) < uint64(n) {
-		return nil, nil, fmt.Errorf("%w: frame overruns blob", ErrCorrupt)
-	}
-	body = b[8 : 8+n]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return nil, nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
-	}
-	return body, b[8+n:], nil
 }
 
 // Crc returns the checksum of the whole blob, carried in SnapResp chunks so
 // a receiver can cheaply pre-verify reassembly before the full Decode.
-func Crc(blob []byte) uint32 { return crc32.Checksum(blob, castagnoli) }
+func Crc(blob []byte) uint32 { return wire.Checksum(blob) }
 
 // Store persists snapshot blobs in a directory, newest-wins. With an empty
 // dir it is memory-only (the simulator and WAL-less deployments), which
@@ -268,61 +139,36 @@ type Store struct {
 	blob     []byte // newest valid blob, always resident for cheap serving
 	frontier uint64
 	have     bool
-	saves    uint64
 	swept    int
 }
 
-// OpenStore opens (creating if needed) a snapshot directory. Orphaned .tmp
-// files from a crash mid-save are swept, then the newest structurally valid
-// snapshot is loaded; older snapshots are kept as fallback until a newer
-// save succeeds. dir == "" yields a memory-only store.
+// OpenStore opens (creating if needed) a snapshot directory and loads its
+// newest snapshot under wal.LoadCheckpoint's rule: orphaned .tmp files are
+// swept, a torn newest file falls back to an older one, and the open fails
+// if the newest intact file does not decode or every file is torn — opening
+// empty there would lose state the acceptors have already truncated.
+// dir == "" yields a memory-only store.
 func OpenStore(dir string) (*Store, error) {
 	s := &Store{dir: dir}
 	if dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(dir)
+	var err error
+	s.blob, s.swept, err = wal.LoadCheckpoint(dir, maxPayload, func(payload []byte) error {
+		snap, err := decodePayload(payload)
+		s.frontier = snap.Frontier
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	var snaps []string
-	for _, e := range ents {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// A crash between create and rename left this orphan; it was
-			// never the live snapshot, so removal is always safe.
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, err
-			}
-			s.swept++
-		case strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
-		}
-	}
-	sort.Strings(snaps)
-	// Newest valid wins; torn or corrupt files fall through to older ones.
-	for i := len(snaps) - 1; i >= 0; i-- {
-		blob, err := os.ReadFile(filepath.Join(dir, snaps[i]))
-		if err != nil {
-			continue
-		}
-		snap, err := Decode(blob)
-		if err != nil {
-			continue
-		}
-		s.blob, s.frontier, s.have = blob, snap.Frontier, true
-		break
-	}
+	s.have = s.blob != nil
 	return s, nil
 }
 
-// Save persists a blob covering [0, frontier). Durable stores write
-// name.tmp, fsync, rename, fsync the directory, then garbage-collect older
-// snapshot files; the previous snapshot survives any crash before the
+// Save persists a blob covering [0, frontier). A durable store installs it
+// with wal.WriteCheckpoint, which removes older snapshot files only once the
+// new one is durable, so the previous snapshot survives any crash before the
 // rename lands.
 func (s *Store) Save(frontier uint64, blob []byte) error {
 	s.mu.Lock()
@@ -331,45 +177,12 @@ func (s *Store) Save(frontier uint64, blob []byte) error {
 		return nil
 	}
 	if s.dir != "" {
-		final := filepath.Join(s.dir, fmt.Sprintf("%016d.snap", frontier))
-		tmp := final + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
+		if err := wal.WriteCheckpoint(s.dir, fmt.Sprintf("%016d.snap", frontier), blob, nil); err != nil {
 			return err
-		}
-		if _, err := f.Write(blob); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, final); err != nil {
-			return err
-		}
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-		// GC older snapshots only after the new one is durable.
-		ents, err := os.ReadDir(s.dir)
-		if err == nil {
-			base := filepath.Base(final)
-			for _, e := range ents {
-				name := e.Name()
-				if strings.HasSuffix(name, ".snap") && name < base {
-					os.Remove(filepath.Join(s.dir, name))
-				}
-			}
 		}
 	}
 	s.blob = append([]byte(nil), blob...)
-	s.frontier = frontier
-	s.have = true
-	s.saves++
+	s.frontier, s.have = frontier, true
 	return nil
 }
 
@@ -378,13 +191,6 @@ func (s *Store) Latest() (blob []byte, frontier uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.blob, s.frontier, s.have
-}
-
-// Saves reports how many snapshots this store has accepted since open.
-func (s *Store) Saves() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saves
 }
 
 // Swept reports how many orphaned .tmp files OpenStore removed.
@@ -420,16 +226,4 @@ func (s *Store) DiskStats() (files int, bytes int64) {
 		}
 	}
 	return files, bytes
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -2,9 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mcpaxos/internal/wire"
 )
 
 func sample() Snapshot {
@@ -39,35 +43,50 @@ func snapEq(a, b Snapshot) bool {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, s := range []Snapshot{sample(), {}, {Frontier: 1}, {Frontier: 3, State: []byte{0}}} {
-		blob := Encode(s)
-		got, err := Decode(blob)
-		if err != nil {
-			t.Fatalf("Decode(%+v): %v", s, err)
-		}
-		if !snapEq(s, got) {
-			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", s, got)
-		}
+	// A state past the 32 KiB chunk size earlier builds split blobs at.
+	big := Snapshot{Frontier: 7, State: make([]byte, 3*32<<10+17)}
+	for i := range big.State {
+		big.State[i] = byte(i * 31)
+	}
+	for name, s := range map[string]Snapshot{
+		"sample":          sample(),
+		"zero":            {},
+		"frontier-only":   {Frontier: 1},
+		"one-byte-state":  {Frontier: 3, State: []byte{0}},
+		"past-chunk-size": big,
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := Decode(Encode(s))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if !snapEq(s, got) {
+				t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", s, got)
+			}
+		})
 	}
 }
 
-// A snapshot blob spanning multiple chunks must reassemble exactly.
-func TestSnapshotMultiChunk(t *testing.T) {
-	s := Snapshot{Frontier: 7, State: make([]byte, 3*chunkBytes+17)}
-	for i := range s.State {
-		s.State[i] = byte(i * 31)
-	}
-	got, err := Decode(Encode(s))
+// goldenSnapshot is sample()'s blob: one frame (length, CRC-32C) around the
+// version byte, frontier, state, order and replies. A layout change shows up
+// here as a diff of checked-in hex, as TestGoldenRecords pins the WAL's.
+const goldenSnapshot = "00 00 00 38 b6 8a 14 0e 02 80 01 0c 6b 31 3d 76 31 3b 6b 32 3d 76 32 3b 04 09 04 80 80 80 80 80 20 07 03 83 80 80 80 80 20 78 02 4f 4b 84 80 80 80 80 20 79 00 81 80 80 80 80 40 7f 03 3d 76 32"
+
+func TestGoldenSnapshot(t *testing.T) {
+	want, err := hex.DecodeString(strings.ReplaceAll(goldenSnapshot, " ", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snapEq(s, got) {
-		t.Fatal("multi-chunk round trip mismatch")
+	if got := Encode(sample()); !bytes.Equal(got, want) {
+		t.Errorf("sample() encodes to\n % x\nwant golden\n % x", got, want)
+	}
+	if got, err := Decode(want); err != nil || !snapEq(got, sample()) {
+		t.Errorf("golden decodes to %+v (err %v), want sample()", got, err)
 	}
 }
 
-// Corruption anywhere in the blob — header, chunk framing, payload — must
-// yield an error, never a partial snapshot.
+// Corruption anywhere in the blob — frame header or payload — must yield an
+// error, never a partial snapshot.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	blob := Encode(sample())
 	for i := range blob {
@@ -168,6 +187,35 @@ func TestStoreSweepsCrashArtifacts(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesUnreadableSnapshots: acceptors drop votes below the
+// learners' watermark, so a store that opens empty over a snapshot it cannot
+// read loses acked state. Whatever a directory's only .snap holds — garbage,
+// an intact frame of an unknown version, a blob in an earlier build's chunked
+// form — OpenStore must refuse it, as wal.Open refuses an unreadable index.
+func TestStoreRefusesUnreadableSnapshots(t *testing.T) {
+	unknown := Encode(sample())
+	unknown[wire.FrameHeader] = 0x7f
+	wire.SealFrame(unknown)
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"garbage":         []byte("garbage not a snapshot"),
+		"unknown version": unknown,
+		"parent format":   parent,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "0000000000000128.snap"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := OpenStore(dir); err == nil {
+			_, frontier, ok := st.Latest()
+			t.Errorf("%s: OpenStore succeeded (snapshot ok=%v frontier=%d), want an error", name, ok, frontier)
+		}
+	}
+}
+
 func TestMemoryOnlyStore(t *testing.T) {
 	st, err := OpenStore("")
 	if err != nil {
@@ -186,14 +234,17 @@ func TestMemoryOnlyStore(t *testing.T) {
 
 // FuzzSnapshotReplay: arbitrary bytes fed to Decode must never panic, and
 // any blob Decode accepts must re-encode to a blob that decodes to the same
-// snapshot — corrupt or truncated chunks can never install partially.
+// snapshot — a corrupt or truncated blob can never install partially.
 func FuzzSnapshotReplay(f *testing.F) {
 	f.Add(Encode(sample()))
 	f.Add(Encode(Snapshot{}))
-	big := Snapshot{Frontier: 9, State: make([]byte, 2*chunkBytes)}
-	f.Add(Encode(big))
-	f.Add([]byte("MCSN"))
+	f.Add(Encode(Snapshot{Frontier: 9, State: make([]byte, 300), Order: []uint64{0, 1 << 63}}))
+	f.Add(wire.SealFrame([]byte{0, 0, 0, 0, 0, 0, 0, 0, version, 0x80, 0x00, 0, 0, 0}))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{})
+	if parent, err := os.ReadFile(filepath.Join("testdata", "parent-v1.snap")); err == nil {
+		f.Add(parent)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)

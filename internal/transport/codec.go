@@ -275,8 +275,7 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		dst = wire.AppendUvarint(dst, uint64(mm.Crc))
 		dst = wire.AppendUvarint(dst, uint64(mm.Seq))
 		dst = wire.AppendUvarint(dst, uint64(mm.Total))
-		dst = wire.AppendUvarint(dst, uint64(len(mm.Chunk)))
-		return append(dst, mm.Chunk...), nil
+		return wire.AppendBytes(dst, mm.Chunk), nil
 	default:
 		return nil, fmt.Errorf("transport: unknown message type %T", m)
 	}

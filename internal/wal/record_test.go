@@ -176,7 +176,7 @@ func TestGoldenRecords(t *testing.T) {
 // TestRecordDecodeRejects: what the decoder must refuse.
 func TestRecordDecodeRejects(t *testing.T) {
 	frame, _ := golden(t, "accept")
-	accept := frame[frameHeader:]
+	accept := frame[wire.FrameHeader:]
 	mut := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), accept...)) }
 	for name, payload := range map[string][]byte{
 		"empty":           {},
@@ -230,7 +230,7 @@ func TestRecordEncodeAllocs(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(100, func() {
 			var err error
-			buf, err = encodeFrame(append(buf[:frameHeader], recVersion), g.recs)
+			buf, err = encodeFrame(append(buf[:wire.FrameHeader], recVersion), g.recs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,10 +275,10 @@ func footprint(recs []Rec) uintptr {
 // record, which is read and never written.
 func FuzzRecordRoundTrip(f *testing.F) {
 	for _, g := range goldenRecords {
-		f.Add(unhex(f, g.hex)[frameHeader:])
+		f.Add(unhex(f, g.hex)[wire.FrameHeader:])
 	}
 	for _, g := range parentTallies {
-		f.Add(unhex(f, g.hex)[frameHeader:])
+		f.Add(unhex(f, g.hex)[wire.FrameHeader:])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{recVersion, 0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -332,7 +332,7 @@ func BenchmarkRecordEncode(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf, err = encodeFrame(append(buf[:frameHeader], recVersion), recs); err != nil {
+		if buf, err = encodeFrame(append(buf[:wire.FrameHeader], recVersion), recs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 // Package wal implements the acceptors' stable storage as a real on-disk
-// write-ahead log: an append-only sequence of CRC32-framed record batches,
-// in the versioned binary record form of record.go, split across
-// size-bounded segment files. It replaces the simulated in-memory
-// storage.Disk behind the storage.Stable interface with something a process
-// restart actually survives.
+// write-ahead log: an append-only sequence of record batches, each one
+// wire frame (length, CRC-32C, payload) in the versioned binary record form
+// of record.go, split across size-bounded segment files. It replaces the
+// simulated in-memory storage.Disk behind the storage.Stable interface with
+// something a process restart actually survives.
 //
 // Durability follows the paper's accounting (Sections 4.2 and 4.4): every
 // Put/PutAll is one logical synchronous write and returns only once its
@@ -19,15 +19,14 @@
 // fails its CRC can be torn: one that passes but does not decode — another
 // format version, or corruption the checksum happens to cover — is refused
 // with ErrCorrupt and its file left untouched, never truncated. Snapshot
-// writes the compacted index as a single frame and garbage-collects the
-// segments it covers.
+// writes the compacted index as a single-frame checkpoint (checkpoint.go —
+// the writer and load rule the learners' snapshot store uses too) and
+// garbage-collects the segments it covers.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -70,10 +69,7 @@ const (
 	// maxFrameBytes bounds a frame's payload length: longer claims are
 	// treated as corruption rather than allocated.
 	maxFrameBytes = 16 << 20
-	frameHeader   = 8 // 4-byte payload length + 4-byte CRC32
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports corruption that torn-tail truncation cannot repair: a
 // bad frame in the middle of the log rather than at its end, or an intact
@@ -125,9 +121,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 	if opts.Sync == nil {
 		opts.Sync = (*os.File).Sync
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
 	}
 	w := &WAL{dir: dir, opts: opts, index: make(map[string]any)}
 	w.notFlush = sync.NewCond(&w.mu)
@@ -339,32 +332,14 @@ func (w *WAL) openSegment(idx uint64) error {
 		return fmt.Errorf("wal: seek segment: %w", err)
 	}
 	w.seg, w.segIdx, w.segSize = f, idx, size
-	return w.syncDir()
+	return syncDir(w.dir)
 }
 
 func (w *WAL) segPath(idx uint64) string {
 	return filepath.Join(w.dir, fmt.Sprintf("%08d.wal", idx))
 }
 
-func (w *WAL) snapPath(since uint64) string {
-	return filepath.Join(w.dir, fmt.Sprintf("%08d.snap", since))
-}
-
-// syncDir flushes directory metadata so newly created files survive a
-// crash. Directory syncs are not counted as data fsyncs.
-func (w *WAL) syncDir() error {
-	d, err := os.Open(w.dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
-}
-
-// Snapshot writes the current key index as a snapshot file and deletes the
+// Snapshot writes the current key index as a checkpoint and deletes the
 // segments (and older snapshots) it makes redundant, bounding replay work
 // and disk use. One data fsync.
 func (w *WAL) Snapshot() error {
@@ -386,30 +361,11 @@ func (w *WAL) Snapshot() error {
 	if err != nil {
 		return err
 	}
-	tmp := w.snapPath(since) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
-	if err := w.sync(f); err != nil {
-		f.Close()
+	if err := WriteCheckpoint(w.dir, fmt.Sprintf("%08d.snap", since), frame, w.sync); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, w.snapPath(since)); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	if err := w.syncDir(); err != nil {
-		return err
-	}
-	// GC everything the snapshot covers.
-	segs, snaps, err := w.scanDir()
+	// GC the segments the snapshot covers.
+	segs, err := w.segments()
 	if err != nil {
 		return err
 	}
@@ -418,19 +374,14 @@ func (w *WAL) Snapshot() error {
 			os.Remove(w.segPath(idx))
 		}
 	}
-	for _, s := range snaps {
-		if s < since {
-			os.Remove(w.snapPath(s))
-		}
-	}
-	return w.syncDir()
+	return syncDir(w.dir)
 }
 
 // SegmentCount reports how many segment files exist, for tests.
 func (w *WAL) SegmentCount() int {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	segs, _, err := w.scanDir()
+	segs, err := w.segments()
 	if err != nil {
 		return -1
 	}
@@ -494,80 +445,47 @@ func (w *WAL) Close() error {
 
 // ---------------------------------------------------------------- replay --
 
-// scanDir lists segment and snapshot indices, ascending. Callers hold fmu
-// or are inside Open.
-func (w *WAL) scanDir() (segs, snaps []uint64, err error) {
+// segments lists segment indices, ascending. Callers hold fmu or are inside
+// Open.
+func (w *WAL) segments() ([]uint64, error) {
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
+	var segs []uint64
 	for _, e := range ents {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".wal"):
+		if name := e.Name(); strings.HasSuffix(name, ".wal") {
 			var idx uint64
 			if _, err := fmt.Sscanf(name, "%08d.wal", &idx); err == nil {
 				segs = append(segs, idx)
 			}
-		case strings.HasSuffix(name, ".snap"):
-			var idx uint64
-			if _, err := fmt.Sscanf(name, "%08d.snap", &idx); err == nil {
-				snaps = append(snaps, idx)
-			}
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	return segs, snaps, nil
+	return segs, nil
 }
 
-// sweepTmp removes orphaned .tmp files — the crash artifact of a Snapshot
-// interrupted between creating its temp file and the rename. They were never
-// part of the durable state (the rename is the commit point), so sweeping
-// them is always safe; leaving them would leak disk forever.
-func (w *WAL) sweepTmp() error {
-	ents, err := os.ReadDir(w.dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
-				return fmt.Errorf("wal: sweep tmp: %w", err)
-			}
-			w.swept++
-		}
-	}
-	return nil
-}
-
-// replay rebuilds the index: newest valid snapshot first, then every
+// replay rebuilds the index: the snapshot LoadCheckpoint picks first — an
+// unreadable one refuses the open, since the segments it covered are already
+// GC'd and an empty index would silently forget acked votes — then every
 // surviving segment in order, truncating a torn tail on the last one.
 func (w *WAL) replay() error {
-	if err := w.sweepTmp(); err != nil {
+	since := uint64(0)
+	_, swept, err := LoadCheckpoint(w.dir, maxFrameBytes, func(payload []byte) error {
+		snapSince, recs, err := decodeSnapshot(payload)
+		if err == nil {
+			w.apply(recs)
+			since = snapSince
+		}
 		return err
-	}
-	segs, snaps, err := w.scanDir()
+	})
+	w.swept = swept
 	if err != nil {
 		return err
 	}
-	since := uint64(0)
-	loaded := len(snaps) == 0
-	for i := len(snaps) - 1; i >= 0; i-- {
-		snapSince, recs, ok := w.loadSnapshot(snaps[i])
-		if !ok {
-			continue // unreadable snapshot: fall back to an older one
-		}
-		w.apply(recs)
-		since = snapSince
-		loaded = true
-		break
-	}
-	if !loaded {
-		// Snapshots only appear via fsync-then-rename, so an unreadable
-		// one is media corruption — and its segments are already GC'd.
-		// Opening with an empty index would silently forget acked votes.
-		return fmt.Errorf("%w: none of %d snapshots is readable", ErrCorrupt, len(snaps))
+	segs, err := w.segments()
+	if err != nil {
+		return err
 	}
 	replayable := segs[:0:0]
 	for _, idx := range segs {
@@ -590,20 +508,6 @@ func (w *WAL) replay() error {
 		start = 1
 	}
 	return w.openSegment(start)
-}
-
-// loadSnapshot reads one snapshot file; ok is false on any corruption.
-func (w *WAL) loadSnapshot(idx uint64) (since uint64, recs []Rec, ok bool) {
-	data, err := os.ReadFile(w.snapPath(idx))
-	if err != nil {
-		return 0, nil, false
-	}
-	payload, n, ok := decodeFrame(data)
-	if !ok || n != len(data) {
-		return 0, nil, false
-	}
-	since, recs, err = decodeSnapshot(payload)
-	return since, recs, err == nil
 }
 
 // apply folds records into the key index: a tombstone deletes its key,
@@ -667,7 +571,7 @@ func (w *WAL) replaySegment(idx uint64, last bool) error {
 // anyIntactFrame reports whether a CRC-valid frame starts at any offset of
 // data. Length sanity rejects nearly all garbage before the CRC runs.
 func anyIntactFrame(data []byte) bool {
-	for o := 0; o+frameHeader < len(data); o++ {
+	for o := 0; o+wire.FrameHeader < len(data); o++ {
 		if _, _, ok := decodeFrame(data[o:]); ok {
 			return true
 		}
@@ -677,13 +581,13 @@ func anyIntactFrame(data []byte) bool {
 
 // ---------------------------------------------------------------- frames --
 
-// A frame is [payload length: 4 bytes][CRC32-C of payload: 4 bytes][payload],
-// the payload being a record list in the form of record.go.
+// Every frame the log writes is a wire frame whose payload is a record list
+// in the form of record.go.
 
 // newFrame starts a frame buffer: the header reserved, the payload opened
 // with its version byte.
 func newFrame() []byte {
-	return append(make([]byte, frameHeader, 128), recVersion)
+	return append(make([]byte, wire.FrameHeader, 128), recVersion)
 }
 
 // encodeFrame completes the frame begun in buf: recs are encoded straight
@@ -693,30 +597,13 @@ func encodeFrame(buf []byte, recs []Rec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := buf[frameHeader:]
-	if len(payload) > maxFrameBytes {
-		return nil, fmt.Errorf("wal: frame payload of %d bytes exceeds the %d-byte limit", len(payload), maxFrameBytes)
+	if n := len(buf) - wire.FrameHeader; n > maxFrameBytes {
+		return nil, fmt.Errorf("wal: frame payload of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
 	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	return buf, nil
+	return wire.SealFrame(buf), nil
 }
 
-// decodeFrame reads one frame from the head of data. It returns the
-// payload, the total frame size consumed, and whether the frame was intact
-// (sane length and matching CRC).
+// decodeFrame reads one log frame from the head of data (wire.ReadFrame).
 func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
-	if len(data) < frameHeader {
-		return nil, 0, false
-	}
-	length := binary.BigEndian.Uint32(data[0:4])
-	if length == 0 || length > maxFrameBytes || int(length) > len(data)-frameHeader {
-		return nil, 0, false
-	}
-	sum := binary.BigEndian.Uint32(data[4:8])
-	payload = data[frameHeader : frameHeader+int(length)]
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, 0, false
-	}
-	return payload, frameHeader + int(length), true
+	return wire.ReadFrame(data, maxFrameBytes)
 }

@@ -491,3 +491,46 @@ func TestOpenRefusesIntactUndecodableFrame(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotLoadRule pins the checkpoint load rule the index snapshot
+// shares with the learners' snapshot store: a newest snapshot that is torn
+// falls back to the older one, while a newest one that is an intact frame
+// this build cannot decode refuses the open — it was written whole, and
+// falling back past it would forget what it held.
+func TestSnapshotLoadRule(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		newest []byte
+		opens  bool
+	}{
+		{"torn-newest-falls-back", []byte("torn snapshot"), true},
+		{"undecodable-newest-refuses", foreignFrame([]byte{0x02, 0, 0}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := mustOpen(t, dir, wal.Options{})
+			w.Put("a", uint64(1))
+			if err := w.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			if err := os.WriteFile(filepath.Join(dir, "99999999.snap"), tc.newest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := wal.Open(dir, wal.Options{})
+			if !tc.opens {
+				if !errors.Is(err, wal.ErrCorrupt) {
+					t.Fatalf("Open err = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if v, ok := r.Get("a"); !ok || v.(uint64) != 1 {
+				t.Fatalf("fallback snapshot lost a = %v, %v", v, ok)
+			}
+		})
+	}
+}

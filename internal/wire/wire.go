@@ -1,6 +1,7 @@
 // Package wire defines the byte layouts every serialization in the repo is
-// built from — the transport's message frames and the WAL's stable records —
-// so that an integer, a ballot and a command each have exactly one encoding:
+// built from — the transport's message frames, the WAL's stable records, the
+// learners' state snapshots and the machine states inside them — so that an
+// integer, a ballot and a command each have exactly one encoding:
 //
 //   - integers are unsigned LEB128 varints, minimally encoded;
 //   - a ballot is four varints (MCount, MinCount, ID, RType);
@@ -15,6 +16,10 @@
 // a constant factor of its own length. The layouts are canonical — one byte
 // string per value — so a decoder built on Reader accepts only what the
 // matching encoder emits.
+//
+// What reaches a disk is one frame (frame.go): a WAL record batch, a WAL
+// index snapshot and a learner snapshot are each a checksummed payload
+// behind the same 8-byte header.
 package wire
 
 import (
@@ -48,13 +53,18 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// AppendBytes appends b as a length-prefixed section.
+func AppendBytes(dst, b []byte) []byte {
+	dst = AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
 // AppendCmd appends one command.
 func AppendCmd(dst []byte, c cstruct.Cmd) []byte {
 	dst = AppendUvarint(dst, c.ID)
 	dst = AppendString(dst, c.Key)
 	dst = append(dst, byte(c.Op))
-	dst = AppendUvarint(dst, uint64(len(c.Payload)))
-	return append(dst, c.Payload...)
+	return AppendBytes(dst, c.Payload)
 }
 
 // AppendCmds appends a counted command sequence.
