@@ -33,10 +33,11 @@ type coordTally struct {
 }
 
 // Acceptor is a multi-instance acceptor. Its stable state is the paper's
-// (Section 4.4): the accepted votes, written before the 2b leaves — one
-// synchronous write per accepted value — and the MCount of the rounds it
-// joins (storage.Incarnation). The rounds themselves are volatile, and so are
-// the partial 2a tallies: a collided round costs no write, and a restarted
+// (Section 4.4): the accepted votes, written before anything reporting them
+// leaves — one synchronous write per delivery burst, however many values the
+// burst accepted (commit.go) — and the MCount of the rounds it joins
+// (storage.Incarnation). The rounds themselves are volatile, and so are the
+// partial 2a tallies: a collided round costs no write, and a restarted
 // acceptor rebuilds a tally from the coordinators' ordinary 2a retransmission.
 //
 // Sharded deployments (cfg.Shards > 1) run one coordinator group per
@@ -66,6 +67,15 @@ type Acceptor struct {
 	rnds    []ballot.Ballot // volatile: highest round heard of, per shard
 	votes   map[uint64]vote
 	tallies map[uint64]*coordTally
+	// maxInst is the recovery-scan bound (storage.KeyMaxInst): the highest
+	// instance voted in, on disk or staged.
+	maxInst uint64
+
+	// staged holds the records of the votes cast in the current burst, and
+	// held every message sent in it: OnIdle writes the one, then releases the
+	// other.
+	staged map[string]any
+	held   []outbound
 
 	// floor is the compaction floor (storage.KeyFloor): vote records below
 	// it were durably truncated because the cluster watermark passed them.
@@ -93,6 +103,7 @@ const compactAfterDrops = 256
 const catchupMax = 128
 
 var _ node.Handler = (*Acceptor)(nil)
+var _ node.IdleHandler = (*Acceptor)(nil)
 
 // NewAcceptor builds an acceptor bound to env, in the state disk dictates:
 // the votes come back from the persisted compaction floor up — below it
@@ -104,6 +115,7 @@ func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
 		env: env, cfg: cfg, disk: disk,
 		votes:   make(map[uint64]vote),
 		tallies: make(map[uint64]*coordTally),
+		staged:  make(map[string]any),
 		rnds:    make([]ballot.Ballot, cfg.NShards()),
 	}
 	if rec, ok := disk.Get(storage.KeyFloor); ok {
@@ -111,7 +123,8 @@ func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
 	}
 	voted := ballot.Zero
 	if hi, ok := disk.Get(storage.KeyMaxInst); ok {
-		for inst := a.floor; inst <= hi.(uint64); inst++ {
+		a.maxInst = hi.(uint64)
+		for inst := a.floor; inst <= a.maxInst; inst++ {
 			rec, ok := disk.Get(voteKey(inst))
 			if !ok {
 				continue
@@ -198,6 +211,9 @@ func (a *Acceptor) onDone(mm msg.Done) {
 	if wm <= a.floor {
 		return
 	}
+	// The burst's votes reach the disk before the drop: staged behind it, a
+	// vote below the new floor would land where no scan or drop looks again.
+	a.OnIdle()
 	var keys []string
 	for inst := a.floor; inst < wm; inst++ {
 		if _, ok := a.votes[inst]; ok {
@@ -232,7 +248,7 @@ func (a *Acceptor) onCatchup(mm msg.CatchupReq) {
 		// no longer exist, here or anywhere. Refuse with the floor so the
 		// learner escalates to snapshot transfer instead of waiting for
 		// re-announcements that can never come.
-		a.env.Send(mm.Learner, msg.CatchupResp{
+		a.send(mm.Learner, msg.CatchupResp{
 			Learner: a.env.ID(), From: mm.From, Frontier: a.floor, Floor: a.floor,
 		})
 		return
@@ -243,7 +259,7 @@ func (a *Acceptor) onCatchup(mm msg.CatchupReq) {
 	}
 	for inst := mm.From; inst < mm.From+max; inst++ {
 		if v, ok := a.votes[inst]; ok {
-			a.env.Send(mm.Learner, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval)})
+			a.send(mm.Learner, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval)})
 		}
 	}
 }
@@ -261,7 +277,7 @@ func (a *Acceptor) onP1a(_ msg.NodeID, mm msg.P1a) {
 		return // misconfigured sender; no shard of ours to promise
 	}
 	if mm.Rnd.Less(a.rnds[shard]) {
-		a.env.Send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
+		a.send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
 		return
 	}
 	a.setRnd(shard, mm.Rnd)
@@ -278,9 +294,10 @@ func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 		}
 		votes = append(votes, msg.InstVote{Inst: inst, VRnd: v.vrnd, VVal: wrap(v.vval)})
 	}
-	node.Broadcast(a.env, a.cfg.RoundGroup(shard, r), msg.P1bMulti{
-		Rnd: r, Acc: a.env.ID(), Votes: votes, Shard: uint32(shard),
-	})
+	m := msg.P1bMulti{Rnd: r, Acc: a.env.ID(), Votes: votes, Shard: uint32(shard)}
+	for _, co := range a.cfg.RoundGroup(shard, r) {
+		a.send(co, m)
+	}
 }
 
 // onP2a is action Phase2b (Section 4.1 per shard): unless a higher round was
@@ -292,7 +309,7 @@ func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	shard := a.cfg.ShardOf(mm.Inst)
 	if mm.Rnd.Less(a.rnds[shard]) {
-		a.env.Send(from, msg.Stale{Inst: mm.Inst, Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
+		a.send(from, msg.Stale{Inst: mm.Inst, Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
 		return
 	}
 	cmd, ok := unwrap(mm.Val)
@@ -358,41 +375,6 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if voted {
 		a.announce(mm.Inst, v, true)
 	}
-}
-
-// accept persists the vote (one group-commit write) and announces it to
-// every learner — marked Again when it replaces an earlier round's vote: the
-// instance may have been learned back then, and the coordinators re-forwarding
-// it now are waiting for an ack no unmarked 2b would draw.
-func (a *Acceptor) accept(inst uint64, v vote, again bool) {
-	a.votes[inst] = v
-	// The completed tally's job is done. Dropping it bounds acceptor memory
-	// at the in-flight instances instead of every instance ever decided.
-	delete(a.tallies, inst)
-	// The accept must hit stable storage before the 2b leaves (one
-	// synchronous write per accepted value, Section 4.4). The high-water
-	// mark rides along in the same write for recovery scans.
-	a.disk.PutAll(map[string]any{
-		voteKey(inst):      storage.VoteRec{Inst: inst, VRnd: v.vrnd, Cmds: []cstruct.Cmd{v.vval}},
-		storage.KeyMaxInst: a.highWater(inst),
-	})
-	a.announce(inst, v, again)
-}
-
-// announce sends the vote's 2b to every learner; again marks it as drawn by a
-// 2a for an instance this acceptor had already voted in (msg.P2b.Again).
-func (a *Acceptor) announce(inst uint64, v vote, again bool) {
-	for _, l := range a.cfg.Learners {
-		a.env.Send(l, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval), Again: again})
-	}
-}
-
-// highWater returns the recovery-scan bound covering inst.
-func (a *Acceptor) highWater(inst uint64) uint64 {
-	if rec, ok := a.disk.Get(storage.KeyMaxInst); ok && rec.(uint64) > inst {
-		return rec.(uint64)
-	}
-	return inst
 }
 
 // promote acts as if a 1a for round j had been received on the shard

@@ -14,7 +14,8 @@
 // propose → 2a → 2b.
 //
 // Layout: classic.go declares the deployment (Config); acceptor.go,
-// learner.go and proposer.go are the other agents; cluster.go hosts them all
+// learner.go and proposer.go are the other agents, and commit.go is the
+// acceptor's one durable write per delivery burst; cluster.go hosts them all
 // on the simulator. The Coordinator is one type split by concern:
 // coordinator.go holds its state, message and timer dispatch and shard
 // geometry; rounds.go runs phase 1, the stale-chase and repair (Sections

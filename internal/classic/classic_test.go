@@ -7,6 +7,7 @@ import (
 
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/sim"
 )
 
@@ -15,6 +16,17 @@ import (
 func eachC(t *testing.T, body func(t *testing.T, c int)) {
 	for _, c := range []int{1, 3} {
 		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) { body(t, c) })
+	}
+}
+
+// deliver hands h messages the way a host does, as one delivery burst:
+// OnIdle follows the last of them.
+func deliver(h node.Handler, from msg.NodeID, ms ...msg.Message) {
+	for _, m := range ms {
+		h.OnMessage(from, m)
+	}
+	if ih, ok := h.(node.IdleHandler); ok {
+		ih.OnIdle()
 	}
 }
 
@@ -140,10 +152,10 @@ func TestDuplicateProposalsDecideOnce(t *testing.T) {
 		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
 		cl.Lead(0)
 		sub := msg.Propose{Cmd: cstruct.Cmd{ID: 9}, Client: 7, Req: 1}
-		cl.Coords[0].OnMessage(7, sub)
-		cl.Coords[0].OnMessage(7, sub) // retry racing the first stamp
+		deliver(cl.Coords[0], 7, sub)
+		deliver(cl.Coords[0], 7, sub) // retry racing the first stamp
 		cl.Sim.Run()
-		cl.Coords[0].OnMessage(7, sub) // retry after the decision
+		deliver(cl.Coords[0], 7, sub) // retry after the decision
 		cl.Sim.Run()
 		if n := cl.Learners[0].LearnedCount(); n != 1 {
 			t.Fatalf("duplicate proposal created %d instances, want 1", n)

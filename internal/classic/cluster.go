@@ -137,9 +137,7 @@ func NewCluster(o ClusterOpts) *Cluster {
 				// notifications a deployment would deliver to clients; the
 				// coordinators get the learner's ack, as a deployment's do.
 				cl.Prop.MarkLearned(cmd.ID)
-				for _, co := range cl.Coords {
-					co.OnMessage(id, msg.P2b{Inst: inst})
-				}
+				cl.ack(id, inst)
 				if o.OnLearn != nil {
 					o.OnLearn(inst, cmd)
 				}
@@ -152,11 +150,7 @@ func NewCluster(o ClusterOpts) *Cluster {
 			// re-acknowledge those instances, or the repaired member's window
 			// wedges retransmitting slots that decided before it restarted
 			// (the simulator twin of the deploy layer's OnDuplicate quiesce).
-			l.OnDuplicate = func(inst uint64) {
-				for _, co := range cl.Coords {
-					co.OnMessage(id, msg.P2b{Inst: inst})
-				}
-			}
+			l.OnDuplicate = func(inst uint64) { cl.ack(id, inst) }
 		}
 		s.Register(id, l)
 		cl.Learners = append(cl.Learners, l)
@@ -165,6 +159,15 @@ func NewCluster(o ClusterOpts) *Cluster {
 	cl.Prop.RetryEvery = o.RetryEvery
 	s.Register(1, cl.Prop)
 	return cl
+}
+
+// ack hands learner's acknowledgement of inst to every coordinator, each as a
+// burst of its own: the learn may empty a pipeline under buffered submissions.
+func (cl *Cluster) ack(learner msg.NodeID, inst uint64) {
+	for _, co := range cl.Coords {
+		co.OnMessage(learner, msg.P2b{Inst: inst})
+		co.OnIdle()
+	}
 }
 
 // host brings node id up with build and keeps the recipe for Restart.

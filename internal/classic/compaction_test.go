@@ -37,7 +37,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 
 	const wm = 6
 	a := wc.Accs[0]
-	a.OnMessage(wc.Cfg.Learners[0], msg.Done{From: wc.Cfg.Learners[0], Frontier: wm, Watermark: wm})
+	deliver(a, wc.Cfg.Learners[0], msg.Done{From: wc.Cfg.Learners[0], Frontier: wm, Watermark: wm})
 	if a.Floor() != wm {
 		t.Fatalf("Floor = %d after Done, want %d", a.Floor(), wm)
 	}
@@ -52,7 +52,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 		}
 	}
 	// A stale (lower) watermark must not move the floor backwards.
-	a.OnMessage(wc.Cfg.Learners[0], msg.Done{From: wc.Cfg.Learners[0], Frontier: 2, Watermark: 2})
+	deliver(a, wc.Cfg.Learners[0], msg.Done{From: wc.Cfg.Learners[0], Frontier: 2, Watermark: 2})
 	if a.Floor() != wm {
 		t.Fatalf("Floor regressed to %d on stale Done", a.Floor())
 	}
@@ -61,7 +61,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 	// one at or above it is served with re-announced 2bs.
 	rec := &recorder{}
 	wc.Sim.Register(99, rec)
-	a.OnMessage(99, msg.CatchupReq{Learner: 99, From: 2, Max: 8})
+	deliver(a, 99, msg.CatchupReq{Learner: 99, From: 2, Max: 8})
 	wc.Sim.Run()
 	refused := false
 	for _, m := range rec.msgs {
@@ -79,7 +79,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 		t.Fatal("no refusal for a request below the floor")
 	}
 	rec.msgs = nil
-	a.OnMessage(99, msg.CatchupReq{Learner: 99, From: wm, Max: 8})
+	deliver(a, 99, msg.CatchupReq{Learner: 99, From: wm, Max: 8})
 	wc.Sim.Run()
 	served := 0
 	for _, m := range rec.msgs {
@@ -140,7 +140,7 @@ func TestAcceptorCatchupBoundsRange(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		a.OnMessage(300, msg.CatchupReq{Learner: 300, Max: math.MaxUint32})
+		deliver(a, 300, msg.CatchupReq{Learner: 300, Max: math.MaxUint32})
 	}()
 	select {
 	case <-done:
@@ -184,7 +184,7 @@ func TestAcceptorRetriesFailedCompaction(t *testing.T) {
 		cl.Prop.Propose(cstruct.Cmd{ID: uint64(1 + i), Key: "k"})
 	}
 	cl.Sim.Run()
-	done := func(wm uint64) { cl.Accs[0].OnMessage(300, msg.Done{From: 300, Frontier: wm, Watermark: wm}) }
+	done := func(wm uint64) { deliver(cl.Accs[0], 300, msg.Done{From: 300, Frontier: wm, Watermark: wm}) }
 
 	done(compactAfterDrops)
 	if disk.calls != 1 {

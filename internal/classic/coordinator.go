@@ -105,9 +105,11 @@ type Coordinator struct {
 	// packed into one batch command per sequence slot, so stamping does not
 	// serialize the hot path. Max < 2 stamps every submission individually.
 	// Wait is the upper bound a buffered command waits for company, not a
-	// fixed price: the pipeline is the batch clock, and a member with nothing
-	// in flight stamps what it holds at once (see stampIfQuiet). 0 flushes on
-	// size only, with no early stamp either.
+	// fixed price: at the end of every delivery burst a leading member stamps
+	// what it holds while fewer than Max commands are outstanding or nothing
+	// is in flight, and batches beyond that only while instances are in
+	// flight (see stampIfDue). 0 flushes on size only, with no early stamp
+	// either.
 	IngressBatchMax  int
 	IngressBatchWait int64
 	// FillCmd, when set, constructs the canonical no-op for an instance the
@@ -161,6 +163,9 @@ type Coordinator struct {
 	// the stamped instance (and retries of buffered commands are absorbed).
 	bufKeys []reqKey
 	bufd    map[reqKey]bool
+	// widths holds the command count of every unlearned multi-command batch
+	// this member stamped: what outstanding counts for it.
+	widths map[uint64]int
 
 	stamped   uint64 // sequence slots stamped at this member's ingress
 	restamped uint64 // client requests that lost their stamped slot
@@ -169,6 +174,7 @@ type Coordinator struct {
 
 var _ node.Handler = (*Coordinator)(nil)
 var _ node.TimerHandler = (*Coordinator)(nil)
+var _ node.IdleHandler = (*Coordinator)(nil)
 
 // NewCoordinator builds a coordinator bound to env. By the convention of
 // Config.ShardCoords, cfg.Coords[i] serves shard i mod cfg.NShards(); an ID
@@ -184,6 +190,7 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 		sent:      make(map[uint64]bool),
 		byReq:     make(map[reqKey]uint64),
 		bufd:      make(map[reqKey]bool),
+		widths:    make(map[uint64]int),
 		relayed:   make(map[reqKey]relayedReq),
 	}
 }
@@ -257,7 +264,6 @@ func (c *Coordinator) OnTimer(tag int) {
 		c.ingArmed = false
 		if c.ing != nil {
 			c.ing.Tick()
-			c.armIngress()
 		}
 	case tag == timerRelay:
 		c.relayArmed = false

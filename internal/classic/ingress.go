@@ -85,8 +85,6 @@ func (c *Coordinator) onIngress(mm msg.Propose) {
 		c.takeOver()
 	}
 	c.buffer(k, mm.Cmd)
-	c.stampIfQuiet()
-	c.armIngress()
 }
 
 // buffer adds one fresh submission to the open ingress batch.
@@ -99,19 +97,45 @@ func (c *Coordinator) buffer(k reqKey, cmd cstruct.Cmd) {
 	c.ing.Add(cmd)
 }
 
-// stampIfQuiet stamps whatever the ingress batcher holds at once when this
-// member leads and has nothing in flight or queued. It runs on every arrival
-// and on the learn that empties the pipeline, so the pipeline is the batch
-// clock: commands batch exactly while an instance is in flight, and a
-// closed-loop caller pays a round trip, not the timer. IngressBatchMax and
-// the IngressBatchWait timer remain as bounds — a full batch flushes into the
-// window by size, and no command leaves the batcher later than the timer
-// would release it. Size-only batching (IngressBatchWait = 0) is never cut
-// short: hosts choose it for deterministic batch boundaries.
-func (c *Coordinator) stampIfQuiet() {
-	if c.ing != nil && c.leading && len(c.sent) == 0 && len(c.unsent) == 0 && c.IngressBatchWait > 0 {
+// OnIdle implements node.IdleHandler: the end of a delivery burst is the
+// batch boundary. Whatever the burst buffered is stamped now if that is due,
+// and whatever stays buffered has its flush timer armed.
+func (c *Coordinator) OnIdle() {
+	c.stampIfDue()
+	c.armIngress()
+}
+
+// stampIfDue stamps whatever the ingress batcher holds when batching cannot
+// pay for itself: this member leads with nothing queued behind the window, and
+// either nothing is in flight, or the window has room and fewer than
+// IngressBatchMax commands are outstanding here. Below a batch's worth of
+// demand a command goes at once; from a batch's worth up the pipeline is the
+// batch clock — commands batch while instances are in flight, and a partial
+// batch waits for size, the learn that empties the pipeline or the
+// IngressBatchWait timer, whichever comes first. Size-only batching
+// (IngressBatchWait = 0) is never cut short: hosts choose it for
+// deterministic batch boundaries.
+func (c *Coordinator) stampIfDue() {
+	if c.ing == nil || c.ing.Pending() == 0 || !c.leading || len(c.unsent) > 0 || c.IngressBatchWait <= 0 {
+		return
+	}
+	if len(c.sent) == 0 || (!c.windowFull() && c.outstanding() < c.IngressBatchMax) {
 		c.ing.Flush()
 	}
+}
+
+// outstanding counts the commands this member holds unlearned, up to
+// IngressBatchMax: those buffered, and those in flight — an instance it
+// stamped counts its commands, one known from a peer's share counts one.
+func (c *Coordinator) outstanding() int {
+	n := c.ing.Pending()
+	for inst := range c.sent {
+		if n >= c.IngressBatchMax {
+			break
+		}
+		n += max(c.widths[inst], 1)
+	}
+	return n
 }
 
 // stampFlush binds one flushed ingress batch (or lone command) to the next
@@ -156,6 +180,9 @@ func (c *Coordinator) stampAt(inst uint64, cmd cstruct.Cmd, keys []reqKey) {
 	c.claim(inst / c.stride())
 	c.stamped++
 	c.stamper = c.env.ID()
+	if len(keys) > 1 {
+		c.widths[inst] = len(keys)
+	}
 	// The keys are in hand: indexing through bind would decode the batch
 	// packed a line ago to recover the same (client, req) pairs.
 	c.place(inst, cmd)
@@ -220,7 +247,7 @@ func (c *Coordinator) indexValue(inst uint64, val cstruct.Cmd) {
 
 // armIngress schedules the time-triggered flush of a partial ingress batch
 // for the batch's own deadline: a timer left pending by a batch that flushed
-// early (by size, or at once on a quiet shard) fires on a younger batch, and
+// early (by size, or by stampIfDue) fires on a younger batch, and
 // re-arming a full IngressBatchWait from then would hold that batch up to
 // twice the bound.
 func (c *Coordinator) armIngress() {
@@ -273,8 +300,6 @@ func (c *Coordinator) takeOver() {
 		c.buffer(k, c.relayed[k].cmd)
 	}
 	clear(c.relayed)
-	c.stampIfQuiet()
-	c.armIngress()
 }
 
 // relayWait is how long a relayed submission may go unstamped before this

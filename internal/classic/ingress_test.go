@@ -28,11 +28,23 @@ func ingressCluster(c int, lead bool) (*Cluster, *Coordinator) {
 	return cl, co
 }
 
-// submit delivers client 7's i-th unsequenced submission to co; the request
-// counter doubles as the command ID.
-func submit(co *Coordinator, i int) {
+// ingressSub is client 7's i-th unsequenced submission; the request counter
+// doubles as the command ID.
+func ingressSub(i int) msg.Propose {
 	id := uint64(1 + i)
-	co.OnMessage(7, msg.Propose{Cmd: cstruct.Cmd{ID: id, Key: "user42"}, Client: 7, Req: id})
+	return msg.Propose{Cmd: cstruct.Cmd{ID: id, Key: "user42"}, Client: 7, Req: id}
+}
+
+// submit delivers client 7's i-th submission to co, a burst of its own.
+func submit(co *Coordinator, i int) { burst(co, i, 1) }
+
+// burst delivers client 7's submissions from..from+n−1 to co in one burst.
+func burst(co *Coordinator, from, n int) {
+	subs := make([]msg.Message, n)
+	for i := range subs {
+		subs[i] = ingressSub(from + i)
+	}
+	deliver(co, 7, subs...)
 }
 
 func stampedAt(co *Coordinator) uint64 {
@@ -75,80 +87,75 @@ func TestQuietShardStampsLoneSubmissionAtOnce(t *testing.T) {
 	})
 }
 
-// The pipeline is the batch clock: submissions arriving while an instance is
-// in flight are stamped together by the learn that empties the pipeline, and
-// a multi-command batch changes nothing for what follows — the next lone
-// submission finds the pipeline empty and is stamped by the step that
-// delivers it.
-func TestPipelineIsTheBatchClock(t *testing.T) {
+// Below a batch's worth of demand, the end of every burst stamps what it holds,
+// instances in flight or not: holding a command behind the pipeline would cost
+// it a round trip and save nothing, since its batch could not fill. Each lone
+// submission gets an instance of its own, and a burst that keeps the demand
+// below BatchMax is one instance, stamped in the step that delivered it.
+func TestBelowABatchStampsAtOnce(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
 		submit(co, 0)
 		submit(co, 1)
-		submit(co, 2)
-		if got := stampedAt(co); got != 1 {
-			t.Fatalf("stamped %d slots with an instance in flight, want 1", got)
+		if got := stampedAt(co); got != 2 || co.Inflight() != 2 {
+			t.Fatalf("stamped %d slots, %d in flight; want 2 and 2: the second submission goes beside the first", got, co.Inflight())
 		}
-		cl.Sim.RunWhile(func() bool { _, ok := cl.LearnedCmds[0]; return !ok })
-		if got := stampedAt(co); got != 2 {
-			t.Fatalf("stamped %d slots once the pipeline emptied, want 2 (the learn flushes)", got)
-		}
-		cl.Sim.Run()
-		if got := batchLen(cl.LearnedCmds[1]); got != 2 {
-			t.Fatalf("instance 1 carries %d commands, want the 2 buffered behind instance 0", got)
-		}
-
-		submit(co, 3)
+		burst(co, 2, ingMax-3)
 		if got := stampedAt(co); got != 3 {
-			t.Fatalf("stamped %d slots, want 3: a lone submission after a multi-command batch is stamped at once", got)
+			t.Fatalf("a burst bringing demand to %d stamped %d slots in all, want 3", ingMax-1, got)
 		}
 		cl.Sim.Run()
-		if got := len(cl.LearnedCmds); got != 3 {
-			t.Fatalf("learned %d instances, want 3", got)
+		if a, b, c := batchLen(cl.LearnedCmds[0]), batchLen(cl.LearnedCmds[1]), batchLen(cl.LearnedCmds[2]); a != 1 || b != 1 || c != ingMax-3 {
+			t.Fatalf("instances carry %d, %d and %d commands, want 1, 1 and %d", a, b, c, ingMax-3)
 		}
 	})
 }
 
-// A burst of BatchMax submissions delivered in one step to an idle shard
-// splits at the pipeline: the first flies alone, the other seven are one
-// instance, stamped by the learn of the first — long before the timer, set
-// here to ten round trips — and a client's retry of a command still buffered
-// forces the flush as before.
-func TestBurstSplitsAtThePipeline(t *testing.T) {
+// From a batch's worth of demand up, the pipeline is the batch clock: a
+// partial batch waits while instances are in flight — for size, for the learn
+// that empties the pipeline, long before the timer (set here to ten round
+// trips), or for a client's retry of a command still buffered.
+func TestPipelineIsTheBatchClock(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
 		co.IngressBatchWait = 20
 		base := cl.Sim.Now()
-		for i := 0; i < ingMax; i++ {
-			submit(co, i)
-		}
+		burst(co, 0, ingMax) // a full batch, by size
+		submit(co, ingMax)
+		submit(co, ingMax+1)
 		if got := stampedAt(co); got != 1 {
-			t.Fatalf("a burst of %d on an idle shard stamped %d slots in its step, want 1", ingMax, got)
+			t.Fatalf("with a batch in flight, %d slots stamped, want 1: the partial batch waits", got)
 		}
-		cl.Sim.RunWhile(func() bool { return stampedAt(co) < 2 })
-		if now := cl.Sim.Now(); now != cl.LearnTime[0] || now >= base+co.IngressBatchWait {
-			t.Fatalf("second slot stamped at t=%d; want the learn of the first at t=%d, before the timer at t=%d",
-				now, cl.LearnTime[0], base+co.IngressBatchWait)
+		burst(co, ingMax+2, ingMax-2)
+		if got := stampedAt(co); got != 2 {
+			t.Fatalf("%d slots stamped once the waiting batch filled, want 2", got)
+		}
+		submit(co, 2*ingMax)
+		cl.Sim.RunWhile(func() bool { return stampedAt(co) < 3 })
+		if now := cl.Sim.Now(); now != cl.LearnTime[1] || now >= base+co.IngressBatchWait {
+			t.Fatalf("third slot stamped at t=%d; want the learn that emptied the pipeline at t=%d, before the timer at t=%d",
+				now, cl.LearnTime[1], base+co.IngressBatchWait)
 		}
 		cl.Sim.Run()
-		if a, b := batchLen(cl.LearnedCmds[0]), batchLen(cl.LearnedCmds[1]); a != 1 || b != ingMax-1 {
-			t.Fatalf("instances carry %d and %d commands, want 1 and %d", a, b, ingMax-1)
+		if a, b, c := batchLen(cl.LearnedCmds[0]), batchLen(cl.LearnedCmds[1]), batchLen(cl.LearnedCmds[2]); a != ingMax || b != ingMax || c != 1 {
+			t.Fatalf("instances carry %d, %d and %d commands, want %d, %d and 1", a, b, c, ingMax, ingMax)
 		}
 
 		holdInFlight(cl)
-		submit(co, 20) // stamped at once, then stuck in flight
-		submit(co, 21)
-		if got := stampedAt(co); got != 3 {
-			t.Fatalf("stamped %d slots, want 3: command 21 waits behind the instance in flight", got)
-		}
-		submit(co, 21) // the client's retry
+		burst(co, 20, ingMax) // stamped by size, then stuck in flight
+		submit(co, 30)
 		if got := stampedAt(co); got != 4 {
-			t.Fatalf("retry of a buffered command left %d slots stamped, want 4", got)
+			t.Fatalf("stamped %d slots, want 4: command 30 waits behind a batch in flight", got)
+		}
+		submit(co, 30) // the client's retry
+		if got := stampedAt(co); got != 5 {
+			t.Fatalf("retry of a buffered command left %d slots stamped, want 5", got)
 		}
 	})
 }
 
-// The early stamp needs all of: leading, an empty pipeline, a flush timer.
+// An early stamp — before size or the timer — needs all of: leading, room in
+// the window, a flush timer.
 func TestNoEarlyStampUnlessQuiet(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		t.Run("not leading", func(t *testing.T) {
@@ -191,16 +198,16 @@ func TestNoEarlyStampUnlessQuiet(t *testing.T) {
 }
 
 // If the learn that would flush the buffer never comes, BatchWait is still
-// the bound: a command buffered behind a stuck instance is stamped exactly
+// the bound: a command buffered behind a stuck batch is stamped exactly
 // BatchWait ticks after it arrived.
 func TestBatchWaitBackstopWhenPipelineStuck(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
 		holdInFlight(cl)
 		base := cl.Sim.Now()
-		submit(co, 0)
+		burst(co, 0, ingMax)
 		cl.Sim.RunUntil(base + 1)
-		submit(co, 1)
+		submit(co, ingMax)
 		cl.Sim.RunUntil(base + ingWait)
 		if got := stampedAt(co); got != 1 {
 			t.Fatalf("stamped %d slots one tick early, want 1", got)
@@ -214,21 +221,21 @@ func TestBatchWaitBackstopWhenPipelineStuck(t *testing.T) {
 
 // With the pipeline stuck, size and timer are the bounds that remain: a full
 // BatchMax still flushes by size into the window, and the flush timer is armed
-// for the batch's own deadline. Batch 1 fills by size at t = 0 and leaves its
-// timer pending; batch 2 opens at t = 1; the
-// pending timer fires at t = BatchWait on a batch one tick too young. Batch 2
-// must stamp at 1 + BatchWait, not a full BatchWait after that firing.
+// for the batch's own deadline. Batch 1 waits behind a full batch in flight,
+// arms its timer at the end of its burst, fills by size in the next and leaves
+// the timer pending; batch 2 opens at t = 1; the pending timer fires at
+// t = BatchWait on a batch one tick too young. Batch 2 must stamp at
+// 1 + BatchWait, not a full BatchWait after that firing.
 func TestIngressTimerArmsForBatchDeadline(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl, co := ingressCluster(c, true)
 		holdInFlight(cl)
 		base := cl.Sim.Now()
-		submit(co, 0) // stamped at once; in flight from here on
-		for i := 1; i <= ingMax; i++ {
-			submit(co, i)
-		}
+		burst(co, 0, ingMax) // stamped by size; in flight from here on
+		submit(co, ingMax)
+		burst(co, ingMax+1, ingMax-1)
 		if got := stampedAt(co); got != 2 {
-			t.Fatalf("stamped %d slots at t=0, want 2 (the lone command, then a full batch)", got)
+			t.Fatalf("stamped %d slots at t=0, want 2 (two full batches)", got)
 		}
 		cl.Sim.RunUntil(base + 1)
 		submit(co, 100)

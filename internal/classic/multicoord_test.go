@@ -230,7 +230,7 @@ func TestMulticoordNonMember2aIgnored(t *testing.T) {
 	cl.LeadAll()
 	r := cl.Coords[0].Rnd()
 	for _, impostor := range []msg.NodeID{999, 998} {
-		cl.Accs[0].OnMessage(impostor, msg.P2a{
+		deliver(cl.Accs[0], impostor, msg.P2a{
 			Inst: 0, Rnd: r, Coord: impostor, Val: wrap(mcCmd(700)),
 		})
 	}
@@ -258,8 +258,8 @@ func TestMulticoordCollisionPromotes(t *testing.T) {
 	// proposer, injected directly to model a byzantine-free divergence (e.g.
 	// a re-established round racing a stale member).
 	for _, a := range cl.Accs {
-		a.OnMessage(cl.Cfg.Coords[0], msg.P2a{Inst: 0, Rnd: r, Coord: cl.Cfg.Coords[0], Val: wrap(mcCmd(801))})
-		a.OnMessage(cl.Cfg.Coords[1], msg.P2a{Inst: 0, Rnd: r, Coord: cl.Cfg.Coords[1], Val: wrap(mcCmd(802))})
+		deliver(a, cl.Cfg.Coords[0], msg.P2a{Inst: 0, Rnd: r, Coord: cl.Cfg.Coords[0], Val: wrap(mcCmd(801))})
+		deliver(a, cl.Cfg.Coords[1], msg.P2a{Inst: 0, Rnd: r, Coord: cl.Cfg.Coords[1], Val: wrap(mcCmd(802))})
 	}
 	cl.Sim.Run()
 
@@ -310,10 +310,10 @@ func TestMulticoordDivergentStampsConverge(t *testing.T) {
 	// analogue is two overlapping ingress stampers during a primary failover
 	// — and each then receives the other's stamp share.
 	x, y := mcCmd(901), mcCmd(902)
-	cl.Coords[0].OnMessage(cl.Cfg.Coords[0], msg.Propose{Cmd: x, Seq: 0, HasSeq: true})
-	cl.Coords[1].OnMessage(cl.Cfg.Coords[1], msg.Propose{Cmd: y, Seq: 0, HasSeq: true})
-	cl.Coords[0].OnMessage(cl.Cfg.Coords[1], msg.Propose{Cmd: y, Seq: 0, HasSeq: true})
-	cl.Coords[1].OnMessage(cl.Cfg.Coords[0], msg.Propose{Cmd: x, Seq: 0, HasSeq: true})
+	deliver(cl.Coords[0], cl.Cfg.Coords[0], msg.Propose{Cmd: x, Seq: 0, HasSeq: true})
+	deliver(cl.Coords[1], cl.Cfg.Coords[1], msg.Propose{Cmd: y, Seq: 0, HasSeq: true})
+	deliver(cl.Coords[0], cl.Cfg.Coords[1], msg.Propose{Cmd: y, Seq: 0, HasSeq: true})
+	deliver(cl.Coords[1], cl.Cfg.Coords[0], msg.Propose{Cmd: x, Seq: 0, HasSeq: true})
 	cl.Sim.Run()
 
 	got, ok := cl.LearnedCmds[0]
@@ -337,9 +337,9 @@ func TestMulticoordLateShareStillIndexesRequests(t *testing.T) {
 	co.ReqOf = func(c cstruct.Cmd) (msg.NodeID, uint64, bool) { return 7, c.ID, true }
 	batched := batch.Pack([]cstruct.Cmd{mcCmd(11), mcCmd(12)})
 
-	co.OnMessage(cl.Cfg.Learners[0], msg.P2b{Inst: 0})
-	co.OnMessage(cl.Cfg.Coords[0], msg.Propose{Cmd: batched, Seq: 0, HasSeq: true})
-	co.OnMessage(7, msg.Propose{Cmd: mcCmd(12), Client: 7, Req: 12})
+	deliver(co, cl.Cfg.Learners[0], msg.P2b{Inst: 0})
+	deliver(co, cl.Cfg.Coords[0], msg.Propose{Cmd: batched, Seq: 0, HasSeq: true})
+	deliver(co, 7, msg.Propose{Cmd: mcCmd(12), Client: 7, Req: 12})
 	cl.Sim.Run()
 
 	if stamped, _, _ := co.IngressCounts(); stamped != 0 {
@@ -482,7 +482,7 @@ func TestRepairIgnoresLateStaleAtLiveRound(t *testing.T) {
 	}
 
 	late := cl.Cfg.Acceptors[2]
-	fresh.OnMessage(late, msg.Stale{Acc: late, Rnd: live})
+	deliver(fresh, late, msg.Stale{Acc: late, Rnd: live})
 	cl.Sim.Run()
 	if got := cl.ShardRound(0); !got.Equal(live) || !fresh.Rnd().Equal(live) {
 		t.Fatalf("a late Stale at the live round moved it %v → %v (coordinator at %v)", live, got, fresh.Rnd())

@@ -581,11 +581,11 @@ func TestPromiseSurvivesRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env, disk := &sinkEnv{id: cfg.Acceptors[0]}, &storage.Disk{}
 			a := NewAcceptor(env, cfg, disk)
-			a.OnMessage(100, msg.P2a{Inst: 0, Rnd: tc.vote, Coord: 100, Val: wrap(cstruct.Cmd{ID: 1})})
+			deliver(a, 100, msg.P2a{Inst: 0, Rnd: tc.vote, Coord: 100, Val: wrap(cstruct.Cmd{ID: 1})})
 			if vrnd, _, ok := a.Vote(0); !ok || !vrnd.Equal(tc.vote) {
 				t.Fatalf("no vote at %v before the crash", tc.vote)
 			}
-			a.OnMessage(101, msg.P1a{Rnd: tc.promise, Coord: 101})
+			deliver(a, 101, msg.P1a{Rnd: tc.promise, Coord: 101})
 			if !a.Rnd().Equal(tc.promise) {
 				t.Fatalf("joined %v, want the promised %v", a.Rnd(), tc.promise)
 			}
@@ -599,7 +599,7 @@ func TestPromiseSurvivesRecovery(t *testing.T) {
 			if !tc.promise.Less(a.Rnd()) {
 				t.Errorf("recovered at %v, not above the promised %v", a.Rnd(), tc.promise)
 			}
-			a.OnMessage(100, msg.P2a{Inst: 1, Rnd: tc.probe, Coord: 100, Val: wrap(cstruct.Cmd{ID: 2})})
+			deliver(a, 100, msg.P2a{Inst: 1, Rnd: tc.probe, Coord: 100, Val: wrap(cstruct.Cmd{ID: 2})})
 			if _, _, ok := a.Vote(1); ok {
 				t.Errorf("voted at %v after promising %v", tc.probe, tc.promise)
 			}

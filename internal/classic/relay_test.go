@@ -144,13 +144,13 @@ func TestRelayTakeoverOnPeerDown(t *testing.T) {
 			got, len(cl.LearnedCmds))
 	}
 
-	cl.Coords[1].OnMessage(cl.Cfg.Coords[1], msg.PeerDown{Node: cl.Cfg.Coords[0]})
+	deliver(cl.Coords[1], cl.Cfg.Coords[1], msg.PeerDown{Node: cl.Cfg.Coords[0]})
 	cl.Sim.Run()
 	wantDecidedOnce(t, cl, 8, 1, 3)
 	wantNoCollision(t, cl, "takeover on evidence")
 	// Evidence about anybody else moves nothing.
 	before := stampedAt(cl.Coords[2])
-	cl.Coords[2].OnMessage(cl.Cfg.Coords[2], msg.PeerDown{Node: cl.Cfg.Acceptors[0]})
+	deliver(cl.Coords[2], cl.Cfg.Coords[2], msg.PeerDown{Node: cl.Cfg.Acceptors[0]})
 	if cl.Coords[2].stamper != cl.Cfg.Coords[1] || stampedAt(cl.Coords[2]) != before {
 		t.Errorf("member 2 follows %v after a report about an acceptor, want member 1", cl.Coords[2].stamper)
 	}
@@ -233,7 +233,7 @@ func TestRelayRepairedMemberDoesNotStampBesideTheStamper(t *testing.T) {
 	cl.Sim.Crash(cl.Cfg.Coords[0])
 	submitTo(cl, 1, 8, 1)
 	cl.Sim.Run()
-	cl.Coords[1].OnMessage(cl.Cfg.Coords[1], msg.PeerDown{Node: cl.Cfg.Coords[0]})
+	deliver(cl.Coords[1], cl.Cfg.Coords[1], msg.PeerDown{Node: cl.Cfg.Coords[0]})
 	cl.Sim.Run()
 	wantDecidedOnce(t, cl, 8, 1, 1)
 

@@ -37,7 +37,7 @@ func skipCluster(c int, lead bool) (*Cluster, []*Coordinator) {
 }
 
 func hint(co *Coordinator, inst uint64) {
-	co.OnMessage(300, msg.Fill{Inst: inst, Learner: 300, Idle: true})
+	deliver(co, 300, msg.Fill{Inst: inst, Learner: 300, Idle: true})
 }
 
 func filledAt(co *Coordinator) uint64 {
@@ -113,8 +113,10 @@ func TestSkipHintFlushesBufferedCommandsFirst(t *testing.T) {
 		co := shard1[0]
 		holdInFlight(cl)
 		submit(co, 0) // instance 1, stuck in flight
-		submit(co, 1)
-		submit(co, 2)
+		// Two submissions and the hint arrive in one burst: the hint finds
+		// them buffered.
+		co.OnMessage(7, ingressSub(1))
+		co.OnMessage(7, ingressSub(2))
 		hint(co, 7)
 		if s, f := stampedAt(co), filledAt(co); s != 4 || f != 2 {
 			t.Fatalf("stamped %d slots, %d of them fills; want 4 and 2 (instance 3 takes the buffered pair)", s, f)

@@ -140,6 +140,7 @@ func (c *Coordinator) noteLearned(inst uint64) {
 	}
 	c.learned[inst] = true
 	delete(c.sent, inst)
+	delete(c.widths, inst)
 	// Everything below the contiguous frontier is forgotten: state stays
 	// bounded by the open window instead of growing with the run.
 	for at := c.seqInst(c.lo); c.learned[at]; at = c.seqInst(c.lo) {
@@ -148,8 +149,6 @@ func (c *Coordinator) noteLearned(inst uint64) {
 		c.lo++
 	}
 	c.drainUnsent()
-	// This learn may have emptied the pipeline under buffered submissions.
-	c.stampIfQuiet()
 }
 
 // isLearned reports whether an owned instance is known decided.

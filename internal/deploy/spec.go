@@ -103,16 +103,19 @@ type ClusterSpec struct {
 	// 0 means 8. 1 disables batching.
 	BatchMax int
 	// BatchWait is the upper bound a buffered command waits for its batch to
-	// fill, not a fixed price: the pipeline is the batch clock — a stamping
-	// coordinator that leads and has nothing in flight stamps what it holds
-	// at once, so commands batch exactly while an instance is in flight. It
+	// fill, not a fixed price. At the end of each mailbox burst a stamping
+	// coordinator that leads stamps what it holds when nothing is in flight,
+	// or when its window has room and fewer than BatchMax commands are
+	// outstanding at it: below a batch's worth of demand commands go at once,
+	// and from there up the pipeline is the batch clock. It
 	// is also how long a learner lets its merge frontier sit frozen under
 	// buffered instances before telling the shards that fell behind to skip
 	// the slots they never claimed (msg.Fill with Idle set). 0 means 2ms;
 	// negative flushes on size only, with no early stamp and no skip hint.
 	BatchWait time.Duration
 	// Window bounds each coordinator's pipeline of unlearned instances; 0
-	// leaves it unbounded.
+	// leaves it unbounded. A full window also holds a stamper's partial batch
+	// until an instance is learned (see BatchWait).
 	Window int
 	// RetryEvery is the base retransmission interval of clients and
 	// coordinators; 0 means 25ms. Client retries back off exponentially

@@ -7,6 +7,13 @@
 // There is no recovery hook: both hosts restart a node by building a new
 // Handler over its stable storage (sim.Sim.Restart, runtime.Network.Restart),
 // so an agent's constructor is the one place volatile state is initialised.
+//
+// A host delivers in bursts: the goroutine runtime hands an agent the item it
+// woke for plus whatever was already queued behind it, the simulator one event
+// at a time. An IdleHandler hears OnIdle at the end of every burst, which is
+// where an agent does what pays per burst rather than per message — an
+// acceptor's one durable write for all the votes it cast, a stamper's decision
+// to stamp what it buffered.
 package node
 
 import "mcpaxos/internal/msg"
@@ -36,6 +43,16 @@ type Handler interface {
 type TimerHandler interface {
 	// OnTimer fires a previously set timer.
 	OnTimer(tag int)
+}
+
+// IdleHandler is implemented by agents that act once per delivery burst.
+// Hosts call OnIdle after the last message or timer of every burst, on the
+// agent that handled it and never on one that crashed or was replaced
+// during it. A burst is bounded: a host never lets a refilling queue put
+// OnIdle off indefinitely.
+type IdleHandler interface {
+	// OnIdle ends the current burst.
+	OnIdle()
 }
 
 // Broadcast sends m to every destination via env.

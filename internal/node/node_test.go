@@ -9,10 +9,12 @@ import (
 type stub struct {
 	msgs   int
 	timers []int
+	idles  int
 }
 
 func (s *stub) OnMessage(msg.NodeID, msg.Message) { s.msgs++ }
 func (s *stub) OnTimer(tag int)                   { s.timers = append(s.timers, tag) }
+func (s *stub) OnIdle()                           { s.idles++ }
 
 type plain struct{ msgs int }
 
@@ -36,6 +38,10 @@ func TestMultiHandlerFansOut(t *testing.T) {
 	m.OnTimer(7)
 	if len(a.timers) != 1 || len(b.timers) != 1 {
 		t.Errorf("timer not fanned out to TimerHandlers")
+	}
+	m.OnIdle()
+	if a.idles != 1 || b.idles != 1 {
+		t.Errorf("burst end not fanned out to IdleHandlers: %d %d", a.idles, b.idles)
 	}
 }
 

@@ -3,6 +3,10 @@
 // only know node.Env) run over an in-process channel network or the TCP
 // transport. Each agent's handler runs on a single mailbox goroutine, so
 // agent code needs no internal locking.
+//
+// The mailbox delivers in bursts: the item it woke for, then the items that
+// were already queued when the burst began, then node.IdleHandler.OnIdle. A
+// Do closure ends the burst before it runs.
 package runtime
 
 import (
@@ -204,7 +208,8 @@ func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
 }
 
 // Do runs fn on the agent's mailbox goroutine and waits for it: safe
-// synchronous access to handler state. Calling Do from the mailbox
+// synchronous access to handler state, committed: an IdleHandler's OnIdle
+// runs first, ending the burst the closure joined. Calling Do from the mailbox
 // goroutine itself (handler code calling back into its own agent) runs fn
 // inline — already serialized — instead of deadlocking on the mailbox.
 // On a stopped agent, Do returns without running fn: the buffered inbox
@@ -265,23 +270,50 @@ func (a *Agent) loop() {
 	// Inject and Do calls return instead of filling a dead inbox.
 	defer a.once.Do(func() { close(a.done) })
 	a.loopGID.Store(gid())
+	idle, _ := a.handler.(node.IdleHandler)
 	for {
 		select {
 		case in := <-a.inbox:
-			switch in.kind {
-			case kindMsg:
-				if df, ok := in.m.(doFunc); ok {
-					a.run(df)
-					continue
+			// A burst is the item the loop woke for plus the items already
+			// queued behind it. Bounding it by that snapshot is what keeps an
+			// inbox refilled as fast as it drains from putting OnIdle off.
+			for n := len(a.inbox); ; n-- {
+				a.deliver(in, idle)
+				if n == 0 {
+					break
 				}
-				a.handler.OnMessage(in.from, in.m)
-			case kindTimer:
-				if th, ok := a.handler.(node.TimerHandler); ok {
-					th.OnTimer(in.tag)
+				select {
+				case <-a.done:
+					return // a stop mid-burst is a crash: nothing staged leaves
+				default:
 				}
+				in = <-a.inbox
+			}
+			if idle != nil {
+				idle.OnIdle()
 			}
 		case <-a.done:
 			return
+		}
+	}
+}
+
+// deliver hands one mailbox item to the handler. A Do closure first ends the
+// burst, so what it inspects or starts sees every earlier item committed.
+func (a *Agent) deliver(in inbound, idle node.IdleHandler) {
+	switch in.kind {
+	case kindMsg:
+		if df, ok := in.m.(doFunc); ok {
+			if idle != nil {
+				idle.OnIdle()
+			}
+			a.run(df)
+			return
+		}
+		a.handler.OnMessage(in.from, in.m)
+	case kindTimer:
+		if th, ok := a.handler.(node.TimerHandler); ok {
+			th.OnTimer(in.tag)
 		}
 	}
 }

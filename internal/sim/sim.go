@@ -8,6 +8,10 @@
 // With the default unit link latency, the simulated time at which a learner
 // learns equals the number of communication steps since the proposal, which
 // is how the step-count experiments (E1, E5, E8) measure latency.
+//
+// Every delivered message and every fired timer is a burst of its own: the
+// handler's node.IdleHandler.OnIdle follows it at once, on the incarnation
+// that handled it, so an agent's per-burst work leaves in the same event.
 package sim
 
 import (
@@ -186,7 +190,16 @@ func (e *simEnv) SetTimer(d int64, tag int) {
 		if th, ok := n.handler.(node.TimerHandler); ok {
 			th.OnTimer(tag)
 		}
+		n.idle(epoch)
 	})
+}
+
+// idle ends the burst of the event just handled by the incarnation of epoch,
+// unless that incarnation crashed or was replaced while handling it.
+func (n *simNode) idle(epoch uint64) {
+	if ih, ok := n.handler.(node.IdleHandler); ok && n.up && n.epoch == epoch {
+		ih.OnIdle()
+	}
 }
 
 func (s *Sim) send(from, to msg.NodeID, m msg.Message) {
@@ -224,7 +237,9 @@ func (s *Sim) send(from, to msg.NodeID, m msg.Message) {
 				return
 			}
 			s.metrics.received(to, m)
+			epoch := dst.epoch
 			dst.handler.OnMessage(from, m)
+			dst.idle(epoch)
 		})
 	}
 }

@@ -31,7 +31,9 @@ type Stable interface {
 	// Put durably stores value under key, counting one synchronous write.
 	Put(key string, value any)
 	// PutAll durably stores several records with a single synchronous
-	// write (one group-commit batch).
+	// write (one group-commit batch). An acceptor calls it once per delivery
+	// burst, with every vote the burst cast. The map is not retained: the
+	// caller may reuse it once PutAll returns.
 	PutAll(records map[string]any)
 	// Get reads the latest record stored under key.
 	Get(key string) (any, bool)
