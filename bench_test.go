@@ -10,10 +10,7 @@ package mcpaxos
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-
-	"mcpaxos/internal/wal"
 )
 
 func BenchmarkE1StepsToLearn(b *testing.B) {
@@ -202,8 +199,7 @@ func BenchmarkE9SpontaneousOrder(b *testing.B) {
 // E11: durable group commit. The cluster benchmarks push a command stream
 // through WAL-backed acceptors doing real fsyncs, so ns/op is durable
 // throughput; fsyncs/cmd/acc is the paper-shaped claim (1 unbatched, 1/B at
-// batch B). The GroupCommit benchmarks hammer one WAL with concurrent
-// appenders and report how many physical fsyncs each append actually cost.
+// batch B).
 const e11Commands = 64
 
 func reportE11(b *testing.B, r E11Row, err error) {
@@ -238,37 +234,6 @@ func BenchmarkE11DurableBatch32(b *testing.B) {
 	}
 	reportE11(b, r, err)
 }
-
-func benchE11GroupCommit(b *testing.B, appenders int) {
-	w, err := wal.Open(b.TempDir(), wal.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	per := b.N/appenders + 1
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < appenders; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			key := fmt.Sprintf("a%d", g)
-			for i := 0; i < per; i++ {
-				if err := w.Append([]wal.Rec{{Key: key, Val: uint64(i)}}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(w.Fsyncs())/float64(per*appenders), "fsyncs/append")
-}
-
-func BenchmarkE11GroupCommitAppenders1(b *testing.B)  { benchE11GroupCommit(b, 1) }
-func BenchmarkE11GroupCommitAppenders8(b *testing.B)  { benchE11GroupCommit(b, 8) }
-func BenchmarkE11GroupCommitAppenders32(b *testing.B) { benchE11GroupCommit(b, 32) }
 
 // E12: sharded instance space. Each iteration drains the same 256-command
 // stream (batch=8, per-leader window 4) through N concurrent shard-leaders;

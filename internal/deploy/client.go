@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,8 +86,12 @@ type ClientStats struct {
 type Client struct {
 	id msg.NodeID
 	*endpoint
-	h      *clientHandler
-	closed atomic.Bool
+	h *clientHandler
+	// mu orders submissions against Close: Propose checks closed and hands
+	// its Call to the mailbox under the read lock, so every Call either
+	// reaches the mailbox ahead of Close's failAll or is failed at once.
+	mu     sync.RWMutex
+	closed bool
 }
 
 // Dial opens the client endpoint declared as spec client id and connects it
@@ -129,7 +134,9 @@ func (c *Client) Propose(cmd cstruct.Cmd) *Call {
 		cmd.ID = cmdID(c.id, c.h.seq.Add(1)-1)
 	}
 	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
-	if c.closed.Load() {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
 		// The mailbox is (or is about to be) gone: resolve the call now
 		// instead of handing back one that can never complete.
 		call.err, call.end = fmt.Errorf("deploy: client closed"), time.Now()
@@ -189,7 +196,9 @@ func (c *Client) NetStats() transport.TCPStats { return c.tcp.Stats() }
 // Close disconnects the client. Unresolved calls fail, and later Propose
 // calls return already-failed Calls.
 func (c *Client) Close() error {
-	c.closed.Store(true)
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
 	c.agent.Do(func(node.Handler) { c.h.failAll(fmt.Errorf("deploy: client closed")) })
 	c.stop()
 	return nil

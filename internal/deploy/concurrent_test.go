@@ -79,6 +79,57 @@ func TestClientConcurrentPropose(t *testing.T) {
 	checkMergedOrder(t, rep, goroutines*perG)
 }
 
+// TestClientProposeRacingCloseResolves: Close fails every unresolved call,
+// and a Propose after it returns an already-failed Call, so no Call that a
+// Propose racing Close hands back may be left unresolved. No replica runs —
+// the coordinator's reserved listener takes the connection and reads
+// nothing — so only Close can resolve a call.
+func TestClientProposeRacingCloseResolves(t *testing.T) {
+	spec, err := LocalSpec(1, 1, 1, 1, 1).ResolveEphemeral()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	t.Cleanup(func() {
+		for _, ln := range spec.reserved.lns {
+			ln.Close()
+		}
+	})
+	const iterations, goroutines, perG = 300, 4, 50
+	for it := 0; it < iterations; it++ {
+		cli, err := Dial(spec, spec.Clients[0].ID)
+		if err != nil {
+			t.Fatalf("iteration %d: dial: %v", it, err)
+		}
+		calls := make([][]*Call, goroutines)
+		var wg, started sync.WaitGroup
+		for g := range calls {
+			wg.Add(1)
+			started.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					calls[g] = append(calls[g], cli.Set(fmt.Sprintf("k%d", i), "v"))
+					if i == 0 {
+						started.Done()
+					}
+				}
+			}()
+		}
+		started.Wait() // Close lands mid-stream, not before the first Set
+		cli.Close()
+		wg.Wait()
+		for _, cs := range calls {
+			for _, call := range cs {
+				select {
+				case <-call.Done():
+				case <-time.After(time.Second):
+					t.Fatalf("iteration %d: call %d never resolved after Close", it, call.ID)
+				}
+			}
+		}
+	}
+}
+
 // TestTwoClientsOneDeployment runs two separate Client processes against a
 // single deployment concurrently — the configuration the client-side
 // sequencer could not support (two processes cannot share a sequence

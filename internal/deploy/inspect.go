@@ -202,8 +202,8 @@ func (r *Replica) ShardRounds() []ballot.Ballot {
 // WALDiskStats sums the hosted acceptors' on-disk WAL footprint: live
 // segments, index snapshots, and total bytes. All zeros without a WALDir.
 func (r *Replica) WALDiskStats() (segs, snaps int, bytes int64) {
-	// Stat outside r.mu: DiskStats waits for the WAL's file lock, which a
-	// group commit holds across its fsync.
+	// Stat outside r.mu: DiskStats waits for the WAL's lock, which an Append
+	// holds across its fsync.
 	r.mu.Lock()
 	wals := slices.Collect(maps.Values(r.wals))
 	r.mu.Unlock()

@@ -42,13 +42,12 @@ func openEndpoint(spec ClusterSpec, id msg.NodeID, build func(node.Env) node.Han
 	}
 	e := &endpoint{net: runtime.NewNetwork()}
 	e.net.Tick = tick
-	// Fault injection reaches the node's timers too (clock skew), not just
-	// its message sends.
+	// The node's network is its one fault hook: it adjudicates every send
+	// before the socket sees it, and skews the node's timers.
 	e.net.SetFaults(spec.Faults)
 	e.agent = e.net.Spawn(id, build)
 	e.tcp = transport.NewTCPOnListener(id, ln, addrs, transport.Codec{Set: cstruct.SingleValueSet{}},
 		func(from msg.NodeID, m msg.Message) { e.agent.Inject(from, m) })
-	e.tcp.SetFaults(spec.Faults, tick)
 	// A lost connection is failure evidence, delivered to the handler like any
 	// message (msg.PeerDown). It comes off the transport's own goroutine, never
 	// from inside a Send: the sender may be this node's mailbox, and a mailbox
@@ -60,9 +59,11 @@ func openEndpoint(spec ClusterSpec, id msg.NodeID, build func(node.Env) node.Han
 	return e, nil
 }
 
+// stop stops the mailbox before the socket, so a delayed copy that lands in
+// between finds no route instead of a closed transport.
 func (e *endpoint) stop() {
-	e.tcp.Close()
 	e.net.Stop()
+	e.tcp.Close()
 }
 
 // Replica runs one process's share of a deployment: any subset of the

@@ -132,11 +132,13 @@ type ClusterSpec struct {
 	// its peers advance. 0 means 4 × RetryEvery.
 	FillAfter time.Duration
 
-	// Faults, when set, is installed on the send path of every TCP endpoint
-	// this process opens (replica nodes and clients alike): the nemesis
-	// harness's loss, duplication, reordering, partitions and link cuts.
-	// All endpoints of one process should share one injector so a partition
-	// severs every role consistently. nil means a faithful network.
+	// Faults, when set, is installed on the runtime network of every node
+	// this process opens (replica nodes and clients alike), which
+	// adjudicates each send before it reaches the node's socket and skews
+	// the node's timers: the nemesis harness's loss, duplication,
+	// reordering, partitions, link cuts and clock skew. All nodes of one
+	// process should share one injector so a partition severs every role
+	// consistently. nil means a faithful network.
 	Faults *faults.Faults
 
 	// reserved holds the listeners ResolveEphemeral bound while picking

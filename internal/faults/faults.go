@@ -1,15 +1,17 @@
-// Package faults is the adversarial network model shared by every host in
+// Package faults is the adversarial network model shared by both hosts in
 // this repository: the same injector drives the deterministic simulator
-// (internal/sim), the goroutine runtime (internal/runtime) and the TCP
-// transport (internal/transport), so a fault schedule developed against the
-// simulator reproduces byte-for-byte semantics on a live deployment.
+// (internal/sim) and the goroutine runtime (internal/runtime), whose
+// Network adjudicates every send of a live node before it reaches the TCP
+// transport — so a fault schedule developed against the simulator
+// reproduces the same semantics on a live deployment.
 //
 // The model is the paper's asynchronous crash-recovery system (Section
 // 2.1.1) made hostile on purpose: messages may be lost, duplicated,
 // reordered within a bound, or cut off entirely by symmetric partitions and
-// asymmetric (one-directional) link cuts. Messages are never corrupted —
-// the protocols are entitled to assume that, and the wire codec enforces it
-// with CRC framing on the live path.
+// asymmetric (one-directional) link cuts. Messages are never corrupted:
+// the protocols are entitled to assume that, and no host injects
+// corruption. On the live path TCP's own checksums are the only guard —
+// transport frames carry no CRC of their own.
 package faults
 
 import (
@@ -41,8 +43,8 @@ type Stats struct {
 // Faults decides the fate of every message on a network's send path:
 // dropped, delivered once, delivered several times, and with what extra
 // delay. All decisions draw from one seeded source, so a single-threaded
-// host (the simulator) replays a schedule exactly; concurrent hosts (the
-// runtime, TCP) get the same marginal behavior under a mutex.
+// host (the simulator) replays a schedule exactly; the concurrent runtime
+// gets the same marginal behavior under a mutex.
 //
 // The zero value is not usable; call New. A nil *Faults is a valid
 // "no faults" injector for every method, so hosts can keep an optional

@@ -133,6 +133,94 @@ func TestNetworkFaultsDropDupAndPartition(t *testing.T) {
 	}
 }
 
+// fallbackNet builds a network that hosts no node, so every send leaves
+// through the fallback — the route a deployment's TCP transport sits behind
+// — and counts what reaches it.
+func fallbackNet(t *testing.T, f *faults.Faults) (*Network, func() int64) {
+	t.Helper()
+	n := NewNetwork()
+	n.Tick = time.Millisecond
+	t.Cleanup(n.Stop)
+	var calls atomic.Int64
+	n.SetFallback(func(msg.NodeID, msg.NodeID, msg.Message) { calls.Add(1) })
+	n.SetFaults(f)
+	return n, calls.Load
+}
+
+// waitCount polls count until it reaches want or a deadline passes.
+func waitCount(count func() int64, want int64) int64 {
+	deadline := time.Now().Add(3 * time.Second)
+	for count() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return count()
+}
+
+func TestFallbackFaultsDropSilently(t *testing.T) {
+	f := faults.New(1)
+	f.SetLoss(1)
+	n, count := fallbackNet(t, f)
+	for i := 0; i < 20; i++ {
+		n.Send(1, 2, msg.Heartbeat{From: 1, Epoch: uint64(i)})
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := count(); got != 0 {
+		t.Fatalf("loss=1 reached the fallback %d times", got)
+	}
+	if s := f.Stats(); s.Dropped != 20 {
+		t.Fatalf("dropped = %d, want 20", s.Dropped)
+	}
+}
+
+func TestFallbackFaultsDuplicateEveryMessage(t *testing.T) {
+	f := faults.New(1)
+	f.SetDup(1)
+	n, count := fallbackNet(t, f)
+	const sends = 10
+	for i := 0; i < sends; i++ {
+		n.Send(1, 2, msg.Heartbeat{From: 1, Epoch: uint64(i)})
+	}
+	waitCount(count, 2*sends)
+	time.Sleep(20 * time.Millisecond) // past every duplicate's delay bound
+	if got := count(); got != 2*sends {
+		t.Fatalf("dup=1 reached the fallback %d times, want %d", got, 2*sends)
+	}
+}
+
+func TestFallbackFaultsPartitionAndHeal(t *testing.T) {
+	f := faults.New(1)
+	f.Partition([]msg.NodeID{1}, []msg.NodeID{2})
+	n, count := fallbackNet(t, f)
+	n.Send(1, 2, msg.Heartbeat{From: 1})
+	time.Sleep(20 * time.Millisecond)
+	if count() != 0 {
+		t.Fatal("a send crossed the partition")
+	}
+	f.Heal()
+	n.Send(1, 2, msg.Heartbeat{From: 1})
+	if got := waitCount(count, 1); got != 1 {
+		t.Fatalf("healed link reached the fallback %d times, want 1", got)
+	}
+}
+
+// TestFallbackDelayedCopyAfterStopDropped: a copy the injector delays is
+// routed when it lands, and one that lands after Stop must go nowhere — not
+// out through the fallback of a node that is gone.
+func TestFallbackDelayedCopyAfterStopDropped(t *testing.T) {
+	f := faults.New(1)
+	f.SetReorder(1, 10) // every copy delayed 1..10 ticks
+	n, count := fallbackNet(t, f)
+	n.Send(1, 2, msg.Heartbeat{From: 1})
+	n.Stop()
+	time.Sleep(30 * time.Millisecond) // past the delay bound
+	if got := count(); got != 0 {
+		t.Fatalf("a copy landing after Stop reached the fallback %d times", got)
+	}
+	if s := f.Stats(); s.Delayed != 1 {
+		t.Fatalf("delayed = %d, want 1", s.Delayed)
+	}
+}
+
 // TestDelayedDeliveryCrossesRestart pins the asymmetry between messages and
 // timers at a crash boundary: a delayed message copy lands in whatever
 // incarnation is live on arrival (the network may hold messages arbitrarily

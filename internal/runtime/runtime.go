@@ -45,14 +45,10 @@ type Network struct {
 	start  time.Time
 	// Tick is the duration of one node.Env time unit (default 1ms).
 	Tick time.Duration
-	// Fallback, when set, receives messages addressed to nodes this
+	// fallback, when set, receives messages addressed to nodes this
 	// network does not host (e.g. to forward them over TCP).
-	Fallback func(from, to msg.NodeID, m msg.Message)
-	// faults, when set, adjudicates every locally routed message: drop,
-	// duplicate, or delay (in Ticks). Messages leaving through Fallback are
-	// not faulted here — the remote transport carries its own injector, so
-	// a deployment faults each link exactly once.
-	faults atomic.Pointer[faults.Faults]
+	fallback func(from, to msg.NodeID, m msg.Message)
+	faults   atomic.Pointer[faults.Faults] // see SetFaults
 }
 
 // NewNetwork builds an empty in-process network.
@@ -66,11 +62,11 @@ func NewNetwork() *Network {
 
 // SetFallback installs the off-network route under the network's lock, so it
 // may be set while agents are already receiving traffic (Send reads it under
-// the same lock). Messages routed before the fallback is installed are
-// dropped, which the asynchronous model allows.
+// the same lock). Messages routed before the fallback is installed, or after
+// Stop, are dropped, which the asynchronous model allows.
 func (n *Network) SetFallback(fb func(from, to msg.NodeID, m msg.Message)) {
 	n.mu.Lock()
-	n.Fallback = fb
+	n.fallback = fb
 	n.mu.Unlock()
 }
 
@@ -109,46 +105,48 @@ func (n *Network) Restart(id msg.NodeID, build func(env node.Env) node.Handler) 
 	return n.Spawn(id, build)
 }
 
-// SetFaults installs (or, with nil, removes) an adversarial fault injector
-// on the local send path: the same knobs the simulator and the TCP
-// transport take, so a nemesis schedule runs identically on every host.
+// SetFaults installs (or, with nil, removes) an adversarial fault injector:
+// every send is adjudicated by it — dropped, duplicated, or delayed in Ticks
+// — before it is routed, locally or through the fallback, and every timer an
+// agent arms is skewed by it. It is the live path's one fault hook: the
+// simulator takes the same injector, and the TCP transport below carries
+// none.
 func (n *Network) SetFaults(f *faults.Faults) { n.faults.Store(f) }
 
-// Send routes a message to a local agent, or through Fallback for remote
-// destinations; unknown destinations without a Fallback are dropped (the
-// asynchronous model allows loss).
+// Send adjudicates a message through the fault injector, drawing its fate on
+// the caller's goroutine in send order, then routes each surviving copy: a
+// delayed one when it lands.
 func (n *Network) Send(from, to msg.NodeID, m msg.Message) {
-	n.mu.RLock()
-	dst, ok := n.agents[to]
-	fb := n.Fallback
-	n.mu.RUnlock()
-	if !ok {
-		if fb != nil {
-			fb(from, to, m)
-		}
-		return
-	}
 	for _, extra := range n.faults.Load().Deliveries(from, to) {
-		in := inbound{kind: kindMsg, from: from, m: m}
 		if extra == 0 {
-			dst.enqueue(in)
+			n.route(from, to, m)
 			continue
 		}
-		// A delayed copy targets whatever incarnation of the node is live
-		// when it lands — deliveries across a restart are legal (the
-		// network may hold messages arbitrarily long), unlike timers.
-		time.AfterFunc(time.Duration(extra)*n.Tick, func() {
-			n.mu.RLock()
-			late, ok := n.agents[to]
-			n.mu.RUnlock()
-			if ok {
-				late.enqueue(in)
-			}
-		})
+		// A delayed copy reaches whatever incarnation of the node is live
+		// when it lands — deliveries across a restart are legal (the network
+		// may hold messages arbitrarily long), unlike timers.
+		time.AfterFunc(time.Duration(extra)*n.Tick, func() { n.route(from, to, m) })
 	}
 }
 
-// Stop shuts every agent down and waits for their goroutines.
+// route hands one copy of a message to its local agent, or to the fallback
+// for a node this network does not host; with neither it is dropped (the
+// asynchronous model allows loss).
+func (n *Network) route(from, to msg.NodeID, m msg.Message) {
+	n.mu.RLock()
+	dst, ok := n.agents[to]
+	fb := n.fallback
+	n.mu.RUnlock()
+	switch {
+	case ok:
+		dst.enqueue(inbound{kind: kindMsg, from: from, m: m})
+	case fb != nil:
+		fb(from, to, m)
+	}
+}
+
+// Stop shuts every agent down and waits for their goroutines. It clears the
+// fallback too, so a delayed copy that lands afterwards goes nowhere.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	agents := make([]*Agent, 0, len(n.agents))
@@ -156,6 +154,7 @@ func (n *Network) Stop() {
 		agents = append(agents, a)
 	}
 	n.agents = make(map[msg.NodeID]*Agent)
+	n.fallback = nil
 	n.mu.Unlock()
 	for _, a := range agents {
 		a.Stop()

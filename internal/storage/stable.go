@@ -14,9 +14,9 @@ import (
 //
 // Durability contract: Put and PutAll return only once the records are
 // stable — an acceptor may send its 2b the moment the call returns. PutAll
-// stores its records with a single synchronous write (one group-commit
-// batch); implementations may additionally coalesce concurrent calls into
-// one physical fsync. A backend that cannot make a record durable must
+// stores its records with a single synchronous write: it is the group
+// commit, and what shares one is the caller's choice (an acceptor's whole
+// mailbox burst). A backend that cannot make a record durable must
 // panic rather than return: acking an accept without stable storage would
 // break the Paxos safety argument (Section 4.4).
 //
@@ -31,9 +31,9 @@ type Stable interface {
 	// Put durably stores value under key, counting one synchronous write.
 	Put(key string, value any)
 	// PutAll durably stores several records with a single synchronous
-	// write (one group-commit batch). An acceptor calls it once per delivery
-	// burst, with every vote the burst cast. The map is not retained: the
-	// caller may reuse it once PutAll returns.
+	// write. An acceptor calls it once per delivery burst, with every vote
+	// the burst cast. The map is not retained: the caller may reuse it once
+	// PutAll returns.
 	PutAll(records map[string]any)
 	// Get reads the latest record stored under key.
 	Get(key string) (any, bool)

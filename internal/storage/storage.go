@@ -31,7 +31,7 @@ func (d *Disk) Put(key string, value any) {
 }
 
 // PutAll durably stores several records with a single synchronous write,
-// modelling the group commit of one record page.
+// modelling one frame of the on-disk log.
 func (d *Disk) PutAll(records map[string]any) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

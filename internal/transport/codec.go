@@ -1,8 +1,8 @@
-// Package transport provides live message transports for the protocol
-// agents: an in-process channel hub and a TCP transport (hand-rolled binary
-// wire codec over net) for multi-process deployments. Both present the same
-// Transport interface; the discrete-event simulator remains the reference
-// host for experiments.
+// Package transport carries protocol messages between processes: a TCP
+// endpoint per node (tcp.go) over a hand-rolled binary wire codec (this
+// file). It is a mechanism only — it queues, frames and delivers, and
+// injects no faults; the node's runtime.Network adjudicates every send
+// before it reaches Send.
 //
 // # Wire format
 //

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
 )
 
@@ -115,13 +114,6 @@ type TCP struct {
 	framesOut, bytesOut atomic.Uint64
 	framesIn, bytesIn   atomic.Uint64
 	encNanos, decNanos  atomic.Uint64
-
-	// injector, when set, adjudicates every outbound message before it
-	// reaches a peer queue: drop, duplicate, or delay by faultTick units —
-	// the same adversarial model the simulator and the goroutine runtime
-	// take, so a nemesis schedule runs identically over real sockets.
-	injector  atomic.Pointer[faults.Faults]
-	faultTick atomic.Int64 // nanoseconds per fault-delay tick
 }
 
 // peer is one outbound connection with its writer and watcher goroutines.
@@ -297,56 +289,16 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// SetFaults installs (or, with nil, removes) an adversarial fault injector
-// on the send path. Fault delays are scaled by tick (one abstract delay
-// unit on the wall clock); tick ≤ 0 defaults to 1ms. Dropped messages
-// report success — loss is indistinguishable from a queued-then-lost frame,
-// which the asynchronous model already allows.
-func (t *TCP) SetFaults(f *faults.Faults, tick time.Duration) {
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t.faultTick.Store(int64(tick))
-	t.injector.Store(f)
-}
-
-// Send transmits m to node `to`, dialing on first use. The write itself is
-// asynchronous — a nil return means the message was queued, not delivered —
-// and errors are returned for diagnostics; callers may treat failures as
-// message loss. Messages are immutable once sent (the msg package
-// contract), so the peer's writer encodes them after the fact without
-// copying here.
+// Send queues m for node `to`'s writer, dialing on first use. The write
+// itself is asynchronous — a nil return means the message was queued, not
+// delivered — and errors are returned for diagnostics; callers may treat
+// failures as message loss. Messages are immutable once sent (the msg
+// package contract), so the peer's writer encodes them after the fact
+// without copying here.
 func (t *TCP) Send(to msg.NodeID, m msg.Message) error {
 	if !encodable(m) {
 		return fmt.Errorf("transport: unknown message type %T", m)
 	}
-	f := t.injector.Load()
-	if f == nil {
-		return t.deliver(to, m)
-	}
-	deliveries := f.Deliveries(t.id, to)
-	if len(deliveries) == 0 {
-		return nil // injected loss: the model allows it silently
-	}
-	var err error
-	for _, extra := range deliveries {
-		if extra == 0 {
-			err = t.deliver(to, m)
-			continue
-		}
-		time.AfterFunc(time.Duration(extra)*time.Duration(t.faultTick.Load()), func() {
-			select {
-			case <-t.closed:
-			default:
-				_ = t.deliver(to, m) // late-copy loss is loss, which is fine
-			}
-		})
-	}
-	return err
-}
-
-// deliver queues one copy of m for the peer's writer, dialing on first use.
-func (t *TCP) deliver(to msg.NodeID, m msg.Message) error {
 	p, err := t.peer(to)
 	if err != nil {
 		return err

@@ -7,12 +7,11 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the fault-injection harness for crash-recovery testing. The
 // two crash surfaces a log has are the fsync path (Options.Sync lets tests
-// fail or delay it) and the bytes already on disk (the tail mutators below
+// fail it) and the bytes already on disk (the tail mutators below
 // simulate torn writes and media corruption between a hard kill and the
 // restart's Open).
 
@@ -29,16 +28,6 @@ func FailSyncAfter(n int64) func(*os.File) error {
 		if calls.Add(1) > n {
 			return ErrInjectedSync
 		}
-		return f.Sync()
-	}
-}
-
-// SlowSync returns a Sync hook that sleeps for d before syncing. Tests use
-// it to hold the group-commit leader inside the fsync so concurrent
-// appenders demonstrably pile into one flush.
-func SlowSync(d time.Duration) func(*os.File) error {
-	return func(f *os.File) error {
-		time.Sleep(d)
 		return f.Sync()
 	}
 }

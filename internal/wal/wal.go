@@ -8,9 +8,10 @@
 // Durability follows the paper's accounting (Sections 4.2 and 4.4): every
 // Put/PutAll is one logical synchronous write and returns only once its
 // records are on disk, so an acceptor may send its 2b the moment the call
-// returns. Group commit coalesces concurrent commits — records queued by
-// many appenders (concurrently pipelined instances) are flushed by a single
-// fsync, which is what drives fsyncs per command below one under batching.
+// returns. The log batches nothing itself: each Append is one frame and one
+// fsync, and concurrent Appends serialize. Its caller decides what shares an
+// fsync — an acceptor commits every vote of a mailbox burst with one PutAll
+// (classic/commit.go), and a batch of commands is one vote.
 //
 // On Open the log is replayed: the newest valid snapshot seeds the key
 // index, the remaining segments are applied in order, and a torn tail
@@ -49,7 +50,7 @@ type Rec struct {
 
 // tombstone marks a durably deleted key. A deletion must survive a crash
 // exactly like a Put — replay applies it by removing the key from the index
-// — so Drop appends tombstone records through the same group-commit path.
+// — so Drop appends tombstone records through Append like any Put.
 // Tombstones never appear in the index and thus vanish from the next
 // snapshot, which is what reclaims their space.
 type tombstone struct{}
@@ -76,39 +77,23 @@ const (
 // frame anywhere whose payload this build cannot decode.
 var ErrCorrupt = errors.New("wal: corrupt or undecodable record")
 
-// walBatch is one commit's worth of records waiting for the group-commit
-// leader.
-type walBatch struct {
-	recs  []Rec
-	frame []byte
-	err   error
-	done  chan struct{}
-}
-
 // WAL is an append-only segmented log with an in-memory key index. It is
 // safe for concurrent use and implements storage.Stable.
 type WAL struct {
 	dir  string
 	opts Options
 
-	// mu guards the index, the commit queue and the leader flag; it is
-	// never held across file I/O so appenders can enqueue while the
-	// group-commit leader is inside an fsync.
-	mu       sync.Mutex
-	notFlush *sync.Cond // signaled when flushing goes false
-	index    map[string]any
-	queue    []*walBatch
-	flushing bool
-	closed   bool
-	err      error // sticky I/O error: the log is dead once set
-
-	// fmu guards the segment file state (leader flushes, Snapshot, Close).
-	fmu     sync.Mutex
+	// mu guards the index and the segment file, and is held across an
+	// Append's write and fsync: the log has one writer at a time.
+	mu      sync.Mutex
+	index   map[string]any
+	closed  bool
+	err     error // sticky I/O error: the log is dead once set
 	seg     *os.File
 	segIdx  uint64
 	segSize int64
 
-	writes atomic.Uint64 // logical synchronous writes (commit batches)
+	writes atomic.Uint64 // logical synchronous writes (Appends)
 	fsyncs atomic.Uint64 // physical data-file fsyncs
 	swept  int           // orphaned .tmp files removed by Open
 }
@@ -123,7 +108,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 		opts.Sync = (*os.File).Sync
 	}
 	w := &WAL{dir: dir, opts: opts, index: make(map[string]any)}
-	w.notFlush = sync.NewCond(&w.mu)
 	if err := w.replay(); err != nil {
 		return nil, err
 	}
@@ -140,9 +124,8 @@ func (w *WAL) Writes() uint64 { return w.writes.Load() }
 // ResetWrites zeroes the logical write counter (the data stays).
 func (w *WAL) ResetWrites() { w.writes.Store(0) }
 
-// Fsyncs returns the number of physical data-file fsyncs performed. Group
-// commit makes this at most — and under concurrent or batched load well
-// below — Writes().
+// Fsyncs returns the number of physical data-file fsyncs performed: one per
+// Append, plus those that segment rolls and snapshots make.
 func (w *WAL) Fsyncs() uint64 { return w.fsyncs.Load() }
 
 // ResetFsyncs zeroes the fsync counter.
@@ -209,10 +192,9 @@ func (w *WAL) Drop(keys []string) {
 // covers.
 func (w *WAL) Compact() error { return w.Snapshot() }
 
-// Append durably stores one batch of records and returns once they are on
-// disk. Concurrent Appends are group-committed: the first appender becomes
-// the flush leader and drains everything queued behind it with a single
-// fsync per drain.
+// Append durably stores one batch of records as one frame and returns once
+// it is on disk: one write, one fsync. Concurrent Appends serialize, each
+// with its own fsync.
 func (w *WAL) Append(recs []Rec) error {
 	if len(recs) == 0 {
 		return nil
@@ -221,80 +203,35 @@ func (w *WAL) Append(recs []Rec) error {
 	if err != nil {
 		return err
 	}
-	b := &walBatch{recs: recs, frame: frame, done: make(chan struct{})}
-
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return errors.New("wal: closed")
 	}
+	// Once a write or fsync has failed the log is dead: a frame behind the
+	// failed one must never be acked, or replay would find it stranded
+	// behind a corrupt frame.
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
+		return w.err
 	}
-	// The index reflects a record as soon as it is queued (like Disk);
-	// the commit still blocks below until the record is on disk, and a
-	// concurrent Snapshot folds queued records in, so nothing covered by
-	// segment GC can be lost.
 	w.apply(recs)
 	w.writes.Add(1)
-	w.queue = append(w.queue, b)
-	if w.flushing {
-		// A leader is active: it will flush this batch. Wait for it.
-		w.mu.Unlock()
-		<-b.done
-		return b.err
-	}
-	// Become the group-commit leader: drain the queue (which keeps
-	// filling while we are inside the fsync) until it is empty.
-	w.flushing = true
-	for {
-		q := w.queue
-		w.queue = nil
-		if len(q) == 0 {
-			w.flushing = false
-			w.notFlush.Broadcast()
-			w.mu.Unlock()
-			break
-		}
-		// Once the log is dead, fail the remaining queued batches without
-		// touching the file: a batch whose physical predecessor failed its
-		// fsync must never be acked, or replay would find it stranded
-		// behind a corrupt frame.
-		ferr := w.err
-		w.mu.Unlock()
-		if ferr == nil {
-			ferr = w.flush(q)
-		}
-		w.mu.Lock()
-		if ferr != nil && w.err == nil {
-			w.err = ferr
-		}
-		for _, p := range q {
-			p.err = ferr
-			close(p.done)
-		}
-	}
-	<-b.done // b was in the first drained queue
-	return b.err
+	w.err = w.write(frame)
+	return w.err
 }
 
-// flush writes every queued frame and makes them durable with one fsync.
-func (w *WAL) flush(q []*walBatch) error {
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	for _, b := range q {
-		if w.segSize >= w.opts.SegmentBytes {
-			if err := w.roll(); err != nil {
-				return err
-			}
+// write appends one frame to the current segment, rolling to the next one
+// if it is full, and makes it durable. Callers hold mu.
+func (w *WAL) write(frame []byte) error {
+	if w.segSize >= w.opts.SegmentBytes {
+		if err := w.roll(); err != nil {
+			return err
 		}
-		if _, err := w.seg.Write(b.frame); err != nil {
-			return fmt.Errorf("wal: append: %w", err)
-		}
-		w.segSize += int64(len(b.frame))
 	}
+	if _, err := w.seg.Write(frame); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	w.segSize += int64(len(frame))
 	return w.sync(w.seg)
 }
 
@@ -307,7 +244,7 @@ func (w *WAL) sync(f *os.File) error {
 	return nil
 }
 
-// roll seals the current segment and starts the next one. Callers hold fmu.
+// roll seals the current segment and starts the next one. Callers hold mu.
 func (w *WAL) roll() error {
 	if w.seg != nil {
 		if err := w.sync(w.seg); err != nil {
@@ -320,7 +257,8 @@ func (w *WAL) roll() error {
 	return w.openSegment(w.segIdx + 1)
 }
 
-// openSegment opens segment idx for appending. Callers hold fmu.
+// openSegment opens segment idx for appending. Callers hold mu or are inside
+// Open.
 func (w *WAL) openSegment(idx uint64) error {
 	f, err := os.OpenFile(w.segPath(idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -343,20 +281,18 @@ func (w *WAL) segPath(idx uint64) string {
 // segments (and older snapshots) it makes redundant, bounding replay work
 // and disk use. One data fsync.
 func (w *WAL) Snapshot() error {
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	// Seal the current segment: records flushed from here on land in
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// Seal the current segment: records appended from here on land in
 	// segment segIdx+1, which the snapshot does not cover.
 	if err := w.roll(); err != nil {
 		return err
 	}
 	since := w.segIdx
-	w.mu.Lock()
 	recs := make([]Rec, 0, len(w.index))
 	for k, v := range w.index {
 		recs = append(recs, Rec{Key: k, Val: v})
 	}
-	w.mu.Unlock()
 	frame, err := encodeFrame(wire.AppendUvarint(newFrame(), since), recs)
 	if err != nil {
 		return err
@@ -379,8 +315,8 @@ func (w *WAL) Snapshot() error {
 
 // SegmentCount reports how many segment files exist, for tests.
 func (w *WAL) SegmentCount() int {
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	segs, err := w.segments()
 	if err != nil {
 		return -1
@@ -396,8 +332,8 @@ func (w *WAL) Swept() int { return w.swept }
 // snapshot files, and total bytes across both. It feeds the disk-accounting
 // experiments (E16) and the nemesis per-seed disk report.
 func (w *WAL) DiskStats() (segs, snaps int, bytes int64) {
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
 		return 0, 0, 0
@@ -420,21 +356,15 @@ func (w *WAL) DiskStats() (segs, snaps int, bytes int64) {
 	return segs, snaps, bytes
 }
 
-// Close waits for any in-flight group commit, seals the segment and closes
-// the file. The log cannot be used afterwards.
+// Close waits for any in-flight Append and closes the segment file. The log
+// cannot be used afterwards.
 func (w *WAL) Close() error {
 	w.mu.Lock()
-	for w.flushing {
-		w.notFlush.Wait()
-	}
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	w.mu.Unlock()
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
 	if w.seg == nil {
 		return nil
 	}
@@ -445,7 +375,7 @@ func (w *WAL) Close() error {
 
 // ---------------------------------------------------------------- replay --
 
-// segments lists segment indices, ascending. Callers hold fmu or are inside
+// segments lists segment indices, ascending. Callers hold mu or are inside
 // Open.
 func (w *WAL) segments() ([]uint64, error) {
 	ents, err := os.ReadDir(w.dir)

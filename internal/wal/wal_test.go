@@ -88,7 +88,7 @@ func TestWritesAndFsyncAccounting(t *testing.T) {
 	if got := w.Writes(); got != 2 {
 		t.Errorf("Writes = %d, want 2 (one per Put/PutAll)", got)
 	}
-	// Sequential appends cannot coalesce: one fsync each.
+	// One fsync per Put/PutAll.
 	if got := w.Fsyncs(); got != 2 {
 		t.Errorf("Fsyncs = %d, want 2", got)
 	}
@@ -353,12 +353,12 @@ func TestUnreadableSnapshotRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLeaderStopsAfterFsyncFailure: once one flush fails, every
-// batch queued behind it must fail too, even if a later fsync would
-// "succeed" — its frames would sit unreachable behind the corrupt region
-// at replay. The first sync call fails slowly (so the second appender
-// provably queues during it); the second would succeed if ever attempted.
-func TestGroupCommitLeaderStopsAfterFsyncFailure(t *testing.T) {
+// TestAppendBehindFailedFsyncFails: once one fsync fails, every Append
+// blocked behind it must fail too, even if a later fsync would "succeed" —
+// its frame would sit unreachable behind the corrupt region at replay. The
+// first sync call fails slowly (so the second appender provably waits
+// during it); the second would succeed if ever attempted.
+func TestAppendBehindFailedFsyncFails(t *testing.T) {
 	var calls atomic.Int64
 	firstSyncFails := func(f *os.File) error {
 		if calls.Add(1) == 1 {
@@ -375,13 +375,13 @@ func TestGroupCommitLeaderStopsAfterFsyncFailure(t *testing.T) {
 	go func() {
 		errA <- w.Append([]wal.Rec{{Key: "a", Val: uint64(1)}})
 	}()
-	time.Sleep(20 * time.Millisecond) // A is leader, inside the dying fsync
+	time.Sleep(20 * time.Millisecond) // A is inside the dying fsync
 	errB := w.Append([]wal.Rec{{Key: "b", Val: uint64(2)}})
 	if err := <-errA; err == nil {
-		t.Error("leader's Append succeeded past a failed fsync")
+		t.Error("Append succeeded past a failed fsync")
 	}
 	if errB == nil {
-		t.Error("follower's Append was acked behind a failed fsync")
+		t.Error("an Append blocked behind a failed fsync was acked")
 	}
 	if err := w.Append([]wal.Rec{{Key: "c", Val: uint64(3)}}); err == nil {
 		t.Error("Append succeeded on a dead log")
