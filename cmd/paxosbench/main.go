@@ -12,17 +12,38 @@
 // percentiles; nemesis runs the randomized fault-injection harness (E14) on
 // both the simulator and the live path, judging every run with the
 // linearizability checker. Both are excluded from -exp all so the default
-// output stays deterministic.
+// output stays deterministic: E1–E14 print the same bytes on every run, and
+// testdata/tables holds them (go test ./cmd/paxosbench diffs against it).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"mcpaxos"
 )
+
+// params are the knobs the simulator experiments read.
+type params struct {
+	seed     int64
+	trials   int // trials per sample point (E7, E9)
+	seeds    int // randomized seeds (E14)
+	commands int // commands per run (E4, E6, E10–E13)
+}
+
+// tables lists the deterministic simulator experiments in -exp all order.
+// Each writes its table to w and fails only when the run could not be made
+// or broke a claim it checks.
+var tables = []struct {
+	name string
+	run  func(w io.Writer, p params) error
+}{
+	{"e1", e1}, {"e2", e2}, {"e3", e3}, {"e4", e4}, {"e5", e5}, {"e6", e6}, {"e7", e7},
+	{"e8", e8}, {"e9", e9}, {"e10", e10}, {"e11", e11}, {"e12", e12}, {"e13", e13}, {"e14", e14},
+}
 
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -39,63 +60,16 @@ func main() {
 	snapEvery := flag.Int("snapevery", 128, "learner snapshot interval in instances (E16)")
 	flag.Parse()
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
+	p := params{seed: *seed, trials: *trials, seeds: *seeds, commands: *commands}
 	any := false
-	if run("e1") {
-		e1(*seed)
-		any = true
-	}
-	if run("e2") {
-		e2()
-		any = true
-	}
-	if run("e3") {
-		e3(*seed)
-		any = true
-	}
-	if run("e4") {
-		e4(*seed, *commands)
-		any = true
-	}
-	if run("e5") {
-		e5(*seed)
-		any = true
-	}
-	if run("e6") {
-		e6(*seed, *commands)
-		any = true
-	}
-	if run("e7") {
-		e7(*seed, *trials)
-		any = true
-	}
-	if run("e8") {
-		e8(*seed)
-		any = true
-	}
-	if run("e9") {
-		e9(*seed, *trials)
-		any = true
-	}
-	if run("e10") {
-		e10(*seed, *commands)
-		any = true
-	}
-	if run("e11") {
-		e11(*seed, *commands)
-		any = true
-	}
-	if run("e12") {
-		e12(*seed, *commands)
-		any = true
-	}
-	if run("e13") {
-		e13(*seed, *commands)
-		any = true
-	}
-	if run("e14") {
-		e14(*seed, *seeds)
-		any = true
+	for _, t := range tables {
+		if *exp == "all" || *exp == t.name {
+			any = true
+			if err := t.run(os.Stdout, p); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", t.name, err)
+				os.Exit(1)
+			}
+		}
 	}
 	if *exp == "live" {
 		live(*shards, *coords, *commands, *batchMax)
@@ -106,7 +80,7 @@ func main() {
 		any = true
 	}
 	if *exp == "nemesis" {
-		nemesisExp(*seed, *seeds, *liveSeeds)
+		nemesisExp(p, *liveSeeds)
 		any = true
 	}
 	if *exp == "e16" {
@@ -119,185 +93,210 @@ func main() {
 	}
 }
 
-func header(title string) {
-	fmt.Printf("\n== %s ==\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 }
 
-func e1(seed int64) {
-	header("E1: communication steps to learn (stable run, phase 1 pre-executed)")
-	for _, row := range mcpaxos.FormatE1(mcpaxos.RunE1StepsToLearn(seed)) {
-		fmt.Println("  " + row)
+func e1(w io.Writer, p params) error {
+	header(w, "E1: communication steps to learn (stable run, phase 1 pre-executed)")
+	for _, row := range mcpaxos.FormatE1(mcpaxos.RunE1StepsToLearn(p.seed)) {
+		fmt.Fprintln(w, "  "+row)
 	}
+	return nil
 }
 
-func e2() {
-	header("E2: acceptor quorum sizes (Section 2.2)")
-	fmt.Println("  n   classic(=multicoord)  fast(majority-classic)  balanced(E=F)")
+func e2(w io.Writer, _ params) error {
+	header(w, "E2: acceptor quorum sizes (Section 2.2)")
+	fmt.Fprintln(w, "  n   classic(=multicoord)  fast(majority-classic)  balanced(E=F)")
 	for _, r := range mcpaxos.RunE2QuorumSizes([]int{3, 5, 7, 9, 11, 13}) {
-		fmt.Printf("  %-3d %-21d %-23d %d\n", r.N, r.Classic, r.FastMajority, r.Balanced)
+		fmt.Fprintf(w, "  %-3d %-21d %-23d %d\n", r.N, r.Classic, r.FastMajority, r.Balanced)
 	}
+	return nil
 }
 
-func e3(seed int64) {
-	header("E3: availability under coordinator crashes (Section 4.1)")
-	fmt.Println("  round kind            crashes  progress  round-change")
-	for _, r := range mcpaxos.RunE3Availability(seed) {
-		fmt.Printf("  %-21s %-8d %-9v %v\n", r.Kind, r.CoordCrashes, r.Progress, r.RoundChanged)
+func e3(w io.Writer, p params) error {
+	header(w, "E3: availability under coordinator crashes (Section 4.1)")
+	fmt.Fprintln(w, "  round kind            crashes  progress  round-change")
+	for _, r := range mcpaxos.RunE3Availability(p.seed) {
+		fmt.Fprintf(w, "  %-21s %-8d %-9v %v\n", r.Kind, r.CoordCrashes, r.Progress, r.RoundChanged)
 	}
+	return nil
 }
 
-func e4(seed int64, commands int) {
-	header("E4: load balance via quorum selection (Section 4.1)")
-	r := mcpaxos.RunE4LoadBalance(seed, 3, 5, commands)
-	fmt.Printf("  %d coordinators, %d acceptors, %d commands\n", r.NCoords, r.NAcceptors, r.Commands)
-	fmt.Printf("  multicoord max coordinator share: %.3f  (paper bound 1/2+1/nc = %.3f)\n",
+func e4(w io.Writer, p params) error {
+	header(w, "E4: load balance via quorum selection (Section 4.1)")
+	r := mcpaxos.RunE4LoadBalance(p.seed, 3, 5, p.commands)
+	fmt.Fprintf(w, "  %d coordinators, %d acceptors, %d commands\n", r.NCoords, r.NAcceptors, r.Commands)
+	fmt.Fprintf(w, "  multicoord max coordinator share: %.3f  (paper bound 1/2+1/nc = %.3f)\n",
 		r.MaxCoordShare, r.CoordBound)
-	fmt.Printf("  multicoord max acceptor share:    %.3f  (paper bound 1/2+1/n  = %.3f)\n",
+	fmt.Fprintf(w, "  multicoord max acceptor share:    %.3f  (paper bound 1/2+1/n  = %.3f)\n",
 		r.MaxAccShare, r.AccBound)
-	fmt.Printf("  fast rounds max acceptor share:   %.3f  (paper: > 3/4)\n", r.FastAccShare)
+	fmt.Fprintf(w, "  fast rounds max acceptor share:   %.3f  (paper: > 3/4)\n", r.FastAccShare)
+	return nil
 }
 
-func e5(seed int64) {
-	header("E5: collision recovery cost (Sections 2.2, 4.2)")
-	fmt.Println("  scenario              total-steps  extra-steps  acceptor-disk-writes")
-	for _, r := range mcpaxos.RunE5CollisionRecovery(seed) {
-		fmt.Printf("  %-21s %-12d %-12d %d\n", r.Scenario, r.TotalSteps, r.ExtraSteps, r.AcceptorWrites)
+func e5(w io.Writer, p params) error {
+	header(w, "E5: collision recovery cost (Sections 2.2, 4.2)")
+	fmt.Fprintln(w, "  scenario              total-steps  extra-steps  acceptor-disk-writes")
+	for _, r := range mcpaxos.RunE5CollisionRecovery(p.seed) {
+		fmt.Fprintf(w, "  %-21s %-12d %-12d %d\n", r.Scenario, r.TotalSteps, r.ExtraSteps, r.AcceptorWrites)
 	}
-	fmt.Println("  (paper: restart +4, coordinated +2, uncoordinated +1, multicoord +2;")
-	fmt.Println("   fast collisions waste acceptor disk writes, multicoordinated do not)")
+	fmt.Fprintln(w, "  (paper: restart +4, coordinated +2, uncoordinated +1, multicoord +2;")
+	fmt.Fprintln(w, "   fast collisions waste acceptor disk writes, multicoordinated do not)")
+	return nil
 }
 
-func e6(seed int64, commands int) {
-	header("E6: disk writes (Sections 4.2, 4.4)")
-	r := mcpaxos.RunE6DiskWrites(seed, commands)
-	for _, p := range []mcpaxos.Protocol{mcpaxos.ProtocolClassic, mcpaxos.ProtocolMulti, mcpaxos.ProtocolFast} {
-		fmt.Printf("  %-18s %.3f writes/command/acceptor (paper: 1)\n",
-			p, r.WritesPerCommandPerAcceptor[p])
+func e6(w io.Writer, p params) error {
+	header(w, "E6: disk writes (Sections 4.2, 4.4)")
+	r := mcpaxos.RunE6DiskWrites(p.seed, p.commands)
+	for _, proto := range []mcpaxos.Protocol{mcpaxos.ProtocolClassic, mcpaxos.ProtocolMulti, mcpaxos.ProtocolFast} {
+		fmt.Fprintf(w, "  %-18s %.3f writes/command/acceptor (paper: 1)\n",
+			proto, r.WritesPerCommandPerAcceptor[proto])
 	}
-	fmt.Printf("  coordinator writes: %d (paper: coordinators need no stable storage)\n",
+	fmt.Fprintf(w, "  coordinator writes: %d (paper: coordinators need no stable storage)\n",
 		r.CoordinatorWrites)
-	fmt.Printf("  extra writes per acceptor recovery: %d (paper: 1 incarnation write)\n",
+	fmt.Fprintf(w, "  extra writes per acceptor recovery: %d (paper: 1 incarnation write)\n",
 		r.RecoveryWrites)
-	fmt.Println("  (the multicoordinated row is internal/core, the paper's algorithm on the")
-	fmt.Println("   simulator; E13's writes/inst/acc column is the same claim on the deployed engine)")
+	fmt.Fprintln(w, "  (the multicoordinated row is internal/core, the paper's algorithm on the")
+	fmt.Fprintln(w, "   simulator; E13's writes/inst/acc column is the same claim on the deployed engine)")
+	return nil
 }
 
-func e7(seed int64, trials int) {
-	header("E7: conflict-rate sweep, collisions & latency (Sections 2.3, 3.3, 4.5)")
-	fmt.Println("  rho   protocol          collisions  mean-steps  learned")
-	rows := mcpaxos.RunE7ConflictSweep(seed, []float64{0, 0.25, 0.5, 0.75, 1}, trials)
+func e7(w io.Writer, p params) error {
+	header(w, "E7: conflict-rate sweep, collisions & latency (Sections 2.3, 3.3, 4.5)")
+	fmt.Fprintln(w, "  rho   protocol          collisions  mean-steps  learned")
+	rows := mcpaxos.RunE7ConflictSweep(p.seed, []float64{0, 0.25, 0.5, 0.75, 1}, p.trials)
 	for _, r := range rows {
-		fmt.Printf("  %-5.2f %-17s %-11.2f %-11.2f %.2f\n",
+		fmt.Fprintf(w, "  %-5.2f %-17s %-11.2f %-11.2f %.2f\n",
 			r.ConflictRate, r.Protocol, r.CollisionFrac, r.MeanSteps, r.Learned)
 	}
+	return nil
 }
 
-func e8(seed int64) {
-	header("E8: decision gap after coordinator failure (Sections 1, 4.1)")
-	r := mcpaxos.RunE8LeaderFailover(seed)
-	fmt.Printf("  steady-state inter-learn gap:          %d\n", r.BaselineGap)
-	fmt.Printf("  classic Paxos, leader crash:           %d (detect + elect + phase 1)\n", r.ClassicGap)
-	fmt.Printf("  multicoordinated, 1 coordinator crash: %d (no round change needed)\n", r.MultiGap)
+func e8(w io.Writer, p params) error {
+	header(w, "E8: decision gap after coordinator failure (Sections 1, 4.1)")
+	r := mcpaxos.RunE8LeaderFailover(p.seed)
+	fmt.Fprintf(w, "  steady-state inter-learn gap:          %d\n", r.BaselineGap)
+	fmt.Fprintf(w, "  classic Paxos, leader crash:           %d (detect + elect + phase 1)\n", r.ClassicGap)
+	fmt.Fprintf(w, "  multicoordinated, 1 coordinator crash: %d (no round change needed)\n", r.MultiGap)
+	return nil
 }
 
-func e10(seed int64, commands int) {
-	header("E10: batching & pipelining throughput (heavy-traffic path)")
-	fmt.Printf("  %d commands through 1 leader, 3 acceptors\n", commands)
-	fmt.Println("  mode          commands  instances  msgs    writes  steps  msgs/cmd  writes/cmd")
-	for _, r := range mcpaxos.RunE10Throughput(seed, commands, []int{8, 32}, []int{8, 32}) {
-		fmt.Printf("  %-13s %-9d %-10d %-7d %-7d %-6d %-9.2f %.3f\n",
+func e9(w io.Writer, p params) error {
+	header(w, "E9: spontaneous ordering vs message reordering (Section 4.5)")
+	fmt.Fprintln(w, "  jitter  fast-collisions  fast-steps  mc-collisions  mc-steps")
+	for _, r := range mcpaxos.RunE9SpontaneousOrder(p.seed, []int64{0, 1, 2, 4, 8}, p.trials) {
+		fmt.Fprintf(w, "  %-7d %-16.2f %-11.2f %-14.2f %.2f\n",
+			r.Jitter, r.FastCollisionFrac, r.FastMeanSteps, r.MultiCollisionFrac, r.MultiMeanSteps)
+	}
+	return nil
+}
+
+func e10(w io.Writer, p params) error {
+	header(w, "E10: batching & pipelining throughput (heavy-traffic path)")
+	fmt.Fprintf(w, "  %d commands through 1 leader, 3 acceptors\n", p.commands)
+	fmt.Fprintln(w, "  mode          commands  instances  msgs    writes  steps  msgs/cmd  writes/cmd")
+	for _, r := range mcpaxos.RunE10Throughput(p.seed, p.commands, []int{8, 32}, []int{8, 32}) {
+		fmt.Fprintf(w, "  %-13s %-9d %-10d %-7d %-7d %-6d %-9.2f %.3f\n",
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.DiskWrites, r.SimSteps,
 			r.MsgsPerCmd, r.WritesPerCmd)
 	}
+	return nil
 }
 
-func e11(seed int64, commands int) {
-	header("E11: durable group commit (WAL-backed acceptors, physical fsyncs)")
-	fmt.Printf("  %d commands through 1 leader, 3 acceptors on on-disk WALs\n", commands)
-	rows, err := mcpaxos.RunE11GroupCommit(seed, commands, []int{8, 32})
+func e11(w io.Writer, p params) error {
+	header(w, "E11: durable group commit (WAL-backed acceptors, physical fsyncs)")
+	fmt.Fprintf(w, "  %d commands through 1 leader, 3 acceptors on on-disk WALs\n", p.commands)
+	rows, err := mcpaxos.RunE11GroupCommit(p.seed, p.commands, []int{8, 32})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "e11: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("  mode          commands  instances  writes  fsyncs  writes/cmd/acc  fsyncs/cmd/acc")
+	fmt.Fprintln(w, "  mode          commands  instances  writes  fsyncs  writes/cmd/acc  fsyncs/cmd/acc")
 	for _, r := range rows {
-		fmt.Printf("  %-13s %-9d %-10d %-7d %-7d %-15.3f %.3f\n",
+		fmt.Fprintf(w, "  %-13s %-9d %-10d %-7d %-7d %-15.3f %.3f\n",
 			r.Mode, r.Commands, r.Instances, r.Writes, r.Fsyncs,
 			r.WritesPerCmdPerAcc, r.FsyncsPerCmdPerAcc)
 	}
-	fmt.Println("  (paper Section 4.4: one write per accept; group commit amortizes the")
-	fmt.Println("   physical fsync across a whole batch, 1/B fsyncs per command at batch B)")
+	fmt.Fprintln(w, "  (paper Section 4.4: one write per accept; group commit amortizes the")
+	fmt.Fprintln(w, "   physical fsync across a whole batch, 1/B fsyncs per command at batch B)")
+	return nil
 }
 
-func e12(seed int64, commands int) {
-	header("E12: sharded instance space — N concurrent leaders over residue classes")
-	fmt.Printf("  %d commands, batch=8, pipeline window 4 per leader, 3 acceptors\n", commands)
-	rows, dur, err := mcpaxos.RunE12(seed, commands, []int{1, 2, 4, 8}, 8, 4)
+func e12(w io.Writer, p params) error {
+	header(w, "E12: sharded instance space — N concurrent leaders over residue classes")
+	fmt.Fprintf(w, "  %d commands, batch=8, pipeline window 4 per leader, 3 acceptors\n", p.commands)
+	rows, dur, err := mcpaxos.RunE12(p.seed, p.commands, []int{1, 2, 4, 8}, 8, 4)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "e12: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("  mode       commands  instances  msgs    steps  cmds/step  msgs/cmd  max-merge-buf")
+	fmt.Fprintln(w, "  mode       commands  instances  msgs    steps  cmds/step  msgs/cmd  max-merge-buf")
 	for _, r := range rows {
-		fmt.Printf("  %-10s %-9d %-10d %-7d %-6d %-10.2f %-9.2f %d\n",
+		fmt.Fprintf(w, "  %-10s %-9d %-10d %-7d %-6d %-10.2f %-9.2f %d\n",
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.SimSteps,
 			r.CmdsPerStep, r.MsgsPerCmd, r.MaxMergeBuffer)
 	}
-	fmt.Printf("  durable (shards=%d, WAL-backed): %.3f fsyncs/cmd/acc, per-shard accepts %v\n",
+	fmt.Fprintf(w, "  durable (shards=%d, WAL-backed): %.3f fsyncs/cmd/acc, per-shard accepts %v\n",
 		dur.Shards, dur.FsyncsPerCmdPerAcc, dur.ShardAccepts)
-	fmt.Println("  (leaders share nothing on the instance axis: fixed per-leader window,")
-	fmt.Println("   aggregate pipeline grows N×; learners merge by instance number)")
+	fmt.Fprintln(w, "  (leaders share nothing on the instance axis: fixed per-leader window,")
+	fmt.Fprintln(w, "   aggregate pipeline grows N×; learners merge by instance number)")
+	return nil
 }
 
-func e13(seed int64, commands int) {
-	header("E13: multicoordinated shards — coordinator quorums per shard (Section 4.1)")
-	fmt.Printf("  %d commands, 2 shards, batch=8, window 4, 3 acceptors; crash = kill one\n", commands)
-	fmt.Println("  coordinator per shard mid-stream")
-	fmt.Println("  mode       commands  instances  msgs    steps  msgs/cmd  round-changes  promotions  writes/inst/acc")
-	for _, r := range mcpaxos.RunE13(seed, commands, 8, 4) {
-		fmt.Printf("  %-10s %-9d %-10d %-7d %-6d %-9.2f %-14d %-11d %.2f\n",
+func e13(w io.Writer, p params) error {
+	header(w, "E13: multicoordinated shards — coordinator quorums per shard (Section 4.1)")
+	fmt.Fprintf(w, "  %d commands, 2 shards, batch=8, window 4, 3 acceptors; crash = kill one\n", p.commands)
+	fmt.Fprintln(w, "  coordinator per shard mid-stream")
+	fmt.Fprintln(w, "  mode       commands  instances  msgs    steps  msgs/cmd  round-changes  promotions  writes/inst/acc")
+	for _, r := range mcpaxos.RunE13(p.seed, p.commands, 8, 4) {
+		fmt.Fprintf(w, "  %-10s %-9d %-10d %-7d %-6d %-9.2f %-14d %-11d %.2f\n",
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.SimSteps,
 			r.MsgsPerCmd, r.RoundChanges, r.Promotions, r.WritesPerInstPerAcc)
 	}
-	fmt.Println("  (a coordinator quorum of ⌊c/2⌋+1 matching 2as accepts: under c=3 one crash")
-	fmt.Println("   per shard masks — same rounds, same order, zero round changes — where c=1")
-	fmt.Println("   pays a failover round change; the price is the ~c× 2a/propose fan-out, not")
-	fmt.Println("   a disk write: an acceptor writes once per accepted instance at any c)")
+	fmt.Fprintln(w, "  (a coordinator quorum of ⌊c/2⌋+1 matching 2as accepts: under c=3 one crash")
+	fmt.Fprintln(w, "   per shard masks — same rounds, same order, zero round changes — where c=1")
+	fmt.Fprintln(w, "   pays a failover round change; the price is the ~c× 2a/propose fan-out, not")
+	fmt.Fprintln(w, "   a disk write: an acceptor writes once per accepted instance at any c)")
+	return nil
 }
 
-func e14(seed int64, seeds int) {
-	header("E14: nemesis — adversarial network + linearizability check (simulator)")
-	fmt.Printf("  %d randomized seeds; each: 4 closed-loop clients × 24 mixed get/set/del ops,\n", seeds)
-	fmt.Println("  2 shards × group of 3, 3 acceptors F=1, under partitions (incl. isolated")
-	fmt.Println("  coordinator quorums), cuts, crashes, loss bursts + a background loss floor,")
-	fmt.Println("  dup storms, reorder windows and clock-skew windows")
-	rows := mcpaxos.RunE14(seed, seeds, 4, 24)
+// e14 fails when any seed's run broke a checked claim; its FAIL rows say why.
+func e14(w io.Writer, p params) error {
+	header(w, "E14: nemesis — adversarial network + linearizability check (simulator)")
+	fmt.Fprintf(w, "  %d randomized seeds; each: 4 closed-loop clients × 24 mixed get/set/del ops,\n", p.seeds)
+	fmt.Fprintln(w, "  2 shards × group of 3, 3 acceptors F=1, under partitions (incl. isolated")
+	fmt.Fprintln(w, "  coordinator quorums), cuts, crashes, loss bursts + a background loss floor,")
+	fmt.Fprintln(w, "  dup storms, reorder windows and clock-skew windows")
+	rows := mcpaxos.RunE14(p.seed, p.seeds, 4, 24)
 	failed := 0
 	var msgs, dropped, duplicated, skewed uint64
 	for _, r := range rows {
 		if !r.Ok {
 			failed++
-			fmt.Printf("  FAIL seed %d: %s\n", r.Seed, r.Failure)
+			fmt.Fprintf(w, "  FAIL seed %d: %s\n", r.Seed, r.Failure)
 		}
 		msgs += r.Msgs
 		dropped += r.Net.Dropped
 		duplicated += r.Net.Duplicated
 		skewed += r.Net.Skewed
 	}
-	fmt.Printf("  %d/%d seeds clean; %d msgs total, %d dropped, %d duplicated, %d timers skewed\n",
+	fmt.Fprintf(w, "  %d/%d seeds clean; %d msgs total, %d dropped, %d duplicated, %d timers skewed\n",
 		len(rows)-failed, len(rows), msgs, dropped, duplicated, skewed)
-	fmt.Println("  (every run: all ops resolve, learners agree, merged order duplicate-free,")
-	fmt.Println("   history linearizable — the paper's safety claim under Section 2.1.1 faults)")
+	fmt.Fprintln(w, "  (every run: all ops resolve, learners agree, merged order duplicate-free,")
+	fmt.Fprintln(w, "   history linearizable — the paper's safety claim under Section 2.1.1 faults)")
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d seeds failed", failed, len(rows))
 	}
+	return nil
 }
 
-func nemesisExp(seed int64, seeds, liveSeeds int) {
-	e14(seed, seeds)
-	header("NEMESIS LIVE: the same harness over loopback TCP (wall clock)")
-	if seeds < liveSeeds {
-		liveSeeds = seeds
+func nemesisExp(p params, liveSeeds int) {
+	if err := e14(os.Stdout, p); err != nil {
+		fmt.Fprintf(os.Stderr, "e14: %v\n", err)
+		os.Exit(1)
+	}
+	header(os.Stdout, "NEMESIS LIVE: the same harness over loopback TCP (wall clock)")
+	if p.seeds < liveSeeds {
+		liveSeeds = p.seeds
 	}
 	for i := 0; i < liveSeeds; i++ {
 		dir, err := os.MkdirTemp("", "nemesis-wal-*")
@@ -305,7 +304,7 @@ func nemesisExp(seed int64, seeds, liveSeeds int) {
 			fmt.Fprintf(os.Stderr, "nemesis: %v\n", err)
 			os.Exit(1)
 		}
-		r, err := mcpaxos.RunLiveNemesis(seed+int64(i), 3, 8, dir)
+		r, err := mcpaxos.RunLiveNemesis(p.seed+int64(i), 3, 8, dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nemesis seed %d: %v\n", r.Seed, err)
@@ -335,7 +334,7 @@ func nemesisExp(seed int64, seeds, liveSeeds int) {
 }
 
 func e16(commands, snapEvery int) {
-	header("E16: snapshot & log compaction — bounded storage under a long write stream")
+	header(os.Stdout, "E16: snapshot & log compaction — bounded storage under a long write stream")
 	fmt.Printf("  %d commands, 2 shards × group of 3, 3 WAL-backed acceptors; baseline vs\n", commands)
 	fmt.Printf("  SnapshotEvery=%d (retain %d); windowed disk/memory samples\n", snapEvery, snapEvery/2)
 	runArm := func(every int) mcpaxos.E16Run {
@@ -374,7 +373,7 @@ func e16(commands, snapEvery int) {
 }
 
 func live(shards, coords, commands, batchMax int) {
-	header("LIVE: batched sharded multicoordinated stack over loopback TCP (wall clock)")
+	header(os.Stdout, "LIVE: batched sharded multicoordinated stack over loopback TCP (wall clock)")
 	fmt.Printf("  %d commands, %d shards × group of %d, 3 acceptors, batch=%d\n",
 		commands, shards, coords, batchMax)
 	r, err := mcpaxos.RunLiveLatency(shards, coords, 3, commands, batchMax)
@@ -394,7 +393,7 @@ func live(shards, coords, commands, batchMax int) {
 }
 
 func e15(shards, coords, maxClients, perClient, workers int) {
-	header("E15: multi-client scaling — N client processes, server-side sequencing")
+	header(os.Stdout, "E15: multi-client scaling — N client processes, server-side sequencing")
 	fmt.Printf("  %d commands per client, %d closed-loop workers each, %d shards × group of %d,\n",
 		perClient, workers, shards, coords)
 	fmt.Println("  3 acceptors; fresh deployment per point; loopback TCP, wall clock")
@@ -442,13 +441,4 @@ func e15(shards, coords, maxClients, perClient, workers int) {
 	fmt.Println("  (clients tag commands (ClientID, ReqID) and never sequence; the shard's")
 	fmt.Println("   primary coordinator stamps Seq at ingress and shares the stamp with its")
 	fmt.Println("   group, so independent client processes feed one multicoordinated stream)")
-}
-
-func e9(seed int64, trials int) {
-	header("E9: spontaneous ordering vs message reordering (Section 4.5)")
-	fmt.Println("  jitter  fast-collisions  fast-steps  mc-collisions  mc-steps")
-	for _, r := range mcpaxos.RunE9SpontaneousOrder(seed, []int64{0, 1, 2, 4, 8}, trials) {
-		fmt.Printf("  %-7d %-16.2f %-11.2f %-14.2f %.2f\n",
-			r.Jitter, r.FastCollisionFrac, r.FastMeanSteps, r.MultiCollisionFrac, r.MultiMeanSteps)
-	}
 }

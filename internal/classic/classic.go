@@ -13,10 +13,11 @@
 // stable runs each command costs exactly three message delays at any c:
 // propose → 2a → 2b.
 //
-// Layout: classic.go declares the deployment (Config); acceptor.go,
-// learner.go and proposer.go are the other agents, and commit.go is the
-// acceptor's one durable write per delivery burst; cluster.go hosts them all
-// on the simulator. The Coordinator is one type split by concern:
+// Layout: classic.go declares the deployment (Config) and the command
+// vocabulary every role shares (CmdID, Noop); acceptor.go, learner.go and
+// proposer.go are the other agents, and commit.go is the acceptor's one
+// durable write per delivery burst; cluster.go hosts them all on the
+// simulator. The Coordinator is one type split by concern:
 // coordinator.go holds its state, message and timer dispatch and shard
 // geometry; rounds.go runs phase 1, the stale-chase and repair (Sections
 // 2.1.2, 4.3, 4.4); window.go forwards assigned instances as 2as within the
@@ -161,6 +162,40 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// The command vocabulary every role of a deployment shares: how a command ID
+// names its issuer, and the no-op that fills a slot nobody claimed.
+
+// ClientShift positions the issuing client's node ID inside a command ID,
+// below batch.IDBase: id = client<<ClientShift | req, req being the client's
+// own request counter. Node IDs stay below 1<<23, so the fields never meet.
+const ClientShift = 40
+
+// CmdID is the command ID client stamps on its req-th request.
+func CmdID(client msg.NodeID, req uint64) uint64 { return uint64(client)<<ClientShift | req }
+
+// SplitCmdID recovers the issuing client and request counter from a command
+// ID. Client 0 means the ID was not stamped by a client — simulator command
+// IDs never are: no reply is owed for it, and it names no ingress request.
+func SplitCmdID(id uint64) (client msg.NodeID, req uint64) {
+	return msg.NodeID(id >> ClientShift & (1<<23 - 1)), id & (1<<ClientShift - 1)
+}
+
+// noopKey is the fill no-op's key, reserved: no client may write it.
+const noopKey = "\x00noop"
+
+// Noop is the canonical no-op for instance inst, what a group stamps into a
+// slot the merged order would otherwise stall on (msg.Fill: the Mencius
+// skip, riding the group's ordinary crash-masked path). Every member derives
+// the identical command, so two fills never collide; its ID is the instance,
+// below the client bits, so no reply is owed for it.
+func Noop(inst uint64) cstruct.Cmd {
+	return cstruct.Cmd{ID: inst, Key: noopKey, Op: cstruct.OpWrite}
+}
+
+// IsNoop reports whether c is a fill no-op: it occupies its instance but
+// never reaches a state machine, and any other value beats it (prefer).
+func IsNoop(c cstruct.Cmd) bool { return c.Key == noopKey }
 
 // single-value helpers shared by the single-value protocols.
 

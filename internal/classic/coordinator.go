@@ -112,18 +112,6 @@ type Coordinator struct {
 	// either.
 	IngressBatchMax  int
 	IngressBatchWait int64
-	// FillCmd, when set, constructs the canonical no-op for an instance the
-	// group is asked to fill (msg.Fill): every member derives the identical
-	// command, so a fill cannot collide with a concurrent fill. Nil
-	// disables filling.
-	FillCmd func(inst uint64) cstruct.Cmd
-	// ReqOf, when set, derives the ingress idempotency key a command's ID
-	// carries implicitly (hosts with a structured command-ID scheme). It
-	// lets a member index the constituents of a peer's batch stamp share —
-	// which goes untagged on the wire — so a client retry arriving after a
-	// failover maps to the already-stamped slot instead of restamping the
-	// command at a wasted second instance.
-	ReqOf func(cmd cstruct.Cmd) (client msg.NodeID, req uint64, ok bool)
 
 	// stamper is the member this one believes is stamping the shard's ingress:
 	// itself after a stamp of its own, otherwise the peer whose fresh stamp

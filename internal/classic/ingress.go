@@ -227,19 +227,18 @@ func (c *Coordinator) recordReq(k reqKey, inst uint64) {
 	delete(c.relayed, k)
 }
 
-// indexValue records the ingress idempotency keys implied by a stamped
-// value's constituents (batch or lone command), so retried submissions map
-// to the slot no matter which group member they reach.
+// indexValue records the ingress idempotency keys a stamped value's
+// constituents (batch or lone command) carry in their command IDs (CmdID),
+// so retried submissions map to the slot no matter which group member they
+// reach — a peer's batch share goes untagged on the wire, and without this a
+// client retry after a failover would be restamped at a wasted second slot.
 func (c *Coordinator) indexValue(inst uint64, val cstruct.Cmd) {
-	if c.ReqOf == nil {
-		return
-	}
 	inner, isBatch := batch.UnpackMeta(val)
 	if !isBatch {
 		inner = []cstruct.Cmd{val}
 	}
 	for _, cc := range inner {
-		if client, req, ok := c.ReqOf(cc); ok {
+		if client, req := SplitCmdID(cc.ID); client != 0 {
 			c.recordReq(reqKey{client, req}, inst)
 		}
 	}
@@ -364,9 +363,6 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 		c.forward(mm.Inst)
 		return
 	}
-	if c.FillCmd == nil {
-		return
-	}
 	// Fill every local hole from the stalled instance through this member's
 	// frontier, not just the one: a crashed stamper may have orphaned many
 	// slots — or an idle shard never claimed the slots its peers' progress
@@ -378,7 +374,7 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 			continue
 		}
 		c.claim(inst / c.stride())
-		c.bind(inst, c.FillCmd(inst))
+		c.bind(inst, Noop(inst))
 		c.filled++
 		c.trySend(inst)
 	}
@@ -394,7 +390,7 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 // below the ingress counter (a dead stamper's orphans stay onFill's job), and
 // a second learner's hint finds nothing left to do.
 func (c *Coordinator) skipThrough(inst uint64) {
-	if c.FillCmd == nil || !c.leading || !c.owns(inst) || !c.stamps() {
+	if !c.leading || !c.owns(inst) || !c.stamps() {
 		return
 	}
 	if c.ing != nil {
@@ -405,7 +401,7 @@ func (c *Coordinator) skipThrough(inst uint64) {
 		if at > inst {
 			return
 		}
-		c.stampAt(at, c.FillCmd(at), nil)
+		c.stampAt(at, Noop(at), nil)
 		c.filled++
 	}
 }

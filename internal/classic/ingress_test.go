@@ -260,19 +260,21 @@ func (discardEnv) Send(msg.NodeID, msg.Message) {}
 func (discardEnv) SetTimer(int64, int)          {}
 
 // BenchmarkIngressStampBatch prices one size-filled ingress batch of eight at
-// a stamping member of a group of three whose host derives request keys from
-// command IDs (as deploy does): buffer, pack, stamp, index, forward, share.
+// a stamping member of a group of three, over client-stamped command IDs
+// (CmdID, as a deployment's clients stamp them): buffer, pack, stamp, index,
+// forward, share.
 func BenchmarkIngressStampBatch(b *testing.B) {
 	cfg := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: 3}).Cfg
 	co := NewCoordinator(discardEnv{}, cfg)
 	co.IngressBatchMax = ingMax
-	co.ReqOf = func(c cstruct.Cmd) (msg.NodeID, uint64, bool) { return 7, c.ID, true }
 	co.leading = true
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
 		for range ingMax {
-			submit(co, i)
+			sub := ingressSub(i)
+			sub.Cmd.ID = CmdID(sub.Client, sub.Req)
+			deliver(co, sub.Client, sub)
 			i++
 		}
 		co.OnMessage(300, msg.P2b{Inst: co.seqInst(uint64(i/ingMax - 1))})

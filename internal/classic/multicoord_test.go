@@ -334,12 +334,12 @@ func TestMulticoordLateShareStillIndexesRequests(t *testing.T) {
 	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 67, CoordsPerShard: 3})
 	cl.LeadAll()
 	co := cl.Coords[2]
-	co.ReqOf = func(c cstruct.Cmd) (msg.NodeID, uint64, bool) { return 7, c.ID, true }
-	batched := batch.Pack([]cstruct.Cmd{mcCmd(11), mcCmd(12)})
+	req := func(n uint64) cstruct.Cmd { return mcCmd(CmdID(7, n)) }
+	batched := batch.Pack([]cstruct.Cmd{req(11), req(12)})
 
 	deliver(co, cl.Cfg.Learners[0], msg.P2b{Inst: 0})
 	deliver(co, cl.Cfg.Coords[0], msg.Propose{Cmd: batched, Seq: 0, HasSeq: true})
-	deliver(co, 7, msg.Propose{Cmd: mcCmd(12), Client: 7, Req: 12})
+	deliver(co, 7, msg.Propose{Cmd: req(12), Client: 7, Req: 12})
 	cl.Sim.Run()
 
 	if stamped, _, _ := co.IngressCounts(); stamped != 0 {

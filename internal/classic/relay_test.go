@@ -15,22 +15,18 @@ import (
 // Submissions are tagged (Client, Req) and travel through the simulated
 // network from client IDs the cluster does not host.
 
-// relayCmd is client's req-th command; its ID carries both, the way deploy's
-// command IDs do, so members can index the constituents of a batch share.
+// relayCmd is client's req-th command; its ID carries both (CmdID), so
+// members can index the constituents of a batch share.
 func relayCmd(client msg.NodeID, req uint64) cstruct.Cmd {
-	return cstruct.Cmd{ID: uint64(client)<<32 | req, Key: "k", Op: cstruct.OpWrite}
+	return cstruct.Cmd{ID: CmdID(client, req), Key: "k", Op: cstruct.OpWrite}
 }
 
-// relayCluster is a led group of three whose members batch at ingress and
-// derive request keys from command IDs.
+// relayCluster is a led group of three whose members batch at ingress.
 func relayCluster(retryEvery int64) *Cluster {
 	cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 71, MaxInflight: 8,
 		CoordsPerShard: 3, RetryEvery: retryEvery})
 	for _, co := range cl.Coords {
 		co.IngressBatchMax, co.IngressBatchWait = ingMax, ingWait
-		co.ReqOf = func(c cstruct.Cmd) (msg.NodeID, uint64, bool) {
-			return msg.NodeID(c.ID >> 32), c.ID & (1<<32 - 1), true
-		}
 	}
 	cl.LeadAll()
 	return cl
@@ -239,7 +235,7 @@ func TestRelayRepairedMemberDoesNotStampBesideTheStamper(t *testing.T) {
 
 	cl.Restart(cl.Cfg.Coords[0])
 	back := cl.Coords[0]
-	back.IngressBatchMax, back.IngressBatchWait, back.ReqOf = ingMax, ingWait, cl.Coords[1].ReqOf
+	back.IngressBatchMax, back.IngressBatchWait = ingMax, ingWait
 	cl.Sim.Run()
 	if !back.Leading() || back.ingressNext != 0 {
 		t.Fatalf("restarted member: leading=%v, ingress counter %d; want the live round rejoined and no stamp share seen",

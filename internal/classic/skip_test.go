@@ -3,18 +3,14 @@ package classic
 import (
 	"testing"
 
-	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 )
 
 // The skip hint (msg.Fill with Idle set) on the simulator: two shards, the
 // hint always addressed to shard 1, whose instances are 1, 3, 5, 7, …
 
-// skipNoop is the canonical no-op the test clusters fill with.
-func skipNoop(inst uint64) cstruct.Cmd { return cstruct.Cmd{ID: 1<<40 | inst, Key: "noop"} }
-
 // skipCluster builds two shards served by groups of c — plus one standby each
-// at c = 1 — whose members batch at ingress and can fill. It returns shard 1's
+// at c = 1 — whose members batch at ingress. It returns shard 1's
 // members, primary first.
 func skipCluster(c int, lead bool) (*Cluster, []*Coordinator) {
 	o := ClusterOpts{NAcceptors: 3, F: 1, Seed: 5, MaxInflight: 8, Shards: 2, CoordsPerShard: c}
@@ -25,7 +21,6 @@ func skipCluster(c int, lead bool) (*Cluster, []*Coordinator) {
 	var shard1 []*Coordinator
 	for _, co := range cl.Coords {
 		co.IngressBatchMax, co.IngressBatchWait = ingMax, ingWait
-		co.FillCmd = skipNoop
 		if co.shard == 1 {
 			shard1 = append(shard1, co)
 		}
@@ -59,7 +54,7 @@ func TestSkipHintStampsNoopsThroughNamedSlot(t *testing.T) {
 		}
 		cl.Sim.Run()
 		for _, inst := range []uint64{1, 3, 5, 7} {
-			if got, ok := cl.LearnedCmds[inst]; !ok || !got.Equal(skipNoop(inst)) {
+			if got, ok := cl.LearnedCmds[inst]; !ok || !got.Equal(Noop(inst)) {
 				t.Errorf("instance %d: learned %v/%v, want the canonical no-op", inst, got, ok)
 			}
 		}
@@ -125,7 +120,7 @@ func TestSkipHintFlushesBufferedCommandsFirst(t *testing.T) {
 			t.Errorf("instance 3 carries %d commands, want the 2 that were buffered", got)
 		}
 		for _, inst := range []uint64{5, 7} {
-			if got := co.proposals[inst]; !got.Equal(skipNoop(inst)) {
+			if got := co.proposals[inst]; !got.Equal(Noop(inst)) {
 				t.Errorf("instance %d holds %v, want the no-op", inst, got)
 			}
 		}

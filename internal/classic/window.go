@@ -103,7 +103,7 @@ func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
 // the winner but converges through a fresh round instead of re-sending
 // within this one. It reports whether the incoming value was adopted.
 func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (adopted bool) {
-	if !c.prefer(inst, incoming, existing) {
+	if !prefer(incoming, existing) {
 		// Our value wins: re-share it so the peer adopts — it may have filled
 		// a no-op (or stamped a loser) because it never saw our stamp share.
 		c.shareStamp(inst, existing, 0, 0)
@@ -118,14 +118,11 @@ func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (ado
 	return true
 }
 
-// prefer reports whether value a beats value b for an instance under the
-// group's fixed preference order.
-func (c *Coordinator) prefer(inst uint64, a, b cstruct.Cmd) bool {
-	if c.FillCmd != nil {
-		noop := c.FillCmd(inst)
-		if an, bn := a.Equal(noop), b.Equal(noop); an != bn {
-			return bn // the real value beats the fill no-op
-		}
+// prefer reports whether value a beats value b under the group's fixed
+// preference order.
+func prefer(a, b cstruct.Cmd) bool {
+	if an, bn := IsNoop(a), IsNoop(b); an != bn {
+		return bn // the real value beats the fill no-op
 	}
 	return a.ID < b.ID
 }

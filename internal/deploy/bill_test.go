@@ -84,13 +84,13 @@ func billCluster(t *testing.T) (s *sim.Sim, coords []*classic.Coordinator, learn
 // billSubmit sends client 1's first write to the shard's primary.
 func billSubmit(s *sim.Sim) {
 	client, primary := msg.NodeID(1), msg.NodeID(LocalSpec(1, 3, 3, 2, 1).Coords[0].ID)
-	s.Env(client).Send(primary, msg.Propose{Cmd: smr.SetCmd(cmdID(client, 0), "k", "v"), Client: client})
+	s.Env(client).Send(primary, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 0), "k", "v"), Client: client})
 }
 
 func wantApplied(t *testing.T, learners []*learner, coords []*classic.Coordinator, n int) {
 	t.Helper()
 	for _, l := range learners {
-		if got := len(l.order); got != n {
+		if got := l.rep.Applied(); got != n {
 			t.Errorf("learner %v applied %d commands, want %d", l.env.ID(), got, n)
 		}
 	}

@@ -39,6 +39,12 @@ func (c *Call) Result() (string, error) {
 	return c.result, c.err
 }
 
+// resolve settles the call with its result or error. It runs once per call.
+func (c *Call) resolve(result string, err error) {
+	c.result, c.err, c.end = result, err, time.Now()
+	close(c.done)
+}
+
 // Latency reports submission-to-reply wall time; zero until resolved.
 func (c *Call) Latency() time.Duration {
 	select {
@@ -128,10 +134,10 @@ func Dial(spec ClusterSpec, id uint32) (*Client, error) {
 // stamp is atomic and submission travels through the client's mailbox. A
 // zero cmd.ID is stamped with the client's identity and submission counter —
 // required for reply correlation and retry idempotency; callers supplying
-// their own IDs must use the same scheme (see cmdID) or forgo replies.
+// their own IDs must use the same scheme (classic.CmdID) or forgo replies.
 func (c *Client) Propose(cmd cstruct.Cmd) *Call {
 	if cmd.ID == 0 {
-		cmd.ID = cmdID(c.id, c.h.seq.Add(1)-1)
+		cmd.ID = classic.CmdID(c.id, c.h.seq.Add(1)-1)
 	}
 	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
 	c.mu.RLock()
@@ -139,8 +145,7 @@ func (c *Client) Propose(cmd cstruct.Cmd) *Call {
 	if c.closed {
 		// The mailbox is (or is about to be) gone: resolve the call now
 		// instead of handing back one that can never complete.
-		call.err, call.end = fmt.Errorf("deploy: client closed"), time.Now()
-		close(call.done)
+		call.resolve("", fmt.Errorf("deploy: client closed"))
 		return call
 	}
 	c.agent.Inject(c.id, proposeMsg{Propose: msg.Propose{Cmd: cmd}, call: call})
@@ -216,11 +221,12 @@ type proposeMsg struct {
 	call *Call
 }
 
-// pendingCmd is one unresolved proposal's retry state. The client retries
-// the identical tagged submission; the ingress idempotency key (client, req)
-// maps every re-receipt to the already-stamped slot, so retrying is safe no
-// matter how many group members see it.
+// pendingCmd is one unresolved proposal: its call and its retry state. The
+// client retries the identical tagged submission; the ingress idempotency key
+// (client, req) maps every re-receipt to the already-stamped slot, so
+// retrying is safe no matter how many group members see it.
 type pendingCmd struct {
+	call  *Call
 	shard int
 	req   uint64
 	cmd   cstruct.Cmd
@@ -247,9 +253,8 @@ type clientHandler struct {
 	// the caller's goroutine — any number of them concurrently.
 	seq atomic.Uint64
 
-	calls map[uint64]*Call       // command ID → call
-	pend  map[uint64]*pendingCmd // command ID → retry state
-	rr    uint64                 // shard rotation cursor
+	pend map[uint64]*pendingCmd // command ID → the unresolved proposal
+	rr   uint64                 // shard rotation cursor
 
 	// coords is ShardCoords(shard) per shard: the members a command of the
 	// shard may be sent to, the shard's primary first.
@@ -280,7 +285,6 @@ var _ node.TimerHandler = (*clientHandler)(nil)
 func newClientHandler(env node.Env, cfg classic.Config, spec ClusterSpec) *clientHandler {
 	h := &clientHandler{
 		env: env, cfg: cfg, spec: spec,
-		calls:        make(map[uint64]*Call),
 		pend:         make(map[uint64]*pendingCmd),
 		pref:         make([]int, cfg.NShards()),
 		moved:        make([]int, cfg.NShards()),
@@ -297,7 +301,7 @@ func newClientHandler(env node.Env, cfg classic.Config, spec ClusterSpec) *clien
 // goroutine (test convenience; the Client submits via proposeMsg).
 func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
 	if cmd.ID == 0 {
-		cmd.ID = cmdID(h.env.ID(), h.seq.Add(1)-1)
+		cmd.ID = classic.CmdID(h.env.ID(), h.seq.Add(1)-1)
 	}
 	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
 	h.proposeCall(cmd, call)
@@ -307,32 +311,31 @@ func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
 // proposeCall registers one stamped command and sends its initial tagged,
 // unsequenced proposal.
 func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
-	if cmd.Key == noopKey {
-		// The skip key is the deploy layer's own vocabulary: a user command
-		// carrying it would be silently discarded at apply time.
-		call.err, call.end = fmt.Errorf("deploy: key %q is reserved for fill no-ops", noopKey), time.Now()
-		close(call.done)
+	if classic.IsNoop(cmd) {
+		// The fill no-op's key is the protocol's own vocabulary: a user
+		// command carrying it would be silently discarded at apply time.
+		call.resolve("", fmt.Errorf("deploy: key %q is reserved for fill no-ops", cmd.Key))
 		return
 	}
-	if _, dup := h.calls[cmd.ID]; dup {
+	if _, dup := h.pend[cmd.ID]; dup {
 		// A duplicate ID cannot be correlated independently: fail the new
 		// call rather than strand it (stamped IDs never collide; only
 		// caller-supplied IDs can).
-		call.err, call.end = fmt.Errorf("deploy: duplicate command ID %d in flight", cmd.ID), time.Now()
-		close(call.done)
+		call.resolve("", fmt.Errorf("deploy: duplicate command ID %d in flight", cmd.ID))
 		return
 	}
-	h.calls[cmd.ID] = call
 	h.stats.Proposed++
 	shard := int(h.rr % uint64(h.cfg.NShards()))
 	h.rr++
+	// The request counter is the sub-client part of the command ID: for
+	// stamped IDs that is exactly the submission counter, unique per client,
+	// making (client, req) a sound ingress idempotency key.
+	_, req := classic.SplitCmdID(cmd.ID)
 	p := &pendingCmd{
+		call:  call,
 		shard: shard,
-		// The request counter is the sub-client part of the command ID: for
-		// stamped IDs that is exactly the submission counter, unique per
-		// client, making (client, req) a sound ingress idempotency key.
-		req: cmd.ID & (1<<clientShift - 1),
-		cmd: cmd,
+		req:   req,
+		cmd:   cmd,
 		// Every submission is funnelled to one member per shard: one stamper
 		// at a time keeps concurrent submissions from colliding over sequence
 		// slots, and stamping is cheap enough not to need the Section 4.1
@@ -404,17 +407,14 @@ func (h *clientHandler) OnMessage(_ msg.NodeID, m msg.Message) {
 // transmission went to. If that is not the shard's preference the command had
 // to fail over to be answered, and the preference follows it.
 func (h *clientHandler) onReply(mm msg.Reply) {
-	call, ok := h.calls[mm.CmdID]
+	p, ok := h.pend[mm.CmdID]
 	if !ok {
 		h.stats.DupReplies++
 		return
 	}
-	p := h.pend[mm.CmdID]
-	delete(h.calls, mm.CmdID)
 	delete(h.pend, mm.CmdID)
 	h.stats.Resolved++
-	call.result, call.end = mm.Result, time.Now()
-	close(call.done)
+	p.call.resolve(mm.Result, nil)
 	h.moved[p.shard] = 0
 	if p.member != h.pref[p.shard] {
 		h.prefer(p.shard, p.member)
@@ -461,28 +461,19 @@ func (h *clientHandler) OnTimer(tag int) {
 
 // failCmd resolves one command's call with err and stops retrying it.
 func (h *clientHandler) failCmd(id uint64, err error) {
-	delete(h.pend, id)
-	call, ok := h.calls[id]
+	p, ok := h.pend[id]
 	if !ok {
 		return
 	}
-	delete(h.calls, id)
+	delete(h.pend, id)
 	h.stats.Failed++
-	call.err, call.end = err, time.Now()
-	close(call.done)
+	p.call.resolve("", err)
 }
 
 // failAll fails every in-flight call (client shutdown).
 func (h *clientHandler) failAll(err error) {
-	for id, call := range h.calls {
-		delete(h.calls, id)
-		delete(h.pend, id)
-		h.stats.Failed++
-		call.err, call.end = err, time.Now()
-		close(call.done)
-	}
 	for id := range h.pend {
-		delete(h.pend, id)
+		h.failCmd(id, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
@@ -234,9 +235,8 @@ func TestClientDuplicateReplySuppression(t *testing.T) {
 	if h.stats.DupReplies != 1 || h.stats.Resolved != 1 {
 		t.Fatalf("stats = %+v, want 1 resolved, 1 duplicate", h.stats)
 	}
-	if len(h.pend) != 0 || len(h.calls) != 0 {
-		t.Fatalf("client retained state after settlement: pend=%d calls=%d",
-			len(h.pend), len(h.calls))
+	if len(h.pend) != 0 {
+		t.Fatalf("client retained %d pending commands after settlement", len(h.pend))
 	}
 }
 
@@ -261,8 +261,8 @@ func TestClientRequestTimeout(t *testing.T) {
 	if h.stats.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", h.stats.Failed)
 	}
-	if len(h.calls) != 0 || len(h.pend) != 0 {
-		t.Fatalf("failed call left state behind: calls=%d pend=%d", len(h.calls), len(h.pend))
+	if len(h.pend) != 0 {
+		t.Fatalf("failed call left %d pending commands behind", len(h.pend))
 	}
 	// No zombie retransmissions after the failure.
 	before := h.stats.Retries
@@ -288,7 +288,7 @@ func TestClientStandbyRotationAtC1(t *testing.T) {
 	}
 	env := &fakeEnv{id: msg.NodeID(spec.Clients[0].ID)}
 	h := newClientHandler(env, cfg, spec)
-	h.propose(cstruct.Cmd{ID: cmdID(1, 0), Key: "k", Op: cstruct.OpWrite}) // shard 0: first round-robin pick
+	h.propose(cstruct.Cmd{ID: classic.CmdID(1, 0), Key: "k", Op: cstruct.OpWrite}) // shard 0: first round-robin pick
 	coords := cfg.ShardCoords(0)
 	if got := proposeTargets(env.sent, 0); !equalIDs(got, coords[:1]) {
 		t.Fatalf("first send targeted %v, want the primary %v", got, coords[:1])

@@ -66,7 +66,7 @@ func (r *Replica) Applied(id uint32) (n int, err error) {
 // Order returns the merged total order applied by learner id so far, as
 // command IDs (batches unpacked).
 func (r *Replica) Order(id uint32) (order []uint64, err error) {
-	err = r.read(id, func(l *learner) { order = append([]uint64(nil), l.order...) })
+	err = r.read(id, func(l *learner) { order = append([]uint64(nil), l.rep.Order()...) })
 	return
 }
 

@@ -15,12 +15,14 @@ import (
 
 // learner is one learner node of a deployment: the protocol learner counting
 // 2b quorums, the merger restoring the total order across shards, the replica
-// state machine with its merged apply order (inner command IDs, batches
-// unpacked), and the recovery concerns around them — replaying cached replies
-// for retransmitted proposals, serving peer catch-up pulls from the retained
-// decided prefix, driving its own catch-up fetcher, and snapshotting,
-// watermark gossip and truncation. It knows only its node.Env, so any host
-// (the TCP endpoint, a test's fake) can run it.
+// state machine, and the recovery concerns around them — replaying cached
+// replies for retransmitted proposals, serving peer catch-up pulls from the
+// retained decided prefix, driving its own catch-up fetcher, and
+// snapshotting, watermark gossip and truncation. The replica is the one owner
+// of the merged apply order (command IDs, batches unpacked); the learner's own
+// copy of decided commands is the retained log, which truncation bounds. It
+// knows only its node.Env, so any host (the TCP endpoint, a test's fake) can
+// run it.
 //
 // Two disciplines guard it. l and fetch belong to the mailbox goroutine:
 // OnMessage and OnTimer run there, and anything else reaches them through
@@ -50,7 +52,6 @@ type learner struct {
 	mu     sync.Mutex
 	rep    *smr.Replica
 	merger *smr.Merger
-	order  []uint64
 	// log retains the raw delivered command of every instance (log[i] is
 	// instance logBase+i, noop padding and packed batches included): the
 	// decided prefix peers pull during learner catch-up.
@@ -94,7 +95,7 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 	l := &learner{
 		env: env, cfg: cfg, every: spec.SnapshotEvery, retain: spec.retain(), snaps: snaps,
 		rep:      smr.NewReplica(smr.NewKVStore()),
-		replay:   smr.NewReplyCache(replyCacheSize, clientShift),
+		replay:   smr.NewReplyCache(replyCacheSize, classic.ClientShift),
 		peerDone: make(map[msg.NodeID]uint64),
 	}
 	for _, p := range cfg.Learners {
@@ -151,7 +152,7 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 	}
 	for _, c := range inner {
 		res, dup := "noop", false
-		if c.Key != noopKey {
+		if !classic.IsNoop(c) {
 			// Fill skips occupy an instance but never reach the state
 			// machine or the apply order. A command seen before — its first
 			// stamp decided after all and the client's retry was restamped
@@ -159,11 +160,8 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 			// re-applying or re-entering the merged order.
 			_, dup = l.rep.Result(c.ID)
 			res = l.rep.ApplyOnce(c)
-			if !dup {
-				l.order = append(l.order, c.ID)
-			}
 		}
-		if to := replyTo(c.ID); to != 0 {
+		if to, _ := classic.SplitCmdID(c.ID); to != 0 {
 			if !dup {
 				l.replay.Put(c.ID, inst, res)
 			}
@@ -295,16 +293,11 @@ func (l *learner) cutSnapshot(fr uint64) {
 	if !ok {
 		return
 	}
-	ex := l.replay.Export()
-	replies := make([]snapshot.Reply, len(ex))
-	for i, e := range ex {
-		replies[i] = snapshot.Reply{CmdID: e.CmdID, Inst: e.Inst, Result: e.Result}
-	}
 	blob := snapshot.Encode(snapshot.Snapshot{
 		Frontier: fr,
 		State:    dm.MarshalState(),
-		Order:    append([]uint64(nil), l.order...),
-		Replies:  replies,
+		Order:    l.rep.Order(),
+		Replies:  l.replay.Export(),
 	})
 	if l.snaps.Save(fr, blob) != nil {
 		return // save failed: keep gossiping the old frontier, retention stays safe
@@ -329,28 +322,14 @@ func (l *learner) installBlob(frontier uint64, blob []byte) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	dm, ok := l.rep.Machine().(smr.DurableMachine)
-	if !ok || s.Frontier <= l.merger.Next() {
+	// The replica takes state, order and dedup floor at once, each command
+	// with its original result: one applied below the frontier and later
+	// restamped (its client retried into a second instance) must re-elicit
+	// the result of its first application, not a recomputed one.
+	if s.Frontier <= l.merger.Next() || l.rep.Install(s) != nil {
 		return false
 	}
-	if err := dm.RestoreState(s.State); err != nil {
-		return false
-	}
-	// Seed duplicate suppression with the snapshot's original results: a
-	// command applied below the frontier and later restamped (its client
-	// retried into a second instance) must re-elicit the result of its
-	// first application, not a recomputed one.
-	results := make(map[uint64]string, len(s.Replies))
-	exported := make([]smr.ExportedReply, len(s.Replies))
-	for i, rp := range s.Replies {
-		results[rp.CmdID] = rp.Result
-		exported[i] = smr.ExportedReply{CmdID: rp.CmdID, Inst: rp.Inst, Result: rp.Result}
-	}
-	for _, id := range s.Order {
-		l.rep.Seed(id, results[id])
-	}
-	l.order = append([]uint64(nil), s.Order...)
-	l.replay.Restore(exported)
+	l.replay.Restore(s.Replies)
 	l.log = nil
 	l.logBase = s.Frontier
 	if s.Frontier > l.snapFrontier {
@@ -433,7 +412,7 @@ func (l *learner) onReplayProbe(mm msg.Propose) {
 	var hits []msg.Reply
 	l.mu.Lock()
 	for _, c := range inner {
-		if replyTo(c.ID) == 0 {
+		if to, _ := classic.SplitCmdID(c.ID); to == 0 {
 			continue
 		}
 		if rec, ok := l.replay.Get(c.ID); ok {
@@ -443,7 +422,8 @@ func (l *learner) onReplayProbe(mm msg.Propose) {
 	}
 	l.mu.Unlock()
 	for _, rep := range hits {
-		l.env.Send(replyTo(rep.CmdID), rep)
+		to, _ := classic.SplitCmdID(rep.CmdID)
+		l.env.Send(to, rep)
 	}
 }
 

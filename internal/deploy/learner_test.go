@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mcpaxos/internal/ballot"
@@ -88,7 +90,7 @@ func TestLearnerWithholdsRepliesUntilSynced(t *testing.T) {
 	}
 
 	client := msg.NodeID(1)
-	c0 := smr.SetCmd(cmdID(client, 0), "k", "v0")
+	c0 := smr.SetCmd(classic.CmdID(client, 0), "k", "v0")
 	decide(l, cfg, 0, c0)
 	sent := take(env)
 	if replies, _ := sentTo[msg.Reply](sent); len(replies) != 0 {
@@ -107,7 +109,7 @@ func TestLearnerWithholdsRepliesUntilSynced(t *testing.T) {
 		t.Fatal("a peer answering at the frontier should sync the fetcher")
 	}
 	take(env)
-	c1 := smr.SetCmd(cmdID(client, 1), "k", "v1")
+	c1 := smr.SetCmd(classic.CmdID(client, 1), "k", "v1")
 	decide(l, cfg, 1, c1)
 	replies, tos := sentTo[msg.Reply](take(env))
 	if len(replies) != 1 || tos[0] != client || replies[0].CmdID != c1.ID || replies[0].Inst != 1 {
@@ -123,7 +125,7 @@ func TestLearnerServesCatchupAboveLogBase(t *testing.T) {
 	l, env, cfg := testLearner(t, 2, nil)
 	const n = catchupChunk + 72
 	for i := uint64(0); i < n; i++ {
-		decide(l, cfg, i, smr.SetCmd(cmdID(1, i), "k", fmt.Sprint(i)))
+		decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), "k", fmt.Sprint(i)))
 	}
 	l.mu.Lock()
 	l.truncate(40)
@@ -145,7 +147,7 @@ func TestLearnerServesCatchupAboveLogBase(t *testing.T) {
 	if r := serve(39, 8); r.Floor != 40 || len(r.Cmds) != 0 {
 		t.Fatalf("pull below the base: Floor=%d with %d commands, want a refusal at floor 40", r.Floor, len(r.Cmds))
 	}
-	if r := serve(40, 8); r.Floor != 0 || len(r.Cmds) != 8 || r.Cmds[0].ID != cmdID(1, 40) {
+	if r := serve(40, 8); r.Floor != 0 || len(r.Cmds) != 8 || r.Cmds[0].ID != classic.CmdID(1, 40) {
 		t.Fatalf("pull at the base with Max 8: Floor=%d, %d commands, want 8 starting at instance 40", r.Floor, len(r.Cmds))
 	}
 	if r := serve(40, 0); len(r.Cmds) != catchupChunk {
@@ -168,7 +170,7 @@ func TestLearnerWatermarkGossipAndTruncation(t *testing.T) {
 	const retain = 4
 	l, env, cfg := testLearner(t, 2, func(s *ClusterSpec) { s.SnapshotEvery, s.Retain = 20, retain })
 	for i := uint64(0); i < 20; i++ {
-		decide(l, cfg, i, smr.SetCmd(cmdID(1, i), "k", fmt.Sprint(i)))
+		decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), "k", fmt.Sprint(i)))
 	}
 	peer := cfg.Learners[1]
 	tick := func(wantFrontier, wantWatermark uint64) {
@@ -207,7 +209,7 @@ func TestLearnerWatermarkGossipAndTruncation(t *testing.T) {
 func TestLearnerReplayProbe(t *testing.T) {
 	l, env, cfg := testLearner(t, 1, nil) // no peers: born synced
 	client := msg.NodeID(1)
-	applied := smr.SetCmd(cmdID(client, 0), "k", "v")
+	applied := smr.SetCmd(classic.CmdID(client, 0), "k", "v")
 	decide(l, cfg, 0, applied)
 	first, _ := sentTo[msg.Reply](take(env))
 	if len(first) != 1 {
@@ -223,7 +225,7 @@ func TestLearnerReplayProbe(t *testing.T) {
 		t.Fatalf("replayed = %d, want 1", l.replayed)
 	}
 
-	l.OnMessage(client, msg.Propose{Cmd: smr.SetCmd(cmdID(client, 1), "k", "w"), Client: client, Req: 1})
+	l.OnMessage(client, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 1), "k", "w"), Client: client, Req: 1})
 	if got := take(env); len(got) != 0 || l.replayed != 1 {
 		t.Fatalf("probe for an unapplied command sent %d messages (replayed = %d), want silence", len(got), l.replayed)
 	}
@@ -269,7 +271,7 @@ func TestLearnerSkipHint(t *testing.T) {
 			t.Errorf("%s: %d idle timers set, want %d", what, n, wantTimer)
 		}
 	}
-	cmd := func(i uint64) cstruct.Cmd { return smr.SetCmd(cmdID(1, i), "k", fmt.Sprint(i)) }
+	cmd := func(i uint64) cstruct.Cmd { return smr.SetCmd(classic.CmdID(1, i), "k", fmt.Sprint(i)) }
 
 	decide(l, cfg, 0, cmd(0))
 	if n := idleTimers(); n != 0 {
@@ -309,3 +311,49 @@ func TestLearnerSkipHint(t *testing.T) {
 }
 
 func first(l *learner, _ *fakeEnv, _ classic.Config) *learner { return l }
+
+// (f) Under compaction a learner's resident state stays flat in the size of
+// the commands it applied: 100k decided 256-byte writes, a snapshot every 256
+// instances and a watermark gossip every 1k leave a truncated log, and a heap
+// grown by what the apply order and the dedup floor hold per command — an ID
+// and a result — not by the command bodies, which would cost about 40 MB
+// here.
+func TestLearnerRetentionIsBounded(t *testing.T) {
+	const (
+		n      = 100_000
+		every  = 256
+		gossip = 1000
+		limit  = 15 << 20
+	)
+	l, env, cfg := testLearner(t, 1, func(s *ClusterSpec) { s.SnapshotEvery = every })
+	value := strings.Repeat("v", 256)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := uint64(0); i < n; i++ {
+		decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), fmt.Sprint("k", i%64), value))
+		env.sent = env.sent[:0]
+		if (i+1)%gossip == 0 {
+			l.gossip()
+		}
+	}
+	after := heap()
+	if got := l.rep.Applied(); got != n {
+		t.Fatalf("applied %d of %d writes", got, n)
+	}
+	if len(l.log) > gossip+2*every {
+		t.Errorf("retained log holds %d instances (base %d), want at most %d: truncation stopped",
+			len(l.log), l.logBase, gossip+2*every)
+	}
+	if grew := int64(after) - int64(before); grew > limit {
+		t.Errorf("heap grew %.1f MB over %d applied writes, want under %d MB: applied command bodies are retained",
+			float64(grew)/(1<<20), n, limit>>20)
+	} else {
+		t.Logf("heap grew %.1f MB over %d applied writes; retained log %d instances", float64(grew)/(1<<20), n, len(l.log))
+	}
+	runtime.KeepAlive(l)
+}

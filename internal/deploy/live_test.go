@@ -633,14 +633,14 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestCmdIDRouting: the command-ID stamp carries the issuing client through
-// batches and back out.
+// TestCmdIDRouting: the command-ID stamp carries the issuing client and its
+// request counter through batches and back out.
 func TestCmdIDRouting(t *testing.T) {
-	id := cmdID(7, 99)
-	if got := replyTo(id); got != 7 {
-		t.Fatalf("replyTo(%d) = %v, want 7", id, got)
+	id := classic.CmdID(7, 99)
+	if to, req := classic.SplitCmdID(id); to != 7 || req != 99 {
+		t.Fatalf("SplitCmdID(%d) = %v, %d; want 7, 99", id, to, req)
 	}
-	if got := replyTo(smr.SetCmd(12345, "k", "v").ID); got != 0 {
+	if got, _ := classic.SplitCmdID(smr.SetCmd(12345, "k", "v").ID); got != 0 {
 		t.Fatalf("unstamped command routed to client %v, want 0", got)
 	}
 }

@@ -156,20 +156,9 @@ func newCoordinator(env node.Env, cfg classic.Config, spec ClusterSpec) *classic
 	// re-announcements from the acceptors).
 	c.RetryEvery = 4 * spec.retryTicks()
 	// Server-side ingress: unsequenced client submissions batch and
-	// stamp at whichever group member they reach. The fill no-op's ID
-	// is the instance itself — below the client bits, so replyTo is 0
-	// and no reply is ever owed for a fill.
+	// stamp at whichever group member they reach.
 	c.IngressBatchMax = spec.batchMax()
 	c.IngressBatchWait = spec.batchWaitTicks()
-	c.FillCmd = func(inst uint64) cstruct.Cmd {
-		return cstruct.Cmd{ID: inst, Key: noopKey, Op: cstruct.OpWrite}
-	}
-	c.ReqOf = func(cc cstruct.Cmd) (msg.NodeID, uint64, bool) {
-		if to := replyTo(cc.ID); to != 0 {
-			return to, cc.ID & (1<<clientShift - 1), true
-		}
-		return 0, 0, false
-	}
 	return c
 }
 

@@ -32,7 +32,7 @@ import (
 
 // NodeSpec names one process role: a node ID and the TCP address it listens
 // on. IDs must be unique across the whole spec and below 1<<23 so command
-// IDs can carry the issuing client (see cmdID).
+// IDs can carry the issuing client (see classic.CmdID).
 type NodeSpec struct {
 	ID   uint32
 	Addr string
@@ -200,31 +200,6 @@ const (
 	// carries (chunked state transfer to a rejoining learner).
 	catchupChunk = 128
 )
-
-// noopKey marks a fill no-op command: when a learner's merged order stalls
-// on an instance no proposal will ever reach — its sequence number died with
-// a crashed ingress stamper, or the shard idled while its peers advanced —
-// the shard's coordinator group pads the slot with one (the Mencius skip,
-// Coordinated Paxos-style: the no-op rides the shard's ordinary
-// coordinator-group path, so the skip itself is crash-masked). Learner
-// replicas acknowledge and then discard them without touching the state
-// machine or the apply order.
-const noopKey = "\x00noop"
-
-// clientShift positions the issuing client's node ID in the top bits of a
-// command ID (below batch.IDBase): cmdID = client<<clientShift | seq. The
-// learner replicas route each apply result back to NodeID(id >> clientShift).
-const clientShift = 40
-
-// cmdID stamps a client command ID from the client's node ID and its own
-// submission counter.
-func cmdID(client msg.NodeID, seq uint64) uint64 {
-	return uint64(client)<<clientShift | seq
-}
-
-// replyTo recovers the issuing client from a stamped command ID; 0 means the
-// command was not client-stamped and gets no reply.
-func replyTo(id uint64) msg.NodeID { return msg.NodeID(id >> clientShift & (1<<23 - 1)) }
 
 // LocalSpec builds a loopback spec with ephemeral ports and the repo's
 // conventional node IDs (clients 1+i, coordinators 100+i, acceptors 200+i,

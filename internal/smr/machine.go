@@ -3,6 +3,12 @@
 // command structure, so all replicas converge to the same state. This is the
 // application layer the paper motivates ("one of the most important
 // applications of consensus algorithms", abstract).
+//
+// A Replica applies each learned command once and is the one owner of its
+// apply order, kept as command IDs; Replica.Install adopts a snapshot
+// (internal/snapshot) in one step. A Merger restores one total order over a
+// sharded instance space, and a ReplyCache replays recent apply results to
+// clients whose replies were lost, exporting its records as snapshot.Reply.
 package smr
 
 import (

@@ -11,6 +11,8 @@
 // preserved; at-least-once reply is restored).
 package smr
 
+import "mcpaxos/internal/snapshot"
+
 // ReplyRecord is one cached apply result.
 type ReplyRecord struct {
 	// Inst is the merged-order instance the command was delivered at.
@@ -21,12 +23,12 @@ type ReplyRecord struct {
 
 // ReplyCache holds the most recent perClient apply results of every client,
 // evicted by per-client watermark: client sequence numbers are stamped
-// monotonically (cmdID = client<<shift | seq), so once seq s is cached,
-// anything below s-perClient+1 can no longer draw a retransmission from a
-// correct client — its call resolved or was abandoned long before the
-// client's window advanced that far — and is dropped. Memory is therefore
-// bounded by perClient × (number of distinct clients seen), independent of
-// history length.
+// monotonically (id = client<<shift | seq, the layout of classic.CmdID), so
+// once seq s is cached, anything below s-perClient+1 can no longer draw a
+// retransmission from a correct client — its call resolved or was abandoned
+// long before the client's window advanced that far — and is dropped.
+// Memory is therefore bounded by perClient × (number of distinct clients
+// seen), independent of history length.
 //
 // The cache is not safe for concurrent use; callers serialize (the learner
 // mailbox goroutine in the live stack).
@@ -41,14 +43,13 @@ type ReplyCache struct {
 type clientWindow struct {
 	floor   uint64
 	hi      uint64
-	hasHi   bool
 	results map[uint64]ReplyRecord // seq → record
 }
 
 // NewReplyCache builds a cache keeping up to perClient results per client;
-// shift is the bit position of the client ID inside a command ID (the
-// deployment's cmdID scheme). perClient < 1 disables the cache: Put and Get
-// become no-ops.
+// shift is the bit position of the client ID inside a command ID
+// (classic.ClientShift in a deployment). perClient < 1 disables the cache:
+// Put and Get become no-ops.
 func NewReplyCache(perClient int, shift uint) *ReplyCache {
 	return &ReplyCache{perClient: perClient, shift: shift, byClient: make(map[uint64]*clientWindow)}
 }
@@ -74,9 +75,7 @@ func (c *ReplyCache) Put(cmdID uint64, inst uint64, result string) {
 		return // below the watermark: evicted, stays evicted
 	}
 	w.results[seq] = ReplyRecord{Inst: inst, Result: result}
-	if !w.hasHi || seq > w.hi {
-		w.hi, w.hasHi = seq, true
-	}
+	w.hi = max(w.hi, seq)
 	// Advance the watermark so at most perClient entries survive. The
 	// eviction walk is bounded by min(floor gap, live entries): a sparse
 	// window that jumped far ahead is swept by map scan instead of by
@@ -124,25 +123,18 @@ func (c *ReplyCache) Len() int {
 	return n
 }
 
-// ExportedReply is one cache record in portable form, keyed by the full
-// command ID, for snapshot shipping.
-type ExportedReply struct {
-	CmdID  uint64
-	Inst   uint64
-	Result string
-}
-
-// Export returns every retained record, the reply-cache section of a state
-// snapshot: the installing learner restores them so retried proposals for
-// commands applied below the snapshot frontier still re-elicit replies.
-func (c *ReplyCache) Export() []ExportedReply {
+// Export returns every retained record keyed by its full command ID: the
+// reply-cache section of a state snapshot. The installing learner restores
+// them so retried proposals for commands applied below the snapshot frontier
+// still re-elicit replies.
+func (c *ReplyCache) Export() []snapshot.Reply {
 	if c == nil {
 		return nil
 	}
-	var out []ExportedReply
+	var out []snapshot.Reply
 	for client, w := range c.byClient {
 		for seq, r := range w.results {
-			out = append(out, ExportedReply{
+			out = append(out, snapshot.Reply{
 				CmdID: client<<c.shift | seq, Inst: r.Inst, Result: r.Result,
 			})
 		}
@@ -150,9 +142,9 @@ func (c *ReplyCache) Export() []ExportedReply {
 	return out
 }
 
-// Restore re-admits exported records through the normal Put path, so the
+// Restore re-admits a snapshot's records through the normal Put path, so the
 // per-client bound and watermark semantics hold on the importing side too.
-func (c *ReplyCache) Restore(entries []ExportedReply) {
+func (c *ReplyCache) Restore(entries []snapshot.Reply) {
 	for _, e := range entries {
 		c.Put(e.CmdID, e.Inst, e.Result)
 	}
@@ -163,21 +155,19 @@ func (c *ReplyCache) Restore(entries []ExportedReply) {
 // watermark belongs to a command whose client call resolved (or was
 // abandoned) long before the cluster agreed everything below the watermark
 // was applied everywhere, so it can no longer draw a retransmission.
-// Returns how many records were dropped.
+// Returns how many records were dropped. An emptied window stays, with its
+// floor: dropping it would re-admit the sequence numbers it evicted.
 func (c *ReplyCache) EvictBelow(floor uint64) int {
 	if c == nil {
 		return 0
 	}
 	dropped := 0
-	for client, w := range c.byClient {
+	for _, w := range c.byClient {
 		for seq, r := range w.results {
 			if r.Inst < floor {
 				delete(w.results, seq)
 				dropped++
 			}
-		}
-		if len(w.results) == 0 && !w.hasHi {
-			delete(c.byClient, client)
 		}
 	}
 	return dropped

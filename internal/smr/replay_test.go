@@ -44,6 +44,36 @@ func TestReplyCacheBasic(t *testing.T) {
 	}
 }
 
+// Compaction empties a client's window but keeps its floor: a sequence number
+// the window evicted stays evicted. Export and Restore carry the records as
+// snapshot.Reply and keep the bound on the importing side.
+func TestReplyCacheEvictBelowAndExport(t *testing.T) {
+	c := NewReplyCache(4, testShift)
+	for seq := uint64(0); seq < 6; seq++ { // seqs 0 and 1 fall below the floor
+		c.Put(id(7, seq), 100+seq, fmt.Sprint("r", seq))
+	}
+	imported := NewReplyCache(2, testShift)
+	imported.Restore(c.Export())
+	if got := imported.ClientLen(7); got != 2 {
+		t.Fatalf("restored window holds %d records, want the importer's bound 2", got)
+	}
+	if r, ok := imported.Get(id(7, 5)); !ok || r.Inst != 105 || r.Result != "r5" {
+		t.Fatalf("restored newest record = %+v/%v, want instance 105, r5", r, ok)
+	}
+
+	if n := c.EvictBelow(1000); n != 4 || c.Len() != 0 {
+		t.Fatalf("EvictBelow dropped %d, %d left; want 4 and none", n, c.Len())
+	}
+	c.Put(id(7, 1), 101, "again")
+	if _, ok := c.Get(id(7, 1)); ok {
+		t.Fatal("an evicted sequence number was re-admitted after its window emptied")
+	}
+	c.Put(id(7, 6), 106, "r6")
+	if _, ok := c.Get(id(7, 6)); !ok {
+		t.Fatal("a fresh sequence number was refused after compaction")
+	}
+}
+
 func TestReplyCacheDisabled(t *testing.T) {
 	for _, c := range []*ReplyCache{nil, NewReplyCache(0, testShift)} {
 		c.Put(id(1, 0), 5, "x")

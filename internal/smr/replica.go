@@ -5,6 +5,7 @@ import (
 
 	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/snapshot"
 )
 
 // Replica applies a learner's growing command structure to a machine. It is
@@ -14,13 +15,14 @@ import (
 // a commutativity-respecting order otherwise. Batch commands
 // (internal/batch) are unpacked transparently: the constituents are applied
 // in batch order, each exactly once.
+//
+// The replica is the one owner of its apply order, kept as command IDs: the
+// bodies went into the machine, and a host that needs them again (a
+// learner's retained log) keeps its own bounded copy.
 type Replica struct {
 	machine Machine
 	applied map[uint64]string
-	order   []cstruct.Cmd
-	// seeded counts commands marked applied by snapshot installation: they
-	// are in applied (dedup) but not in order (they never ran here).
-	seeded int
+	order   []uint64
 }
 
 // NewReplica builds a replica over machine.
@@ -55,30 +57,46 @@ func (r *Replica) ApplyOnce(c cstruct.Cmd) string {
 	}
 	res := r.machine.Apply(c)
 	r.applied[c.ID] = res
-	r.order = append(r.order, c)
+	r.order = append(r.order, c.ID)
 	return res
 }
 
-// Seed marks cmdID as already applied with the given cached result, without
-// touching the machine or the apply order. Snapshot installation uses it:
-// the machine state already reflects these commands, so a later re-learn
-// above the frontier must deduplicate against them, not re-apply. Seeded
-// commands count toward Applied — they reached the machine, just on the
-// snapshotting node.
-func (r *Replica) Seed(cmdID uint64, result string) {
-	if _, ok := r.applied[cmdID]; !ok {
-		r.applied[cmdID] = result
-		r.seeded++
+// Install replaces the replica's state with snapshot s, the one install
+// step: the machine restores s.State, the order becomes s.Order, and each of
+// its commands counts as applied — with its result from s.Replies where the
+// snapshot kept one — so a later re-learn above the frontier deduplicates
+// against it instead of re-applying. A result the replica already holds is
+// kept. It fails, changing nothing, when the machine is not a DurableMachine
+// or refuses the state.
+func (r *Replica) Install(s snapshot.Snapshot) error {
+	dm, ok := r.machine.(DurableMachine)
+	if !ok {
+		return fmt.Errorf("smr: %T cannot restore a snapshot", r.machine)
 	}
+	if err := dm.RestoreState(s.State); err != nil {
+		return err
+	}
+	results := make(map[uint64]string, len(s.Replies))
+	for _, rp := range s.Replies {
+		results[rp.CmdID] = rp.Result
+	}
+	for _, id := range s.Order {
+		if _, ok := r.applied[id]; !ok {
+			r.applied[id] = results[id]
+		}
+	}
+	r.order = append([]uint64(nil), s.Order...)
+	return nil
 }
 
 // Applied reports how many distinct commands are reflected in the machine
-// state, locally applied or seeded from a snapshot. Batch wrappers are not
+// state, applied here or installed from a snapshot. Batch wrappers are not
 // counted — only the constituent commands they carry.
-func (r *Replica) Applied() int { return len(r.order) + r.seeded }
+func (r *Replica) Applied() int { return len(r.order) }
 
-// Order returns the application order, for checking replica agreement.
-func (r *Replica) Order() []cstruct.Cmd { return r.order }
+// Order returns the application order as command IDs, for checking replica
+// agreement and for cutting snapshots. The caller must not modify it.
+func (r *Replica) Order() []uint64 { return r.order }
 
 // Machine returns the underlying machine.
 func (r *Replica) Machine() Machine { return r.machine }

@@ -6,6 +6,7 @@ import (
 
 	"mcpaxos/internal/core"
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/snapshot"
 )
 
 func TestKVStoreOps(t *testing.T) {
@@ -90,6 +91,46 @@ func TestReplicaAppliesOnce(t *testing.T) {
 	}
 }
 
+// Installing a snapshot is one step: the machine takes the snapshot's state,
+// the order becomes the snapshot's, and every command in it counts as applied
+// with the snapshot's result — a re-learn above the frontier is deduplicated,
+// not re-applied.
+func TestReplicaInstall(t *testing.T) {
+	src := NewKVStore()
+	src.Apply(SetCmd(1, "k", "v1"))
+	src.Apply(SetCmd(2, "k", "v2"))
+	snap := snapshot.Snapshot{Frontier: 2, State: src.MarshalState(), Order: []uint64{1, 2},
+		Replies: []snapshot.Reply{{CmdID: 2, Inst: 1, Result: "first"}}}
+
+	kv := NewKVStore()
+	r := NewReplica(kv)
+	r.ApplyOnce(SetCmd(1, "k", "v1")) // applied here before falling behind
+	if err := r.Install(snap); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	if r.Applied() != 2 || fmt.Sprint(r.Order()) != "[1 2]" {
+		t.Fatalf("after install: applied %d, order %v; want 2 and [1 2]", r.Applied(), r.Order())
+	}
+	if v, _ := kv.Get("k"); v != "v2" {
+		t.Fatalf("machine holds k=%q, want the snapshot's v2", v)
+	}
+	if res := r.ApplyOnce(SetCmd(2, "k", "v3")); res != "first" {
+		t.Fatalf("re-learned command 2 answered %q, want the snapshot's result", res)
+	}
+	if v, _ := kv.Get("k"); v != "v2" || r.Applied() != 2 {
+		t.Fatalf("re-learn reached the machine: k=%q, applied %d", v, r.Applied())
+	}
+	if res, _ := r.Result(1); res != "ok" {
+		t.Errorf("command 1 applied here has result %q after install, want its own %q", res, "ok")
+	}
+
+	bad := snap
+	bad.State = []byte{0xff}
+	if err := NewReplica(NewKVStore()).Install(bad); err == nil {
+		t.Error("a state the machine refuses was installed")
+	}
+}
+
 // TestReplicatedKVConvergence runs a full multicoordinated deployment with
 // replicas attached to every learner and checks state convergence.
 func TestReplicatedKVConvergence(t *testing.T) {
@@ -154,14 +195,6 @@ func TestReplicatedBankConcurrentProposers(t *testing.T) {
 	}
 }
 
-func cmdIDs(cs []cstruct.Cmd) []uint64 {
-	out := make([]uint64, len(cs))
-	for i, c := range cs {
-		out[i] = c.ID
-	}
-	return out
-}
-
 func TestReplicaOrderRespectsConflicts(t *testing.T) {
 	cl := core.NewCluster(core.ClusterOpts{
 		NCoords: 3, NAcceptors: 3, F: 1, Seed: 1, NLearners: 2,
@@ -179,7 +212,7 @@ func TestReplicaOrderRespectsConflicts(t *testing.T) {
 		cl.Props[0].Propose(SetCmd(uint64(1+i), "k", fmt.Sprintf("v%d", i)))
 		cl.Sim.Run()
 	}
-	a, b := cmdIDs(replicas[0].Order()), cmdIDs(replicas[1].Order())
+	a, b := replicas[0].Order(), replicas[1].Order()
 	if len(a) != 10 || len(b) != 10 {
 		t.Fatalf("orders incomplete: %v %v", a, b)
 	}
