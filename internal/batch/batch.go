@@ -161,39 +161,6 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[used:], nil
 }
 
-// Conflict lifts an inner command conflict relation to batched traffic: two
-// batches conflict when any pair of their constituents do, and a batch
-// conflicts with a plain command when any constituent does. Use this when
-// batched and unbatched commands mix under a commutativity-aware relation;
-// pure-batch deployments can keep the key-based relations (every batch
-// carries the reserved Key and so batches stay totally ordered).
-//
-// Constituents are parsed keys-only — the inner relation sees their ID, Key
-// and Op but a nil Payload, which the built-in relations never inspect.
-func Conflict(inner cstruct.Conflict) cstruct.Conflict {
-	return func(a, b cstruct.Cmd) bool {
-		if a.ID == b.ID {
-			return false
-		}
-		as, aBatch := UnpackMeta(a)
-		bs, bBatch := UnpackMeta(b)
-		if !aBatch {
-			as = []cstruct.Cmd{a}
-		}
-		if !bBatch {
-			bs = []cstruct.Cmd{b}
-		}
-		for _, x := range as {
-			for _, y := range bs {
-				if inner(x, y) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-}
-
 // Clock supplies the Batcher's notion of time. Hosts pass sim.Now (units of
 // simulated time) or a wall-clock adapter; the Batcher itself never reads
 // real time, which keeps batching deterministic under the simulator.

@@ -162,25 +162,6 @@ func TestBatcherDisabled(t *testing.T) {
 	}
 }
 
-func TestConflictLifting(t *testing.T) {
-	conf := Conflict(cstruct.KeyConflict)
-	a := Pack([]cstruct.Cmd{{ID: 1, Key: "x"}, {ID: 2, Key: "y"}})
-	b := Pack([]cstruct.Cmd{{ID: 10, Key: "y"}, {ID: 11, Key: "z"}})
-	c := Pack([]cstruct.Cmd{{ID: 20, Key: "p"}, {ID: 21, Key: "q"}})
-	if !conf(a, b) {
-		t.Errorf("batches sharing key y must conflict")
-	}
-	if conf(a, c) {
-		t.Errorf("disjoint batches must commute")
-	}
-	if !conf(a, cstruct.Cmd{ID: 30, Key: "x"}) {
-		t.Errorf("batch vs plain command on shared key must conflict")
-	}
-	if conf(a, a) {
-		t.Errorf("conflict must stay irreflexive")
-	}
-}
-
 // The shard router must spread a stream round-robin, flush full batches to
 // the owning shard only, and flush stragglers on FlushAll.
 func TestRouterSpreadsAcrossShards(t *testing.T) {

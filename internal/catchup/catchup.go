@@ -7,13 +7,15 @@
 // story (recovered processes rebuild volatile state from their peers), with
 // the chunked pull shape of the MIT paxos Min()/Done() catch-up contract.
 //
-// The Fetcher runs inside the learner's single-threaded agent (mailbox
-// goroutine): the host routes CatchupResp messages and timer ticks to it,
-// and it asks one peer at a time for the next chunk above the local merge
-// frontier, chaining chunks until a peer reports nothing newer. A gap watch
-// keeps running after the initial sync: if the merged order stalls on a gap
-// while later instances sit buffered — the signature of a quiesced decided
-// instance this learner missed — the fetcher re-probes the peers.
+// The Fetcher is part of the learner's handler and runs on its mailbox
+// goroutine, like every call into it, its callbacks included: the host routes
+// CatchupResp and SnapResp messages and timer ticks to it, and it asks one
+// peer at a time for the next chunk above the local merge frontier, chaining
+// chunks until a peer reports nothing newer. A gap watch keeps running after
+// the initial sync: if the merged order stalls on a gap while later instances
+// sit buffered — the signature of a quiesced decided instance this learner
+// missed — the fetcher re-probes the peers, asks the acceptors to re-announce
+// the gap, and reports the stall to the host.
 package catchup
 
 import (
@@ -53,8 +55,7 @@ type Stats struct {
 	// Probes counts steady-state anti-entropy frontier probes (watch ticks
 	// with nothing buffered and nothing known missing).
 	Probes uint64
-	// Fallbacks counts acceptor re-announce rounds (resyncs with the
-	// durable-tier fallback configured).
+	// Fallbacks counts acceptor re-announce rounds (one per resync).
 	Fallbacks uint64
 	// SnapReqs counts snapshot transfer requests (log pulls refused below a
 	// peer's retention floor escalate here); SnapChunks the chunks consumed;
@@ -83,38 +84,20 @@ func (s Stats) Plus(o Stats) Stats {
 type Fetcher struct {
 	env   node.Env
 	peers []msg.NodeID // peer learners, self excluded
+	// accs is the durable-tier fallback: every resync also asks the
+	// acceptors to re-announce their votes for the gap range, covering the
+	// case where no peer learner retains the decided prefix (every learner
+	// restarted while the others were down). The re-announced 2bs flow
+	// through the learner's ordinary quorum counting, not through feed.
+	accs  []msg.NodeID
 	chunk uint32
-	// Acceptors, when set, is the durable-tier fallback: every resync also
-	// asks the acceptors to re-announce their votes for the gap range,
-	// covering the case where no peer learner retains the decided prefix
-	// (every learner restarted while the others were down). The
-	// re-announced 2bs flow through the learner's ordinary quorum
-	// counting, not through feed.
-	Acceptors []msg.NodeID
-	// RetryTicks is the re-request interval; WatchTicks the gap-watch
-	// period (0 disables the watch).
-	RetryTicks, WatchTicks int64
-	// OnStall, when set, fires alongside each stall-triggered resync with
-	// the frozen frontier. Hosts use it to nudge the frontier instance's
-	// coordinator group (msg.Fill): a resync can only recover instances
-	// that were *decided* and lost, while a stall on a sequence slot that
-	// was stamped but never proposed — its ingress stamper crashed, or the
-	// shard went idle while its peers advanced — needs the group to fill
-	// the slot before anything can decide it.
-	OnStall func(frontier uint64)
+	// retry is the re-request interval, watch the gap-watch period (ticks).
+	retry, watch int64
 	// OnWatch, when set, fires on every watch tick. Hosts use it as the
 	// anti-entropy heartbeat of the compaction watermark protocol: the
 	// learner gossips its Done frontier (msg.Done) on the same cadence the
 	// fetcher probes peers.
 	OnWatch func()
-	// Install, when set, enables snapshot-shipping catch-up: a log pull
-	// refused below a peer's retention floor (CatchupResp.Floor > frontier)
-	// escalates to a SnapReq, and the reassembled, CRC-verified blob is
-	// handed here. Install returns whether the snapshot was applied (after
-	// which the local frontier must reflect it); a false return discards
-	// the blob and the pull rotates to another peer. Without Install the
-	// fetcher keeps retrying log pulls — pre-compaction behaviour.
-	Install func(frontier uint64, blob []byte) bool
 
 	// next reports the local merge frontier; buffered how many instances
 	// are held back by a gap; feed hands one decided (instance, command)
@@ -122,6 +105,20 @@ type Fetcher struct {
 	next     func() uint64
 	buffered func() int
 	feed     func(inst uint64, cmd cstruct.Cmd)
+	// onStall fires alongside each stall-triggered resync with the frozen
+	// frontier, so the host can nudge the frontier instance's coordinator
+	// group (msg.Fill): a resync can only recover instances that were
+	// *decided* and lost, while a stall on a sequence slot that was stamped
+	// but never proposed — its ingress stamper crashed, or the shard went
+	// idle while its peers advanced — needs the group to fill the slot
+	// before anything can decide it.
+	onStall func(frontier uint64)
+	// install takes the reassembled, CRC-verified blob of a snapshot
+	// transfer — a log pull refused below a peer's retention floor
+	// (CatchupResp.Floor > frontier) escalates to one — and reports whether
+	// it was applied, after which the local frontier must reflect it; a
+	// false return discards the blob and the pull rotates to another peer.
+	install func(frontier uint64, blob []byte) bool
 
 	synced     bool
 	rr         int // peer rotation cursor
@@ -143,19 +140,19 @@ type Fetcher struct {
 	stats Stats
 }
 
-// New builds a fetcher for a learner whose merge state is exposed through
-// next/buffered/feed (called on the same goroutine as every Fetcher
-// method). peers must not contain the learner itself; with no peers the
-// fetcher is born synced (nothing to pull from).
-func New(env node.Env, peers []msg.NodeID, chunk uint32,
-	next func() uint64, buffered func() int, feed func(inst uint64, cmd cstruct.Cmd)) *Fetcher {
-	if chunk < 1 {
-		chunk = 1
-	}
+// New builds the fetcher of a learner over env: peers are the other learners
+// (the learner itself excluded; with none the fetcher is born synced, with
+// nothing to pull from), accs the acceptors, chunk the most instances one
+// request asks for, retry and watch the re-request and gap-watch periods in
+// ticks. The learner's merge state is exposed through next, buffered and
+// feed, its stall nudge and snapshot install through onStall and install;
+// the fetcher calls all five on the learner's goroutine.
+func New(env node.Env, peers, accs []msg.NodeID, chunk uint32, retry, watch int64,
+	next func() uint64, buffered func() int, feed func(inst uint64, cmd cstruct.Cmd),
+	onStall func(frontier uint64), install func(frontier uint64, blob []byte) bool) *Fetcher {
 	return &Fetcher{
-		env: env, peers: peers, chunk: chunk,
-		RetryTicks: 25, WatchTicks: 100,
-		next: next, buffered: buffered, feed: feed,
+		env: env, peers: peers, accs: accs, chunk: chunk, retry: retry, watch: watch,
+		next: next, buffered: buffered, feed: feed, onStall: onStall, install: install,
 		synced: len(peers) == 0,
 	}
 }
@@ -171,27 +168,20 @@ func (f *Fetcher) Stats() Stats { return f.stats }
 // "frontier 0, nothing newer" and the fetcher syncs immediately; after a
 // restart the probe begins the prefix pull.
 func (f *Fetcher) Start() {
-	if f.synced {
-		f.armWatch()
-		return
+	if !f.synced {
+		f.request()
 	}
-	f.request()
 	f.armWatch()
 }
 
-// Resync re-opens the pull (gap watch, or a host that knows it fell
-// behind). With Acceptors configured it also asks the durable tier to
-// re-announce the gap range: a resync means the peers already failed to
-// fill the gap once, and if they lost the prefix too (every learner
-// restarted in overlapping windows) only the acceptors still have it.
-func (f *Fetcher) Resync() {
-	if len(f.Acceptors) > 0 {
-		req := msg.CatchupReq{Learner: f.env.ID(), From: f.next(), Max: f.chunk}
-		for _, acc := range f.Acceptors {
-			f.env.Send(acc, req)
-		}
-		f.stats.Fallbacks++
-	}
+// resync re-opens the pull after the gap watch saw the frontier stall. It
+// also asks the durable tier to re-announce the gap range: a resync means
+// the peers already failed to fill the gap once, and if they lost the prefix
+// too (every learner restarted in overlapping windows) only the acceptors
+// still have it.
+func (f *Fetcher) resync() {
+	node.Broadcast(f.env, f.accs, msg.CatchupReq{Learner: f.env.ID(), From: f.next(), Max: f.chunk})
+	f.stats.Fallbacks++
 	if len(f.peers) == 0 {
 		return
 	}
@@ -206,7 +196,7 @@ func (f *Fetcher) request() {
 	f.stats.Reqs++
 	if !f.fetchArmed {
 		f.fetchArmed = true
-		f.env.SetTimer(f.RetryTicks, TagFetch)
+		f.env.SetTimer(f.retry, TagFetch)
 	}
 }
 
@@ -260,7 +250,7 @@ func (f *Fetcher) OnResp(m msg.CatchupResp) {
 
 // escalate opens a snapshot pull (idempotent while one is in flight).
 func (f *Fetcher) escalate() {
-	if f.Install == nil || len(f.peers) == 0 || f.pullingSnap {
+	if len(f.peers) == 0 || f.pullingSnap {
 		return
 	}
 	f.pullingSnap = true
@@ -275,7 +265,7 @@ func (f *Fetcher) snapReq() {
 	f.stats.SnapReqs++
 	if !f.fetchArmed {
 		f.fetchArmed = true
-		f.env.SetTimer(f.RetryTicks, TagFetch)
+		f.env.SetTimer(f.retry, TagFetch)
 	}
 }
 
@@ -329,7 +319,7 @@ func (f *Fetcher) OnSnapResp(m msg.SnapResp) {
 		blob = append(blob, c...)
 	}
 	frontier := f.snapFrontier
-	if snapshot.Crc(blob) != f.snapCrc || !f.Install(frontier, blob) {
+	if snapshot.Crc(blob) != f.snapCrc || !f.install(frontier, blob) {
 		// Damaged in flight or rejected by the host: nothing was installed.
 		// Restart the transfer against the next peer.
 		f.stats.SnapAborts++
@@ -398,10 +388,8 @@ func (f *Fetcher) watchTick() {
 	stalled := behind && n == f.watchNext
 	if stalled && f.watchStalled {
 		f.stats.Resyncs++
-		f.Resync()
-		if f.OnStall != nil {
-			f.OnStall(n)
-		}
+		f.resync()
+		f.onStall(n)
 	} else if !behind && len(f.peers) > 0 {
 		f.rr++
 		f.env.Send(f.peers[f.rr%len(f.peers)],
@@ -413,9 +401,9 @@ func (f *Fetcher) watchTick() {
 }
 
 func (f *Fetcher) armWatch() {
-	if f.WatchTicks <= 0 || f.watchArmed || (len(f.peers) == 0 && len(f.Acceptors) == 0) {
+	if f.watchArmed {
 		return
 	}
 	f.watchArmed = true
-	f.env.SetTimer(f.WatchTicks, TagWatch)
+	f.env.SetTimer(f.watch, TagWatch)
 }

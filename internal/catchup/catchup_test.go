@@ -28,9 +28,13 @@ func (e *fakeEnv) Send(to msg.NodeID, m msg.Message) { e.sent = append(e.sent, s
 func (e *fakeEnv) SetTimer(_ int64, tag int)         { e.timers = append(e.timers, tag) }
 
 // mergeSim is a minimal in-order merge frontier for the fetcher callbacks.
+// It records the stalls reported and the snapshots installed; a snapshot
+// that decodes installs, and moves the frontier to it.
 type mergeSim struct {
-	next uint64
-	held map[uint64]cstruct.Cmd
+	next      uint64
+	held      map[uint64]cstruct.Cmd
+	stalls    []uint64
+	installed []uint64
 }
 
 func (ms *mergeSim) feed(inst uint64, cmd cstruct.Cmd) {
@@ -49,12 +53,21 @@ func (ms *mergeSim) feed(inst uint64, cmd cstruct.Cmd) {
 
 func (ms *mergeSim) buffered() int { return len(ms.held) }
 
+func (ms *mergeSim) install(frontier uint64, blob []byte) bool {
+	if _, err := snapshot.Decode(blob); err != nil {
+		return false
+	}
+	ms.installed = append(ms.installed, frontier)
+	ms.next = frontier
+	return true
+}
+
 func newUnderTest(peers, accs []msg.NodeID) (*Fetcher, *fakeEnv, *mergeSim) {
 	env := &fakeEnv{id: 300}
 	ms := &mergeSim{}
-	f := New(env, peers, 4,
-		func() uint64 { return ms.next }, ms.buffered, ms.feed)
-	f.Acceptors = accs
+	f := New(env, peers, accs, 4, 25, 100,
+		func() uint64 { return ms.next }, ms.buffered, ms.feed,
+		func(frontier uint64) { ms.stalls = append(ms.stalls, frontier) }, ms.install)
 	return f, env, ms
 }
 
@@ -129,10 +142,11 @@ func TestProbeAnswerWithNothingNewerIsDropped(t *testing.T) {
 }
 
 // An unsynced fetcher whose frontier freezes for two watch periods must
-// escalate to Resync — which, with acceptors configured, broadcasts the
-// durable-tier fallback — instead of chaining empty peer chunks forever.
+// escalate to a resync — which broadcasts the durable-tier fallback to the
+// acceptors and reports the stall to the host — instead of chaining empty
+// peer chunks forever.
 func TestFrozenUnsyncedPullEscalatesToFallback(t *testing.T) {
-	f, env, _ := newUnderTest([]msg.NodeID{301}, []msg.NodeID{100, 101, 102})
+	f, env, ms := newUnderTest([]msg.NodeID{301}, []msg.NodeID{100, 101, 102})
 	f.Start() // unsynced: probing peer for the prefix
 	drainReqs(env)
 
@@ -153,6 +167,9 @@ func TestFrozenUnsyncedPullEscalatesToFallback(t *testing.T) {
 	}
 	if accReqs != 3 {
 		t.Fatalf("fallback reached %d acceptors, want 3", accReqs)
+	}
+	if len(ms.stalls) != 1 || ms.stalls[0] != 0 {
+		t.Fatalf("stalls reported = %v, want one at frontier 0", ms.stalls)
 	}
 }
 
@@ -181,15 +198,6 @@ func chunksOf(peer msg.NodeID, frontier uint64, blob []byte, size int) []msg.Sna
 // resumes the log pull above the installed frontier.
 func TestRefusedPullEscalatesToSnapshotTransfer(t *testing.T) {
 	f, env, ms := newUnderTest([]msg.NodeID{301}, nil)
-	var installed []uint64
-	f.Install = func(frontier uint64, blob []byte) bool {
-		if _, err := snapshot.Decode(blob); err != nil {
-			t.Fatalf("install handed a corrupt blob: %v", err)
-		}
-		installed = append(installed, frontier)
-		ms.next = frontier
-		return true
-	}
 	f.Start()
 	drainReqs(env)
 
@@ -215,8 +223,8 @@ func TestRefusedPullEscalatesToSnapshotTransfer(t *testing.T) {
 	for i := len(chunks) - 2; i >= 0; i-- {
 		f.OnSnapResp(chunks[i])
 	}
-	if len(installed) != 1 || installed[0] != 64 {
-		t.Fatalf("installed = %v, want one install at frontier 64", installed)
+	if len(ms.installed) != 1 || ms.installed[0] != 64 {
+		t.Fatalf("installed = %v, want one install at frontier 64", ms.installed)
 	}
 	if f.Stats().SnapInstalls != 1 {
 		t.Fatalf("SnapInstalls = %d, want 1", f.Stats().SnapInstalls)
@@ -237,9 +245,7 @@ func TestRefusedPullEscalatesToSnapshotTransfer(t *testing.T) {
 // A corrupt chunk stream must never install: the CRC gate rejects the
 // assembly and the transfer restarts against the next peer.
 func TestCorruptSnapshotTransferNeverInstalls(t *testing.T) {
-	f, env, _ := newUnderTest([]msg.NodeID{301, 302}, nil)
-	installs := 0
-	f.Install = func(uint64, []byte) bool { installs++; return true }
+	f, env, ms := newUnderTest([]msg.NodeID{301, 302}, nil)
 	f.Start()
 	drainReqs(env)
 	f.OnResp(msg.CatchupResp{Learner: 301, From: 0, Frontier: 96, Floor: 64})
@@ -251,8 +257,8 @@ func TestCorruptSnapshotTransferNeverInstalls(t *testing.T) {
 	for _, c := range chunks {
 		f.OnSnapResp(c)
 	}
-	if installs != 0 {
-		t.Fatalf("corrupt transfer installed %d times", installs)
+	if len(ms.installed) != 0 {
+		t.Fatalf("corrupt transfer installed at %v", ms.installed)
 	}
 	if f.Stats().SnapAborts != 1 {
 		t.Fatalf("SnapAborts = %d, want 1", f.Stats().SnapAborts)
@@ -273,7 +279,6 @@ func TestCorruptSnapshotTransferNeverInstalls(t *testing.T) {
 // retry timer, which rotates to the next peer.
 func TestSnapshotRefusalRotatesOnRetry(t *testing.T) {
 	f, env, _ := newUnderTest([]msg.NodeID{301, 302}, nil)
-	f.Install = func(uint64, []byte) bool { return true }
 	f.Start()
 	drainReqs(env)
 	f.OnResp(msg.CatchupResp{Learner: 301, From: 0, Frontier: 96, Floor: 64})
@@ -299,7 +304,6 @@ func TestSnapshotRefusalRotatesOnRetry(t *testing.T) {
 // than SnapChunkBytes, starts no assembly: nothing is sized by its Total.
 func TestOversizedSnapRespStartsNoAssembly(t *testing.T) {
 	f, env, _ := newUnderTest([]msg.NodeID{301}, nil)
-	f.Install = func(uint64, []byte) bool { return true }
 	f.Start()
 	drainReqs(env)
 	f.OnResp(msg.CatchupResp{Learner: 301, From: 0, Frontier: 96, Floor: 64})

@@ -333,7 +333,7 @@ func TestWALRecoveryShardedMidBatch(t *testing.T) {
 		wc.checkNoLossNoConflict(mid)
 
 		// The learned instances merge back into one gapless total order.
-		m := smr.NewMerger(nil)
+		m := smr.NewMerger(func(uint64, cstruct.Cmd) {})
 		insts := make([]uint64, 0, len(wc.LearnedCmds))
 		for inst := range wc.LearnedCmds {
 			insts = append(insts, inst)

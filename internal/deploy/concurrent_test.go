@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,4 +262,131 @@ func TestLiveLostPromiseRecovered(t *testing.T) {
 	if _, err := cli.Set("k", "v").Result(); err != nil {
 		t.Fatalf("write after the promise links healed: %v", err)
 	}
+}
+
+// TestLiveTCPInspectorsUnderLoad: every Replica read method runs on the node's
+// own mailbox goroutine, so four readers looping over all of them while two
+// callers write and a learner is killed and restarted must neither race (run
+// it under -race) nor hang; a learner that is down answers the not-hosted
+// error, never a zero value.
+func TestLiveTCPInspectorsUnderLoad(t *testing.T) {
+	spec := LocalSpec(2, 3, 3, 2, 1)
+	spec.RetryEvery = 20 * time.Millisecond
+	rep, cli := openLocal(t, spec)
+	const (
+		callers, perCaller = 2, 200
+		readers            = 4
+		victim             = uint32(301)
+	)
+	notHosted := fmt.Sprintf(errNotLearner, victim)
+
+	// learnerReads calls every per-learner read method on id and returns
+	// their errors.
+	learnerReads := func(id uint32) []error {
+		_, e1 := rep.Applied(id)
+		_, e2 := rep.Order(id)
+		_, e3 := rep.Snapshot(id)
+		_, _, e4 := rep.Get(id, "c0-k0")
+		_, _, e5 := rep.Progress(id)
+		_, _, _, e6 := rep.Compaction(id)
+		_, e7 := rep.CatchupSynced(id)
+		return []error{e1, e2, e3, e4, e5, e6, e7}
+	}
+	readAll := func() {
+		for _, err := range learnerReads(300) {
+			if err != nil {
+				t.Errorf("learner 300, never killed: %v", err)
+			}
+		}
+		for _, err := range learnerReads(victim) {
+			if err != nil && err.Error() != notHosted {
+				t.Errorf("learner %d: %v, want nil or %q", victim, err, notHosted)
+			}
+		}
+		rep.Replays()
+		rep.CatchupStats()
+		rep.CompactionStats()
+		rep.AcceptorFloors()
+		rep.ShardRounds()
+		rep.WALDiskStats()
+		rep.IngressCounts()
+		rep.RoundChanges()
+		rep.NetStats()
+	}
+
+	stop := make(chan struct{})
+	var readersDone sync.WaitGroup
+	defer func() { // on every path: no reader may outlive the test
+		close(stop)
+		drained := make(chan struct{})
+		go func() { readersDone.Wait(); close(drained) }()
+		select {
+		case <-drained:
+		case <-time.After(20 * time.Second):
+			t.Error("an inspector call never returned")
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		readersDone.Add(1)
+		go func() {
+			defer readersDone.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					readAll()
+				}
+			}
+		}()
+	}
+
+	var acked atomic.Int64
+	var writers sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < perCaller; i++ {
+				if _, err := cli.Set(fmt.Sprintf("c%d-k%d", g, i%8), fmt.Sprint(i)).Result(); err != nil {
+					errs <- fmt.Errorf("caller %d write %d: %w", g, i, err)
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+
+	waitAcked := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); acked.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d writes acked after 30s", acked.Load(), n)
+			}
+		}
+	}
+	waitAcked(callers * perCaller / 4)
+	if !rep.Kill(victim) {
+		t.Fatalf("learner %d was not hosted", victim)
+	}
+	for i, err := range learnerReads(victim) {
+		if err == nil || err.Error() != notHosted {
+			t.Errorf("read %d of killed learner %d: %v, want %q", i, victim, err, notHosted)
+		}
+	}
+	waitAcked(callers * perCaller / 2)
+	if err := rep.Restart(victim); err != nil {
+		t.Fatalf("restart %d: %v", victim, err)
+	}
+
+	writers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	checkMergedOrder(t, rep, callers*perCaller)
 }

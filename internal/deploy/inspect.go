@@ -11,12 +11,14 @@ import (
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 	"mcpaxos/internal/smr"
+	"mcpaxos/internal/snapshot"
 	"mcpaxos/internal/transport"
 )
 
-// The read-only side of Replica. Learner state is read under the learner's
-// mutex; coordinator, acceptor and fetcher state is read on the owning
-// agent's mailbox goroutine (Agent.Do).
+// The read-only side of Replica. Every node is single-threaded, so every read
+// of handler state runs on the node's mailbox goroutine (Agent.Do), through
+// on and onEach; only the stores that synchronise themselves — the WALs, the
+// snapshot stores' directories, the TCP counters — are read from here.
 
 // hosts returns the endpoints of those of the given spec nodes this Replica
 // runs, in spec order.
@@ -32,28 +34,40 @@ func (r *Replica) hosts(nodes []NodeSpec) []*endpoint {
 	return out
 }
 
-// learners returns the hosted learners.
-func (r *Replica) learners() []*learner {
-	var out []*learner
-	for _, e := range r.hosts(r.spec.Learners) {
-		out = append(out, e.agent.Handler().(*learner))
+// on runs fn on hosted node id's mailbox goroutine. It runs nothing for a
+// node this Replica does not host, nor for one killed before fn reached its
+// mailbox.
+func (r *Replica) on(id msg.NodeID, fn func(node.Handler)) {
+	if e, ok := r.host(id); ok {
+		e.agent.Do(fn)
 	}
-	return out
+}
+
+// onEach runs fn on the mailbox goroutine of each hosted node of the given
+// role, in spec order; a node killed meanwhile is skipped.
+func (r *Replica) onEach(nodes []NodeSpec, fn func(node.Handler)) {
+	for _, e := range r.hosts(nodes) {
+		e.agent.Do(fn)
+	}
 }
 
 const errNotLearner = "deploy: node %d is not a hosted learner"
 
-// read runs fn on hosted learner id, under the learner's mutex.
+// read runs fn on hosted learner id's mailbox goroutine. A node that is not a
+// learner, not hosted, or killed before fn ran reports errNotLearner, never
+// a zero value.
 func (r *Replica) read(id uint32, fn func(l *learner)) error {
-	if e, ok := r.host(msg.NodeID(id)); ok {
-		if l, ok := e.agent.Handler().(*learner); ok {
-			l.mu.Lock()
-			defer l.mu.Unlock()
+	ran := false
+	r.on(msg.NodeID(id), func(hd node.Handler) {
+		if l, ok := hd.(*learner); ok {
 			fn(l)
-			return nil
+			ran = true
 		}
+	})
+	if !ran {
+		return fmt.Errorf(errNotLearner, id)
 	}
-	return fmt.Errorf(errNotLearner, id)
+	return nil
 }
 
 // Applied reports how many distinct commands learner id's replica has
@@ -101,16 +115,9 @@ func (r *Replica) Compaction(id uint32) (frontier, watermark, logBase uint64, er
 
 // CatchupSynced reports whether learner id's rejoin pull has reached a
 // peer's frontier (true for a learner with no peers).
-func (r *Replica) CatchupSynced(id uint32) (bool, error) {
-	synced, err := false, fmt.Errorf(errNotLearner, id)
-	if e, ok := r.host(msg.NodeID(id)); ok {
-		e.agent.Do(func(hd node.Handler) {
-			if l, ok := hd.(*learner); ok {
-				synced, err = l.fetch.Synced(), nil
-			}
-		})
-	}
-	return synced, err
+func (r *Replica) CatchupSynced(id uint32) (synced bool, err error) {
+	err = r.read(id, func(l *learner) { synced = l.fetch.Synced() })
+	return
 }
 
 // Replays sums, across the hosted learners, the replies re-elicited from
@@ -118,20 +125,14 @@ func (r *Replica) CatchupSynced(id uint32) (bool, error) {
 // commands).
 func (r *Replica) Replays() uint64 {
 	var n uint64
-	for _, l := range r.learners() {
-		l.mu.Lock()
-		n += l.replayed
-		l.mu.Unlock()
-	}
+	r.onEach(r.spec.Learners, func(hd node.Handler) { n += hd.(*learner).replayed })
 	return n
 }
 
 // CatchupStats sums the catch-up fetcher activity across hosted learners.
 func (r *Replica) CatchupStats() catchup.Stats {
 	var s catchup.Stats
-	for _, e := range r.hosts(r.spec.Learners) {
-		e.agent.Do(func(hd node.Handler) { s = s.Plus(hd.(*learner).fetch.Stats()) })
-	}
+	r.onEach(r.spec.Learners, func(hd node.Handler) { s = s.Plus(hd.(*learner).fetch.Stats()) })
 	return s
 }
 
@@ -157,14 +158,18 @@ type CompactionStats struct {
 // CompactionStats reports the hosted learners' compaction state.
 func (r *Replica) CompactionStats() CompactionStats {
 	var cs CompactionStats
-	for _, l := range r.learners() {
-		l.mu.Lock()
+	var stores []*snapshot.Store
+	r.onEach(r.spec.Learners, func(hd node.Handler) {
+		l := hd.(*learner)
 		cs.Saves += l.snapSaves
 		cs.Watermark = max(cs.Watermark, l.watermark)
 		cs.LogBase = max(cs.LogBase, l.logBase)
 		cs.ResidentLog = max(cs.ResidentLog, len(l.log))
-		l.mu.Unlock()
-		files, bytes := l.snaps.DiskStats()
+		stores = append(stores, l.snaps)
+	})
+	// Off the mailbox: a durable store stats its directory.
+	for _, st := range stores {
+		files, bytes := st.DiskStats()
 		cs.SnapFiles += files
 		cs.SnapBytes += bytes
 	}
@@ -175,11 +180,7 @@ func (r *Replica) CompactionStats() CompactionStats {
 // floor (instances below it were truncated on a gossiped watermark).
 func (r *Replica) AcceptorFloors() []uint64 {
 	var out []uint64
-	for _, e := range r.hosts(r.spec.Acceptors) {
-		e.agent.Do(func(hd node.Handler) {
-			out = append(out, hd.(*classic.Acceptor).Floor())
-		})
-	}
+	r.onEach(r.spec.Acceptors, func(hd node.Handler) { out = append(out, hd.(*classic.Acceptor).Floor()) })
 	return out
 }
 
@@ -188,14 +189,12 @@ func (r *Replica) AcceptorFloors() []uint64 {
 // changes even when the crashed coordinator can no longer report.
 func (r *Replica) ShardRounds() []ballot.Ballot {
 	out := make([]ballot.Ballot, r.cfg.NShards())
-	for _, e := range r.hosts(r.spec.Acceptors) {
-		e.agent.Do(func(hd node.Handler) {
-			a := hd.(*classic.Acceptor)
-			for k := range out {
-				out[k] = ballot.Max(out[k], a.ShardRnd(k))
-			}
-		})
-	}
+	r.onEach(r.spec.Acceptors, func(hd node.Handler) {
+		a := hd.(*classic.Acceptor)
+		for k := range out {
+			out[k] = ballot.Max(out[k], a.ShardRnd(k))
+		}
+	})
 	return out
 }
 
@@ -221,14 +220,12 @@ func (r *Replica) WALDiskStats() (segs, snaps int, bytes int64) {
 // stamped slot to a collision (restamped on retry), and no-op fills adopted
 // for stalled instances.
 func (r *Replica) IngressCounts() (stamped, restamped, filled uint64) {
-	for _, e := range r.hosts(r.spec.Coords) {
-		e.agent.Do(func(hd node.Handler) {
-			s, re, f := hd.(*classic.Coordinator).IngressCounts()
-			stamped += s
-			restamped += re
-			filled += f
-		})
-	}
+	r.onEach(r.spec.Coords, func(hd node.Handler) {
+		s, re, f := hd.(*classic.Coordinator).IngressCounts()
+		stamped += s
+		restamped += re
+		filled += f
+	})
 	return
 }
 
@@ -237,9 +234,7 @@ func (r *Replica) IngressCounts() (stamped, restamped, filled uint64) {
 // coordinator crash costs zero).
 func (r *Replica) RoundChanges() int {
 	n := 0
-	for _, e := range r.hosts(r.spec.Coords) {
-		e.agent.Do(func(hd node.Handler) { n += hd.(*classic.Coordinator).RoundChanges() })
-	}
+	r.onEach(r.spec.Coords, func(hd node.Handler) { n += hd.(*classic.Coordinator).RoundChanges() })
 	return n
 }
 

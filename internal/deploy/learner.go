@@ -1,8 +1,6 @@
 package deploy
 
 import (
-	"sync"
-
 	"mcpaxos/internal/batch"
 	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/classic"
@@ -24,10 +22,9 @@ import (
 // knows only its node.Env, so any host (the TCP endpoint, a test's fake) can
 // run it.
 //
-// Two disciplines guard it. l and fetch belong to the mailbox goroutine:
-// OnMessage and OnTimer run there, and anything else reaches them through
-// Agent.Do. Every field below mu is guarded by mu, because the inspection
-// methods of Replica read them from other goroutines.
+// Like every handler it is single-threaded and takes no lock: OnMessage and
+// OnTimer run on the host's mailbox goroutine, and everything else — the
+// host's start, Replica's inspectors — reaches it there through Agent.Do.
 type learner struct {
 	env    node.Env
 	cfg    classic.Config
@@ -49,7 +46,6 @@ type learner struct {
 	idleNext   uint64
 	idleHinted bool
 
-	mu     sync.Mutex
 	rep    *smr.Replica
 	merger *smr.Merger
 	// log retains the raw delivered command of every instance (log[i] is
@@ -125,15 +121,11 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 	// until the fetcher reaches a peer's frontier, replies for replayed
 	// history stay suppressed.
 	l.catchup = len(l.peers) > 0
-	l.fetch = catchup.New(env, l.peers, catchupChunk, l.next, l.buffered, l.feed)
-	l.fetch.RetryTicks = spec.retryTicks()
-	l.fetch.WatchTicks = spec.fillTicks()
-	// Durable-tier fallback: if no peer learner retains the prefix this
-	// learner is missing, the acceptors re-announce their votes and the
+	// The acceptors are the durable-tier fallback: if no peer learner retains
+	// the prefix this learner is missing, they re-announce their votes and the
 	// ordinary quorum counting relearns it.
-	l.fetch.Acceptors = cfg.Acceptors
-	l.fetch.OnStall = l.onStall
-	l.fetch.Install = l.installBlob
+	l.fetch = catchup.New(env, l.peers, cfg.Acceptors, catchupChunk, spec.retryTicks(), spec.fillTicks(),
+		l.merger.Next, l.merger.Buffered, l.feed, l.onStall, l.installBlob)
 	if l.every > 0 {
 		l.fetch.OnWatch = l.gossip
 	}
@@ -142,8 +134,7 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 
 // deliver is the merger's callback: instance inst left the merge in total
 // order. It retains the raw command for peer pulls, applies the inner
-// commands and answers their clients. Caller holds l.mu (every merger.Add
-// and SkipTo does).
+// commands and answers their clients.
 func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 	l.log = append(l.log, cmd)
 	inner, isBatch := batch.Unpack(cmd)
@@ -176,15 +167,12 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 // merge frontier is a full interval past the last one. The fetcher feeds
 // pulled instances through it; onLearn feeds the live ones.
 func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
-	l.mu.Lock()
 	l.merger.Add(inst, cmd)
 	fr := l.merger.Next()
 	if l.every > 0 && fr >= l.snapFrontier+uint64(l.every) {
 		l.cutSnapshot(fr)
 	}
-	held := l.merger.Buffered() > 0
-	l.mu.Unlock()
-	if held && l.idleEvery > 0 && !l.idleArmed {
+	if l.merger.Buffered() > 0 && l.idleEvery > 0 && !l.idleArmed {
 		l.idleNext, l.idleHinted = fr, false
 		l.armIdle()
 	}
@@ -204,19 +192,15 @@ func (l *learner) armIdle() {
 // frontier: a lost one leaves the stall to that watch, as before.
 func (l *learner) onIdle() {
 	l.idleArmed = false
-	l.mu.Lock()
 	fr, held := l.merger.Next(), l.merger.Buffered() > 0
-	var holes []uint64
 	if fr != l.idleNext {
 		l.idleNext, l.idleHinted = fr, false
 	} else if held && !l.idleHinted {
 		l.idleHinted = true
-		holes = l.merger.Lagging(l.cfg.NShards())
-	}
-	l.mu.Unlock()
-	for _, inst := range holes {
-		node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)),
-			msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
+		for _, inst := range l.merger.Lagging(l.cfg.NShards()) {
+			node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)),
+				msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
+		}
 	}
 	if held {
 		l.armIdle()
@@ -233,19 +217,6 @@ func (l *learner) onLearn(inst uint64, cmd cstruct.Cmd) {
 // (classic.Cluster delivers the same ack on the simulator).
 func (l *learner) ack(inst uint64) {
 	node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)), msg.P2b{Inst: inst})
-}
-
-// next and buffered expose the merge frontier to the fetcher.
-func (l *learner) next() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.merger.Next()
-}
-
-func (l *learner) buffered() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.merger.Buffered()
 }
 
 // onStall is the fetcher's report of a frozen frontier that no catch-up pull
@@ -265,7 +236,6 @@ func (l *learner) onStall(frontier uint64) {
 // that has never reported holds the minimum at zero, so truncation starts
 // only once every learner has a snapshot.
 func (l *learner) gossip() {
-	l.mu.Lock()
 	fr := l.snapFrontier
 	wm := fr
 	for _, p := range l.peers {
@@ -280,14 +250,13 @@ func (l *learner) gossip() {
 	if wm > l.retain {
 		l.truncate(wm - l.retain)
 	}
-	l.mu.Unlock()
 	done := msg.Done{From: l.env.ID(), Frontier: fr, Watermark: wm}
 	node.Broadcast(l.env, l.peers, done)
 	node.Broadcast(l.env, l.cfg.Acceptors, done)
 }
 
 // cutSnapshot encodes and saves a snapshot of the applied state at frontier
-// fr. Caller holds l.mu.
+// fr.
 func (l *learner) cutSnapshot(fr uint64) {
 	dm, ok := l.rep.Machine().(smr.DurableMachine)
 	if !ok {
@@ -320,8 +289,6 @@ func (l *learner) installBlob(frontier uint64, blob []byte) bool {
 	if err != nil || s.Frontier != frontier {
 		return false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	// The replica takes state, order and dedup floor at once, each command
 	// with its original result: one applied below the frontier and later
 	// restamped (its client retried into a second instance) must re-elicit
@@ -346,7 +313,6 @@ func (l *learner) installBlob(frontier uint64, blob []byte) bool {
 }
 
 // truncate drops the retained log and reply-cache records below floor.
-// Caller holds l.mu.
 func (l *learner) truncate(floor uint64) {
 	if floor <= l.logBase {
 		return
@@ -367,9 +333,7 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 	case msg.CatchupResp:
 		l.fetch.OnResp(mm)
 		if l.fetch.Synced() {
-			l.mu.Lock()
 			l.catchup = false
-			l.mu.Unlock()
 		}
 	case msg.Done:
 		// No ratchet on a peer's gossiped snapshot frontier: a peer that
@@ -377,9 +341,7 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 		// holding the cluster minimum down until it re-covers is exactly the
 		// conservative behaviour the watermark needs (the watermark itself
 		// never regresses — it only stops advancing).
-		l.mu.Lock()
 		l.peerDone[mm.From] = mm.Frontier
-		l.mu.Unlock()
 	case msg.SnapReq:
 		l.serveSnap(mm)
 	case msg.SnapResp:
@@ -409,21 +371,15 @@ func (l *learner) onReplayProbe(mm msg.Propose) {
 	if !isBatch {
 		inner = []cstruct.Cmd{mm.Cmd}
 	}
-	var hits []msg.Reply
-	l.mu.Lock()
 	for _, c := range inner {
-		if to, _ := classic.SplitCmdID(c.ID); to == 0 {
+		to, _ := classic.SplitCmdID(c.ID)
+		if to == 0 {
 			continue
 		}
 		if rec, ok := l.replay.Get(c.ID); ok {
 			l.replayed++
-			hits = append(hits, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
+			l.env.Send(to, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
 		}
-	}
-	l.mu.Unlock()
-	for _, rep := range hits {
-		to, _ := classic.SplitCmdID(rep.CmdID)
-		l.env.Send(to, rep)
 	}
 }
 
@@ -435,9 +391,7 @@ func (l *learner) serve(mm msg.CatchupReq) {
 	if mm.Max > 0 && mm.Max < max {
 		max = mm.Max
 	}
-	resp := msg.CatchupResp{Learner: l.env.ID(), From: mm.From}
-	l.mu.Lock()
-	resp.Frontier = l.merger.Next()
+	resp := msg.CatchupResp{Learner: l.env.ID(), From: mm.From, Frontier: l.merger.Next()}
 	if mm.From < l.logBase {
 		// The requested prefix was compacted away: refuse with the floor so
 		// the requester escalates to snapshot transfer.
@@ -446,7 +400,6 @@ func (l *learner) serve(mm msg.CatchupReq) {
 		end := min(rel+uint64(max), uint64(len(l.log)))
 		resp.Cmds = append([]cstruct.Cmd(nil), l.log[rel:end]...)
 	}
-	l.mu.Unlock()
 	l.env.Send(mm.Learner, resp)
 }
 

@@ -127,9 +127,7 @@ func TestLearnerServesCatchupAboveLogBase(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), "k", fmt.Sprint(i)))
 	}
-	l.mu.Lock()
 	l.truncate(40)
-	l.mu.Unlock()
 	peer := cfg.Learners[1]
 	serve := func(from uint64, max uint32) msg.CatchupResp {
 		t.Helper()

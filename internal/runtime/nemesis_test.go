@@ -87,6 +87,39 @@ func TestDoOnStoppedAgentReturns(t *testing.T) {
 	}
 }
 
+// TestDoOutlastsItsClosureAcrossStop: a Stop that lands while a Do closure
+// runs must not release the caller before the closure returns — the caller
+// reads what the closure wrote, and a Replica inspector racing a Kill is
+// exactly this interleaving. Run under -race, the early return is also a
+// reported race on x.
+func TestDoOutlastsItsClosureAcrossStop(t *testing.T) {
+	n := NewNetwork()
+	defer n.Stop()
+	ag := n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
+
+	running, release, returned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	x := 0
+	go func() {
+		defer close(returned)
+		ag.Do(func(node.Handler) { close(running); <-release; x = 1 })
+		if x != 1 {
+			t.Error("Do returned before its closure finished")
+		}
+	}()
+	<-running
+	stopped := make(chan struct{})
+	go func() { ag.Stop(); close(stopped) }()
+	select {
+	case <-returned:
+		close(release) // let the loop, and so the deferred Stop, finish
+		t.Fatal("Do returned while its closure was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+	<-stopped
+}
+
 func TestNetworkFaultsDropDupAndPartition(t *testing.T) {
 	n := NewNetwork()
 	n.Tick = time.Millisecond

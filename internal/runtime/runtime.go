@@ -198,9 +198,6 @@ func gid() uint64 {
 // ID returns the agent's node ID.
 func (a *Agent) ID() msg.NodeID { return a.id }
 
-// Handler returns the hosted handler (for inspection after Stop).
-func (a *Agent) Handler() node.Handler { return a.handler }
-
 // Inject delivers a message to this agent as if sent by from.
 func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
 	a.enqueue(inbound{kind: kindMsg, from: from, m: m})
@@ -214,6 +211,8 @@ func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
 // On a stopped agent, Do returns without running fn: the buffered inbox
 // would otherwise accept the closure (both select cases ready, picked at
 // random) and leave the caller waiting on a completion that never comes.
+// Either way fn has finished or will never run when Do returns, so what fn
+// wrote may be read without further synchronisation.
 func (a *Agent) Do(fn func(h node.Handler)) {
 	if g := gid(); g != 0 && a.loopGID.Load() == g {
 		fn(a.handler)
@@ -229,7 +228,10 @@ func (a *Agent) Do(fn func(h node.Handler)) {
 	case a.inbox <- inbound{kind: kindMsg, from: 0, m: doFunc{fn: fn, done: doneCh}}:
 		select {
 		case <-doneCh:
-		case <-a.done: // stopped before the closure was drained
+		case <-a.done:
+			// Stopped before the closure was drained, or while it ran: wait
+			// the loop out, so a closure already running has finished.
+			a.wg.Wait()
 		}
 	case <-a.done:
 	}

@@ -56,11 +56,12 @@ func TestReplicaBatchConstituentDedup(t *testing.T) {
 
 // TestReplicatedBatchedKVConvergence drives batch commands through a full
 // multicoordinated deployment: replicas must converge to the same state a
-// command-at-a-time deployment reaches.
+// command-at-a-time deployment reaches. Every batch carries batch.Key, so the
+// key-based relation orders the batches totally.
 func TestReplicatedBatchedKVConvergence(t *testing.T) {
 	cl := core.NewCluster(core.ClusterOpts{
 		NCoords: 3, NAcceptors: 3, F: 1, Seed: 1, NLearners: 3,
-		Set: cstruct.NewHistorySet(batch.Conflict(cstruct.KeyConflict)),
+		Set: cstruct.NewHistorySet(cstruct.KeyConflict),
 	})
 	replicas := make([]*Replica, len(cl.Learners))
 	for i, id := range cl.Cfg.Learners {

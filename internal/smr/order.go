@@ -46,8 +46,7 @@ type Merger struct {
 	delivered uint64
 }
 
-// NewMerger builds a merger delivering via fn (may be nil — Buffered/Next
-// still track the frontier, which is enough for gap accounting).
+// NewMerger builds a merger delivering via fn.
 func NewMerger(fn DeliverFn) *Merger {
 	return &Merger{deliver: fn, buf: make(map[uint64]cstruct.Cmd)}
 }
@@ -73,18 +72,7 @@ func (m *Merger) Add(inst uint64, cmd cstruct.Cmd) bool {
 		return false
 	}
 	m.buf[inst] = cmd
-	for {
-		c, ok := m.buf[m.next]
-		if !ok {
-			break
-		}
-		delete(m.buf, m.next)
-		if m.deliver != nil {
-			m.deliver(m.next, c)
-		}
-		m.next++
-		m.delivered++
-	}
+	m.flush()
 	// Measured after the flush so an in-order learn that passes straight
 	// through never counts as held back: a gap-free run reports 0.
 	if len(m.buf) > m.MaxBuffered {
@@ -113,20 +101,23 @@ func (m *Merger) SkipTo(inst uint64) {
 	}
 	m.next = inst
 	// Anything buffered at the new frontier flushes immediately.
+	m.flush()
+	if m.OnRelease != nil {
+		m.OnRelease(m.next)
+	}
+}
+
+// flush delivers the contiguous buffered run at the frontier.
+func (m *Merger) flush() {
 	for {
 		c, ok := m.buf[m.next]
 		if !ok {
-			break
+			return
 		}
 		delete(m.buf, m.next)
-		if m.deliver != nil {
-			m.deliver(m.next, c)
-		}
+		m.deliver(m.next, c)
 		m.next++
 		m.delivered++
-	}
-	if m.OnRelease != nil {
-		m.OnRelease(m.next)
 	}
 }
 

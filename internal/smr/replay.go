@@ -48,8 +48,7 @@ type clientWindow struct {
 
 // NewReplyCache builds a cache keeping up to perClient results per client;
 // shift is the bit position of the client ID inside a command ID
-// (classic.ClientShift in a deployment). perClient < 1 disables the cache:
-// Put and Get become no-ops.
+// (classic.ClientShift in a deployment). perClient must be at least 1.
 func NewReplyCache(perClient int, shift uint) *ReplyCache {
 	return &ReplyCache{perClient: perClient, shift: shift, byClient: make(map[uint64]*clientWindow)}
 }
@@ -62,9 +61,6 @@ func (c *ReplyCache) split(cmdID uint64) (client, seq uint64) {
 // perClient below the client's highest seen are already evicted and are not
 // re-admitted (the watermark only advances).
 func (c *ReplyCache) Put(cmdID uint64, inst uint64, result string) {
-	if c == nil || c.perClient < 1 {
-		return
-	}
 	client, seq := c.split(cmdID)
 	w := c.byClient[client]
 	if w == nil {
@@ -99,9 +95,6 @@ func (c *ReplyCache) Put(cmdID uint64, inst uint64, result string) {
 
 // Get returns the cached result of cmdID, if retained.
 func (c *ReplyCache) Get(cmdID uint64) (ReplyRecord, bool) {
-	if c == nil || c.perClient < 1 {
-		return ReplyRecord{}, false
-	}
 	client, seq := c.split(cmdID)
 	w := c.byClient[client]
 	if w == nil {
@@ -113,9 +106,6 @@ func (c *ReplyCache) Get(cmdID uint64) (ReplyRecord, bool) {
 
 // Len reports the total number of cached results across all clients.
 func (c *ReplyCache) Len() int {
-	if c == nil {
-		return 0
-	}
 	n := 0
 	for _, w := range c.byClient {
 		n += len(w.results)
@@ -128,9 +118,6 @@ func (c *ReplyCache) Len() int {
 // them so retried proposals for commands applied below the snapshot frontier
 // still re-elicit replies.
 func (c *ReplyCache) Export() []snapshot.Reply {
-	if c == nil {
-		return nil
-	}
 	var out []snapshot.Reply
 	for client, w := range c.byClient {
 		for seq, r := range w.results {
@@ -158,9 +145,6 @@ func (c *ReplyCache) Restore(entries []snapshot.Reply) {
 // Returns how many records were dropped. An emptied window stays, with its
 // floor: dropping it would re-admit the sequence numbers it evicted.
 func (c *ReplyCache) EvictBelow(floor uint64) int {
-	if c == nil {
-		return 0
-	}
 	dropped := 0
 	for _, w := range c.byClient {
 		for seq, r := range w.results {
@@ -176,12 +160,8 @@ func (c *ReplyCache) EvictBelow(floor uint64) int {
 // ClientLen reports how many results are cached for one client (testing the
 // per-client bound).
 func (c *ReplyCache) ClientLen(client uint64) int {
-	if c == nil {
-		return 0
+	if w := c.byClient[client]; w != nil {
+		return len(w.results)
 	}
-	w := c.byClient[client]
-	if w == nil {
-		return 0
-	}
-	return len(w.results)
+	return 0
 }

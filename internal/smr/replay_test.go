@@ -74,18 +74,6 @@ func TestReplyCacheEvictBelowAndExport(t *testing.T) {
 	}
 }
 
-func TestReplyCacheDisabled(t *testing.T) {
-	for _, c := range []*ReplyCache{nil, NewReplyCache(0, testShift)} {
-		c.Put(id(1, 0), 5, "x")
-		if _, ok := c.Get(id(1, 0)); ok {
-			t.Fatal("disabled cache must never hit")
-		}
-		if c.Len() != 0 {
-			t.Fatal("disabled cache must stay empty")
-		}
-	}
-}
-
 // TestReplyCacheBoundProperty drives randomized put sequences — in-order,
 // reordered, and with far watermark jumps — and asserts the invariants the
 // deployment relies on: no client window ever exceeds the configured bound,
