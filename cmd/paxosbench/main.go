@@ -1,19 +1,20 @@
-// Command paxosbench regenerates every experiment table of EXPERIMENTS.md:
-// the quantitative claims of the Multicoordinated Paxos paper, measured on
-// the deterministic simulator.
+// Command paxosbench prints the experiment tables that reproduce the
+// quantitative claims of the Multicoordinated Paxos paper, measured on the
+// deterministic simulator.
 //
 // Usage:
 //
-//	paxosbench [-seed N] [-exp all|e1|...|e14|e15|e16|live|nemesis] [-trials N] [-commands N]
+//	paxosbench [-seed N] [-exp all|e1|...|e14|e15|e16|nemesis] [-trials N] [-seeds N] [-commands N]
 //
-// The live and nemesis experiments are the non-simulated modes: live stands
-// up the full batched, sharded, multicoordinated deployment on loopback TCP
-// through the embedding API and reports wall-clock proposal latency
-// percentiles; nemesis runs the randomized fault-injection harness (E14) on
-// both the simulator and the live path, judging every run with the
-// linearizability checker. Both are excluded from -exp all so the default
-// output stays deterministic: E1–E14 print the same bytes on every run, and
-// testdata/tables holds them (go test ./cmd/paxosbench diffs against it).
+// E15, E16 and nemesis are the wall-clock modes over loopback TCP through
+// the embedding API: E15 scales the number of client processes, E16 runs a
+// long write stream with and without log compaction, and nemesis runs the
+// randomized fault-injection harness (E14) on both the simulator and the
+// live path, judging every run with the linearizability checker. They are
+// excluded from -exp all so the default output stays deterministic: E1–E14
+// print the same bytes on every run, and testdata/tables holds them (go test
+// ./cmd/paxosbench diffs against it). Proposal-to-reply latency on the live
+// path is the benchmark's job: bash bench/run.sh -workload steady_open.
 package main
 
 import (
@@ -47,49 +48,47 @@ var tables = []struct {
 
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
-	exp := flag.String("exp", "all", "experiment to run: all, e1..e14, e15, e16, live or nemesis")
+	exp := flag.String("exp", "all", "experiment to run: all, e1..e14, e15, e16 or nemesis")
 	trials := flag.Int("trials", 20, "trials per sample point (E7, E9)")
 	seeds := flag.Int("seeds", 50, "randomized seeds per nemesis sweep (E14)")
 	liveSeeds := flag.Int("liveseeds", 3, "live-TCP seeds per nemesis sweep (wall clock; capped by -seeds)")
-	commands := flag.Int("commands", 200, "commands per run (E4, E6, E10, live)")
-	shards := flag.Int("shards", 2, "instance-space shards (live)")
-	coords := flag.Int("coords", 3, "coordinator group size per shard (live)")
-	batchMax := flag.Int("batch", 8, "client batch size (live)")
+	commands := flag.Int("commands", 200, "commands per run (E4, E6, E10–E13, E16; per client in E15)")
+	shards := flag.Int("shards", 2, "instance-space shards (E15)")
+	coords := flag.Int("coords", 3, "coordinator group size per shard (E15)")
 	clients := flag.Int("clients", 8, "max concurrent client processes in the E15 sweep")
 	workers := flag.Int("workers", 8, "closed-loop workers per client (E15)")
 	snapEvery := flag.Int("snapevery", 128, "learner snapshot interval in instances (E16)")
 	flag.Parse()
 
 	p := params{seed: *seed, trials: *trials, seeds: *seeds, commands: *commands}
-	any := false
-	for _, t := range tables {
-		if *exp == "all" || *exp == t.name {
-			any = true
-			if err := t.run(os.Stdout, p); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", t.name, err)
-				os.Exit(1)
+	var err error
+	switch *exp {
+	case "e15":
+		err = e15(*shards, *coords, *clients, *commands, *workers)
+	case "e16":
+		err = e16(*commands, *snapEvery)
+	case "nemesis":
+		err = nemesisExp(p, *liveSeeds)
+	default:
+		ran := false
+		for _, t := range tables {
+			if *exp != "all" && *exp != t.name {
+				continue
+			}
+			ran = true
+			if err = t.run(os.Stdout, p); err != nil {
+				err = fmt.Errorf("%s: %w", t.name, err)
+				break
 			}
 		}
+		if !ran {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, e1..e14, e15, e16 or nemesis)\n", *exp)
+			os.Exit(2)
+		}
 	}
-	if *exp == "live" {
-		live(*shards, *coords, *commands, *batchMax)
-		any = true
-	}
-	if *exp == "e15" {
-		e15(*shards, *coords, *clients, *commands, *workers)
-		any = true
-	}
-	if *exp == "nemesis" {
-		nemesisExp(p, *liveSeeds)
-		any = true
-	}
-	if *exp == "e16" {
-		e16(*commands, *snapEvery)
-		any = true
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, e1..e14, e15, e16, live or nemesis)\n", *exp)
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -289,10 +288,10 @@ func e14(w io.Writer, p params) error {
 	return nil
 }
 
-func nemesisExp(p params, liveSeeds int) {
+// nemesisExp fails when a seed's run broke a checked claim, on either path.
+func nemesisExp(p params, liveSeeds int) error {
 	if err := e14(os.Stdout, p); err != nil {
-		fmt.Fprintf(os.Stderr, "e14: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("e14: %w", err)
 	}
 	header(os.Stdout, "NEMESIS LIVE: the same harness over loopback TCP (wall clock)")
 	if p.seeds < liveSeeds {
@@ -301,14 +300,12 @@ func nemesisExp(p params, liveSeeds int) {
 	for i := 0; i < liveSeeds; i++ {
 		dir, err := os.MkdirTemp("", "nemesis-wal-*")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nemesis: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("nemesis: %w", err)
 		}
 		r, err := mcpaxos.RunLiveNemesis(p.seed+int64(i), 3, 8, dir)
 		os.RemoveAll(dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nemesis seed %d: %v\n", r.Seed, err)
-			os.Exit(1)
+			return fmt.Errorf("nemesis seed %d: %w", r.Seed, err)
 		}
 		status := "ok"
 		if !r.Ok {
@@ -326,33 +323,36 @@ func nemesisExp(p params, liveSeeds int) {
 			r.WALSegs, r.WALBytes, r.Compaction.SnapFiles, r.Compaction.SnapBytes,
 			r.Compaction.Saves, r.Compaction.Watermark, r.Compaction.ResidentLog)
 		if !r.Ok {
-			os.Exit(1)
+			return fmt.Errorf("nemesis seed %d: %s", r.Seed, r.Failure)
 		}
 	}
 	fmt.Println("  (convergence: every acked op applied on every learner, no learner ends")
 	fmt.Println("   stalled behind a gap, orders prefix-consistent and duplicate-free)")
+	return nil
 }
 
-func e16(commands, snapEvery int) {
+// e16 fails when an arm could not run or compaction did not bound storage;
+// each arm's WAL directory is removed before it returns.
+func e16(commands, snapEvery int) error {
 	header(os.Stdout, "E16: snapshot & log compaction — bounded storage under a long write stream")
 	fmt.Printf("  %d commands, 2 shards × group of 3, 3 WAL-backed acceptors; baseline vs\n", commands)
 	fmt.Printf("  SnapshotEvery=%d (retain %d); windowed disk/memory samples\n", snapEvery, snapEvery/2)
-	runArm := func(every int) mcpaxos.E16Run {
+	runArm := func(every int) (mcpaxos.E16Run, error) {
 		dir, err := os.MkdirTemp("", "e16-*")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "e16: %v\n", err)
-			os.Exit(1)
+			return mcpaxos.E16Run{}, err
 		}
 		defer os.RemoveAll(dir)
-		r, err := mcpaxos.RunE16Compaction(commands, every, 8, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "e16: %v\n", err)
-			os.Exit(1)
-		}
-		return r
+		return mcpaxos.RunE16Compaction(commands, every, 8, dir)
 	}
-	base := runArm(0)
-	comp := runArm(snapEvery)
+	base, err := runArm(0)
+	if err != nil {
+		return fmt.Errorf("e16 baseline: %w", err)
+	}
+	comp, err := runArm(snapEvery)
+	if err != nil {
+		return fmt.Errorf("e16 compaction: %w", err)
+	}
 	print := func(name string, r mcpaxos.E16Run) {
 		fmt.Printf("  %s (SnapshotEvery=%d, %v):\n", name, r.SnapshotEvery, r.Elapsed.Round(time.Millisecond))
 		fmt.Println("    commands  wal-segs  wal-bytes  snap-bytes  resident-log  watermark  saves")
@@ -365,34 +365,15 @@ func e16(commands, snapEvery int) {
 	print("compaction", comp)
 	if msg := mcpaxos.E16Bounded(base, comp); msg != "" {
 		fmt.Printf("  BOUNDED-STORAGE CHECK FAILED: %s\n", msg)
-		os.Exit(1)
+		return fmt.Errorf("e16: %s", msg)
 	}
 	fmt.Println("  (with compaction the learner resident log and the acceptors' WAL bytes")
 	fmt.Println("   plateau — the watermark truncates behind the snapshots — where the")
 	fmt.Println("   baseline grows monotonically with history size)")
+	return nil
 }
 
-func live(shards, coords, commands, batchMax int) {
-	header(os.Stdout, "LIVE: batched sharded multicoordinated stack over loopback TCP (wall clock)")
-	fmt.Printf("  %d commands, %d shards × group of %d, 3 acceptors, batch=%d\n",
-		commands, shards, coords, batchMax)
-	r, err := mcpaxos.RunLiveLatency(shards, coords, 3, commands, batchMax)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "live: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("  proposal→apply latency:  p50 %-10v p90 %-10v p99 %-10v max %v\n",
-		r.P50, r.P90, r.P99, r.Max)
-	fmt.Printf("  throughput: %.0f cmds/s over %v wall\n", r.Throughput, r.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  wire: %.0f bytes/cmd (%d total)  codec: encode %.0f ns/frame, decode %.0f ns/frame\n",
-		r.BytesPerCmd, r.WireBytes, r.EncodeNsPerFrame, r.DecodeNsPerFrame)
-	fmt.Printf("  retries=%d dup-replies=%d replay-probes=%d round-changes=%d\n",
-		r.Retries, r.DupReplies, r.ReplayProbes, r.RoundChanges)
-	fmt.Println("  (every message crosses a real socket; the sim experiments above measure")
-	fmt.Println("   the same stack in communication steps instead of wall time)")
-}
-
-func e15(shards, coords, maxClients, perClient, workers int) {
+func e15(shards, coords, maxClients, perClient, workers int) error {
 	header(os.Stdout, "E15: multi-client scaling — N client processes, server-side sequencing")
 	fmt.Printf("  %d commands per client, %d closed-loop workers each, %d shards × group of %d,\n",
 		perClient, workers, shards, coords)
@@ -405,8 +386,7 @@ func e15(shards, coords, maxClients, perClient, workers int) {
 	}
 	rows, err := mcpaxos.RunE15(shards, coords, 3, counts, perClient, workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "e15: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("e15: %w", err)
 	}
 	fmt.Println("  clients  cmds   agg-cmds/s  scaling  per-client p50        per-client p99")
 	base := 0.0
@@ -441,4 +421,5 @@ func e15(shards, coords, maxClients, perClient, workers int) {
 	fmt.Println("  (clients tag commands (ClientID, ReqID) and never sequence; the shard's")
 	fmt.Println("   primary coordinator stamps Seq at ingress and shares the stamp with its")
 	fmt.Println("   group, so independent client processes feed one multicoordinated stream)")
+	return nil
 }

@@ -2,6 +2,8 @@ package mcpaxos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/classic"
@@ -527,7 +529,7 @@ func RunE8LeaderFailover(seed int64) E8Result {
 	}
 	ccl.Sim.At(crashAt, func() { ccl.Sim.Crash(ccl.Cfg.Coords[0]) })
 	ccl.Sim.RunUntil(until + 100)
-	classicGap, base := maxGap(learnTimesList(ccl.LearnTime), crashAt)
+	classicGap, base := maxGap(slices.Collect(maps.Values(ccl.LearnTime)), crashAt)
 
 	// Multicoordinated Paxos: crash one of three coordinators.
 	mcl := core.NewCluster(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1,
@@ -541,19 +543,9 @@ func RunE8LeaderFailover(seed int64) E8Result {
 	}
 	mcl.Sim.At(crashAt, func() { mcl.Sim.Crash(mcl.Cfg.Coords[1]) })
 	mcl.Sim.RunUntil(until + 100)
-	multiGap, _ := maxGap(valuesOf(mcl.LearnTimes), crashAt)
+	multiGap, _ := maxGap(slices.Collect(maps.Values(mcl.LearnTimes)), crashAt)
 
 	return E8Result{BaselineGap: base, ClassicGap: classicGap, MultiGap: multiGap}
-}
-
-func learnTimesList(m map[uint64]int64) []int64 { return valuesOf(m) }
-
-func valuesOf(m map[uint64]int64) []int64 {
-	out := make([]int64, 0, len(m))
-	for _, t := range m {
-		out = append(out, t)
-	}
-	return out
 }
 
 // maxGap returns the largest gap between consecutive learn times after
@@ -562,7 +554,7 @@ func maxGap(times []int64, after int64) (worst int64, baseline int64) {
 	if len(times) == 0 {
 		return 0, 0
 	}
-	sortInt64(times)
+	slices.Sort(times)
 	baseline = 0
 	for i := 1; i < len(times); i++ {
 		gap := times[i] - times[i-1]
@@ -579,14 +571,6 @@ func maxGap(times []int64, after int64) (worst int64, baseline int64) {
 		}
 	}
 	return worst, baseline
-}
-
-func sortInt64(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // ---------------------------------------------------------------- E9 -----

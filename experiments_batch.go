@@ -1,12 +1,6 @@
 package mcpaxos
 
-import (
-	"fmt"
-
-	"mcpaxos/internal/batch"
-	"mcpaxos/internal/classic"
-	"mcpaxos/internal/cstruct"
-)
+import "fmt"
 
 // This file implements E10, the heavy-traffic throughput experiment: the
 // same command stream is pushed through a Classic Paxos SMR deployment
@@ -36,90 +30,43 @@ type E10Row struct {
 	MsgsPerCmd, WritesPerCmd float64
 }
 
-// e10Cluster builds the deployment every E10 mode runs on: one leader,
-// three acceptors, one learner, command-at-a-time totally ordered SMR.
-func e10Cluster(seed int64, maxInflight int) *classic.Cluster {
-	cl := classic.NewCluster(classic.ClusterOpts{
-		NCoords: 1, NAcceptors: 3, F: 1, Seed: seed, MaxInflight: maxInflight,
-	})
-	cl.Lead(0)
-	return cl
-}
-
-func e10Finish(mode string, cl *classic.Cluster, commands int, start int64) E10Row {
-	learned := 0
-	for _, cmd := range cl.LearnedCmds {
-		if sub, ok := batch.Unpack(cmd); ok {
-			learned += len(sub)
-		} else {
-			learned++
-		}
-	}
+// e10Drain runs one E10 mode on the deployment every mode shares: one
+// leader, three acceptors, one learner, command-at-a-time totally ordered
+// SMR. DiskWrites counts from the cluster's birth, phase 1 included.
+func e10Drain(mode string, s drainSpec) E10Row {
+	d, _ := drain(s) // in-memory disks: nothing to open
 	row := E10Row{
-		Mode:       mode,
-		Commands:   learned,
-		Instances:  len(cl.LearnedCmds),
-		Msgs:       cl.Sim.Metrics().TotalSent(),
-		DiskWrites: cl.TotalDiskWrites(),
-		SimSteps:   cl.Sim.Now() - start,
+		Mode:       d.mode(mode),
+		Commands:   d.commands,
+		Instances:  d.instances,
+		Msgs:       d.msgs,
+		DiskWrites: d.leadWrites + d.writes,
+		SimSteps:   d.steps,
 	}
-	if learned != commands {
-		// Refuse to report a broken run as a throughput number.
-		row.Mode += "(INCOMPLETE)"
-	}
-	if learned > 0 {
-		row.MsgsPerCmd = float64(row.Msgs) / float64(learned)
-		row.WritesPerCmd = float64(row.DiskWrites) / float64(learned)
+	if d.commands > 0 {
+		row.MsgsPerCmd = float64(row.Msgs) / float64(d.commands)
+		row.WritesPerCmd = float64(row.DiskWrites) / float64(d.commands)
 	}
 	return row
-}
-
-func e10Cmd(i int) cstruct.Cmd {
-	return cstruct.Cmd{ID: uint64(1 + i), Key: "k", Op: cstruct.OpWrite, Payload: []byte{1, byte(i)}}
 }
 
 // RunE10Sequential is the baseline: one command per instance, each proposed
 // only after the previous one is learned (no batching, no pipelining).
 func RunE10Sequential(seed int64, commands int) E10Row {
-	cl := e10Cluster(seed, 0)
-	cl.Sim.Metrics().Reset()
-	start := cl.Sim.Now()
-	for i := 0; i < commands; i++ {
-		cl.Prop.Propose(e10Cmd(i))
-		cl.Sim.Run()
-	}
-	return e10Finish("sequential", cl, commands, start)
+	return e10Drain("sequential", drainSpec{seed: seed, commands: commands, batch: 1, sequential: true})
 }
 
 // RunE10Pipelined submits the whole stream up front with the coordinator's
 // pipeline window set to depth: up to depth instances overlap in flight.
 func RunE10Pipelined(seed int64, commands, depth int) E10Row {
-	cl := e10Cluster(seed, depth)
-	cl.Sim.Metrics().Reset()
-	start := cl.Sim.Now()
-	for i := 0; i < commands; i++ {
-		cl.Prop.Propose(e10Cmd(i))
-	}
-	cl.Sim.Run()
-	return e10Finish(fmt.Sprintf("pipeline=%d", depth), cl, commands, start)
+	return e10Drain(fmt.Sprintf("pipeline=%d", depth), drainSpec{seed: seed, commands: commands, batch: 1, window: depth})
 }
 
 // RunE10Batched groups the stream into batches of batchSize commands; each
 // batch is one consensus instance (pipeline left unbounded, as batching
 // subsumes it at equal aggregate size).
 func RunE10Batched(seed int64, commands, batchSize int) E10Row {
-	cl := e10Cluster(seed, 0)
-	cl.Sim.Metrics().Reset()
-	start := cl.Sim.Now()
-	b := batch.NewBatcher(batchSize, 0, cl.Sim.Now, func(c cstruct.Cmd) {
-		cl.Prop.Propose(c)
-	})
-	for i := 0; i < commands; i++ {
-		b.Add(e10Cmd(i))
-	}
-	b.Flush()
-	cl.Sim.Run()
-	return e10Finish(fmt.Sprintf("batch=%d", batchSize), cl, commands, start)
+	return e10Drain(fmt.Sprintf("batch=%d", batchSize), drainSpec{seed: seed, commands: commands, batch: batchSize})
 }
 
 // RunE10Throughput sweeps the three modes.

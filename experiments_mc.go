@@ -3,11 +3,7 @@ package mcpaxos
 import (
 	"fmt"
 
-	"mcpaxos/internal/ballot"
-	"mcpaxos/internal/batch"
 	"mcpaxos/internal/classic"
-	"mcpaxos/internal/cstruct"
-	"mcpaxos/internal/smr"
 )
 
 // This file implements E13, the multicoordinated-shards experiment: the
@@ -68,100 +64,57 @@ type E13Row struct {
 // drain accounting plus the merged delivery order.
 func RunE13One(seed int64, commands, coordsPerShard int, crash bool, batchSize, window int) E13Row {
 	shards := E13Shards
-	nCoords := shards * coordsPerShard
+	s := drainSpec{seed: seed, commands: commands, shards: shards, perShard: coordsPerShard,
+		batch: batchSize, window: window}
 	if coordsPerShard == 1 {
 		// Single-coordinated shards need a standby per shard for the
 		// post-crash failover that multicoordination makes unnecessary.
-		nCoords = shards * 2
+		s.coords = shards * 2
 	}
-	rep := smr.NewReplica(smr.NewKVStore())
-	var order []uint64
-	m := smr.NewMerger(func(_ uint64, cmd cstruct.Cmd) {
-		if sub, ok := batch.Unpack(cmd); ok {
-			for _, c := range sub {
-				order = append(order, c.ID)
-			}
-		} else {
-			order = append(order, cmd.ID)
-		}
-		rep.ApplyOnce(cmd)
-	})
-	cl := classic.NewCluster(classic.ClusterOpts{
-		NCoords: nCoords, NAcceptors: 3, F: 1, Seed: seed,
-		Shards: shards, CoordsPerShard: coordsPerShard, MaxInflight: window,
-		OnLearn: func(inst uint64, cmd cstruct.Cmd) { m.Add(inst, cmd) },
-	})
-	m.OnRelease = func(upTo uint64) { cl.Learners[0].Release(upTo) }
-	cl.LeadAll()
-
-	base := make([]ballot.Ballot, shards)
-	for k := range base {
-		base[k] = cl.ShardRound(k)
-	}
-	cl.Sim.Metrics().Reset()
-	for _, d := range cl.Disks {
-		d.ResetWrites()
-	}
-	start := cl.Sim.Now()
-	router := batch.NewRouter(shards, batchSize, 0, cl.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
-		cl.Prop.ProposeSeq(shard, seq, c)
-	})
-	for i := 0; i < commands; i++ {
-		router.Route(e10Cmd(i))
-	}
-	router.FlushAll()
-
-	if crash {
-		// Two communication steps in: proposals delivered, the first 2a
-		// wave in flight — then one group member per shard dies (the
-		// primaries, the worst case for c = 1).
-		cl.Sim.RunUntil(cl.Sim.Now() + 2)
-		for k := 0; k < shards; k++ {
-			cl.Sim.Crash(cl.Cfg.Coords[k])
-		}
-		if coordsPerShard == 1 {
-			// No group to mask the crash: each shard's standby must take
-			// over with a fresh round and re-propose the stalled stream.
-			for k := 0; k < shards; k++ {
-				cl.Coords[shards+k].BecomeLeader()
-			}
-		}
-	}
-	cl.Sim.Run()
-
 	mode := fmt.Sprintf("c=%d", coordsPerShard)
 	if crash {
 		mode += "+crash"
-	}
-	roundChanges := cl.RoundChanges()
-	for k := 0; k < shards; k++ {
-		if base[k].Less(cl.ShardRound(k)) {
-			roundChanges++
+		// Two communication steps in: proposals delivered, the first 2a
+		// wave in flight — then one group member per shard dies (the
+		// primaries, the worst case for c = 1).
+		s.crash = func(cl *classic.Cluster) {
+			for k := 0; k < shards; k++ {
+				cl.Sim.Crash(cl.Cfg.Coords[k])
+			}
+			if coordsPerShard == 1 {
+				// No group to mask the crash: each shard's standby must take
+				// over with a fresh round and re-propose the stalled stream.
+				for k := 0; k < shards; k++ {
+					cl.Coords[shards+k].BecomeLeader()
+				}
+			}
 		}
 	}
+	d, _ := drain(s) // in-memory disks
+	return e13Row(mode, coordsPerShard, crash, d)
+}
+
+// e13Row fills an E13 row from a drain.
+func e13Row(mode string, coordsPerShard int, crash bool, d drained) E13Row {
 	row := E13Row{
-		Mode:           mode,
+		Mode:           d.mode(mode),
 		CoordsPerShard: coordsPerShard,
 		Crash:          crash,
-		Commands:       rep.Applied(),
-		Instances:      int(m.Delivered()),
-		Msgs:           cl.Sim.Metrics().TotalSent(),
-		SimSteps:       cl.Sim.Now() - start,
-		RoundChanges:   roundChanges,
-		Order:          order,
+		Commands:       d.commands,
+		Instances:      d.instances,
+		Msgs:           d.msgs,
+		SimSteps:       d.steps,
+		RoundChanges:   d.roundChanges,
+		Order:          d.rep.Order(),
 	}
-	for _, a := range cl.Accs {
+	for _, a := range d.cl.Accs {
 		row.Promotions += a.Promotions()
-	}
-	if row.Commands != commands || m.Buffered() != 0 {
-		// Refuse to report a broken run as a masking or throughput number.
-		row.Mode += "(INCOMPLETE)"
 	}
 	if row.Commands > 0 {
 		row.MsgsPerCmd = float64(row.Msgs) / float64(row.Commands)
 	}
 	if row.Instances > 0 {
-		row.WritesPerInstPerAcc = float64(cl.TotalDiskWrites()) / float64(row.Instances*len(cl.Accs))
+		row.WritesPerInstPerAcc = float64(d.writes) / float64(row.Instances*len(d.cl.Accs))
 	}
 	return row
 }

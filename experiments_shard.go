@@ -3,14 +3,6 @@ package mcpaxos
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-
-	"mcpaxos/internal/batch"
-	"mcpaxos/internal/classic"
-	"mcpaxos/internal/cstruct"
-	"mcpaxos/internal/smr"
-	"mcpaxos/internal/storage"
-	"mcpaxos/internal/wal"
 )
 
 // This file implements E12, the sharded-instance-space scaling experiment:
@@ -51,50 +43,19 @@ type E12Row struct {
 	MaxMergeBuffer int
 }
 
-// e12Cluster builds a sharded classic SMR deployment: `shards` concurrent
-// leaders over 3 acceptors, one learner feeding an ordered merger and a KV
-// replica, with learner state released as the replica applies.
-func e12Cluster(seed int64, shards, window int, stable func(i int) storage.Stable) (*classic.Cluster, *smr.Merger, *smr.Replica) {
-	rep := smr.NewReplica(smr.NewKVStore())
-	m := smr.NewMerger(smr.ReplicaDeliver(rep))
-	cl := classic.NewCluster(classic.ClusterOpts{
-		NCoords: shards, NAcceptors: 3, F: 1, Seed: seed,
-		Shards: shards, MaxInflight: window, Stable: stable,
-		OnLearn: func(inst uint64, cmd cstruct.Cmd) { m.Add(inst, cmd) },
-	})
-	m.OnRelease = func(upTo uint64) { cl.Learners[0].Release(upTo) }
-	cl.LeadAll()
-	return cl, m, rep
-}
-
 // RunE12Sharded pushes the command stream through N concurrent shard-leaders
 // at a fixed batch size and per-leader pipeline window, and reports the
 // simulated time to drain it.
 func RunE12Sharded(seed int64, commands, shards, batchSize, window int) E12Row {
-	cl, m, rep := e12Cluster(seed, shards, window, nil)
-	cl.Sim.Metrics().Reset()
-	start := cl.Sim.Now()
-	router := batch.NewRouter(shards, batchSize, 0, cl.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
-		cl.Prop.ProposeSeq(shard, seq, c)
-	})
-	for i := 0; i < commands; i++ {
-		router.Route(e10Cmd(i))
-	}
-	router.FlushAll()
-	cl.Sim.Run()
-
+	d, _ := drain(drainSpec{seed: seed, commands: commands, shards: shards, batch: batchSize, window: window})
 	row := E12Row{
-		Mode:           fmt.Sprintf("shards=%d", shards),
+		Mode:           d.mode(fmt.Sprintf("shards=%d", shards)),
 		Shards:         shards,
-		Commands:       rep.Applied(),
-		Instances:      int(m.Delivered()),
-		Msgs:           cl.Sim.Metrics().TotalSent(),
-		SimSteps:       cl.Sim.Now() - start,
-		MaxMergeBuffer: m.MaxBuffered,
-	}
-	if row.Commands != commands || m.Buffered() != 0 {
-		// Refuse to report a broken run as a throughput number.
-		row.Mode += "(INCOMPLETE)"
+		Commands:       d.commands,
+		Instances:      d.instances,
+		Msgs:           d.msgs,
+		SimSteps:       d.steps,
+		MaxMergeBuffer: d.m.MaxBuffered,
 	}
 	if row.SimSteps > 0 {
 		row.CmdsPerStep = float64(row.Commands) / float64(row.SimSteps)
@@ -134,61 +95,30 @@ type E12DurableRow struct {
 // reports the per-shard accepts behind the shared fsyncs: N concurrent
 // leaders, one log per acceptor.
 func RunE12Durable(dir string, seed int64, commands, shards, batchSize, window int) (E12DurableRow, error) {
-	var (
-		wals    []*wal.WAL
-		openErr error
-	)
-	stable := func(i int) storage.Stable {
-		w, err := wal.Open(filepath.Join(dir, fmt.Sprintf("acc%d", i)), wal.Options{})
-		if err != nil {
-			openErr = err
-			return &storage.Disk{}
-		}
-		wals = append(wals, w)
-		return w
+	d, err := drain(drainSpec{seed: seed, commands: commands, shards: shards, batch: batchSize, window: window,
+		walDir: dir})
+	if err != nil {
+		return E12DurableRow{}, err
 	}
-	cl, m, rep := e12Cluster(seed, shards, window, stable)
-	if openErr != nil {
-		for _, w := range wals {
-			w.Close()
-		}
-		return E12DurableRow{}, openErr
-	}
-	for _, w := range wals {
-		w.ResetWrites()
-		w.ResetFsyncs()
-	}
-	router := batch.NewRouter(shards, batchSize, 0, cl.Sim.Now, func(shard int, seq uint64, c cstruct.Cmd) {
-		cl.Prop.ProposeSeq(shard, seq, c)
-	})
-	for i := 0; i < commands; i++ {
-		router.Route(e10Cmd(i))
-	}
-	router.FlushAll()
-	cl.Sim.Run()
-
 	row := E12DurableRow{
 		Shards:       shards,
-		Commands:     rep.Applied(),
+		Commands:     d.commands,
+		Fsyncs:       d.fsyncs,
 		ShardAccepts: make([]uint64, shards),
 	}
-	for _, w := range wals {
-		row.Fsyncs += w.Fsyncs()
-		w.Close()
-	}
-	for inst := range cl.LearnedCmds {
-		for _, a := range cl.Accs {
+	for inst := range d.cl.LearnedCmds {
+		for _, a := range d.cl.Accs {
 			if _, _, ok := a.Vote(inst); ok {
-				row.ShardAccepts[cl.Cfg.ShardOf(inst)]++
+				row.ShardAccepts[d.cl.Cfg.ShardOf(inst)]++
 			}
 		}
 	}
-	if row.Commands > 0 && len(wals) > 0 {
-		row.FsyncsPerCmdPerAcc = float64(row.Fsyncs) / (float64(row.Commands) * float64(len(wals)))
+	if row.Commands > 0 {
+		row.FsyncsPerCmdPerAcc = float64(row.Fsyncs) / (float64(row.Commands) * float64(len(d.cl.Accs)))
 	}
-	if row.Commands != commands || m.Buffered() != 0 {
+	if !d.complete {
 		return row, fmt.Errorf("e12: incomplete durable run: applied %d/%d, %d buffered",
-			row.Commands, commands, m.Buffered())
+			row.Commands, commands, d.m.Buffered())
 	}
 	return row, nil
 }

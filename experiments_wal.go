@@ -4,12 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"mcpaxos/internal/batch"
-	"mcpaxos/internal/classic"
-	"mcpaxos/internal/cstruct"
-	"mcpaxos/internal/storage"
-	"mcpaxos/internal/wal"
 )
 
 // This file implements E11, the durable group-commit experiment: E10's
@@ -40,65 +34,21 @@ type E11Row struct {
 	WritesPerCmdPerAcc, FsyncsPerCmdPerAcc float64
 }
 
-// e11Cluster builds the classic SMR deployment on WAL-backed acceptors:
-// one leader, three acceptors writing to real log files under dir.
-func e11Cluster(dir string, seed int64) (*classic.Cluster, []*wal.WAL, error) {
-	var (
-		wals    []*wal.WAL
-		openErr error
-	)
-	cl := classic.NewCluster(classic.ClusterOpts{
-		NCoords: 1, NAcceptors: 3, F: 1, Seed: seed,
-		Stable: func(i int) storage.Stable {
-			w, err := wal.Open(filepath.Join(dir, fmt.Sprintf("acc%d", i)), wal.Options{})
-			if err != nil {
-				openErr = err
-				return &storage.Disk{}
-			}
-			wals = append(wals, w)
-			return w
-		},
-	})
-	if openErr != nil {
-		for _, w := range wals {
-			w.Close()
-		}
-		return nil, nil, openErr
+// e11Drain runs one E11 mode: E10's deployment with every acceptor on a
+// real log file under s.walDir, counted from the start of the drain.
+func e11Drain(mode string, s drainSpec) (E11Row, error) {
+	d, err := drain(s)
+	if err != nil {
+		return E11Row{}, err
 	}
-	cl.Lead(0)
-	for _, w := range wals {
-		w.ResetWrites()
-		w.ResetFsyncs()
-	}
-	return cl, wals, nil
-}
-
-func e11Finish(mode string, cl *classic.Cluster, wals []*wal.WAL, commands int) E11Row {
-	learned := 0
-	for _, cmd := range cl.LearnedCmds {
-		if sub, ok := batch.Unpack(cmd); ok {
-			learned += len(sub)
-		} else {
-			learned++
-		}
-	}
-	row := E11Row{Mode: mode, Commands: learned, Instances: len(cl.LearnedCmds)}
-	for _, w := range wals {
-		row.Writes += w.Writes()
-		row.Fsyncs += w.Fsyncs()
-	}
-	if learned != commands {
-		row.Mode += "(INCOMPLETE)"
-	}
-	if learned > 0 && len(wals) > 0 {
-		denom := float64(learned) * float64(len(wals))
+	row := E11Row{Mode: d.mode(mode), Commands: d.commands, Instances: d.instances,
+		Writes: d.writes, Fsyncs: d.fsyncs}
+	if d.commands > 0 {
+		denom := float64(d.commands) * float64(len(d.cl.Accs))
 		row.WritesPerCmdPerAcc = float64(row.Writes) / denom
 		row.FsyncsPerCmdPerAcc = float64(row.Fsyncs) / denom
 	}
-	for _, w := range wals {
-		w.Close()
-	}
-	return row
+	return row, nil
 }
 
 // RunE11Sequential is the durable baseline: one command per instance, each
@@ -106,34 +56,14 @@ func e11Finish(mode string, cl *classic.Cluster, wals []*wal.WAL, commands int) 
 // group-commit batch of its own, so fsyncs per command per acceptor is 1 —
 // the paper's one-write-per-accept floor made physical.
 func RunE11Sequential(dir string, seed int64, commands int) (E11Row, error) {
-	cl, wals, err := e11Cluster(dir, seed)
-	if err != nil {
-		return E11Row{}, err
-	}
-	for i := 0; i < commands; i++ {
-		cl.Prop.Propose(e10Cmd(i))
-		cl.Sim.Run()
-	}
-	return e11Finish("sequential", cl, wals, commands), nil
+	return e11Drain("sequential", drainSpec{seed: seed, commands: commands, batch: 1, sequential: true, walDir: dir})
 }
 
 // RunE11Batched groups the stream into batches of batchSize commands: each
 // batch is one consensus instance, so each acceptor persists it with one
 // group-commit write — one fsync per B commands.
 func RunE11Batched(dir string, seed int64, commands, batchSize int) (E11Row, error) {
-	cl, wals, err := e11Cluster(dir, seed)
-	if err != nil {
-		return E11Row{}, err
-	}
-	b := batch.NewBatcher(batchSize, 0, cl.Sim.Now, func(c cstruct.Cmd) {
-		cl.Prop.Propose(c)
-	})
-	for i := 0; i < commands; i++ {
-		b.Add(e10Cmd(i))
-	}
-	b.Flush()
-	cl.Sim.Run()
-	return e11Finish(fmt.Sprintf("batch=%d", batchSize), cl, wals, commands), nil
+	return e11Drain(fmt.Sprintf("batch=%d", batchSize), drainSpec{seed: seed, commands: commands, batch: batchSize, walDir: dir})
 }
 
 // RunE11GroupCommit sweeps the durable modes. Log directories are created

@@ -2,7 +2,7 @@ package mcpaxos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -142,7 +142,7 @@ func RunLiveMulti(shards, coordsPerShard, nAcceptors, clients, perClient, worker
 		if cl.err != nil {
 			return row, cl.err
 		}
-		sort.Slice(cl.lat, func(a, b int) bool { return cl.lat[a] < cl.lat[b] })
+		slices.Sort(cl.lat)
 		row.PerClient = append(row.PerClient, E15ClientResult{
 			ID:       spec.Clients[i].ID,
 			Commands: len(cl.lat),
@@ -170,4 +170,19 @@ func RunE15(shards, coordsPerShard, nAcceptors int, clientCounts []int, perClien
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// percentile returns the p-th percentile of sorted latencies (nearest-rank).
+func percentile(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (len(sorted)*p + 99) / 100
+	if idx < 1 {
+		idx = 1
+	}
+	if idx > len(sorted) {
+		idx = len(sorted)
+	}
+	return sorted[idx-1]
 }

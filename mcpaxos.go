@@ -10,8 +10,11 @@
 // provides the experiment drivers consumed by bench_test.go and
 // cmd/paxosbench, and exposes the embedding API (ClusterSpec, Replica,
 // Client — see api.go) that runs the batched, sharded, multicoordinated
-// stack over real TCP. Protocol internals live under internal/ (core is the
-// paper's contribution; classic, fast and generalized are the baselines).
+// stack over real TCP. Protocol internals live under internal/: classic is
+// the engine that ships — rounds served by coordinator groups of any size c,
+// behind the live path, E10–E14 and the classic rows of E1–E9 — and core is
+// the paper's algorithm over c-structs, fast rounds included, which runs on
+// the simulator only.
 package mcpaxos
 
 import (
