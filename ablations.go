@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the ablations DESIGN.md calls out: design choices of
-// Section 4 varied one at a time.
+// Section 4 varied one at a time, each arm one coreTrial (experiments.go).
 
 // AblationCoordRow reports the effect of the coordinator-set size on a
 // multicoordinated deployment: nc = 1 degenerates to Classic Paxos rounds.
@@ -32,17 +32,10 @@ type AblationCoordRow struct {
 func RunAblationCoordQuorum(seed int64, sizes []int) []AblationCoordRow {
 	out := make([]AblationCoordRow, 0, len(sizes))
 	for _, nc := range sizes {
-		cl := core.NewCluster(core.ClusterOpts{
-			NCoords: nc, NAcceptors: 3, F: 1, Seed: seed,
-			Set: cstruct.CmdSetSet{},
-		})
-		cl.Start(0)
-		start := cl.Sim.Now()
-		cl.Props[0].Propose(cstruct.Cmd{ID: 1})
-		cl.Sim.Run()
-		steps := int64(-1)
-		if t, ok := cl.LearnTimes[1]; ok {
-			steps = t - start
+		cl := coreTrial(seed, core.ClusterOpts{NCoords: nc, NAcceptors: 3, F: 1, Set: cstruct.CmdSetSet{}})
+		steps, ok := stepsToLearn(cl, func() { cl.Props[0].Propose(cstruct.Cmd{ID: 1}) })
+		if !ok {
+			steps = -1
 		}
 		// Crash one coordinator and check a second decision still lands
 		// without a round change.
@@ -78,16 +71,11 @@ type AblationRndRow struct {
 func RunAblationRndPersistence(seed int64, roundChanges int) []AblationRndRow {
 	out := make([]AblationRndRow, 0, 2)
 	for _, persist := range []bool{false, true} {
-		cl := core.NewCluster(core.ClusterOpts{
-			NCoords: 1, NAcceptors: 3, F: 1, Seed: seed,
-			Scheme: ballot.SingleScheme{}, Set: cstruct.CmdSetSet{},
-		})
+		cl := coreTrial(seed, core.ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1,
+			Scheme: ballot.SingleScheme{}, Set: cstruct.CmdSetSet{}})
+		// coreTrial zeroed the first round's writes, so the policy can follow it.
 		for _, a := range cl.Accs {
 			a.PersistRnd = persist
-		}
-		cl.Start(0)
-		for _, d := range cl.Disks {
-			d.ResetWrites()
 		}
 		id := uint64(1)
 		for i := 0; i < roundChanges; i++ {
@@ -98,13 +86,9 @@ func RunAblationRndPersistence(seed int64, roundChanges int) []AblationRndRow {
 			id++
 			cl.Sim.Run()
 		}
-		var writes uint64
-		for _, d := range cl.Disks {
-			writes += d.Writes()
-		}
 		out = append(out, AblationRndRow{
 			PersistRnd:        persist,
-			WritesPerAcceptor: float64(writes) / float64(len(cl.Disks)),
+			WritesPerAcceptor: float64(cl.TotalDiskWrites()) / float64(len(cl.Disks)),
 			RoundChanges:      roundChanges,
 		})
 	}

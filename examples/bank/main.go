@@ -2,13 +2,15 @@
 // paper) — the core engine agreeing on command histories. Deposits to
 // different accounts commute and may be delivered in different orders at
 // different replicas; operations on the same account are totally ordered.
-// Replica states converge either way.
+// Replica states converge either way; the program exits non-zero if they
+// do not, or if two replicas ordered a conflicting pair differently.
 //
 //	go run ./examples/bank
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"mcpaxos/internal/core"
 	"mcpaxos/internal/cstruct"
@@ -54,13 +56,15 @@ func main() {
 		fmt.Printf("replica %d: alice=%d bob=%d (applied %d ops)\n",
 			i, bank.Balance("alice"), bank.Balance("bob"), r.Applied())
 	}
-	if replicas[0].Machine().Snapshot() == replicas[1].Machine().Snapshot() {
-		fmt.Println("replicas converged ✓")
-	} else {
+	if replicas[0].Machine().Snapshot() != replicas[1].Machine().Snapshot() {
 		fmt.Println("replicas diverged ✗")
+		os.Exit(1)
 	}
+	fmt.Println("replicas converged ✓")
 	// Compatible histories order every conflicting pair alike.
-	if cl.Agreement() {
-		fmt.Println("conflicting operations delivered in one order everywhere ✓")
+	if !cl.Agreement() {
+		fmt.Println("conflicting operations delivered in different orders ✗")
+		os.Exit(1)
 	}
+	fmt.Println("conflicting operations delivered in one order everywhere ✓")
 }

@@ -7,7 +7,8 @@
 // zero round changes. And it costs the caller no retry interval: the client's
 // lost connections move it to the next member of each group, which takes the
 // stamping over when it finds the primary unreachable. The program exits
-// non-zero if the failover took a timer-driven retry or a round change.
+// non-zero if the replicas diverge, or if the failover took a timer-driven
+// retry or a round change.
 //
 //	go run ./examples/failover
 package main
@@ -69,7 +70,11 @@ func main() {
 	}
 	s0, _ := rep.Snapshot(spec.Learners[0].ID)
 	s1, _ := rep.Snapshot(spec.Learners[1].ID)
-	fmt.Printf("all %d writes applied on both replicas: %v\n", writes, s0 == s1)
+	if s0 != s1 {
+		fmt.Println("replicas diverged ✗")
+		os.Exit(1)
+	}
+	fmt.Printf("all %d writes applied, replicas identical ✓\n", writes)
 	retries, rc := cli.Stats().Retries, rep.RoundChanges()
 	fmt.Printf("client retries: %d, round changes: %d\n", retries, rc)
 	if retries > 0 || rc > 0 {

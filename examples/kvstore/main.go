@@ -2,7 +2,8 @@
 // throughput levers turned on — client-side batching per shard, two shards
 // sequencing concurrently, a coordinator group per shard, and durable
 // acceptor WALs on disk. The same protocol state machines as the
-// experiments, over real sockets.
+// experiments, over real sockets. The program exits non-zero if the
+// replicas diverge.
 //
 //	go run ./examples/kvstore
 package main
@@ -16,9 +17,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "kvstore:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	walDir, err := os.MkdirTemp("", "mckv-wal-*")
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer os.RemoveAll(walDir)
 
@@ -28,17 +36,17 @@ func main() {
 	spec.WALDir = walDir                  // acceptors persist votes on disk
 	spec, err = spec.ResolveEphemeral()
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	rep, err := mcpaxos.OpenReplica(spec)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer rep.Close()
 	cli, err := mcpaxos.DialClient(spec, spec.Clients[0].ID)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer cli.Close()
 
@@ -49,26 +57,26 @@ func main() {
 		calls = append(calls, cli.Set(fmt.Sprintf("user-%d", i%8), fmt.Sprintf("profile-%d", i)))
 	}
 	if err := cli.Wait(calls, 15*time.Second); err != nil {
-		panic(err)
+		return err
 	}
 	fmt.Printf("%d batched writes through 2 shards in %v\n", writes, time.Since(start).Round(time.Millisecond))
 
 	for _, l := range spec.Learners {
 		if err := rep.WaitApplied(l.ID, writes, 10*time.Second); err != nil {
-			panic(err)
+			return err
 		}
 		n, _ := rep.Applied(l.ID)
 		snap, _ := rep.Snapshot(l.ID)
 		fmt.Printf("replica %d (%d ops): %s\n", l.ID, n, snap)
 	}
-	s0, _ := rep.Snapshot(spec.Learners[0].ID)
-	s1, _ := rep.Snapshot(spec.Learners[1].ID)
-	if s0 == s1 {
-		fmt.Println("replicas converged ✓ (votes on disk under", walDir+")")
-	} else {
-		fmt.Println("replicas diverged ✗")
-	}
 	st := cli.Stats()
 	fmt.Printf("client: %d proposed, %d retries, %d duplicate replies suppressed\n",
 		st.Proposed, st.Retries, st.DupReplies)
+	s0, _ := rep.Snapshot(spec.Learners[0].ID)
+	s1, _ := rep.Snapshot(spec.Learners[1].ID)
+	if s0 != s1 {
+		return fmt.Errorf("replicas diverged ✗")
+	}
+	fmt.Println("replicas converged ✓ (votes on disk under", walDir+")")
+	return nil
 }

@@ -19,8 +19,55 @@ import (
 // quantitative claim of the paper's evaluation, named with its section in
 // the driver's comment and printed beside the measurement by cmd/paxosbench.
 // Every protocol row but Classic Paxos's is a configuration of
-// internal/core. bench_test.go and cmd/paxosbench are thin wrappers over
-// these functions.
+// internal/core, brought up by the one trial below (coreTrial), which the
+// ablations share; the probes the rows repeat — a sequential command stream,
+// the steps to the first learn, whether any acceptor promoted — are written
+// once beside it. E6's classic row is E10's sequential drain. bench_test.go
+// and cmd/paxosbench are thin wrappers over these functions.
+
+// coreTrial brings o's internal/core cluster up under seed, runs its first
+// round, and zeroes the acceptors' disk-write and the simulator's message
+// counters, so every count a row reads starts at the measurement.
+func coreTrial(seed int64, o core.ClusterOpts) *core.Cluster {
+	o.Seed = seed
+	cl := core.NewCluster(o)
+	cl.Start(0)
+	for _, d := range cl.Disks {
+		d.ResetWrites()
+	}
+	cl.Sim.Metrics().Reset()
+	return cl
+}
+
+// stream proposes commands 1..n from proposer 0, running the simulator dry
+// after each.
+func stream(cl *core.Cluster, n int) {
+	for i := 0; i < n; i++ {
+		cl.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i)})
+		cl.Sim.Run()
+	}
+}
+
+// stepsToLearn runs propose, then the simulator dry, and returns the steps
+// from the proposal to learner 0's first learn; ok is false when nothing was
+// learned.
+func stepsToLearn(cl *core.Cluster, propose func()) (steps int64, ok bool) {
+	start := cl.Sim.Now()
+	propose()
+	cl.Sim.Run()
+	first := int64(-1)
+	for _, t := range cl.LearnTimes {
+		if first < 0 || t < first {
+			first = t
+		}
+	}
+	return first - start, first >= 0
+}
+
+// promoted reports whether any acceptor promoted a collided round.
+func promoted(cl *core.Cluster) bool {
+	return slices.ContainsFunc(cl.Accs, func(a *core.Acceptor) bool { return a.Promotions() > 0 })
+}
 
 // ---------------------------------------------------------------- E1 -----
 
@@ -43,13 +90,9 @@ func RunE1StepsToLearn(seed int64) E1Result {
 	out.Steps[ProtocolClassic] = ccl.LearnTime[0] - start
 
 	steps := func(o core.ClusterOpts) int64 {
-		o.Seed = seed
-		cl := core.NewCluster(o)
-		cl.Start(0)
-		start := cl.Sim.Now()
-		cl.Props[0].Propose(cstruct.Cmd{ID: 1, Key: "k"})
-		cl.Sim.Run()
-		return cl.LearnTimes[1] - start
+		cl := coreTrial(seed, o)
+		n, _ := stepsToLearn(cl, func() { cl.Props[0].Propose(cstruct.Cmd{ID: 1, Key: "k"}) })
+		return n
 	}
 	out.Steps[ProtocolFast] = steps(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
 		Scheme: ballot.FastScheme{}})
@@ -101,18 +144,15 @@ type E3Row struct {
 func RunE3Availability(seed int64) []E3Row {
 	var out []E3Row
 	run := func(kind string, scheme ballot.Scheme, ncoords, crashes int) {
-		cl := core.NewCluster(core.ClusterOpts{
-			NCoords: ncoords, NAcceptors: 3, F: 1, Seed: seed,
+		cl := coreTrial(seed, core.ClusterOpts{
+			NCoords: ncoords, NAcceptors: 3, F: 1,
 			Scheme: scheme, Set: cstruct.CmdSetSet{},
 		})
-		cl.Start(0)
 		r0 := cl.Accs[0].Rnd()
 		for i := 0; i < crashes; i++ {
 			cl.Sim.Crash(cl.Cfg.Coords[i%len(cl.Cfg.Coords)])
 		}
-		cl.Props[0].Propose(cstruct.Cmd{ID: 42})
-		cl.Sim.Run()
-		_, ok := cl.LearnTimes[42]
+		_, ok := stepsToLearn(cl, func() { cl.Props[0].Propose(cstruct.Cmd{ID: 42}) })
 		out = append(out, E3Row{
 			Kind:         kind,
 			CoordCrashes: crashes,
@@ -160,17 +200,12 @@ func RunE4LoadBalance(seed int64, ncoords, nacc, commands int) E4Result {
 	}
 	// Multicoordinated, balanced: commuting commands (disjoint coordinator
 	// views of conflicting commands are exactly the collision case).
-	mcl := core.NewCluster(core.ClusterOpts{
-		NCoords: ncoords, NAcceptors: nacc, F: (nacc - 1) / 2, Seed: seed,
+	mcl := coreTrial(seed, core.ClusterOpts{
+		NCoords: ncoords, NAcceptors: nacc, F: (nacc - 1) / 2,
 		Set: cstruct.NewHistorySet(cstruct.NeverConflict), Balance: true,
 	})
-	mcl.Start(0)
+	stream(mcl, commands)
 	m0 := mcl.Sim.Metrics()
-	m0.Reset()
-	for i := 0; i < commands; i++ {
-		mcl.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i)})
-		mcl.Sim.Run()
-	}
 	for _, co := range mcl.Cfg.Coords {
 		share := float64(m0.RecvByNodeType[co][msg.TPropose]) / float64(commands)
 		if share > res.MaxCoordShare {
@@ -190,13 +225,10 @@ func RunE4LoadBalance(seed int64, ncoords, nacc, commands int) E4Result {
 	if e < 1 {
 		e = 1
 	}
-	fcl := core.NewCluster(core.ClusterOpts{
-		NCoords: 1, NAcceptors: nacc, F: (nacc - 1) / 2, E: e, Seed: seed,
+	fcl := coreTrial(seed, core.ClusterOpts{
+		NCoords: 1, NAcceptors: nacc, F: (nacc - 1) / 2, E: e,
 		Scheme: ballot.FastScheme{}, Set: cstruct.NewHistorySet(cstruct.NeverConflict),
 	})
-	fcl.Start(0)
-	mf := fcl.Sim.Metrics()
-	mf.Reset()
 	rng := fcl.Sim.Rand()
 	env := fcl.Sim.Env(1)
 	fastSize := fcl.Cfg.Quorums.FastSize()
@@ -210,7 +242,7 @@ func RunE4LoadBalance(seed int64, ncoords, nacc, commands int) E4Result {
 	}
 	maxFast := 0.0
 	for _, acc := range fcl.Cfg.Acceptors {
-		share := float64(mf.RecvByNodeType[acc][msg.TPropose]) / float64(commands)
+		share := float64(fcl.Sim.Metrics().RecvByNodeType[acc][msg.TPropose]) / float64(commands)
 		if share > maxFast {
 			maxFast = share
 		}
@@ -243,20 +275,13 @@ type E5Row struct {
 func RunE5CollisionRecovery(seed int64) []E5Row {
 	var out []E5Row
 	collide := func(name string, o core.ClusterOpts, base int64) {
-		o.Seed, o.NProposers = seed, 2
-		cl := core.NewCluster(o)
-		cl.Start(0)
-		for _, d := range cl.Disks {
-			d.ResetWrites()
-		}
-		start := cl.Sim.Now()
-		crossPropose(cl, cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200})
-		cl.Sim.Run()
-		if t, ok := firstLearn(cl.LearnTimes); ok {
+		o.NProposers = 2
+		cl := coreTrial(seed, o)
+		if steps, ok := stepsToLearn(cl, func() { crossPropose(cl, cstruct.Cmd{ID: 100}, cstruct.Cmd{ID: 200}) }); ok {
 			out = append(out, E5Row{
 				Scenario:       name,
-				TotalSteps:     t - start,
-				ExtraSteps:     t - start - base,
+				TotalSteps:     steps,
+				ExtraSteps:     steps - base,
 				AcceptorWrites: cl.TotalDiskWrites(),
 			})
 		}
@@ -315,16 +340,6 @@ func crossPropose(cl *core.Cluster, a, b cstruct.Cmd) {
 	})
 }
 
-func firstLearn(m map[uint64]int64) (int64, bool) {
-	first := int64(-1)
-	for _, t := range m {
-		if first < 0 || t < first {
-			first = t
-		}
-	}
-	return first, first >= 0
-}
-
 // ---------------------------------------------------------------- E6 -----
 
 // E6Result reports disk-write accounting (Section 4.2, 4.4).
@@ -342,44 +357,21 @@ type E6Result struct {
 func RunE6DiskWrites(seed int64, commands int) E6Result {
 	res := E6Result{WritesPerCommandPerAcceptor: make(map[Protocol]float64)}
 
-	ccl := classic.NewCluster(classic.ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: seed})
-	ccl.Lead(0)
-	for _, d := range ccl.Disks {
-		d.ResetWrites()
-	}
-	for i := 0; i < commands; i++ {
-		ccl.Prop.Propose(cstruct.Cmd{ID: uint64(1 + i)})
-		ccl.Sim.Run()
-	}
+	// Classic Paxos is E10's sequential drain: one leader, three acceptors.
+	d, _ := drain(drainSpec{seed: seed, commands: commands, batch: 1, sequential: true})
 	res.WritesPerCommandPerAcceptor[ProtocolClassic] =
-		float64(ccl.TotalDiskWrites()) / float64(commands*len(ccl.Disks))
+		float64(d.writes) / float64(commands*len(d.cl.Disks))
 
-	mcl := core.NewCluster(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1,
-		Seed: seed, Set: cstruct.NewHistorySet(cstruct.NeverConflict)})
-	mcl.Start(0)
-	for _, d := range mcl.Disks {
-		d.ResetWrites()
+	streamed := func(o core.ClusterOpts) (*core.Cluster, float64) {
+		o.Set = cstruct.NewHistorySet(cstruct.NeverConflict)
+		cl := coreTrial(seed, o)
+		stream(cl, commands)
+		return cl, float64(cl.TotalDiskWrites()) / float64(commands*len(cl.Disks))
 	}
-	for i := 0; i < commands; i++ {
-		mcl.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i)})
-		mcl.Sim.Run()
-	}
-	res.WritesPerCommandPerAcceptor[ProtocolMulti] =
-		float64(mcl.TotalDiskWrites()) / float64(commands*len(mcl.Disks))
-
-	fcl := core.NewCluster(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
-		Seed: seed, Scheme: ballot.FastScheme{},
-		Set: cstruct.NewHistorySet(cstruct.NeverConflict)})
-	fcl.Start(0)
-	for _, d := range fcl.Disks {
-		d.ResetWrites()
-	}
-	for i := 0; i < commands; i++ {
-		fcl.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i)})
-		fcl.Sim.Run()
-	}
-	res.WritesPerCommandPerAcceptor[ProtocolFast] =
-		float64(fcl.TotalDiskWrites()) / float64(commands*len(fcl.Disks))
+	var mcl *core.Cluster
+	mcl, res.WritesPerCommandPerAcceptor[ProtocolMulti] = streamed(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1})
+	_, res.WritesPerCommandPerAcceptor[ProtocolFast] = streamed(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+		Scheme: ballot.FastScheme{}})
 
 	// Coordinators have no disks at all in this implementation; the claim
 	// "coordinators need no stable storage" is structural. Report 0.
@@ -431,28 +423,17 @@ func RunE7ConflictSweep(seed int64, rhos []float64, trials int) []E7Row {
 				a := cstruct.Cmd{ID: 1, Key: keyA, Op: cstruct.OpWrite}
 				b := cstruct.Cmd{ID: 2, Key: keyB, Op: cstruct.OpWrite}
 
-				var cl *core.Cluster
-				if proto == ProtocolMulti {
-					cl = core.NewCluster(core.ClusterOpts{
-						NCoords: 3, NAcceptors: 3, F: 1, Seed: tseed, NProposers: 2,
-						Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
-				} else {
-					cl = core.NewCluster(core.ClusterOpts{
-						NCoords: 1, NAcceptors: 4, F: 1, E: 1, Seed: tseed, NProposers: 2,
-						Scheme: ballot.FastScheme{}, Recovery: core.AtAcceptors,
-						Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
+				o := core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1}
+				if proto == ProtocolGeneralized {
+					o = core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+						Scheme: ballot.FastScheme{}, Recovery: core.AtAcceptors}
 				}
-				cl.Start(0)
+				o.NProposers, o.Set = 2, cstruct.NewHistorySet(cstruct.KeyConflict)
+				cl := coreTrial(tseed, o)
 				start := cl.Sim.Now()
 				crossPropose(cl, a, b) // concurrent, in inverted arrival orders
 				cl.Sim.Run()
-				promoted := false
-				for _, acc := range cl.Accs {
-					if acc.Promotions() > 0 {
-						promoted = true
-					}
-				}
-				if promoted {
+				if promoted(cl) {
 					collided++
 				}
 				totalCmds += 2
@@ -532,9 +513,8 @@ func RunE8LeaderFailover(seed int64) E8Result {
 	classicGap, base := maxGap(slices.Collect(maps.Values(ccl.LearnTime)), crashAt)
 
 	// Multicoordinated Paxos: crash one of three coordinators.
-	mcl := core.NewCluster(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1,
-		Seed: seed, Set: cstruct.NewHistorySet(cstruct.NeverConflict)})
-	mcl.Start(0)
+	mcl := coreTrial(seed, core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1,
+		Set: cstruct.NewHistorySet(cstruct.NeverConflict)})
 	id = uint64(firstCmd)
 	for t := int64(10); t < until; t += period {
 		cid := id
@@ -595,17 +575,15 @@ func RunE9SpontaneousOrder(seed int64, jitters []int64, trials int) []E9Row {
 	// race starts o's first round, then has two proposers submit at once over
 	// links with the given jitter; it returns the cluster and the steps to its
 	// first learn.
-	race := func(o core.ClusterOpts, jit int64) (*core.Cluster, float64, bool) {
+	race := func(tseed int64, o core.ClusterOpts, jit int64) (*core.Cluster, float64, bool) {
 		o.NProposers = 2
-		cl := core.NewCluster(o)
-		cl.Start(0)
+		cl := coreTrial(tseed, o)
 		cl.Sim.SetLatency(sim.JitterLatency(jit))
-		start := cl.Sim.Now()
-		cl.Props[0].Propose(cstruct.Cmd{ID: 100})
-		cl.Props[1].Propose(cstruct.Cmd{ID: 200})
-		cl.Sim.Run()
-		t, ok := firstLearn(cl.LearnTimes)
-		return cl, float64(t - start), ok
+		steps, ok := stepsToLearn(cl, func() {
+			cl.Props[0].Propose(cstruct.Cmd{ID: 100})
+			cl.Props[1].Propose(cstruct.Cmd{ID: 200})
+		})
+		return cl, float64(steps), ok
 	}
 	var out []E9Row
 	for _, jit := range jitters {
@@ -615,8 +593,8 @@ func RunE9SpontaneousOrder(seed int64, jitters []int64, trials int) []E9Row {
 		for trial := 0; trial < trials; trial++ {
 			tseed := seed + int64(trial)*104729
 
-			fcl, steps, ok := race(core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
-				Seed: tseed, Scheme: ballot.FastScheme{}, Recovery: core.Coordinated}, jit)
+			fcl, steps, ok := race(tseed, core.ClusterOpts{NCoords: 1, NAcceptors: 4, F: 1, E: 1,
+				Scheme: ballot.FastScheme{}, Recovery: core.Coordinated}, jit)
 			if ok {
 				fastSteps += steps
 				fastN++
@@ -625,16 +603,13 @@ func RunE9SpontaneousOrder(seed int64, jitters []int64, trials int) []E9Row {
 				fastColl++
 			}
 
-			mcl, steps, ok := race(core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1, Seed: tseed}, jit)
+			mcl, steps, ok := race(tseed, core.ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1}, jit)
 			if ok {
 				mcSteps += steps
 				mcN++
 			}
-			for _, acc := range mcl.Accs {
-				if acc.Promotions() > 0 {
-					mcColl++
-					break
-				}
+			if promoted(mcl) {
+				mcColl++
 			}
 		}
 		row.FastCollisionFrac = fastColl / float64(trials)

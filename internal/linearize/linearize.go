@@ -113,7 +113,9 @@ func Check(ops []Op) Result {
 			defer wg.Done()
 			if ok, info := checkKey(sub); !ok {
 				mu.Lock()
-				if fail == nil {
+				// The lowest failing key is the verdict, whichever
+				// goroutine finishes first: a seed's report reproduces.
+				if fail == nil || key < fail.Key {
 					fail = &Result{Ok: false, Key: key, Info: info, Ops: len(ops)}
 				}
 				mu.Unlock()

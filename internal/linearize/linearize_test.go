@@ -107,6 +107,22 @@ func TestKeysCheckedIndependently(t *testing.T) {
 	}
 }
 
+// TestFailureNamesLowestKey pins a reproducible verdict: with several keys
+// broken, every check names the lowest, not the first goroutine to finish.
+func TestFailureNamesLowestKey(t *testing.T) {
+	var ops []Op
+	for _, k := range []string{"d", "b", "e", "c"} {
+		ops = append(ops,
+			Op{Client: 1, Kind: Set, Key: k, Arg: "a", Call: 0, Ret: 1},
+			Op{Client: 2, Kind: Get, Key: k, Found: false, Call: 2, Ret: 3})
+	}
+	for run := 0; run < 50; run++ {
+		if r := Check(ops); r.Ok || r.Key != "b" {
+			t.Fatalf("run %d: verdict %v on key %q, want a failure on b", run, r.Ok, r.Key)
+		}
+	}
+}
+
 // TestRandomSequentialHistoriesAccepted replays random op sequences through
 // a model KV and stamps them with strictly sequential times: every such
 // history is linearizable by construction.

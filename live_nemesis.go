@@ -3,7 +3,6 @@ package mcpaxos
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,6 +20,10 @@ import (
 // send path, node crashes are real Kill/Restart (acceptors recover from
 // their WALs), and the history checker judges wall-clock invocation and
 // response edges. It is the harness behind `paxosbench -exp nemesis`.
+// Op translation, result parsing, event enactment and the judge are E14's
+// (experiments_nemesis.go); this file keeps the TCP workers, stableOrders
+// and its own rule that no learner ends stalled behind a gap. It judges
+// every learner's order.
 
 // LiveNemesisResult is the outcome of one live nemesis run.
 type LiveNemesisResult struct {
@@ -65,12 +68,11 @@ type LiveNemesisResult struct {
 // each, while the schedule partitions links, kills and restarts nodes and
 // degrades the network. walDir hosts the acceptors' WALs (pass a temp dir).
 func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveNemesisResult, error) {
-	res := LiveNemesisResult{Seed: seed, Ok: true}
-	fail := func(f string, args ...any) {
-		if res.Ok {
-			res.Ok, res.Failure = false, fmt.Sprintf(f, args...)
-		}
-	}
+	res := LiveNemesisResult{Seed: seed}
+	var (
+		v  verdict
+		mu sync.Mutex // guards v while the schedule runs, and the workers' records
+	)
 
 	inj := faults.New(seed + 1)
 	spec := LocalSpec(2, 3, 3, 2, 1)
@@ -143,23 +145,20 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 	nemesisWG.Add(1)
 	go func() {
 		defer nemesisWG.Done()
-		tick := time.Millisecond
+		crash := func(n msg.NodeID) { rep.Kill(uint32(n)) }
+		// A failed restart (e.g. the port momentarily unbindable) is a node
+		// that stays down — the deployment must survive it, but the harness
+		// records it rather than hiding it.
+		restart := func(n msg.NodeID) {
+			if err := rep.Restart(uint32(n)); err != nil {
+				mu.Lock()
+				v.fail("restart %d: %v", n, err)
+				mu.Unlock()
+			}
+		}
 		for _, ev := range schedule {
-			time.Sleep(time.Until(start.Add(time.Duration(ev.At) * tick)))
-			if nemesis.Apply(inj, ev) {
-				continue
-			}
-			switch ev.Kind {
-			case nemesis.FaultCrash:
-				rep.Kill(uint32(ev.Node))
-			case nemesis.FaultRecover:
-				// A failed restart (e.g. the port momentarily unbindable) is a
-				// node that stays down — the deployment must survive it, but
-				// the harness records it rather than hiding it.
-				if err := rep.Restart(uint32(ev.Node)); err != nil {
-					fail("restart %d: %v", ev.Node, err)
-				}
-			}
+			time.Sleep(time.Until(start.Add(time.Duration(ev.At) * time.Millisecond)))
+			enact(inj, ev, crash, restart)
 		}
 	}()
 
@@ -170,9 +169,8 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 	})
 	hist := &linearize.History{}
 	var (
-		mu      sync.Mutex
-		writeID = make(map[uint64]int) // cmd ID → history index (unresolved writes)
-		acked   []uint64               // cmd IDs whose reply arrived in time
+		unresolved = make(map[uint64]int) // cmd ID → history index
+		acked      []uint64               // cmd IDs whose reply arrived in time
 	)
 	// Pace each worker so its ops span the fault window: an unpaced closed
 	// loop finishes in tens of milliseconds on an idle machine, before the
@@ -184,48 +182,20 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 		go func(c int) {
 			defer workerWG.Done()
 			for _, op := range workload[c] {
-				var kind linearize.Kind
-				switch op.Kind {
-				case nemesis.OpSet:
-					kind = linearize.Set
-				case nemesis.OpDel:
-					kind = linearize.Del
-				default:
-					kind = linearize.Get
-				}
+				cmd, kind := nemesisCmd(0, op)
 				idx := hist.Invoke(uint64(c), kind, op.Key, op.Value, time.Now().UnixNano())
-				var call *Call
-				switch kind {
-				case linearize.Set:
-					call = cli.Set(op.Key, op.Value)
-				case linearize.Del:
-					call = cli.Del(op.Key)
-				default:
-					call = cli.Get(op.Key)
-				}
+				call := cli.Propose(cmd)
 				out, err := call.Result()
-				if err != nil {
-					// No response: a write stays in the history with Ret = ∞
-					// if the merged order proves it applied; a read constrains
-					// nothing and is discarded either way.
-					mu.Lock()
-					if kind == linearize.Get {
-						hist.Discard(idx)
-					} else {
-						writeID[call.ID] = idx
-					}
-					mu.Unlock()
-					time.Sleep(pace)
-					continue
-				}
-				found := strings.HasPrefix(out, "=")
-				val := ""
-				if found {
-					val = out[1:]
-				}
-				hist.Resolve(idx, val, found, time.Now().UnixNano())
+				at := time.Now().UnixNano()
 				mu.Lock()
-				acked = append(acked, call.ID)
+				if err != nil {
+					// No response: the judge decides whether the op stays.
+					unresolved[call.ID] = idx
+				} else {
+					val, found := kvResult(out)
+					hist.Resolve(idx, val, found, at)
+					acked = append(acked, call.ID)
+				}
 				mu.Unlock()
 				time.Sleep(pace)
 			}
@@ -237,93 +207,36 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 	res.Elapsed = time.Since(start)
 	res.Net = inj.Stats()
 	res.Ops = clients * opsPerClient
-	mu.Lock()
 	res.Acked = len(acked)
-	mu.Unlock()
 
 	// Let in-flight traffic and any pending catch-up pull settle, then
 	// snapshot every learner's merged order.
 	learners := []uint32{spec.Learners[0].ID, spec.Learners[1].ID}
 	orders := stableOrders(rep, learners, 10*time.Second)
 
-	// Convergence judgment, part 1: no learner may end the run stalled
-	// behind a gap — learned instances buffered above a frozen frontier
-	// mean a decided instance was lost for good.
+	// This clock's own rule: no learner may end the run stalled behind a gap
+	// — learned instances buffered above a frozen frontier mean a decided
+	// instance was lost for good.
 	for i, l := range learners {
 		if _, buffered, err := rep.Progress(l); err != nil {
-			fail("learner %d progress: %v", l, err)
+			v.fail("learner %d progress: %v", l, err)
 		} else if buffered > 0 {
-			fail("learner %d ends stalled: %d instances buffered behind a gap (order %d)",
+			v.fail("learner %d ends stalled: %d instances buffered behind a gap (order %d)",
 				l, buffered, len(orders[i]))
 		}
 	}
-
-	// Part 2: the orders are merged prefixes of one total order — each must
-	// prefix the longest, and none may repeat a command.
-	long := orders[0]
-	for _, o := range orders[1:] {
-		if len(o) > len(long) {
-			long = o
-		}
-	}
-	perLearner := make([]map[uint64]bool, len(orders))
-	for i, o := range orders {
-		for j, id := range o {
-			if long[j] != id {
-				fail("learner %d order diverges at position %d: %d vs %d", learners[i], j, long[j], id)
-				break
-			}
-		}
-		m := make(map[uint64]bool, len(o))
-		for _, id := range o {
-			if m[id] {
-				fail("learner %d merged command %d twice", learners[i], id)
-			}
-			m[id] = true
-		}
-		perLearner[i] = m
-	}
-	res.Applied = len(long)
-	seen := perLearner[0]
-	if len(orders) > 1 && len(orders[1]) > len(orders[0]) {
-		seen = perLearner[1]
-	}
-
-	// Part 3: every acknowledged op is applied on every learner — a reply
-	// promises the command a slot in the total order, and catch-up plus the
-	// quiet tail must have propagated that slot everywhere, restarted
-	// learners included.
-	mu.Lock()
-	ackedIDs := append([]uint64(nil), acked...)
-	mu.Unlock()
-	for _, id := range ackedIDs {
-		for i, m := range perLearner {
-			if !m[id] {
-				fail("acked command %d missing from learner %d's order", id, learners[i])
-			}
-		}
-	}
-
-	// Classify unresolved writes against the merged order: applied writes
-	// stay (Ret = ∞, they linearize somewhere after their call), unapplied
-	// ones are proven side-effect-free and leave the history.
-	mu.Lock()
-	for id, idx := range writeID {
-		if !seen[id] {
-			hist.Discard(idx)
-		}
-	}
-	mu.Unlock()
+	// Then the shared judge over every learner's order: a reply promises
+	// the command a slot in the total order, and catch-up plus the quiet
+	// tail must have propagated that slot everywhere, restarted learners
+	// included.
+	res.Applied = v.judge(hist, learners, orders, acked, unresolved)
+	res.Ok, res.Failure = v.failure == "", v.failure
 	res.Resolved = hist.Resolved()
 	res.Client = cli.Stats()
 	res.Replays = rep.Replays()
 	res.Catchup = rep.CatchupStats()
 	res.Compaction = rep.CompactionStats()
 	res.WALSegs, res.WALSnaps, res.WALBytes = rep.WALDiskStats()
-
-	if r := linearize.Check(hist.Ops()); !r.Ok {
-		fail("history not linearizable (key %s): %s", r.Key, r.Info)
-	}
 	return res, nil
 }
 
