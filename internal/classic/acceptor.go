@@ -1,9 +1,9 @@
 package classic
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
@@ -400,4 +400,9 @@ func (a *Acceptor) setRnd(shard int, r ballot.Ballot) {
 	}
 }
 
-func voteKey(inst uint64) string { return fmt.Sprintf("vote/%d", inst) }
+// voteKey names inst's vote record on disk: "vote/<decimal inst>", the key
+// existing WAL directories replay by.
+func voteKey(inst uint64) string {
+	var b [len("vote/") + 20]byte
+	return string(strconv.AppendUint(append(b[:0], "vote/"...), inst, 10))
+}

@@ -128,9 +128,37 @@ func (c Config) RoundGroup(shard int, r ballot.Ballot) []msg.NodeID {
 	return out
 }
 
-// InRoundGroup reports whether id serves round r of shard.
+// InRoundGroup reports whether id serves round r of shard: RoundGroup's
+// membership, decided from positions in ShardCoords(shard) without building
+// either slice, since an acceptor asks it of every 2a.
 func (c Config) InRoundGroup(shard int, r ballot.Ballot, id msg.NodeID) bool {
-	return slices.Contains(c.RoundGroup(shard, r), id)
+	pos, size := c.shardPos(shard, id)
+	if pos < 0 {
+		return false
+	}
+	n := c.NCoordsPerShard()
+	if size <= n {
+		return true
+	}
+	start, _ := c.shardPos(shard, msg.NodeID(r.ID))
+	return (pos-max(start, 0)+size)%size < n
+}
+
+// shardPos returns id's position in ShardCoords(shard) (-1 if absent) and
+// that group's size.
+func (c Config) shardPos(shard int, id msg.NodeID) (pos, size int) {
+	n := c.NShards()
+	if n == 1 {
+		shard = 0
+	}
+	pos = -1
+	for i := shard; i < len(c.Coords); i += n {
+		if c.Coords[i] == id && pos < 0 {
+			pos = size
+		}
+		size++
+	}
+	return pos, size
 }
 
 // CoordQuorumSize returns the 2a quorum a value needs from a round's group

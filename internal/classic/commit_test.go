@@ -116,3 +116,13 @@ func TestGroupCommitHolds1bBehindVote(t *testing.T) {
 		t.Errorf("the 1b reports %+v, want the burst's vote at %v", p1b.Votes, r)
 	}
 }
+
+// A vote's disk key is "vote/<decimal instance>": WAL directories written by
+// earlier builds replay by these exact bytes.
+func TestVoteKeyLayout(t *testing.T) {
+	for _, inst := range []uint64{0, 1, 9, 10, 4096, 1<<40 | 7, ^uint64(0)} {
+		if got, want := voteKey(inst), fmt.Sprintf("vote/%d", inst); got != want {
+			t.Errorf("voteKey(%d) = %q, want %q", inst, got, want)
+		}
+	}
+}

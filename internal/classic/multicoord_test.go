@@ -2,6 +2,7 @@ package classic
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mcpaxos/internal/ballot"
@@ -94,6 +95,49 @@ func TestRoundGroup(t *testing.T) {
 			if cfg.InRoundGroup(tc.shard, tc.r, id) != in {
 				t.Errorf("c=%d shard %d round %v: InRoundGroup(%v) = %v", tc.c, tc.shard, tc.r, id, !in)
 			}
+		}
+	}
+}
+
+// InRoundGroup answers RoundGroup's membership on every shape, and — an
+// acceptor asks it of every 2a it takes — allocates nothing doing so, on the
+// deployed 2-shard c = 3 shape and with standbys beyond the group.
+func TestInRoundGroupMatchesRoundGroupWithoutAllocating(t *testing.T) {
+	all := []msg.NodeID{100, 101, 102, 103, 104, 105, 106, 107, 108}
+	ids := append([]msg.NodeID{999}, all...)
+	rounds := []ballot.Ballot{ballot.Zero, {MCount: 2}, {MinCount: 1, ID: 999}}
+	for _, id := range all {
+		rounds = append(rounds, ballot.Ballot{MinCount: 1, ID: uint32(id)})
+	}
+	for shards := 0; shards <= 3; shards++ {
+		for n := max(shards, 1); n <= len(all); n++ {
+			for c := 0; c <= 4; c++ {
+				cfg := Config{Coords: all[:n], Shards: shards, CoordsPerShard: c}
+				for shard := range cfg.NShards() {
+					for _, r := range rounds {
+						group := cfg.RoundGroup(shard, r)
+						for _, id := range ids {
+							if got, want := cfg.InRoundGroup(shard, r, id), slices.Contains(group, id); got != want {
+								t.Fatalf("%d shards, %d coords, c=%d, shard %d, round %v: InRoundGroup(%v) = %v, group %v",
+									shards, n, c, shard, r, id, got, group)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{6, 8} {
+		cfg := Config{Coords: all[:n], Shards: 2, CoordsPerShard: 3}
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, r := range rounds {
+				for _, id := range ids {
+					cfg.InRoundGroup(int(id)%2, r, id)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("2 shards, c = 3 over %d coordinators: InRoundGroup allocates %v per sweep, want 0", n, allocs)
 		}
 	}
 }

@@ -36,6 +36,9 @@ type learner struct {
 	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir,
 	// else memory-only); the store synchronises itself.
 	snaps *snapshot.Store
+	// coords is ShardCoords(shard) per shard, built once: the targets of the
+	// ack every learned instance draws, and of fills and skip hints.
+	coords [][]msg.NodeID
 	// The skip-hint clock (timerIdle): armed while instances sit buffered
 	// above the merge frontier, it fires every idleEvery ticks — one BatchWait;
 	// 0, never, with a single shard or size-only batching — and a frontier
@@ -55,10 +58,12 @@ type learner struct {
 	// replay caches recent apply results per client so a retransmitted
 	// proposal for an already-applied command re-elicits its reply.
 	replay *smr.ReplyCache
-	// catchup suppresses reply sends while the learner is replaying a pulled
-	// prefix: the results land in replay (a client probe re-elicits any it
-	// still needs) without an O(history) reply storm on rejoin.
-	catchup bool
+	// pulling suppresses reply sends while the catch-up fetcher feeds a pulled
+	// instance, and the buffered ones that instance releases: their results
+	// land in replay (a client probe re-elicits any it still needs) without an
+	// O(history) reply storm on rejoin. What live quorum counting delivers is
+	// answered, synced or not.
+	pulling bool
 	// replayed counts replies re-elicited from the replay cache.
 	replayed uint64
 
@@ -99,6 +104,9 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 			l.peers = append(l.peers, p)
 		}
 	}
+	for shard := range cfg.NShards() {
+		l.coords = append(l.coords, cfg.ShardCoords(shard))
+	}
 	if cfg.NShards() > 1 {
 		l.idleEvery = spec.batchWaitTicks()
 	}
@@ -117,15 +125,12 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 	if blob, fr, ok := snaps.Latest(); ok {
 		l.installBlob(fr, blob)
 	}
-	// Peer learners serve the decided prefix a rejoining learner missed;
-	// until the fetcher reaches a peer's frontier, replies for replayed
-	// history stay suppressed.
-	l.catchup = len(l.peers) > 0
-	// The acceptors are the durable-tier fallback: if no peer learner retains
-	// the prefix this learner is missing, they re-announce their votes and the
-	// ordinary quorum counting relearns it.
+	// Peer learners serve the decided prefix a rejoining learner missed, fed
+	// through pulled. The acceptors are the durable-tier fallback: if no peer
+	// learner retains the prefix this learner is missing, they re-announce
+	// their votes and the ordinary quorum counting relearns it.
 	l.fetch = catchup.New(env, l.peers, cfg.Acceptors, catchupChunk, spec.retryTicks(), spec.fillTicks(),
-		l.merger.Next, l.merger.Buffered, l.feed, l.onStall, l.installBlob)
+		l.merger.Next, l.merger.Buffered, l.pulled, l.onStall, l.installBlob)
 	if l.every > 0 {
 		l.fetch.OnWatch = l.gossip
 	}
@@ -156,16 +161,24 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 			if !dup {
 				l.replay.Put(c.ID, inst, res)
 			}
-			if !l.catchup {
+			if !l.pulling {
 				l.env.Send(to, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: inst, Result: res})
 			}
 		}
 	}
 }
 
+// pulled is the fetcher's feed: one instance of a peer's decided prefix,
+// delivered with its replies withheld.
+func (l *learner) pulled(inst uint64, cmd cstruct.Cmd) {
+	l.pulling = true
+	l.feed(inst, cmd)
+	l.pulling = false
+}
+
 // feed hands one decided instance to the merger and cuts a snapshot once the
 // merge frontier is a full interval past the last one. The fetcher feeds
-// pulled instances through it; onLearn feeds the live ones.
+// pulled instances through it (pulled); onLearn feeds the live ones.
 func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
 	l.merger.Add(inst, cmd)
 	fr := l.merger.Next()
@@ -198,8 +211,7 @@ func (l *learner) onIdle() {
 	} else if held && !l.idleHinted {
 		l.idleHinted = true
 		for _, inst := range l.merger.Lagging(l.cfg.NShards()) {
-			node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)),
-				msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
+			node.Broadcast(l.env, l.group(inst), msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
 		}
 	}
 	if held {
@@ -216,16 +228,18 @@ func (l *learner) onLearn(inst uint64, cmd cstruct.Cmd) {
 // ack quiesces the owning group's retransmission of a learned instance
 // (classic.Cluster delivers the same ack on the simulator).
 func (l *learner) ack(inst uint64) {
-	node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(inst)), msg.P2b{Inst: inst})
+	node.Broadcast(l.env, l.group(inst), msg.P2b{Inst: inst})
 }
+
+// group returns the coordinators of the shard owning inst.
+func (l *learner) group(inst uint64) []msg.NodeID { return l.coords[l.cfg.ShardOf(inst)] }
 
 // onStall is the fetcher's report of a frozen frontier that no catch-up pull
 // can move: the stalled instance was never decided — its sequence slot died
 // with a crashed ingress stamper, or its shard idled while the others
 // advanced. Nudge the owning group to fill it.
 func (l *learner) onStall(frontier uint64) {
-	node.Broadcast(l.env, l.cfg.ShardCoords(l.cfg.ShardOf(frontier)),
-		msg.Fill{Inst: frontier, Learner: l.env.ID()})
+	node.Broadcast(l.env, l.group(frontier), msg.Fill{Inst: frontier, Learner: l.env.ID()})
 }
 
 // gossip runs the compaction watermark protocol on the gap-watch cadence:
@@ -332,9 +346,6 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 		l.serve(mm)
 	case msg.CatchupResp:
 		l.fetch.OnResp(mm)
-		if l.fetch.Synced() {
-			l.catchup = false
-		}
 	case msg.Done:
 		// No ratchet on a peer's gossiped snapshot frontier: a peer that
 		// restarted with volatile snapshots honestly reports a lower one, and

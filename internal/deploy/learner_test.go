@@ -71,11 +71,14 @@ func sentTo[M msg.Message](sent []fakeSent) (ms []M, tos []msg.NodeID) {
 	return
 }
 
-// (a) A started learner's first send is a catch-up probe to its peer; while
-// that probe is unanswered a decided instance is acknowledged to the
-// coordinators and its result cached, but its reply is withheld; once a peer
-// answers at the frontier, replies flow.
-func TestLearnerWithholdsRepliesUntilSynced(t *testing.T) {
+// (a) A started learner's first send is a catch-up probe to its peer. While
+// that probe is unanswered, an instance decided by live quorum counting is
+// acknowledged to the coordinators, cached and answered: a fresh deployment's
+// first write must not wait for the probe. The instances the peer's answer
+// delivers — the pulled ones, and a live one they release from behind the gap
+// — are cached but not answered: a rejoining learner replays its history
+// without a reply storm.
+func TestLearnerWithholdsOnlyPulledReplies(t *testing.T) {
 	l, env, cfg := testLearner(t, 2, nil)
 	if got := take(env); len(got) != 0 {
 		t.Fatalf("building the learner sent %d messages, want none before start", len(got))
@@ -90,31 +93,69 @@ func TestLearnerWithholdsRepliesUntilSynced(t *testing.T) {
 	}
 
 	client := msg.NodeID(1)
-	c0 := smr.SetCmd(classic.CmdID(client, 0), "k", "v0")
+	cmd := func(req uint64) cstruct.Cmd { return smr.SetCmd(classic.CmdID(client, req), "k", fmt.Sprint(req)) }
+	// answered checks that exactly the commands of want were replied to, each
+	// at its instance, and that every command of cached is in the replay cache.
+	answered := func(what string, sent []fakeSent, want map[uint64]uint64, cached ...cstruct.Cmd) {
+		t.Helper()
+		replies, tos := sentTo[msg.Reply](sent)
+		got := make(map[uint64]uint64)
+		for i, r := range replies {
+			if tos[i] != client {
+				t.Fatalf("%s: reply %+v sent to %d, want client %d", what, r, tos[i], client)
+			}
+			got[r.CmdID] = r.Inst
+		}
+		if len(replies) != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: replies (command → instance) %v, want %v", what, got, want)
+		}
+		for _, c := range cached {
+			if _, ok := l.replay.Get(c.ID); !ok {
+				t.Fatalf("%s: result of command %d not cached", what, c.ID)
+			}
+		}
+	}
+
+	c0 := cmd(0)
 	decide(l, cfg, 0, c0)
 	sent := take(env)
-	if replies, _ := sentTo[msg.Reply](sent); len(replies) != 0 {
-		t.Fatalf("unsynced learner sent %d replies, want none", len(replies))
-	}
+	answered("live instance before sync", sent, map[uint64]uint64{c0.ID: 0}, c0)
 	acks, tos := sentTo[msg.P2b](sent)
 	if len(acks) != 3 || !equalIDs(tos, cfg.Coords) || acks[0].Inst != 0 {
 		t.Fatalf("learn acks = %+v to %v, want one P2b{Inst: 0} to each of %v", acks, tos, cfg.Coords)
 	}
-	if rec, ok := l.replay.Get(c0.ID); !ok || rec.Inst != 0 {
-		t.Fatalf("result of the withheld reply not cached: %+v, %v", rec, ok)
+	if l.fetch.Synced() {
+		t.Fatal("the fetcher synced before its probe was answered")
 	}
 
-	l.OnMessage(cfg.Learners[1], msg.CatchupResp{Learner: cfg.Learners[1], From: 1, Frontier: 1})
-	if !l.fetch.Synced() {
-		t.Fatal("a peer answering at the frontier should sync the fetcher")
+	// Instance 3 is decided live above a gap: buffered, so nothing is sent
+	// for it yet. The peer's answer carries 1 and 2, which release it.
+	c1, c2, c3 := cmd(1), cmd(2), cmd(3)
+	decide(l, cfg, 3, c3)
+	answered("live instance buffered above the gap", take(env), nil)
+	l.OnMessage(cfg.Learners[1], msg.CatchupResp{Learner: cfg.Learners[1], From: 1, Frontier: 3,
+		Cmds: []cstruct.Cmd{c1, c2}})
+	if !l.fetch.Synced() || l.merger.Next() != 4 {
+		t.Fatalf("after the pull: synced %v at frontier %d, want synced at 4", l.fetch.Synced(), l.merger.Next())
 	}
-	take(env)
-	c1 := smr.SetCmd(classic.CmdID(client, 1), "k", "v1")
-	decide(l, cfg, 1, c1)
-	replies, tos := sentTo[msg.Reply](take(env))
-	if len(replies) != 1 || tos[0] != client || replies[0].CmdID != c1.ID || replies[0].Inst != 1 {
-		t.Fatalf("synced learner replies = %+v to %v, want one for command %d at instance 1 to client %d",
-			replies, tos, c1.ID, client)
+	answered("pulled instances and the one they release", take(env), nil, c1, c2, c3)
+
+	c4 := cmd(4)
+	decide(l, cfg, 4, c4)
+	answered("live instance after sync", take(env), map[uint64]uint64{c4.ID: 4}, c4)
+}
+
+// Every learned instance draws an ack to its shard's group: on the deployed
+// 2-shard c = 3 shape, finding the targets allocates nothing.
+func TestLearnerAckTargetsAllocateNothing(t *testing.T) {
+	l, _, cfg := testShardedLearner(t, 2, 2, nil)
+	for inst := uint64(0); inst < 4; inst++ {
+		if got, want := l.group(inst), cfg.ShardCoords(cfg.ShardOf(inst)); !equalIDs(got, want) {
+			t.Fatalf("instance %d: ack targets %v, want shard group %v", inst, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.group(7) }); allocs != 0 {
+		t.Errorf("finding an instance's ack targets allocates %v, want 0", allocs)
 	}
 }
 

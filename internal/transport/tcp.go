@@ -44,9 +44,21 @@ const downQueueDepth = 64
 // multi-megabyte frame must not pin its buffer in the pool forever.
 const maxPooledFrame = 1 << 20
 
-// frame is one pooled scratch buffer. Writers encode into it and readers
-// decode out of it; the codec never retains frame memory, so a goroutine
-// can reuse one frame for its whole lifetime.
+// writeChunk bounds each conn.Write and the buffer a link's writer keeps
+// between batches. The writer sends what it has encoded whenever half of it
+// is pending, so a batch of small frames never grows the buffer past it; one
+// frame larger than that does, and the buffer is dropped after its batch.
+const writeChunk = 64 << 10
+
+// readAhead sizes an inbound connection's read buffer. Frames on a
+// deployment's links are a few hundred bytes; a frame longer than the buffer
+// is read straight into the reader's frame, bypassing it.
+const readAhead = 4 << 10
+
+// frame is one pooled scratch buffer. A writer encodes a whole batch of
+// frames into it and writes them from it; a reader decodes each frame out of
+// it. The codec never retains frame memory, so a goroutine can reuse one
+// frame for its whole lifetime.
 type frame struct{ b []byte }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -84,11 +96,14 @@ func (s TCPStats) Plus(o TCPStats) TCPStats {
 // length-prefixed binary wire messages, preceded by the sender ID.
 //
 // Sends are asynchronous and zero-copy: Send queues the message itself, and
-// each peer's dedicated writer goroutine encodes it straight into the
-// connection's bufio.Writer through one pooled scratch buffer — no
-// intermediate allocation per message — so a slow or stalled peer never
-// delays traffic to the others, header and payload leave in one write, and
-// consecutive frames to the same peer coalesce into one flush.
+// each peer's dedicated writer goroutine takes everything queued at once,
+// encodes it frame after frame into its one pooled scratch buffer and writes
+// the batch to the connection in one write (several, none longer than
+// writeChunk, for a batch past half of it) — no intermediate allocation per
+// message — so a slow or stalled peer never delays traffic to the others. A
+// link holds only what it carries: its queue grows with the traffic, up to
+// sendQueueDepth messages, and its write buffer with its batches, keeping at
+// most writeChunk between them.
 type TCP struct {
 	id    msg.NodeID
 	codec Codec
@@ -119,7 +134,13 @@ type TCP struct {
 // peer is one outbound connection with its writer and watcher goroutines.
 type peer struct {
 	conn net.Conn
-	ch   chan msg.Message
+	// mu guards q, the messages queued for the writer in Send order: it grows
+	// on demand up to sendQueueDepth, and the writer takes it whole.
+	mu sync.Mutex
+	q  []msg.Message
+	// wake holds a token while q has messages the writer has not taken: the
+	// Send that finds q empty leaves one, and only the writer empties q.
+	wake chan struct{}
 	// dead is closed when the writer exits; messages enqueued after that
 	// are lost, and the next Send redials.
 	dead chan struct{}
@@ -249,7 +270,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, readAhead)
 	// One pooled scratch buffer serves every frame of the connection: the
 	// codec copies out what the decoded message keeps.
 	f := getFrame()
@@ -304,15 +325,27 @@ func (t *TCP) Send(to msg.NodeID, m msg.Message) error {
 		return err
 	}
 	select {
-	case p.ch <- m:
-		return nil
 	case <-p.dead:
 		return fmt.Errorf("transport: connection to %v lost", to)
 	case <-t.closed:
 		return fmt.Errorf("transport: endpoint closed")
 	default:
+	}
+	p.mu.Lock()
+	if len(p.q) >= sendQueueDepth {
+		p.mu.Unlock()
 		return fmt.Errorf("transport: send queue to %v full", to)
 	}
+	p.q = append(p.q, m)
+	first := len(p.q) == 1
+	p.mu.Unlock()
+	if first {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+	return nil
 }
 
 // peer returns the live peer for `to`, dialing and starting its writer on
@@ -350,7 +383,7 @@ func (t *TCP) peer(to msg.NodeID) (*peer, error) {
 	default:
 	}
 	p := &peer{
-		conn: c, ch: make(chan msg.Message, sendQueueDepth),
+		conn: c, wake: make(chan struct{}, 1),
 		dead: make(chan struct{}), lost: make(chan struct{}),
 	}
 	t.peers[to] = p
@@ -380,12 +413,12 @@ func (t *TCP) watch(to msg.NodeID, p *peer) {
 	close(p.lost)
 }
 
-// writeLoop drains one peer's message queue, encoding each message into one
-// pooled scratch buffer and writing header plus payload in one bw.Write.
-// The writer owns the connection: on any error, on the watcher's word that
-// the remote end is gone, or on shutdown it evicts itself and closes the
-// conn, so an evicted connection never leaks its fd or leaves the remote
-// reader blocked mid-frame.
+// writeLoop drains one peer's message queue, taking everything queued at
+// once and writing it as one batch (writeBatch). The writer owns the
+// connection: on any error, on the watcher's word that the remote end is
+// gone, or on shutdown it evicts itself and closes the conn, so an evicted
+// connection never leaks its fd or leaves the remote reader blocked
+// mid-frame.
 func (t *TCP) writeLoop(to msg.NodeID, p *peer) {
 	defer t.wg.Done()
 	defer func() {
@@ -393,57 +426,78 @@ func (t *TCP) writeLoop(to msg.NodeID, p *peer) {
 		close(p.dead)
 		p.conn.Close()
 	}()
-	bw := bufio.NewWriterSize(p.conn, 64<<10)
 	f := getFrame()
 	defer putFrame(f)
-	// write encodes and writes one frame; false means the connection is
-	// done for.
-	var hdrZero [frameHdrLen]byte
-	write := func(m msg.Message) bool {
-		start := time.Now()
-		f.b = append(f.b[:0], hdrZero[:]...)
-		var err error
-		f.b, err = t.codec.AppendEncode(f.b, m)
-		if err != nil || len(f.b)-frameHdrLen > maxFrame {
-			return true // drop the frame, keep the connection
-		}
-		binary.BigEndian.PutUint32(f.b[0:4], uint32(t.id))
-		binary.BigEndian.PutUint32(f.b[4:8], uint32(len(f.b)-frameHdrLen))
-		t.encNanos.Add(uint64(time.Since(start)))
-		if _, err := bw.Write(f.b); err != nil {
-			return false
-		}
-		t.framesOut.Add(1)
-		t.bytesOut.Add(uint64(len(f.b)))
-		return true
-	}
+	// The queue and the batch swap backings, so neither is reallocated once
+	// it has grown to the link's largest batch.
+	var spare []msg.Message
 	for {
 		select {
-		case m := <-p.ch:
-			if !write(m) {
-				return
-			}
-			// Coalesce: drain whatever else is queued before flushing once.
-			for more := true; more; {
-				select {
-				case m = <-p.ch:
-					if !write(m) {
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
+		case <-p.wake:
 		case <-p.lost:
 			return
 		case <-t.closed:
-			bw.Flush()
 			return
 		}
+		p.mu.Lock()
+		batch := p.q
+		p.q = spare
+		p.mu.Unlock()
+		if t.writeBatch(p.conn, f, batch) != nil {
+			return
+		}
+		clear(batch) // the sent messages are garbage now
+		spare = batch[:0]
 	}
+}
+
+// writeBatch encodes batch frame after frame into f and writes it to w,
+// header and payload of each frame together: whenever half a writeChunk is
+// pending and once at the end, each Write at most writeChunk long. A message
+// that does not encode is dropped and the rest still go. The error is w's:
+// the connection is done for. f keeps at most writeChunk of capacity
+// afterwards.
+func (t *TCP) writeBatch(w io.Writer, f *frame, batch []msg.Message) error {
+	var hdrZero [frameHdrLen]byte
+	f.b = f.b[:0]
+	frames := 0
+	send := func() error {
+		for b := f.b; len(b) > 0; {
+			n, err := w.Write(b[:min(len(b), writeChunk)])
+			if err != nil {
+				return err
+			}
+			b = b[n:]
+		}
+		t.framesOut.Add(uint64(frames))
+		t.bytesOut.Add(uint64(len(f.b)))
+		f.b, frames = f.b[:0], 0
+		return nil
+	}
+	for _, m := range batch {
+		start := time.Now()
+		mark := len(f.b)
+		b, err := t.codec.AppendEncode(append(f.b, hdrZero[:]...), m)
+		size := len(b) - mark - frameHdrLen
+		if err != nil || size > maxFrame {
+			continue // drop the frame, keep the connection
+		}
+		binary.BigEndian.PutUint32(b[mark:], uint32(t.id))
+		binary.BigEndian.PutUint32(b[mark+4:], uint32(size))
+		f.b = b
+		frames++
+		t.encNanos.Add(uint64(time.Since(start)))
+		if len(f.b) >= writeChunk/2 {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+	}
+	err := send()
+	if cap(f.b) > writeChunk {
+		f.b = nil
+	}
+	return err
 }
 
 // Close shuts the endpoint down and waits for its goroutines.

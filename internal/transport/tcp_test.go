@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,8 +214,8 @@ func TestTCPEvictionAndReconnect(t *testing.T) {
 }
 
 // TestTCPLargeFrame pushes a multi-megabyte command through the codec and
-// framing: header and payload must arrive intact through the buffered,
-// coalesced write path.
+// framing: header and payload must arrive intact through the batched write
+// path, which writes them in writeChunk pieces.
 func TestTCPLargeFrame(t *testing.T) {
 	set := cstruct.NewHistorySet(cstruct.KeyConflict)
 	codec := Codec{Set: set}
@@ -241,7 +242,7 @@ func TestTCPLargeFrame(t *testing.T) {
 	if err := t1.Send(2, msg.Propose{Cmd: big}); err != nil {
 		t.Fatal(err)
 	}
-	// A small frame queued behind the large one exercises coalescing.
+	// A small frame queued behind the large one may share its batch.
 	if err := t1.Send(2, msg.Heartbeat{From: 1, Epoch: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -393,4 +394,195 @@ func TestTCPDeadPeerReportedOnceWithoutBlocking(t *testing.T) {
 		t.Fatalf("%d further reports queued for one dead peer", n)
 	}
 	waitFor(t, "the report", 3*time.Second, func() bool { return reports.Load() == 1 })
+}
+
+// blob is a proposal carrying n payload bytes, tagged id.
+func blob(id uint64, n int) msg.Propose {
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i*31) ^ byte(id)
+	}
+	return msg.Propose{Cmd: cstruct.Cmd{ID: id, Key: "blob", Op: cstruct.OpWrite, Payload: payload}}
+}
+
+// TestTCPSendQueueBound: with a peer that accepts but never reads, 1 MB
+// frames fill the socket buffers until the writer blocks inside a write with
+// the queue taken; from then on exactly sendQueueDepth Sends are accepted and
+// the next one reports the full queue.
+func TestTCPSendQueueBound(t *testing.T) {
+	codec := Codec{Set: cstruct.SingleValueSet{}}
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		if c, err := sink.Accept(); err == nil {
+			held <- c // never read
+		}
+	}()
+	defer func() {
+		select {
+		case c := <-held:
+			c.Close()
+		default:
+		}
+	}()
+	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: sink.Addr().String()}
+	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	big := blob(1, 1<<20)
+	queued := func() int {
+		t1.mu.Lock()
+		p := t1.peers[2]
+		t1.mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.q)
+	}
+	for sent := uint64(1); ; sent++ {
+		if sent > 256 {
+			t.Fatal("256 MB went into a peer that never reads without blocking the writer")
+		}
+		if err := t1.Send(2, big); err != nil {
+			t.Fatalf("send %d: %v", sent, err)
+		}
+		waitFor(t, "the writer to take the frame", 5*time.Second, func() bool { return queued() == 0 })
+		// A writer that is not blocked finishes a 1 MB loopback write well
+		// within this.
+		time.Sleep(200 * time.Millisecond)
+		if t1.Stats().FramesOut < sent {
+			break // blocked inside the write of frame `sent`
+		}
+	}
+	for i := 0; i < sendQueueDepth; i++ {
+		if err := t1.Send(2, big); err != nil {
+			t.Fatalf("send %d of %d behind the blocked writer: %v", i+1, sendQueueDepth, err)
+		}
+	}
+	err = t1.Send(2, big)
+	if err == nil || !strings.Contains(err.Error(), "send queue to n2 full") {
+		t.Fatalf("send past %d queued: %v, want the send-queue-full error", sendQueueDepth, err)
+	}
+}
+
+// TestTCPBatchArrivesInOrder writes one batch of well over writeChunk — small
+// frames around one frame larger than both writeChunk and the receiver's read
+// buffer — through writeBatch onto a connection, then the same messages
+// through Send: every frame arrives intact and in order, and the writer's
+// counters account for each.
+func TestTCPBatchArrivesInOrder(t *testing.T) {
+	codec := Codec{Set: cstruct.SingleValueSet{}}
+	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
+	c2 := &counter{}
+	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	addrs[2] = t2.Addr()
+	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	var batch []msg.Message
+	for i := uint64(0); i < 600; i++ {
+		size := 200
+		if i == 300 {
+			size = 3 * writeChunk
+		}
+		batch = append(batch, blob(i, size))
+	}
+	check := func(what string, got []msg.Message) {
+		t.Helper()
+		for i, m := range got {
+			p, ok := m.(msg.Propose)
+			want := batch[i].(msg.Propose)
+			if !ok || p.Cmd.ID != want.Cmd.ID || string(p.Cmd.Payload) != string(want.Cmd.Payload) {
+				t.Fatalf("%s: frame %d arrived as %T id %d, want id %d intact", what, i, m, p.Cmd.ID, want.Cmd.ID)
+			}
+		}
+	}
+
+	conn, err := net.Dial("tcp", t2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f := getFrame()
+	if err := t1.writeBatch(conn, f, batch); err != nil {
+		t.Fatalf("writeBatch: %v", err)
+	}
+	waitFor(t, "the batch", 5*time.Second, func() bool { return c2.count() == len(batch) })
+	check("one batch", c2.got)
+	if st := t1.Stats(); st.FramesOut != uint64(len(batch)) || st.BytesOut != t2.Stats().BytesIn {
+		t.Fatalf("writer counted %d frames / %d bytes, receiver decoded %d / %d",
+			st.FramesOut, st.BytesOut, t2.Stats().FramesIn, t2.Stats().BytesIn)
+	}
+
+	c2.mu.Lock()
+	c2.got = nil
+	c2.mu.Unlock()
+	for _, m := range batch {
+		if err := t1.Send(2, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the sends", 5*time.Second, func() bool { return c2.count() == len(batch) })
+	check("through Send", c2.got)
+}
+
+// sizeWriter records the length of the longest Write it took.
+type sizeWriter struct{ n, longest int }
+
+func (w *sizeWriter) Write(b []byte) (int, error) {
+	w.n += len(b)
+	w.longest = max(w.longest, len(b))
+	return len(b), nil
+}
+
+// TestTCPWriterKeepsAtMostWriteChunk: a burst of several hundred KB in small
+// frames goes out in writes of at most writeChunk and leaves the writer a
+// buffer it keeps for the next batch, no larger than writeChunk; a batch
+// holding a frame larger than that goes out in the same pieces, and the
+// buffer it grew is not kept.
+func TestTCPWriterKeepsAtMostWriteChunk(t *testing.T) {
+	t1 := &TCP{id: 1, codec: Codec{Set: cstruct.SingleValueSet{}}}
+	f := new(frame) // not a pooled one: it may hold a reader's larger buffer
+	for _, tc := range []struct {
+		name  string
+		batch []msg.Message
+	}{
+		{"small frames", func() (b []msg.Message) {
+			for i := range uint64(2000) {
+				b = append(b, blob(i, 200))
+			}
+			return b
+		}()},
+		{"one large frame among small", []msg.Message{blob(1, 100), blob(2, 5*writeChunk), blob(3, 100)}},
+	} {
+		var w sizeWriter
+		if err := t1.writeBatch(&w, f, tc.batch); err != nil {
+			t.Fatal(err)
+		}
+		if w.n < 300<<10 && tc.name == "small frames" {
+			t.Fatalf("%s: burst of %d bytes, want several hundred KB", tc.name, w.n)
+		}
+		if w.longest > writeChunk {
+			t.Errorf("%s: a write of %d bytes, want at most %d", tc.name, w.longest, writeChunk)
+		}
+		if cap(f.b) > writeChunk {
+			t.Errorf("%s: the writer keeps a %d-byte buffer, want at most %d", tc.name, cap(f.b), writeChunk)
+		}
+		if tc.name == "small frames" && cap(f.b) == 0 {
+			t.Errorf("%s: the buffer was dropped; small frames must not grow it past %d", tc.name, writeChunk)
+		}
+	}
 }
