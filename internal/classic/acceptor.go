@@ -2,7 +2,6 @@ package classic
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 
 	"mcpaxos/internal/ballot"
@@ -12,24 +11,19 @@ import (
 	"mcpaxos/internal/storage"
 )
 
-// vote is an acceptor's accepted (round, value) pair for one instance.
+// vote is an acceptor's (round, value) pair for one instance: a vote cast,
+// or an instance's 2a tally in one round — the one value a round can hold
+// before the Section 4.2 collision — which is cast as it stands once a
+// coordinator quorum of the round's group has forwarded it.
 type vote struct {
 	vrnd ballot.Ballot
 	vval cstruct.Cmd
 	// by lists the group members whose 2a for (vrnd, vval) has been counted,
-	// which is what tells a member's first 2a from its retransmission once
-	// the vote is cast. Volatile: a vote reloaded from disk has no list and
-	// treats every matching 2a as a retransmission.
+	// sized for the group on first use: what completes a tally, and what
+	// tells a member's first 2a from its retransmission once the vote is
+	// cast. Volatile: a vote reloaded from disk has no list and treats every
+	// matching 2a as a retransmission.
 	by []msg.NodeID
-}
-
-// coordTally is the 2a bookkeeping of one instance in one round: the latest
-// value forwarded by each member of the round's group. The instance is
-// accepted once a coordinator quorum has forwarded the same value; two
-// different values within one round are the Section 4.2 collision.
-type coordTally struct {
-	rnd  ballot.Ballot
-	vals map[msg.NodeID]cstruct.Cmd
 }
 
 // Acceptor is a multi-instance acceptor. Its stable state is the paper's
@@ -66,7 +60,7 @@ type Acceptor struct {
 
 	rnds    []ballot.Ballot // volatile: highest round heard of, per shard
 	votes   map[uint64]vote
-	tallies map[uint64]*coordTally
+	tallies map[uint64]vote
 	// maxInst is the recovery-scan bound (storage.KeyMaxInst): the highest
 	// instance voted in, on disk or staged.
 	maxInst uint64
@@ -114,7 +108,7 @@ func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
 	a := &Acceptor{
 		env: env, cfg: cfg, disk: disk,
 		votes:   make(map[uint64]vote),
-		tallies: make(map[uint64]*coordTally),
+		tallies: make(map[uint64]vote),
 		staged:  make(map[string]any),
 		rnds:    make([]ballot.Ballot, cfg.NShards()),
 	}
@@ -166,15 +160,7 @@ func (a *Acceptor) Vote(inst uint64) (ballot.Ballot, cstruct.Cmd, bool) {
 // the sorted group members whose matching 2a messages have been received.
 func (a *Acceptor) Tally(inst uint64) (ballot.Ballot, []msg.NodeID, bool) {
 	t, ok := a.tallies[inst]
-	if !ok {
-		return ballot.Ballot{}, nil, false
-	}
-	coords := make([]msg.NodeID, 0, len(t.vals))
-	for co := range t.vals {
-		coords = append(coords, co)
-	}
-	sort.Slice(coords, func(i, j int) bool { return coords[i] < coords[j] })
-	return t.rnd, coords, true
+	return t.vrnd, slices.Sorted(slices.Values(t.by)), ok
 }
 
 // Promotions reports how many collision-triggered round changes this
@@ -336,35 +322,27 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 		}
 		return
 	}
-	t := a.tallies[mm.Inst]
-	if t == nil || t.rnd.Less(mm.Rnd) {
-		t = &coordTally{rnd: mm.Rnd, vals: make(map[msg.NodeID]cstruct.Cmd)}
-		a.tallies[mm.Inst] = t
-	} else if mm.Rnd.Less(t.rnd) {
+	t, open := a.tallies[mm.Inst]
+	if !open || t.vrnd.Less(mm.Rnd) {
+		t = vote{vrnd: mm.Rnd, vval: cmd, by: make([]msg.NodeID, 0, a.cfg.NCoordsPerShard())}
+	} else if mm.Rnd.Less(t.vrnd) {
 		return // stale 2a for a round this instance already left
 	}
+	if !t.vval.Equal(cmd) {
+		// Two group members — or one member twice — forwarded different values
+		// for the same (shard, round, instance): collision, Section 4.2.
+		a.promote(shard, ballot.SingleScheme{}.Next(t.vrnd, t.vrnd.ID))
+		return
+	}
 	// A pure retransmission of a 2a already tallied changes nothing.
-	if prev, seen := t.vals[mm.Coord]; !seen || !prev.Equal(cmd) {
-		for _, other := range t.vals {
-			if !other.Equal(cmd) {
-				// Two group members forwarded different values for the same
-				// (shard, round, instance): collision, Section 4.2.
-				a.promote(shard, ballot.SingleScheme{}.Next(t.rnd, t.rnd.ID))
-				return
-			}
-		}
-		t.vals[mm.Coord] = cmd
+	if !slices.Contains(t.by, mm.Coord) {
+		t.by = append(t.by, mm.Coord)
 		a.setRnd(shard, mm.Rnd)
-		if len(t.vals) >= a.cfg.CoordQuorumSize() {
-			// Room for the whole group: the members beyond the quorum are
-			// appended as their 2as arrive.
-			by := make([]msg.NodeID, 0, a.cfg.NCoordsPerShard())
-			for member := range t.vals {
-				by = append(by, member)
-			}
-			a.accept(mm.Inst, vote{vrnd: mm.Rnd, vval: cmd, by: by}, voted)
+		if len(t.by) >= a.cfg.CoordQuorumSize() {
+			a.accept(mm.Inst, t, voted)
 			return
 		}
+		a.tallies[mm.Inst] = t
 	}
 	// Tallied, not acceptable yet: re-send the vote an earlier round left
 	// here, if any (Section 4.3, processes keep re-sending their last message;

@@ -50,9 +50,10 @@ type Coordinator struct {
 	// damps the stale-chase (onStale).
 	crnd    ballot.Ballot
 	leading bool // phase 1 completed for crnd
-	// p1bs buffers promises per candidate round: the own round's, and those
-	// started by group peers (or by an acceptor's collision promotion).
-	p1bs map[ballot.Ballot]map[msg.NodeID]msg.P1bMulti
+	// p1bs buffers the latest promise of each acceptor per candidate round —
+	// the own round's, and those started by group peers (or by an acceptor's
+	// collision promotion) — so a re-sent promise is never counted twice.
+	p1bs map[ballot.Ballot][]msg.P1bMulti
 
 	// nextInst is one past the highest instance assigned so far.
 	nextInst uint64
@@ -172,7 +173,7 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 		env:       env,
 		cfg:       cfg,
 		shard:     max(slices.Index(cfg.Coords, env.ID()), 0) % cfg.NShards(),
-		p1bs:      make(map[ballot.Ballot]map[msg.NodeID]msg.P1bMulti),
+		p1bs:      make(map[ballot.Ballot][]msg.P1bMulti),
 		proposals: make(map[uint64]cstruct.Cmd),
 		learned:   make(map[uint64]bool),
 		sent:      make(map[uint64]bool),

@@ -1,7 +1,8 @@
 package classic
 
 import (
-	"mcpaxos/internal/ballot"
+	"slices"
+
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
@@ -10,28 +11,14 @@ import (
 // LearnFn is invoked exactly once per learned instance.
 type LearnFn func(inst uint64, cmd cstruct.Cmd)
 
-// tallyKey identifies one (round, value) bucket of an instance's votes.
-// Commands are identified by ID (cstruct.Cmd.Equal), so the ID is the value
-// identity.
-type tallyKey struct {
-	rnd   ballot.Ballot
-	cmdID uint64
-}
-
-// instTally is the per-instance vote state: the latest 2b per acceptor plus
-// an incrementally maintained count per (round, value). A new 2b adjusts two
-// counters instead of recounting every stored vote, so the per-2b cost is
-// O(1) in the number of acceptors.
-type instTally struct {
-	byAcc  map[msg.NodeID]msg.P2b
-	counts map[tallyKey]int
-}
-
 // Learner is a multi-instance Classic Paxos learner: a value is learned for
 // an instance once a classic quorum of acceptors reports the same value in
 // the same round (action Learn, Section 2.1.2).
 //
-// Memory is bounded in two ways: an instance's vote tallies are dropped the
+// An open instance's tally is the highest-round 2b of each acceptor that
+// voted in it — one short slice, sized for the acceptors on first use and
+// scanned when a 2b arrives — so a vote its acceptor superseded no longer
+// counts. Memory is bounded in two ways: an instance's tally is dropped the
 // moment it is learned, and Release lets the SMR layer return learned
 // commands once they are applied, so long runs do not retain every command
 // forever. Learning itself is per-instance, so sharded deployments
@@ -42,7 +29,7 @@ type Learner struct {
 	cfg     Config
 	onLearn LearnFn
 
-	votes   map[uint64]*instTally
+	votes   map[uint64][]msg.P2b
 	learned map[uint64]cstruct.Cmd
 	// count is the number of instances ever learned (monotone under
 	// Release).
@@ -69,7 +56,7 @@ func NewLearner(env node.Env, cfg Config, fn LearnFn) *Learner {
 		env:     env,
 		cfg:     cfg,
 		onLearn: fn,
-		votes:   make(map[uint64]*instTally),
+		votes:   make(map[uint64][]msg.P2b),
 		learned: make(map[uint64]cstruct.Cmd),
 	}
 }
@@ -116,36 +103,31 @@ func (l *Learner) OnMessage(_ msg.NodeID, m msg.Message) {
 		}
 		return
 	}
-	t, ok := l.votes[mm.Inst]
-	if !ok {
-		t = &instTally{
-			byAcc:  make(map[msg.NodeID]msg.P2b),
-			counts: make(map[tallyKey]int),
+	vs := l.votes[mm.Inst]
+	i := slices.IndexFunc(vs, func(v msg.P2b) bool { return v.Acc == mm.Acc })
+	switch {
+	case i < 0:
+		if vs == nil {
+			vs = make([]msg.P2b, 0, len(l.cfg.Acceptors))
 		}
-		l.votes[mm.Inst] = t
+		vs = append(vs, mm)
+		l.votes[mm.Inst] = vs
+	case vs[i].Rnd.Less(mm.Rnd):
+		vs[i] = mm
+	default:
+		return
 	}
-	if prev, seen := t.byAcc[mm.Acc]; seen {
-		if !prev.Rnd.Less(mm.Rnd) {
-			return
-		}
-		// The acceptor moved to a higher round: retract its old vote from
-		// that round's tally.
-		if pc, ok := unwrap(prev.Val); ok {
-			pk := tallyKey{rnd: prev.Rnd, cmdID: pc.ID}
-			if t.counts[pk]--; t.counts[pk] == 0 {
-				delete(t.counts, pk)
-			}
-		}
-	}
-	t.byAcc[mm.Acc] = mm
-
 	cmd, ok := unwrap(mm.Val)
 	if !ok {
 		return
 	}
-	k := tallyKey{rnd: mm.Rnd, cmdID: cmd.ID}
-	t.counts[k]++
-	if l.cfg.Quorums.IsQuorum(t.counts[k], false) {
+	n := 0
+	for _, v := range vs {
+		if c, ok := unwrap(v.Val); ok && c.ID == cmd.ID && v.Rnd.Equal(mm.Rnd) {
+			n++
+		}
+	}
+	if l.cfg.Quorums.IsQuorum(n, false) {
 		l.learned[mm.Inst] = cmd
 		l.count++
 		delete(l.votes, mm.Inst)

@@ -95,8 +95,8 @@ func TestLearnerReleaseBoundsMemory(t *testing.T) {
 	}
 }
 
-// referenceCount is the pre-optimization O(acceptors) recount: acceptors
-// whose latest vote matches (rnd, cmd) exactly.
+// referenceCount counts the acceptors whose latest vote matches (rnd, cmd)
+// exactly: the recount the learner is checked against.
 func referenceCount(byAcc map[msg.NodeID]msg.P2b, rnd ballot.Ballot, cmdID uint64) int {
 	n := 0
 	for _, v := range byAcc {
@@ -110,9 +110,9 @@ func referenceCount(byAcc map[msg.NodeID]msg.P2b, rnd ballot.Ballot, cmdID uint6
 }
 
 // Property: against random 2b streams (random acceptors, rounds, values,
-// duplicates and supersessions), the incremental tally learns exactly when
-// the reference recount first reaches a quorum, and the same value.
-func TestLearnerIncrementalMatchesRecount(t *testing.T) {
+// duplicates and supersessions), the learner learns exactly when the
+// reference recount first reaches a quorum, and the same value.
+func TestLearnerMatchesRecount(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		nAcc := 3 + 2*rng.Intn(2) // 3 or 5
@@ -156,10 +156,10 @@ func TestLearnerIncrementalMatchesRecount(t *testing.T) {
 			got, gotOK := (*learned)[0]
 			switch {
 			case refLearned == nil && gotOK:
-				t.Fatalf("trial %d step %d: incremental learned c%d before reference quorum",
+				t.Fatalf("trial %d step %d: learner learned c%d before reference quorum",
 					trial, step, got.ID)
 			case refLearned != nil && !gotOK:
-				t.Fatalf("trial %d step %d: reference learned c%d, incremental did not",
+				t.Fatalf("trial %d step %d: reference learned c%d, learner did not",
 					trial, step, refLearned.ID)
 			case refLearned != nil && gotOK && got.ID != refLearned.ID:
 				t.Fatalf("trial %d step %d: learned c%d, reference c%d",

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"mcpaxos/internal/ballot"
-	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 )
@@ -104,22 +103,26 @@ func (c *Coordinator) onP1b(mm msg.P1bMulti) {
 	if mm.Rnd.Less(c.crnd) || (mm.Rnd.Equal(c.crnd) && c.leading) {
 		return
 	}
-	byAcc, ok := c.p1bs[mm.Rnd]
-	if !ok {
-		byAcc = make(map[msg.NodeID]msg.P1bMulti)
-		c.p1bs[mm.Rnd] = byAcc
+	ps := c.p1bs[mm.Rnd]
+	if i := slices.IndexFunc(ps, func(p msg.P1bMulti) bool { return p.Acc == mm.Acc }); i >= 0 {
+		ps[i] = mm
+	} else {
+		if ps == nil {
+			ps = make([]msg.P1bMulti, 0, len(c.cfg.Acceptors))
+		}
+		ps = append(ps, mm)
+		c.p1bs[mm.Rnd] = ps
 	}
-	byAcc[mm.Acc] = mm
-	if !c.cfg.Quorums.IsQuorum(len(byAcc), false) {
+	if !c.cfg.Quorums.IsQuorum(len(ps), false) {
 		return
 	}
-	c.establish(mm.Rnd, byAcc)
+	c.establish(mm.Rnd, ps)
 }
 
 // establish completes phase 1 for round r from the collected promises:
 // adopt the picked values, re-forward everything unlearned, and open the
 // floor for new proposals.
-func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMulti) {
+func (c *Coordinator) establish(r ballot.Ballot, promises []msg.P1bMulti) {
 	c.enter(r)
 	c.leading = true
 	c.repairing = false
@@ -133,12 +136,8 @@ func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMul
 	}
 	// Pick, per instance, the vval of the highest vrnd reported. A picked
 	// value overrides the local assignment: it may already be chosen.
-	type pick struct {
-		vrnd ballot.Ballot
-		cmd  cstruct.Cmd
-	}
-	picks := make(map[uint64]pick)
-	for _, p1b := range byAcc {
+	picks := make(map[uint64]vote)
+	for _, p1b := range promises {
 		for _, v := range p1b.Votes {
 			// Acceptors scope their promises to the claimed shard, but a
 			// pre-sharding log or a misrouted reply may report foreign
@@ -151,12 +150,12 @@ func (c *Coordinator) establish(r ballot.Ballot, byAcc map[msg.NodeID]msg.P1bMul
 				continue
 			}
 			if cur, seen := picks[v.Inst]; !seen || cur.vrnd.Less(v.VRnd) {
-				picks[v.Inst] = pick{vrnd: v.VRnd, cmd: cmd}
+				picks[v.Inst] = vote{vrnd: v.VRnd, vval: cmd}
 			}
 		}
 	}
 	for inst, p := range picks {
-		c.bind(inst, p.cmd)
+		c.bind(inst, p.vval)
 	}
 	// Every unlearned assignment is re-forwarded under the new round,
 	// respecting the window. Instance order, not map order — here and in

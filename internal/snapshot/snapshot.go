@@ -171,7 +171,8 @@ func OpenStore(dir string) (*Store, error) {
 // Save persists a blob covering [0, frontier). A durable store installs it
 // with wal.WriteCheckpoint, which removes older snapshot files only once the
 // new one is durable, so the previous snapshot survives any crash before the
-// rename lands.
+// rename lands. The store takes ownership of blob: it is kept, not copied,
+// and Latest hands it out, so the caller must not modify it afterwards.
 func (s *Store) Save(frontier uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -183,7 +184,7 @@ func (s *Store) Save(frontier uint64, blob []byte) error {
 			return err
 		}
 	}
-	s.blob = append([]byte(nil), blob...)
+	s.blob = blob
 	s.frontier, s.have = frontier, true
 	return nil
 }
