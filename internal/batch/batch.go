@@ -5,13 +5,15 @@
 // apply time (internal/smr). This is the standard throughput lever of
 // production Paxos-family systems: one instance, one acceptor disk write
 // and one quorum exchange now decide a whole batch.
+//
+// A batch payload is the magic byte followed by the constituents as one
+// counted command sequence in package wire's layout (wire.AppendCmds), so a
+// batch has no byte format of its own.
 package batch
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/wire"
 )
 
 // magic is the first payload byte of every batch command. Application
@@ -30,8 +32,11 @@ const Key = "\x00batch"
 // never collides with one of its constituents in dedup maps.
 const IDBase = uint64(1) << 63
 
-// BatchID derives the batch command ID from the first constituent. Each
-// client command enters exactly one batch, so the derived IDs are unique.
+// BatchID derives the batch command ID from the first constituent. The ID
+// orders batches and deduplicates them, but it is not unique: two batches
+// headed by the same command — a stamper's and a failover stamper's for one
+// slot — share it while holding different commands, so code that must tell
+// values apart compares their payloads too.
 func BatchID(first cstruct.Cmd) uint64 { return first.ID | IDBase }
 
 // Pack encodes cmds into a single batch command. Packing a single command
@@ -43,33 +48,9 @@ func Pack(cmds []cstruct.Cmd) cstruct.Cmd {
 	if len(cmds) == 0 {
 		panic("batch: Pack of empty command slice")
 	}
-	size := 1 + uvarintLen(uint64(len(cmds)))
-	for _, c := range cmds {
-		size += uvarintLen(c.ID) + uvarintLen(uint64(len(c.Key))) + len(c.Key) +
-			1 + uvarintLen(uint64(len(c.Payload))) + len(c.Payload)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, magic)
-	buf = binary.AppendUvarint(buf, uint64(len(cmds)))
-	for _, c := range cmds {
-		buf = binary.AppendUvarint(buf, c.ID)
-		buf = binary.AppendUvarint(buf, uint64(len(c.Key)))
-		buf = append(buf, c.Key...)
-		buf = append(buf, byte(c.Op))
-		buf = binary.AppendUvarint(buf, uint64(len(c.Payload)))
-		buf = append(buf, c.Payload...)
-	}
+	buf := append(make([]byte, 0, 1+wire.CmdsSize(cmds)), magic)
+	buf = wire.AppendCmds(buf, cmds)
 	return cstruct.Cmd{ID: BatchID(cmds[0]), Key: Key, Op: cstruct.OpWrite, Payload: buf}
-}
-
-// uvarintLen is the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // IsBatch reports whether c is a batch command.
@@ -77,18 +58,15 @@ func IsBatch(c cstruct.Cmd) bool {
 	return len(c.Payload) > 0 && c.Payload[0] == magic && c.Key == Key
 }
 
-// Unpack decodes a batch command; ok is false when c is not a batch.
-// A corrupt batch payload is a programming error and panics via the
-// returned error instead: the transports never corrupt frames.
+// Unpack decodes a batch command; ok is false when c is not a batch, and
+// when its payload is not exactly what Pack emits (truncated, trailing
+// bytes, a non-minimal varint, no commands).
 func Unpack(c cstruct.Cmd) (cmds []cstruct.Cmd, ok bool) {
 	if !IsBatch(c) {
 		return nil, false
 	}
-	out, err := decode(c.Payload[1:], false)
-	if err != nil {
-		return nil, false
-	}
-	return out, true
+	r := wire.Reader{B: c.Payload[1:]}
+	return finish(&r, r.Cmds())
 }
 
 // UnpackMeta parses only the ID/Key/Op of each constituent, skipping the
@@ -98,67 +76,17 @@ func UnpackMeta(c cstruct.Cmd) ([]cstruct.Cmd, bool) {
 	if !IsBatch(c) {
 		return nil, false
 	}
-	out, err := decode(c.Payload[1:], true)
-	if err != nil {
+	r := wire.Reader{B: c.Payload[1:]}
+	return finish(&r, r.CmdMetas())
+}
+
+// finish accepts what r read only if it read the whole payload without
+// error and found at least one command.
+func finish(r *wire.Reader, cmds []cstruct.Cmd) ([]cstruct.Cmd, bool) {
+	if r.Finish() != nil || len(cmds) == 0 {
 		return nil, false
 	}
-	return out, true
-}
-
-func decode(buf []byte, keysOnly bool) ([]cstruct.Cmd, error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return nil, fmt.Errorf("batch: truncated count")
-	}
-	buf = buf[used:]
-	// Every encoded command takes ≥4 bytes (id, klen, op, plen), so a count
-	// beyond len(buf)/4 is corrupt; checking before make prevents a huge
-	// wire-controlled allocation.
-	if n > uint64(len(buf))/4 {
-		return nil, fmt.Errorf("batch: count %d exceeds payload", n)
-	}
-	out := make([]cstruct.Cmd, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var c cstruct.Cmd
-		var err error
-		if c.ID, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		var klen uint64
-		if klen, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)) < klen+1 {
-			return nil, fmt.Errorf("batch: truncated key")
-		}
-		c.Key = string(buf[:klen])
-		c.Op = cstruct.OpKind(buf[klen])
-		buf = buf[klen+1:]
-		var plen uint64
-		if plen, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)) < plen {
-			return nil, fmt.Errorf("batch: truncated payload")
-		}
-		if plen > 0 && !keysOnly {
-			c.Payload = append([]byte(nil), buf[:plen]...)
-		}
-		buf = buf[plen:]
-		out = append(out, c)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("batch: %d trailing bytes", len(buf))
-	}
-	return out, nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	v, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return 0, nil, fmt.Errorf("batch: truncated varint")
-	}
-	return v, buf[used:], nil
+	return cmds, true
 }
 
 // Clock supplies the Batcher's notion of time. Hosts pass sim.Now (units of

@@ -2,11 +2,13 @@ package batch
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/wire"
 )
 
 func mkCmds(n int) []cstruct.Cmd {
@@ -68,10 +70,128 @@ func TestUnpackRejectsNonBatch(t *testing.T) {
 func TestUnpackRejectsHugeCount(t *testing.T) {
 	// A wire-supplied count far beyond the payload must fail cleanly, not
 	// attempt a multi-exabyte allocation.
-	payload := append([]byte{magic}, binary.AppendUvarint(nil, 1<<62)...)
+	payload := append([]byte{magic}, wire.AppendUvarint(nil, 1<<62)...)
 	c := cstruct.Cmd{ID: 1, Key: Key, Op: cstruct.OpWrite, Payload: payload}
 	if _, ok := Unpack(c); ok {
 		t.Errorf("absurd count unpacked")
+	}
+}
+
+// goldenCmds is a fixed three-command batch: a client-stamped write, an
+// empty-keyed read without payload, and a payload holding a zero byte.
+var goldenCmds = []cstruct.Cmd{
+	{ID: 1<<40 | 7, Key: "k1", Op: cstruct.OpWrite, Payload: []byte("v")},
+	{ID: 300, Op: cstruct.OpRead},
+	{ID: 1<<40 | 8, Key: "k2", Op: cstruct.OpWrite, Payload: []byte{0x00, 0xff}},
+}
+
+// goldenPayload is goldenCmds' batch payload: the magic byte, then the
+// commands as one wire command sequence. Batches ride every 2a, 2b, WAL
+// record and snapshot, so a layout change must show up here as a diff.
+const goldenPayload = "b7 03 87 80 80 80 80 20 02 6b 31 02 01 76 ac 02 00 01 00 " +
+	"88 80 80 80 80 20 02 6b 32 02 02 00 ff"
+
+func TestGoldenBatch(t *testing.T) {
+	want, err := hex.DecodeString(strings.ReplaceAll(goldenPayload, " ", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Pack(goldenCmds)
+	if !bytes.Equal(b.Payload, want) {
+		t.Fatalf("Pack payload\n got % x\nwant % x", b.Payload, want)
+	}
+	if b.ID != BatchID(goldenCmds[0]) || b.Key != Key || b.Op != cstruct.OpWrite {
+		t.Errorf("batch header %+v", b)
+	}
+	got, ok := Unpack(cstruct.Cmd{Key: Key, Payload: want})
+	if !ok || len(got) != len(goldenCmds) {
+		t.Fatalf("Unpack golden: %v %v", got, ok)
+	}
+	for i, c := range got {
+		w := goldenCmds[i]
+		if c.ID != w.ID || c.Key != w.Key || c.Op != w.Op || !bytes.Equal(c.Payload, w.Payload) {
+			t.Errorf("cmd %d: got %+v want %+v", i, c, w)
+		}
+	}
+	meta, ok := UnpackMeta(cstruct.Cmd{Key: Key, Payload: want})
+	if !ok || len(meta) != len(goldenCmds) {
+		t.Fatalf("UnpackMeta golden: %v %v", meta, ok)
+	}
+	for i, c := range meta {
+		w := goldenCmds[i]
+		if c.ID != w.ID || c.Key != w.Key || c.Op != w.Op || c.Payload != nil {
+			t.Errorf("meta %d: got %+v want %+v without payload", i, c, w)
+		}
+	}
+}
+
+// TestUnpackRejectsNonCanonical: Unpack accepts only what Pack emits — a
+// zero-padded count, bytes after the last command and an empty batch are
+// refused.
+func TestUnpackRejectsNonCanonical(t *testing.T) {
+	valid := Pack(mkCmds(2)).Payload
+	for name, payload := range map[string][]byte{
+		"non-minimal count": {magic, 0x81, 0x00, 0x05, 0, 0, 0},
+		"trailing bytes":    append(append([]byte(nil), valid...), 0),
+		"empty batch":       {magic, 0},
+	} {
+		c := cstruct.Cmd{ID: IDBase, Key: Key, Op: cstruct.OpWrite, Payload: payload}
+		if got, ok := Unpack(c); ok {
+			t.Errorf("%s: Unpack accepted %v", name, got)
+		}
+		if got, ok := UnpackMeta(c); ok {
+			t.Errorf("%s: UnpackMeta accepted %v", name, got)
+		}
+	}
+}
+
+// FuzzBatchUnpack: Unpack never panics on an arbitrary payload, and every
+// payload it accepts is exactly what Pack makes of the commands it read.
+func FuzzBatchUnpack(f *testing.F) {
+	f.Add(Pack(goldenCmds).Payload)
+	f.Add(Pack(mkCmds(8)).Payload)
+	f.Add([]byte{magic, 0x81, 0x00, 0x05, 0, 0, 0})
+	f.Add([]byte{magic})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c := cstruct.Cmd{Key: Key, Op: cstruct.OpWrite, Payload: payload}
+		cmds, ok := Unpack(c)
+		meta, metaOK := UnpackMeta(c)
+		if ok != metaOK || len(cmds) != len(meta) {
+			t.Fatalf("Unpack %v (%d cmds) but UnpackMeta %v (%d)", ok, len(cmds), metaOK, len(meta))
+		}
+		if !ok {
+			return
+		}
+		if again := Pack(cmds).Payload; !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload does not re-Pack to itself:\n in % x\nout % x", payload, again)
+		}
+	})
+}
+
+// TestPackUnpackAllocs pins the allocations of an 8-command batch with
+// 64-byte payloads: Pack sizes its payload once, Unpack allocates the slice
+// plus a key and a payload per command, UnpackMeta the slice and the keys.
+func TestPackUnpackAllocs(t *testing.T) {
+	cmds := make([]cstruct.Cmd, 8)
+	for i := range cmds {
+		cmds[i] = cstruct.Cmd{ID: uint64(i + 1), Key: fmt.Sprintf("key-%d", i),
+			Op: cstruct.OpWrite, Payload: make([]byte, 64)}
+	}
+	b := Pack(cmds)
+	for _, pin := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Pack", 1, func() { Pack(cmds) }},
+		{"Unpack", 17, func() { Unpack(b) }},
+		{"UnpackMeta", 9, func() { UnpackMeta(b) }},
+	} {
+		n := testing.AllocsPerRun(100, pin.f)
+		t.Logf("%s: %.0f allocations", pin.name, n)
+		if n > pin.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", pin.name, n, pin.max)
+		}
 	}
 }
 

@@ -312,7 +312,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 		// — is noted silently; a second one is a retransmission, so the
 		// member is still waiting: re-announce the vote so lost 2b messages
 		// (or lost learner acks) are eventually replaced.
-		if v.vrnd.Equal(mm.Rnd) && v.vval.Equal(cmd) {
+		if v.vrnd.Equal(mm.Rnd) && sameValue(v.vval, cmd) {
 			if v.by != nil && !slices.Contains(v.by, mm.Coord) {
 				v.by = append(v.by, mm.Coord)
 				a.votes[mm.Inst] = v
@@ -328,7 +328,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	} else if mm.Rnd.Less(t.vrnd) {
 		return // stale 2a for a round this instance already left
 	}
-	if !t.vval.Equal(cmd) {
+	if !sameValue(t.vval, cmd) {
 		// Two group members — or one member twice — forwarded different values
 		// for the same (shard, round, instance): collision, Section 4.2.
 		a.promote(shard, ballot.SingleScheme{}.Next(t.vrnd, t.vrnd.ID))

@@ -49,6 +49,12 @@ type relayedReq struct {
 // 2a is refreshed and the stamp re-shared, covering lost messages); a fresh
 // request buffers in the ingress batch and is stamped on flush.
 func (c *Coordinator) onIngress(mm msg.Propose) {
+	if IsNoop(mm.Cmd) || mm.Cmd.Key == batch.Key {
+		// The reserved keys are the protocol's own vocabulary, and a
+		// submission comes from outside the process: stamping one would let
+		// a client forge a fill, or pack commands under other clients' IDs.
+		return
+	}
 	k := reqKey{mm.Client, mm.Req}
 	if inst, ok := c.byReq[k]; ok {
 		// Learned instances need nothing from the ingress: the client's

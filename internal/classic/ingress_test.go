@@ -283,3 +283,21 @@ func BenchmarkIngressStampBatch(b *testing.B) {
 		b.Fatalf("stamped %d slots for %d submissions", got, i)
 	}
 }
+
+// An unsequenced submission comes from outside the process: one carrying the
+// batch key or the fill no-op's key is dropped unstamped. Stamped, a batch
+// would be unpacked at apply time into commands under other clients' IDs.
+func TestIngressDropsReservedKeys(t *testing.T) {
+	cl, co := ingressCluster(1, true)
+	forged := batch.Pack([]cstruct.Cmd{
+		{ID: CmdID(2, 0), Key: "k", Op: cstruct.OpWrite},
+		{ID: CmdID(7, 0), Key: "k", Op: cstruct.OpWrite},
+	})
+	fill := Noop(0)
+	fill.ID = CmdID(7, 1)
+	deliver(co, 7, msg.Propose{Cmd: forged, Client: 7, Req: 0}, msg.Propose{Cmd: fill, Client: 7, Req: 1})
+	cl.Sim.Run()
+	if s := stampedAt(co); s != 0 || len(cl.LearnedCmds) != 0 {
+		t.Fatalf("reserved-key submissions: %d stamped, %d learned; want none", s, len(cl.LearnedCmds))
+	}
+}

@@ -1,6 +1,10 @@
 package classic
 
 import (
+	"bytes"
+	"cmp"
+	"strings"
+
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -33,14 +37,14 @@ func (c *Coordinator) onPropose(from msg.NodeID, mm msg.Propose) {
 		// matter — a late client retry must map to the decided slot instead
 		// of being stamped a second time. (A value known to have lost the
 		// slot keeps its requests unmapped: they must restamp.)
-		if have && !cur.Equal(mm.Cmd) {
+		if have && !sameValue(cur, mm.Cmd) {
 			return
 		}
 		c.indexValue(inst, mm.Cmd)
 	case !have:
 		c.bind(inst, mm.Cmd)
 		c.trySend(inst)
-	case cur.Equal(mm.Cmd):
+	case sameValue(cur, mm.Cmd):
 		// Retransmitted proposal: refresh the in-flight 2a so a lost one is
 		// eventually replaced.
 		if c.leading && c.sent[inst] {
@@ -72,7 +76,7 @@ func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
 // — and are forgotten, so their clients' retries are restamped at a fresh
 // slot.
 func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
-	if old, ok := c.proposals[inst]; ok && !old.Equal(cmd) {
+	if old, ok := c.proposals[inst]; ok && !sameValue(old, cmd) {
 		for k, at := range c.byReq {
 			if at == inst {
 				delete(c.byReq, k)
@@ -94,7 +98,8 @@ func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
 // re-establishes a round in which they re-forward the same split). Every
 // member applies the same total preference, so the group converges without
 // coordination: the real value beats the canonical fill no-op, ties break
-// toward the lower command ID.
+// toward the lower command ID, then toward the lower content (two batches
+// headed by one command share an ID).
 //
 // An acceptor's collision detection assumes a member forwards at most one
 // value per (instance, round) — two same-round accepts of different values
@@ -124,7 +129,11 @@ func prefer(a, b cstruct.Cmd) bool {
 	if an, bn := IsNoop(a), IsNoop(b); an != bn {
 		return bn // the real value beats the fill no-op
 	}
-	return a.ID < b.ID
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return cmp.Or(strings.Compare(a.Key, b.Key), cmp.Compare(a.Op, b.Op),
+		bytes.Compare(a.Payload, b.Payload)) < 0
 }
 
 // noteLearned stops retransmission for a learned instance and frees its

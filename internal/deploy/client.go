@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -131,15 +132,20 @@ func Dial(spec ClusterSpec, id uint32) (*Client, error) {
 
 // Propose submits one command and returns its in-flight Call. Safe for
 // concurrent use: any number of goroutines may propose at once — the ID
-// stamp is atomic and submission travels through the client's mailbox. A
-// zero cmd.ID is stamped with the client's identity and submission counter —
-// required for reply correlation and retry idempotency; callers supplying
-// their own IDs must use the same scheme (classic.CmdID) or forgo replies.
+// stamp is atomic and submission travels through the client's mailbox.
+// Propose stamps every command with the client's identity and submission
+// counter (classic.CmdID), which reply correlation and retry idempotency
+// rest on, so cmd.ID must be zero: a call carrying an ID of its own fails at
+// once, as does one whose key is reserved for the protocol's fill no-ops or
+// batches (batch.Key), since either would let this client speak for another.
 func (c *Client) Propose(cmd cstruct.Cmd) *Call {
-	if cmd.ID == 0 {
-		cmd.ID = classic.CmdID(c.id, c.h.seq.Add(1)-1)
+	call := &Call{done: make(chan struct{}), start: time.Now()}
+	if cmd.ID != 0 {
+		call.resolve("", fmt.Errorf("deploy: command carries ID %d; Propose stamps its own", cmd.ID))
+		return call
 	}
-	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
+	cmd.ID = classic.CmdID(c.id, c.h.seq.Add(1)-1)
+	call.ID = cmd.ID
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
@@ -300,9 +306,7 @@ func newClientHandler(env node.Env, cfg classic.Config, spec ClusterSpec) *clien
 // propose stamps, registers and routes one command from the mailbox
 // goroutine (test convenience; the Client submits via proposeMsg).
 func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
-	if cmd.ID == 0 {
-		cmd.ID = classic.CmdID(h.env.ID(), h.seq.Add(1)-1)
-	}
+	cmd.ID = classic.CmdID(h.env.ID(), h.seq.Add(1)-1)
 	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
 	h.proposeCall(cmd, call)
 	return call
@@ -311,25 +315,20 @@ func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
 // proposeCall registers one stamped command and sends its initial tagged,
 // unsequenced proposal.
 func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
-	if classic.IsNoop(cmd) {
-		// The fill no-op's key is the protocol's own vocabulary: a user
-		// command carrying it would be silently discarded at apply time.
-		call.resolve("", fmt.Errorf("deploy: key %q is reserved for fill no-ops", cmd.Key))
-		return
-	}
-	if _, dup := h.pend[cmd.ID]; dup {
-		// A duplicate ID cannot be correlated independently: fail the new
-		// call rather than strand it (stamped IDs never collide; only
-		// caller-supplied IDs can).
-		call.resolve("", fmt.Errorf("deploy: duplicate command ID %d in flight", cmd.ID))
+	if classic.IsNoop(cmd) || cmd.Key == batch.Key {
+		// The fill no-op's and the batch's keys are the protocol's own
+		// vocabulary: a user command carrying the first would be silently
+		// discarded at apply time, and one carrying the second would be
+		// unpacked into commands stamped with any client's IDs.
+		call.resolve("", fmt.Errorf("deploy: key %q is reserved by the protocol", cmd.Key))
 		return
 	}
 	h.stats.Proposed++
 	shard := int(h.rr % uint64(h.cfg.NShards()))
 	h.rr++
-	// The request counter is the sub-client part of the command ID: for
-	// stamped IDs that is exactly the submission counter, unique per client,
-	// making (client, req) a sound ingress idempotency key.
+	// The request counter is the sub-client part of the command ID, which
+	// is always stamped: the submission counter, unique per client, making
+	// (client, req) a sound ingress idempotency key.
 	_, req := classic.SplitCmdID(cmd.ID)
 	p := &pendingCmd{
 		call:  call,

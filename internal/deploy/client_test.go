@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
@@ -288,7 +287,7 @@ func TestClientStandbyRotationAtC1(t *testing.T) {
 	}
 	env := &fakeEnv{id: msg.NodeID(spec.Clients[0].ID)}
 	h := newClientHandler(env, cfg, spec)
-	h.propose(cstruct.Cmd{ID: classic.CmdID(1, 0), Key: "k", Op: cstruct.OpWrite}) // shard 0: first round-robin pick
+	h.propose(cstruct.Cmd{Key: "k", Op: cstruct.OpWrite}) // shard 0: first round-robin pick
 	coords := cfg.ShardCoords(0)
 	if got := proposeTargets(env.sent, 0); !equalIDs(got, coords[:1]) {
 		t.Fatalf("first send targeted %v, want the primary %v", got, coords[:1])

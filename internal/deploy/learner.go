@@ -376,21 +376,18 @@ func (l *learner) OnTimer(tag int) {
 // cache: an already-applied command whose replies were all lost can never
 // be re-elicited by the consensus path (the learners deduplicate it), so
 // the cached result is re-sent instead. Commands not yet applied draw no
-// answer here — the ordinary apply-time reply covers them.
+// answer here — the ordinary apply-time reply covers them. A probe is one
+// client command, never a batch: clients do not send batches, so the probe's
+// command is looked up as it stands and a batch finds nothing.
 func (l *learner) onReplayProbe(mm msg.Propose) {
-	inner, isBatch := batch.Unpack(mm.Cmd)
-	if !isBatch {
-		inner = []cstruct.Cmd{mm.Cmd}
+	id := mm.Cmd.ID
+	to, _ := classic.SplitCmdID(id)
+	if to == 0 {
+		return
 	}
-	for _, c := range inner {
-		to, _ := classic.SplitCmdID(c.ID)
-		if to == 0 {
-			continue
-		}
-		if rec, ok := l.replay.Get(c.ID); ok {
-			l.replayed++
-			l.env.Send(to, msg.Reply{CmdID: c.ID, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
-		}
+	if rec, ok := l.replay.Get(id); ok {
+		l.replayed++
+		l.env.Send(to, msg.Reply{CmdID: id, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcpaxos/internal/ballot"
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
@@ -267,6 +268,23 @@ func TestLearnerReplayProbe(t *testing.T) {
 	l.OnMessage(client, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 1), "k", "w"), Client: client, Req: 1})
 	if got := take(env); len(got) != 0 || l.replayed != 1 {
 		t.Fatalf("probe for an unapplied command sent %d messages (replayed = %d), want silence", len(got), l.replayed)
+	}
+}
+
+// A replay probe is one client command as it stands: a batch in a probe is
+// not unpacked, so a client cannot draw the cached replies of commands other
+// clients proposed.
+func TestLearnerReplayProbeIgnoresBatches(t *testing.T) {
+	l, env, cfg := testLearner(t, 1, nil)
+	victim, forger := msg.NodeID(2), msg.NodeID(1)
+	applied := smr.SetCmd(classic.CmdID(victim, 0), "k", "v")
+	decide(l, cfg, 0, applied)
+	take(env)
+
+	forged := batch.Pack([]cstruct.Cmd{applied, smr.SetCmd(classic.CmdID(forger, 0), "k", "w")})
+	l.OnMessage(forger, msg.Propose{Cmd: forged, Client: forger, Req: 0})
+	if got, tos := sentTo[msg.Reply](take(env)); len(got) != 0 || l.replayed != 0 {
+		t.Fatalf("a batch probe drew %+v to %v (replayed = %d), want silence", got, tos, l.replayed)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"mcpaxos/internal/ballot"
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/classic"
+	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 	"mcpaxos/internal/smr"
@@ -642,5 +644,58 @@ func TestCmdIDRouting(t *testing.T) {
 	}
 	if got, _ := classic.SplitCmdID(smr.SetCmd(12345, "k", "v").ID); got != 0 {
 		t.Fatalf("unstamped command routed to client %v, want 0", got)
+	}
+}
+
+// TestLiveTCPClientCannotForgeAnotherClientsCommand: a client's Propose
+// refuses a command that carries an ID of its own or the batch key — a
+// batch packing a write stamped as client 2's first command would otherwise
+// be applied under client 2's ID, and client 2's genuine first write then
+// answered "ok" as a duplicate without ever being applied.
+func TestLiveTCPClientCannotForgeAnotherClientsCommand(t *testing.T) {
+	spec, err := LocalSpec(1, 3, 3, 2, 2).ResolveEphemeral()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	spec.RetryEvery = 20 * time.Millisecond
+	rep, err := Open(spec)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	clients := make([]*Client, 2)
+	for i := range clients {
+		if clients[i], err = Dial(spec, spec.Clients[i].ID); err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { clients[i].Close() })
+	}
+	victim := msg.NodeID(spec.Clients[1].ID)
+	forgedWrite := smr.SetCmd(classic.CmdID(victim, 0), "k", "forged")
+	for name, cmd := range map[string]cstruct.Cmd{
+		"batch key":   batch.Pack([]cstruct.Cmd{forgedWrite, smr.SetCmd(classic.CmdID(victim, 1), "j", "x")}),
+		"supplied ID": forgedWrite,
+	} {
+		call := clients[0].Propose(cmd)
+		select {
+		case <-call.Done():
+			if _, err := call.Result(); err == nil {
+				t.Fatalf("%s: the forged call succeeded", name)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: the forged call was not refused at once", name)
+		}
+	}
+
+	if _, err := clients[1].Set("k", "genuine").Result(); err != nil {
+		t.Fatalf("genuine write: %v", err)
+	}
+	for _, l := range spec.Learners {
+		if err := rep.WaitApplied(l.ID, 1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, _ := rep.Get(l.ID, "k"); !ok || v != "genuine" {
+			t.Fatalf("learner %d holds k = %q (%v), want the genuine write", l.ID, v, ok)
+		}
 	}
 }

@@ -26,7 +26,6 @@ func benchMsgs() []struct {
 		{"Propose", msg.Propose{Inst: 7, Cmd: cstruct.Cmd{ID: 5, Key: "key-12", Op: cstruct.OpWrite,
 			Payload: []byte("0123456789abcdef")}, AccQuorum: []msg.NodeID{200, 201}, Seq: 12, HasSeq: true}},
 		{"P1a", msg.P1a{Inst: 1, Rnd: b, Coord: 100, Shard: 3}},
-		{"P1b", msg.P1b{Inst: 2, Rnd: b, Acc: 200, VRnd: b, VVal: sv}},
 		{"P1bMulti", msg.P1bMulti{Rnd: b, Acc: 201, Shard: 1, Votes: []msg.InstVote{
 			{Inst: 0, VRnd: b, VVal: sv},
 			{Inst: 4, VRnd: ballot.Zero},

@@ -34,9 +34,10 @@ const verBinary = 0x02
 
 // Flag bits of a frame's flags byte.
 const (
-	// flagHasVal distinguishes a nil c-struct from ⊥ (P1b/P2a/P2b).
+	// flagHasVal distinguishes a nil c-struct from ⊥ (P2a/P2b).
 	flagHasVal = 1 << 0
-	// flagMulti marks a multi-instance P1bMulti promise (type tag TP1b).
+	// flagMulti marks a multi-instance P1bMulti promise (type tag TP1b),
+	// the only promise the codec carries.
 	flagMulti = 1 << 2
 	// flagHasSeq marks a proposal carrying its per-shard sequence number.
 	flagHasSeq = 1 << 3
@@ -88,7 +89,7 @@ func (c Codec) Decode(data []byte) (msg.Message, error) {
 // encoding failure mode, checked by TCP.Send before queueing).
 func encodable(m msg.Message) bool {
 	switch m.(type) {
-	case msg.Propose, msg.P1a, msg.P1b, msg.P1bMulti, msg.P2a, msg.P2b,
+	case msg.Propose, msg.P1a, msg.P1bMulti, msg.P2a, msg.P2b,
 		msg.Stale, msg.Heartbeat, msg.Reply, msg.CatchupReq, msg.CatchupResp,
 		msg.Fill, msg.Done, msg.SnapReq, msg.SnapResp:
 		return true
@@ -154,21 +155,6 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		dst = wire.AppendBallot(dst, mm.Rnd)
 		dst = wire.AppendUvarint(dst, uint64(mm.Coord))
 		return wire.AppendUvarint(dst, uint64(mm.Shard)), nil
-	case msg.P1b:
-		hasVal := mm.VVal != nil
-		var flags byte
-		if hasVal {
-			flags |= flagHasVal
-		}
-		dst = append(dst, verBinary, byte(msg.TP1b), flags)
-		dst = wire.AppendUvarint(dst, mm.Inst)
-		dst = wire.AppendBallot(dst, mm.Rnd)
-		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
-		dst = wire.AppendBallot(dst, mm.VRnd)
-		if hasVal {
-			dst = appendVal(dst, mm.VVal)
-		}
-		return dst, nil
 	case msg.P1bMulti:
 		dst = append(dst, verBinary, byte(msg.TP1b), flagMulti)
 		dst = wire.AppendBallot(dst, mm.Rnd)
@@ -340,44 +326,30 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 			Shard: r.U32("shard"),
 		}
 	case msg.TP1b:
-		if flags&flagMulti != 0 {
-			if flags != flagMulti {
-				return nil, fmt.Errorf("bad multi-1b flags %#x", flags)
-			}
-			mm := msg.P1bMulti{
-				Rnd:   r.Ballot(),
-				Acc:   msg.NodeID(r.U32("acc")),
-				Shard: r.U32("shard"),
-			}
-			// Each vote takes ≥6 bytes (inst, 4 ballot varints, has byte).
-			n := r.Count("vote count", 6)
-			for i := 0; i < n && r.Err == nil; i++ {
-				v := msg.InstVote{Inst: r.Uvarint("vote inst"), VRnd: r.Ballot()}
-				switch r.Byte("vote has") {
-				case 1:
-					v.VVal = c.rebuild(r.Cmds(), true)
-				case 0:
-				default:
-					r.Fail("vote has")
-				}
-				mm.Votes = append(mm.Votes, v)
-			}
-			m = mm
-		} else {
-			if flags&^flagHasVal != 0 {
-				return nil, fmt.Errorf("bad 1b flags %#x", flags)
-			}
-			mm := msg.P1b{
-				Inst: r.Uvarint("inst"),
-				Rnd:  r.Ballot(),
-				Acc:  msg.NodeID(r.U32("acc")),
-				VRnd: r.Ballot(),
-			}
-			if flags&flagHasVal != 0 {
-				mm.VVal = c.rebuild(r.Cmds(), true)
-			}
-			m = mm
+		// A promise is always the multi-instance P1bMulti: the flag stays on
+		// the wire so the frame's bytes are those of earlier builds.
+		if flags != flagMulti {
+			return nil, fmt.Errorf("bad 1b flags %#x", flags)
 		}
+		mm := msg.P1bMulti{
+			Rnd:   r.Ballot(),
+			Acc:   msg.NodeID(r.U32("acc")),
+			Shard: r.U32("shard"),
+		}
+		// Each vote takes ≥6 bytes (inst, 4 ballot varints, has byte).
+		n := r.Count("vote count", 6)
+		for i := 0; i < n && r.Err == nil; i++ {
+			v := msg.InstVote{Inst: r.Uvarint("vote inst"), VRnd: r.Ballot()}
+			switch r.Byte("vote has") {
+			case 1:
+				v.VVal = c.rebuild(r.Cmds(), true)
+			case 0:
+			default:
+				r.Fail("vote has")
+			}
+			mm.Votes = append(mm.Votes, v)
+		}
+		m = mm
 	case msg.TP2a:
 		if flags&^flagHasVal != 0 {
 			return nil, fmt.Errorf("bad 2a flags %#x", flags)

@@ -74,10 +74,6 @@ func msgEq(a, b msg.Message) bool {
 	case msg.P1a:
 		bm, ok := b.(msg.P1a)
 		return ok && am == bm
-	case msg.P1b:
-		bm, ok := b.(msg.P1b)
-		return ok && am.Inst == bm.Inst && am.Rnd == bm.Rnd && am.Acc == bm.Acc &&
-			am.VRnd == bm.VRnd && valEq(am.VVal, bm.VVal)
 	case msg.P1bMulti:
 		bm, ok := b.(msg.P1bMulti)
 		if !ok || am.Rnd != bm.Rnd || am.Acc != bm.Acc || am.Shard != bm.Shard ||
@@ -164,19 +160,22 @@ func codecCases(set cstruct.Set) []struct {
 			Seq: 42, HasSeq: true, Client: 1, Req: 9}},
 		{"1a", msg.P1a{Inst: 1, Rnd: b, Coord: 100, Shard: 3}},
 		{"1a-max", msg.P1a{Inst: math.MaxUint64, Rnd: bMax, Coord: math.MaxUint32, Shard: math.MaxUint32}},
-		{"1b-nil-val", msg.P1b{Inst: 2, Rnd: b, Acc: 200, VRnd: ballot.Zero}},
-		{"1b-bottom-val", msg.P1b{Inst: 2, Rnd: b, Acc: 200, VRnd: b, VVal: set.Bottom()}},
-		{"1b-val", msg.P1b{Inst: 2, Rnd: b, Acc: 200, VRnd: b, VVal: val}},
 		{"1b-multi-empty", msg.P1bMulti{Rnd: b, Acc: 201, Shard: 1}},
 		{"1b-multi", msg.P1bMulti{Rnd: b, Acc: 201, Shard: 1, Votes: []msg.InstVote{
 			{Inst: 0, VRnd: b, VVal: val},
 			{Inst: 4, VRnd: ballot.Zero},
 			{Inst: math.MaxUint64, VRnd: bMax, VVal: set.Bottom()},
 		}}},
+		{"1b-multi-nil-vote", msg.P1bMulti{Rnd: b, Acc: 201, Votes: []msg.InstVote{
+			{Inst: 2, VRnd: b},
+		}}},
+		{"1b-multi-max", msg.P1bMulti{Rnd: bMax, Acc: math.MaxUint32, Shard: math.MaxUint32}},
 		{"2a-val", msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: val}},
 		{"2a-bottom", msg.P2a{Inst: 3, Rnd: b, Coord: 104, Val: set.Bottom()}},
+		{"2a-nil-val", msg.P2a{Inst: 3, Rnd: b, Coord: 104}},
 		{"2b", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val}},
 		{"2b-nil-val", msg.P2b{Inst: 4, Rnd: b, Acc: 202}},
+		{"2b-bottom", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: set.Bottom()}},
 		{"2b-again", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val, Again: true}},
 		{"stale", msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero}},
 		{"heartbeat", msg.Heartbeat{From: 100, Epoch: math.MaxUint64}},
@@ -255,9 +254,10 @@ func TestCodecRoundtripAllTypes(t *testing.T) {
 		got.Coord != 100 || got.Shard != 3 {
 		t.Errorf("P1a mangled: %+v", got)
 	}
-	p1b := roundtrip(t, c, msg.P1b{Rnd: b, Acc: 200, VRnd: b, VVal: h}).(msg.P1b)
-	if p1b.VVal == nil || !set.Equal(p1b.VVal, h) {
-		t.Errorf("P1b value mangled: %v", p1b.VVal)
+	p1b := roundtrip(t, c, msg.P1bMulti{Rnd: b, Acc: 200, Votes: []msg.InstVote{
+		{Inst: 2, VRnd: b, VVal: h}}}).(msg.P1bMulti)
+	if len(p1b.Votes) != 1 || p1b.Votes[0].VVal == nil || !set.Equal(p1b.Votes[0].VVal, h) {
+		t.Errorf("P1bMulti value mangled: %+v", p1b.Votes)
 	}
 	p2a := roundtrip(t, c, msg.P2a{Rnd: b, Coord: 100, Val: h}).(msg.P2a)
 	if !set.Equal(p2a.Val, h) {
@@ -301,14 +301,20 @@ func TestCodecMultiPromise(t *testing.T) {
 func TestCodecBottomValue(t *testing.T) {
 	set := cstruct.NewHistorySet(cstruct.KeyConflict)
 	c := Codec{Set: set}
-	p1b := roundtrip(t, c, msg.P1b{Rnd: ballot.Zero, Acc: 1, VVal: set.Bottom()}).(msg.P1b)
-	if p1b.VVal == nil || p1b.VVal.Len() != 0 {
-		t.Errorf("⊥ must survive the trip, got %v", p1b.VVal)
+	p2a := roundtrip(t, c, msg.P2a{Rnd: ballot.Zero, Coord: 1, Val: set.Bottom()}).(msg.P2a)
+	if p2a.Val == nil || p2a.Val.Len() != 0 {
+		t.Errorf("⊥ must survive the trip, got %v", p2a.Val)
+	}
+	p2b := roundtrip(t, c, msg.P2b{Rnd: ballot.Zero, Acc: 1, Val: set.Bottom()}).(msg.P2b)
+	if p2b.Val == nil || p2b.Val.Len() != 0 {
+		t.Errorf("⊥ must survive the trip, got %v", p2b.Val)
 	}
 	// nil stays nil.
-	p1bNil := roundtrip(t, c, msg.P1b{Rnd: ballot.Zero, Acc: 1}).(msg.P1b)
-	if p1bNil.VVal != nil {
-		t.Errorf("nil value must stay nil")
+	if p2a := roundtrip(t, c, msg.P2a{Rnd: ballot.Zero, Coord: 1}).(msg.P2a); p2a.Val != nil {
+		t.Errorf("nil 2a value must stay nil")
+	}
+	if p2b := roundtrip(t, c, msg.P2b{Rnd: ballot.Zero, Acc: 1}).(msg.P2b); p2b.Val != nil {
+		t.Errorf("nil 2b value must stay nil")
 	}
 }
 
@@ -324,6 +330,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		// Bit 1 of a 2a's flags was the fast-round "any value" mark; no
 		// message sets it any more.
 		"retired 2a flag": {verBinary, byte(msg.TP2a), 0x02, 0x03, 0x01, 0x02, 0x03, 0x04, 0x68},
+		// A 1b without the multi flag was the single-instance promise only
+		// the simulator-only engine sends; it never crosses a socket.
+		"single-instance 1b": unhex(t, "02 03 01 02 01 02 03 04 c8 01 01 02 03 04 01 09 01 6b 02 01 70"),
 	}
 	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil {

@@ -29,7 +29,6 @@ func fuzzSeeds() []msg.Message {
 		msg.Propose{Cmd: cstruct.Cmd{ID: 1<<40 | 9, Key: "k"},
 			Seq: 42, HasSeq: true, Client: 1, Req: 9},
 		msg.P1a{Inst: 1, Rnd: b, Coord: 100, Shard: 3},
-		msg.P1b{Inst: 2, Rnd: b, Acc: 200, VRnd: b, VVal: sv},
 		msg.P1bMulti{Rnd: b, Acc: 201, Shard: 1, Votes: []msg.InstVote{
 			{Inst: 0, VRnd: b, VVal: sv},
 			{Inst: 4, VRnd: ballot.Zero},

@@ -22,7 +22,6 @@ var goldenFrames = []struct{ name, hex string }{
 	{"propose-client-zero-req", "02 01 10 80 80 80 80 80 20 00 00 00 00 00 01 00"},
 	{"propose-client-stamped", "02 01 18 89 80 80 80 80 20 01 6b 00 00 00 00 2a 01 09"},
 	{"1a", "02 02 00 01 01 02 03 04 64 03"},
-	{"1b", "02 03 01 02 01 02 03 04 c8 01 01 02 03 04 01 09 01 6b 02 01 70"},
 	{"1b-multi", "02 03 04 01 02 03 04 c9 01 01 02 00 01 02 03 04 01 01 09 01 6b 02 01 70 04 00 00 00 00 00"},
 	{"2a", "02 04 01 03 01 02 03 04 66 01 09 01 6b 02 01 70"},
 	{"2b", "02 05 01 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},

@@ -1,7 +1,8 @@
 // Package wire defines the byte layouts every serialization in the repo is
 // built from — the transport's message frames, the WAL's stable records, the
-// learners' state snapshots and the machine states inside them — so that an
-// integer, a ballot and a command each have exactly one encoding:
+// learners' state snapshots, the machine states inside them and the batch
+// commands inside all of these — so that an integer, a ballot and a command
+// each have exactly one encoding:
 //
 //   - integers are unsigned LEB128 varints, minimally encoded;
 //   - a ballot is four varints (MCount, MinCount, ID, RType);
@@ -25,6 +26,7 @@ package wire
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
@@ -75,6 +77,21 @@ func AppendCmds(dst []byte, cs []cstruct.Cmd) []byte {
 	}
 	return dst
 }
+
+// CmdsSize is the exact length AppendCmds appends for cs, so an encoder can
+// size its buffer once.
+func CmdsSize(cs []cstruct.Cmd) int {
+	n := uvarintSize(uint64(len(cs)))
+	for _, c := range cs {
+		n += uvarintSize(c.ID) + uvarintSize(uint64(len(c.Key))) + len(c.Key) +
+			1 + uvarintSize(uint64(len(c.Payload))) + len(c.Payload)
+	}
+	return n
+}
+
+// uvarintSize is the length AppendUvarint appends for v: one byte per seven
+// significant bits, and one for zero.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Reader walks an encoded buffer. After the first failed read every further
 // read returns a zero value and Err keeps the first failure, so a decoder
@@ -194,17 +211,31 @@ func (r *Reader) Ballot() ballot.Ballot {
 }
 
 // Cmd reads one command.
-func (r *Reader) Cmd() cstruct.Cmd {
-	return cstruct.Cmd{
-		ID:      r.Uvarint("cmd id"),
-		Key:     r.String("cmd key"),
-		Op:      cstruct.OpKind(r.Byte("cmd op")),
-		Payload: r.Bytes("cmd payload"),
-	}
-}
+func (r *Reader) Cmd() cstruct.Cmd { return r.cmd(true) }
 
 // Cmds reads a counted command sequence; an empty one is nil.
-func (r *Reader) Cmds() []cstruct.Cmd {
+func (r *Reader) Cmds() []cstruct.Cmd { return r.cmds(true) }
+
+// CmdMetas reads a counted command sequence as Cmds does but skips every
+// payload, leaving it nil: the ID, Key and Op of each command without a
+// payload copy apiece.
+func (r *Reader) CmdMetas() []cstruct.Cmd { return r.cmds(false) }
+
+func (r *Reader) cmd(payload bool) cstruct.Cmd {
+	c := cstruct.Cmd{
+		ID:  r.Uvarint("cmd id"),
+		Key: r.String("cmd key"),
+		Op:  cstruct.OpKind(r.Byte("cmd op")),
+	}
+	if payload {
+		c.Payload = r.Bytes("cmd payload")
+	} else {
+		r.section("cmd payload")
+	}
+	return c
+}
+
+func (r *Reader) cmds(payloads bool) []cstruct.Cmd {
 	// Every encoded command takes at least 4 bytes (id, key length, op,
 	// payload length).
 	n := r.Count("cmd count", 4)
@@ -213,7 +244,7 @@ func (r *Reader) Cmds() []cstruct.Cmd {
 	}
 	out := make([]cstruct.Cmd, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
-		out = append(out, r.Cmd())
+		out = append(out, r.cmd(payloads))
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"mcpaxos/internal/cstruct"
 )
 
 // TestUvarintCanonical: the reader accepts exactly the encoder's output —
@@ -59,5 +61,32 @@ func TestReaderStickyAndBounded(t *testing.T) {
 	r = Reader{B: AppendUvarint(nil, math.MaxUint32+1)}
 	if r.U32("x"); r.Err == nil {
 		t.Error("U32 accepted a 33-bit value")
+	}
+}
+
+// TestCmdsSizeAndMetas: CmdsSize is exactly what AppendCmds appends, and
+// CmdMetas reads the same sequence as Cmds, leaving every payload nil.
+func TestCmdsSizeAndMetas(t *testing.T) {
+	long := bytes.Repeat([]byte{0xAB}, 200)
+	for _, cs := range [][]cstruct.Cmd{
+		nil,
+		{{}},
+		{{ID: math.MaxUint64, Key: string(long), Op: cstruct.OpRead, Payload: long}},
+		{{ID: 1, Key: "k", Op: cstruct.OpWrite, Payload: []byte("v")}, {ID: 300}, {ID: 1 << 40, Payload: long[:127]}},
+	} {
+		enc := AppendCmds(nil, cs)
+		if n := CmdsSize(cs); n != len(enc) {
+			t.Errorf("%d cmds: CmdsSize %d, AppendCmds wrote %d", len(cs), n, len(enc))
+		}
+		r := Reader{B: enc}
+		meta := r.CmdMetas()
+		if err := r.Finish(); err != nil || len(meta) != len(cs) {
+			t.Fatalf("%d cmds: CmdMetas read %d, err %v", len(cs), len(meta), err)
+		}
+		for i, c := range meta {
+			if c.ID != cs[i].ID || c.Key != cs[i].Key || c.Op != cs[i].Op || c.Payload != nil {
+				t.Errorf("meta %d: got %+v, want %+v without payload", i, c, cs[i])
+			}
+		}
 	}
 }
