@@ -93,11 +93,6 @@ type Fetcher struct {
 	chunk uint32
 	// retry is the re-request interval, watch the gap-watch period (ticks).
 	retry, watch int64
-	// OnWatch, when set, fires on every watch tick. Hosts use it as the
-	// anti-entropy heartbeat of the compaction watermark protocol: the
-	// learner gossips its Done frontier (msg.Done) on the same cadence the
-	// fetcher probes peers.
-	OnWatch func()
 
 	// next reports the local merge frontier; buffered how many instances
 	// are held back by a gap; feed hands one decided (instance, command)
@@ -119,6 +114,10 @@ type Fetcher struct {
 	// it was applied, after which the local frontier must reflect it; a
 	// false return discards the blob and the pull rotates to another peer.
 	install func(frontier uint64, blob []byte) bool
+	// onWatch fires on every watch tick: the heartbeat of the compaction
+	// watermark protocol, so the learner gossips its Done frontier
+	// (msg.Done) on the same cadence the fetcher probes peers.
+	onWatch func()
 
 	synced     bool
 	rr         int // peer rotation cursor
@@ -145,14 +144,15 @@ type Fetcher struct {
 // nothing to pull from), accs the acceptors, chunk the most instances one
 // request asks for, retry and watch the re-request and gap-watch periods in
 // ticks. The learner's merge state is exposed through next, buffered and
-// feed, its stall nudge and snapshot install through onStall and install;
-// the fetcher calls all five on the learner's goroutine.
+// feed, its stall nudge and snapshot install through onStall and install, and
+// its watermark gossip through onWatch; the fetcher calls all six on the
+// learner's goroutine.
 func New(env node.Env, peers, accs []msg.NodeID, chunk uint32, retry, watch int64,
 	next func() uint64, buffered func() int, feed func(inst uint64, cmd cstruct.Cmd),
-	onStall func(frontier uint64), install func(frontier uint64, blob []byte) bool) *Fetcher {
+	onStall func(frontier uint64), install func(frontier uint64, blob []byte) bool, onWatch func()) *Fetcher {
 	return &Fetcher{
 		env: env, peers: peers, accs: accs, chunk: chunk, retry: retry, watch: watch,
-		next: next, buffered: buffered, feed: feed, onStall: onStall, install: install,
+		next: next, buffered: buffered, feed: feed, onStall: onStall, install: install, onWatch: onWatch,
 		synced: len(peers) == 0,
 	}
 }
@@ -378,9 +378,7 @@ func (f *Fetcher) OnTimer(tag int) bool {
 // fire — so only a peer's word that its frontier is higher reveals the
 // miss (OnResp re-opens the pull on that evidence).
 func (f *Fetcher) watchTick() {
-	if f.OnWatch != nil {
-		f.OnWatch()
-	}
+	f.onWatch()
 	n := f.next()
 	// A snapshot transfer in flight owns its own retry cadence (TagFetch
 	// rotation); the stall escalation would only thrash it.

@@ -67,7 +67,7 @@ func newUnderTest(peers, accs []msg.NodeID) (*Fetcher, *fakeEnv, *mergeSim) {
 	ms := &mergeSim{}
 	f := New(env, peers, accs, 4, 25, 100,
 		func() uint64 { return ms.next }, ms.buffered, ms.feed,
-		func(frontier uint64) { ms.stalls = append(ms.stalls, frontier) }, ms.install)
+		func(frontier uint64) { ms.stalls = append(ms.stalls, frontier) }, ms.install, func() {})
 	return f, env, ms
 }
 

@@ -292,7 +292,16 @@ func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 // Conflicting values within the round are the Section 4.2 collision: promote
 // the shard to the successor round so the group re-establishes it
 // (coordinated recovery).
+//
+// An instance below the compaction floor was decided and its votes are gone,
+// so no phase 1 can find the value chosen there any more: a vote cast now
+// could choose a second one. The 2a is refused with the floor, which is what
+// a coordinator that fell behind it needs to catch up (Coordinator.onFloor).
 func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
+	if mm.Inst < a.floor {
+		a.send(from, msg.Done{From: a.env.ID(), Frontier: a.floor, Watermark: a.floor})
+		return
+	}
 	shard := a.cfg.ShardOf(mm.Inst)
 	if mm.Rnd.Less(a.rnds[shard]) {
 		a.send(from, msg.Stale{Inst: mm.Inst, Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})

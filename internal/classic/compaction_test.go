@@ -2,10 +2,13 @@ package classic
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/storage"
@@ -198,5 +201,76 @@ func TestAcceptorRetriesFailedCompaction(t *testing.T) {
 	done(compactAfterDrops + 2)
 	if disk.calls != 2 {
 		t.Fatalf("a successful compaction did not reset the drop count (%d calls)", disk.calls)
+	}
+}
+
+// An acceptor votes only at or above its compaction floor. Below it every
+// instance was decided and its votes are gone, so no phase 1 could find the
+// value chosen there: a full coordinator quorum's 2as for instance 0 draw no
+// vote, no 2b and no write — only the floor, sent back to each member.
+func TestAcceptorRefusesVotesBelowFloor(t *testing.T) {
+	const floor = 64
+	cfg := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: 3}).Cfg
+	a, disk, env := loggedAcceptor(cfg)
+	deliver(a, cfg.Learners[0], msg.Done{From: cfg.Learners[0], Frontier: floor, Watermark: floor})
+	*disk.log, env.sent = nil, nil
+
+	r := ballot.Ballot{MinCount: 1, ID: uint32(cfg.Coords[0])}
+	var want []string
+	for _, co := range cfg.RoundGroup(0, r) {
+		deliver(a, co, msg.P2a{Inst: 0, Rnd: r, Coord: co, Val: wrap(cstruct.Cmd{ID: 7})})
+		want = append(want, fmt.Sprintf("send msg.Done to %v", co))
+	}
+	if !slices.Equal(*disk.log, want) {
+		t.Fatalf("2as below the floor did\n  %v\nwant\n  %v", *disk.log, want)
+	}
+	for _, m := range env.sent {
+		if d := m.(msg.Done); d.Watermark != floor || d.From != env.ID() {
+			t.Errorf("refusal %+v, want the floor %d from %v", d, floor, env.ID())
+		}
+	}
+	if _, _, ok := a.Vote(0); ok {
+		t.Error("the acceptor holds a vote below its floor")
+	}
+	if _, _, ok := a.Tally(0); ok {
+		t.Error("the acceptor holds a tally below its floor")
+	}
+}
+
+// A coordinator that stamped below the acceptors' floor — a restarted one
+// counts from slot 0 — catches up on their refusal: it forgets the slot, the
+// window and the request's stamp, so the client's retry restamps at the
+// floor and is forwarded there.
+func TestCoordinatorCatchesUpToFloor(t *testing.T) {
+	const floor = 64
+	cfg := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1}).Cfg
+	env := &sinkEnv{id: cfg.Coords[0]}
+	co := NewCoordinator(env, cfg)
+	co.IngressBatchMax = 1
+	co.leading = true
+	deliver(co, 7, ingressSub(0))
+	if _, ok := co.proposals[0]; !ok || co.Inflight() != 1 {
+		t.Fatalf("submission not stamped at slot 0: %v in flight", co.Inflight())
+	}
+
+	deliver(co, cfg.Acceptors[0], msg.Done{From: cfg.Acceptors[0], Frontier: floor, Watermark: floor})
+	if co.Inflight() != 0 || co.Retained() != 0 || !co.isLearned(floor-1) || co.isLearned(floor) {
+		t.Fatalf("after the floor: %d in flight, %d retained; want the window empty and [0, %d) learned",
+			co.Inflight(), co.Retained(), floor)
+	}
+	if _, restamped, _ := co.IngressCounts(); restamped != 1 {
+		t.Errorf("%d requests forgotten, want 1", restamped)
+	}
+
+	env.sent = nil
+	deliver(co, 7, ingressSub(0)) // the client's retry
+	var at []uint64
+	for _, m := range env.sent {
+		if p2a, ok := m.(msg.P2a); ok {
+			at = append(at, p2a.Inst)
+		}
+	}
+	if len(at) == 0 || at[0] != floor {
+		t.Fatalf("the retry's 2as went to instances %v, want %d", at, floor)
 	}
 }

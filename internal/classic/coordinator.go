@@ -237,6 +237,9 @@ func (c *Coordinator) OnMessage(from msg.NodeID, m msg.Message) {
 		c.noteLearned(mm.Inst)
 	case msg.Fill:
 		c.onFill(mm)
+	case msg.Done:
+		// An acceptor refused a 2a below its compaction floor.
+		c.onFloor(mm.Watermark)
 	case msg.PeerDown:
 		if mm.Node == c.stamper {
 			c.takeOver()

@@ -3,6 +3,8 @@ package classic
 import (
 	"bytes"
 	"cmp"
+	"maps"
+	"slices"
 	"strings"
 
 	"mcpaxos/internal/ballot"
@@ -147,14 +149,47 @@ func (c *Coordinator) noteLearned(inst uint64) {
 	c.learned[inst] = true
 	delete(c.sent, inst)
 	delete(c.widths, inst)
-	// Everything below the contiguous frontier is forgotten: state stays
-	// bounded by the open window instead of growing with the run.
+	c.advance()
+}
+
+// advance moves the contiguous learned frontier over the instances learned
+// at it. Everything below the frontier is forgotten: state stays bounded by
+// the open window instead of growing with the run.
+func (c *Coordinator) advance() {
 	for at := c.seqInst(c.lo); c.learned[at]; at = c.seqInst(c.lo) {
 		delete(c.learned, at)
 		delete(c.proposals, at)
 		c.lo++
 	}
 	c.drainUnsent()
+}
+
+// onFloor catches the member up to an acceptor's compaction floor: every
+// instance below it was decided, and acceptors refuse 2as there, so the
+// learned frontier and the ingress counter jump past it. Whatever this member
+// still holds below the floor is dropped — a restarted member stamps from
+// slot 0 — and the requests stamped there and not known learned are
+// forgotten like a displaced value's (place), so their clients' retries
+// restamp at fresh slots.
+func (c *Coordinator) onFloor(floor uint64) {
+	lo := (floor + c.stride() - 1 - uint64(c.shard)) / c.stride() // first seq at or above floor
+	if lo <= c.lo {
+		return
+	}
+	for k, at := range c.byReq {
+		if at < floor && !c.isLearned(at) {
+			delete(c.byReq, k)
+			c.restamped++
+		}
+	}
+	maps.DeleteFunc(c.learned, func(inst uint64, _ bool) bool { return inst < floor })
+	maps.DeleteFunc(c.sent, func(inst uint64, _ bool) bool { return inst < floor })
+	maps.DeleteFunc(c.proposals, func(inst uint64, _ cstruct.Cmd) bool { return inst < floor })
+	maps.DeleteFunc(c.widths, func(inst uint64, _ int) bool { return inst < floor })
+	c.unsent = slices.DeleteFunc(c.unsent, func(inst uint64) bool { return inst < floor })
+	c.lo = lo
+	c.ingressNext = max(c.ingressNext, lo)
+	c.advance()
 }
 
 // isLearned reports whether an owned instance is known decided.

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -248,5 +249,113 @@ func TestLiveDurableSnapshotRestart(t *testing.T) {
 	s1, _ := rep.Snapshot(301)
 	if s0 != s1 {
 		t.Fatal("states diverged after durable-snapshot restart")
+	}
+}
+
+// waitFloors polls until every acceptor's compaction floor is at least floor.
+func waitFloors(t *testing.T, rep *Replica, floor uint64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		floors := rep.AcceptorFloors()
+		if len(floors) > 0 && slices.Min(floors) >= floor {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("acceptor floors %v never reached %d", floors, floor)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A coordinator restarted after the acceptors truncated stamps again from
+// slot 0, below every acceptor's floor. The acceptors refuse those 2as with
+// the floor, the coordinator catches up to it, and the client's retry lands
+// above it: the next write is answered and applied on both learners.
+func TestLiveTCPCoordinatorRestartAfterCompaction(t *testing.T) {
+	spec := LocalSpec(1, 1, 3, 2, 1)
+	spec.BatchMax = 1
+	spec.RetryEvery = 20 * time.Millisecond
+	spec.SnapshotEvery = 8
+	spec.Retain = 2
+	rep, cli := openLocal(t, spec)
+
+	const n = 64
+	drive(t, cli, n, 0)
+	waitFloors(t, rep, n)
+	if !rep.Kill(100) {
+		t.Fatal("kill failed")
+	}
+	if err := rep.Restart(100); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	if err := cli.Wait([]*Call{cli.Set("after", "restart")}, time.Until(deadline)); err != nil {
+		t.Fatalf("write after the restart: %v", err)
+	}
+	for _, l := range []uint32{300, 301} {
+		if err := rep.WaitApplied(l, n+1, time.Until(deadline)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Reopening a whole deployment after compaction keeps what it acked: with
+// WALDir set and SnapshotDir empty the learners' snapshots live beside the
+// acceptors' logs, so the prefix the acceptors truncated comes back from
+// disk, and the reopened coordinator catches up to the acceptors' floor.
+func TestLiveTCPReopenAfterCompaction(t *testing.T) {
+	spec := LocalSpec(1, 1, 3, 2, 2)
+	spec.BatchMax = 1
+	spec.RetryEvery = 20 * time.Millisecond
+	spec.SnapshotEvery = 8
+	spec.WALDir = t.TempDir()
+	spec, err := spec.ResolveEphemeral()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each life brings its own client: request IDs restart with a client.
+	life := func(client int) (*Replica, *Client) {
+		t.Helper()
+		rep, err := Open(spec)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		t.Cleanup(func() { rep.Close() })
+		cli, err := Dial(spec, spec.Clients[client].ID)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return rep, cli
+	}
+
+	const n = 64
+	rep, cli := life(0)
+	var calls []*Call
+	for i := range n {
+		calls = append(calls, cli.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
+	}
+	if err := cli.Wait(calls, 20*time.Second); err != nil {
+		t.Fatalf("first life: %v", err)
+	}
+	waitFloors(t, rep, 17)
+	cli.Close()
+	rep.Close()
+
+	rep, cli = life(1)
+	if err := cli.Wait([]*Call{cli.Set("after", "reopen")}, 10*time.Second); err != nil {
+		t.Fatalf("write after the reopen: %v", err)
+	}
+	for _, l := range []uint32{300, 301} {
+		if err := rep.WaitApplied(l, n+1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			k, want := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+			if v, ok, _ := rep.Get(l, k); !ok || v != want {
+				t.Fatalf("learner %d: %s = %q (%v) after the reopen, want %q", l, k, v, ok, want)
+			}
+		}
 	}
 }

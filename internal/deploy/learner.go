@@ -29,12 +29,12 @@ type learner struct {
 	env    node.Env
 	cfg    classic.Config
 	peers  []msg.NodeID // the other learners: catch-up sources and Done gossip targets
-	every  int          // ClusterSpec.SnapshotEvery
+	every  uint64       // snapshot interval in merged instances
 	retain uint64       // log instances kept below the watermark
 	l      *classic.Learner
 	fetch  *catchup.Fetcher
-	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir,
-	// else memory-only); the store synchronises itself.
+	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir
+	// or WALDir, else memory-only); the store synchronises itself.
 	snaps *snapshot.Store
 	// coords is ShardCoords(shard) per shard, built once: the targets of the
 	// ack every learned instance draws, and of fills and skip hints.
@@ -67,13 +67,13 @@ type learner struct {
 	// replayed counts replies re-elicited from the replay cache.
 	replayed uint64
 
-	// Compaction state (Spec.SnapshotEvery > 0). logBase is the instance
-	// log[0] holds: the retained prefix is [logBase, logBase+len(log)), and a
-	// peer pull below logBase is refused with the floor attached so the
-	// requester escalates to snapshot transfer. snapFrontier is the frontier
-	// of the newest snapshot — the Done frontier this learner gossips.
-	// peerDone records each peer's last gossiped frontier, and watermark is
-	// the monotone cluster minimum over all of them: the truncation gate.
+	// Compaction state. logBase is the instance log[0] holds: the retained
+	// prefix is [logBase, logBase+len(log)), and a peer pull below logBase is
+	// refused with the floor attached so the requester escalates to snapshot
+	// transfer. snapFrontier is the frontier of the newest snapshot — the
+	// Done frontier this learner gossips. peerDone records each peer's last
+	// gossiped frontier, and watermark is the monotone cluster minimum over
+	// all of them: the truncation gate.
 	logBase      uint64
 	snapFrontier uint64
 	snapSaves    uint64
@@ -94,11 +94,12 @@ const timerIdle = 103
 // the node has a route to its peers.
 func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snapshot.Store) *learner {
 	l := &learner{
-		env: env, cfg: cfg, every: spec.SnapshotEvery, retain: spec.retain(), snaps: snaps,
+		env: env, cfg: cfg, snaps: snaps,
 		rep:      smr.NewReplica(smr.NewKVStore()),
 		replay:   smr.NewReplyCache(replyCacheSize, classic.ClientShift),
 		peerDone: make(map[msg.NodeID]uint64),
 	}
+	l.every, l.retain = spec.compaction()
 	for _, p := range cfg.Learners {
 		if p != env.ID() {
 			l.peers = append(l.peers, p)
@@ -130,10 +131,7 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 	// learner retains the prefix this learner is missing, they re-announce
 	// their votes and the ordinary quorum counting relearns it.
 	l.fetch = catchup.New(env, l.peers, cfg.Acceptors, catchupChunk, spec.retryTicks(), spec.fillTicks(),
-		l.merger.Next, l.merger.Buffered, l.pulled, l.onStall, l.installBlob)
-	if l.every > 0 {
-		l.fetch.OnWatch = l.gossip
-	}
+		l.merger.Next, l.merger.Buffered, l.pulled, l.onStall, l.installBlob, l.gossip)
 	return l
 }
 
@@ -182,7 +180,7 @@ func (l *learner) pulled(inst uint64, cmd cstruct.Cmd) {
 func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
 	l.merger.Add(inst, cmd)
 	fr := l.merger.Next()
-	if l.every > 0 && fr >= l.snapFrontier+uint64(l.every) {
+	if fr >= l.snapFrontier+l.every {
 		l.cutSnapshot(fr)
 	}
 	if l.merger.Buffered() > 0 && l.idleEvery > 0 && !l.idleArmed {

@@ -369,12 +369,12 @@ func TestLearnerSkipHint(t *testing.T) {
 
 func first(l *learner, _ *fakeEnv, _ classic.Config) *learner { return l }
 
-// (f) Under compaction a learner's resident state stays flat in the size of
-// the commands it applied: 100k decided 256-byte writes, a snapshot every 256
-// instances and a watermark gossip every 1k leave a truncated log, and a heap
-// grown by what the apply order and the dedup floor hold per command — an ID
-// and a result — not by the command bodies, which would cost about 40 MB
-// here.
+// (f) A learner's resident state stays flat in the size of the commands it
+// applied, at the spec's zero knobs as at an explicit interval: 100k decided
+// 256-byte writes, a snapshot every 256 instances and a watermark gossip
+// every 1k leave a truncated log, and a heap grown by what the apply order
+// and the dedup floor hold per command — an ID and a result — not by the
+// command bodies, which would cost about 40 MB here.
 func TestLearnerRetentionIsBounded(t *testing.T) {
 	const (
 		n      = 100_000
@@ -382,35 +382,42 @@ func TestLearnerRetentionIsBounded(t *testing.T) {
 		gossip = 1000
 		limit  = 15 << 20
 	)
-	l, env, cfg := testLearner(t, 1, func(s *ClusterSpec) { s.SnapshotEvery = every })
-	value := strings.Repeat("v", 256)
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+	for name, tune := range map[string]func(*ClusterSpec){
+		"zero knobs":        nil,
+		"SnapshotEvery 256": func(s *ClusterSpec) { s.SnapshotEvery = every },
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, env, cfg := testLearner(t, 1, tune)
+			value := strings.Repeat("v", 256)
+			heap := func() uint64 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			before := heap()
+			for i := uint64(0); i < n; i++ {
+				decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), fmt.Sprint("k", i%64), value))
+				env.sent = env.sent[:0]
+				if (i+1)%gossip == 0 {
+					l.gossip()
+				}
+			}
+			after := heap()
+			if got := l.rep.Applied(); got != n {
+				t.Fatalf("applied %d of %d writes", got, n)
+			}
+			if len(l.log) > gossip+2*every {
+				t.Errorf("retained log holds %d instances (base %d), want at most %d: truncation stopped",
+					len(l.log), l.logBase, gossip+2*every)
+			}
+			if grew := int64(after) - int64(before); grew > limit {
+				t.Errorf("heap grew %.1f MB over %d applied writes, want under %d MB: applied command bodies are retained",
+					float64(grew)/(1<<20), n, limit>>20)
+			} else {
+				t.Logf("heap grew %.1f MB over %d applied writes; retained log %d instances", float64(grew)/(1<<20), n, len(l.log))
+			}
+			runtime.KeepAlive(l)
+		})
 	}
-	before := heap()
-	for i := uint64(0); i < n; i++ {
-		decide(l, cfg, i, smr.SetCmd(classic.CmdID(1, i), fmt.Sprint("k", i%64), value))
-		env.sent = env.sent[:0]
-		if (i+1)%gossip == 0 {
-			l.gossip()
-		}
-	}
-	after := heap()
-	if got := l.rep.Applied(); got != n {
-		t.Fatalf("applied %d of %d writes", got, n)
-	}
-	if len(l.log) > gossip+2*every {
-		t.Errorf("retained log holds %d instances (base %d), want at most %d: truncation stopped",
-			len(l.log), l.logBase, gossip+2*every)
-	}
-	if grew := int64(after) - int64(before); grew > limit {
-		t.Errorf("heap grew %.1f MB over %d applied writes, want under %d MB: applied command bodies are retained",
-			float64(grew)/(1<<20), n, limit>>20)
-	} else {
-		t.Logf("heap grew %.1f MB over %d applied writes; retained log %d instances", float64(grew)/(1<<20), n, len(l.log))
-	}
-	runtime.KeepAlive(l)
 }

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -148,7 +149,7 @@ func (r *Replica) host(id msg.NodeID) (*endpoint, bool) {
 // every coordinator the deployment hosts.
 func newCoordinator(env node.Env, cfg classic.Config, spec ClusterSpec) *classic.Coordinator {
 	c := classic.NewCoordinator(env, cfg)
-	c.MaxInflight = spec.Window
+	c.MaxInflight = cmp.Or(max(spec.Window, 0), defaultWindow)
 	// Coordinator 2a retransmission backstops lost accepts only; the
 	// client already retries lost proposals at the base interval, so
 	// the coordinators run much cooler — under a drain burst a hot
@@ -188,9 +189,11 @@ func (r *Replica) openNode(id msg.NodeID) error {
 		}
 		build = func(env node.Env) node.Handler { return classic.NewAcceptor(env, r.cfg, disk) }
 	default: // learner
-		snapDir := ""
-		if r.spec.SnapshotDir != "" {
-			snapDir = filepath.Join(r.spec.SnapshotDir, fmt.Sprintf("learner-%d", uint32(id)))
+		// Snapshots are kept wherever votes are: beside the acceptors' logs
+		// unless SnapshotDir names another place.
+		snapDir := cmp.Or(r.spec.SnapshotDir, r.spec.WALDir)
+		if snapDir != "" {
+			snapDir = filepath.Join(snapDir, fmt.Sprintf("learner-%d", uint32(id)))
 		}
 		snaps, err := snapshot.OpenStore(snapDir)
 		if err != nil {

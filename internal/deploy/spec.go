@@ -19,6 +19,7 @@
 package deploy
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sync"
@@ -71,31 +72,32 @@ type ClusterSpec struct {
 	// WALDir/acc-<id>; empty keeps votes in process memory (demos, tests).
 	WALDir string
 
-	// SnapshotEvery, when > 0, turns on log compaction: each learner cuts a
+	// SnapshotEvery is the log-compaction interval: each learner cuts a
 	// snapshot of its applied state every that-many merged instances and
-	// joins the cluster watermark protocol — learners gossip their snapshot
-	// frontiers (msg.Done) on the gap-watch cadence, the minimum over those
-	// frontiers becomes the compaction watermark, and everything below it is
-	// truncated in three layers (learner retained logs, acceptor vote
-	// history, reply-cache floors). A learner restarted below the watermark
-	// rejoins by installing a peer's snapshot and replaying only the log
-	// suffix. 0 disables compaction: everything is retained forever, the
-	// pre-snapshot behaviour.
+	// gossips its snapshot frontier (msg.Done) on the gap-watch cadence. The
+	// minimum over those frontiers is the compaction watermark, and
+	// everything below it is truncated in three layers (learner retained
+	// logs, acceptor vote history, reply-cache floors). A learner restarted
+	// below the watermark rejoins by installing a peer's snapshot and
+	// replaying only the log suffix. 0 means 256.
 	SnapshotEvery int
 	// Retain is the retention floor slack: a learner keeps at least this
 	// many log instances below the watermark, so a peer pulling just behind
 	// it usually log-pulls instead of escalating to snapshot transfer. 0
 	// means SnapshotEvery.
 	Retain int
-	// SnapshotDir, when set, persists each learner's snapshots under
+	// SnapshotDir persists each learner's snapshots under
 	// SnapshotDir/learner-<id> (fsync-then-rename, crash artifacts swept on
 	// open), so a restarted learner reloads its newest local snapshot and
-	// pulls only the suffix. Empty keeps snapshots in process memory: they
-	// die with the node, and a restarted learner below the watermark must
-	// ship a snapshot from a peer. With compaction enabled, durable
-	// snapshots are what keeps acked state recoverable if every learner
-	// restarts in overlapping windows — memory-only snapshots trade that
-	// away for convenience in tests.
+	// pulls only the suffix. Empty means WALDir: votes kept on disk come with
+	// snapshots kept on disk, because once the acceptors truncate below the
+	// watermark the snapshots alone hold that prefix. With neither set,
+	// snapshots live in process memory and die with the node, just as
+	// memory-only acceptors lose their votes: a restarted learner below the
+	// watermark must ship a snapshot from a peer, so a deployment with a
+	// single learner cannot survive that learner's restart once the
+	// acceptors have truncated, nor can every learner restarting in
+	// overlapping windows.
 	SnapshotDir string
 
 	// BatchMax is the per-shard ingress batch size at the stamping
@@ -114,8 +116,8 @@ type ClusterSpec struct {
 	// negative flushes on size only, with no early stamp and no skip hint.
 	BatchWait time.Duration
 	// Window bounds each coordinator's pipeline of unlearned instances; 0
-	// leaves it unbounded. A full window also holds a stamper's partial batch
-	// until an instance is learned (see BatchWait).
+	// means 8. A full window also holds a stamper's partial batch until an
+	// instance is learned (see BatchWait).
 	Window int
 	// RetryEvery is the base retransmission interval of clients and
 	// coordinators; 0 means 25ms. Client retries back off exponentially
@@ -180,10 +182,12 @@ func (s ClusterSpec) listen(addr string) (net.Listener, error) {
 
 // Spec defaults.
 const (
-	defaultBatchMax   = 8
-	defaultBatchWait  = 2 * time.Millisecond
-	defaultRetryEvery = 25 * time.Millisecond
-	defaultTimeout    = 15 * time.Second
+	defaultBatchMax      = 8
+	defaultBatchWait     = 2 * time.Millisecond
+	defaultWindow        = 8
+	defaultSnapshotEvery = 256
+	defaultRetryEvery    = 25 * time.Millisecond
+	defaultTimeout       = 15 * time.Second
 )
 
 // Fixed parameters: no deployment, benchmark or test ever set them to
@@ -304,17 +308,13 @@ func (s ClusterSpec) timeoutTicks() int64 {
 	return ticks(d)
 }
 
-// retain normalizes the retention slack below the compaction watermark: 0
-// means one snapshot interval, so a peer trailing by less than a full
-// interval log-pulls instead of shipping a snapshot.
-func (s ClusterSpec) retain() uint64 {
-	if s.Retain > 0 {
-		return uint64(s.Retain)
-	}
-	if s.SnapshotEvery > 0 {
-		return uint64(s.SnapshotEvery)
-	}
-	return 0
+// compaction normalizes the snapshot interval and the retention slack below
+// the compaction watermark (zero or less means the default): the slack
+// defaults to one interval, so a peer trailing by less than a full interval
+// log-pulls instead of shipping a snapshot.
+func (s ClusterSpec) compaction() (every, retain uint64) {
+	every = uint64(cmp.Or(max(s.SnapshotEvery, 0), defaultSnapshotEvery))
+	return every, cmp.Or(uint64(max(s.Retain, 0)), every)
 }
 
 // fillTicks is the learner gap-watch period driving both catch-up resyncs

@@ -334,10 +334,12 @@ func (m Fill) Instance() uint64 { return m.Inst }
 // replayable from the snapshot, so the learner no longer *needs* the log
 // prefix), plus the cluster-wide minimum it has computed over fresh peer
 // announcements. Learners truncate their retained logs below their own
-// computed minimum; acceptors — which never initiate — ratchet a monotone
-// watermark from the Watermark field and truncate vote history below it.
+// computed minimum; acceptors ratchet a monotone watermark from the
+// Watermark field and truncate vote history below it. An acceptor sends one
+// only to refuse a 2a below that floor, with the floor in both fields: the
+// coordinator that sent it learns that everything below was decided.
 type Done struct {
-	// From is the announcing learner.
+	// From is the announcing node.
 	From NodeID
 	// Frontier is the announcer's own durable snapshot frontier: instances
 	// [0, Frontier) are covered by a snapshot it can serve.

@@ -2,7 +2,6 @@ package mcpaxos
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 )
 
@@ -10,9 +9,10 @@ import (
 // & log-compaction subsystem on the live path. One run drives a write stream
 // through the full deployment and samples, at fixed command windows, the
 // acceptors' on-disk WAL footprint and the learners' resident (retained)
-// log. With SnapshotEvery = 0 both grow monotonically with the run length;
-// with compaction on, the watermark protocol truncates behind the snapshots
-// and both plateau at a bound set by the knobs, not by history size.
+// log. At an interval longer than the run no snapshot is cut, so nothing is
+// truncated and both grow monotonically with the run length; at a shorter
+// one the watermark protocol truncates behind the snapshots and both plateau
+// at a bound set by the knobs, not by history size.
 
 // E16Sample is one windowed measurement of an E16 run.
 type E16Sample struct {
@@ -33,7 +33,9 @@ type E16Sample struct {
 
 // E16Run is one arm of the E16 experiment.
 type E16Run struct {
-	// SnapshotEvery is the arm's compaction interval (0 = compaction off).
+	// SnapshotEvery is the arm's snapshot interval in merged instances. The
+	// baseline arm's is longer than its run: it never cuts a snapshot, so
+	// nothing below a watermark is ever truncated.
 	SnapshotEvery int
 	// Samples are the windowed measurements, in command order; the last one
 	// is taken after traffic stops and the watermark settles.
@@ -42,10 +44,11 @@ type E16Run struct {
 }
 
 // RunE16Compaction drives `commands` single-command writes through the live
-// deployment with the given compaction interval (0 disables compaction) and
-// samples the disk/memory footprint every `commands/windows` commands.
-// walDir hosts the acceptors' WALs and, when compaction is on, the
-// learners' durable snapshots.
+// deployment with the given snapshot interval, retaining half an interval
+// below the watermark, and samples the disk/memory footprint every
+// `commands/windows` commands. An interval longer than the run is the
+// uncompacted baseline. walDir hosts the acceptors' WALs and the learners'
+// durable snapshots.
 func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, error) {
 	run := E16Run{SnapshotEvery: every}
 	if windows < 1 {
@@ -60,10 +63,7 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 	spec.RetryEvery = 50 * time.Millisecond
 	spec.WALDir = walDir
 	spec.SnapshotEvery = every
-	if every > 0 {
-		spec.Retain = every / 2
-		spec.SnapshotDir = filepath.Join(walDir, "snaps")
-	}
+	spec.Retain = every / 2
 	spec, err := spec.ResolveEphemeral()
 	if err != nil {
 		return run, err
@@ -130,24 +130,23 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 	// (4×RetryEvery), so "settled" means stable across several gossip
 	// periods — and WAL bytes must hold still too, or the sample can land
 	// between the last truncation and the physical compaction it triggers,
-	// with tombstones still inflating the log.
-	if every > 0 {
-		settleUntil := time.Now().Add(10 * time.Second)
-		prevWM, prevBytes := uint64(0), int64(-1)
-		stable := 0
-		for time.Now().Before(settleUntil) {
-			cs := rep.CompactionStats()
-			_, _, bytes := rep.WALDiskStats()
-			if cs.Watermark == prevWM && cs.Watermark > 0 && bytes == prevBytes {
-				if stable++; stable >= 3 {
-					break
-				}
-			} else {
-				stable = 0
+	// with tombstones still inflating the log. A run that cut no snapshot
+	// has no watermark to wait for.
+	settleUntil := time.Now().Add(10 * time.Second)
+	prevWM, prevBytes := uint64(0), int64(-1)
+	stable := 0
+	for time.Now().Before(settleUntil) {
+		cs := rep.CompactionStats()
+		_, _, bytes := rep.WALDiskStats()
+		if cs.Watermark == prevWM && (cs.Watermark > 0 || cs.Saves == 0) && bytes == prevBytes {
+			if stable++; stable >= 3 {
+				break
 			}
-			prevWM, prevBytes = cs.Watermark, bytes
-			time.Sleep(250 * time.Millisecond)
+		} else {
+			stable = 0
 		}
+		prevWM, prevBytes = cs.Watermark, bytes
+		time.Sleep(250 * time.Millisecond)
 	}
 	run.Samples = append(run.Samples, sample(done))
 	run.Elapsed = time.Since(start)

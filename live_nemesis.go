@@ -2,7 +2,6 @@ package mcpaxos
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -87,13 +86,12 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 	// bounded op counts of a nemesis seed) that the watermark actually
 	// advances mid-schedule: learners snapshot every 16 merged instances,
 	// keep 8 below the watermark pullable, and persist their snapshots next
-	// to the WALs — so a learner killed and restarted below the watermark
-	// rejoins through its own durable snapshot or, when it trails further, a
-	// peer's shipped one, and the acceptors' vote history is truncated live
-	// while the adversary runs.
+	// to the WALs, where an empty SnapshotDir puts them — so a learner killed
+	// and restarted below the watermark rejoins through its own durable
+	// snapshot or, when it trails further, a peer's shipped one, and the
+	// acceptors' vote history is truncated live while the adversary runs.
 	spec.SnapshotEvery = 16
 	spec.Retain = 8
-	spec.SnapshotDir = filepath.Join(walDir, "snaps")
 	spec.Faults = inj
 	spec, err := spec.ResolveEphemeral()
 	if err != nil {
