@@ -22,9 +22,10 @@ type NodeSpec = deploy.NodeSpec
 // loop), each node behind its own TCP endpoint.
 type Replica = deploy.Replica
 
-// Client is the embeddable deployment client: round-robin shard routing
-// with per-shard batching, coordinator-group load balancing, retry with
-// backoff across coordinator failures, and apply-result correlation.
+// Client is the embeddable deployment client: round-robin shard routing,
+// coordinator-group load balancing, retry with backoff across coordinator
+// failures, and apply-result correlation. It sends each command on its own;
+// batching happens at the ingress of the coordinator that stamps it.
 type Client = deploy.Client
 
 // Call is one in-flight client proposal; it resolves with the state

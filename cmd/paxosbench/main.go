@@ -303,7 +303,7 @@ func nemesisExp(p params, liveSeeds int) error {
 		if err != nil {
 			return fmt.Errorf("nemesis: %w", err)
 		}
-		r, err := mcpaxos.RunLiveNemesis(p.seed+int64(i), 3, 8, dir)
+		r, err := mcpaxos.RunLiveNemesis(p.seed+int64(i), 3, 8, 1, dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			return fmt.Errorf("nemesis seed %d: %w", r.Seed, err)

@@ -254,12 +254,13 @@ func (v *verdict) fail(f string, args ...any) {
 }
 
 // agree is E14's learner-agreement rule: wherever other learned an instance
-// at all, it learned what learned holds. Instances are checked in order, so
-// a run with several disagreements always reports the lowest.
+// at all, it learned a value Equal to what learned holds. Instances are
+// checked in order, so a run with several disagreements reports the lowest.
 func (v *verdict) agree(learned map[uint64]cstruct.Cmd, other func(inst uint64) (cstruct.Cmd, bool)) {
 	for _, inst := range slices.Sorted(maps.Keys(learned)) {
-		if o, ok := other(inst); ok && o.ID != learned[inst].ID {
-			v.fail("learners disagree on instance %d: %d vs %d", inst, learned[inst].ID, o.ID)
+		if o, ok := other(inst); ok && !o.Equal(learned[inst]) {
+			l := learned[inst]
+			v.fail("learners disagree on instance %d: %v %q vs %v %q", inst, l, l.Payload, o, o.Payload)
 		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/linearize"
+	"mcpaxos/internal/smr"
 )
 
 // TestE14SingleSeed pins one full nemesis run: mixed workload, randomized
@@ -108,13 +110,34 @@ func TestE14AgreementReportsLowestInstance(t *testing.T) {
 		}
 		return learned[inst], true
 	}
-	const want = "learners disagree on instance 5: 5 vs 105"
+	const want = `learners disagree on instance 5: c5 "" vs c105 ""`
 	for run := 0; run < 50; run++ {
 		var v verdict
 		v.agree(learned, other)
 		if v.failure != want {
 			t.Fatalf("run %d: failure %q, want %q", run, v.failure, want)
 		}
+	}
+}
+
+// TestE14AgreementComparesValues pins that learner agreement compares
+// values, not IDs: two learners holding two batches headed by one command
+// for one instance — one ID, different commands — disagree, and the failure
+// names the instance.
+func TestE14AgreementComparesValues(t *testing.T) {
+	x := smr.SetCmd(7, "x", "1")
+	learned := map[uint64]cstruct.Cmd{
+		2: smr.SetCmd(5, "k", "v"),
+		3: batch.Pack([]cstruct.Cmd{x, smr.SetCmd(8, "y", "2")}),
+	}
+	other := map[uint64]cstruct.Cmd{
+		2: learned[2],
+		3: batch.Pack([]cstruct.Cmd{x, smr.SetCmd(9, "z", "3")}),
+	}
+	var v verdict
+	v.agree(learned, func(inst uint64) (cstruct.Cmd, bool) { c, ok := other[inst]; return c, ok })
+	if !strings.HasPrefix(v.failure, "learners disagree on instance 3: ") {
+		t.Fatalf("failure %q, want a disagreement on instance 3", v.failure)
 	}
 }
 

@@ -35,8 +35,8 @@ const IDBase = uint64(1) << 63
 // BatchID derives the batch command ID from the first constituent. The ID
 // orders batches and deduplicates them, but it is not unique: two batches
 // headed by the same command — a stamper's and a failover stamper's for one
-// slot — share it while holding different commands, so code that must tell
-// values apart compares their payloads too.
+// slot — share it while holding different commands. Values compare by
+// content, through cstruct.Cmd.Equal, so the two stay two values.
 func BatchID(first cstruct.Cmd) uint64 { return first.ID | IDBase }
 
 // Pack encodes cmds into a single batch command. Packing a single command

@@ -45,7 +45,7 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	}
 	for i, c := range got {
 		w := cmds[i]
-		if c.ID != w.ID || c.Key != w.Key || c.Op != w.Op || !bytes.Equal(c.Payload, w.Payload) {
+		if !c.Equal(w) {
 			t.Errorf("cmd %d mangled: got %+v want %+v", i, c, w)
 		}
 	}
@@ -109,7 +109,7 @@ func TestGoldenBatch(t *testing.T) {
 	}
 	for i, c := range got {
 		w := goldenCmds[i]
-		if c.ID != w.ID || c.Key != w.Key || c.Op != w.Op || !bytes.Equal(c.Payload, w.Payload) {
+		if !c.Equal(w) {
 			t.Errorf("cmd %d: got %+v want %+v", i, c, w)
 		}
 	}

@@ -1,6 +1,7 @@
 package classic
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 
@@ -270,8 +271,9 @@ func (a *Acceptor) onP1a(_ msg.NodeID, mm msg.P1a) {
 	a.send1b(shard, mm.Rnd)
 }
 
-// send1b reports the shard's past votes in a promise for round r to the
-// round's coordinator group.
+// send1b reports the shard's past votes, in instance order, in a promise for
+// round r to the round's coordinator group. The order makes a promise a
+// function of the acceptor's state, not of map iteration.
 func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 	votes := make([]msg.InstVote, 0, len(a.votes))
 	for inst, v := range a.votes {
@@ -280,6 +282,7 @@ func (a *Acceptor) send1b(shard int, r ballot.Ballot) {
 		}
 		votes = append(votes, msg.InstVote{Inst: inst, VRnd: v.vrnd, VVal: wrap(v.vval)})
 	}
+	slices.SortFunc(votes, func(x, y msg.InstVote) int { return cmp.Compare(x.Inst, y.Inst) })
 	m := msg.P1bMulti{Rnd: r, Acc: a.env.ID(), Votes: votes, Shard: uint32(shard)}
 	for _, co := range a.cfg.RoundGroup(shard, r) {
 		a.send(co, m)
@@ -321,7 +324,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 		// — is noted silently; a second one is a retransmission, so the
 		// member is still waiting: re-announce the vote so lost 2b messages
 		// (or lost learner acks) are eventually replaced.
-		if v.vrnd.Equal(mm.Rnd) && sameValue(v.vval, cmd) {
+		if v.vrnd.Equal(mm.Rnd) && v.vval.Equal(cmd) {
 			if v.by != nil && !slices.Contains(v.by, mm.Coord) {
 				v.by = append(v.by, mm.Coord)
 				a.votes[mm.Inst] = v
@@ -337,7 +340,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	} else if mm.Rnd.Less(t.vrnd) {
 		return // stale 2a for a round this instance already left
 	}
-	if !sameValue(t.vval, cmd) {
+	if !t.vval.Equal(cmd) {
 		// Two group members — or one member twice — forwarded different values
 		// for the same (shard, round, instance): collision, Section 4.2.
 		a.promote(shard, ballot.SingleScheme{}.Next(t.vrnd, t.vrnd.ID))

@@ -27,7 +27,6 @@
 package classic
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -225,15 +224,6 @@ func Noop(inst uint64) cstruct.Cmd {
 // IsNoop reports whether c is a fill no-op: it occupies its instance but
 // never reaches a state machine, and any other value beats it (prefer).
 func IsNoop(c cstruct.Cmd) bool { return c.Key == noopKey }
-
-// sameValue reports whether a and b are one value. The paper's coordinator
-// quorums and collision rule (Sections 4.1–4.2) are defined over values, and
-// cstruct.Cmd.Equal compares IDs only: two batches headed by one command —
-// a stamper's and a failover stamper's for the same slot — share their ID
-// (batch.BatchID) while holding different commands.
-func sameValue(a, b cstruct.Cmd) bool {
-	return a.ID == b.ID && a.Key == b.Key && a.Op == b.Op && bytes.Equal(a.Payload, b.Payload)
-}
 
 // single-value helpers shared by the single-value protocols.
 

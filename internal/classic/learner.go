@@ -123,7 +123,7 @@ func (l *Learner) OnMessage(_ msg.NodeID, m msg.Message) {
 	}
 	n := 0
 	for _, v := range vs {
-		if c, ok := unwrap(v.Val); ok && sameValue(c, cmd) && v.Rnd.Equal(mm.Rnd) {
+		if c, ok := unwrap(v.Val); ok && c.Equal(cmd) && v.Rnd.Equal(mm.Rnd) {
 			n++
 		}
 	}

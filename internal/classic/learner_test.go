@@ -161,7 +161,7 @@ func TestLearnerMatchesRecount(t *testing.T) {
 			case refLearned != nil && !gotOK:
 				t.Fatalf("trial %d step %d: reference learned c%d, learner did not",
 					trial, step, refLearned.ID)
-			case refLearned != nil && gotOK && got.ID != refLearned.ID:
+			case refLearned != nil && gotOK && !got.Equal(*refLearned):
 				t.Fatalf("trial %d step %d: learned c%d, reference c%d",
 					trial, step, got.ID, refLearned.ID)
 			}

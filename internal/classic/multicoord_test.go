@@ -182,7 +182,7 @@ func TestMulticoordGroupDecides(t *testing.T) {
 	for inst := uint64(0); inst < 8; inst++ {
 		c0, ok0 := cl.Learners[0].Learned(inst)
 		c1, ok1 := cl.Learners[1].Learned(inst)
-		if !ok0 || !ok1 || c0.ID != c1.ID {
+		if !ok0 || !ok1 || !c0.Equal(c1) {
 			t.Errorf("instance %d: learners disagree (%v/%v, %v/%v)", inst, c0, ok0, c1, ok1)
 		}
 	}
@@ -364,7 +364,7 @@ func TestMulticoordDivergentStampsConverge(t *testing.T) {
 	if !ok {
 		t.Fatal("instance 0 never decided: divergent stamps did not converge")
 	}
-	if got.ID != x.ID {
+	if !got.Equal(x) {
 		t.Fatalf("decided command %d, want the preference winner %d", got.ID, x.ID)
 	}
 }

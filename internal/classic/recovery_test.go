@@ -1,10 +1,12 @@
 package classic
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -79,7 +81,7 @@ func (wc *walCluster) checkNoLossNoConflict(before map[uint64]cstruct.Cmd) {
 	wc.t.Helper()
 	for inst, cmd := range before {
 		got, ok := wc.LearnedCmds[inst]
-		if !ok || got.ID != cmd.ID {
+		if !ok || !got.Equal(cmd) {
 			wc.t.Errorf("instance %d: learned value changed across crash: had c%d, now %v (ok=%v)",
 				inst, cmd.ID, got, ok)
 		}
@@ -87,7 +89,7 @@ func (wc *walCluster) checkNoLossNoConflict(before map[uint64]cstruct.Cmd) {
 	for inst := range wc.LearnedCmds {
 		c0, ok0 := wc.Learners[0].Learned(inst)
 		c1, ok1 := wc.Learners[1].Learned(inst)
-		if ok0 && ok1 && c0.ID != c1.ID {
+		if ok0 && ok1 && !c0.Equal(c1) {
 			wc.t.Errorf("instance %d: learners disagree: c%d vs c%d", inst, c0.ID, c1.ID)
 		}
 	}
@@ -139,7 +141,7 @@ func TestWALRecoveryAfterAccept(t *testing.T) {
 		a := wc.restart(0)
 		for inst, want := range votesBefore {
 			vrnd, got, ok := a.Vote(inst)
-			if !ok || got.ID != want.ID {
+			if !ok || !got.Equal(want) {
 				t.Errorf("instance %d: vote lost across restart: want c%d, got %v (ok=%v)", inst, want.ID, got, ok)
 			}
 			if vrnd.IsZero() {
@@ -611,5 +613,43 @@ func TestPromiseSurvivesRecovery(t *testing.T) {
 				t.Errorf("the 2a at %v drew %v, want one Stale above %v", tc.probe, env.sent, tc.promise)
 			}
 		})
+	}
+}
+
+// An acceptor's promise is a function of its state: an acceptor holding 16
+// votes of one shard answers 8 repeated 1as for one round with the votes in
+// ascending instance order every time, not in map iteration order.
+func TestPromiseVotesInInstanceOrder(t *testing.T) {
+	cfg := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1}).Cfg
+	env := &sinkEnv{id: cfg.Acceptors[0]}
+	a := NewAcceptor(env, cfg, &storage.Disk{})
+	owner := cfg.Coords[0]
+	r := ballot.Ballot{MinCount: 1, ID: uint32(owner)}
+	const n = 16
+	for inst, held := uint64(0), 0; held < n; inst++ {
+		if cfg.ShardOf(inst) != 0 {
+			continue
+		}
+		held++
+		for _, co := range cfg.RoundGroup(0, r) {
+			deliver(a, co, msg.P2a{Inst: inst, Rnd: r, Coord: co, Val: wrap(cstruct.Cmd{ID: inst + 1})})
+		}
+	}
+	for try := 0; try < 8; try++ {
+		env.sent = nil
+		deliver(a, owner, msg.P1a{Rnd: r, Coord: owner})
+		if len(env.sent) == 0 {
+			t.Fatalf("1a %d drew no promise", try)
+		}
+		for _, m := range env.sent {
+			p := m.(msg.P1bMulti)
+			if len(p.Votes) != n || !slices.IsSortedFunc(p.Votes, func(x, y msg.InstVote) int { return cmp.Compare(x.Inst, y.Inst) }) {
+				insts := make([]uint64, len(p.Votes))
+				for i, v := range p.Votes {
+					insts[i] = v.Inst
+				}
+				t.Fatalf("1a %d: promise reports instances %v, want %d in ascending order", try, insts, n)
+			}
+		}
 	}
 }

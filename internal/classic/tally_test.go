@@ -196,7 +196,7 @@ func driveTally(t *testing.T, data []byte) {
 		for inst := uint64(0); inst < 3; inst++ {
 			gr, gv, gok := a.Vote(inst)
 			w, wok := ref.votes[inst]
-			if gok != wok || !gr.Equal(w.vrnd) || gv.ID != w.vval.ID {
+			if gok != wok || !gr.Equal(w.vrnd) || !gv.Equal(w.vval) {
 				t.Fatalf("byte %d of %x: instance %d vote (%v, c%d, %v), want (%v, c%d, %v)",
 					step, data, inst, gr, gv.ID, gok, w.vrnd, w.vval.ID, wok)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 )
@@ -63,8 +64,32 @@ func TestBatchesHeadedByOneCommandAreTwoValues(t *testing.T) {
 	if !okA || !okB {
 		t.Fatalf("instance %d learned at learner 300: %v, at 301: %v; want both", slot, okA, okB)
 	}
-	if a.ID != b.ID || !bytes.Equal(a.Payload, b.Payload) {
+	// The payload comparison keeps this test red should Cmd.Equal ever
+	// compare IDs alone again: the equality under test cannot judge itself.
+	if !a.Equal(b) || !bytes.Equal(a.Payload, b.Payload) {
 		t.Fatalf("learners disagree on instance %d:\n 300 learned %d % x\n 301 learned %d % x",
 			slot, a.ID, a.Payload, b.ID, b.Payload)
+	}
+}
+
+// prefer is a total order over values: of two values exactly one beats the
+// other unless they are Equal, so a group's members always converge on one.
+func TestPreferOrdersDistinctValues(t *testing.T) {
+	x, y := relayCmd(7, 1), relayCmd(7, 2)
+	vals := []cstruct.Cmd{
+		x, y, Noop(1), Noop(2),
+		batch.Pack([]cstruct.Cmd{x, y}), batch.Pack([]cstruct.Cmd{x, relayCmd(8, 1)}),
+		{ID: x.ID, Key: x.Key, Op: cstruct.OpRead}, {ID: x.ID, Key: "j", Op: x.Op},
+		{ID: x.ID, Key: x.Key, Op: x.Op, Payload: []byte{}},
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := prefer(a, b) || prefer(b, a), !a.Equal(b); got != want {
+				t.Errorf("prefer(%v, %v) or its converse = %v, want %v", a, b, got, want)
+			}
+			if prefer(a, b) && prefer(b, a) {
+				t.Errorf("%v and %v each beat the other", a, b)
+			}
+		}
 	}
 }

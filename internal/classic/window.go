@@ -39,14 +39,14 @@ func (c *Coordinator) onPropose(from msg.NodeID, mm msg.Propose) {
 		// matter — a late client retry must map to the decided slot instead
 		// of being stamped a second time. (A value known to have lost the
 		// slot keeps its requests unmapped: they must restamp.)
-		if have && !sameValue(cur, mm.Cmd) {
+		if have && !cur.Equal(mm.Cmd) {
 			return
 		}
 		c.indexValue(inst, mm.Cmd)
 	case !have:
 		c.bind(inst, mm.Cmd)
 		c.trySend(inst)
-	case sameValue(cur, mm.Cmd):
+	case cur.Equal(mm.Cmd):
 		// Retransmitted proposal: refresh the in-flight 2a so a lost one is
 		// eventually replaced.
 		if c.leading && c.sent[inst] {
@@ -78,7 +78,7 @@ func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
 // — and are forgotten, so their clients' retries are restamped at a fresh
 // slot.
 func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
-	if old, ok := c.proposals[inst]; ok && !sameValue(old, cmd) {
+	if old, ok := c.proposals[inst]; ok && !old.Equal(cmd) {
 		for k, at := range c.byReq {
 			if at == inst {
 				delete(c.byReq, k)
@@ -126,15 +126,13 @@ func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (ado
 }
 
 // prefer reports whether value a beats value b under the group's fixed
-// preference order.
+// preference order: a total order over values, so exactly one of two values
+// that are not Equal beats the other.
 func prefer(a, b cstruct.Cmd) bool {
 	if an, bn := IsNoop(a), IsNoop(b); an != bn {
 		return bn // the real value beats the fill no-op
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return cmp.Or(strings.Compare(a.Key, b.Key), cmp.Compare(a.Op, b.Op),
+	return cmp.Or(cmp.Compare(a.ID, b.ID), strings.Compare(a.Key, b.Key), cmp.Compare(a.Op, b.Op),
 		bytes.Compare(a.Payload, b.Payload)) < 0
 }
 

@@ -65,8 +65,10 @@ func TestWALRecoveryCoreAfterAccept(t *testing.T) {
 	wc := newWALCoreCluster(t, ClusterOpts{NCoords: 3, NAcceptors: 3, F: 1,
 		Seed: 3, NLearners: 2, Set: cstruct.NewHistorySet(cstruct.KeyConflict)})
 	wc.Start(0)
+	// cmd is the i-th command proposed, command ID 1+i.
+	cmd := func(i int) cstruct.Cmd { return cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)} }
 	for i := 0; i < 4; i++ {
-		wc.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
+		wc.Props[0].Propose(cmd(i))
 		wc.Sim.Run()
 	}
 	acceptedBefore := wc.Accs[0].VVal().Commands()
@@ -82,7 +84,7 @@ func TestWALRecoveryCoreAfterAccept(t *testing.T) {
 	wc.hardCrash(0)
 	// The surviving quorum keeps extending the learned c-struct.
 	for i := 4; i < 7; i++ {
-		wc.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
+		wc.Props[0].Propose(cmd(i))
 		wc.Sim.Run()
 	}
 
@@ -104,7 +106,7 @@ func TestWALRecoveryCoreAfterAccept(t *testing.T) {
 	wc.Coords[0].StartRound(wc.Cfg.Scheme.First(a.Rnd().MCount+1, uint32(wc.Cfg.Coords[0])))
 	wc.Sim.Run()
 	for i := 7; i < 10; i++ {
-		wc.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
+		wc.Props[0].Propose(cmd(i))
 		wc.Sim.Run()
 	}
 
@@ -112,12 +114,12 @@ func TestWALRecoveryCoreAfterAccept(t *testing.T) {
 	// learners' c-structs stay compatible (Consistency).
 	learned := wc.Learners[0].Learned()
 	for i := 0; i < 10; i++ {
-		if !learned.Contains(cstruct.Cmd{ID: uint64(1 + i)}) {
+		if !learned.Contains(cmd(i)) {
 			t.Errorf("command c%d missing from learned c-struct after recovery", 1+i)
 		}
 	}
 	for id := range learnedBefore {
-		if !learned.Contains(cstruct.Cmd{ID: id}) {
+		if !learned.Contains(cmd(int(id) - 1)) {
 			t.Errorf("pre-crash learned command c%d lost", id)
 		}
 	}
@@ -142,13 +144,14 @@ func TestWALRecoveryCoreAfterPromise(t *testing.T) {
 	if !promised.Less(a.Rnd()) {
 		t.Errorf("recovered round %v does not dominate promised %v", a.Rnd(), promised)
 	}
+	cmd := func(i int) cstruct.Cmd { return cstruct.Cmd{ID: uint64(50 + i), Key: fmt.Sprintf("k%d", i)} }
 	for i := 0; i < 6; i++ {
-		wc.Props[0].Propose(cstruct.Cmd{ID: uint64(50 + i), Key: fmt.Sprintf("k%d", i)})
+		wc.Props[0].Propose(cmd(i))
 		wc.Sim.Run()
 	}
 	learned := wc.Learners[0].Learned()
 	for i := 0; i < 6; i++ {
-		if !learned.Contains(cstruct.Cmd{ID: uint64(50 + i)}) {
+		if !learned.Contains(cmd(i)) {
 			t.Errorf("command c%d not learned after promise-crash recovery", 50+i)
 		}
 	}

@@ -18,6 +18,7 @@
 package cstruct
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -33,9 +34,10 @@ const (
 	OpWrite
 )
 
-// Cmd is a proposed command. Commands are compared by ID: two commands with
-// the same ID are the same command. Key and Op exist so conflict relations
-// can inspect what the command touches; Payload is opaque to the protocol.
+// Cmd is a proposed command and the value an instance decides. Two commands
+// are one value only if they are Equal: an ID alone does not tell, since two
+// batches headed by one command share it (batch.BatchID). Key and Op let
+// conflict relations see what a command touches; Payload is opaque.
 type Cmd struct {
 	ID      uint64
 	Key     string
@@ -43,8 +45,11 @@ type Cmd struct {
 	Payload []byte
 }
 
-// Equal reports whether the two commands are the same command.
-func (c Cmd) Equal(d Cmd) bool { return c.ID == d.ID }
+// Equal reports whether c and d are one value: same ID, Key, Op and Payload
+// (nil and empty payloads are one). It is the only equality over values.
+func (c Cmd) Equal(d Cmd) bool {
+	return c.ID == d.ID && c.Key == d.Key && c.Op == d.Op && bytes.Equal(c.Payload, d.Payload)
+}
 
 // String renders a short human-readable form of the command.
 func (c Cmd) String() string {
@@ -70,22 +75,23 @@ func (c Cmd) String() string {
 // commands that do not conflict may be learned in different orders.
 type Conflict func(a, b Cmd) bool
 
-// AlwaysConflict orders every pair of distinct commands: command histories
-// under this relation degenerate to totally ordered sequences (total order
+// AlwaysConflict orders every pair of distinct (not Equal) commands: command
+// histories under it degenerate to totally ordered sequences (total order
 // broadcast).
-func AlwaysConflict(a, b Cmd) bool { return a.ID != b.ID }
+func AlwaysConflict(a, b Cmd) bool { return !a.Equal(b) }
 
 // NeverConflict lets every pair of commands commute: command histories
 // degenerate to command sets (reliable broadcast).
 func NeverConflict(a, b Cmd) bool { return false }
 
-// KeyConflict orders two distinct commands iff they touch the same key.
-func KeyConflict(a, b Cmd) bool { return a.ID != b.ID && a.Key == b.Key }
+// KeyConflict orders two distinct (not Equal) commands iff they touch the
+// same key, as two batches headed by one command do.
+func KeyConflict(a, b Cmd) bool { return a.Key == b.Key && !a.Equal(b) }
 
-// RWConflict orders two distinct commands iff they touch the same key and at
-// least one of them is a write. Two reads of the same key commute.
+// RWConflict orders two distinct (not Equal) commands iff they touch the same
+// key and at least one of them is a write. Two reads of the same key commute.
 func RWConflict(a, b Cmd) bool {
-	return a.ID != b.ID && a.Key == b.Key && (a.Op == OpWrite || b.Op == OpWrite)
+	return a.Key == b.Key && (a.Op == OpWrite || b.Op == OpWrite) && !a.Equal(b)
 }
 
 // FmtCmds renders a command slice compactly, for diagnostics.

@@ -9,15 +9,77 @@ func cmd(id uint64) Cmd { return Cmd{ID: id} }
 
 func kcmd(id uint64, key string, op OpKind) Cmd { return Cmd{ID: id, Key: key, Op: op} }
 
+// sameHead returns two batch-like commands that share an ID — as two batches
+// headed by one command do (batch.BatchID) — but hold different commands.
+func sameHead() (a, b Cmd) {
+	a = Cmd{ID: 1<<63 | 7, Key: "\x00batch", Op: OpWrite, Payload: []byte{0xB7, 1, 7}}
+	b = Cmd{ID: 1<<63 | 7, Key: "\x00batch", Op: OpWrite, Payload: []byte{0xB7, 1, 8}}
+	return a, b
+}
+
 func TestCmdEqual(t *testing.T) {
-	a := Cmd{ID: 1, Key: "x"}
-	b := Cmd{ID: 1, Key: "y"} // same ID, different metadata: same command
-	c := Cmd{ID: 2, Key: "x"}
-	if !a.Equal(b) {
-		t.Errorf("commands with equal IDs must be equal")
+	a := Cmd{ID: 1, Key: "x", Op: OpWrite, Payload: []byte("v")}
+	same := Cmd{ID: 1, Key: "x", Op: OpWrite, Payload: []byte("v")}
+	if !a.Equal(same) {
+		t.Errorf("commands with equal fields must be equal")
 	}
-	if a.Equal(c) {
-		t.Errorf("commands with different IDs must differ")
+	if !(Cmd{ID: 1}).Equal(Cmd{ID: 1, Payload: []byte{}}) {
+		t.Errorf("a nil and an empty payload must compare equal")
+	}
+	ha, hb := sameHead()
+	for name, d := range map[string]Cmd{
+		"id":      {ID: 2, Key: "x", Op: OpWrite, Payload: []byte("v")},
+		"key":     {ID: 1, Key: "y", Op: OpWrite, Payload: []byte("v")},
+		"op":      {ID: 1, Key: "x", Op: OpRead, Payload: []byte("v")},
+		"payload": {ID: 1, Key: "x", Op: OpWrite, Payload: []byte("w")},
+	} {
+		if a.Equal(d) || d.Equal(a) {
+			t.Errorf("commands differing in %s must differ", name)
+		}
+	}
+	if ha.Equal(hb) {
+		t.Errorf("two batches headed by one command must differ: %v % x vs %v % x", ha, ha.Payload, hb, hb.Payload)
+	}
+}
+
+// TestConflictSameHead pins that the conflict relations tell distinct
+// commands apart by content: two batches headed by one command share an ID
+// and the batch key, so every relation that orders distinct same-key
+// commands orders them.
+func TestConflictSameHead(t *testing.T) {
+	a, b := sameHead()
+	for name, rel := range map[string]Conflict{"always": AlwaysConflict, "key": KeyConflict, "rw": RWConflict} {
+		if !rel(a, b) || !rel(b, a) {
+			t.Errorf("%s: two batches headed by one command must conflict", name)
+		}
+		if rel(a, a) {
+			t.Errorf("%s: conflict relation must be irreflexive", name)
+		}
+	}
+}
+
+// TestContainsSameHead pins that membership is by value: a c-struct holding
+// one command does not contain another command under the same ID.
+func TestContainsSameHead(t *testing.T) {
+	a, b := sameHead()
+	for name, v := range map[string]CStruct{
+		"single-value": NewSingleValue(a),
+		"history":      NewHistorySet(KeyConflict).NewHistory(a),
+		"cmd-set":      NewCmdSet(a),
+	} {
+		if !v.Contains(a) {
+			t.Errorf("%s: must contain the command it holds", name)
+		}
+		if v.Contains(b) {
+			t.Errorf("%s: must not contain another command under the same ID", name)
+		}
+	}
+	sv := SingleValueSet{}
+	if sv.Equal(NewSingleValue(a), NewSingleValue(b)) || sv.Compatible(NewSingleValue(a), NewSingleValue(b)) {
+		t.Errorf("single values of two batches headed by one command must be distinct and incompatible")
+	}
+	if ConstructibleFrom(NewSingleValue(a), []Cmd{b}) {
+		t.Errorf("a value must not be constructible from another command under its ID")
 	}
 }
 

@@ -14,7 +14,9 @@ type CmdSetSet struct{}
 
 var _ Set = CmdSetSet{}
 
-// CmdSet is a c-struct of CmdSetSet.
+// CmdSet is a c-struct of CmdSetSet. It holds one command per ID: a c-struct
+// of generalized consensus never sees two commands under one ID (only
+// batches share IDs, and batches ride only SingleValue).
 type CmdSet struct {
 	cmds map[uint64]Cmd
 }
@@ -43,10 +45,11 @@ func (v CmdSet) Append(c Cmd) CStruct {
 	return CmdSet{cmds: m}
 }
 
-// Contains reports set membership.
+// Contains reports set membership: the command stored under c's ID is Equal
+// to c.
 func (v CmdSet) Contains(c Cmd) bool {
-	_, ok := v.cmds[c.ID]
-	return ok
+	d, ok := v.cmds[c.ID]
+	return ok && d.Equal(c)
 }
 
 // Len is the set cardinality.
@@ -86,17 +89,8 @@ func asCmdSet(v CStruct) CmdSet {
 }
 
 // Equal implements Set.
-func (CmdSetSet) Equal(v, w CStruct) bool {
-	a, b := asCmdSet(v), asCmdSet(w)
-	if len(a.cmds) != len(b.cmds) {
-		return false
-	}
-	for id := range a.cmds {
-		if _, ok := b.cmds[id]; !ok {
-			return false
-		}
-	}
-	return true
+func (s CmdSetSet) Equal(v, w CStruct) bool {
+	return asCmdSet(v).Len() == asCmdSet(w).Len() && s.Extends(v, w)
 }
 
 // Extends implements Set: v ⊑ w iff v ⊆ w.
@@ -105,8 +99,8 @@ func (CmdSetSet) Extends(v, w CStruct) bool {
 	if len(a.cmds) > len(b.cmds) {
 		return false
 	}
-	for id := range a.cmds {
-		if _, ok := b.cmds[id]; !ok {
+	for _, c := range a.cmds {
+		if !b.Contains(c) {
 			return false
 		}
 	}
@@ -123,7 +117,7 @@ func (s CmdSetSet) GLB(vs ...CStruct) CStruct {
 outer:
 	for id, c := range first.cmds {
 		for _, v := range vs[1:] {
-			if _, ok := asCmdSet(v).cmds[id]; !ok {
+			if !asCmdSet(v).Contains(c) {
 				continue outer
 			}
 		}

@@ -1,5 +1,7 @@
 package cstruct
 
+import "slices"
+
 // CStruct is one command structure: an element of a c-struct set. Values are
 // immutable; Append returns a new c-struct and never mutates the receiver.
 type CStruct interface {
@@ -49,12 +51,8 @@ func AppendSeq(v CStruct, seq []Cmd) CStruct {
 // from pool: every command contained in v appears in pool. This is the
 // Str(P) membership test used by the Nontriviality property.
 func ConstructibleFrom(v CStruct, pool []Cmd) bool {
-	ids := make(map[uint64]struct{}, len(pool))
-	for _, c := range pool {
-		ids[c.ID] = struct{}{}
-	}
 	for _, c := range v.Commands() {
-		if _, ok := ids[c.ID]; !ok {
+		if !slices.ContainsFunc(pool, c.Equal) {
 			return false
 		}
 	}

@@ -106,22 +106,21 @@ func remove(seq []Cmd, c Cmd) []Cmd {
 	return out
 }
 
-// descendants returns the transitive conflict-descendants of head within
+// descendants marks the transitive conflict-descendants of head within
 // tail: every command in tail that conflicts with head or with an earlier
 // descendant. Used by the Prefix operator of Section 3.3.1.
-func descendants(conflict Conflict, head Cmd, tail []Cmd) map[uint64]struct{} {
-	desc := map[uint64]struct{}{head.ID: {}}
+func descendants(conflict Conflict, head Cmd, tail []Cmd) []bool {
+	desc := make([]bool, len(tail))
 	anchors := []Cmd{head}
-	for _, x := range tail {
+	for j, x := range tail {
 		for _, a := range anchors {
 			if conflict(a, x) {
-				desc[x.ID] = struct{}{}
+				desc[j] = true
 				anchors = append(anchors, x)
 				break
 			}
 		}
 	}
-	delete(desc, head.ID)
 	return desc
 }
 
@@ -155,8 +154,8 @@ func prefix(conflict Conflict, h, i []Cmd) []Cmd {
 		// conflict-descendants in H (they cannot precede head's absence).
 		desc := descendants(conflict, head, h[1:])
 		next := make([]Cmd, 0, len(h)-1)
-		for _, x := range h[1:] {
-			if _, dropped := desc[x.ID]; !dropped {
+		for j, x := range h[1:] {
+			if !desc[j] {
 				next = append(next, x)
 			}
 		}

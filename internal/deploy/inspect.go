@@ -77,6 +77,14 @@ func (r *Replica) Applied(id uint32) (n int, err error) {
 	return
 }
 
+// Batched reports how many of the commands learner id applied rode in an
+// instance with other commands. The count starts over when the learner
+// restarts.
+func (r *Replica) Batched(id uint32) (n int, err error) {
+	err = r.read(id, func(l *learner) { n = l.batched })
+	return
+}
+
 // Order returns the merged total order applied by learner id so far, as
 // command IDs (batches unpacked).
 func (r *Replica) Order(id uint32) (order []uint64, err error) {

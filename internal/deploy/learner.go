@@ -66,6 +66,9 @@ type learner struct {
 	pulling bool
 	// replayed counts replies re-elicited from the replay cache.
 	replayed uint64
+	// batched counts the commands applied out of instances that carried more
+	// than one command.
+	batched int
 
 	// Compaction state. logBase is the instance log[0] holds: the retained
 	// prefix is [logBase, logBase+len(log)), and a peer pull below logBase is
@@ -154,6 +157,9 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 			// re-applying or re-entering the merged order.
 			_, dup = l.rep.Result(c.ID)
 			res = l.rep.ApplyOnce(c)
+			if len(inner) > 1 && !dup {
+				l.batched++
+			}
 		}
 		if to, _ := classic.SplitCmdID(c.ID); to != 0 {
 			if !dup {

@@ -280,10 +280,12 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	const total = 5
+	// cmd is the i-th command proposed, command ID 1+i.
+	cmd := func(i int) cstruct.Cmd { return cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)} }
 	for i := 0; i < total; i++ {
 		i := i
 		propAgent.Do(func(node.Handler) {
-			prop.Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
+			prop.Propose(cmd(i))
 		})
 	}
 	waitFor := func(want int) {
@@ -312,7 +314,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 		accAgents[200].Do(func(h node.Handler) {
 			vval := h.(*core.Acceptor).VVal()
 			for i := 0; i < total; i++ {
-				if !vval.Contains(cstruct.Cmd{ID: uint64(1 + i)}) {
+				if !vval.Contains(cmd(i)) {
 					all = false
 					return
 				}
@@ -339,7 +341,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 		a := h.(*core.Acceptor)
 		vval := a.VVal()
 		for i := 0; i < total; i++ {
-			if !vval.Contains(cstruct.Cmd{ID: uint64(1 + i)}) {
+			if !vval.Contains(cmd(i)) {
 				t.Errorf("restarted acceptor lost accepted command %d", 1+i)
 			}
 		}

@@ -38,10 +38,10 @@ type Merger struct {
 	// buffered. Retransmitting learners make these routine; the counter
 	// keeps them observable.
 	Ignored uint64
-	// Conflicts counts re-learns that carried a different command for an
-	// instance still buffered. Paxos safety makes a real conflict
-	// impossible, so a nonzero count flags a broken learner feed; the first
-	// learn always wins.
+	// Conflicts counts re-learns that carried another value (not Equal, even
+	// under the same ID) for an instance still buffered. Paxos safety makes
+	// a real conflict impossible, so a nonzero count flags a broken learner
+	// feed; the first learn always wins.
 	Conflicts uint64
 	delivered uint64
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcpaxos/internal/batch"
 	"mcpaxos/internal/cstruct"
 )
 
@@ -55,6 +56,22 @@ func TestMergerBufferedRelearnKeepsFirst(t *testing.T) {
 	m.Add(0, cmdN(100))
 	if len(delivered) != 2 || delivered[1].ID != 101 {
 		t.Fatalf("delivered %v, want the FIRST learn (c101) for instance 1", delivered)
+	}
+}
+
+// A re-learn of a buffered instance that carries another value under the
+// same ID — two batches headed by one command share batch.BatchID — is a
+// conflict too: the merger compares values, not IDs.
+func TestMergerSameIDOtherValueIsConflict(t *testing.T) {
+	m, _ := collect()
+	first := batch.Pack([]cstruct.Cmd{SetCmd(7, "x", "1"), SetCmd(8, "y", "2")})
+	second := batch.Pack([]cstruct.Cmd{SetCmd(7, "x", "1"), SetCmd(9, "z", "3")})
+	m.Add(1, first)
+	if m.Add(1, second) {
+		t.Fatal("second learn of buffered instance 1 accepted")
+	}
+	if m.Ignored != 1 || m.Conflicts != 1 {
+		t.Errorf("Ignored=%d Conflicts=%d, want 1 and 1", m.Ignored, m.Conflicts)
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"mcpaxos/internal/ballot"
@@ -23,21 +24,6 @@ func roundtrip(t *testing.T, c Codec, m msg.Message) msg.Message {
 	return out
 }
 
-// cmdsEq compares flattened command sequences field by field (nil and empty
-// payloads are the same absent payload).
-func cmdsEq(a, b []cstruct.Cmd) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Key != b[i].Key || a[i].Op != b[i].Op ||
-			!bytes.Equal(a[i].Payload, b[i].Payload) {
-			return false
-		}
-	}
-	return true
-}
-
 // valEq compares optional c-structs: nil differs from ⊥, everything else
 // compares by command sequence.
 func valEq(a, b cstruct.CStruct) bool {
@@ -47,7 +33,7 @@ func valEq(a, b cstruct.CStruct) bool {
 	if a == nil {
 		return true
 	}
-	return cmdsEq(a.Commands(), b.Commands())
+	return slices.EqualFunc(a.Commands(), b.Commands(), cstruct.Cmd.Equal)
 }
 
 func nodeIDsEq(a, b []msg.NodeID) bool {
@@ -68,7 +54,7 @@ func msgEq(a, b msg.Message) bool {
 	switch am := a.(type) {
 	case msg.Propose:
 		bm, ok := b.(msg.Propose)
-		return ok && am.Inst == bm.Inst && cmdsEq([]cstruct.Cmd{am.Cmd}, []cstruct.Cmd{bm.Cmd}) &&
+		return ok && am.Inst == bm.Inst && am.Cmd.Equal(bm.Cmd) &&
 			nodeIDsEq(am.AccQuorum, bm.AccQuorum) && am.Seq == bm.Seq && am.HasSeq == bm.HasSeq &&
 			am.Client == bm.Client && am.Req == bm.Req
 	case msg.P1a:
@@ -110,7 +96,7 @@ func msgEq(a, b msg.Message) bool {
 	case msg.CatchupResp:
 		bm, ok := b.(msg.CatchupResp)
 		return ok && am.Learner == bm.Learner && am.From == bm.From &&
-			am.Frontier == bm.Frontier && am.Floor == bm.Floor && cmdsEq(am.Cmds, bm.Cmds)
+			am.Frontier == bm.Frontier && am.Floor == bm.Floor && slices.EqualFunc(am.Cmds, bm.Cmds, cstruct.Cmd.Equal)
 	case msg.Fill:
 		bm, ok := b.(msg.Fill)
 		return ok && am == bm

@@ -505,7 +505,7 @@ func TestTCPBatchArrivesInOrder(t *testing.T) {
 		for i, m := range got {
 			p, ok := m.(msg.Propose)
 			want := batch[i].(msg.Propose)
-			if !ok || p.Cmd.ID != want.Cmd.ID || string(p.Cmd.Payload) != string(want.Cmd.Payload) {
+			if !ok || !p.Cmd.Equal(want.Cmd) {
 				t.Fatalf("%s: frame %d arrived as %T id %d, want id %d intact", what, i, m, p.Cmd.ID, want.Cmd.ID)
 			}
 		}

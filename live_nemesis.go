@@ -31,6 +31,9 @@ type LiveNemesisResult struct {
 	// Ops counts operations issued; Resolved those that drew a reply;
 	// Applied the commands in the longest learner's merged order.
 	Ops, Resolved, Applied int
+	// Batched counts the applied commands that rode in an instance with
+	// other commands, at the learner that applied the most of them.
+	Batched int
 	// Acked counts the ops whose reply arrived before the client's request
 	// timeout: the convergence judgment requires each of them applied on
 	// every learner.
@@ -65,8 +68,9 @@ type LiveNemesisResult struct {
 // RunLiveNemesis executes one seed of the nemesis experiment over TCP:
 // clients closed-loop workers share one client endpoint, opsPerClient ops
 // each, while the schedule partitions links, kills and restarts nodes and
-// degrades the network. walDir hosts the acceptors' WALs (pass a temp dir).
-func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveNemesisResult, error) {
+// degrades the network, at ingress batch size batchMax. walDir hosts the
+// acceptors' WALs (pass a temp dir).
+func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir string) (LiveNemesisResult, error) {
 	res := LiveNemesisResult{Seed: seed}
 	var (
 		v  verdict
@@ -75,7 +79,7 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 
 	inj := faults.New(seed + 1)
 	spec := LocalSpec(2, 3, 3, 2, 1)
-	spec.BatchMax = 1
+	spec.BatchMax = batchMax
 	spec.RetryEvery = 10 * time.Millisecond
 	// Every scheduled fault ends by 3/4 of the horizon; a call still
 	// unresolved seconds after that lost its reply for good, so a short
@@ -221,6 +225,9 @@ func RunLiveNemesis(seed int64, clients, opsPerClient int, walDir string) (LiveN
 		} else if buffered > 0 {
 			v.fail("learner %d ends stalled: %d instances buffered behind a gap (order %d)",
 				l, buffered, len(orders[i]))
+		}
+		if n, err := rep.Batched(l); err == nil {
+			res.Batched = max(res.Batched, n)
 		}
 	}
 	// Then the shared judge over every learner's order: a reply promises

@@ -20,7 +20,7 @@ func TestLiveNemesisSeeds(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		res, err := RunLiveNemesis(seed, 3, 8, t.TempDir())
+		res, err := RunLiveNemesis(seed, 3, 8, 1, t.TempDir())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -40,6 +40,32 @@ func TestLiveNemesisSeeds(t *testing.T) {
 	// depends on.
 	if smr.KVMissing != "#missing" {
 		t.Fatalf("KVMissing sentinel changed: %q", smr.KVMissing)
+	}
+}
+
+// TestLiveNemesisBatched is the nemesis arm that batches: the same harness at
+// an ingress batch size of 2, so instances carry several commands while the
+// schedule kills stampers and loses their stamp shares — the ground on which
+// two batches headed by one command compete for a slot. (A batch of 8 never
+// fills with 3 workers over 2 shards.) Each seed must pack at least one
+// multi-command instance, or the arm proves nothing about batches.
+func TestLiveNemesisBatched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live nemesis seeds take seconds of wall clock each")
+	}
+	for _, seed := range []int64{1, 42} {
+		res, err := RunLiveNemesis(seed, 3, 8, 2, t.TempDir())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.Ok {
+			t.Errorf("seed %d failed: %s", seed, res.Failure)
+		}
+		if res.Batched == 0 {
+			t.Errorf("seed %d: no applied command rode in a multi-command instance", seed)
+		}
+		t.Logf("seed %d: ops=%d acked=%d applied=%d batched=%d events=%d elapsed=%v",
+			seed, res.Ops, res.Acked, res.Applied, res.Batched, res.FaultEvents, res.Elapsed)
 	}
 }
 
@@ -82,7 +108,7 @@ func TestLiveNemesisSeedCorpus(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		res, err := RunLiveNemesis(seed, 3, 8, t.TempDir())
+		res, err := RunLiveNemesis(seed, 3, 8, 1, t.TempDir())
 		if err != nil {
 			t.Fatalf("corpus seed %d: %v", seed, err)
 		}
