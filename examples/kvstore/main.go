@@ -31,9 +31,8 @@ func run() error {
 	defer os.RemoveAll(walDir)
 
 	spec := mcpaxos.LocalSpec(2, 3, 3, 2, 1)
-	spec.BatchMax = 8                     // pack up to 8 writes per consensus instance
-	spec.BatchWait = 2 * time.Millisecond // ... waiting at most 2ms for company (a quiet shard stamps at once)
-	spec.WALDir = walDir                  // acceptors persist votes on disk
+	spec.BatchMax = 8    // pack up to 8 writes per consensus instance, waiting at most BatchWait (2ms) for company
+	spec.WALDir = walDir // acceptors persist votes on disk
 	spec, err = spec.ResolveEphemeral()
 	if err != nil {
 		return err

@@ -94,8 +94,10 @@ func finish(r *wire.Reader, cmds []cstruct.Cmd) ([]cstruct.Cmd, bool) {
 // real time, which keeps batching deterministic under the simulator.
 type Clock func() int64
 
-// FlushFn receives each flushed batch (or lone command).
-type FlushFn func(cstruct.Cmd)
+// FlushFn receives each flushed batch (or lone command) and the commands it
+// carries, in the order they were added. The slice is the batcher's own
+// buffer: it is valid only for the call.
+type FlushFn func(flushed cstruct.Cmd, cmds []cstruct.Cmd)
 
 // Batcher aggregates commands and flushes them as batch commands when either
 // the size threshold fills or the oldest buffered command has waited MaxWait
@@ -170,19 +172,21 @@ func (b *Batcher) Drain() []cstruct.Cmd {
 }
 
 // Flush emits whatever is buffered: a lone command passes through unwrapped,
-// two or more are packed into one batch command. The pending buffer's
+// two or more are packed into one batch command, and either way the flush
+// callback is handed the buffered commands beside it. The pending buffer's
 // backing array is kept for the next batch — Pack copies the constituents
-// into the batch payload, so nothing flushed aliases it.
+// into the batch payload, so nothing flushed aliases it once the callback
+// returns.
 func (b *Batcher) Flush() {
 	if len(b.pending) == 0 {
 		return
 	}
 	if len(b.pending) == 1 {
 		b.Singles++
-		b.flush(b.pending[0])
+		b.flush(b.pending[0], b.pending)
 	} else {
 		b.Batches++
-		b.flush(Pack(b.pending))
+		b.flush(Pack(b.pending), b.pending)
 	}
 	b.pending = b.pending[:0]
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,9 +198,11 @@ func TestPackUnpackAllocs(t *testing.T) {
 
 func TestBatcherFlushOnSize(t *testing.T) {
 	var flushed []cstruct.Cmd
+	var handed [][]cstruct.Cmd
 	now := int64(0)
-	b := NewBatcher(4, 10, func() int64 { return now }, func(c cstruct.Cmd) {
+	b := NewBatcher(4, 10, func() int64 { return now }, func(c cstruct.Cmd, cmds []cstruct.Cmd) {
 		flushed = append(flushed, c)
+		handed = append(handed, slices.Clone(cmds))
 	})
 	for _, c := range mkCmds(9) {
 		b.Add(c)
@@ -207,10 +210,13 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	if len(flushed) != 2 {
 		t.Fatalf("flushed %d batches, want 2", len(flushed))
 	}
-	for _, f := range flushed {
+	for i, f := range flushed {
 		sub, ok := Unpack(f)
 		if !ok || len(sub) != 4 {
 			t.Errorf("batch size %d, want 4", len(sub))
+		}
+		if !slices.EqualFunc(sub, handed[i], cstruct.Cmd.Equal) {
+			t.Errorf("batch %d: flush handed %v beside a batch of %v", i, handed[i], sub)
 		}
 	}
 	if b.Pending() != 1 {
@@ -221,7 +227,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 func TestBatcherFlushOnDeadline(t *testing.T) {
 	var flushed []cstruct.Cmd
 	now := int64(0)
-	b := NewBatcher(100, 5, func() int64 { return now }, func(c cstruct.Cmd) {
+	b := NewBatcher(100, 5, func() int64 { return now }, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 		flushed = append(flushed, c)
 	})
 	b.Add(mkCmds(3)[0])
@@ -250,7 +256,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 
 func TestBatcherSinglePassesThrough(t *testing.T) {
 	var flushed []cstruct.Cmd
-	b := NewBatcher(8, 5, func() int64 { return 0 }, func(c cstruct.Cmd) {
+	b := NewBatcher(8, 5, func() int64 { return 0 }, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 		flushed = append(flushed, c)
 	})
 	c := mkCmds(1)[0]
@@ -266,7 +272,7 @@ func TestBatcherSinglePassesThrough(t *testing.T) {
 
 func TestBatcherDisabled(t *testing.T) {
 	var flushed []cstruct.Cmd
-	b := NewBatcher(1, 0, func() int64 { return 0 }, func(c cstruct.Cmd) {
+	b := NewBatcher(1, 0, func() int64 { return 0 }, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 		flushed = append(flushed, c)
 	})
 	for _, c := range mkCmds(3) {

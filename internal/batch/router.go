@@ -41,7 +41,7 @@ func NewRouter(nShards, maxCmds int, maxWait int64, clock Clock, submit Submit) 
 	}
 	for k := 0; k < nShards; k++ {
 		shard := k
-		r.batchers[k] = NewBatcher(maxCmds, maxWait, clock, func(c cstruct.Cmd) {
+		r.batchers[k] = NewBatcher(maxCmds, maxWait, clock, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 			seq := r.seqs[shard]
 			r.seqs[shard]++
 			submit(shard, seq, c)

@@ -144,14 +144,14 @@ func TestProposalBeforeLeadershipIsQueued(t *testing.T) {
 	})
 }
 
-// A client's retransmission of a tagged submission maps to the slot its
+// A client's retransmission of a submission maps to the slot its
 // first receipt was stamped into: one instance, however often it is retried
 // and whether or not the slot has decided yet.
 func TestDuplicateProposalsDecideOnce(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
 		cl.Lead(0)
-		sub := msg.Propose{Cmd: cstruct.Cmd{ID: 9}, Client: 7, Req: 1}
+		sub := msg.Propose{Cmd: cstruct.Cmd{ID: CmdID(7, 1)}}
 		deliver(cl.Coords[0], 7, sub)
 		deliver(cl.Coords[0], 7, sub) // retry racing the first stamp
 		cl.Sim.Run()

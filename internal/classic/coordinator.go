@@ -96,10 +96,11 @@ type Coordinator struct {
 	repairTarget ballot.Ballot
 
 	// --- server-side ingress sequencing ---
-	// Clients submit unsequenced proposals tagged (Client, Req); whichever
-	// group member they reach stamps the next free per-shard Seq and shares
-	// the stamped proposal with its peers, so the group keeps assigning
-	// identical instances without the client owning the sequence stream.
+	// Clients submit unsequenced proposals, each keyed by its command ID
+	// (CmdID: the client and its request counter); whichever group member
+	// they reach stamps the next free per-shard Seq and shares the stamped
+	// proposal with its peers, so the group keeps assigning identical
+	// instances without the client owning the sequence stream.
 
 	// IngressBatchMax/IngressBatchWait configure the per-shard ingress
 	// batcher: client submissions buffer at the stamping member and are
@@ -109,8 +110,8 @@ type Coordinator struct {
 	// fixed price: at the end of every delivery burst a leading member stamps
 	// what it holds while fewer than Max commands are outstanding or nothing
 	// is in flight, and batches beyond that only while instances are in
-	// flight (see stampIfDue). 0 flushes on size only, with no early stamp
-	// either.
+	// flight (see stampIfDue). 0 arms no timer: a partial batch then waits
+	// for size or for stampIfDue.
 	IngressBatchMax  int
 	IngressBatchWait int64
 
@@ -129,7 +130,7 @@ type Coordinator struct {
 	// (recordReq drops an entry). It is what makes relaying live: everything
 	// in it is stamped here once the stamper is reported down, once an entry
 	// has waited relayWait, or once a request arrives a second time.
-	relayed    map[reqKey]relayedReq
+	relayed    map[uint64]relayedReq
 	relayN     uint64
 	relayArmed bool
 	// retryArmed marks a pending timerRetry: one timer serves the whole open
@@ -140,18 +141,17 @@ type Coordinator struct {
 	// observed stamp (local or shared by a peer) advances it, so a failover
 	// stamper resumes the counter instead of colliding with past slots.
 	ingressNext uint64
-	// byReq maps a client request to the instance its command was stamped
-	// into. An entry always names the slot's current value: a stamp displaced
-	// by a collision or a gap fill forgets its requests (bind), so the
-	// client's retry is restamped at a fresh slot.
-	byReq    map[reqKey]uint64
+	// byReq maps a client command ID to the instance the command was
+	// stamped into. An entry always names the slot's current value: a stamp
+	// displaced by a collision or a gap fill forgets its requests (bind), so
+	// the client's retry is restamped at a fresh slot.
+	byReq    map[uint64]uint64
 	ing      *batch.Batcher
 	ingArmed bool
-	// bufKeys/bufd track the (client, req) keys buffered in the open
-	// ingress batch, in arrival order, so the flush can bind them all to
-	// the stamped instance (and retries of buffered commands are absorbed).
-	bufKeys []reqKey
-	bufd    map[reqKey]bool
+	// bufd holds the command IDs buffered in the open ingress batch, so a
+	// retry of a buffered command is absorbed (the flush hands the commands
+	// themselves to stampFlush).
+	bufd map[uint64]bool
 	// widths holds the command count of every unlearned multi-command batch
 	// this member stamped: what outstanding counts for it.
 	widths map[uint64]int
@@ -177,10 +177,10 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 		proposals: make(map[uint64]cstruct.Cmd),
 		learned:   make(map[uint64]bool),
 		sent:      make(map[uint64]bool),
-		byReq:     make(map[reqKey]uint64),
-		bufd:      make(map[reqKey]bool),
+		byReq:     make(map[uint64]uint64),
+		bufd:      make(map[uint64]bool),
 		widths:    make(map[uint64]int),
-		relayed:   make(map[reqKey]relayedReq),
+		relayed:   make(map[uint64]relayedReq),
 	}
 }
 

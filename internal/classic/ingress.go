@@ -28,13 +28,6 @@ const relayMax = 1024
 // several hints instead of stamping an unbounded run of no-ops in one step.
 const skipMax = 1024
 
-// reqKey is the ingress idempotency key: the issuing client and its
-// per-client request counter, carried by unsequenced proposals.
-type reqKey struct {
-	client msg.NodeID
-	req    uint64
-}
-
 // relayedReq is one submission passed on to the shard's stamper, kept with
 // its body until somebody's stamp for it is seen: if none is, this member
 // stamps it itself.
@@ -45,37 +38,37 @@ type relayedReq struct {
 }
 
 // onIngress handles an unsequenced client submission: the server side of
-// sequence assignment. A request seen before maps to its recorded slot (the
-// 2a is refreshed and the stamp re-shared, covering lost messages); a fresh
-// request buffers in the ingress batch and is stamped on flush.
-func (c *Coordinator) onIngress(mm msg.Propose) {
-	if IsNoop(mm.Cmd) || mm.Cmd.Key == batch.Key {
+// sequence assignment. Its command ID (CmdID) is the request's idempotency
+// key. A request seen before maps to its recorded slot (the 2a is refreshed
+// and the stamp re-shared, covering lost messages); a fresh request buffers
+// in the ingress batch and is stamped on flush.
+func (c *Coordinator) onIngress(cmd cstruct.Cmd) {
+	if IsNoop(cmd) || cmd.Key == batch.Key {
 		// The reserved keys are the protocol's own vocabulary, and a
 		// submission comes from outside the process: stamping one would let
 		// a client forge a fill, or pack commands under other clients' IDs.
 		return
 	}
-	k := reqKey{mm.Client, mm.Req}
-	if inst, ok := c.byReq[k]; ok {
+	if inst, ok := c.byReq[cmd.ID]; ok {
 		// Learned instances need nothing from the ingress: the client's
 		// replay probes re-elicit the reply from the learners' caches.
 		if !c.isLearned(inst) {
 			c.forward(inst)
 			// Re-share the stamp: the retry may mean the original share was
 			// lost, leaving peers without the assignment.
-			c.shareStamp(inst, c.proposals[inst], mm.Client, mm.Req)
+			c.shareStamp(inst, c.proposals[inst])
 		}
 		return
 	}
-	if c.bufd[k] {
+	if c.bufd[cmd.ID] {
 		// A retry of a command still buffered: the client has waited out its
 		// retry interval, so the batch has sat too long — flush it now. This
-		// is the liveness backstop when no flush timer runs (size-only
-		// batching with a partial tail, or a lost timer tick).
+		// is the liveness backstop when no flush timer runs (IngressBatchWait
+		// = 0 with a partial tail, or a lost timer tick).
 		c.ing.Flush()
 		return
 	}
-	if _, again := c.relayed[k]; again {
+	if _, again := c.relayed[cmd.ID]; again {
 		// Relayed before and here again: the client retried, or the relay came
 		// back round a cycle of members each believing another is the stamper
 		// (a cycle passes through at most c members, so it ends at the first
@@ -85,18 +78,17 @@ func (c *Coordinator) onIngress(mm msg.Propose) {
 	}
 	if c.stamper != 0 && c.stamper != c.env.ID() {
 		if len(c.relayed) < relayMax {
-			c.relay(k, mm)
+			c.relay(cmd)
 			return
 		}
 		c.takeOver()
 	}
-	c.buffer(k, mm.Cmd)
+	c.buffer(cmd)
 }
 
 // buffer adds one fresh submission to the open ingress batch.
-func (c *Coordinator) buffer(k reqKey, cmd cstruct.Cmd) {
-	c.bufd[k] = true
-	c.bufKeys = append(c.bufKeys, k)
+func (c *Coordinator) buffer(cmd cstruct.Cmd) {
+	c.bufd[cmd.ID] = true
 	if c.ing == nil {
 		c.ing = batch.NewBatcher(c.IngressBatchMax, c.IngressBatchWait, c.env.Now, c.stampFlush)
 	}
@@ -118,11 +110,9 @@ func (c *Coordinator) OnIdle() {
 // demand a command goes at once; from a batch's worth up the pipeline is the
 // batch clock — commands batch while instances are in flight, and a partial
 // batch waits for size, the learn that empties the pipeline or the
-// IngressBatchWait timer, whichever comes first. Size-only batching
-// (IngressBatchWait = 0) is never cut short: hosts choose it for
-// deterministic batch boundaries.
+// IngressBatchWait timer, whichever comes first.
 func (c *Coordinator) stampIfDue() {
-	if c.ing == nil || c.ing.Pending() == 0 || !c.leading || len(c.unsent) > 0 || c.IngressBatchWait <= 0 {
+	if c.ing == nil || c.ing.Pending() == 0 || !c.leading || len(c.unsent) > 0 {
 		return
 	}
 	if len(c.sent) == 0 || (!c.windowFull() && c.outstanding() < c.IngressBatchMax) {
@@ -145,14 +135,12 @@ func (c *Coordinator) outstanding() int {
 }
 
 // stampFlush binds one flushed ingress batch (or lone command) to the next
-// free sequence slot.
-func (c *Coordinator) stampFlush(cmd cstruct.Cmd) {
-	keys := c.bufKeys
-	c.bufKeys = nil
-	for _, k := range keys {
-		delete(c.bufd, k)
+// free sequence slot; cmds are the submissions it carries.
+func (c *Coordinator) stampFlush(cmd cstruct.Cmd, cmds []cstruct.Cmd) {
+	for _, cc := range cmds {
+		delete(c.bufd, cc.ID)
 	}
-	c.stampAt(c.freeSlot(), cmd, keys)
+	c.stampAt(c.freeSlot(), cmd, cmds)
 }
 
 // claim advances the ingress counter past sequence number seq, which some
@@ -181,37 +169,30 @@ func (c *Coordinator) freeSlot() uint64 {
 // stampAt claims the free slot freeSlot returned for cmd and launches it:
 // record the assignment, forward the 2a within the window, and share the
 // stamped proposal with the group so every member keeps assigning identical
-// instances. keys are the requests cmd carries (none for a skip's no-op).
-func (c *Coordinator) stampAt(inst uint64, cmd cstruct.Cmd, keys []reqKey) {
+// instances. cmds are the submissions cmd carries (none for a skip's no-op).
+func (c *Coordinator) stampAt(inst uint64, cmd cstruct.Cmd, cmds []cstruct.Cmd) {
 	c.claim(inst / c.stride())
 	c.stamped++
 	c.stamper = c.env.ID()
-	if len(keys) > 1 {
-		c.widths[inst] = len(keys)
+	if len(cmds) > 1 {
+		c.widths[inst] = len(cmds)
 	}
-	// The keys are in hand: indexing through bind would decode the batch
-	// packed a line ago to recover the same (client, req) pairs.
+	// The submissions are in hand: indexing through bind would decode the
+	// batch packed a line ago to recover the same command IDs.
 	c.place(inst, cmd)
-	for _, k := range keys {
-		c.recordReq(k, inst)
+	for _, cc := range cmds {
+		c.recordReq(cc.ID, inst)
 	}
 	c.trySend(inst)
-	var client msg.NodeID
-	var req uint64
-	if len(keys) == 1 {
-		// A lone command keeps its request key on the share, so peers learn
-		// the idempotent mapping too. Batch shares go untagged: peers absorb
-		// failover retries of their constituents by restamping (replicas
-		// dedup by command ID at apply time).
-		client, req = keys[0].client, keys[0].req
-	}
-	c.shareStamp(inst, cmd, client, req)
+	c.shareStamp(inst, cmd)
 }
 
 // shareStamp replicates a stamped proposal to the other members of the
-// current round's group (nobody at c = 1).
-func (c *Coordinator) shareStamp(inst uint64, cmd cstruct.Cmd, client msg.NodeID, req uint64) {
-	m := msg.Propose{Cmd: cmd, Seq: inst / c.stride(), HasSeq: true, Client: client, Req: req}
+// current round's group (nobody at c = 1). A peer indexes the command IDs the
+// value carries as it binds it (indexValue), so a client failing over to it
+// maps to the same slot.
+func (c *Coordinator) shareStamp(inst uint64, cmd cstruct.Cmd) {
+	m := msg.Propose{Cmd: cmd, Seq: inst / c.stride(), HasSeq: true}
 	for _, id := range c.cfg.RoundGroup(c.shard, c.crnd) {
 		if id != c.env.ID() {
 			c.env.Send(id, m)
@@ -219,33 +200,32 @@ func (c *Coordinator) shareStamp(inst uint64, cmd cstruct.Cmd, client msg.NodeID
 	}
 }
 
-// recordReq remembers the slot a request key was stamped into, sweeping
-// learned entries once the map outgrows reqTrackMax.
-func (c *Coordinator) recordReq(k reqKey, inst uint64) {
+// recordReq remembers the slot the request with command ID id was stamped
+// into, sweeping learned entries once the map outgrows reqTrackMax.
+func (c *Coordinator) recordReq(id, inst uint64) {
 	if len(c.byReq) >= reqTrackMax {
-		for kk, at := range c.byReq {
+		for k, at := range c.byReq {
 			if c.isLearned(at) {
-				delete(c.byReq, kk)
+				delete(c.byReq, k)
 			}
 		}
 	}
-	c.byReq[k] = inst
-	delete(c.relayed, k)
+	c.byReq[id] = inst
+	delete(c.relayed, id)
 }
 
-// indexValue records the ingress idempotency keys a stamped value's
-// constituents (batch or lone command) carry in their command IDs (CmdID),
-// so retried submissions map to the slot no matter which group member they
-// reach — a peer's batch share goes untagged on the wire, and without this a
-// client retry after a failover would be restamped at a wasted second slot.
+// indexValue records the client command IDs (CmdID) a value's constituents
+// (batch or lone command) carry, so retried submissions map to the slot no
+// matter which group member they reach: without this a client retry after a
+// failover would be restamped at a wasted second slot.
 func (c *Coordinator) indexValue(inst uint64, val cstruct.Cmd) {
 	inner, isBatch := batch.UnpackMeta(val)
 	if !isBatch {
 		inner = []cstruct.Cmd{val}
 	}
 	for _, cc := range inner {
-		if client, req := SplitCmdID(cc.ID); client != 0 {
-			c.recordReq(reqKey{client, req}, inst)
+		if client, _ := SplitCmdID(cc.ID); client != 0 {
+			c.recordReq(cc.ID, inst)
 		}
 	}
 }
@@ -265,13 +245,13 @@ func (c *Coordinator) armIngress() {
 	}
 }
 
-// relay passes a fresh submission on, unchanged, to the member believed to be
-// stamping, and remembers it until that member's stamp share (or anybody's)
-// shows it stamped.
-func (c *Coordinator) relay(k reqKey, mm msg.Propose) {
+// relay passes a fresh submission's command on, unchanged, to the member
+// believed to be stamping, and remembers it until that member's stamp share
+// (or anybody's) shows it stamped.
+func (c *Coordinator) relay(cmd cstruct.Cmd) {
 	c.relayN++
-	c.relayed[k] = relayedReq{cmd: mm.Cmd, n: c.relayN, at: c.env.Now()}
-	c.env.Send(c.stamper, mm)
+	c.relayed[cmd.ID] = relayedReq{cmd: cmd, n: c.relayN, at: c.env.Now()}
+	c.env.Send(c.stamper, msg.Propose{Cmd: cmd})
 	c.armRelay()
 }
 
@@ -287,11 +267,9 @@ func (c *Coordinator) follow(from msg.NodeID) {
 	if c.ing == nil {
 		return
 	}
-	keys := c.bufKeys
-	c.bufKeys = nil
-	for i, cmd := range c.ing.Drain() {
-		delete(c.bufd, keys[i])
-		c.relay(keys[i], msg.Propose{Cmd: cmd, Client: keys[i].client, Req: keys[i].req})
+	for _, cmd := range c.ing.Drain() {
+		delete(c.bufd, cmd.ID)
+		c.relay(cmd)
 	}
 }
 
@@ -299,10 +277,10 @@ func (c *Coordinator) follow(from msg.NodeID) {
 // relayed that nobody has stamped since, in the order it arrived.
 func (c *Coordinator) takeOver() {
 	c.stamper = c.env.ID()
-	for _, k := range slices.SortedFunc(maps.Keys(c.relayed), func(a, b reqKey) int {
+	for _, id := range slices.SortedFunc(maps.Keys(c.relayed), func(a, b uint64) int {
 		return cmp.Compare(c.relayed[a].n, c.relayed[b].n)
 	}) {
-		c.buffer(k, c.relayed[k].cmd)
+		c.buffer(c.relayed[id].cmd)
 	}
 	clear(c.relayed)
 }
@@ -365,7 +343,7 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 		// Re-share the assignment first: a peer that missed the original
 		// stamp share would otherwise answer this same Fill with a no-op and
 		// the two values would collide at the acceptors.
-		c.shareStamp(mm.Inst, cmd, 0, 0)
+		c.shareStamp(mm.Inst, cmd)
 		c.forward(mm.Inst)
 		return
 	}

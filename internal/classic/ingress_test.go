@@ -28,11 +28,9 @@ func ingressCluster(c int, lead bool) (*Cluster, *Coordinator) {
 	return cl, co
 }
 
-// ingressSub is client 7's i-th unsequenced submission; the request counter
-// doubles as the command ID.
+// ingressSub is client 7's unsequenced submission with request counter 1+i.
 func ingressSub(i int) msg.Propose {
-	id := uint64(1 + i)
-	return msg.Propose{Cmd: cstruct.Cmd{ID: id, Key: "user42"}, Client: 7, Req: id}
+	return msg.Propose{Cmd: cstruct.Cmd{ID: CmdID(7, uint64(1+i)), Key: "user42"}}
 }
 
 // submit delivers client 7's i-th submission to co, a burst of its own.
@@ -81,8 +79,8 @@ func TestQuietShardStampsLoneSubmissionAtOnce(t *testing.T) {
 			t.Fatalf("inflight = %d, want the stamped instance forwarded", co.Inflight())
 		}
 		cl.Sim.Run()
-		if got, ok := cl.LearnedCmds[0]; !ok || got.ID != 1 {
-			t.Fatalf("instance 0: learned %v/%v, want command 1", got, ok)
+		if got, ok := cl.LearnedCmds[0]; !ok || got.ID != CmdID(7, 1) {
+			t.Fatalf("instance 0: learned %v/%v, want client 7's request 1", got, ok)
 		}
 	})
 }
@@ -154,8 +152,8 @@ func TestPipelineIsTheBatchClock(t *testing.T) {
 	})
 }
 
-// An early stamp — before size or the timer — needs all of: leading, room in
-// the window, a flush timer.
+// An early stamp — before size or the timer — needs both of: leading, room in
+// the window.
 func TestNoEarlyStampUnlessQuiet(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		t.Run("not leading", func(t *testing.T) {
@@ -177,21 +175,6 @@ func TestNoEarlyStampUnlessQuiet(t *testing.T) {
 			submit(co, 1)
 			if got := stampedAt(co); got != 1 {
 				t.Fatalf("stamped %d slots with the window full, want 1", got)
-			}
-		})
-		t.Run("size only", func(t *testing.T) {
-			cl, co := ingressCluster(c, true)
-			co.IngressBatchWait = 0
-			submit(co, 0)
-			cl.Sim.Run()
-			if got := stampedAt(co); got != 0 {
-				t.Fatalf("size-only batching stamped %d slots for a partial batch", got)
-			}
-			for i := 1; i < ingMax; i++ {
-				submit(co, i)
-			}
-			if got := stampedAt(co); got != 1 {
-				t.Fatalf("stamped %d slots once the batch filled, want 1", got)
 			}
 		})
 	})
@@ -272,9 +255,7 @@ func BenchmarkIngressStampBatch(b *testing.B) {
 	i := 0
 	for b.Loop() {
 		for range ingMax {
-			sub := ingressSub(i)
-			sub.Cmd.ID = CmdID(sub.Client, sub.Req)
-			deliver(co, sub.Client, sub)
+			deliver(co, 7, ingressSub(i))
 			i++
 		}
 		co.OnMessage(300, msg.P2b{Inst: co.seqInst(uint64(i/ingMax - 1))})
@@ -300,4 +281,43 @@ func TestIngressDropsReservedKeys(t *testing.T) {
 	if s := stampedAt(co); s != 0 || len(cl.LearnedCmds) != 0 {
 		t.Fatalf("reserved-key submissions: %d stamped, %d learned; want none", s, len(cl.LearnedCmds))
 	}
+}
+
+// The ingress keys a submission by its command ID (CmdID): an untagged
+// proposal whose ID names a client is stamped, and its retries — one racing
+// the decision, one after it — map to the slot the first receipt took.
+func TestIngressKeysByCommandID(t *testing.T) {
+	eachC(t, func(t *testing.T, c int) {
+		cl, co := ingressCluster(c, true)
+		sub := msg.Propose{Cmd: relayCmd(7, 1)}
+		deliver(co, 7, sub)
+		if got := stampedAt(co); got != 1 {
+			t.Fatalf("untagged submission stamped %d slots, want 1", got)
+		}
+		deliver(co, 7, sub)
+		cl.Sim.Run()
+		deliver(co, 7, sub)
+		cl.Sim.Run()
+		if got := stampedAt(co); got != 1 {
+			t.Fatalf("retries left %d slots stamped, want 1", got)
+		}
+		wantDecidedOnce(t, cl, 7, 1, 1)
+	})
+}
+
+// A (Client, Req) tag on the wire is not the idempotency key: two submissions
+// sharing one but carrying different command IDs are two requests, and both
+// are stamped and decided.
+func TestIngressIgnoresRequestTag(t *testing.T) {
+	eachC(t, func(t *testing.T, c int) {
+		cl, co := ingressCluster(c, true)
+		send := func(req uint64) { deliver(co, 7, msg.Propose{Cmd: relayCmd(7, req), Client: 7, Req: 1}) }
+		send(1)
+		send(2)
+		cl.Sim.Run()
+		if got := stampedAt(co); got != 2 {
+			t.Fatalf("two commands under one tag stamped %d slots, want 2", got)
+		}
+		wantDecidedOnce(t, cl, 7, 1, 2)
+	})
 }

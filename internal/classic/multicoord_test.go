@@ -383,7 +383,7 @@ func TestMulticoordLateShareStillIndexesRequests(t *testing.T) {
 
 	deliver(co, cl.Cfg.Learners[0], msg.P2b{Inst: 0})
 	deliver(co, cl.Cfg.Coords[0], msg.Propose{Cmd: batched, Seq: 0, HasSeq: true})
-	deliver(co, 7, msg.Propose{Cmd: req(12), Client: 7, Req: 12})
+	deliver(co, 7, msg.Propose{Cmd: req(12)})
 	cl.Sim.Run()
 
 	if stamped, _, _ := co.IngressCounts(); stamped != 0 {

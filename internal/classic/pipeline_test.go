@@ -112,7 +112,7 @@ func TestCoordinatorStateBoundedByWindow(t *testing.T) {
 		cl.Lead(0)
 		co := cl.Coords[0]
 		sub := func(i int) msg.Propose {
-			return msg.Propose{Cmd: cstruct.Cmd{ID: uint64(1 + i), Key: "k"}, Client: 7, Req: uint64(i)}
+			return msg.Propose{Cmd: cstruct.Cmd{ID: CmdID(7, uint64(i)), Key: "k"}}
 		}
 		for i := 0; i < n; i++ {
 			co.OnMessage(7, sub(i))

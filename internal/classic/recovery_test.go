@@ -208,7 +208,7 @@ func TestWALRecoveryMidBatch(t *testing.T) {
 		wc.Lead(0)
 
 		const commands, batchSize = 32, 8
-		bt := batch.NewBatcher(batchSize, 0, wc.Sim.Now, func(c cstruct.Cmd) {
+		bt := batch.NewBatcher(batchSize, 0, wc.Sim.Now, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 			wc.Prop.Propose(c)
 		})
 		for i := 0; i < commands; i++ {

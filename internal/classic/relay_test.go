@@ -12,11 +12,11 @@ import (
 // The relay rule on the simulator: a group member that is not the shard's
 // stamper passes fresh submissions on to the member that is, and takes the
 // stamping over on evidence, after a bounded wait, or on a second receipt.
-// Submissions are tagged (Client, Req) and travel through the simulated
+// Submissions are keyed by their command IDs and travel through the simulated
 // network from client IDs the cluster does not host.
 
-// relayCmd is client's req-th command; its ID carries both (CmdID), so
-// members can index the constituents of a batch share.
+// relayCmd is client's req-th command; its ID carries both (CmdID): the
+// ingress key, and how members index the constituents of a batch share.
 func relayCmd(client msg.NodeID, req uint64) cstruct.Cmd {
 	return cstruct.Cmd{ID: CmdID(client, req), Key: "k", Op: cstruct.OpWrite}
 }
@@ -34,8 +34,7 @@ func relayCluster(retryEvery int64) *Cluster {
 
 // submitTo sends client's req-th submission to member i over the network.
 func submitTo(cl *Cluster, i int, client msg.NodeID, req uint64) {
-	cl.Sim.Env(client).Send(cl.Cfg.Coords[i],
-		msg.Propose{Cmd: relayCmd(client, req), Client: client, Req: req})
+	cl.Sim.Env(client).Send(cl.Cfg.Coords[i], msg.Propose{Cmd: relayCmd(client, req)})
 }
 
 // warmUp decides one submission through member 0, so every member has seen
@@ -200,8 +199,10 @@ func TestRelayMutualBeliefsResolve(t *testing.T) {
 		}
 		relays := 0
 		cl.Sim.SetDrop(func(from, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
-			if p, ok := m.(msg.Propose); ok && !p.HasSeq && from != p.Client {
-				relays++
+			if p, ok := m.(msg.Propose); ok && !p.HasSeq {
+				if client, _ := SplitCmdID(p.Cmd.ID); from != client {
+					relays++
+				}
 			}
 			return false
 		})

@@ -50,10 +50,7 @@ func TestBatchesHeadedByOneCommandAreTwoValues(t *testing.T) {
 		return false
 	})
 	x, y, z := relayCmd(7, 1), relayCmd(7, 2), relayCmd(8, 1)
-	sub := func(c cstruct.Cmd) msg.Message {
-		client, req := SplitCmdID(c.ID)
-		return msg.Propose{Cmd: c, Client: client, Req: req}
-	}
+	sub := func(c cstruct.Cmd) msg.Message { return msg.Propose{Cmd: c} }
 	deliver(cl.Coords[0], 7, sub(x), sub(y))
 	cl.Sim.Run()
 	deliver(cl.Coords[1], 7, sub(x), sub(z), sub(x))

@@ -15,13 +15,13 @@ import (
 
 // onPropose records a sequence-numbered proposal at its fixed instance and
 // forwards it within the window. A proposal without a sequence number is an
-// unsequenced client submission: it is stamped at this member's ingress
-// (untagged unsequenced proposals cannot be placed deterministically across
-// a group and are dropped).
+// unsequenced client submission: it is stamped at this member's ingress (one
+// whose command ID names no client cannot be placed deterministically across
+// a group, nor deduplicated on retry, and is dropped).
 func (c *Coordinator) onPropose(from msg.NodeID, mm msg.Propose) {
 	if !mm.HasSeq {
-		if mm.Client != 0 {
-			c.onIngress(mm)
+		if client, _ := SplitCmdID(mm.Cmd.ID); client != 0 {
+			c.onIngress(mm.Cmd)
 		}
 		return
 	}
@@ -54,26 +54,19 @@ func (c *Coordinator) onPropose(from msg.NodeID, mm msg.Propose) {
 			c.armRetry()
 		}
 	default:
-		if !c.converge(inst, mm.Cmd, cur) {
-			return
-		}
-	}
-	if mm.Client != 0 {
-		// A peer's stamp share carries the request key: record it so a
-		// client failing over to this member maps to the same slot.
-		c.recordReq(reqKey{mm.Client, mm.Req}, inst)
+		c.converge(inst, mm.Cmd, cur)
 	}
 }
 
-// bind makes cmd this member's value for an instance and indexes the request
-// keys its constituents imply.
+// bind makes cmd this member's value for an instance and indexes the client
+// command IDs its constituents carry.
 func (c *Coordinator) bind(inst uint64, cmd cstruct.Cmd) {
 	c.place(inst, cmd)
 	c.indexValue(inst, cmd)
 }
 
 // place is bind without the request index, for the stamping path that
-// already holds the keys. Requests stamped into a displaced value lost their
+// already holds the commands. Requests stamped into a displaced value lost their
 // slot — to a concurrent failover stamper, a gap fill, or the acceptors' pick
 // — and are forgotten, so their clients' retries are restamped at a fresh
 // slot.
@@ -108,13 +101,13 @@ func (c *Coordinator) place(inst uint64, cmd cstruct.Cmd) {
 // would otherwise become possible, breaking the pick rule's safety. So a
 // member that already forwarded the losing value in the current round adopts
 // the winner but converges through a fresh round instead of re-sending
-// within this one. It reports whether the incoming value was adopted.
-func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (adopted bool) {
+// within this one.
+func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) {
 	if !prefer(incoming, existing) {
 		// Our value wins: re-share it so the peer adopts — it may have filled
 		// a no-op (or stamped a loser) because it never saw our stamp share.
-		c.shareStamp(inst, existing, 0, 0)
-		return false
+		c.shareStamp(inst, existing)
+		return
 	}
 	c.bind(inst, incoming)
 	if c.sent[inst] {
@@ -122,7 +115,6 @@ func (c *Coordinator) converge(inst uint64, incoming, existing cstruct.Cmd) (ado
 	} else {
 		c.trySend(inst)
 	}
-	return true
 }
 
 // prefer reports whether value a beats value b under the group's fixed

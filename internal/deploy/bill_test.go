@@ -84,7 +84,7 @@ func billCluster(t *testing.T) (s *sim.Sim, coords []*classic.Coordinator, learn
 // billSubmit sends client 1's first write to the shard's primary.
 func billSubmit(s *sim.Sim) {
 	client, primary := msg.NodeID(1), msg.NodeID(LocalSpec(1, 3, 3, 2, 1).Coords[0].ID)
-	s.Env(client).Send(primary, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 0), "k", "v"), Client: client})
+	s.Env(client).Send(primary, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 0), "k", "v")})
 }
 
 func wantApplied(t *testing.T, learners []*learner, coords []*classic.Coordinator, n int) {

@@ -77,8 +77,9 @@ type ClientStats struct {
 }
 
 // Client is the embeddable client of a deployment: it connects over TCP and
-// submits commands *unsequenced*, tagged (client, request counter) — the
-// shard's coordinator group assigns the sequence number at ingress, so any
+// submits commands *unsequenced*, each under a command ID (classic.CmdID:
+// client and request counter) that is also its idempotency key — the shard's
+// coordinator group assigns the sequence number at ingress, so any
 // number of Clients (and any number of goroutines per Client) share one
 // deployment without coordinating. Submissions spread round-robin across the
 // shards; each proposal targets the shard's preferred member — the primary
@@ -86,7 +87,7 @@ type ClientStats struct {
 // through the group with exponential backoff, so a crashed or unreachable
 // coordinator is masked. The preference follows the member that answers, and
 // leaves a member the transport reports unreachable, so an outage costs one
-// hop once instead of a retry interval per command. The idempotency tag makes
+// hop once instead of a retry interval per command. The command ID makes
 // retries safe: a re-received request maps to its already-stamped slot
 // instead of a fresh one. Each command's Call resolves when the first learner
 // replica reports its apply result.
@@ -220,21 +221,20 @@ const tagClientRetry = 1
 
 // proposeMsg carries one submission through the client's mailbox. It wraps
 // the real wire message — Type and Instance report the embedded proposal's —
-// but never crosses the wire itself: the handler fills in the ingress tag
-// and routes it.
+// but never crosses the wire itself: the handler registers and routes its
+// command.
 type proposeMsg struct {
 	msg.Propose
 	call *Call
 }
 
 // pendingCmd is one unresolved proposal: its call and its retry state. The
-// client retries the identical tagged submission; the ingress idempotency key
-// (client, req) maps every re-receipt to the already-stamped slot, so
-// retrying is safe no matter how many group members see it.
+// client retries the identical submission; the ingress keys it by its command
+// ID and maps every re-receipt to the already-stamped slot, so retrying is
+// safe no matter how many group members see it.
 type pendingCmd struct {
 	call  *Call
 	shard int
-	req   uint64
 	cmd   cstruct.Cmd
 	// member indexes, in coords[shard], the member the last transmission went
 	// to.
@@ -312,7 +312,7 @@ func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
 	return call
 }
 
-// proposeCall registers one stamped command and sends its initial tagged,
+// proposeCall registers one stamped command and sends its initial
 // unsequenced proposal.
 func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
 	if classic.IsNoop(cmd) || cmd.Key == batch.Key {
@@ -326,14 +326,9 @@ func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
 	h.stats.Proposed++
 	shard := int(h.rr % uint64(h.cfg.NShards()))
 	h.rr++
-	// The request counter is the sub-client part of the command ID, which
-	// is always stamped: the submission counter, unique per client, making
-	// (client, req) a sound ingress idempotency key.
-	_, req := classic.SplitCmdID(cmd.ID)
 	p := &pendingCmd{
 		call:  call,
 		shard: shard,
-		req:   req,
 		cmd:   cmd,
 		// Every submission is funnelled to one member per shard: one stamper
 		// at a time keeps concurrent submissions from colliding over sequence
@@ -347,14 +342,14 @@ func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {
 	h.armRetry()
 }
 
-// send transmits p's tagged, unsequenced proposal to the member it targets
+// send transmits p's unsequenced proposal to the member it targets
 // and restarts its retry clock. The first two waits are twice the base
 // interval — under a burst the end-to-end reply time legitimately exceeds
 // one, and a premature retransmission only adds to the load it is waiting
 // out — and the wait doubles from the second retry on.
 func (h *clientHandler) send(p *pendingCmd) {
 	p.next = h.env.Now() + h.retryEvery<<uint(min(max(p.attempts, 1), 5))
-	h.env.Send(h.coords[p.shard][p.member], msg.Propose{Cmd: p.cmd, Client: h.env.ID(), Req: p.req})
+	h.env.Send(h.coords[p.shard][p.member], msg.Propose{Cmd: p.cmd})
 }
 
 // moveTo transmits p to member i of its shard's group: the one place a
@@ -450,8 +445,7 @@ func (h *clientHandler) OnTimer(tag int) {
 			// The command may already be applied with every reply frame
 			// lost — the ingress dedups it and the consensus path never
 			// replies again. Probe the learners' replay caches too.
-			node.Broadcast(h.env, h.cfg.Learners,
-				msg.Propose{Cmd: p.cmd, Client: h.env.ID(), Req: p.req})
+			node.Broadcast(h.env, h.cfg.Learners, msg.Propose{Cmd: p.cmd})
 			h.stats.ReplayProbes++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
@@ -94,8 +95,8 @@ func equalIDs(a, b []msg.NodeID) bool {
 
 // TestClientPrimaryFunnel: every initial send of a multicoordinated shard
 // targets the group's first member — the shard's primary stamper — and
-// carries an unsequenced proposal tagged with the client's identity and
-// request counter. Funneling keeps one stamper at a time, so concurrent
+// carries an unsequenced proposal whose command ID names the client and a
+// fresh request counter. Funneling keeps one stamper at a time, so concurrent
 // submissions never race over sequence slots.
 func TestClientPrimaryFunnel(t *testing.T) {
 	spec, h, env := multiSpec(t)
@@ -112,10 +113,11 @@ func TestClientPrimaryFunnel(t *testing.T) {
 		if p.HasSeq {
 			t.Fatalf("client stamped a sequence number itself: %+v", p)
 		}
-		if p.Client != h.env.ID() {
-			t.Fatalf("proposal tagged client %v, want %v", p.Client, h.env.ID())
+		client, req := classic.SplitCmdID(p.Cmd.ID)
+		if client != h.env.ID() {
+			t.Fatalf("proposal's command ID names client %v, want %v", client, h.env.ID())
 		}
-		reqs = append(reqs, p.Req)
+		reqs = append(reqs, req)
 	}
 	for i := 1; i < len(reqs); i++ {
 		if reqs[i] == reqs[i-1] {
@@ -130,8 +132,8 @@ func TestClientPrimaryFunnel(t *testing.T) {
 // TestClientRetryRotatesGroup: an unanswered proposal fails over one group
 // member at a time with exponential backoff — masking a crashed primary
 // without fanning a retry burst into several simultaneous stampers — and
-// every retry carries the identical idempotency tag, so whichever member
-// receives it maps it to the same stamped slot.
+// every retry carries the identical command, so whichever member receives it
+// maps its command ID to the same stamped slot.
 func TestClientRetryRotatesGroup(t *testing.T) {
 	spec, h, env := multiSpec(t)
 	group := ids(spec.Coords)
@@ -153,21 +155,21 @@ func TestClientRetryRotatesGroup(t *testing.T) {
 		t.Fatalf("retries = %d rotations = %d, want 1 and 1", h.stats.Retries, h.stats.Rotations)
 	}
 
-	// Every transmission carries the same (client, request) tag and no
-	// sequence number: the ingress idempotency key must be stable across
+	// Every transmission carries the same command and no sequence number:
+	// the ingress idempotency key, its command ID, must be stable across
 	// retries or a failover would stamp the command twice.
-	var tags [][2]uint64
+	var sent []msg.Propose
 	for _, s := range env.sent {
 		if p, ok := s.m.(msg.Propose); ok {
 			if p.HasSeq {
 				t.Fatalf("retry carried a client-stamped sequence number: %+v", p)
 			}
-			tags = append(tags, [2]uint64{uint64(p.Client), p.Req})
+			sent = append(sent, p)
 		}
 	}
-	for _, tag := range tags {
-		if tag != tags[0] {
-			t.Fatalf("retry changed the idempotency tag: %v", tags)
+	for _, p := range sent {
+		if !p.Cmd.Equal(sent[0].Cmd) {
+			t.Fatalf("retry changed the command: %+v then %+v", sent[0].Cmd, p.Cmd)
 		}
 	}
 

@@ -41,9 +41,9 @@ type learner struct {
 	coords [][]msg.NodeID
 	// The skip-hint clock (timerIdle): armed while instances sit buffered
 	// above the merge frontier, it fires every idleEvery ticks — one BatchWait;
-	// 0, never, with a single shard or size-only batching — and a frontier
-	// still at idleNext when it does has sat frozen for a full period, which
-	// earns the lagging shards one hint (idleHinted).
+	// 0, never, with a single shard — and a frontier still at idleNext when it
+	// does has sat frozen for a full period, which earns the lagging shards one
+	// hint (idleHinted).
 	idleEvery  int64
 	idleArmed  bool
 	idleNext   uint64

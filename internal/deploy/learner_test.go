@@ -256,7 +256,7 @@ func TestLearnerReplayProbe(t *testing.T) {
 		t.Fatalf("apply sent %d replies, want 1", len(first))
 	}
 
-	l.OnMessage(client, msg.Propose{Cmd: applied, Client: client, Req: 0})
+	l.OnMessage(client, msg.Propose{Cmd: applied})
 	again, tos := sentTo[msg.Reply](take(env))
 	if len(again) != 1 || tos[0] != client || again[0] != first[0] {
 		t.Fatalf("probe for an applied command drew %+v to %v, want the original reply %+v again", again, tos, first[0])
@@ -265,7 +265,7 @@ func TestLearnerReplayProbe(t *testing.T) {
 		t.Fatalf("replayed = %d, want 1", l.replayed)
 	}
 
-	l.OnMessage(client, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 1), "k", "w"), Client: client, Req: 1})
+	l.OnMessage(client, msg.Propose{Cmd: smr.SetCmd(classic.CmdID(client, 1), "k", "w")})
 	if got := take(env); len(got) != 0 || l.replayed != 1 {
 		t.Fatalf("probe for an unapplied command sent %d messages (replayed = %d), want silence", len(got), l.replayed)
 	}
@@ -282,7 +282,7 @@ func TestLearnerReplayProbeIgnoresBatches(t *testing.T) {
 	take(env)
 
 	forged := batch.Pack([]cstruct.Cmd{applied, smr.SetCmd(classic.CmdID(forger, 0), "k", "w")})
-	l.OnMessage(forger, msg.Propose{Cmd: forged, Client: forger, Req: 0})
+	l.OnMessage(forger, msg.Propose{Cmd: forged})
 	if got, tos := sentTo[msg.Reply](take(env)); len(got) != 0 || l.replayed != 0 {
 		t.Fatalf("a batch probe drew %+v to %v (replayed = %d), want silence", got, tos, l.replayed)
 	}
@@ -356,18 +356,11 @@ func TestLearnerSkipHint(t *testing.T) {
 		t.Fatalf("%d idle timers set by a newly buffered instance, want 1: the clock restarts", n)
 	}
 
-	// One shard, or size-only batching: no clock at all.
-	for name, off := range map[string]*learner{
-		"one shard": first(testLearner(t, 1, nil)),
-		"size only": first(testShardedLearner(t, 3, 1, func(s *ClusterSpec) { s.BatchWait = -1 })),
-	} {
-		if off.idleEvery != 0 {
-			t.Errorf("%s: skip-hint period %d, want 0", name, off.idleEvery)
-		}
+	// One shard: no clock at all.
+	if off, _, _ := testLearner(t, 1, nil); off.idleEvery != 0 {
+		t.Errorf("one shard: skip-hint period %d, want 0", off.idleEvery)
 	}
 }
-
-func first(l *learner, _ *fakeEnv, _ classic.Config) *learner { return l }
 
 // (f) A learner's resident state stays flat in the size of the commands it
 // applied, at the spec's zero knobs as at an explicit interval: 100k decided

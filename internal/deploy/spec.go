@@ -112,8 +112,8 @@ type ClusterSpec struct {
 	// and from there up the pipeline is the batch clock. It
 	// is also how long a learner lets its merge frontier sit frozen under
 	// buffered instances before telling the shards that fell behind to skip
-	// the slots they never claimed (msg.Fill with Idle set). 0 means 2ms;
-	// negative flushes on size only, with no early stamp and no skip hint.
+	// the slots they never claimed (msg.Fill with Idle set). 0 or negative
+	// means 2ms.
 	BatchWait time.Duration
 	// Window bounds each coordinator's pipeline of unlearned instances; 0
 	// means 8. A full window also holds a stamper's partial batch until an
@@ -329,10 +329,7 @@ func (s ClusterSpec) fillTicks() int64 {
 
 func (s ClusterSpec) batchWaitTicks() int64 {
 	d := s.BatchWait
-	if d < 0 {
-		return 0
-	}
-	if d == 0 {
+	if d <= 0 {
 		d = defaultBatchWait
 	}
 	return ticks(d)

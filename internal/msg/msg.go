@@ -111,15 +111,11 @@ type Propose struct {
 	// instance — at any group size, one included.
 	Seq    uint64
 	HasSeq bool
-	// Client and Req tag an *unsequenced* client submission: a proposal
-	// that has not yet been assigned a Seq crosses the wire tagged with the
-	// issuing client's ID and a per-client request counter. The shard's
-	// ingress coordinator stamps Seq at the server side and uses
-	// (Client, Req) as the idempotency key, so a retried submission maps to
-	// the same sequence slot instead of claiming a second one. Client zero
-	// means untagged (a pre-stamped proposer stream, or a stamped batch
-	// aggregating commands from several clients). Replies correlate back
-	// through Reply.CmdID, which embeds the same (client, request) pair.
+	// Client and Req are a (client, request counter) tag the codec still
+	// carries (flagHasClient), but nothing shipped sends or reads them: an
+	// unsequenced submission is keyed by its command ID, which embeds the
+	// same pair (classic.CmdID). They stay only for the benchmark module's
+	// codec driver, which still frames a tagged Propose.
 	Client NodeID
 	Req    uint64
 }

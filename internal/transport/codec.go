@@ -41,10 +41,9 @@ const (
 	flagMulti = 1 << 2
 	// flagHasSeq marks a proposal carrying its per-shard sequence number.
 	flagHasSeq = 1 << 3
-	// flagHasClient marks a proposal tagged with its issuing client's
-	// (Client, Req) idempotency key — an unsequenced client submission
-	// awaiting a server-side Seq stamp, or a stamped single-command proposal
-	// whose key rides along for ingress failover.
+	// flagHasClient marks a proposal carrying a (Client, Req) tag. Nothing
+	// shipped sets one (see msg.Propose); the bit stays so the byte format,
+	// and the benchmark's codec driver, are unchanged.
 	flagHasClient = 1 << 4
 	// flagHasFloor marks a catch-up response carrying the responder's
 	// nonzero retention floor (log compaction: a refusal when Floor > From).

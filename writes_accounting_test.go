@@ -64,7 +64,7 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 					d.ResetWrites()
 				}
 
-				bt := batch.NewBatcher(batchSize, 0, cl.Sim.Now, func(c cstruct.Cmd) {
+				bt := batch.NewBatcher(batchSize, 0, cl.Sim.Now, func(c cstruct.Cmd, _ []cstruct.Cmd) {
 					cl.Prop.Propose(c)
 				})
 				for i := 0; i < commands; i++ {
