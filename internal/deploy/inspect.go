@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"mcpaxos/internal/ballot"
-	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
@@ -124,7 +123,7 @@ func (r *Replica) Compaction(id uint32) (frontier, watermark, logBase uint64, er
 // CatchupSynced reports whether learner id's rejoin pull has reached a
 // peer's frontier (true for a learner with no peers).
 func (r *Replica) CatchupSynced(id uint32) (synced bool, err error) {
-	err = r.read(id, func(l *learner) { synced = l.fetch.Synced() })
+	err = r.read(id, func(l *learner) { synced = l.fetch.synced })
 	return
 }
 
@@ -137,10 +136,10 @@ func (r *Replica) Replays() uint64 {
 	return n
 }
 
-// CatchupStats sums the catch-up fetcher activity across hosted learners.
-func (r *Replica) CatchupStats() catchup.Stats {
-	var s catchup.Stats
-	r.onEach(r.spec.Learners, func(hd node.Handler) { s = s.Plus(hd.(*learner).fetch.Stats()) })
+// CatchupStats sums the catch-up pull activity across hosted learners.
+func (r *Replica) CatchupStats() CatchupStats {
+	var s CatchupStats
+	r.onEach(r.spec.Learners, func(hd node.Handler) { s = s.Plus(hd.(*learner).fetch.stats) })
 	return s
 }
 

@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"mcpaxos/internal/batch"
-	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -14,13 +13,13 @@ import (
 // learner is one learner node of a deployment: the protocol learner counting
 // 2b quorums, the merger restoring the total order across shards, the replica
 // state machine, and the recovery concerns around them — replaying cached
-// replies for retransmitted proposals, serving peer catch-up pulls from the
-// retained decided prefix, driving its own catch-up fetcher, and
-// snapshotting, watermark gossip and truncation. The replica is the one owner
-// of the merged apply order (command IDs, batches unpacked); the learner's own
-// copy of decided commands is the retained log, which truncation bounds. It
-// knows only its node.Env, so any host (the TCP endpoint, a test's fake) can
-// run it.
+// replies for retransmitted proposals, both halves of the catch-up pull
+// (catchup.go: serving peers from the retained decided prefix and pulling its
+// own), and snapshotting, watermark gossip and truncation. The replica is the
+// one owner of the merged apply order (command IDs, batches unpacked); the
+// learner's own copy of decided commands is the retained log, which
+// truncation bounds. It knows only its node.Env, so any host (the TCP
+// endpoint, a test's fake) can run it.
 //
 // Like every handler it is single-threaded and takes no lock: OnMessage and
 // OnTimer run on the host's mailbox goroutine, and everything else — the
@@ -32,7 +31,11 @@ type learner struct {
 	every  uint64       // snapshot interval in merged instances
 	retain uint64       // log instances kept below the watermark
 	l      *classic.Learner
-	fetch  *catchup.Fetcher
+	// fetch is this learner's own catch-up pull (catchup.go), retried every
+	// retryEvery ticks and watched every watchEvery — RetryEvery and
+	// FillAfter.
+	fetch                  fetchState
+	retryEvery, watchEvery int64
 	// snaps holds this learner's snapshots (durable under Spec.SnapshotDir
 	// or WALDir, else memory-only); the store synchronises itself.
 	snaps *snapshot.Store
@@ -58,7 +61,7 @@ type learner struct {
 	// replay caches recent apply results per client so a retransmitted
 	// proposal for an already-applied command re-elicits its reply.
 	replay *smr.ReplyCache
-	// pulling suppresses reply sends while the catch-up fetcher feeds a pulled
+	// pulling suppresses reply sends while the catch-up pull feeds a pulled
 	// instance, and the buffered ones that instance releases: their results
 	// land in replay (a client probe re-elicits any it still needs) without an
 	// O(history) reply storm on rejoin. What live quorum counting delivers is
@@ -87,13 +90,17 @@ type learner struct {
 var _ node.Handler = (*learner)(nil)
 var _ node.TimerHandler = (*learner)(nil)
 
-// timerIdle is the learner's own timer tag, beside the fetcher's
-// catchup.TagFetch and TagWatch.
-const timerIdle = 103
+// The learner's timer tags: the skip-hint clock, the fetch retry and the gap
+// watch.
+const (
+	timerIdle = iota
+	timerFetch
+	timerWatch
+)
 
 // newLearner builds a learner over env from the shared protocol config, the
 // spec's tuning and its already-opened snapshot store. It sends nothing:
-// the catch-up fetcher's first probe goes out when the host starts it, once
+// the catch-up pull's first probe goes out when the host starts it, once
 // the node has a route to its peers.
 func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snapshot.Store) *learner {
 	l := &learner{
@@ -103,11 +110,13 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 		peerDone: make(map[msg.NodeID]uint64),
 	}
 	l.every, l.retain = spec.compaction()
+	l.retryEvery, l.watchEvery = spec.retryTicks(), spec.fillTicks()
 	for _, p := range cfg.Learners {
 		if p != env.ID() {
 			l.peers = append(l.peers, p)
 		}
 	}
+	l.fetch.synced = len(l.peers) == 0
 	for shard := range cfg.NShards() {
 		l.coords = append(l.coords, cfg.ShardCoords(shard))
 	}
@@ -125,16 +134,10 @@ func newLearner(env node.Env, cfg classic.Config, spec ClusterSpec, snaps *snaps
 	l.merger.OnRelease = l.l.Release
 	// A restarted learner reloads its newest durable snapshot before
 	// anything else: the merger jumps to the snapshot frontier, so the
-	// catch-up fetcher pulls only the log suffix above it.
+	// catch-up pull fetches only the log suffix above it.
 	if blob, fr, ok := snaps.Latest(); ok {
 		l.installBlob(fr, blob)
 	}
-	// Peer learners serve the decided prefix a rejoining learner missed, fed
-	// through pulled. The acceptors are the durable-tier fallback: if no peer
-	// learner retains the prefix this learner is missing, they re-announce
-	// their votes and the ordinary quorum counting relearns it.
-	l.fetch = catchup.New(env, l.peers, cfg.Acceptors, catchupChunk, spec.retryTicks(), spec.fillTicks(),
-		l.merger.Next, l.merger.Buffered, l.pulled, l.onStall, l.installBlob, l.gossip)
 	return l
 }
 
@@ -172,8 +175,8 @@ func (l *learner) deliver(inst uint64, cmd cstruct.Cmd) {
 	}
 }
 
-// pulled is the fetcher's feed: one instance of a peer's decided prefix,
-// delivered with its replies withheld.
+// pulled feeds one instance of a peer's decided prefix with its replies
+// withheld.
 func (l *learner) pulled(inst uint64, cmd cstruct.Cmd) {
 	l.pulling = true
 	l.feed(inst, cmd)
@@ -181,8 +184,8 @@ func (l *learner) pulled(inst uint64, cmd cstruct.Cmd) {
 }
 
 // feed hands one decided instance to the merger and cuts a snapshot once the
-// merge frontier is a full interval past the last one. The fetcher feeds
-// pulled instances through it (pulled); onLearn feeds the live ones.
+// merge frontier is a full interval past the last one. The catch-up pull
+// feeds pulled instances through it (pulled); onLearn feeds the live ones.
 func (l *learner) feed(inst uint64, cmd cstruct.Cmd) {
 	l.merger.Add(inst, cmd)
 	fr := l.merger.Next()
@@ -238,9 +241,9 @@ func (l *learner) ack(inst uint64) {
 // group returns the coordinators of the shard owning inst.
 func (l *learner) group(inst uint64) []msg.NodeID { return l.coords[l.cfg.ShardOf(inst)] }
 
-// onStall is the fetcher's report of a frozen frontier that no catch-up pull
-// can move: the stalled instance was never decided — its sequence slot died
-// with a crashed ingress stamper, or its shard idled while the others
+// onStall answers a gap-watch resync of a frozen frontier that no catch-up
+// pull can move: the stalled instance was never decided — its sequence slot
+// died with a crashed ingress stamper, or its shard idled while the others
 // advanced. Nudge the owning group to fill it.
 func (l *learner) onStall(frontier uint64) {
 	node.Broadcast(l.env, l.group(frontier), msg.Fill{Inst: frontier, Learner: l.env.ID()})
@@ -294,8 +297,8 @@ func (l *learner) cutSnapshot(fr uint64) {
 }
 
 // installBlob replaces the learner's applied state with an encoded snapshot
-// — its own newest one at build, or a peer's shipped by the fetcher after a
-// log pull was refused below the peer's retention floor: machine state,
+// — its own newest one at build, or a peer's shipped after a catch-up log
+// pull was refused below the peer's retention floor: machine state,
 // apply order, dedup floor and reply cache all jump to the snapshot's
 // frontier, the retained log resets to empty at that base, and the merger
 // skips there so only the suffix replays. It reports false — nothing
@@ -317,16 +320,16 @@ func (l *learner) installBlob(frontier uint64, blob []byte) bool {
 	l.replay.Restore(s.Replies)
 	l.log = nil
 	l.logBase = s.Frontier
-	if s.Frontier > l.snapFrontier {
-		l.snapFrontier = s.Frontier
-	}
 	// SkipTo flushes any buffered suffix through deliver, which appends to
 	// the (now empty) log relative to the new base.
 	l.merger.SkipTo(s.Frontier)
 	// The installed blob becomes this learner's own newest snapshot, so it
 	// can serve transfers (and survive restarts, if durable) without waiting
-	// for its next cut.
-	l.snaps.Save(s.Frontier, blob)
+	// for its next cut. Like cutSnapshot, a failed save keeps gossiping the
+	// old frontier: no snapshot of this learner's own covers the new one.
+	if l.snaps.Save(s.Frontier, blob) == nil {
+		l.snapFrontier = max(l.snapFrontier, s.Frontier)
+	}
 	return true
 }
 
@@ -349,7 +352,7 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 	case msg.CatchupReq:
 		l.serve(mm)
 	case msg.CatchupResp:
-		l.fetch.OnResp(mm)
+		l.onCatchupResp(mm)
 	case msg.Done:
 		// No ratchet on a peer's gossiped snapshot frontier: a peer that
 		// restarted with volatile snapshots honestly reports a lower one, and
@@ -360,20 +363,22 @@ func (l *learner) OnMessage(from msg.NodeID, m msg.Message) {
 	case msg.SnapReq:
 		l.serveSnap(mm)
 	case msg.SnapResp:
-		l.fetch.OnSnapResp(mm)
+		l.onSnapResp(mm)
 	default:
 		l.l.OnMessage(from, m)
 	}
 }
 
-// OnTimer implements node.TimerHandler: the skip-hint clock is the learner's,
-// every other timer the fetcher's.
+// OnTimer implements node.TimerHandler.
 func (l *learner) OnTimer(tag int) {
-	if tag == timerIdle {
+	switch tag {
+	case timerIdle:
 		l.onIdle()
-		return
+	case timerFetch:
+		l.onRetry()
+	case timerWatch:
+		l.onWatch()
 	}
-	l.fetch.OnTimer(tag)
 }
 
 // onReplayProbe answers a client's retransmitted proposal from the replay
@@ -392,45 +397,5 @@ func (l *learner) onReplayProbe(mm msg.Propose) {
 	if rec, ok := l.replay.Get(id); ok {
 		l.replayed++
 		l.env.Send(to, msg.Reply{CmdID: id, From: l.env.ID(), Inst: rec.Inst, Result: rec.Result})
-	}
-}
-
-// serve answers a peer learner's catch-up request with one chunk of the
-// retained decided prefix (bounded by catchupChunk and by the requester's
-// own bound).
-func (l *learner) serve(mm msg.CatchupReq) {
-	max := uint32(catchupChunk)
-	if mm.Max > 0 && mm.Max < max {
-		max = mm.Max
-	}
-	resp := msg.CatchupResp{Learner: l.env.ID(), From: mm.From, Frontier: l.merger.Next()}
-	if mm.From < l.logBase {
-		// The requested prefix was compacted away: refuse with the floor so
-		// the requester escalates to snapshot transfer.
-		resp.Floor = l.logBase
-	} else if rel := mm.From - l.logBase; rel < uint64(len(l.log)) {
-		end := min(rel+uint64(max), uint64(len(l.log)))
-		resp.Cmds = append([]cstruct.Cmd(nil), l.log[rel:end]...)
-	}
-	l.env.Send(mm.Learner, resp)
-}
-
-// serveSnap streams this learner's newest snapshot to a peer whose log pull
-// was refused. No snapshot (or only one at or below the requester's own
-// frontier) answers Total 0 — a no-op the requester's retry rotates past.
-func (l *learner) serveSnap(mm msg.SnapReq) {
-	blob, fr, ok := l.snaps.Latest()
-	if !ok || fr <= mm.From {
-		l.env.Send(mm.Learner, msg.SnapResp{Learner: l.env.ID()})
-		return
-	}
-	crc := snapshot.Crc(blob)
-	total := uint32((len(blob) + catchup.SnapChunkBytes - 1) / catchup.SnapChunkBytes)
-	for seq := uint32(0); seq < total; seq++ {
-		lo := int(seq) * catchup.SnapChunkBytes
-		l.env.Send(mm.Learner, msg.SnapResp{
-			Learner: l.env.ID(), Frontier: fr, Crc: crc,
-			Seq: seq, Total: total, Chunk: blob[lo:min(lo+catchup.SnapChunkBytes, len(blob))],
-		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/batch"
-	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
@@ -84,7 +83,7 @@ func TestLearnerWithholdsOnlyPulledReplies(t *testing.T) {
 	if got := take(env); len(got) != 0 {
 		t.Fatalf("building the learner sent %d messages, want none before start", len(got))
 	}
-	l.fetch.Start()
+	l.startFetch()
 	first := take(env)
 	if len(first) != 1 {
 		t.Fatalf("start sent %d messages, want one probe", len(first))
@@ -125,8 +124,8 @@ func TestLearnerWithholdsOnlyPulledReplies(t *testing.T) {
 	if len(acks) != 3 || !equalIDs(tos, cfg.Coords) || acks[0].Inst != 0 {
 		t.Fatalf("learn acks = %+v to %v, want one P2b{Inst: 0} to each of %v", acks, tos, cfg.Coords)
 	}
-	if l.fetch.Synced() {
-		t.Fatal("the fetcher synced before its probe was answered")
+	if l.fetch.synced {
+		t.Fatal("the pull synced before its probe was answered")
 	}
 
 	// Instance 3 is decided live above a gap: buffered, so nothing is sent
@@ -136,8 +135,8 @@ func TestLearnerWithholdsOnlyPulledReplies(t *testing.T) {
 	answered("live instance buffered above the gap", take(env), nil)
 	l.OnMessage(cfg.Learners[1], msg.CatchupResp{Learner: cfg.Learners[1], From: 1, Frontier: 3,
 		Cmds: []cstruct.Cmd{c1, c2}})
-	if !l.fetch.Synced() || l.merger.Next() != 4 {
-		t.Fatalf("after the pull: synced %v at frontier %d, want synced at 4", l.fetch.Synced(), l.merger.Next())
+	if !l.fetch.synced || l.merger.Next() != 4 {
+		t.Fatalf("after the pull: synced %v at frontier %d, want synced at 4", l.fetch.synced, l.merger.Next())
 	}
 	answered("pulled instances and the one they release", take(env), nil, c1, c2, c3)
 
@@ -216,7 +215,7 @@ func TestLearnerWatermarkGossipAndTruncation(t *testing.T) {
 	tick := func(wantFrontier, wantWatermark uint64) {
 		t.Helper()
 		take(env)
-		l.OnTimer(catchup.TagWatch)
+		l.OnTimer(timerWatch)
 		dones, tos := sentTo[msg.Done](take(env))
 		if !equalIDs(tos, append([]msg.NodeID{peer}, cfg.Acceptors...)) {
 			t.Fatalf("Done gossiped to %v, want the peer and every acceptor", tos)

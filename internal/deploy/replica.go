@@ -243,7 +243,7 @@ func (r *Replica) start(id msg.NodeID, restarted bool) {
 				n.BecomeLeader()
 			}
 		case *learner:
-			n.fetch.Start()
+			n.startFetch()
 		}
 	})
 }

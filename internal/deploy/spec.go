@@ -200,9 +200,6 @@ const (
 	// watermark), so a retransmitted proposal for an already-applied
 	// command re-elicits its reply instead of being silently deduplicated.
 	replyCacheSize = 512
-	// catchupChunk bounds how many instances one learner catch-up response
-	// carries (chunked state transfer to a rejoining learner).
-	catchupChunk = 128
 )
 
 // LocalSpec builds a loopback spec with ephemeral ports and the repo's

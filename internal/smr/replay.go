@@ -11,7 +11,12 @@
 // preserved; at-least-once reply is restored).
 package smr
 
-import "mcpaxos/internal/snapshot"
+import (
+	"cmp"
+	"slices"
+
+	"mcpaxos/internal/snapshot"
+)
 
 // ReplyRecord is one cached apply result.
 type ReplyRecord struct {
@@ -116,7 +121,9 @@ func (c *ReplyCache) Len() int {
 // Export returns every retained record keyed by its full command ID: the
 // reply-cache section of a state snapshot. The installing learner restores
 // them so retried proposals for commands applied below the snapshot frontier
-// still re-elicit replies.
+// still re-elicit replies. The records are sorted by command ID, so equal
+// caches export equal records and a snapshot's bytes are a function of the
+// learner's state, not of map order.
 func (c *ReplyCache) Export() []snapshot.Reply {
 	var out []snapshot.Reply
 	for client, w := range c.byClient {
@@ -126,6 +133,7 @@ func (c *ReplyCache) Export() []snapshot.Reply {
 			})
 		}
 	}
+	slices.SortFunc(out, func(a, b snapshot.Reply) int { return cmp.Compare(a.CmdID, b.CmdID) })
 	return out
 }
 

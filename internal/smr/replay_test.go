@@ -74,6 +74,27 @@ func TestReplyCacheEvictBelowAndExport(t *testing.T) {
 	}
 }
 
+// The same Puts into two caches export the same records in the same order:
+// a snapshot's bytes are a function of the learner's state. Repeated, so
+// that Go's randomised map order would show.
+func TestReplyCacheExportIsCanonical(t *testing.T) {
+	fill := func() *ReplyCache {
+		c := NewReplyCache(8, testShift)
+		for client := uint64(1); client <= 6; client++ {
+			for seq := uint64(0); seq < 5; seq++ {
+				c.Put(id(client, seq), client*10+seq, fmt.Sprint("r", client, seq))
+			}
+		}
+		return c
+	}
+	want := fmt.Sprint(fill().Export())
+	for range 20 {
+		if got := fmt.Sprint(fill().Export()); got != want {
+			t.Fatalf("two equal caches exported\n%s\nand\n%s", want, got)
+		}
+	}
+}
+
 // TestReplyCacheBoundProperty drives randomized put sequences — in-order,
 // reordered, and with far watermark jumps — and asserts the invariants the
 // deployment relies on: no client window ever exceeds the configured bound,

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"mcpaxos/internal/catchup"
 	"mcpaxos/internal/deploy"
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/linearize"
@@ -47,9 +46,9 @@ type LiveNemesisResult struct {
 	Client ClientStats
 	// Replays counts replies the learners served from their replay caches.
 	Replays uint64
-	// Catchup sums the learners' catch-up fetcher activity (including
+	// Catchup sums the learners' catch-up pull activity (including
 	// snapshot-shipping escalations).
-	Catchup catchup.Stats
+	Catchup deploy.CatchupStats
 	// Compaction is the learners' snapshot/watermark state at the end of the
 	// run: how many snapshots were cut, how far truncation advanced, and the
 	// largest retained log.
@@ -250,7 +249,7 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 // 150ms apart) or the timeout passes. Waiting on the buffered count too
 // matters after a catch-up resync: the order length freezes while the gap
 // watch re-probes, and judging that snapshot would misreport a stall the
-// fetcher was already repairing.
+// catch-up pull was already repairing.
 func stableOrders(rep *Replica, learners []uint32, timeout time.Duration) [][]uint64 {
 	deadline := time.Now().Add(timeout)
 	prev := make([]int, len(learners))
