@@ -12,6 +12,8 @@
 package batch
 
 import (
+	"slices"
+
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/wire"
 )
@@ -169,6 +171,16 @@ func (b *Batcher) Drain() []cstruct.Cmd {
 	out := b.pending
 	b.pending = nil
 	return out
+}
+
+// Pop removes and returns the oldest buffered command, unflushed: for a host
+// that places buffered commands one at a time. Call it only while Pending is
+// non-zero. The deadline stays the one the popped command set, so what
+// remains is flushed no later than it would have been.
+func (b *Batcher) Pop() cstruct.Cmd {
+	cmd := b.pending[0]
+	b.pending = slices.Delete(b.pending, 0, 1)
+	return cmd
 }
 
 // Flush emits whatever is buffered: a lone command passes through unwrapped,

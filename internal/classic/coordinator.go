@@ -141,6 +141,11 @@ type Coordinator struct {
 	// observed stamp (local or shared by a peer) advances it, so a failover
 	// stamper resumes the counter instead of colliding with past slots.
 	ingressNext uint64
+	// hi is the merge's high-water mark as this member last heard it: one past
+	// the highest instance a learner reported learned, in any shard (the Hi of
+	// its acks), or one past a skip hint's instance. A free slot of this
+	// shard below it is a hole the merged order waits on (skipBelowHi).
+	hi uint64
 	// byReq maps a client command ID to the instance the command was
 	// stamped into. An entry always names the slot's current value: a stamp
 	// displaced by a collision or a gap fill forgets its requests (bind), so
@@ -233,8 +238,10 @@ func (c *Coordinator) OnMessage(from msg.NodeID, m msg.Message) {
 	case msg.Stale:
 		c.onStale(mm)
 	case msg.P2b:
-		// Learners acknowledge decided instances so retransmission stops.
+		// Learners acknowledge decided instances so retransmission stops,
+		// and say how far the merge has learned.
 		c.noteLearned(mm.Inst)
+		c.hi = max(c.hi, mm.Hi)
 	case msg.Fill:
 		c.onFill(mm)
 	case msg.Done:

@@ -23,9 +23,9 @@ const reqTrackMax = 4096
 // fills it takes the stamping over instead of relaying blind.
 const relayMax = 1024
 
-// skipMax bounds the slots one skip hint may claim: the trip count comes off
-// the wire, and a shard that fell further behind than this catches up over
-// several hints instead of stamping an unbounded run of no-ops in one step.
+// skipMax bounds the slots one burst's skip may claim: the high-water mark
+// comes off the wire, and a shard that fell further behind than this catches
+// up over several bursts instead of stamping an unbounded run in one step.
 const skipMax = 1024
 
 // relayedReq is one submission passed on to the shard's stamper, kept with
@@ -96,11 +96,45 @@ func (c *Coordinator) buffer(cmd cstruct.Cmd) {
 }
 
 // OnIdle implements node.IdleHandler: the end of a delivery burst is the
-// batch boundary. Whatever the burst buffered is stamped now if that is due,
-// and whatever stays buffered has its flush timer armed.
+// batch boundary. Slots the merge already waits on are claimed first, then
+// whatever the burst buffered is stamped now if that is due, and whatever
+// stays buffered has its flush timer armed.
 func (c *Coordinator) OnIdle() {
+	c.skipBelowHi()
 	c.stampIfDue()
 	c.armIngress()
+}
+
+// skipBelowHi is the Mencius skip. The merged order cannot deliver past this
+// shard's first unclaimed slot, so a stamper whose free slot lies below hi —
+// the other shards have learned that far — claims every slot of its own up
+// to it now: its buffered submissions first, one a slot, then the canonical
+// no-op. Each slot is an ordinary stamp, shared with the group, so a skip
+// cannot collide with a concurrent real one. Only the stamper skips (the
+// round's first member while nobody has stamped), and only into room in its
+// window: a claim queued behind the window would hold stampIfDue up, and the
+// learn that frees a slot ends a burst that resumes the claim. It starts at
+// freeSlot, never below the ingress counter (a dead stamper's orphans stay
+// onFill's job), and takes at most skipMax slots a burst. With one shard hi
+// never passes the free slot, and nothing is claimed.
+func (c *Coordinator) skipBelowHi() {
+	if !c.leading || len(c.unsent) > 0 || !c.stamps() {
+		return
+	}
+	for n := 0; n < skipMax && !c.windowFull(); n++ {
+		at := c.freeSlot()
+		if at >= c.hi {
+			return
+		}
+		if c.ing != nil && c.ing.Pending() > 0 {
+			cmd := c.ing.Pop()
+			delete(c.bufd, cmd.ID)
+			c.stampAt(at, cmd, []cstruct.Cmd{cmd})
+			continue
+		}
+		c.stampAt(at, Noop(at), nil)
+		c.filled++
+	}
 }
 
 // stampIfDue stamps whatever the ingress batcher holds when batching cannot
@@ -333,7 +367,9 @@ func (c *Coordinator) stamps() bool {
 // A client command that loses its slot to a fill is restamped on retry.
 func (c *Coordinator) onFill(mm msg.Fill) {
 	if mm.Idle {
-		c.skipThrough(mm.Inst)
+		// The skip hint is a high-water mark like an ack's: skipBelowHi
+		// answers it at the end of the burst.
+		c.hi = max(c.hi, mm.Inst+1)
 		return
 	}
 	if !c.owns(mm.Inst) || c.isLearned(mm.Inst) {
@@ -361,31 +397,5 @@ func (c *Coordinator) onFill(mm msg.Fill) {
 		c.bind(inst, Noop(inst))
 		c.filled++
 		c.trySend(inst)
-	}
-}
-
-// skipThrough answers a learner's skip hint (msg.Fill with Idle set): the
-// shard has consumed fewer slots than its peers and the merged order waits on
-// slots nobody has claimed. Only the shard's stamper answers — the round's
-// first member while nobody has stamped — by flushing what it has buffered
-// and then stamping every still-unclaimed slot through inst with the
-// canonical no-op. A skip is a stamp, shared with the group like any other,
-// so it cannot collide with a concurrent real one; it never touches a slot
-// below the ingress counter (a dead stamper's orphans stay onFill's job), and
-// a second learner's hint finds nothing left to do.
-func (c *Coordinator) skipThrough(inst uint64) {
-	if !c.leading || !c.owns(inst) || !c.stamps() {
-		return
-	}
-	if c.ing != nil {
-		c.ing.Flush()
-	}
-	for n := 0; n < skipMax; n++ {
-		at := c.freeSlot()
-		if at > inst {
-			return
-		}
-		c.stampAt(at, Noop(at), nil)
-		c.filled++
 	}
 }

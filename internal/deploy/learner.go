@@ -42,6 +42,10 @@ type learner struct {
 	// coords is ShardCoords(shard) per shard, built once: the targets of the
 	// ack every learned instance draws, and of fills and skip hints.
 	coords [][]msg.NodeID
+	// hi is one past the highest instance learned live, in any shard: the
+	// high-water mark every ack carries (msg.P2b.Hi), so a shard's stamper
+	// claims the slots the merge would otherwise wait on.
+	hi uint64
 	// The skip-hint clock (timerIdle): armed while instances sit buffered
 	// above the merge frontier, it fires every idleEvery ticks — one BatchWait;
 	// 0, never, with a single shard — and a frontier still at idleNext when it
@@ -208,7 +212,9 @@ func (l *learner) armIdle() {
 // on shards that consumed fewer sequence slots than their peers: each is sent
 // one skip hint (msg.Fill with Idle set) naming its last hole, so its stamper
 // claims every slot through it — with what it has buffered, then no-ops — long
-// before the FillAfter watch would. The hint is not repeated at the same
+// before the FillAfter watch would. The acks' high-water mark (ack) asks the
+// same of a shard with instances in flight; the hint is the backstop for a
+// shard with none, which draws no acks. It is not repeated at the same
 // frontier: a lost one leaves the stall to that watch, as before.
 func (l *learner) onIdle() {
 	l.idleArmed = false
@@ -228,14 +234,16 @@ func (l *learner) onIdle() {
 
 // onLearn is the protocol learner's callback: a quorum of 2bs decided inst.
 func (l *learner) onLearn(inst uint64, cmd cstruct.Cmd) {
+	l.hi = max(l.hi, inst+1)
 	l.feed(inst, cmd)
 	l.ack(inst)
 }
 
-// ack quiesces the owning group's retransmission of a learned instance
-// (classic.Cluster delivers the same ack on the simulator).
+// ack quiesces the owning group's retransmission of a learned instance and
+// tells it the learned high-water mark (classic.Cluster delivers the same ack
+// on the simulator, without the mark).
 func (l *learner) ack(inst uint64) {
-	node.Broadcast(l.env, l.group(inst), msg.P2b{Inst: inst})
+	node.Broadcast(l.env, l.group(inst), msg.P2b{Inst: inst, Hi: l.hi})
 }
 
 // group returns the coordinators of the shard owning inst.

@@ -159,6 +159,38 @@ func TestLearnerAckTargetsAllocateNothing(t *testing.T) {
 	}
 }
 
+// Every ack carries the learned high-water mark — one past the highest
+// instance learned, in any shard — so the owning shard's stamper claims the
+// slots the merge waits on: the ack of a fresh learn and the re-ack a
+// re-announced 2b draws (OnDuplicate) alike.
+func TestLearnerAcksCarryHighWaterMark(t *testing.T) {
+	l, env, cfg := testShardedLearner(t, 2, 1, nil)
+	cmd := func(i uint64) cstruct.Cmd { return smr.SetCmd(classic.CmdID(1, i), "k", fmt.Sprint(i)) }
+	acked := func(what string, inst, hi uint64) {
+		t.Helper()
+		acks, tos := sentTo[msg.P2b](take(env))
+		group := cfg.ShardCoords(cfg.ShardOf(inst))
+		if !equalIDs(tos, group) {
+			t.Fatalf("%s: acks went to %v, want instance %d's group %v", what, tos, inst, group)
+		}
+		for _, a := range acks {
+			if a.Inst != inst || a.Hi != hi {
+				t.Errorf("%s: sent %+v, want P2b{Inst: %d, Hi: %d}", what, a, inst, hi)
+			}
+		}
+	}
+	decide(l, cfg, 0, cmd(0))
+	acked("first learn", 0, 1)
+	decide(l, cfg, 4, cmd(4)) // shard 0 runs ahead; buffered in the merge
+	acked("learn above a hole", 4, 5)
+	decide(l, cfg, 1, cmd(1))
+	acked("shard 1's learn below the mark", 1, 5)
+	rnd := ballot.Ballot{MCount: 1}
+	l.OnMessage(cfg.Acceptors[2], msg.P2b{Inst: 1, Rnd: rnd, Acc: cfg.Acceptors[2],
+		Val: cstruct.NewSingleValue(cmd(1)), Again: true})
+	acked("re-ack of a re-announced 2b", 1, 5)
+}
+
 // (b) A peer's pull below the log base is refused with the floor attached and
 // no commands; at or above it the response carries at most
 // min(Max, catchupChunk) commands.

@@ -184,6 +184,13 @@ type P2b struct {
 	Rnd  ballot.Ballot
 	Acc  NodeID
 	Val  cstruct.CStruct
+	// Hi is carried by a learner's acknowledgement only: one past the highest
+	// instance the learner has learned, in any shard. It tells the shard's
+	// stamper how far the other shards have run ahead, so it claims its own
+	// free slots below it at once instead of leaving holes the merged order
+	// waits on. Zero on every vote, and on an ack from a learner that has
+	// learned nothing.
+	Hi uint64
 	// Again marks a 2b drawn by a 2a for an instance the acceptor had already
 	// voted in: a re-announcement of the vote it holds, or a new vote over an
 	// earlier round's. The sender of that 2a may be waiting on an instance
@@ -304,10 +311,14 @@ func (m CatchupResp) Instance() uint64 { return m.From }
 //
 // With Idle set it is the skip hint instead (the Mencius skip): the shard has
 // consumed fewer sequence slots than its peers, the merged order waits on
-// slots it never claimed, and Inst names the last of them. Only the shard's
-// stamper answers, by stamping the no-op into every unclaimed slot through
-// Inst as ordinary stamps — after whatever it has buffered — so the hint can
-// be sent early (one BatchWait, not FillAfter) without racing a real stamp.
+// slots it never claimed, and Inst names the last of them. The hint counts
+// as a high-water mark of Inst+1, like an ack's P2b.Hi: only the shard's
+// stamper acts on it, by stamping every unclaimed slot through Inst as
+// ordinary stamps — its buffered commands first, one a slot, then the
+// canonical no-op — so the hint can be sent early (one BatchWait, not
+// FillAfter) without racing a real stamp. Acks carry the same mark for
+// every decided instance; the hint is the backstop for a shard with nothing
+// in flight, which draws no acks.
 type Fill struct {
 	// Inst is the stalled instance (the learner's merge frontier), or with
 	// Idle the shard's last missing instance below the highest buffered one.

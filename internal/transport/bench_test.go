@@ -103,3 +103,28 @@ func TestEncodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeAllocs pins the decoder's allocation budget for a vote: a 2a or
+// 2b carrying a one-command value costs the command's key and payload copies,
+// the boxed SingleValue and the boxed message — the value is read straight
+// into its SingleValue, with no command slice and no boxed ⊥ beside it.
+func TestDecodeAllocs(t *testing.T) {
+	c := Codec{Set: cstruct.SingleValueSet{}}
+	for _, tc := range benchMsgs() {
+		if tc.name != "P2a" && tc.name != "P2b" {
+			continue
+		}
+		data, err := c.Encode(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := c.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 4 {
+			t.Errorf("%s: %v allocs per decode, want 4", tc.name, got)
+		}
+	}
+}

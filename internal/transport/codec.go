@@ -11,7 +11,7 @@
 //	[version: 1 byte = 0x02]  [type tag: 1 byte]  [flags: 1 byte]  [fields...]
 //
 // where flags packs the optional-field markers (HasVal, Multi, HasSeq,
-// HasClient, HasFloor, Again, Idle) and the fields are fixed per type tag, built from the
+// HasClient, HasFloor, Again, Idle, HasHi) and the fields are fixed per type tag, built from the
 // layouts package wire defines (shared with the WAL's record codec):
 // integers are unsigned varints, ballots are four varints, and commands,
 // strings and node-ID sets are length-prefixed sections. The encoding is
@@ -54,6 +54,10 @@ const (
 	// flagIdle marks a Fill as the skip hint (Fill.Idle). Fill carries no
 	// value, so it reuses bit 0.
 	flagIdle = 1 << 0
+	// flagHasHi marks a learner's ack carrying its nonzero learned
+	// high-water mark (P2b.Hi). Bit 1 stays unused: it marked fast rounds'
+	// Any values in earlier builds.
+	flagHasHi = 1 << 7
 )
 
 // Codec encodes protocol messages for the TCP transport. It needs the
@@ -194,12 +198,18 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		if mm.Again {
 			flags |= flagAgain
 		}
+		if mm.Hi != 0 {
+			flags |= flagHasHi
+		}
 		dst = append(dst, verBinary, byte(msg.TP2b), flags)
 		dst = wire.AppendUvarint(dst, mm.Inst)
 		dst = wire.AppendBallot(dst, mm.Rnd)
 		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
 		if hasVal {
 			dst = appendVal(dst, mm.Val)
+		}
+		if mm.Hi != 0 {
+			dst = wire.AppendUvarint(dst, mm.Hi)
 		}
 		return dst, nil
 	case msg.Stale:
@@ -280,13 +290,20 @@ func readNodeIDs(r *wire.Reader) []msg.NodeID {
 	return out
 }
 
-// rebuild turns a wire command sequence back into a c-struct of the codec's
-// set; has distinguishes nil from ⊥.
-func (c Codec) rebuild(cmds []cstruct.Cmd, has bool) cstruct.CStruct {
-	if !has {
-		return nil
+// readVal reads a non-nil c-struct of the codec's set, the inverse of
+// appendVal. A one-command value of SingleValueSet — every vote of the
+// consensus hot path — decodes straight to its SingleValue, boxed once,
+// without the slice and the boxed ⊥ that appending to Bottom would cost.
+func (c Codec) readVal(r *wire.Reader) cstruct.CStruct {
+	n := r.Count("cmd count", 4) // as wire.Reader.Cmds: ≥4 bytes a command
+	if _, single := c.Set.(cstruct.SingleValueSet); single && n == 1 {
+		return cstruct.NewSingleValue(r.Cmd())
 	}
-	return cstruct.AppendSeq(c.Set.Bottom(), cmds)
+	v := c.Set.Bottom()
+	for i := 0; i < n && r.Err == nil; i++ {
+		v = v.Append(r.Cmd())
+	}
+	return v
 }
 
 // decode reads the fields of one frame of type typ; its errors name the
@@ -341,7 +358,7 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 			v := msg.InstVote{Inst: r.Uvarint("vote inst"), VRnd: r.Ballot()}
 			switch r.Byte("vote has") {
 			case 1:
-				v.VVal = c.rebuild(r.Cmds(), true)
+				v.VVal = c.readVal(r)
 			case 0:
 			default:
 				r.Fail("vote has")
@@ -359,11 +376,11 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 			Coord: msg.NodeID(r.U32("coord")),
 		}
 		if flags&flagHasVal != 0 {
-			mm.Val = c.rebuild(r.Cmds(), true)
+			mm.Val = c.readVal(r)
 		}
 		m = mm
 	case msg.TP2b:
-		if flags&^(flagHasVal|flagAgain) != 0 {
+		if flags&^(flagHasVal|flagAgain|flagHasHi) != 0 {
 			return nil, fmt.Errorf("bad 2b flags %#x", flags)
 		}
 		mm := msg.P2b{
@@ -373,7 +390,14 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 			Again: flags&flagAgain != 0,
 		}
 		if flags&flagHasVal != 0 {
-			mm.Val = c.rebuild(r.Cmds(), true)
+			mm.Val = c.readVal(r)
+		}
+		if flags&flagHasHi != 0 {
+			mm.Hi = r.Uvarint("hi")
+			if r.Err == nil && mm.Hi == 0 {
+				// Canonical encoding: the flag is set iff Hi is non-zero.
+				r.Fail("hi")
+			}
 		}
 		m = mm
 	case msg.TStale:

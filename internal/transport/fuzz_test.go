@@ -15,7 +15,7 @@ import (
 // the multicoordinated path (P2a.Coord, Propose.Seq/HasSeq, P1bMulti.Shard)
 // and the server-side ingress fields (Propose.Client/Req: max-varint, zero
 // request, and the absent-flag pre-stamped form; Fill and its skip hint; the
-// re-announced 2b).
+// re-announced 2b; a learner's ack carrying its learned high-water mark).
 func fuzzSeeds() []msg.Message {
 	b := ballot.Ballot{MCount: 1, MinCount: 2, ID: 3, RType: 4}
 	sv := cstruct.NewSingleValue(cstruct.Cmd{ID: 9, Key: "k", Op: cstruct.OpWrite, Payload: []byte("p")})
@@ -36,6 +36,7 @@ func fuzzSeeds() []msg.Message {
 		msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: sv},
 		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv},
 		msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv, Again: true},
+		msg.P2b{Inst: 4, Hi: 300},
 		msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero},
 		msg.Heartbeat{From: 100, Epoch: 9},
 		msg.Reply{CmdID: 1<<40 | 3, From: 300, Inst: 11, Result: "OK"},

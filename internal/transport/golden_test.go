@@ -26,6 +26,7 @@ var goldenFrames = []struct{ name, hex string }{
 	{"2a", "02 04 01 03 01 02 03 04 66 01 09 01 6b 02 01 70"},
 	{"2b", "02 05 01 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
 	{"2b-again", "02 05 41 04 01 02 03 04 ca 01 01 09 01 6b 02 01 70"},
+	{"2b-ack-hi", "02 05 80 04 00 00 00 00 00 ac 02"},
 	{"stale", "02 06 00 05 c8 01 01 02 03 04 00 00 00 00"},
 	{"heartbeat", "02 07 00 64 09"},
 	{"reply", "02 08 00 83 80 80 80 80 20 ac 02 0b 02 4f 4b"},

@@ -275,8 +275,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// codec copies out what the decoded message keeps.
 	f := getFrame()
 	defer putFrame(f)
+	// The header array escapes through io.ReadFull's interface: declared
+	// once, it costs one allocation per connection, not one per frame.
+	var hdr [frameHdrLen]byte
 	for {
-		var hdr [frameHdrLen]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -584,5 +586,66 @@ func TestTCPWriterKeepsAtMostWriteChunk(t *testing.T) {
 		if tc.name == "small frames" && cap(f.b) == 0 {
 			t.Errorf("%s: the buffer was dropped; small frames must not grow it past %d", tc.name, writeChunk)
 		}
+	}
+}
+
+// A received frame costs the reader no allocation beyond decoding it: 2,000
+// frames of one 2b, fed to an endpoint's reader over net.Pipe, take no more
+// mallocs each than Codec.Decode of the same frame (a header array declared
+// per frame escapes, one allocation each).
+func TestTCPReadAllocsPerFrame(t *testing.T) {
+	const frames = 2000
+	c := Codec{Set: cstruct.SingleValueSet{}}
+	body, err := c.Encode(msg.P2b{Inst: 4, Rnd: ballot.Ballot{MCount: 1, ID: 3}, Acc: 202,
+		Val: cstruct.NewSingleValue(cstruct.Cmd{ID: 9, Key: "k", Op: cstruct.OpWrite, Payload: []byte("p")})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := c.Decode(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	frame := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 1), uint32(len(body)))
+	frame = append(frame, body...)
+	var stream []byte
+	for range frames {
+		stream = append(stream, frame...)
+	}
+
+	var got atomic.Int64
+	warm, done := make(chan struct{}), make(chan struct{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPOnListener(2, ln, map[msg.NodeID]string{2: ln.Addr().String()}, c, func(msg.NodeID, msg.Message) {
+		switch got.Add(1) {
+		case 1:
+			close(warm)
+		case frames + 1:
+			close(done)
+		}
+	})
+	defer tr.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	tr.wg.Add(1)
+	go tr.readLoop(server)
+	// One frame first: the reader's per-connection buffers are in place
+	// before counting starts.
+	if _, err := client.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	<-warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := client.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / frames; per > decode+0.5 {
+		t.Errorf("%.2f mallocs per received frame, want at most Decode's %v", per, decode)
 	}
 }
