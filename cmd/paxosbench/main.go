@@ -421,8 +421,9 @@ func e15(shards, coords, maxClients, perClient, workers int) error {
 			fmt.Printf("           (retries=%d rotations=%d)\n", r.Retries, r.Rotations)
 		}
 	}
-	fmt.Println("  (clients tag commands (ClientID, ReqID) and never sequence; the shard's")
-	fmt.Println("   primary coordinator stamps Seq at ingress and shares the stamp with its")
-	fmt.Println("   group, so independent client processes feed one multicoordinated stream)")
+	fmt.Println("  (a request is its command ID (client, request counter) and clients never")
+	fmt.Println("   sequence; the shard's primary coordinator stamps Seq at ingress and shares")
+	fmt.Println("   the stamp with its group, so independent client processes feed one")
+	fmt.Println("   multicoordinated stream)")
 	return nil
 }

@@ -5,8 +5,9 @@
 // deterministic and measurable under either host.
 //
 // There is no recovery hook: both hosts restart a node by building a new
-// Handler over its stable storage (sim.Sim.Restart, runtime.Network.Restart),
-// so an agent's constructor is the one place volatile state is initialised.
+// Handler over its stable storage (sim.Sim.Restart; on the goroutine runtime,
+// Stop plus a new runtime.Network that Spawns the node again), so an agent's
+// constructor is the one place volatile state is initialised.
 //
 // A host delivers in bursts: the goroutine runtime hands an agent the item it
 // woke for plus whatever was already queued behind it, the simulator one event

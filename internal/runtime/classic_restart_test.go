@@ -15,12 +15,13 @@ import (
 
 // TestRestartOverWALForgetsPartialTally is the runtime half of the
 // multicoordinated recovery path: a WAL-backed classic acceptor in a
-// 3-member coordinator-group deployment is crash-restarted via
-// Network.Restart in the middle of a batch — one instance fully accepted
+// 3-member coordinator-group deployment, hosted on its own Network, is
+// crash-restarted — Stop, then a new Network over the reopened WAL, as a
+// deployment restarts a node — in the middle of a batch — one instance fully accepted
 // (vote on disk), the next holding a partial coordinator tally (one of the
 // required two matching 2as arrived). The tally was never written, so the
 // replacement comes back with the vote alone, above every round its previous
-// life can have joined, for exactly one disk write — Restart asks nothing of
+// life can have joined, for exactly one disk write — a restart asks nothing of
 // the handler it builds. The stalled instance then completes from the
 // group's retransmitted 2as in a higher round, as the Stale-driven recovery
 // would drive it.
@@ -73,16 +74,18 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 	}
 
 	// Hard restart: the old agent dies with its volatile state and fd, the
-	// replacement replays the log directory.
-	restarted := n.Restart(200, func(env node.Env) node.Handler {
-		w.Close()
-		var err error
-		if w, err = wal.Open(dir, wal.Options{}); err != nil {
-			t.Errorf("reopen wal: %v", err)
-		}
+	// replacement replays the log directory on a host of its own.
+	n.Stop()
+	w.Close()
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatalf("reopen wal: %v", err)
+	}
+	defer func() { w.Close() }()
+	n = NewNetwork()
+	defer n.Stop()
+	restarted := n.Spawn(200, func(env node.Env) node.Handler {
 		return classic.NewAcceptor(env, cfg, w)
 	})
-	defer func() { w.Close() }()
 
 	if got := w.Writes(); got != 1 {
 		t.Errorf("recovery over the reopened WAL cost %d writes, want exactly 1", got)

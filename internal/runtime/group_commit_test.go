@@ -50,14 +50,14 @@ func (v *voteLog) count() int {
 }
 
 // TestAcceptorGroupCommitOverWAL is the acceptor's group commit on the
-// goroutine host over real WALs: 2as arriving while an fsync is under way
+// goroutine host over real WALs, one acceptor per host as deployed, each
+// host's route capturing its 2bs: 2as arriving while an fsync is under way
 // queue in the mailbox and are committed by the next burst's one write, so
 // under concurrent load an accepted instance costs less than one fsync. Every
-// vote a 2b reported was durable before the 2b left: after all three acceptors
-// restart, each is back.
+// vote a 2b reported was durable before the 2b left: after all three
+// acceptors restart — Stop, then a new host over the reopened WAL — each is
+// back.
 func TestAcceptorGroupCommitOverWAL(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	cfg := classic.Config{
 		Coords:    []msg.NodeID{100},
 		Acceptors: []msg.NodeID{200, 201, 202},
@@ -76,35 +76,39 @@ func TestAcceptorGroupCommitOverWAL(t *testing.T) {
 		return f.Sync()
 	}}
 	base := t.TempDir()
+	seen := &voteLog{votes: make(map[msg.NodeID]map[uint64]uint64)}
+	hosts := make(map[msg.NodeID]*Network)
+	agents := make(map[msg.NodeID]*Agent)
 	wals := make(map[msg.NodeID]*wal.WAL)
-	build := func(id msg.NodeID) func(node.Env) node.Handler {
-		return func(env node.Env) node.Handler {
-			if old := wals[id]; old != nil {
-				old.Close() // the old process's fd dies with it
-			}
-			w, err := wal.Open(filepath.Join(base, id.String()), opts)
-			if err != nil {
-				t.Fatalf("open wal for %v: %v", id, err)
-			}
-			wals[id] = w
-			return classic.NewAcceptor(env, cfg, w)
+	// start hosts acceptor id on a new Network over its WAL, reopened if an
+	// earlier incarnation had it open: that process is gone, its fd with it.
+	start := func(id msg.NodeID) {
+		if old := hosts[id]; old != nil {
+			old.Stop()
+			wals[id].Close()
 		}
+		w, err := wal.Open(filepath.Join(base, id.String()), opts)
+		if err != nil {
+			t.Fatalf("open wal for %v: %v", id, err)
+		}
+		wals[id] = w
+		n := NewNetwork()
+		n.SetFallback(func(from, _ msg.NodeID, m msg.Message) { seen.OnMessage(from, m) })
+		hosts[id] = n
+		agents[id] = n.Spawn(id, func(env node.Env) node.Handler { return classic.NewAcceptor(env, cfg, w) })
 	}
 	defer func() {
-		n.Stop()
-		for _, w := range wals {
-			w.Close()
+		for id, n := range hosts {
+			n.Stop()
+			wals[id].Close()
 		}
 	}()
-	agents := make(map[msg.NodeID]*Agent)
 	for _, id := range cfg.Acceptors {
-		agents[id] = n.Spawn(id, build(id))
+		start(id)
 	}
-	seen := &voteLog{votes: make(map[msg.NodeID]map[uint64]uint64)}
-	n.Spawn(300, func(node.Env) node.Handler { return seen })
 
 	const insts, senders = 96, 4
-	start := fsyncs.Load()
+	begin := fsyncs.Load()
 	r := ballot.Ballot{MinCount: 1, ID: 100}
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
@@ -121,7 +125,7 @@ func TestAcceptorGroupCommitOverWAL(t *testing.T) {
 	}
 	wg.Wait()
 	waitFor(t, "every acceptor's 2b for every instance", func() bool { return seen.count() == insts*len(agents) })
-	got := fsyncs.Load() - start
+	got := fsyncs.Load() - begin
 	if perInst := float64(got) / float64(insts*len(agents)); perInst >= 1 {
 		t.Fatalf("%d fsyncs for %d accepted instances: %.2f per instance, want < 1", got, insts*len(agents), perInst)
 	}
@@ -131,7 +135,8 @@ func TestAcceptorGroupCommitOverWAL(t *testing.T) {
 	observed := seen.votes
 	seen.mu.Unlock()
 	for _, id := range cfg.Acceptors {
-		n.Restart(id, build(id)).Do(func(h node.Handler) {
+		start(id)
+		agents[id].Do(func(h node.Handler) {
 			a := h.(*classic.Acceptor)
 			for inst, cmd := range observed[id] {
 				if _, v, ok := a.Vote(inst); !ok || v.ID != cmd {

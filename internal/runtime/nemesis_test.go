@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,36 +25,36 @@ func (h *timerCounter) OnMessage(_ msg.NodeID, m msg.Message) {
 
 func (h *timerCounter) OnTimer(int) { h.fires.Add(1) }
 
-// TestRestartDropsStaleTimers pins the crash-boundary rule for timers: a
-// timer armed before Network.Restart must not fire into any handler — not
-// the dead incarnation, and above all not the restarted one under the same
-// ID — mirroring the simulator's epoch guard. Without the incarnation check
-// in SetTimer a pre-restart retransmission deadline could reach the fresh
-// handler as a phantom timeout and trigger a spurious round change.
-func TestRestartDropsStaleTimers(t *testing.T) {
-	n := NewNetwork()
-	n.Tick = time.Millisecond
-	defer n.Stop()
-
+// TestStopDropsArmedTimers pins the crash-boundary rule for timers: a timer
+// armed before Stop must not fire into any handler — not the stopped one, and
+// above all not a fresh one hosted under the same ID on a new Network, which
+// is how a node restarts — mirroring the simulator's epoch guard. A stale
+// retransmission deadline reaching a recovered coordinator would be a phantom
+// timeout and could trigger a spurious round change.
+func TestStopDropsArmedTimers(t *testing.T) {
 	old := &timerCounter{}
-	n.Spawn(7, func(env node.Env) node.Handler { old.env = env; return old })
-	// Arm a 30-tick timer from the mailbox goroutine, then restart at ~0.
-	n.Send(7, 7, msg.Heartbeat{From: 7, Epoch: 30})
-	time.Sleep(5 * time.Millisecond)
+	n := NewNetwork()
+	a := n.Spawn(7, func(env node.Env) node.Handler { old.env = env; return old })
+	// Arm a 30-tick timer from the mailbox goroutine, then stop at ~0.
+	a.Inject(7, msg.Heartbeat{From: 7, Epoch: 30})
+	a.Do(func(node.Handler) {})
+	n.Stop()
 
 	fresh := &timerCounter{}
-	n.Restart(7, func(env node.Env) node.Handler { fresh.env = env; return fresh })
+	restarted := NewNetwork()
+	defer restarted.Stop()
+	b := restarted.Spawn(7, func(env node.Env) node.Handler { fresh.env = env; return fresh })
 	time.Sleep(80 * time.Millisecond) // well past the stale deadline
 
 	if got := fresh.fires.Load(); got != 0 {
 		t.Fatalf("stale timer fired %d times into the restarted handler", got)
 	}
 	if got := old.fires.Load(); got != 0 {
-		t.Fatalf("stale timer fired %d times into the dead incarnation", got)
+		t.Fatalf("stale timer fired %d times into the stopped handler", got)
 	}
 
 	// The restarted incarnation's own timers still work.
-	n.Send(7, 7, msg.Heartbeat{From: 7, Epoch: 2})
+	b.Inject(7, msg.Heartbeat{From: 7, Epoch: 2})
 	deadline := time.Now().Add(2 * time.Second)
 	for fresh.fires.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -120,46 +121,43 @@ func TestDoOutlastsItsClosureAcrossStop(t *testing.T) {
 	<-stopped
 }
 
+// TestNetworkFaultsDropDupAndPartition: a hosted node's own sends, made on
+// its mailbox goroutine through its Env, are adjudicated by the network's
+// injector before they reach the route.
 func TestNetworkFaultsDropDupAndPartition(t *testing.T) {
 	n := NewNetwork()
 	n.Tick = time.Millisecond
 	defer n.Stop()
+	a, s := spawnSender(n, 1)
 	recv := &collector{}
-	n.Spawn(2, func(node.Env) node.Handler { return recv })
-	n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
+	n.SetFallback(func(from, _ msg.NodeID, m msg.Message) { recv.OnMessage(from, m) })
 
 	f := faults.New(3)
 	n.SetFaults(f)
-
-	wait := func(want int) bool {
-		deadline := time.Now().Add(2 * time.Second)
-		for recv.count() < want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		return recv.count() >= want
-	}
+	send := func() { sendAs(a, s, []msg.NodeID{2}, msg.Heartbeat{From: 1}) }
 
 	// Partitioned: nothing arrives.
 	f.Partition([]msg.NodeID{1}, []msg.NodeID{2})
-	n.Send(1, 2, msg.Heartbeat{From: 1})
+	send()
 	time.Sleep(20 * time.Millisecond)
 	if recv.count() != 0 {
 		t.Fatalf("partitioned network delivered %d messages", recv.count())
 	}
 
 	// Healed with dup=1: two copies (the duplicate arrives via the delayed
-	// path, exercising the AfterFunc re-lookup).
+	// path, routed when it lands).
 	f.Heal()
 	f.SetDup(1)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
-	if !wait(2) {
+	send()
+	waitFor(t, "both copies of a duplicated send", func() bool { return recv.count() >= 2 })
+	if recv.count() != 2 {
 		t.Fatalf("dup=1 delivered %d copies, want 2", recv.count())
 	}
 
 	// Loss=1 after healing: dropped again.
 	f.Clear()
 	f.SetLoss(1)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
+	send()
 	time.Sleep(20 * time.Millisecond)
 	if recv.count() != 2 {
 		t.Fatalf("loss=1 delivered a message")
@@ -255,29 +253,43 @@ func TestFallbackDelayedCopyAfterStopDropped(t *testing.T) {
 }
 
 // TestDelayedDeliveryCrossesRestart pins the asymmetry between messages and
-// timers at a crash boundary: a delayed message copy lands in whatever
-// incarnation is live on arrival (the network may hold messages arbitrarily
-// long), while timers die with their incarnation.
+// timers at a crash boundary: a delayed copy is routed when it lands, and so
+// reaches whatever incarnation of its destination is live on arrival (the
+// network may hold messages arbitrarily long), while timers die with their
+// incarnation (TestStopDropsArmedTimers). Node 2 restarts as deploy restarts a
+// node, Stop plus a new Network; the sender's route finds the live one.
 func TestDelayedDeliveryCrossesRestart(t *testing.T) {
+	var mu sync.Mutex // held across the restart: a copy landing then waits
+	first, second := &collector{}, &collector{}
+	host2 := NewNetwork()
+	dst := host2.Spawn(2, func(node.Env) node.Handler { return first })
+
 	n := NewNetwork()
 	n.Tick = time.Millisecond
 	defer n.Stop()
-	first := &collector{}
-	n.Spawn(2, func(node.Env) node.Handler { return first })
-	n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
-
+	n.SetFallback(func(from, to msg.NodeID, m msg.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		dst.Inject(from, m)
+	})
 	f := faults.New(1)
-	f.SetReorder(1, 40) // every delivery delayed 1..40 ticks
+	f.SetReorder(1, 40) // every copy delayed 1..40 ticks
 	n.SetFaults(f)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
 
-	second := &collector{}
-	n.Restart(2, func(node.Env) node.Handler { return second })
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && first.count()+second.count() == 0 {
-		time.Sleep(time.Millisecond)
+	mu.Lock()
+	n.Send(1, 2, msg.Heartbeat{From: 1})
+	host2.Stop()
+	host2 = NewNetwork()
+	defer func() { host2.Stop() }()
+	dst = host2.Spawn(2, func(node.Env) node.Handler { return second })
+	mu.Unlock()
+
+	waitFor(t, "the delayed copy", func() bool { return first.count()+second.count() > 0 })
+	if first.count() != 0 || second.count() != 1 {
+		t.Fatalf("the delayed copy reached the stopped incarnation %d times and the live one %d times, want 0 and 1",
+			first.count(), second.count())
 	}
-	if first.count()+second.count() == 0 {
-		t.Fatalf("delayed message was lost across the restart window")
+	if s := f.Stats(); s.Delayed != 1 {
+		t.Fatalf("delayed = %d, want 1", s.Delayed)
 	}
 }

@@ -1,8 +1,9 @@
-// Package runtime hosts the protocol state machines on goroutines with real
-// time, complementing the deterministic simulator: the same agents (they
-// only know node.Env) run over an in-process channel network or the TCP
-// transport. Each agent's handler runs on a single mailbox goroutine, so
-// agent code needs no internal locking.
+// Package runtime hosts one protocol node on goroutines with real time,
+// complementing the deterministic simulator: the same agents (they only know
+// node.Env) run here, one per Network, each behind its own route off the host
+// (in a deployment, the node's TCP transport). The node's handler runs on a
+// single mailbox goroutine, so agent code needs no internal locking. A whole
+// deployment in one process, every node on one bus, is the simulator's job.
 //
 // The mailbox delivers in bursts: the item it woke for, then the items that
 // were already queued when the burst began, then node.IdleHandler.OnIdle. A
@@ -10,9 +11,6 @@
 package runtime
 
 import (
-	"bytes"
-	rt "runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,41 +35,40 @@ type inbound struct {
 	tag  int
 }
 
-// Network is an in-process message bus connecting Agents. The zero value is
-// not usable; call NewNetwork.
+// Network hosts exactly one node: its mailbox, its clock (Tick), its one fault
+// hook (SetFaults) and its outbound route (SetFallback). A restart is Stop
+// plus a new Network, so no handler ever shares an agent, or a timer, with an
+// earlier incarnation. The zero value is not usable; call NewNetwork.
 type Network struct {
-	mu     sync.RWMutex
-	agents map[msg.NodeID]*Agent
-	start  time.Time
+	mu    sync.RWMutex
+	agent *Agent // the hosted node, nil until Spawn
+	start time.Time
 	// Tick is the duration of one node.Env time unit (default 1ms).
 	Tick time.Duration
-	// fallback, when set, receives messages addressed to nodes this
-	// network does not host (e.g. to forward them over TCP).
+	// fallback, when set, receives every message addressed to another node
+	// (e.g. to forward it over TCP).
 	fallback func(from, to msg.NodeID, m msg.Message)
 	faults   atomic.Pointer[faults.Faults] // see SetFaults
 }
 
-// NewNetwork builds an empty in-process network.
+// NewNetwork builds a host with no node yet.
 func NewNetwork() *Network {
-	return &Network{
-		agents: make(map[msg.NodeID]*Agent),
-		start:  time.Now(),
-		Tick:   time.Millisecond,
-	}
+	return &Network{start: time.Now(), Tick: time.Millisecond}
 }
 
-// SetFallback installs the off-network route under the network's lock, so it
-// may be set while agents are already receiving traffic (Send reads it under
-// the same lock). Messages routed before the fallback is installed, or after
-// Stop, are dropped, which the asynchronous model allows.
+// SetFallback installs the route off the host under the network's lock, so it
+// may be set while the node is already sending (route reads it under the same
+// lock). Messages routed before the fallback is installed, or after Stop, are
+// dropped, which the asynchronous model allows.
 func (n *Network) SetFallback(fb func(from, to msg.NodeID, m msg.Message)) {
 	n.mu.Lock()
 	n.fallback = fb
 	n.mu.Unlock()
 }
 
-// Spawn creates an agent: build receives the agent's Env and returns its
-// handler. The mailbox goroutine starts immediately.
+// Spawn hosts the network's one node: build receives the node's Env and
+// returns its handler. The mailbox goroutine starts immediately. A second
+// Spawn on the same Network panics: a restarted node gets a new Network.
 func (n *Network) Spawn(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
 	a := &Agent{
 		id:    id,
@@ -79,38 +76,24 @@ func (n *Network) Spawn(id msg.NodeID, build func(env node.Env) node.Handler) *A
 		inbox: make(chan inbound, 1024),
 		done:  make(chan struct{}),
 	}
-	a.handler = build(a.env())
 	n.mu.Lock()
-	n.agents[id] = a
+	if n.agent != nil {
+		n.mu.Unlock()
+		panic("runtime: a Network hosts one node; " + id.String() + " spawned on " + n.agent.id.String() + "'s")
+	}
+	n.agent = a
 	n.mu.Unlock()
+	a.handler = build(a.env())
 	a.wg.Add(1)
 	go a.loop()
 	return a
 }
 
-// Restart models a process crash-and-restart of node id: the old agent is
-// stopped and its handler (the process's volatile state) discarded, and build
-// constructs a fresh handler — for an acceptor, over a reopened WAL, which is
-// the acceptor's recovery (Section 4.4): nothing more is asked of the
-// handler. Messages sent to id while it is down are dropped, as the
-// asynchronous model allows.
-func (n *Network) Restart(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
-	n.mu.Lock()
-	old := n.agents[id]
-	delete(n.agents, id)
-	n.mu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
-	return n.Spawn(id, build)
-}
-
 // SetFaults installs (or, with nil, removes) an adversarial fault injector:
 // every send is adjudicated by it — dropped, duplicated, or delayed in Ticks
-// — before it is routed, locally or through the fallback, and every timer an
-// agent arms is skewed by it. It is the live path's one fault hook: the
-// simulator takes the same injector, and the TCP transport below carries
-// none.
+// — before it is routed, and every timer the node arms is skewed by it. It is
+// the live path's one fault hook: the simulator takes the same injector, and
+// the TCP transport below carries none.
 func (n *Network) SetFaults(f *faults.Faults) { n.faults.Store(f) }
 
 // Send adjudicates a message through the fault injector, drawing its fate on
@@ -122,41 +105,36 @@ func (n *Network) Send(from, to msg.NodeID, m msg.Message) {
 			n.route(from, to, m)
 			continue
 		}
-		// A delayed copy reaches whatever incarnation of the node is live
-		// when it lands — deliveries across a restart are legal (the network
-		// may hold messages arbitrarily long), unlike timers.
+		// A delayed copy reaches whatever incarnation of its destination is
+		// live when it lands — deliveries across a restart are legal (the
+		// network may hold messages arbitrarily long), unlike timers.
 		time.AfterFunc(time.Duration(extra)*n.Tick, func() { n.route(from, to, m) })
 	}
 }
 
-// route hands one copy of a message to its local agent, or to the fallback
-// for a node this network does not host; with neither it is dropped (the
+// route hands one copy of a message to the hosted node if it is addressed
+// there, and otherwise to the fallback; with no fallback it is dropped (the
 // asynchronous model allows loss).
 func (n *Network) route(from, to msg.NodeID, m msg.Message) {
 	n.mu.RLock()
-	dst, ok := n.agents[to]
-	fb := n.fallback
+	a, fb := n.agent, n.fallback
 	n.mu.RUnlock()
 	switch {
-	case ok:
-		dst.enqueue(inbound{kind: kindMsg, from: from, m: m})
+	case a != nil && a.id == to:
+		a.enqueue(inbound{kind: kindMsg, from: from, m: m})
 	case fb != nil:
 		fb(from, to, m)
 	}
 }
 
-// Stop shuts every agent down and waits for their goroutines. It clears the
+// Stop shuts the node down and waits for its goroutine. It clears the
 // fallback too, so a delayed copy that lands afterwards goes nowhere.
 func (n *Network) Stop() {
 	n.mu.Lock()
-	agents := make([]*Agent, 0, len(n.agents))
-	for _, a := range n.agents {
-		agents = append(agents, a)
-	}
-	n.agents = make(map[msg.NodeID]*Agent)
+	a := n.agent
 	n.fallback = nil
 	n.mu.Unlock()
-	for _, a := range agents {
+	if a != nil {
 		a.Stop()
 	}
 }
@@ -172,27 +150,6 @@ type Agent struct {
 	done    chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
-	// loopGID is the goroutine ID of the mailbox loop, so Do can detect
-	// re-entrant calls from handler code and run them inline instead of
-	// deadlocking on its own mailbox.
-	loopGID atomic.Uint64
-}
-
-// gid returns the calling goroutine's ID, parsed from the runtime stack
-// header ("goroutine N [...]"). Only Do pays this cost; the message hot
-// path never calls it.
-func gid() uint64 {
-	var buf [64]byte
-	n := rt.Stack(buf[:], false)
-	fields := bytes.Fields(buf[:n])
-	if len(fields) < 2 {
-		return 0
-	}
-	id, err := strconv.ParseUint(string(fields[1]), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return id
 }
 
 // ID returns the agent's node ID.
@@ -205,19 +162,15 @@ func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
 
 // Do runs fn on the agent's mailbox goroutine and waits for it: safe
 // synchronous access to handler state, committed: an IdleHandler's OnIdle
-// runs first, ending the burst the closure joined. Calling Do from the mailbox
-// goroutine itself (handler code calling back into its own agent) runs fn
-// inline — already serialized — instead of deadlocking on the mailbox.
+// runs first, ending the burst the closure joined. Do must not be called from
+// the node's own handler: the closure would wait behind the item being
+// handled, forever (a handler sees only its node.Env, never its Agent).
 // On a stopped agent, Do returns without running fn: the buffered inbox
 // would otherwise accept the closure (both select cases ready, picked at
 // random) and leave the caller waiting on a completion that never comes.
 // Either way fn has finished or will never run when Do returns, so what fn
 // wrote may be read without further synchronisation.
 func (a *Agent) Do(fn func(h node.Handler)) {
-	if g := gid(); g != 0 && a.loopGID.Load() == g {
-		fn(a.handler)
-		return
-	}
 	select {
 	case <-a.done:
 		return
@@ -270,7 +223,6 @@ func (a *Agent) loop() {
 	// (a t.Fatal inside Do is a runtime.Goexit) — the agent is done: later
 	// Inject and Do calls return instead of filling a dead inbox.
 	defer a.once.Do(func() { close(a.done) })
-	a.loopGID.Store(gid())
 	idle, _ := a.handler.(node.IdleHandler)
 	for {
 		select {
@@ -351,20 +303,8 @@ func (e agentEnv) SetTimer(d int64, tag int) {
 	if d < 1 {
 		d = 1
 	}
-	time.AfterFunc(time.Duration(d)*a.net.Tick, func() {
-		// Timers do not survive a crash boundary: a timer armed by one
-		// incarnation must never fire into a handler built by
-		// Network.Restart under the same ID (the simulator enforces this
-		// with delivery epochs; here the agent pointer is the epoch). A
-		// stale fire would reach a recovered coordinator as a phantom
-		// retransmission deadline and could trigger a spurious round
-		// change.
-		a.net.mu.RLock()
-		live := a.net.agents[a.id] == a
-		a.net.mu.RUnlock()
-		if !live {
-			return
-		}
-		a.enqueue(inbound{kind: kindTimer, tag: tag})
-	})
+	// A timer that fires after Stop is dropped by enqueue: timers do not
+	// survive a crash boundary, and a restarted node is a new Agent on a new
+	// Network, so no fire can reach the handler of a later incarnation.
+	time.AfterFunc(time.Duration(d)*a.net.Tick, func() { a.enqueue(inbound{kind: kindTimer, tag: tag}) })
 }

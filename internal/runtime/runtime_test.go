@@ -2,21 +2,13 @@ package runtime
 
 import (
 	"fmt"
-	"path/filepath"
 	rt "runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"mcpaxos/internal/core"
-	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
-	"mcpaxos/internal/quorum"
-	"mcpaxos/internal/storage"
-	"mcpaxos/internal/wal"
-
-	"mcpaxos/internal/ballot"
 )
 
 type collector struct {
@@ -41,8 +33,6 @@ func TestNetworkDelivers(t *testing.T) {
 	defer n.Stop()
 	recv := &collector{}
 	n.Spawn(2, func(node.Env) node.Handler { return recv })
-	sender := n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
-	_ = sender
 	n.Send(1, 2, msg.Heartbeat{From: 1})
 	deadline := time.Now().Add(2 * time.Second)
 	for recv.count() == 0 && time.Now().Before(deadline) {
@@ -50,6 +40,91 @@ func TestNetworkDelivers(t *testing.T) {
 	}
 	if recv.count() != 1 {
 		t.Fatalf("message not delivered")
+	}
+}
+
+// sender is a collector that keeps its Env, so a test can send as the node
+// does: from the mailbox goroutine, through Env.Send.
+type sender struct {
+	collector
+	env node.Env
+}
+
+// spawnSender hosts a sender as node id on n.
+func spawnSender(n *Network, id msg.NodeID) (*Agent, *sender) {
+	s := &sender{}
+	return n.Spawn(id, func(env node.Env) node.Handler { s.env = env; return s }), s
+}
+
+// sendAs sends each message to its destination from a's mailbox goroutine.
+func sendAs(a *Agent, s *sender, to []msg.NodeID, ms ...msg.Message) {
+	a.Do(func(node.Handler) {
+		for i, m := range ms {
+			s.env.Send(to[i], m)
+		}
+	})
+}
+
+// TestSecondSpawnPanics: a Network hosts one node. A second Spawn, for another
+// ID or the same one, before or after Stop, is refused before its build runs:
+// a restarted node gets a new Network.
+func TestSecondSpawnPanics(t *testing.T) {
+	n := NewNetwork()
+	defer n.Stop()
+	n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
+	spawnAgain := func(id msg.NodeID) {
+		t.Helper()
+		built := false
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a second Spawn (node %v) on one Network did not panic", id)
+				}
+			}()
+			n.Spawn(id, func(node.Env) node.Handler { built = true; return &collector{} })
+		}()
+		if built {
+			t.Errorf("the refused Spawn of node %v built a handler", id)
+		}
+	}
+	spawnAgain(2)
+	spawnAgain(1)
+	n.Stop()
+	spawnAgain(1)
+}
+
+// TestSendRoutesSelfLocallyOthersOut: a node's send to itself reaches its own
+// handler and never the route; a send to any other node reaches the route, or,
+// before one is installed, nothing — it is dropped, not held for the route.
+func TestSendRoutesSelfLocallyOthersOut(t *testing.T) {
+	n := NewNetwork()
+	defer n.Stop()
+	a, s := spawnSender(n, 1)
+	hb := func(epoch uint64) msg.Message { return msg.Heartbeat{From: 1, Epoch: epoch} }
+
+	sendAs(a, s, []msg.NodeID{2, 1}, hb(1), hb(2))
+	waitFor(t, "the self-send sent before any route", func() bool { return s.count() == 1 })
+
+	var mu sync.Mutex
+	var routed []string
+	n.SetFallback(func(from, to msg.NodeID, m msg.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		routed = append(routed, fmt.Sprintf("%v→%v #%d", from, to, m.(msg.Heartbeat).Epoch))
+	})
+	sendAs(a, s, []msg.NodeID{2, 1, 3}, hb(3), hb(4), hb(5))
+	waitFor(t, "the second self-send", func() bool { return s.count() == 2 })
+
+	s.mu.Lock()
+	got := fmt.Sprint(s.got)
+	s.mu.Unlock()
+	if want := fmt.Sprint([]msg.Message{hb(2), hb(4)}); got != want {
+		t.Errorf("handler got %s, want the two self-sends %s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got, want := fmt.Sprint(routed), fmt.Sprint([]string{"n1→n2 #3", "n1→n3 #5"}); got != want {
+		t.Errorf("route got %s, want %s: the sends to other nodes after it was installed", got, want)
 	}
 }
 
@@ -62,47 +137,6 @@ func TestAgentDoSerializes(t *testing.T) {
 	ag.Do(func(h node.Handler) { ran = h == c })
 	if !ran {
 		t.Fatalf("Do did not run on the handler")
-	}
-}
-
-// selfCaller is a handler that calls back into its own agent via Do when it
-// receives a message — the re-entrant pattern that used to deadlock.
-type selfCaller struct {
-	agent *Agent
-	ran   chan struct{}
-}
-
-func (s *selfCaller) OnMessage(_ msg.NodeID, m msg.Message) {
-	if _, ok := m.(msg.Heartbeat); !ok {
-		return
-	}
-	s.agent.Do(func(node.Handler) {
-		close(s.ran)
-	})
-}
-
-// TestAgentDoFromOwnGoroutine is the regression test for the Do self-call
-// deadlock: a handler invoking Do on its own agent (directly or nested) must
-// run the closure inline instead of waiting on its own mailbox forever.
-func TestAgentDoFromOwnGoroutine(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-	sc := &selfCaller{ran: make(chan struct{})}
-	sc.agent = n.Spawn(1, func(node.Env) node.Handler { return sc })
-	sc.agent.Inject(2, msg.Heartbeat{From: 2})
-	select {
-	case <-sc.ran:
-	case <-time.After(3 * time.Second):
-		t.Fatal("Do from the agent's own goroutine deadlocked")
-	}
-
-	// Nested Do inside Do must also run inline.
-	nested := false
-	sc.agent.Do(func(node.Handler) {
-		sc.agent.Do(func(node.Handler) { nested = true })
-	})
-	if !nested {
-		t.Fatal("nested Do did not run")
 	}
 }
 
@@ -136,226 +170,4 @@ func TestAgentDoSurvivesGoexit(t *testing.T) {
 	if c.count() != 0 {
 		t.Errorf("%d messages reached the handler of a dead mailbox", c.count())
 	}
-}
-
-// TestLiveMulticoordinatedDeployment runs the full core protocol over the
-// goroutine network: three coordinators, three acceptors, one learner.
-func TestLiveMulticoordinatedDeployment(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-
-	cfg := core.Config{
-		Coords:    []msg.NodeID{100, 101, 102},
-		Acceptors: []msg.NodeID{200, 201, 202},
-		Learners:  []msg.NodeID{300},
-		Quorums:   quorum.MustAcceptorSystem(3, 1, 0),
-		CoordQ:    quorum.MustCoordSystem(3),
-		Scheme:    ballot.MultiScheme{},
-		Set:       cstruct.NewHistorySet(cstruct.KeyConflict),
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	var coords []*Agent
-	for _, id := range cfg.Coords {
-		coords = append(coords, n.Spawn(id, func(env node.Env) node.Handler {
-			return core.NewCoordinator(env, cfg)
-		}))
-	}
-	for _, id := range cfg.Acceptors {
-		disk := &storage.Disk{}
-		n.Spawn(id, func(env node.Env) node.Handler {
-			return core.NewAcceptor(env, cfg, disk)
-		})
-	}
-	var mu sync.Mutex
-	learned := make(map[uint64]bool)
-	n.Spawn(300, func(env node.Env) node.Handler {
-		return core.NewLearner(env, cfg, func(_ cstruct.CStruct, fresh []cstruct.Cmd) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, c := range fresh {
-				learned[c.ID] = true
-			}
-		})
-	})
-	var prop *core.Proposer
-	propAgent := n.Spawn(1, func(env node.Env) node.Handler {
-		prop = core.NewProposer(env, cfg, 1)
-		return prop
-	})
-
-	// Start the first round from coordinator 100.
-	coords[0].Do(func(h node.Handler) {
-		h.(*core.Coordinator).StartRound(cfg.Scheme.First(0, 100))
-	})
-	time.Sleep(50 * time.Millisecond)
-
-	const total = 10
-	for i := 0; i < total; i++ {
-		i := i
-		propAgent.Do(func(node.Handler) {
-			prop.Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
-		})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		got := len(learned)
-		mu.Unlock()
-		if got == total {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("live deployment learned %d/%d", got, total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestRestartRecoversAcceptorFromWAL is the runtime half of the recovery
-// path: a WAL-backed acceptor on the goroutine host is crash-restarted via
-// Network.Restart, its replacement replays the log, and the accepted value
-// it voted for before the crash must still be there (with the incarnation
-// counter bumped so its round outruns every pre-crash promise).
-func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-
-	cfg := core.Config{
-		Coords:    []msg.NodeID{100},
-		Acceptors: []msg.NodeID{200, 201, 202},
-		Learners:  []msg.NodeID{300},
-		Quorums:   quorum.MustAcceptorSystem(3, 1, 0),
-		CoordQ:    quorum.MustCoordSystem(1),
-		Scheme:    ballot.MultiScheme{},
-		Set:       cstruct.NewHistorySet(cstruct.KeyConflict),
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	base := t.TempDir()
-	wals := make(map[msg.NodeID]*wal.WAL)
-	openWAL := func(id msg.NodeID) *wal.WAL {
-		w, err := wal.Open(filepath.Join(base, id.String()), wal.Options{})
-		if err != nil {
-			t.Fatalf("open wal for %v: %v", id, err)
-		}
-		return w
-	}
-
-	coord := n.Spawn(100, func(env node.Env) node.Handler {
-		return core.NewCoordinator(env, cfg)
-	})
-	accAgents := make(map[msg.NodeID]*Agent)
-	for _, id := range cfg.Acceptors {
-		id := id
-		w := openWAL(id)
-		wals[id] = w
-		accAgents[id] = n.Spawn(id, func(env node.Env) node.Handler {
-			return core.NewAcceptor(env, cfg, w)
-		})
-	}
-	var mu sync.Mutex
-	learned := make(map[uint64]bool)
-	n.Spawn(300, func(env node.Env) node.Handler {
-		return core.NewLearner(env, cfg, func(_ cstruct.CStruct, fresh []cstruct.Cmd) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, c := range fresh {
-				learned[c.ID] = true
-			}
-		})
-	})
-	var prop *core.Proposer
-	propAgent := n.Spawn(1, func(env node.Env) node.Handler {
-		prop = core.NewProposer(env, cfg, 1)
-		return prop
-	})
-	coord.Do(func(h node.Handler) {
-		h.(*core.Coordinator).StartRound(cfg.Scheme.First(0, 100))
-	})
-	time.Sleep(50 * time.Millisecond)
-
-	const total = 5
-	// cmd is the i-th command proposed, command ID 1+i.
-	cmd := func(i int) cstruct.Cmd { return cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)} }
-	for i := 0; i < total; i++ {
-		i := i
-		propAgent.Do(func(node.Handler) {
-			prop.Propose(cmd(i))
-		})
-	}
-	waitFor := func(want int) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			mu.Lock()
-			got := len(learned)
-			mu.Unlock()
-			if got >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("learned %d/%d", got, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitFor(total)
-
-	// Learning needs only a 2-of-3 quorum, which may exclude acceptor
-	// 200: wait until 200 itself has processed (and so persisted) every
-	// command before crashing it, or the loss check below would blame the
-	// WAL for a message still sitting in the dead agent's inbox.
-	accepted := func() bool {
-		all := true
-		accAgents[200].Do(func(h node.Handler) {
-			vval := h.(*core.Acceptor).VVal()
-			for i := 0; i < total; i++ {
-				if !vval.Contains(cmd(i)) {
-					all = false
-					return
-				}
-			}
-		})
-		return all
-	}
-	for deadline := time.Now().Add(5 * time.Second); !accepted(); {
-		if time.Now().After(deadline) {
-			t.Fatal("acceptor 200 never accepted all commands")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Hard-restart acceptor 200: the old agent dies with its volatile
-	// state, the replacement replays the WAL from disk.
-	restarted := n.Restart(200, func(env node.Env) node.Handler {
-		wals[200].Close() // the old process's fd dies with it
-		w := openWAL(200)
-		wals[200] = w
-		return core.NewAcceptor(env, cfg, w)
-	})
-	restarted.Do(func(h node.Handler) {
-		a := h.(*core.Acceptor)
-		vval := a.VVal()
-		for i := 0; i < total; i++ {
-			if !vval.Contains(cmd(i)) {
-				t.Errorf("restarted acceptor lost accepted command %d", 1+i)
-			}
-		}
-		if a.Rnd().MCount == 0 {
-			t.Error("recovery did not bump the incarnation counter")
-		}
-	})
-
-	// The cluster must still make progress (quorum of up acceptors).
-	for i := total; i < total+3; i++ {
-		i := i
-		propAgent.Do(func(node.Handler) {
-			prop.Propose(cstruct.Cmd{ID: uint64(1 + i), Key: fmt.Sprintf("k%d", i)})
-		})
-	}
-	waitFor(total + 3)
 }

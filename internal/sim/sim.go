@@ -271,7 +271,8 @@ func (s *Sim) Crash(id msg.NodeID) {
 }
 
 // Restart models a crash-and-restart of node id with the build argument
-// runtime.Network.Restart takes: the old handler is discarded with every
+// runtime.Network.Spawn takes (a live node restarts as Stop plus a new
+// Network that spawns it again): the old handler is discarded with every
 // timer it armed and build constructs the replacement — for an acceptor, over
 // its disk, which is the recovery (Section 4.4); nothing more is asked of the
 // handler. Messages in flight land in whichever handler is live on arrival.
