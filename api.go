@@ -1,14 +1,20 @@
+// Package mcpaxos is the embedding API of a from-scratch Go implementation
+// of Multicoordinated Paxos (Camargos, Schmidt, Pedone — TR 2007/02, PODC
+// 2007). A live deployment of the batched, sharded, multicoordinated stack
+// over real TCP is declared by a ClusterSpec and run by two embeddable
+// types: Replica opens one process's share of the deployment's nodes, and
+// Client connects, load-balances and correlates replies. See the README's
+// Embedding section for a quickstart.
+//
+// The names below are internal/deploy's, which hosts the protocol. The
+// paper's experiments are internal/experiments, printed by cmd/paxosbench: a
+// program that imports only this package links neither them nor the
+// simulator-only engines they run on.
 package mcpaxos
 
 import (
 	"mcpaxos/internal/deploy"
 )
-
-// The embedding API: a live deployment of the batched, sharded,
-// multicoordinated stack over real TCP is declared by a ClusterSpec and run
-// by two embeddable types — Replica opens one process's share of the
-// deployment's nodes, Client connects, load-balances and correlates
-// replies. See the README's Embedding section for a quickstart.
 
 // ClusterSpec declares a full deployment: every node's address, the shard
 // residues, the coordinator groups, and the batched-path tuning knobs.

@@ -6,14 +6,16 @@
 //
 //	paxosbench [-seed N] [-exp all|e1|...|e14|e15|e16|nemesis] [-trials N] [-seeds N] [-commands N]
 //
-// E15, E16 and nemesis are the wall-clock modes over loopback TCP through
-// the embedding API: E15 scales the number of client processes, E16 runs a
-// long write stream at a snapshot interval longer than the run and at a
-// short one, and nemesis runs the randomized fault-injection harness (E14)
-// on both the simulator and the live path, judging every run with the
-// linearizability checker. They are excluded from -exp all so the default
-// output stays deterministic: E1–E14 print the same bytes on every run, and
-// testdata/tables holds them (go test ./cmd/paxosbench diffs against it).
+// E15, E16 and nemesis are the wall-clock modes over loopback TCP on the
+// deployed stack (internal/deploy): E15 scales the number of client
+// processes, E16 runs a long write stream at a snapshot interval longer than
+// the run and at a short one, and nemesis runs the randomized
+// fault-injection harness (E14) on both the simulator and the live path,
+// judging every run with the linearizability checker. They are excluded
+// from -exp all so the default output stays deterministic: E1–E14 print the
+// same bytes on every run, and testdata/tables holds them (go test
+// ./cmd/paxosbench diffs against it). The drivers are internal/experiments,
+// which this command alone imports.
 // Proposal-to-reply latency on the live path is the benchmark's job: bash
 // bench/run.sh -workload steady_open.
 package main
@@ -25,7 +27,7 @@ import (
 	"os"
 	"time"
 
-	"mcpaxos"
+	"mcpaxos/internal/experiments"
 )
 
 // params are the knobs the simulator experiments read.
@@ -99,7 +101,7 @@ func header(w io.Writer, title string) {
 
 func e1(w io.Writer, p params) error {
 	header(w, "E1: communication steps to learn (stable run, phase 1 pre-executed)")
-	for _, row := range mcpaxos.FormatE1(mcpaxos.RunE1StepsToLearn(p.seed)) {
+	for _, row := range experiments.FormatE1(experiments.RunE1StepsToLearn(p.seed)) {
 		fmt.Fprintln(w, "  "+row)
 	}
 	return nil
@@ -108,7 +110,7 @@ func e1(w io.Writer, p params) error {
 func e2(w io.Writer, _ params) error {
 	header(w, "E2: acceptor quorum sizes (Section 2.2)")
 	fmt.Fprintln(w, "  n   classic(=multicoord)  fast(majority-classic)  balanced(E=F)")
-	for _, r := range mcpaxos.RunE2QuorumSizes([]int{3, 5, 7, 9, 11, 13}) {
+	for _, r := range experiments.RunE2QuorumSizes([]int{3, 5, 7, 9, 11, 13}) {
 		fmt.Fprintf(w, "  %-3d %-21d %-23d %d\n", r.N, r.Classic, r.FastMajority, r.Balanced)
 	}
 	return nil
@@ -117,7 +119,7 @@ func e2(w io.Writer, _ params) error {
 func e3(w io.Writer, p params) error {
 	header(w, "E3: availability under coordinator crashes (Section 4.1)")
 	fmt.Fprintln(w, "  round kind            crashes  progress  round-change")
-	for _, r := range mcpaxos.RunE3Availability(p.seed) {
+	for _, r := range experiments.RunE3Availability(p.seed) {
 		fmt.Fprintf(w, "  %-21s %-8d %-9v %v\n", r.Kind, r.CoordCrashes, r.Progress, r.RoundChanged)
 	}
 	return nil
@@ -125,7 +127,7 @@ func e3(w io.Writer, p params) error {
 
 func e4(w io.Writer, p params) error {
 	header(w, "E4: load balance via quorum selection (Section 4.1)")
-	r := mcpaxos.RunE4LoadBalance(p.seed, 3, 5, p.commands)
+	r := experiments.RunE4LoadBalance(p.seed, 3, 5, p.commands)
 	fmt.Fprintf(w, "  %d coordinators, %d acceptors, %d commands\n", r.NCoords, r.NAcceptors, r.Commands)
 	fmt.Fprintf(w, "  multicoord max coordinator share: %.3f  (paper bound 1/2+1/nc = %.3f)\n",
 		r.MaxCoordShare, r.CoordBound)
@@ -138,7 +140,7 @@ func e4(w io.Writer, p params) error {
 func e5(w io.Writer, p params) error {
 	header(w, "E5: collision recovery cost (Sections 2.2, 4.2)")
 	fmt.Fprintln(w, "  scenario              total-steps  extra-steps  acceptor-disk-writes")
-	for _, r := range mcpaxos.RunE5CollisionRecovery(p.seed) {
+	for _, r := range experiments.RunE5CollisionRecovery(p.seed) {
 		fmt.Fprintf(w, "  %-21s %-12d %-12d %d\n", r.Scenario, r.TotalSteps, r.ExtraSteps, r.AcceptorWrites)
 	}
 	fmt.Fprintln(w, "  (paper: restart +4, coordinated +2, uncoordinated +1, multicoord +2;")
@@ -148,8 +150,8 @@ func e5(w io.Writer, p params) error {
 
 func e6(w io.Writer, p params) error {
 	header(w, "E6: disk writes (Sections 4.2, 4.4)")
-	r := mcpaxos.RunE6DiskWrites(p.seed, p.commands)
-	for _, proto := range []mcpaxos.Protocol{mcpaxos.ProtocolClassic, mcpaxos.ProtocolMulti, mcpaxos.ProtocolFast} {
+	r := experiments.RunE6DiskWrites(p.seed, p.commands)
+	for _, proto := range []experiments.Protocol{experiments.ProtocolClassic, experiments.ProtocolMulti, experiments.ProtocolFast} {
 		fmt.Fprintf(w, "  %-18s %.3f writes/command/acceptor (paper: 1)\n",
 			proto, r.WritesPerCommandPerAcceptor[proto])
 	}
@@ -165,7 +167,7 @@ func e6(w io.Writer, p params) error {
 func e7(w io.Writer, p params) error {
 	header(w, "E7: conflict-rate sweep, collisions & latency (Sections 2.3, 3.3, 4.5)")
 	fmt.Fprintln(w, "  rho   protocol          collisions  mean-steps  learned")
-	rows := mcpaxos.RunE7ConflictSweep(p.seed, []float64{0, 0.25, 0.5, 0.75, 1}, p.trials)
+	rows := experiments.RunE7ConflictSweep(p.seed, []float64{0, 0.25, 0.5, 0.75, 1}, p.trials)
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-5.2f %-17s %-11.2f %-11.2f %.2f\n",
 			r.ConflictRate, r.Protocol, r.CollisionFrac, r.MeanSteps, r.Learned)
@@ -175,7 +177,7 @@ func e7(w io.Writer, p params) error {
 
 func e8(w io.Writer, p params) error {
 	header(w, "E8: decision gap after coordinator failure (Sections 1, 4.1)")
-	r := mcpaxos.RunE8LeaderFailover(p.seed)
+	r := experiments.RunE8LeaderFailover(p.seed)
 	fmt.Fprintf(w, "  steady-state inter-learn gap:          %d\n", r.BaselineGap)
 	fmt.Fprintf(w, "  classic Paxos, leader crash:           %d (detect + elect + phase 1)\n", r.ClassicGap)
 	fmt.Fprintf(w, "  multicoordinated, 1 coordinator crash: %d (no round change needed)\n", r.MultiGap)
@@ -185,7 +187,7 @@ func e8(w io.Writer, p params) error {
 func e9(w io.Writer, p params) error {
 	header(w, "E9: spontaneous ordering vs message reordering (Section 4.5)")
 	fmt.Fprintln(w, "  jitter  fast-collisions  fast-steps  mc-collisions  mc-steps")
-	for _, r := range mcpaxos.RunE9SpontaneousOrder(p.seed, []int64{0, 1, 2, 4, 8}, p.trials) {
+	for _, r := range experiments.RunE9SpontaneousOrder(p.seed, []int64{0, 1, 2, 4, 8}, p.trials) {
 		fmt.Fprintf(w, "  %-7d %-16.2f %-11.2f %-14.2f %.2f\n",
 			r.Jitter, r.FastCollisionFrac, r.FastMeanSteps, r.MultiCollisionFrac, r.MultiMeanSteps)
 	}
@@ -196,7 +198,7 @@ func e10(w io.Writer, p params) error {
 	header(w, "E10: batching & pipelining throughput (heavy-traffic path)")
 	fmt.Fprintf(w, "  %d commands through 1 leader, 3 acceptors\n", p.commands)
 	fmt.Fprintln(w, "  mode          commands  instances  msgs    writes  steps  msgs/cmd  writes/cmd")
-	for _, r := range mcpaxos.RunE10Throughput(p.seed, p.commands, []int{8, 32}, []int{8, 32}) {
+	for _, r := range experiments.RunE10Throughput(p.seed, p.commands, []int{8, 32}, []int{8, 32}) {
 		fmt.Fprintf(w, "  %-13s %-9d %-10d %-7d %-7d %-6d %-9.2f %.3f\n",
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.DiskWrites, r.SimSteps,
 			r.MsgsPerCmd, r.WritesPerCmd)
@@ -207,7 +209,7 @@ func e10(w io.Writer, p params) error {
 func e11(w io.Writer, p params) error {
 	header(w, "E11: durable group commit (WAL-backed acceptors, physical fsyncs)")
 	fmt.Fprintf(w, "  %d commands through 1 leader, 3 acceptors on on-disk WALs\n", p.commands)
-	rows, err := mcpaxos.RunE11GroupCommit(p.seed, p.commands, []int{8, 32})
+	rows, err := experiments.RunE11GroupCommit(p.seed, p.commands, []int{8, 32})
 	if err != nil {
 		return err
 	}
@@ -225,7 +227,7 @@ func e11(w io.Writer, p params) error {
 func e12(w io.Writer, p params) error {
 	header(w, "E12: sharded instance space — N concurrent leaders over residue classes")
 	fmt.Fprintf(w, "  %d commands, batch=8, pipeline window 4 per leader, 3 acceptors\n", p.commands)
-	rows, dur, err := mcpaxos.RunE12(p.seed, p.commands, []int{1, 2, 4, 8}, 8, 4)
+	rows, dur, err := experiments.RunE12(p.seed, p.commands, []int{1, 2, 4, 8}, 8, 4)
 	if err != nil {
 		return err
 	}
@@ -247,7 +249,7 @@ func e13(w io.Writer, p params) error {
 	fmt.Fprintf(w, "  %d commands, 2 shards, batch=8, window 4, 3 acceptors; crash = kill one\n", p.commands)
 	fmt.Fprintln(w, "  coordinator per shard mid-stream")
 	fmt.Fprintln(w, "  mode       commands  instances  msgs    steps  msgs/cmd  round-changes  promotions  writes/inst/acc")
-	for _, r := range mcpaxos.RunE13(p.seed, p.commands, 8, 4) {
+	for _, r := range experiments.RunE13(p.seed, p.commands, 8, 4) {
 		fmt.Fprintf(w, "  %-10s %-9d %-10d %-7d %-6d %-9.2f %-14d %-11d %.2f\n",
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.SimSteps,
 			r.MsgsPerCmd, r.RoundChanges, r.Promotions, r.WritesPerInstPerAcc)
@@ -266,7 +268,7 @@ func e14(w io.Writer, p params) error {
 	fmt.Fprintln(w, "  2 shards × group of 3, 3 acceptors F=1, under partitions (incl. isolated")
 	fmt.Fprintln(w, "  coordinator quorums), cuts, crashes, loss bursts + a background loss floor,")
 	fmt.Fprintln(w, "  dup storms, reorder windows and clock-skew windows")
-	rows := mcpaxos.RunE14(p.seed, p.seeds, 4, 24)
+	rows := experiments.RunE14(p.seed, p.seeds, 4, 24)
 	failed := 0
 	var msgs, dropped, duplicated, skewed uint64
 	for _, r := range rows {
@@ -303,7 +305,7 @@ func nemesisExp(p params, liveSeeds int) error {
 		if err != nil {
 			return fmt.Errorf("nemesis: %w", err)
 		}
-		r, err := mcpaxos.RunLiveNemesis(p.seed+int64(i), 3, 8, 1, dir)
+		r, err := experiments.RunLiveNemesis(p.seed+int64(i), 3, 8, 1, dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			return fmt.Errorf("nemesis seed %d: %w", r.Seed, err)
@@ -338,13 +340,13 @@ func e16(commands, snapEvery int) error {
 	header(os.Stdout, "E16: snapshot & log compaction — bounded storage under a long write stream")
 	fmt.Printf("  %d commands, 2 shards × group of 3, 3 WAL-backed acceptors; baseline vs\n", commands)
 	fmt.Printf("  SnapshotEvery=%d (retain %d); windowed disk/memory samples\n", snapEvery, snapEvery/2)
-	runArm := func(every int) (mcpaxos.E16Run, error) {
+	runArm := func(every int) (experiments.E16Run, error) {
 		dir, err := os.MkdirTemp("", "e16-*")
 		if err != nil {
-			return mcpaxos.E16Run{}, err
+			return experiments.E16Run{}, err
 		}
 		defer os.RemoveAll(dir)
-		return mcpaxos.RunE16Compaction(commands, every, 8, dir)
+		return experiments.RunE16Compaction(commands, every, 8, dir)
 	}
 	// The baseline's interval is longer than any run: it never cuts a
 	// snapshot, so nothing is truncated.
@@ -356,7 +358,7 @@ func e16(commands, snapEvery int) error {
 	if err != nil {
 		return fmt.Errorf("e16 compaction: %w", err)
 	}
-	print := func(name string, r mcpaxos.E16Run) {
+	print := func(name string, r experiments.E16Run) {
 		fmt.Printf("  %s (SnapshotEvery=%d, %v):\n", name, r.SnapshotEvery, r.Elapsed.Round(time.Millisecond))
 		fmt.Println("    commands  wal-segs  wal-bytes  snap-bytes  resident-log  watermark  saves")
 		for _, s := range r.Samples {
@@ -366,7 +368,7 @@ func e16(commands, snapEvery int) error {
 	}
 	print("baseline", base)
 	print("compaction", comp)
-	if msg := mcpaxos.E16Bounded(base, comp); msg != "" {
+	if msg := experiments.E16Bounded(base, comp); msg != "" {
 		fmt.Printf("  BOUNDED-STORAGE CHECK FAILED: %s\n", msg)
 		return fmt.Errorf("e16: %s", msg)
 	}
@@ -387,7 +389,7 @@ func e15(shards, coords, maxClients, perClient, workers int) error {
 			counts = append(counts, n)
 		}
 	}
-	rows, err := mcpaxos.RunE15(shards, coords, 3, counts, perClient, workers)
+	rows, err := experiments.RunE15(shards, coords, 3, counts, perClient, workers)
 	if err != nil {
 		return fmt.Errorf("e15: %w", err)
 	}

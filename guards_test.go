@@ -51,8 +51,8 @@ func TestArchitectureGuards(t *testing.T) {
 
 const (
 	module   = "mcpaxos"
-	allFiles = "."    // every Go file of the checkout
-	rootPkg  = "*.go" // the files of the root package
+	allFiles = "." // every Go file of the checkout
+	harness  = "internal/experiments"
 )
 
 var simOnly = []string{"internal/core", "internal/abstract", "internal/failure"}
@@ -130,6 +130,12 @@ var guards = []guard{
 	{"Live path links no simulator-only engine", "deploy's deps exclude core, abstract, failure", func(c *guardCheck) {
 		c.noDeps("internal/deploy", false, simOnly...)
 	}},
+	{"Shipped binaries link only the shipped stack", "the embedding API, cmd/mckv and the embedding examples link deploy's stack, not the harness, the simulator-only engines or the nemesis and its checker; examples/bank is the one exception, as it runs on core until it moves to classic, and sim joins the list once classic stops importing it", func(c *guardCheck) {
+		forbidden := slices.Concat(simOnly, []string{"internal/nemesis", "internal/linearize", harness})
+		for _, dir := range []string{".", "cmd/mckv", "examples/quickstart", "examples/kvstore", "examples/failover"} {
+			c.noDeps(dir, false, forbidden...)
+		}
+	}},
 	{"One fault hook per clock", "the TCP transport injects nothing; deploy installs the injector once, on the node's network", func(c *guardCheck) {
 		c.noDeps("internal/transport", false, "internal/faults")
 		c.count("internal/deploy", "SetFaults calls", calls(c.in(false, "internal/deploy"), "", "SetFaults"), 1)
@@ -178,7 +184,7 @@ var guards = []guard{
 		c.noImports(c.in(true, allFiles), module+"/internal/catchup")
 	}},
 	{"Compaction is always on", "a zero SnapshotEvery is the default interval, not an off-switch; E16's baseline is an interval longer than its run", func(c *guardCheck) {
-		files := c.in(false, "internal/deploy", "live_compaction.go")
+		files := c.in(false, "internal/deploy", harness+"/live_compaction.go")
 		inspect(files, func(_ *goFile, _ *ast.FuncDecl, n ast.Node) {
 			b, ok := n.(*ast.BinaryExpr)
 			if !ok {
@@ -201,28 +207,28 @@ var guards = []guard{
 			}
 		}
 	}},
-	{"One driver per measurement", "E10–E13 drain through one simulator run; live latency is bench's steady_open, not a root driver; E1–E9 and the ablations bring core up through one trial; E14 and the live nemesis enact and judge through one copy", func(c *guardCheck) {
+	{"One driver per measurement", "in the harness, internal/experiments: E10–E13 drain through one simulator run; live latency is bench's steady_open, not a harness driver; E1–E9 and the ablations bring core up through one trial; E14 and the live nemesis enact and judge through one copy", func(c *guardCheck) {
 		c.noIdents(c.in(true, allFiles), named("RunLiveLatency", "LiveResult"))
-		drains := c.in(false, "experiments_batch.go", "experiments_wal.go", "experiments_shard.go", "experiments_mc.go", "experiments_drain.go")
+		drains := c.in(false, harness+"/experiments_batch.go", harness+"/experiments_wal.go", harness+"/experiments_shard.go", harness+"/experiments_mc.go", harness+"/experiments_drain.go")
 		c.count("E10–E13's drivers", "classic.NewCluster calls", calls(drains, module+"/internal/classic", "NewCluster"), 1)
-		c.count("experiments.go, ablations.go", "core.NewCluster calls", calls(c.in(false, "experiments.go", "ablations.go"), module+"/internal/core", "NewCluster"), 1)
-		root := c.in(false, rootPkg)
-		c.count("the root package", "nemesis.Apply calls", calls(root, module+"/internal/nemesis", "Apply"), 1)
-		c.count("the root package", "linearize.Check calls", calls(root, module+"/internal/linearize", "Check"), 1)
+		c.count("experiments.go, ablations.go", "core.NewCluster calls", calls(c.in(false, harness+"/experiments.go", harness+"/ablations.go"), module+"/internal/core", "NewCluster"), 1)
+		files := c.in(false, harness)
+		c.count(harness, "nemesis.Apply calls", calls(files, module+"/internal/nemesis", "Apply"), 1)
+		c.count(harness, "linearize.Check calls", calls(files, module+"/internal/linearize", "Check"), 1)
 	}},
-	{"One value equality", "cstruct.Cmd.Equal compares content; classic, the conflict relations, the merger and E14's judge keep no second definition", func(c *guardCheck) {
+	{"One value equality", "cstruct.Cmd.Equal compares content; classic, the conflict relations, the merger and E14's judge (internal/experiments) keep no second definition", func(c *guardCheck) {
 		c.noIdents(c.in(true, allFiles), named("sameValue"))
-		files := c.except(c.in(false, "internal/classic", "internal/smr", "internal/cstruct", "experiments_nemesis.go"), "internal/cstruct/cmd.go")
+		files := c.except(c.in(false, "internal/classic", "internal/smr", "internal/cstruct", harness+"/experiments_nemesis.go"), "internal/cstruct/cmd.go")
 		inspect(files, func(_ *goFile, _ *ast.FuncDecl, n ast.Node) {
 			if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) && isSel(b.X, "ID") && isSel(b.Y, "ID") {
 				c.flag(b.Pos(), "%s: a value compared by ID", types.ExprString(b))
 			}
 		})
 	}},
-	{"One request key", "the ingress, the client and the stamp share key a request by its command ID, not by Propose's Client/Req", func(c *guardCheck) {
+	{"One request key", "the ingress, the client, the stamp share and the harness (internal/experiments) key a request by its command ID, not by Propose's Client/Req", func(c *guardCheck) {
 		c.noIdents(c.in(true, allFiles), named("reqKey"))
 		c.noIdents(c.in(true, "internal/classic"), containing("bufKeys"))
-		inspect(c.in(false, "internal/classic", "internal/deploy", rootPkg), func(f *goFile, _ *ast.FuncDecl, n ast.Node) {
+		inspect(c.in(false, "internal/classic", "internal/deploy", harness), func(f *goFile, _ *ast.FuncDecl, n ast.Node) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if n.Sel.Name == "Req" || (n.Sel.Name == "Client" && !pkgRef(f, n.X, module+"/internal/deploy") && !isIdent(n.X, "res")) {
@@ -311,7 +317,7 @@ func (c *guardCheck) flag(pos token.Pos, format string, args ...any) {
 // exists reports whether p, a path a rule names, is there, and records a
 // finding if not.
 func (c *guardCheck) exists(p string) bool {
-	if p == allFiles || p == rootPkg {
+	if p == allFiles {
 		return true
 	}
 	if _, err := os.Stat(p); err != nil {
@@ -321,8 +327,8 @@ func (c *guardCheck) exists(p string) bool {
 	return true
 }
 
-// in returns the files under paths — a file, a directory (recursively),
-// allFiles or rootPkg — with test files only if tests is set.
+// in returns the files under paths — a file, a directory (recursively) or
+// allFiles — with test files only if tests is set.
 func (c *guardCheck) in(tests bool, paths ...string) []*goFile {
 	var out []*goFile
 	for _, p := range paths {
@@ -348,11 +354,8 @@ func (c *guardCheck) except(files []*goFile, paths ...string) []*goFile {
 }
 
 func under(file, p string) bool {
-	switch p {
-	case allFiles:
+	if p == allFiles {
 		return true
-	case rootPkg:
-		return !strings.Contains(file, "/")
 	}
 	return file == p || strings.HasPrefix(file, p+"/")
 }
@@ -445,6 +448,9 @@ func (c *guardCheck) noDeps(dir string, tests bool, forbidden ...string) {
 		for _, m := range pos {
 			for _, im := range slices.Sorted(maps.Keys(m)) {
 				rel, ok := strings.CutPrefix(im, module+"/")
+				if im == module {
+					rel, ok = ".", true
+				}
 				if _, seen := reached[rel]; ok && !seen {
 					reached[rel] = hop{d, m[im][0]}
 					queue = append(queue, rel)

@@ -1,4 +1,4 @@
-package mcpaxos
+package classic
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mcpaxos/internal/batch"
-	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/storage"
 	"mcpaxos/internal/wal"
@@ -54,7 +53,7 @@ func TestDiskWriteAccountingProperty(t *testing.T) {
 				commands := 1 + rng.Intn(40)
 				batchSize := 1 + rng.Intn(8)
 				seed := rng.Int63()
-				cl := classic.NewCluster(classic.ClusterOpts{
+				cl := NewCluster(ClusterOpts{
 					NAcceptors: 3, F: 1, Seed: seed,
 					CoordsPerShard: shape.c, Shards: shape.shards,
 					Stable: mkStable(t, trial),

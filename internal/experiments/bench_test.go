@@ -1,4 +1,4 @@
-package mcpaxos
+package experiments
 
 // Benchmark harness: one benchmark per experiment (E1-E9), regenerating the
 // paper's quantitative claims. Custom metrics carry the paper-shaped

@@ -1,4 +1,27 @@
-package mcpaxos
+// Package experiments is the paper's harness. It regenerates the
+// quantitative claims of Multicoordinated Paxos (Camargos, Schmidt, Pedone —
+// TR 2007/02, PODC 2007) against the protocol family it extends — Classic,
+// Fast and Generalized Paxos — and measures the deployed stack beside them:
+//
+//   - E1–E9 and the ablations run on the deterministic discrete-event
+//     simulator: communication steps, quorum sizes, availability, load
+//     balance, collision cost, disk writes, conflict rates, failover and
+//     spontaneous order;
+//   - E10–E13 drain one classic SMR deployment on the simulator: batching,
+//     group commit on real WALs, sharding and crash masking;
+//   - E14 sweeps the nemesis's fault schedules on the simulator, and
+//     RunLiveNemesis replays them over loopback TCP, both judged by one
+//     verdict with the linearizability checker;
+//   - E15 and E16 run the live stack: multi-client scaling and bounded
+//     storage under compaction.
+//
+// classic is the engine that ships — rounds served by coordinator groups of
+// any size c, behind the live path, E10–E14 and the classic rows of E1–E9 —
+// and core is the paper's algorithm over c-structs, fast rounds included,
+// which runs on the simulator only. cmd/paxosbench prints every experiment
+// and is this package's one importer; bench_test.go wraps the drivers as Go
+// benchmarks.
+package experiments
 
 import (
 	"fmt"
@@ -12,6 +35,7 @@ import (
 	"mcpaxos/internal/failure"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
+	"mcpaxos/internal/quorum"
 	"mcpaxos/internal/sim"
 )
 
@@ -24,6 +48,53 @@ import (
 // the steps to the first learn, whether any acceptor promoted — are written
 // once beside it. E6's classic row is E10's sequential drain. bench_test.go
 // and cmd/paxosbench are thin wrappers over these functions.
+
+// Protocol selects one member of the Paxos family.
+type Protocol uint8
+
+// Protocols under comparison.
+const (
+	// ProtocolClassic is Classic Paxos: 3 steps, single leader.
+	ProtocolClassic Protocol = iota + 1
+	// ProtocolFast is Fast Paxos: 2 steps, fast quorums, collisions.
+	ProtocolFast
+	// ProtocolMulti is Multicoordinated Paxos: 3 steps, coordinator
+	// quorums, no single leader (the paper's contribution).
+	ProtocolMulti
+	// ProtocolGeneralized is Generalized Paxos: Fast Paxos over c-structs.
+	ProtocolGeneralized
+)
+
+// String renders the protocol name.
+func (p Protocol) String() string {
+	switch p {
+	case ProtocolClassic:
+		return "classic"
+	case ProtocolFast:
+		return "fast"
+	case ProtocolMulti:
+		return "multicoordinated"
+	case ProtocolGeneralized:
+		return "generalized"
+	default:
+		return "unknown"
+	}
+}
+
+// QuorumSizes reports the acceptor quorum cardinalities the paper's
+// Section 2.2 derives for n acceptors: majority classic quorums, the
+// matching minimal fast quorums, and the balanced E=F configuration.
+func QuorumSizes(n int) (classic, fastMajority, balanced int, err error) {
+	maj, err := quorum.NewAcceptorSystem(n, (n-1)/2, quorum.MaxEForMajorityF(n))
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	bal, err := quorum.BalancedSystem(n)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return maj.ClassicSize(), maj.FastSize(), bal.FastSize(), nil
+}
 
 // coreTrial brings o's internal/core cluster up under seed, runs its first
 // round, and zeroes the acceptors' disk-write and the simulator's message

@@ -1,4 +1,4 @@
-package mcpaxos
+package experiments
 
 import (
 	"strings"

@@ -1,8 +1,10 @@
-package mcpaxos
+package experiments
 
 import (
 	"fmt"
 	"time"
+
+	"mcpaxos/internal/deploy"
 )
 
 // This file is the E16 harness: disk and memory accounting for the snapshot
@@ -54,7 +56,7 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 	if windows < 1 {
 		windows = 8
 	}
-	spec := LocalSpec(2, 3, 3, 2, 1)
+	spec := deploy.LocalSpec(2, 3, 3, 2, 1)
 	// Single-command instances: this experiment accounts storage per decided
 	// instance, so commands and instances stay comparable (batching would
 	// shrink the log 8× for both arms without changing the claim).
@@ -68,12 +70,12 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 	if err != nil {
 		return run, err
 	}
-	rep, err := OpenReplica(spec)
+	rep, err := deploy.Open(spec)
 	if err != nil {
 		return run, err
 	}
 	defer rep.Close()
-	cli, err := DialClient(spec, spec.Clients[0].ID)
+	cli, err := deploy.Dial(spec, spec.Clients[0].ID)
 	if err != nil {
 		return run, err
 	}
@@ -112,7 +114,7 @@ func RunE16Compaction(commands, every, windows int, walDir string) (E16Run, erro
 			if n > burst {
 				n = burst
 			}
-			calls := make([]*Call, 0, n)
+			calls := make([]*deploy.Call, 0, n)
 			for i := 0; i < n; i++ {
 				c := done + i
 				calls = append(calls, cli.Set(fmt.Sprintf("k%d", c%64), fmt.Sprintf("v%d", c)))

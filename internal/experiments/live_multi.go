@@ -1,10 +1,12 @@
-package mcpaxos
+package experiments
 
 import (
 	"fmt"
 	"slices"
 	"sync"
 	"time"
+
+	"mcpaxos/internal/deploy"
 )
 
 // This file implements E15, the multi-client scaling experiment: N separate
@@ -54,21 +56,21 @@ type E15Row struct {
 // clients×workers.
 func RunLiveMulti(shards, coordsPerShard, nAcceptors, clients, perClient, workers int) (E15Row, error) {
 	row := E15Row{Clients: clients, Workers: workers, Commands: clients * perClient}
-	spec := LocalSpec(shards, coordsPerShard, nAcceptors, 2, clients)
+	spec := deploy.LocalSpec(shards, coordsPerShard, nAcceptors, 2, clients)
 	spec.Window = 8
 	spec, err := spec.ResolveEphemeral()
 	if err != nil {
 		return row, err
 	}
-	rep, err := OpenReplica(spec)
+	rep, err := deploy.Open(spec)
 	if err != nil {
 		return row, err
 	}
 	defer rep.Close()
 
-	clis := make([]*Client, clients)
+	clis := make([]*deploy.Client, clients)
 	for i := range clis {
-		if clis[i], err = DialClient(spec, spec.Clients[i].ID); err != nil {
+		if clis[i], err = deploy.Dial(spec, spec.Clients[i].ID); err != nil {
 			return row, err
 		}
 		defer clis[i].Close()
@@ -78,7 +80,7 @@ func RunLiveMulti(shards, coordsPerShard, nAcceptors, clients, perClient, worker
 	// path round-robins shards, so `shards` writes touch every one),
 	// establishing the rounds and dialing the sockets before measurement.
 	for i, cli := range clis {
-		warm := make([]*Call, shards)
+		warm := make([]*deploy.Call, shards)
 		for s := range warm {
 			warm[s] = cli.Set(fmt.Sprintf("warmup-%d-%d", i, s), "x")
 		}
@@ -92,7 +94,7 @@ func RunLiveMulti(shards, coordsPerShard, nAcceptors, clients, perClient, worker
 		err error
 	}
 	lats := make([]clientLat, clients)
-	warm := make([]ClientStats, clients)
+	warm := make([]deploy.ClientStats, clients)
 	for i, cli := range clis {
 		warm[i] = cli.Stats()
 	}
@@ -100,7 +102,7 @@ func RunLiveMulti(shards, coordsPerShard, nAcceptors, clients, perClient, worker
 	var wg sync.WaitGroup
 	for i, cli := range clis {
 		wg.Add(1)
-		go func(i int, cli *Client) {
+		go func(i int, cli *deploy.Client) {
 			defer wg.Done()
 			var (
 				mu  sync.Mutex

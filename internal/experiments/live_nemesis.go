@@ -1,4 +1,4 @@
-package mcpaxos
+package experiments
 
 import (
 	"fmt"
@@ -43,7 +43,7 @@ type LiveNemesisResult struct {
 	Net faults.Stats
 	// Client is the client endpoint's own accounting (retries, rotations,
 	// abandoned batches, replay probes).
-	Client ClientStats
+	Client deploy.ClientStats
 	// Replays counts replies the learners served from their replay caches.
 	Replays uint64
 	// Catchup sums the learners' catch-up pull activity (including
@@ -77,7 +77,7 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 	)
 
 	inj := faults.New(seed + 1)
-	spec := LocalSpec(2, 3, 3, 2, 1)
+	spec := deploy.LocalSpec(2, 3, 3, 2, 1)
 	spec.BatchMax = batchMax
 	spec.RetryEvery = 10 * time.Millisecond
 	// Every scheduled fault ends by 3/4 of the horizon; a call still
@@ -100,19 +100,19 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 	if err != nil {
 		return res, err
 	}
-	rep, err := OpenReplica(spec)
+	rep, err := deploy.Open(spec)
 	if err != nil {
 		return res, err
 	}
 	defer rep.Close()
-	cli, err := DialClient(spec, spec.Clients[0].ID)
+	cli, err := deploy.Dial(spec, spec.Clients[0].ID)
 	if err != nil {
 		return res, err
 	}
 	defer cli.Close()
 
 	// Establish the rounds before the adversary wakes up.
-	if err := cli.Wait([]*Call{cli.Set("warmup", "x")}, 30*time.Second); err != nil {
+	if err := cli.Wait([]*deploy.Call{cli.Set("warmup", "x")}, 30*time.Second); err != nil {
 		return res, fmt.Errorf("warmup: %w", err)
 	}
 
@@ -250,7 +250,7 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 // matters after a catch-up resync: the order length freezes while the gap
 // watch re-probes, and judging that snapshot would misreport a stall the
 // catch-up pull was already repairing.
-func stableOrders(rep *Replica, learners []uint32, timeout time.Duration) [][]uint64 {
+func stableOrders(rep *deploy.Replica, learners []uint32, timeout time.Duration) [][]uint64 {
 	deadline := time.Now().Add(timeout)
 	prev := make([]int, len(learners))
 	for i := range prev {
