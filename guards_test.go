@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -56,6 +57,10 @@ const (
 )
 
 var simOnly = []string{"internal/core", "internal/abstract", "internal/failure"}
+
+// shipped are the programs built on the embedding API: the root package,
+// cmd/mckv and the embedding examples.
+var shipped = []string{".", "cmd/mckv", "examples/quickstart", "examples/kvstore", "examples/failover"}
 
 var guards = []guard{
 	{"One byte format", "no Go file imports encoding/gob", func(c *guardCheck) {
@@ -132,7 +137,7 @@ var guards = []guard{
 	}},
 	{"Shipped binaries link only the shipped stack", "the embedding API, cmd/mckv and the embedding examples link deploy's stack, not the harness, the simulator-only engines or the nemesis and its checker; examples/bank is the one exception, as it runs on core until it moves to classic, and sim joins the list once classic stops importing it", func(c *guardCheck) {
 		forbidden := slices.Concat(simOnly, []string{"internal/nemesis", "internal/linearize", harness})
-		for _, dir := range []string{".", "cmd/mckv", "examples/quickstart", "examples/kvstore", "examples/failover"} {
+		for _, dir := range shipped {
 			c.noDeps(dir, false, forbidden...)
 		}
 	}},
@@ -249,6 +254,15 @@ var guards = []guard{
 				}
 			}
 		})
+	}},
+	{"No exported product name only tests use", "internal/ exports only what ships: every exported package-level name and method declared in a non-test file of an internal/ package the shipped programs link has a use in a non-test file (bench/, cmd/, examples/ and the root count); a method that satisfies an interface is exempt, and the harness and simulator-only packages, which nothing shipped links, are outside the rule", func(c *guardCheck) {
+		scope := map[string]bool{}
+		for _, dir := range shipped {
+			for d := range c.deps(dir, false) {
+				scope[d] = strings.HasPrefix(d, "internal/")
+			}
+		}
+		c.testOnlyExports(scope)
 	}},
 	{"One promise on the wire", "the codec carries only P1bMulti; the single-instance msg.P1b is core's, simulator-only", func(c *guardCheck) {
 		c.flagAll(refs(c.in(false, "internal/transport"), module+"/internal/msg", "P1b"), "msg.P1b on the wire")
@@ -423,16 +437,36 @@ func (c *guardCheck) noFuncs(files []*goFile, names ...string) {
 }
 
 // noDeps flags each of forbidden (module-relative directories) that the
-// package in dir links, with its own tests' imports when tests is set: the
-// closure go list -deps [-test] prints, read with go/build.
+// package in dir links, with its own tests' imports when tests is set.
 func (c *guardCheck) noDeps(dir string, tests bool, forbidden ...string) {
 	if !c.exists(dir) {
 		return
 	}
-	type hop struct {
-		from string
-		at   token.Position
+	reached := c.deps(dir, tests)
+	for _, f := range forbidden {
+		h, ok := reached[f]
+		if !ok {
+			continue
+		}
+		chain := []string{f}
+		for p := h.from; p != dir; p = reached[p].from {
+			chain = append(chain, p)
+		}
+		slices.Reverse(chain)
+		c.failf("%s:%d: %s links %s", filepath.ToSlash(h.at.Filename), h.at.Line, dir, strings.Join(chain, " → "))
 	}
+}
+
+// A hop is how a package was reached: the importer and its import's position.
+type hop struct {
+	from string
+	at   token.Position
+}
+
+// deps returns the module packages (relative directories) the package in
+// dir links, itself included, with its own tests' imports when tests is set:
+// the closure go list -deps [-test] prints, read with go/build.
+func (c *guardCheck) deps(dir string, tests bool) map[string]hop {
 	reached := map[string]hop{dir: {}}
 	for queue := []string{dir}; len(queue) > 0; queue = queue[1:] {
 		d := queue[0]
@@ -458,18 +492,7 @@ func (c *guardCheck) noDeps(dir string, tests bool, forbidden ...string) {
 			}
 		}
 	}
-	for _, f := range forbidden {
-		h, ok := reached[f]
-		if !ok {
-			continue
-		}
-		chain := []string{f}
-		for p := h.from; p != dir; p = reached[p].from {
-			chain = append(chain, p)
-		}
-		slices.Reverse(chain)
-		c.failf("%s:%d: %s links %s", filepath.ToSlash(h.at.Filename), h.at.Line, dir, strings.Join(chain, " → "))
-	}
+	return reached
 }
 
 // A site is one place a rule looks at: a call, a literal, a declaration.
@@ -624,4 +647,196 @@ func isIdent(x ast.Expr, name string) bool {
 func isSel(x ast.Expr, name string) bool {
 	s, ok := x.(*ast.SelectorExpr)
 	return ok && s.Sel.Name == name
+}
+
+// testOnlyExports flags each exported package-level name and method declared
+// in a non-test file of the packages in scope (relative directories) that no
+// non-test file of the checkout uses. It type-checks every non-test package
+// from source: the module's from the parsed tree, the standard library
+// through go/importer's source importer with cgo off, so nothing runs a
+// compiler. A method that satisfies an interface — one declared at package
+// scope anywhere in that universe, or error — is exempt: it is called through
+// the interface.
+func (c *guardCheck) testOnlyExports(scope map[string]bool) {
+	tc := &typeChecker{guardCheck: c, pkgs: map[string]*types.Package{}, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	defer func() { build.Default.CgoEnabled = cgo }()
+	tc.std = importer.ForCompiler(c.fset, "source", nil).(types.ImporterFrom)
+	byDir := map[string]bool{}
+	for _, f := range c.in(false, allFiles) {
+		byDir[path.Dir(f.path)] = true
+	}
+	for _, d := range slices.Sorted(maps.Keys(byDir)) {
+		if _, err := tc.Import(importPath(d)); err != nil {
+			c.failf("%s: %v", d, err)
+		}
+	}
+	// A use inside the object's own declaration — a recursive call, a method
+	// of the type, its receiver — or in a blank "var _ I = T{}" assertion
+	// does not count.
+	own := map[types.Object][]ast.Node{}
+	var blank []ast.Node
+	for _, f := range c.in(false, allFiles) {
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				own[tc.info.Defs[d.Name]] = append(own[tc.info.Defs[d.Name]], d)
+				if d.Recv != nil {
+					if tn := recvType(tc.info, d); tn != nil {
+						own[tn] = append(own[tn], d)
+					}
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						own[tc.info.Defs[s.Name]] = append(own[tc.info.Defs[s.Name]], s)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.Name == "_" {
+								blank = append(blank, s)
+							} else {
+								own[tc.info.Defs[n]] = append(own[tc.info.Defs[n]], s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	within := func(nodes []ast.Node, pos token.Pos) bool {
+		return slices.ContainsFunc(nodes, func(n ast.Node) bool { return n.Pos() <= pos && pos < n.End() })
+	}
+	used := map[types.Object]bool{}
+	for id, obj := range tc.info.Uses {
+		obj = origin(obj)
+		if !strings.HasSuffix(c.fset.File(id.Pos()).Name(), "_test.go") && !within(own[obj], id.Pos()) && !within(blank, id.Pos()) {
+			used[obj] = true
+		}
+	}
+	ifaces := map[string][]*types.Interface{} // by method name
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if it, ok := p.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				for i := range it.NumMethods() {
+					ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+				}
+			}
+		}
+		for _, im := range p.Imports() {
+			walk(im)
+		}
+	}
+	for _, p := range tc.pkgs {
+		walk(p)
+	}
+	ifaces["Error"] = append(ifaces["Error"], types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	satisfies := func(t types.Type, m string) bool {
+		return slices.ContainsFunc(ifaces[m], func(it *types.Interface) bool {
+			return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+		})
+	}
+	for _, d := range slices.Sorted(maps.Keys(tc.pkgs)) {
+		if !scope[d] {
+			continue
+		}
+		scope := tc.pkgs[d].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
+				c.flag(obj.Pos(), "%s.%s: only tests use it", tc.pkgs[d].Name(), name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := range named.NumMethods() {
+				m := named.Method(i)
+				if m.Exported() && !used[m] && !satisfies(named, m.Name()) {
+					c.flag(m.Pos(), "(%s).%s: only tests use it", name, m.Name())
+				}
+			}
+		}
+	}
+}
+
+type typeChecker struct {
+	*guardCheck
+	std  types.ImporterFrom
+	pkgs map[string]*types.Package // the module's, by directory
+	info *types.Info
+}
+
+func (tc *typeChecker) Import(p string) (*types.Package, error) {
+	return tc.ImportFrom(p, "", 0)
+}
+
+func (tc *typeChecker) ImportFrom(p, dir string, mode types.ImportMode) (*types.Package, error) {
+	d, ok := strings.CutPrefix(p, module+"/")
+	if p == module {
+		d, ok = ".", true
+	}
+	if !ok {
+		return tc.std.ImportFrom(p, dir, mode)
+	}
+	if pkg := tc.pkgs[d]; pkg != nil {
+		return pkg, nil
+	}
+	var files []*ast.File
+	for _, f := range tc.files {
+		if !f.test && path.Dir(f.path) == d {
+			files = append(files, f.ast)
+		}
+	}
+	pkg, err := (&types.Config{Importer: tc}).Check(p, tc.fset, files, tc.info)
+	tc.pkgs[d] = pkg
+	return pkg, err
+}
+
+func importPath(dir string) string {
+	if dir == "." {
+		return module
+	}
+	return module + "/" + dir
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// recvType returns the type name a method declaration's receiver names.
+func recvType(info *types.Info, fd *ast.FuncDecl) types.Object {
+	t := fd.Recv.List[0].Type
+	if s, ok := t.(*ast.StarExpr); ok {
+		t = s.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return info.Uses[id]
+	}
+	return nil
 }

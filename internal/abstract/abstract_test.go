@@ -150,8 +150,8 @@ func TestCheckerDetectsViolations(t *testing.T) {
 	s.PropCmd[0] = true
 	s.PropCmd[1] = true
 	set := cfg.Set.(cstruct.HistorySet)
-	ab := set.NewHistory(cfg.Cmds[0], cfg.Cmds[1])
-	ba := set.NewHistory(cfg.Cmds[1], cfg.Cmds[0])
+	ab := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{cfg.Cmds[0], cfg.Cmds[1]})
+	ba := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{cfg.Cmds[1], cfg.Cmds[0]})
 	// Make both "chosen" by planting votes at ballot 1 and 2.
 	s.MaxTried[1], s.MaxTried[2] = ab, ba
 	for a := 0; a < 3; a++ {
@@ -186,7 +186,7 @@ func TestSafeAtBasics(t *testing.T) {
 	// Make ⟨1⟩ chosen at ballot 1 by a full quorum, everyone at ballot 2.
 	s.PropCmd[0] = true
 	set := cfg.Set.(cstruct.HistorySet)
-	h1 := set.NewHistory(cfg.Cmds[0])
+	h1 := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{cfg.Cmds[0]})
 	s.MaxTried[1] = h1
 	for a := 0; a < 3; a++ {
 		s.Votes[a][1] = h1

@@ -84,12 +84,3 @@ func Max(a, b Ballot) Ballot {
 	}
 	return a
 }
-
-// MaxOf returns the largest ballot of a non-empty slice and Zero otherwise.
-func MaxOf(bs []Ballot) Ballot {
-	out := Zero
-	for _, b := range bs {
-		out = Max(out, b)
-	}
-	return out
-}

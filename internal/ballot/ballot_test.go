@@ -163,10 +163,10 @@ func TestRecoveryBumpsIncarnation(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindSingle:  "single-coordinated",
-		KindMulti:   "multicoordinated",
-		KindFast:    "fast",
-		KindUnknown: "unknown",
+		KindSingle: "single-coordinated",
+		KindMulti:  "multicoordinated",
+		KindFast:   "fast",
+		0:          "unknown",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)

@@ -7,7 +7,7 @@ type Kind uint8
 // Paxos; fast rounds are the rounds of Fast Paxos; multicoordinated rounds
 // are the contribution of the paper.
 const (
-	KindUnknown Kind = iota
+	_ Kind = iota // the zero Kind is no round's: it prints "unknown"
 	// KindSingle is a classic round with exactly one coordinator quorum of
 	// one element (the leader). Liveness-friendly, collision-free.
 	KindSingle

@@ -138,16 +138,6 @@ func NewAcceptor(env node.Env, cfg Config, disk storage.Stable) *Acceptor {
 	return a
 }
 
-// Rnd exposes the acceptor's highest current round across shards, for tests
-// and recovery checks.
-func (a *Acceptor) Rnd() ballot.Ballot {
-	hi := a.rnds[0]
-	for _, r := range a.rnds[1:] {
-		hi = ballot.Max(hi, r)
-	}
-	return hi
-}
-
 // ShardRnd exposes the acceptor's current round for one shard, for tests.
 func (a *Acceptor) ShardRnd(shard int) ballot.Ballot { return a.rnds[shard] }
 
@@ -155,13 +145,6 @@ func (a *Acceptor) ShardRnd(shard int) ballot.Ballot { return a.rnds[shard] }
 func (a *Acceptor) Vote(inst uint64) (ballot.Ballot, cstruct.Cmd, bool) {
 	v, ok := a.votes[inst]
 	return v.vrnd, v.vval, ok
-}
-
-// Tally exposes the coordinator-vote tally of an instance: the round and
-// the sorted group members whose matching 2a messages have been received.
-func (a *Acceptor) Tally(inst uint64) (ballot.Ballot, []msg.NodeID, bool) {
-	t, ok := a.tallies[inst]
-	return t.vrnd, slices.Sorted(slices.Values(t.by)), ok
 }
 
 // Promotions reports how many collision-triggered round changes this

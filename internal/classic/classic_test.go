@@ -229,10 +229,10 @@ func TestRestartedCoordinatorForgetsAndRepairs(t *testing.T) {
 	cl.Lead(0)
 	// Every 2b is lost: the acceptors vote, nobody learns, the 2a stays
 	// outstanding at the coordinator.
-	cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+	cl.Sim.SetLatency(dropping(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 		_, is2b := m.(msg.P2b)
 		return is2b
-	})
+	}))
 	cl.Prop.Propose(cstruct.Cmd{ID: 7})
 	cl.Sim.RunUntil(cl.Sim.Now() + 4)
 	old := cl.Coords[0]
@@ -241,7 +241,7 @@ func TestRestartedCoordinatorForgetsAndRepairs(t *testing.T) {
 	}
 
 	cl.Sim.Crash(cl.Cfg.Coords[0])
-	cl.Sim.SetDrop(sim.DropNone)
+	cl.Sim.SetLatency(sim.UnitLatency)
 	cl.Restart(cl.Cfg.Coords[0])
 	fresh := cl.Coords[0]
 	if fresh == old || fresh.Leading() || fresh.Inflight() != 0 || !fresh.Rnd().IsZero() {
@@ -319,7 +319,7 @@ func TestStaleTriggersHigherRound(t *testing.T) {
 func TestLossyNetworkWithRetransmission(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 42, RetryEvery: 20, CoordsPerShard: c})
-		cl.Sim.SetDrop(sim.DropProb(0.2))
+		cl.Sim.SetLatency(dropProb(0.2))
 		cl.Coords[0].BecomeLeader()
 		cl.Sim.RunUntil(1_000)
 		const n = 20
@@ -340,14 +340,14 @@ func TestLostPromiseRecoveredByRetransmit(t *testing.T) {
 	eachC(t, func(t *testing.T, c int) {
 		cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 1, RetryEvery: 20, CoordsPerShard: c})
 		lost := 0
-		cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+		cl.Sim.SetLatency(dropping(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 			// The whole first wave: every acceptor's promise to every member.
 			if m.Type() == msg.TP1b && lost < 3*c {
 				lost++
 				return true
 			}
 			return false
-		})
+		}))
 		cl.Coords[0].BecomeLeader()
 		cl.Prop.Propose(cstruct.Cmd{ID: 1})
 		cl.Sim.RunUntil(5_000)
@@ -415,4 +415,19 @@ func TestShardedProposeSurvivesPrimaryFailover(t *testing.T) {
 	if !cl.Coords[1].Leading() {
 		t.Error("shard 1 leader disturbed by shard 0 failover")
 	}
+}
+
+// dropping is unit latency that loses the messages drop picks.
+func dropping(drop func(from, to msg.NodeID, m msg.Message, r *rand.Rand) bool) sim.LatencyFn {
+	return func(from, to msg.NodeID, m msg.Message, r *rand.Rand) sim.Time {
+		if drop(from, to, m, r) {
+			return -1
+		}
+		return 1
+	}
+}
+
+// dropProb is unit latency that loses each message with probability p.
+func dropProb(p float64) sim.LatencyFn {
+	return dropping(func(_, _ msg.NodeID, _ msg.Message, r *rand.Rand) bool { return r.Float64() < p })
 }

@@ -189,25 +189,9 @@ func NewCoordinator(env node.Env, cfg Config) *Coordinator {
 	}
 }
 
-// Leading reports whether phase 1 has completed for the current round.
-func (c *Coordinator) Leading() bool { return c.leading }
-
-// Rnd returns the coordinator's current round.
-func (c *Coordinator) Rnd() ballot.Ballot { return c.crnd }
-
 // RoundChanges counts round establishments after the first: a crash-free
 // drain reports 0 even when a member of a c ≥ 3 group died.
 func (c *Coordinator) RoundChanges() int { return c.roundChanges }
-
-// Pending reports how many assigned instances wait for a window slot.
-func (c *Coordinator) Pending() int { return len(c.unsent) }
-
-// Inflight reports how many forwarded instances are not yet learned.
-func (c *Coordinator) Inflight() int { return len(c.sent) }
-
-// Retained reports how many instances the coordinator holds state for
-// (assigned values plus out-of-order learns), for memory-bound tests.
-func (c *Coordinator) Retained() int { return len(c.proposals) + len(c.learned) }
 
 // IngressCounts reports the ingress stamping activity: sequence slots
 // stamped at this member, client requests that lost their stamped slot to a

@@ -52,10 +52,10 @@ func stampedAt(co *Coordinator) uint64 {
 
 // holdInFlight drops every 2b: whatever is forwarded stays unlearned.
 func holdInFlight(cl *Cluster) {
-	cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+	cl.Sim.SetLatency(dropping(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 		_, is2b := m.(msg.P2b)
 		return is2b
-	})
+	}))
 }
 
 // batchLen is how many client commands a learned value carries.
@@ -129,7 +129,8 @@ func TestPipelineIsTheBatchClock(t *testing.T) {
 			t.Fatalf("%d slots stamped once the waiting batch filled, want 2", got)
 		}
 		submit(co, 2*ingMax)
-		cl.Sim.RunWhile(func() bool { return stampedAt(co) < 3 })
+		for stampedAt(co) < 3 && cl.Sim.Step() {
+		}
 		if now := cl.Sim.Now(); now != cl.LearnTime[1] || now >= base+co.IngressBatchWait {
 			t.Fatalf("third slot stamped at t=%d; want the learn that emptied the pipeline at t=%d, before the timer at t=%d",
 				now, cl.LearnTime[1], base+co.IngressBatchWait)

@@ -68,10 +68,6 @@ func (l *Learner) Learned(inst uint64) (cstruct.Cmd, bool) {
 	return c, ok
 }
 
-// LearnedCount returns how many instances have ever been learned, including
-// released ones.
-func (l *Learner) LearnedCount() int { return l.count }
-
 // Release garbage-collects every instance < upTo: the SMR layer calls it
 // once those instances are applied, bounding the learner's retained state.
 // Late 2b retransmissions below the watermark are ignored — they can only
@@ -86,10 +82,6 @@ func (l *Learner) Release(upTo uint64) {
 	}
 	l.floor = upTo
 }
-
-// Retained reports how many instances the learner currently holds state for
-// (learned values plus open tallies), for memory-bound tests.
-func (l *Learner) Retained() int { return len(l.learned) + len(l.votes) }
 
 // OnMessage implements node.Handler.
 func (l *Learner) OnMessage(_ msg.NodeID, m msg.Message) {

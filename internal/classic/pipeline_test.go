@@ -159,15 +159,15 @@ func TestRoundChangeRecoversUnackedCommand(t *testing.T) {
 		cl := NewCluster(ClusterOpts{NAcceptors: 3, F: 1, Seed: 1, CoordsPerShard: c})
 		cl.Lead(0)
 		// Lose every 2a: the assignment exists only in coordinator state.
-		cl.Sim.SetDrop(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+		cl.Sim.SetLatency(dropping(func(_, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 			return m.Type() == msg.TP2a
-		})
+		}))
 		cl.Prop.Propose(cstruct.Cmd{ID: 1, Key: "x"})
 		cl.Sim.Run()
 		if len(cl.LearnedCmds) != 0 {
 			t.Fatalf("nothing should be learned while 2a is dropped")
 		}
-		cl.Sim.SetDrop(sim.DropNone)
+		cl.Sim.SetLatency(sim.UnitLatency)
 		cl.Coords[0].BecomeLeader()
 		cl.Sim.Run()
 		if len(cl.LearnedCmds) != 1 {

@@ -198,14 +198,14 @@ func TestRelayMutualBeliefsResolve(t *testing.T) {
 			cl.Coords[at].stamper = cl.Cfg.Coords[cycle[(i+1)%len(cycle)]]
 		}
 		relays := 0
-		cl.Sim.SetDrop(func(from, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+		cl.Sim.SetLatency(dropping(func(from, _ msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 			if p, ok := m.(msg.Propose); ok && !p.HasSeq {
 				if client, _ := SplitCmdID(p.Cmd.ID); from != client {
 					relays++
 				}
 			}
 			return false
-		})
+		}))
 		submitTo(cl, 0, 7, 1)
 		cl.Sim.Run()
 		if relays > len(cycle) {

@@ -1,15 +1,15 @@
-package runtime
+package classic
 
 import (
 	"path/filepath"
 	"testing"
 
 	"mcpaxos/internal/ballot"
-	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
 	"mcpaxos/internal/quorum"
+	"mcpaxos/internal/runtime"
 	"mcpaxos/internal/wal"
 )
 
@@ -26,10 +26,10 @@ import (
 // group's retransmitted 2as in a higher round, as the Stale-driven recovery
 // would drive it.
 func TestRestartOverWALForgetsPartialTally(t *testing.T) {
-	n := NewNetwork()
+	n := runtime.NewNetwork()
 	defer n.Stop()
 
-	cfg := classic.Config{
+	cfg := Config{
 		Coords:         []msg.NodeID{100, 101, 102},
 		Acceptors:      []msg.NodeID{200, 201, 202},
 		Learners:       []msg.NodeID{300},
@@ -47,7 +47,7 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 	}
 
 	acc := n.Spawn(200, func(env node.Env) node.Handler {
-		return classic.NewAcceptor(env, cfg, w)
+		return NewAcceptor(env, cfg, w)
 	})
 
 	r := ballot.Ballot{MinCount: 1, ID: 100}
@@ -61,7 +61,7 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 	// Instance 1: only member 100's 2a — a partial tally, in memory only.
 	acc.Inject(100, msg.P2a{Inst: 1, Rnd: r, Coord: 100, Val: val(11)})
 	acc.Do(func(h node.Handler) {
-		a := h.(*classic.Acceptor)
+		a := h.(*Acceptor)
 		if _, _, ok := a.Vote(0); !ok {
 			t.Error("instance 0 not accepted before the crash")
 		}
@@ -81,10 +81,10 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 		t.Fatalf("reopen wal: %v", err)
 	}
 	defer func() { w.Close() }()
-	n = NewNetwork()
+	n = runtime.NewNetwork()
 	defer n.Stop()
 	restarted := n.Spawn(200, func(env node.Env) node.Handler {
-		return classic.NewAcceptor(env, cfg, w)
+		return NewAcceptor(env, cfg, w)
 	})
 
 	if got := w.Writes(); got != 1 {
@@ -96,7 +96,7 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 
 	var mcount uint32
 	restarted.Do(func(h node.Handler) {
-		a := h.(*classic.Acceptor)
+		a := h.(*Acceptor)
 		if _, v, ok := a.Vote(0); !ok || v.ID != 10 {
 			t.Errorf("vote for instance 0 lost across restart (got %v, ok=%v)", v, ok)
 		}
@@ -115,7 +115,7 @@ func TestRestartOverWALForgetsPartialTally(t *testing.T) {
 	restarted.Inject(100, msg.P2a{Inst: 1, Rnd: r2, Coord: 100, Val: val(11)})
 	restarted.Inject(101, msg.P2a{Inst: 1, Rnd: r2, Coord: 101, Val: val(11)})
 	restarted.Do(func(h node.Handler) {
-		a := h.(*classic.Acceptor)
+		a := h.(*Acceptor)
 		if vrnd, v, ok := a.Vote(1); !ok || v.ID != 11 || !vrnd.Equal(r2) {
 			t.Errorf("instance 1 did not complete after recovery (got %v@%v, ok=%v)", v, vrnd, ok)
 		}

@@ -30,7 +30,7 @@ func TestBatchesHeadedByOneCommandAreTwoValues(t *testing.T) {
 
 	const slot = 1
 	lost102 := false
-	cl.Sim.SetDrop(func(from, to msg.NodeID, m msg.Message, _ *rand.Rand) bool {
+	cl.Sim.SetLatency(dropping(func(from, to msg.NodeID, m msg.Message, _ *rand.Rand) bool {
 		switch mm := m.(type) {
 		case msg.Propose:
 			return mm.HasSeq && from == 100 && to == 101
@@ -48,7 +48,7 @@ func TestBatchesHeadedByOneCommandAreTwoValues(t *testing.T) {
 			return mm.Inst == slot && from == 201 && to == 300
 		}
 		return false
-	})
+	}))
 	x, y, z := relayCmd(7, 1), relayCmd(7, 2), relayCmd(8, 1)
 	sub := func(c cstruct.Cmd) msg.Message { return msg.Propose{Cmd: c} }
 	deliver(cl.Coords[0], 7, sub(x), sub(y))

@@ -250,8 +250,8 @@ func TestAgreementManyLearners(t *testing.T) {
 
 func TestPickValueDeterministic(t *testing.T) {
 	set := cstruct.NewHistorySet(cstruct.AlwaysConflict)
-	short := set.NewHistory(cstruct.Cmd{ID: 1})
-	long := set.NewHistory(cstruct.Cmd{ID: 1}, cstruct.Cmd{ID: 2})
+	short := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{{ID: 1}})
+	long := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{{ID: 1}, {ID: 2}})
 	if got := PickValue([]cstruct.CStruct{short, long}); got.Len() != 2 {
 		t.Errorf("PickValue must prefer the longest candidate")
 	}

@@ -46,9 +46,6 @@ func NewLearner(env node.Env, cfg Config, fn UpdateFn) *Learner {
 // Learned returns the current learned c-struct.
 func (l *Learner) Learned() cstruct.CStruct { return l.learned }
 
-// LearnedCount returns the number of learned commands.
-func (l *Learner) LearnedCount() int { return l.learned.Len() }
-
 // OnMessage implements node.Handler.
 func (l *Learner) OnMessage(_ msg.NodeID, m msg.Message) {
 	mm, ok := m.(msg.P2b)

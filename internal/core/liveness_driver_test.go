@@ -14,7 +14,7 @@ import (
 // no longer form a coordinator quorum, starts a single-coordinated round it
 // owns so progress resumes without the crashed peers.
 //
-// Host it together with its Coordinator under a node.MultiHandler.
+// Host it together with its Coordinator on one node (withDriver).
 type LeaderDriver struct {
 	env   node.Env
 	cfg   Config

@@ -4,8 +4,7 @@ import (
 	"testing"
 
 	"mcpaxos/internal/cstruct"
-	"mcpaxos/internal/node"
-	"mcpaxos/internal/sim"
+	"mcpaxos/internal/msg"
 )
 
 // driverCluster wires LeaderDrivers next to every coordinator.
@@ -19,12 +18,29 @@ func driverCluster(t *testing.T, seed int64) (*Cluster, []*LeaderDriver) {
 	for i, id := range cl.Cfg.Coords {
 		d := NewLeaderDriver(cl.Sim.Env(id), cl.Cfg, cl.Coords[i], 10, 25, 30)
 		drivers[i] = d
-		cl.Sim.Register(id, node.MultiHandler{cl.Coords[i], d})
+		cl.Sim.Register(id, withDriver{cl.Coords[i], d})
 	}
 	for _, d := range drivers {
 		d.Start()
 	}
 	return cl, drivers
+}
+
+// withDriver hosts a coordinator and its LeaderDriver on one node: every
+// message and timer reaches both, the coordinator first.
+type withDriver struct {
+	*Coordinator
+	d *LeaderDriver
+}
+
+func (h withDriver) OnMessage(from msg.NodeID, m msg.Message) {
+	h.Coordinator.OnMessage(from, m)
+	h.d.OnMessage(from, m)
+}
+
+func (h withDriver) OnTimer(tag int) {
+	h.Coordinator.OnTimer(tag)
+	h.d.OnTimer(tag)
 }
 
 func TestDriverBootstrapsRound(t *testing.T) {
@@ -76,7 +92,7 @@ func TestLossyNetworkEndToEnd(t *testing.T) {
 		NCoords: 3, NAcceptors: 3, F: 1, Seed: 11,
 		Set: cstruct.CmdSetSet{}, RetryEvery: 30,
 	})
-	cl.Sim.SetDrop(sim.DropProb(0.15))
+	cl.Sim.SetLatency(dropProb(0.15))
 	cl.Start(0)
 	const n = 15
 	for i := 0; i < n; i++ {

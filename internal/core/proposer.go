@@ -56,12 +56,6 @@ func (p *Proposer) MarkLearned(cmdID uint64) {
 	p.drain()
 }
 
-// Queued reports how many commands wait for a pipeline slot.
-func (p *Proposer) Queued() int { return len(p.queue) }
-
-// Inflight reports how many submitted commands are not yet learned.
-func (p *Proposer) Inflight() int { return len(p.inflight) }
-
 // drain submits queued commands while the window has room.
 func (p *Proposer) drain() {
 	for len(p.queue) > 0 && (p.MaxInflight <= 0 || len(p.inflight) < p.MaxInflight) {

@@ -34,7 +34,7 @@ func TestProvedSafeAdoptsConstrainedValue(t *testing.T) {
 	set := cstruct.NewHistorySet(cstruct.AlwaysConflict)
 	sys := quorum.MustAcceptorSystem(3, 1, 0)
 	k := ballot.Ballot{MinCount: 1, ID: 100}
-	h := set.NewHistory(cstruct.Cmd{ID: 1})
+	h := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{{ID: 1}})
 	reports := []Report{
 		{AccIdx: 0, VRnd: k, VVal: h},
 		{AccIdx: 1, VRnd: k, VVal: h},
@@ -58,8 +58,8 @@ func TestProvedSafeTakesLubOfQuorumGlbs(t *testing.T) {
 	k := ballot.Ballot{MinCount: 1, ID: 100}
 	base := cstruct.Cmd{ID: 1}
 	reports := []Report{
-		{AccIdx: 0, VRnd: k, VVal: set.NewHistory(base, cstruct.Cmd{ID: 3})},
-		{AccIdx: 1, VRnd: k, VVal: set.NewHistory(base)},
+		{AccIdx: 0, VRnd: k, VVal: cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{base, {ID: 3}})},
+		{AccIdx: 1, VRnd: k, VVal: cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{base})},
 	}
 	got, err := ProvedSafeSized(set, sys, ballot.MultiScheme{}, reports)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestProvedSafeSizedMatchesGeneric(t *testing.T) {
 		// Build a quorum of reports: some acceptors at round k share a
 		// common prefix (as a real round would enforce), others lag.
 		k := ballot.Ballot{MinCount: uint32(1 + r.Intn(3)), ID: 100}
-		prefix := set.NewHistory(cstruct.Cmd{ID: 1})
+		prefix := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{{ID: 1}})
 		qsize := sys.ClassicSize()
 		perm := r.Perm(n)
 		reports := make([]Report, 0, qsize)

@@ -25,8 +25,13 @@ func TestSafetyUnderRandomSchedules(t *testing.T) {
 				NLearners: 2, RetryEvery: 50,
 				Set: cstruct.NewHistorySet(cstruct.KeyConflict),
 			})
-			cl.Sim.SetLatency(sim.JitterLatency(3))
-			cl.Sim.SetDrop(sim.DropProb(0.05))
+			jitter := sim.JitterLatency(3)
+			cl.Sim.SetLatency(func(from, to msg.NodeID, m msg.Message, r *rand.Rand) sim.Time {
+				if r.Float64() < 0.05 {
+					return -1 // lost
+				}
+				return jitter(from, to, m, r)
+			})
 
 			// Stability tracking per learner.
 			prev := make([]cstruct.CStruct, len(cl.Learners))
@@ -104,9 +109,9 @@ func TestSafetyUnderPartition(t *testing.T) {
 	})
 	isolated := cl.Cfg.Acceptors[0]
 	partitioned := true
-	cl.Sim.SetDrop(func(from, to msg.NodeID, _ msg.Message, _ *rand.Rand) bool {
+	cl.Sim.SetLatency(dropping(func(from, to msg.NodeID, _ msg.Message, _ *rand.Rand) bool {
 		return partitioned && (from == isolated || to == isolated)
-	})
+	}))
 	cl.Start(0)
 	for i := 0; i < 5; i++ {
 		cl.Props[0].Propose(cstruct.Cmd{ID: uint64(1 + i), Key: "k"})
@@ -136,4 +141,19 @@ func TestSafetyUnderPartition(t *testing.T) {
 		cl.Accs[0].VVal().Len() == 0 {
 		t.Logf("isolated acceptor still behind (allowed): %v", cl.Accs[0].VVal())
 	}
+}
+
+// dropping is unit latency that loses the messages drop picks.
+func dropping(drop func(from, to msg.NodeID, m msg.Message, r *rand.Rand) bool) sim.LatencyFn {
+	return func(from, to msg.NodeID, m msg.Message, r *rand.Rand) sim.Time {
+		if drop(from, to, m, r) {
+			return -1
+		}
+		return 1
+	}
+}
+
+// dropProb is unit latency that loses each message with probability p.
+func dropProb(p float64) sim.LatencyFn {
+	return dropping(func(_, _ msg.NodeID, _ msg.Message, r *rand.Rand) bool { return r.Float64() < p })
 }

@@ -19,7 +19,6 @@ package cstruct
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -29,7 +28,7 @@ type OpKind uint8
 
 // Operation kinds. Start at one so the zero value is detectably unset.
 const (
-	OpUnknown OpKind = iota
+	_ OpKind = iota
 	OpRead
 	OpWrite
 )
@@ -87,18 +86,3 @@ func NeverConflict(a, b Cmd) bool { return false }
 // KeyConflict orders two distinct (not Equal) commands iff they touch the
 // same key, as two batches headed by one command do.
 func KeyConflict(a, b Cmd) bool { return a.Key == b.Key && !a.Equal(b) }
-
-// RWConflict orders two distinct (not Equal) commands iff they touch the same
-// key and at least one of them is a write. Two reads of the same key commute.
-func RWConflict(a, b Cmd) bool {
-	return a.Key == b.Key && (a.Op == OpWrite || b.Op == OpWrite) && !a.Equal(b)
-}
-
-// FmtCmds renders a command slice compactly, for diagnostics.
-func FmtCmds(cs []Cmd) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = c.String()
-	}
-	return fmt.Sprintf("⟨%s⟩", strings.Join(parts, ","))
-}

@@ -23,15 +23,6 @@ type CmdSet struct {
 
 var _ CStruct = CmdSet{}
 
-// NewCmdSet returns a CmdSet containing the given commands.
-func NewCmdSet(cs ...Cmd) CmdSet {
-	m := make(map[uint64]Cmd, len(cs))
-	for _, c := range cs {
-		m[c.ID] = c
-	}
-	return CmdSet{cmds: m}
-}
-
 // Append returns v ∪ {c}.
 func (v CmdSet) Append(c Cmd) CStruct {
 	if v.Contains(c) {

@@ -1,7 +1,5 @@
 package cstruct
 
-import "slices"
-
 // CStruct is one command structure: an element of a c-struct set. Values are
 // immutable; Append returns a new c-struct and never mutates the receiver.
 type CStruct interface {
@@ -45,16 +43,4 @@ func AppendSeq(v CStruct, seq []Cmd) CStruct {
 		v = v.Append(c)
 	}
 	return v
-}
-
-// ConstructibleFrom reports whether v is constructible from commands drawn
-// from pool: every command contained in v appears in pool. This is the
-// Str(P) membership test used by the Nontriviality property.
-func ConstructibleFrom(v CStruct, pool []Cmd) bool {
-	for _, c := range v.Commands() {
-		if !slices.ContainsFunc(pool, c.Equal) {
-			return false
-		}
-	}
-	return true
 }

@@ -24,9 +24,6 @@ func NewHistorySet(conflict Conflict) HistorySet {
 	return HistorySet{conflict: conflict}
 }
 
-// Conflict returns the conflict relation of the set.
-func (s HistorySet) Conflict() Conflict { return s.conflict }
-
 // History is a c-struct of a HistorySet: a representative command sequence.
 type History struct {
 	seq      []Cmd
@@ -34,15 +31,6 @@ type History struct {
 }
 
 var _ CStruct = History{}
-
-// NewHistory builds a history by appending seq to ⊥ of set s.
-func (s HistorySet) NewHistory(seq ...Cmd) History {
-	h := History{conflict: s.conflict}
-	for _, c := range seq {
-		h = h.append(c)
-	}
-	return h
-}
 
 func (h History) append(c Cmd) History {
 	if h.Contains(c) {

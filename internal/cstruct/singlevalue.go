@@ -20,9 +20,6 @@ var _ CStruct = SingleValue{}
 // NewSingleValue returns the c-struct holding exactly command c.
 func NewSingleValue(c Cmd) SingleValue { return SingleValue{set: true, cmd: c} }
 
-// IsBottom reports whether the c-struct is ⊥.
-func (v SingleValue) IsBottom() bool { return !v.set }
-
 // Value returns the held command; ok is false for ⊥.
 func (v SingleValue) Value() (Cmd, bool) { return v.cmd, v.set }
 

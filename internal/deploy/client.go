@@ -303,15 +303,6 @@ func newClientHandler(env node.Env, cfg classic.Config, spec ClusterSpec) *clien
 	return h
 }
 
-// propose stamps, registers and routes one command from the mailbox
-// goroutine (test convenience; the Client submits via proposeMsg).
-func (h *clientHandler) propose(cmd cstruct.Cmd) *Call {
-	cmd.ID = classic.CmdID(h.env.ID(), h.seq.Add(1)-1)
-	call := &Call{ID: cmd.ID, done: make(chan struct{}), start: time.Now()}
-	h.proposeCall(cmd, call)
-	return call
-}
-
 // proposeCall registers one stamped command and sends its initial
 // unsequenced proposal.
 func (h *clientHandler) proposeCall(cmd cstruct.Cmd, call *Call) {

@@ -306,7 +306,6 @@ func TestLiveTCPInspectorsUnderLoad(t *testing.T) {
 		rep.Replays()
 		rep.CatchupStats()
 		rep.CompactionStats()
-		rep.AcceptorFloors()
 		rep.ShardRounds()
 		rep.WALDiskStats()
 		rep.IngressCounts()

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"mcpaxos/internal/classic"
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
-	"mcpaxos/internal/node"
 	"mcpaxos/internal/smr"
 )
 
@@ -292,6 +290,33 @@ func TestLearnerRestartCatchesUp(t *testing.T) {
 	}
 }
 
+// awaitDrained waits until no hosted coordinator has an instance in flight or
+// queued: such a window retransmits its 2as every 4 × RetryEvery, so the
+// coordinators fall silent for a whole retransmission period only once every
+// learner ack has arrived.
+func awaitDrained(t *testing.T, rep *Replica) {
+	t.Helper()
+	sent := func() (frames uint64) {
+		for _, e := range rep.hosts(rep.spec.Coords) {
+			frames += e.tcp.Stats().FramesOut
+		}
+		return frames
+	}
+	quiet := 5 * rep.spec.RetryEvery
+	deadline := time.Now().Add(10 * time.Second)
+	for frames := sent(); ; {
+		time.Sleep(quiet)
+		now := sent()
+		if now == frames {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator windows never drained: %d frames sent in the last %v", now-frames, quiet)
+		}
+		frames = now
+	}
+}
+
 // TestLearnerCatchupAcceptorFallback: kill BOTH learners, then restart
 // them — no learner retains the decided prefix, so peer catch-up finds
 // nothing and the prefix survives only in the acceptors' votes. The gap
@@ -299,29 +324,6 @@ func TestLearnerRestartCatchesUp(t *testing.T) {
 // and ordinary quorum counting relearns the prefix. (Found by nemesis
 // seed 14: recover-one-learner and kill-the-other landing on the same
 // tick left both learners empty and the run permanently stalled.)
-// awaitDrained waits until no hosted coordinator has an instance in flight or
-// queued: every learner ack has arrived.
-func awaitDrained(t *testing.T, rep *Replica) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		open := 0
-		for _, e := range rep.hosts(rep.spec.Coords) {
-			e.agent.Do(func(hd node.Handler) {
-				c := hd.(*classic.Coordinator)
-				open += c.Inflight() + c.Pending()
-			})
-		}
-		if open == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator windows never drained: %d instances open", open)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestLearnerCatchupAcceptorFallback(t *testing.T) {
 	spec := LocalSpec(2, 3, 3, 2, 1)
 	spec.RetryEvery = 20 * time.Millisecond

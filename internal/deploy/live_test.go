@@ -110,7 +110,12 @@ func acceptorRounds(rep *Replica) (rnds map[uint32]ballot.Ballot, writes map[uin
 		if !ok {
 			continue
 		}
-		e.agent.Do(func(hd node.Handler) { rnds[n.ID] = hd.(*classic.Acceptor).Rnd() })
+		e.agent.Do(func(hd node.Handler) {
+			a := hd.(*classic.Acceptor)
+			for k := range rep.cfg.NShards() {
+				rnds[n.ID] = ballot.Max(rnds[n.ID], a.ShardRnd(k))
+			}
+		})
 		rep.mu.Lock()
 		writes[n.ID] = rep.wals[msg.NodeID(n.ID)].Writes()
 		rep.mu.Unlock()

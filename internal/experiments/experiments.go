@@ -34,7 +34,6 @@ import (
 	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/failure"
 	"mcpaxos/internal/msg"
-	"mcpaxos/internal/node"
 	"mcpaxos/internal/quorum"
 	"mcpaxos/internal/sim"
 )
@@ -541,6 +540,23 @@ type E8Result struct {
 	MultiGap int64
 }
 
+// elected hosts a classic coordinator and its leader elector on one node:
+// every message and timer reaches both, the coordinator first.
+type elected struct {
+	*classic.Coordinator
+	el *failure.Elector
+}
+
+func (h elected) OnMessage(from msg.NodeID, m msg.Message) {
+	h.Coordinator.OnMessage(from, m)
+	h.el.OnMessage(from, m)
+}
+
+func (h elected) OnTimer(tag int) {
+	h.Coordinator.OnTimer(tag)
+	h.el.OnTimer(tag)
+}
+
 // RunE8LeaderFailover crashes the leader (classic) or one coordinator
 // (multicoordinated) under a steady command stream and measures the longest
 // decision gap (Sections 1, 4.1).
@@ -568,7 +584,7 @@ func RunE8LeaderFailover(seed int64) E8Result {
 				}
 			})
 		electors = append(electors, el)
-		ccl.Sim.Register(id, node.MultiHandler{co, el})
+		ccl.Sim.Register(id, elected{co, el})
 	}
 	for _, el := range electors {
 		el.Start()

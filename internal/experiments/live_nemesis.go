@@ -173,16 +173,22 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 		unresolved = make(map[uint64]int) // cmd ID → history index
 		acked      []uint64               // cmd IDs whose reply arrived in time
 	)
-	// Pace each worker so its ops span the fault window: an unpaced closed
+	// Pace the workers so their ops span the fault window: an unpaced closed
 	// loop finishes in tens of milliseconds on an idle machine, before the
-	// first scheduled fault ever fires, and the adversary tests nothing.
+	// first scheduled fault ever fires, and the adversary tests nothing. The
+	// pace is one schedule for all of them — op k of every worker is due at
+	// k·pace, or as soon as the worker's previous op returns if that is later
+	// — so the workers' proposals reach a stamper together, which is when an
+	// ingress batch packs more than one command.
 	pace := horizonTicks * time.Millisecond * 3 / 4 / time.Duration(opsPerClient)
+	paced := time.Now()
 	var workerWG sync.WaitGroup
 	for c := range workload {
 		workerWG.Add(1)
 		go func(c int) {
 			defer workerWG.Done()
-			for _, op := range workload[c] {
+			for k, op := range workload[c] {
+				time.Sleep(time.Until(paced.Add(time.Duration(k) * pace)))
 				cmd, kind := nemesisCmd(0, op)
 				idx := hist.Invoke(uint64(c), kind, op.Key, op.Value, time.Now().UnixNano())
 				call := cli.Propose(cmd)
@@ -198,7 +204,6 @@ func RunLiveNemesis(seed int64, clients, opsPerClient, batchMax int, walDir stri
 					acked = append(acked, call.ID)
 				}
 				mu.Unlock()
-				time.Sleep(pace)
 			}
 		}(c)
 	}

@@ -51,13 +51,6 @@ func (h *History) Op(idx int) Op {
 	return h.ops[idx]
 }
 
-// Len reports how many operations were invoked (discarded ones included).
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.ops)
-}
-
 // Resolved reports how many operations drew a reply.
 func (h *History) Resolved() int {
 	h.mu.Lock()

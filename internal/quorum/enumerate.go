@@ -4,8 +4,8 @@ import "sync"
 
 // This file provides explicit quorum enumeration. The protocol runtime only
 // needs cardinalities, but tests and the generic ProvedSafe oracle reason
-// about concrete quorums, the incremental learners fold quorum glbs per 2b,
-// and the assumption checkers below verify Assumptions 1-3 exhaustively on
+// about concrete quorums, and the incremental learners fold quorum glbs per
+// 2b. The tests' assumption checkers verify Assumptions 1-3 exhaustively on
 // small configurations.
 
 // subsetsCache memoizes Subsets results: hot paths (core learner relearn,
@@ -66,76 +66,5 @@ func enumerateSubsets(n, k int) [][]int {
 	return out
 }
 
-// ClassicQuorums enumerates the minimal classic quorums (size n−F).
-func (s AcceptorSystem) ClassicQuorums() [][]int { return Subsets(s.n, s.ClassicSize()) }
-
-// FastQuorums enumerates the minimal fast quorums (size n−E).
-func (s AcceptorSystem) FastQuorums() [][]int { return Subsets(s.n, s.FastSize()) }
-
 // Quorums enumerates the minimal quorums for a round of the given fastness.
 func (s AcceptorSystem) Quorums(fast bool) [][]int { return Subsets(s.n, s.Size(fast)) }
-
-// CoordQuorums enumerates the minimal coordinator quorums.
-func (s CoordSystem) CoordQuorums() [][]int { return Subsets(s.nc, s.Size()) }
-
-func intersect(a, b []int) []int {
-	in := make(map[int]struct{}, len(a))
-	for _, x := range a {
-		in[x] = struct{}{}
-	}
-	var out []int
-	for _, y := range b {
-		if _, ok := in[y]; ok {
-			out = append(out, y)
-		}
-	}
-	return out
-}
-
-// CheckQuorumRequirement verifies Assumption 1 by enumeration: every pair of
-// quorums (classic or fast) intersects.
-func (s AcceptorSystem) CheckQuorumRequirement() bool {
-	all := append(s.ClassicQuorums(), s.FastQuorums()...)
-	for _, q := range all {
-		for _, r := range all {
-			if len(intersect(q, r)) == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CheckFastQuorumRequirement verifies Assumption 2 by enumeration: for any
-// quorum Q and fast quorums R1, R2, Q ∩ R1 ∩ R2 ≠ ∅.
-func (s AcceptorSystem) CheckFastQuorumRequirement() bool {
-	if !s.CheckQuorumRequirement() {
-		return false
-	}
-	qs := append(s.ClassicQuorums(), s.FastQuorums()...)
-	fast := s.FastQuorums()
-	for _, q := range qs {
-		for _, r1 := range fast {
-			for _, r2 := range fast {
-				if len(intersect(intersect(q, r1), r2)) == 0 {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// CheckCoordQuorumRequirement verifies Assumption 3 by enumeration: any two
-// coordinator quorums of the same round intersect.
-func (s CoordSystem) CheckCoordQuorumRequirement() bool {
-	qs := s.CoordQuorums()
-	for _, p := range qs {
-		for _, q := range qs {
-			if len(intersect(p, q)) == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}

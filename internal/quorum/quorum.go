@@ -45,12 +45,6 @@ func MustAcceptorSystem(n, f, e int) AcceptorSystem {
 	return s
 }
 
-// MajoritySystem returns the largest-F system with E = 0 ("classic only"):
-// F = ⌈n/2⌉−1 and fast quorums equal to all acceptors.
-func MajoritySystem(n int) (AcceptorSystem, error) {
-	return NewAcceptorSystem(n, (n-1)/2, 0)
-}
-
 // BalancedSystem returns the E = F system in which every set of ⌈(2n+1)/3⌉
 // acceptors is both a classic and a fast quorum (Section 2.2).
 func BalancedSystem(n int) (AcceptorSystem, error) {
@@ -97,16 +91,6 @@ func (s AcceptorSystem) Size(fast bool) int {
 // a round of the given fastness.
 func (s AcceptorSystem) IsQuorum(got int, fast bool) bool { return got >= s.Size(fast) }
 
-// ClassicInterSize returns the minimum cardinality of Q ∩ R for a quorum Q
-// of the current round and a classic quorum R: n − 2F.
-func (s AcceptorSystem) ClassicInterSize() int { return s.n - 2*s.f }
-
-// FastInterSize returns the minimum cardinality of Q ∩ R for a quorum Q of
-// the current round and a fast quorum R: n − F − E when Q is classic. The
-// paper's Section 3.3.2 uses n − 2E; we use the exact bound for the quorum
-// actually gathered, which the caller supplies via qSize.
-func (s AcceptorSystem) FastInterSize(qSize int) int { return qSize + s.FastSize() - s.n }
-
 // MinInterSize returns the minimum possible |Q ∩ R| where |Q| = qSize and R
 // is a quorum for a round of the given fastness.
 func (s AcceptorSystem) MinInterSize(qSize int, fast bool) int {
@@ -149,9 +133,6 @@ func (s CoordSystem) N() int { return s.nc }
 
 // Size returns the coordinator quorum cardinality ⌊nc/2⌋+1.
 func (s CoordSystem) Size() int { return s.nc/2 + 1 }
-
-// IsQuorum reports whether `got` distinct coordinators form a quorum.
-func (s CoordSystem) IsQuorum(got int) bool { return got >= s.Size() }
 
 // MaxFailures returns how many coordinator crashes leave at least one
 // quorum intact: nc − Size().

@@ -152,9 +152,6 @@ type Agent struct {
 	wg      sync.WaitGroup
 }
 
-// ID returns the agent's node ID.
-func (a *Agent) ID() msg.NodeID { return a.id }
-
 // Inject delivers a message to this agent as if sent by from.
 func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
 	a.enqueue(inbound{kind: kindMsg, from: from, m: m})

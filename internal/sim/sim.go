@@ -72,19 +72,6 @@ func JitterLatency(jitter int64) LatencyFn {
 	}
 }
 
-// DropFn decides whether to lose a message.
-type DropFn func(from, to msg.NodeID, m msg.Message, r *rand.Rand) bool
-
-// DropNone loses nothing.
-func DropNone(_, _ msg.NodeID, _ msg.Message, _ *rand.Rand) bool { return false }
-
-// DropProb loses each message independently with probability p.
-func DropProb(p float64) DropFn {
-	return func(_, _ msg.NodeID, _ msg.Message, r *rand.Rand) bool {
-		return p > 0 && r.Float64() < p
-	}
-}
-
 type simNode struct {
 	id      msg.NodeID
 	handler node.Handler
@@ -102,7 +89,6 @@ type Sim struct {
 	nodes   map[msg.NodeID]*simNode
 	rng     *rand.Rand
 	latency LatencyFn
-	drop    DropFn
 	faults  *faults.Faults
 	metrics *Metrics
 	// MaxEvents guards against runaway executions; Run returns once the
@@ -116,7 +102,6 @@ func New(seed int64) *Sim {
 		nodes:     make(map[msg.NodeID]*simNode),
 		rng:       rand.New(rand.NewSource(seed)),
 		latency:   UnitLatency,
-		drop:      DropNone,
 		metrics:   NewMetrics(),
 		MaxEvents: 10_000_000,
 	}
@@ -125,14 +110,11 @@ func New(seed int64) *Sim {
 // SetLatency installs a latency model.
 func (s *Sim) SetLatency(f LatencyFn) { s.latency = f }
 
-// SetDrop installs a loss model.
-func (s *Sim) SetDrop(f DropFn) { s.drop = f }
-
 // SetFaults installs an adversarial fault injector on the send path:
 // partitions, asymmetric link cuts, loss, duplication and bounded
-// reordering, on top of (not instead of) the latency and drop models. The
-// injector runs inside the simulator's single-threaded event loop, so a
-// seeded injector makes the whole hostile run deterministic. nil uninstalls.
+// reordering, on top of (not instead of) the latency model. The injector
+// runs inside the simulator's single-threaded event loop, so a seeded
+// injector makes the whole hostile run deterministic. nil uninstalls.
 func (s *Sim) SetFaults(f *faults.Faults) { s.faults = f }
 
 // Metrics returns the simulation's metrics sink.
@@ -145,8 +127,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Now() Time { return s.now }
 
 // Register adds a node to the simulation. Registering an existing ID
-// replaces its handler (to host an agent beside another under a
-// node.MultiHandler); a crashed node comes back through Restart.
+// replaces its handler (to host an agent beside another under one handler
+// that forwards to both); a crashed node comes back through Restart.
 func (s *Sim) Register(id msg.NodeID, h node.Handler) {
 	if n, ok := s.nodes[id]; ok {
 		n.handler = h
@@ -206,10 +188,6 @@ func (s *Sim) send(from, to msg.NodeID, m msg.Message) {
 	s.metrics.sent(from, m)
 	if src, ok := s.nodes[from]; ok && !src.up {
 		return // crashed nodes cannot send
-	}
-	if s.drop(from, to, m, s.rng) {
-		s.metrics.Dropped++
-		return
 	}
 	d := s.latency(from, to, m, s.rng)
 	if d < 0 {
@@ -288,12 +266,6 @@ func (s *Sim) Restart(id msg.NodeID, build func(node.Env) node.Handler) {
 	n.handler = build(s.Env(id))
 }
 
-// IsUp reports whether node id is currently up.
-func (s *Sim) IsUp(id msg.NodeID) bool {
-	n, ok := s.nodes[id]
-	return ok && n.up
-}
-
 // Step executes the next pending event; it reports false when none remain.
 func (s *Sim) Step() bool {
 	e, ok := s.events.Peek()
@@ -333,16 +305,5 @@ func (s *Sim) RunUntil(t Time) {
 	}
 	if s.now < t {
 		s.now = t
-	}
-}
-
-// RunWhile keeps stepping while cond() holds and events remain.
-func (s *Sim) RunWhile(cond func() bool) {
-	var n uint64
-	for cond() && s.Step() {
-		n++
-		if n >= s.MaxEvents {
-			panic(fmt.Sprintf("sim: event budget %d exhausted at t=%d", s.MaxEvents, s.now))
-		}
 	}
 }

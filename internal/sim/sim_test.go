@@ -111,15 +111,15 @@ func TestJitterReordersMessages(t *testing.T) {
 	}
 }
 
-func TestDropProb(t *testing.T) {
+func TestNegativeLatencyDrops(t *testing.T) {
 	s := New(5)
-	s.SetDrop(DropProb(1.0))
+	s.SetLatency(func(_, _ msg.NodeID, _ msg.Message, _ *rand.Rand) Time { return -1 })
 	recv := newEcho(s, 2)
 	newEcho(s, 1)
 	s.Env(1).Send(2, msg.Heartbeat{From: 1})
 	s.Run()
 	if len(recv.got) != 0 {
-		t.Errorf("p=1 must drop everything")
+		t.Errorf("a negative delay must drop the message")
 	}
 	if s.Metrics().Dropped != 1 {
 		t.Errorf("drop not counted")

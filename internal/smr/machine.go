@@ -122,13 +122,6 @@ func (s *KVStore) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// Len returns the number of keys.
-func (s *KVStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.data)
-}
-
 // Snapshot implements Machine.
 func (s *KVStore) Snapshot() string {
 	s.mu.Lock()

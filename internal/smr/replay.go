@@ -109,15 +109,6 @@ func (c *ReplyCache) Get(cmdID uint64) (ReplyRecord, bool) {
 	return r, ok
 }
 
-// Len reports the total number of cached results across all clients.
-func (c *ReplyCache) Len() int {
-	n := 0
-	for _, w := range c.byClient {
-		n += len(w.results)
-	}
-	return n
-}
-
 // Export returns every retained record keyed by its full command ID: the
 // reply-cache section of a state snapshot. The installing learner restores
 // them so retried proposals for commands applied below the snapshot frontier
@@ -163,13 +154,4 @@ func (c *ReplyCache) EvictBelow(floor uint64) int {
 		}
 	}
 	return dropped
-}
-
-// ClientLen reports how many results are cached for one client (testing the
-// per-client bound).
-func (c *ReplyCache) ClientLen(client uint64) int {
-	if w := c.byClient[client]; w != nil {
-		return len(w.results)
-	}
-	return 0
 }

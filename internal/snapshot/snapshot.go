@@ -196,13 +196,6 @@ func (s *Store) Latest() (blob []byte, frontier uint64, ok bool) {
 	return s.blob, s.frontier, s.have
 }
 
-// Swept reports how many orphaned .tmp files OpenStore removed.
-func (s *Store) Swept() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.swept
-}
-
 // DiskStats reports the on-disk footprint: snapshot file count and bytes.
 // Memory-only stores report the resident blob instead.
 func (s *Store) DiskStats() (files int, bytes int64) {

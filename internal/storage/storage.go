@@ -67,16 +67,6 @@ func (d *Disk) ResetWrites() {
 	d.writes = 0
 }
 
-// Wipe destroys both data and counters, modelling a catastrophic disk loss.
-// The Paxos safety argument does not allow acceptors to survive this
-// (Section 4.4); it exists for tests.
-func (d *Disk) Wipe() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.recs = nil
-	d.writes = 0
-}
-
 // Len returns the number of stored records.
 func (d *Disk) Len() int {
 	d.mu.Lock()

@@ -226,10 +226,10 @@ func TestCodecRoundtripAllTypes(t *testing.T) {
 	set := cstruct.NewHistorySet(cstruct.KeyConflict)
 	c := Codec{Set: set}
 	b := ballot.Ballot{MCount: 1, MinCount: 2, ID: 3, RType: 4}
-	h := set.NewHistory(
-		cstruct.Cmd{ID: 1, Key: "x", Op: cstruct.OpWrite, Payload: []byte("v")},
-		cstruct.Cmd{ID: 2, Key: "y"},
-	)
+	h := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{
+		{ID: 1, Key: "x", Op: cstruct.OpWrite, Payload: []byte("v")},
+		{ID: 2, Key: "y"},
+	})
 
 	if got := roundtrip(t, c, msg.Propose{Inst: 7, Cmd: cstruct.Cmd{ID: 5, Key: "k"},
 		AccQuorum: []msg.NodeID{200, 201}}).(msg.Propose); got.Cmd.ID != 5 ||

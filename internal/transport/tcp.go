@@ -149,16 +149,6 @@ type peer struct {
 	lost chan struct{}
 }
 
-// NewTCP starts a TCP endpoint for node id: addrs maps every node to a
-// host:port; addrs[id] is listened on.
-func NewTCP(id msg.NodeID, addrs map[msg.NodeID]string, codec Codec, recv RecvFn) (*TCP, error) {
-	ln, err := net.Listen("tcp", addrs[id])
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addrs[id], err)
-	}
-	return NewTCPOnListener(id, ln, addrs, codec, recv), nil
-}
-
 // NewTCPOnListener starts a TCP endpoint on an already-bound listener (e.g.
 // one reserved while resolving ephemeral ports, so the port cannot be
 // grabbed between resolution and startup). The endpoint owns ln and closes
@@ -226,9 +216,6 @@ func (t *TCP) peerLost(to msg.NodeID, p *peer) {
 	delete(t.peers, to)
 	t.reportDown(to)
 }
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // Stats snapshots the endpoint's wire traffic counters.
 func (t *TCP) Stats() TCPStats {

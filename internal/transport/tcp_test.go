@@ -26,7 +26,7 @@ func TestTCPRoundtrip(t *testing.T) {
 
 	// Bootstrap: listen on ephemeral ports, then share the address map.
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
-	t2, err := NewTCP(2, addrs, codec, func(f msg.NodeID, m msg.Message) {
+	t2, err := listenTCP(2, addrs, codec, func(f msg.NodeID, m msg.Message) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, m)
@@ -38,14 +38,14 @@ func TestTCPRoundtrip(t *testing.T) {
 	defer t2.Close()
 	addrs[2] = t2.Addr()
 
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t1.Close()
 	addrs[1] = t1.Addr()
 
-	h := set.NewHistory(cstruct.Cmd{ID: 1, Key: "x"})
+	h := cstruct.AppendSeq(set.Bottom(), []cstruct.Cmd{{ID: 1, Key: "x"}})
 	msgs := []msg.Message{
 		msg.Propose{Cmd: cstruct.Cmd{ID: 9, Key: "k"}},
 		msg.P2a{Rnd: ballot.Ballot{MinCount: 1, ID: 1}, Coord: 1, Val: h},
@@ -124,7 +124,7 @@ func TestTCPConcurrentSends(t *testing.T) {
 	for _, id := range []msg.NodeID{2, 3, 4} {
 		c := &counter{}
 		peers[id] = c
-		ep, err := NewTCP(id, addrs, codec, c.recv)
+		ep, err := listenTCP(id, addrs, codec, c.recv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestTCPConcurrentSends(t *testing.T) {
 		addrs[id] = ep.Addr()
 		eps = append(eps, ep)
 	}
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestTCPEvictionAndReconnect(t *testing.T) {
 	codec := Codec{Set: cstruct.SingleValueSet{}}
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	c2 := &counter{}
-	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	t2, err := listenTCP(2, addrs, codec, c2.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs[2] = t2.Addr()
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTCPEvictionAndReconnect(t *testing.T) {
 
 	// Resurrect the remote on the same address: sends must flow again.
 	c2b := &counter{}
-	t2b, err := NewTCP(2, addrs, codec, c2b.recv)
+	t2b, err := listenTCP(2, addrs, codec, c2b.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +223,13 @@ func TestTCPLargeFrame(t *testing.T) {
 	codec := Codec{Set: set}
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	c2 := &counter{}
-	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	t2, err := listenTCP(2, addrs, codec, c2.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t2.Close()
 	addrs[2] = t2.Addr()
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestTCPLargeFrame(t *testing.T) {
 
 func TestTCPSendToUnknownNode(t *testing.T) {
 	codec := Codec{Set: cstruct.SingleValueSet{}}
-	tr, err := NewTCP(1, map[msg.NodeID]string{1: "127.0.0.1:0"}, codec,
+	tr, err := listenTCP(1, map[msg.NodeID]string{1: "127.0.0.1:0"}, codec,
 		func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +290,12 @@ func TestTCPIdleLinkNoticesPeerClose(t *testing.T) {
 	codec := Codec{Set: cstruct.SingleValueSet{}}
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	c2 := &counter{}
-	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	t2, err := listenTCP(2, addrs, codec, c2.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs[2] = t2.Addr()
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestTCPIdleLinkNoticesPeerClose(t *testing.T) {
 	}
 
 	c2b := &counter{}
-	t2b, err := NewTCP(2, addrs, codec, c2b.recv)
+	t2b, err := listenTCP(2, addrs, codec, c2b.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestTCPDeadPeerReportedOnceWithoutBlocking(t *testing.T) {
 	const sends = 2000
 	sent := make(chan struct{})
 	var self atomic.Pointer[TCP]
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {
 		for i := 0; i < sends; i++ {
 			if self.Load().Send(2, msg.Heartbeat{From: 1, Epoch: uint64(i)}) == nil {
 				t.Error("send to a dead peer reported success")
@@ -377,7 +377,7 @@ func TestTCPDeadPeerReportedOnceWithoutBlocking(t *testing.T) {
 		}
 		reports.Add(1)
 	})
-	t3, err := NewTCP(3, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t3, err := listenTCP(3, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestTCPSendQueueBound(t *testing.T) {
 		}
 	}()
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: sink.Addr().String()}
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,13 +482,13 @@ func TestTCPBatchArrivesInOrder(t *testing.T) {
 	codec := Codec{Set: cstruct.SingleValueSet{}}
 	addrs := map[msg.NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	c2 := &counter{}
-	t2, err := NewTCP(2, addrs, codec, c2.recv)
+	t2, err := listenTCP(2, addrs, codec, c2.recv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t2.Close()
 	addrs[2] = t2.Addr()
-	t1, err := NewTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
+	t1, err := listenTCP(1, addrs, codec, func(msg.NodeID, msg.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// Dir returns the log's directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Writes returns the number of logical synchronous writes performed: one
 // per Put or PutAll, matching the simulated Disk's accounting.
 func (w *WAL) Writes() uint64 { return w.writes.Load() }
@@ -312,21 +309,6 @@ func (w *WAL) Snapshot() error {
 	}
 	return syncDir(w.dir)
 }
-
-// SegmentCount reports how many segment files exist, for tests.
-func (w *WAL) SegmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	segs, err := w.segments()
-	if err != nil {
-		return -1
-	}
-	return len(segs)
-}
-
-// Swept reports how many orphaned .tmp files Open removed — crash artifacts
-// of an interrupted Snapshot.
-func (w *WAL) Swept() int { return w.swept }
 
 // DiskStats reports the log's on-disk footprint: live segment files,
 // snapshot files, and total bytes across both. It feeds the disk-accounting
