@@ -322,9 +322,9 @@ func nemesisExp(p params, liveSeeds int) error {
 			r.Client.Retries, r.Client.ReplayProbes)
 		fmt.Printf("           recovery: replays=%d catchup-reqs=%d chunks=%d cmds=%d resyncs=%d probes=%d fallbacks=%d snap-installs=%d\n",
 			r.Replays, r.Catchup.Reqs, r.Catchup.Chunks, r.Catchup.Cmds, r.Catchup.Resyncs, r.Catchup.Probes, r.Catchup.Fallbacks, r.Catchup.SnapInstalls)
-		fmt.Printf("           disk: wal-segs=%d wal-bytes=%d snap-files=%d snap-bytes=%d  compaction: saves=%d watermark=%d acceptor-floor=%d resident-log=%d\n",
+		fmt.Printf("           disk: wal-segs=%d wal-bytes=%d snap-files=%d snap-bytes=%d  compaction: saves=%d watermark=%d resident-log=%d\n",
 			r.WALSegs, r.WALBytes, r.Compaction.SnapFiles, r.Compaction.SnapBytes,
-			r.Compaction.Saves, r.Compaction.Watermark, r.Compaction.Floor, r.Compaction.ResidentLog)
+			r.Compaction.Saves, r.Compaction.Watermark, r.Compaction.ResidentLog)
 		if !r.Ok {
 			return fmt.Errorf("nemesis seed %d: %s", r.Seed, r.Failure)
 		}

@@ -255,7 +255,7 @@ var guards = []guard{
 			}
 		})
 	}},
-	{"No exported product name only tests use", "internal/ exports only what ships: every exported package-level name and method declared in a non-test file of an internal/ package the shipped programs link has a use in a non-test file (bench/, cmd/, examples/ and the root count); a method that satisfies an interface is exempt, and the harness and simulator-only packages, which nothing shipped links, are outside the rule", func(c *guardCheck) {
+	{"No exported product name only tests use", "internal/ exports only what ships: every exported package-level name and method declared in a non-test file of an internal/ package the shipped programs link has a use in a non-test file (bench/, cmd/, examples/ and the root count); a method that satisfies an interface is exempt, and so is a method of a type the root package re-exports, since the root is the embedding API; the harness and simulator-only packages, which nothing shipped links, are outside the rule", func(c *guardCheck) {
 		scope := map[string]bool{}
 		for _, dir := range shipped {
 			for d := range c.deps(dir, false) {
@@ -656,7 +656,9 @@ func isSel(x ast.Expr, name string) bool {
 // through go/importer's source importer with cgo off, so nothing runs a
 // compiler. A method that satisfies an interface — one declared at package
 // scope anywhere in that universe, or error — is exempt: it is called through
-// the interface.
+// the interface. So is a method of a type the root package re-exports under
+// an alias: the root is the embedding API, and its methods are an embedder's
+// to call.
 func (c *guardCheck) testOnlyExports(scope map[string]bool) {
 	tc := &typeChecker{guardCheck: c, pkgs: map[string]*types.Package{}, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 	cgo := build.Default.CgoEnabled
@@ -743,6 +745,16 @@ func (c *guardCheck) testOnlyExports(scope map[string]bool) {
 			return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
 		})
 	}
+	api := map[*types.Named]bool{}
+	if root := tc.pkgs["."]; root != nil {
+		for _, name := range root.Scope().Names() {
+			if tn, ok := root.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					api[named] = true
+				}
+			}
+		}
+	}
 	for _, d := range slices.Sorted(maps.Keys(tc.pkgs)) {
 		if !scope[d] {
 			continue
@@ -763,7 +775,7 @@ func (c *guardCheck) testOnlyExports(scope map[string]bool) {
 			}
 			for i := range named.NumMethods() {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !satisfies(named, m.Name()) {
+				if m.Exported() && !used[m] && !api[named] && !satisfies(named, m.Name()) {
 					c.flag(m.Pos(), "(%s).%s: only tests use it", name, m.Name())
 				}
 			}

@@ -165,9 +165,6 @@ func (a *Acceptor) OnMessage(from msg.NodeID, m msg.Message) {
 	}
 }
 
-// Floor exposes the acceptor's compaction floor, for tests and accounting.
-func (a *Acceptor) Floor() uint64 { return a.floor }
-
 // onDone applies the cluster compaction watermark a learner gossiped:
 // everything below Watermark is covered by a snapshot some live learner can
 // serve, so the vote history of those instances — kept only so the durable-

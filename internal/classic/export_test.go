@@ -20,6 +20,9 @@ func (a *Acceptor) Rnd() ballot.Ballot {
 	return hi
 }
 
+// Floor exposes the acceptor's compaction floor, for tests and accounting.
+func (a *Acceptor) Floor() uint64 { return a.floor }
+
 // Tally exposes the coordinator-vote tally of an instance: the round and
 // the sorted group members whose matching 2a messages have been received.
 func (a *Acceptor) Tally(inst uint64) (ballot.Ballot, []msg.NodeID, bool) {

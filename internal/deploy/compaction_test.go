@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -114,12 +115,18 @@ func TestLiveCompactionBoundsState(t *testing.T) {
 	// Acceptors follow the gossiped watermark.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		floor := rep.CompactionStats().Floor
-		if floor > 0 {
+		floors := rep.AcceptorFloors()
+		advanced := 0
+		for _, f := range floors {
+			if f > 0 {
+				advanced++
+			}
+		}
+		if advanced == len(floors) && len(floors) == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("acceptor floors never advanced: lowest %d", floor)
+			t.Fatalf("acceptor floors never advanced: %v", floors)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -250,12 +257,12 @@ func waitFloors(t *testing.T, rep *Replica, floor uint64) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		lowest := rep.CompactionStats().Floor
-		if lowest >= floor {
+		floors := rep.AcceptorFloors()
+		if len(floors) > 0 && slices.Min(floors) >= floor {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("acceptor floors never reached %d: lowest %d", floor, lowest)
+			t.Fatalf("acceptor floors %v never reached %d", floors, floor)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -271,6 +278,7 @@ func TestLiveTCPCoordinatorRestartAfterCompaction(t *testing.T) {
 	spec.RetryEvery = 20 * time.Millisecond
 	spec.SnapshotEvery = 8
 	spec.Retain = 2
+	spec.WALDir = t.TempDir() // waitFloors reads the floor each acceptor persists
 	rep, cli := openLocal(t, spec)
 
 	const n = 64

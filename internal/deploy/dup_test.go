@@ -292,8 +292,9 @@ func TestLearnerRestartCatchesUp(t *testing.T) {
 
 // awaitDrained waits until no hosted coordinator has an instance in flight or
 // queued: such a window retransmits its 2as every 4 × RetryEvery, so the
-// coordinators fall silent for a whole retransmission period only once every
-// learner ack has arrived.
+// coordinators fall silent for two whole retransmission periods only once
+// every learner ack has arrived (one period would leave a timer that fires
+// late under load no margin).
 func awaitDrained(t *testing.T, rep *Replica) {
 	t.Helper()
 	sent := func() (frames uint64) {
@@ -302,7 +303,7 @@ func awaitDrained(t *testing.T, rep *Replica) {
 		}
 		return frames
 	}
-	quiet := 5 * rep.spec.RetryEvery
+	quiet := 8 * rep.spec.RetryEvery
 	deadline := time.Now().Add(10 * time.Second)
 	for frames := sent(); ; {
 		time.Sleep(quiet)

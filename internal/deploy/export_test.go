@@ -9,15 +9,32 @@ import (
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/classic"
 	"mcpaxos/internal/cstruct"
+	"mcpaxos/internal/msg"
 	"mcpaxos/internal/node"
+	"mcpaxos/internal/storage"
 )
 
-// Compaction reports learner id's own compaction state: its newest snapshot
-// frontier, the cluster watermark it has computed, and the first log
-// instance it still retains.
-func (r *Replica) Compaction(id uint32) (frontier, watermark, logBase uint64, err error) {
-	err = r.read(id, func(l *learner) { frontier, watermark, logBase = l.snapFrontier, l.watermark, l.logBase })
-	return
+// AcceptorFloors reports each hosted acceptor's vote-history compaction
+// floor (instances below it were truncated on a gossiped watermark). It
+// reads, on the acceptor's mailbox, the storage.KeyFloor record the
+// acceptor writes in the same step that raises its floor, so it reports 0
+// for an acceptor without a WAL.
+func (r *Replica) AcceptorFloors() []uint64 {
+	var out []uint64
+	for _, a := range r.spec.Acceptors {
+		r.mu.Lock()
+		w := r.wals[msg.NodeID(a.ID)]
+		r.mu.Unlock()
+		r.on(msg.NodeID(a.ID), func(node.Handler) {
+			var floor uint64
+			if w != nil {
+				rec, _ := w.Get(storage.KeyFloor)
+				floor, _ = rec.(uint64)
+			}
+			out = append(out, floor)
+		})
+	}
+	return out
 }
 
 // ShardRounds reports, per shard, the highest round any hosted acceptor is
@@ -32,13 +49,6 @@ func (r *Replica) ShardRounds() []ballot.Ballot {
 		}
 	})
 	return out
-}
-
-// Validate checks the spec (IDs unique and in range, groups complete,
-// quorums feasible).
-func (s ClusterSpec) Validate() error {
-	_, err := s.config()
-	return err
 }
 
 // propose stamps, registers and routes one command from the mailbox

@@ -111,6 +111,14 @@ func (r *Replica) Progress(id uint32) (next uint64, buffered int, err error) {
 	return
 }
 
+// Compaction reports learner id's own compaction state: its newest snapshot
+// frontier, the cluster watermark it has computed, and the first log
+// instance it still retains.
+func (r *Replica) Compaction(id uint32) (frontier, watermark, logBase uint64, err error) {
+	err = r.read(id, func(l *learner) { frontier, watermark, logBase = l.snapFrontier, l.watermark, l.logBase })
+	return
+}
+
 // CatchupSynced reports whether learner id's rejoin pull has reached a
 // peer's frontier (true for a learner with no peers).
 func (r *Replica) CatchupSynced(id uint32) (synced bool, err error) {
@@ -135,19 +143,15 @@ func (r *Replica) CatchupStats() CatchupStats {
 }
 
 // CompactionStats aggregates the snapshot/compaction state across the hosted
-// learners and acceptors: how many snapshots were cut, how far the watermark,
-// the truncation base and the acceptors' floors have advanced, the largest
-// retained (resident) log, and the snapshot stores' footprint.
+// learners: how many snapshots were cut, how far the watermark and the
+// truncation base have advanced, the largest retained (resident) log, and
+// the snapshot stores' footprint.
 type CompactionStats struct {
 	// Saves counts snapshots cut (not counting installed transfers).
 	Saves uint64
 	// Watermark is the highest compaction watermark any learner computed;
 	// LogBase the highest truncation base (first retained log instance).
 	Watermark, LogBase uint64
-	// Floor is the lowest compaction floor among the hosted acceptors: each
-	// has dropped its votes below it on a gossiped watermark (0 when none is
-	// hosted).
-	Floor uint64
 	// ResidentLog is the largest retained log (instances) on any learner —
 	// the quantity compaction bounds.
 	ResidentLog int
@@ -157,8 +161,7 @@ type CompactionStats struct {
 	SnapBytes int64
 }
 
-// CompactionStats reports the hosted learners' and acceptors' compaction
-// state.
+// CompactionStats reports the hosted learners' compaction state.
 func (r *Replica) CompactionStats() CompactionStats {
 	var cs CompactionStats
 	var stores []*snapshot.Store
@@ -170,11 +173,6 @@ func (r *Replica) CompactionStats() CompactionStats {
 		cs.ResidentLog = max(cs.ResidentLog, len(l.log))
 		stores = append(stores, l.snaps)
 	})
-	var floors []uint64
-	r.onEach(r.spec.Acceptors, func(hd node.Handler) { floors = append(floors, hd.(*classic.Acceptor).Floor()) })
-	if len(floors) > 0 {
-		cs.Floor = slices.Min(floors)
-	}
 	// Off the mailbox: a durable store stats its directory.
 	for _, st := range stores {
 		files, bytes := st.DiskStats()

@@ -268,6 +268,13 @@ func (s ClusterSpec) ResolveEphemeral() (ClusterSpec, error) {
 	return out, nil
 }
 
+// Validate checks the spec (IDs unique and in range, groups complete,
+// quorums feasible).
+func (s ClusterSpec) Validate() error {
+	_, err := s.config()
+	return err
+}
+
 // normalized tuning accessors (zero means default).
 
 func (s ClusterSpec) batchMax() int {
