@@ -1,9 +1,9 @@
 // KVStore: a replicated key-value store on the embedding API, with the
-// throughput levers turned on — client-side batching per shard, two shards
-// sequencing concurrently, a coordinator group per shard, and durable
-// acceptor WALs on disk. The same protocol state machines as the
-// experiments, over real sockets. The program exits non-zero if the
-// replicas diverge.
+// throughput levers turned on — batching at each shard's stamping
+// coordinator (BatchMax), two shards sequencing concurrently, a coordinator
+// group per shard, and durable acceptor WALs on disk. The same protocol
+// state machines as the experiments, over real sockets. The program exits
+// non-zero if the replicas diverge.
 //
 //	go run ./examples/kvstore
 package main

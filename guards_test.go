@@ -267,6 +267,12 @@ var guards = []guard{
 	{"One promise on the wire", "the codec carries only P1bMulti; the single-instance msg.P1b is core's, simulator-only", func(c *guardCheck) {
 		c.flagAll(refs(c.in(false, "internal/transport"), module+"/internal/msg", "P1b"), "msg.P1b on the wire")
 	}},
+	{"Every framed field has a reader", "a framed field comes with a receiver that reads it: msg.Message declares Type alone (no receiver asked a message its instance), the codec never frames core's AccQuorum (no core node is hosted on a socket), and msg.Stale carries the acceptor's round Rnd alone, the one field either engine's onStale reads", func(c *guardCheck) {
+		msgGo := c.in(false, "internal/msg/msg.go")
+		c.members(msgGo, "Message", "Type")
+		c.members(msgGo, "Stale", "Rnd")
+		c.noIdents(c.in(false, "internal/transport/codec.go"), named("AccQuorum"))
+	}},
 }
 
 type goFile struct {
@@ -626,6 +632,41 @@ func lastName(x ast.Expr) string {
 		return x.Sel.Name
 	}
 	return ""
+}
+
+// members checks that the type name declared in files has exactly the
+// fields (a struct) or methods (an interface) want, in that order.
+func (c *guardCheck) members(files []*goFile, name string, want ...string) {
+	found := false
+	inspect(files, func(_ *goFile, _ *ast.FuncDecl, n ast.Node) {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != name {
+			return
+		}
+		found = true
+		list := &ast.FieldList{}
+		switch t := ts.Type.(type) {
+		case *ast.StructType:
+			list = t.Fields
+		case *ast.InterfaceType:
+			list = t.Methods
+		}
+		var got []string
+		for _, f := range list.List {
+			for _, id := range f.Names {
+				got = append(got, id.Name)
+			}
+			if len(f.Names) == 0 {
+				got = append(got, types.ExprString(f.Type))
+			}
+		}
+		if !slices.Equal(got, want) {
+			c.flag(ts.Pos(), "%s declares %v, want %v", name, got, want)
+		}
+	})
+	if !found {
+		c.failf("no type %s declared", name)
+	}
 }
 
 // declared returns the names and type of a field or a variable declaration.

@@ -92,9 +92,8 @@ type Acceptor struct {
 // amortizes over many truncations.
 const compactAfterDrops = 256
 
-// catchupMax bounds the instances one CatchupReq may have re-announced, and is
-// what a request with Max = 0 gets. Max comes off the wire: unbounded, one
-// request could hold the acceptor's mailbox for billions of lookups.
+// catchupMax bounds the instances one CatchupReq may have re-announced: one
+// request must not hold the acceptor's mailbox for a whole retention window.
 const catchupMax = 128
 
 var _ node.Handler = (*Acceptor)(nil)
@@ -215,16 +214,10 @@ func (a *Acceptor) onCatchup(mm msg.CatchupReq) {
 		// no longer exist, here or anywhere. Refuse with the floor so the
 		// learner escalates to snapshot transfer instead of waiting for
 		// re-announcements that can never come.
-		a.send(mm.Learner, msg.CatchupResp{
-			Learner: a.env.ID(), From: mm.From, Frontier: a.floor, Floor: a.floor,
-		})
+		a.send(mm.Learner, msg.CatchupResp{From: mm.From, Frontier: a.floor, Floor: a.floor})
 		return
 	}
-	max := uint64(mm.Max)
-	if max == 0 || max > catchupMax {
-		max = catchupMax
-	}
-	for inst := mm.From; inst < mm.From+max; inst++ {
+	for inst := mm.From; inst < mm.From+catchupMax; inst++ {
 		if v, ok := a.votes[inst]; ok {
 			a.send(mm.Learner, msg.P2b{Inst: inst, Rnd: v.vrnd, Acc: a.env.ID(), Val: wrap(v.vval)})
 		}
@@ -244,7 +237,7 @@ func (a *Acceptor) onP1a(_ msg.NodeID, mm msg.P1a) {
 		return // misconfigured sender; no shard of ours to promise
 	}
 	if mm.Rnd.Less(a.rnds[shard]) {
-		a.send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
+		a.send(mm.Coord, msg.Stale{Rnd: a.rnds[shard]})
 		return
 	}
 	a.setRnd(shard, mm.Rnd)
@@ -287,7 +280,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	}
 	shard := a.cfg.ShardOf(mm.Inst)
 	if mm.Rnd.Less(a.rnds[shard]) {
-		a.send(from, msg.Stale{Inst: mm.Inst, Acc: a.env.ID(), Rnd: a.rnds[shard], Got: mm.Rnd})
+		a.send(from, msg.Stale{Rnd: a.rnds[shard]})
 		return
 	}
 	cmd, ok := unwrap(mm.Val)

@@ -3,10 +3,8 @@ package classic
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"mcpaxos/internal/ballot"
 	"mcpaxos/internal/cstruct"
@@ -64,7 +62,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 	// one at or above it is served with re-announced 2bs.
 	rec := &recorder{}
 	wc.Sim.Register(99, rec)
-	deliver(a, 99, msg.CatchupReq{Learner: 99, From: 2, Max: 8})
+	deliver(a, 99, msg.CatchupReq{Learner: 99, From: 2})
 	wc.Sim.Run()
 	refused := false
 	for _, m := range rec.msgs {
@@ -82,7 +80,7 @@ func TestAcceptorCompactionWatermark(t *testing.T) {
 		t.Fatal("no refusal for a request below the floor")
 	}
 	rec.msgs = nil
-	deliver(a, 99, msg.CatchupReq{Learner: 99, From: wm, Max: 8})
+	deliver(a, 99, msg.CatchupReq{Learner: 99, From: wm})
 	wc.Sim.Run()
 	served := 0
 	for _, m := range rec.msgs {
@@ -125,8 +123,8 @@ func (e *countEnv) Send(_ msg.NodeID, m msg.Message) {
 	}
 }
 
-// A CatchupReq's Max comes off the wire: whatever range it names, the acceptor
-// re-announces at most catchupMax votes and returns at once.
+// A CatchupReq names only where the range starts: however many votes the
+// acceptor holds above it, it re-announces at most catchupMax.
 func TestAcceptorCatchupBoundsRange(t *testing.T) {
 	const held = 300
 	cl := NewCluster(ClusterOpts{NCoords: 1, NAcceptors: 3, F: 1, Seed: 29})
@@ -140,16 +138,7 @@ func TestAcceptorCatchupBoundsRange(t *testing.T) {
 	if got := len(a.votes); got != held {
 		t.Fatalf("acceptor holds %d votes, want %d", got, held)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		deliver(a, 300, msg.CatchupReq{Learner: 300, Max: math.MaxUint32})
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("a CatchupReq with Max 2^32-1 still held the acceptor after 1 s")
-	}
+	deliver(a, 300, msg.CatchupReq{Learner: 300})
 	if env.p2bs != catchupMax {
 		t.Fatalf("re-announced %d votes, want catchupMax = %d", env.p2bs, catchupMax)
 	}

@@ -526,7 +526,7 @@ func TestRepairIgnoresLateStaleAtLiveRound(t *testing.T) {
 	}
 
 	late := cl.Cfg.Acceptors[2]
-	deliver(fresh, late, msg.Stale{Acc: late, Rnd: live})
+	deliver(fresh, late, msg.Stale{Rnd: live})
 	cl.Sim.Run()
 	if got := cl.ShardRound(0); !got.Equal(live) || !fresh.Rnd().Equal(live) {
 		t.Fatalf("a late Stale at the live round moved it %v → %v (coordinator at %v)", live, got, fresh.Rnd())

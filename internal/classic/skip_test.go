@@ -34,7 +34,7 @@ func skipCluster(c int, lead bool) (*Cluster, []*Coordinator) {
 }
 
 func hint(co *Coordinator, inst uint64) {
-	deliver(co, 300, msg.Fill{Inst: inst, Learner: 300, Idle: true})
+	deliver(co, 300, msg.Fill{Inst: inst, Idle: true})
 }
 
 func filledAt(co *Coordinator) uint64 {
@@ -233,7 +233,7 @@ func TestAckHighWaterMarkClaimsFreeSlots(t *testing.T) {
 	}
 	ackHi(co, 3, 12)
 	wantClaims(t, co, env, cfg, nil, nil)
-	deliver(co, 300, msg.Fill{Inst: 15, Learner: 300, Idle: true})
+	deliver(co, 300, msg.Fill{Inst: 15, Idle: true})
 	wantClaims(t, co, env, cfg, []uint64{13, 15}, []cstruct.Cmd{Noop(13), Noop(15)})
 }
 
@@ -255,7 +255,7 @@ func TestAckHighWaterMarkOnlyTheStamperWithRoomClaims(t *testing.T) {
 	submit(full, 0) // instance 1 in flight
 	full.MaxInflight = 1
 	env.sent = nil
-	deliver(full, 300, msg.Fill{Inst: 11, Learner: 300, Idle: true})
+	deliver(full, 300, msg.Fill{Inst: 11, Idle: true})
 	wantClaims(t, full, env, cfg, nil, nil)
 	ackHi(full, 1, 12) // the learn frees the slot: one claim fills it
 	wantClaims(t, full, env, cfg, []uint64{3}, []cstruct.Cmd{Noop(3)})

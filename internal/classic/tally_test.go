@@ -62,7 +62,7 @@ type refAcceptor struct {
 
 func (r *refAcceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if mm.Rnd.Less(r.rnd) {
-		r.out = append(r.out, describe(from, msg.Stale{Inst: mm.Inst, Acc: r.id, Rnd: r.rnd, Got: mm.Rnd}))
+		r.out = append(r.out, describe(from, msg.Stale{Rnd: r.rnd}))
 		return
 	}
 	cmd, _ := unwrap(mm.Val)
@@ -149,7 +149,7 @@ func describe(to msg.NodeID, m msg.Message) string {
 		}
 		return s
 	case msg.Stale:
-		return fmt.Sprintf("stale to %v: inst %d acc %v rnd %v got %v", to, mm.Inst, mm.Acc, mm.Rnd, mm.Got)
+		return fmt.Sprintf("stale to %v: rnd %v", to, mm.Rnd)
 	}
 	return fmt.Sprintf("%T to %v", m, to)
 }

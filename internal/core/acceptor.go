@@ -103,7 +103,7 @@ func (a *Acceptor) OnMessage(from msg.NodeID, m msg.Message) {
 // onP1a is action Phase1b.
 func (a *Acceptor) onP1a(mm msg.P1a) {
 	if !a.rnd.Less(mm.Rnd) {
-		a.env.Send(mm.Coord, msg.Stale{Acc: a.env.ID(), Rnd: a.rnd, Got: mm.Rnd})
+		a.env.Send(mm.Coord, msg.Stale{Rnd: a.rnd})
 		return
 	}
 	a.joinRound(mm.Rnd)
@@ -125,7 +125,7 @@ func (a *Acceptor) joinRound(r ballot.Ballot) {
 // (incompatible values within one round, Section 4.2) and tries to accept.
 func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 	if mm.Rnd.Less(a.rnd) {
-		a.env.Send(from, msg.Stale{Acc: a.env.ID(), Rnd: a.rnd, Got: mm.Rnd})
+		a.env.Send(from, msg.Stale{Rnd: a.rnd})
 		return
 	}
 	if mm.Val == nil {

@@ -29,7 +29,7 @@ import (
 // the learner's mailbox goroutine.
 //
 // The wire conventions both halves keep:
-//   - a CatchupReq draws at most min(Max, catchupChunk) instances from From;
+//   - a CatchupReq draws at most catchupChunk instances from From;
 //   - a CatchupResp with Floor above the requester's frontier is a refusal:
 //     the prefix was compacted below the responder's retention floor, and the
 //     requester escalates to a snapshot pull;
@@ -113,20 +113,15 @@ type snapAssembly struct {
 }
 
 // serve answers a peer learner's catch-up request with one chunk of the
-// retained decided prefix (bounded by catchupChunk and by the requester's
-// own bound).
+// retained decided prefix, at most catchupChunk instances.
 func (l *learner) serve(mm msg.CatchupReq) {
-	max := uint32(catchupChunk)
-	if mm.Max > 0 && mm.Max < max {
-		max = mm.Max
-	}
-	resp := msg.CatchupResp{Learner: l.env.ID(), From: mm.From, Frontier: l.merger.Next()}
+	resp := msg.CatchupResp{From: mm.From, Frontier: l.merger.Next()}
 	if mm.From < l.logBase {
 		// The requested prefix was compacted away: refuse with the floor so
 		// the requester escalates to snapshot transfer.
 		resp.Floor = l.logBase
 	} else if rel := mm.From - l.logBase; rel < uint64(len(l.log)) {
-		end := min(rel+uint64(max), uint64(len(l.log)))
+		end := min(rel+catchupChunk, uint64(len(l.log)))
 		resp.Cmds = append([]cstruct.Cmd(nil), l.log[rel:end]...)
 	}
 	l.env.Send(mm.Learner, resp)
@@ -167,7 +162,7 @@ func (l *learner) peer() msg.NodeID { return l.peers[l.fetch.rr%len(l.peers)] }
 
 // request asks the current peer for the next chunk and arms the retry.
 func (l *learner) request() {
-	l.env.Send(l.peer(), msg.CatchupReq{Learner: l.env.ID(), From: l.merger.Next(), Max: catchupChunk})
+	l.env.Send(l.peer(), msg.CatchupReq{Learner: l.env.ID(), From: l.merger.Next()})
 	l.fetch.stats.Reqs++
 	l.armRetry()
 }
@@ -192,7 +187,7 @@ func (l *learner) armRetry() {
 // (every learner restarted in overlapping windows) only the acceptors still
 // have it. Their 2bs flow through the ordinary quorum counting.
 func (l *learner) resync() {
-	node.Broadcast(l.env, l.cfg.Acceptors, msg.CatchupReq{Learner: l.env.ID(), From: l.merger.Next(), Max: catchupChunk})
+	node.Broadcast(l.env, l.cfg.Acceptors, msg.CatchupReq{Learner: l.env.ID(), From: l.merger.Next()})
 	l.fetch.stats.Fallbacks++
 	if len(l.peers) == 0 {
 		return
@@ -348,7 +343,7 @@ func (l *learner) onWatch() {
 		l.onStall(n)
 	} else if !behind && len(l.peers) > 0 {
 		f.rr++
-		l.env.Send(l.peer(), msg.CatchupReq{Learner: l.env.ID(), From: n, Max: catchupChunk})
+		l.env.Send(l.peer(), msg.CatchupReq{Learner: l.env.ID(), From: n})
 		f.stats.Probes++
 	}
 	f.watchStalled, f.watchNext = stalled, n

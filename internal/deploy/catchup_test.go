@@ -54,7 +54,7 @@ func chunksOf(peer msg.NodeID, frontier uint64, blob []byte, size int) []msg.Sna
 func refused(t *testing.T, l *learner, env *fakeEnv, peer msg.NodeID) {
 	t.Helper()
 	l.startFetch()
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 0, Frontier: 96, Floor: 64})
+	l.OnMessage(peer, msg.CatchupResp{From: 0, Frontier: 96, Floor: 64})
 	if reqs, tos := sentTo[msg.SnapReq](take(env)); len(reqs) != 1 || tos[0] != peer {
 		t.Fatalf("refusal drew SnapReqs %+v to %v, want one to %d", reqs, tos, peer)
 	}
@@ -70,7 +70,7 @@ func TestLearnerWatchProbesFrontierWhenIdle(t *testing.T) {
 		decide(l, cfg, i, setCmd(1, i))
 	}
 	l.startFetch()
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 5, Frontier: 5})
+	l.OnMessage(peer, msg.CatchupResp{From: 5, Frontier: 5})
 	if !l.fetch.synced {
 		t.Fatal("the pull did not sync on a frontier-matching answer")
 	}
@@ -87,7 +87,7 @@ func TestLearnerWatchProbesFrontierWhenIdle(t *testing.T) {
 
 	// The peer's answer proves instance 5 exists: the pull re-opens, feeds it
 	// and syncs again at the new frontier.
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 5, Frontier: 6, Cmds: []cstruct.Cmd{setCmd(2, 0)}})
+	l.OnMessage(peer, msg.CatchupResp{From: 5, Frontier: 6, Cmds: []cstruct.Cmd{setCmd(2, 0)}})
 	if !l.fetch.synced || l.merger.Next() != 6 {
 		t.Fatalf("after the probe answer: synced %v at %d, want synced at 6", l.fetch.synced, l.merger.Next())
 	}
@@ -98,12 +98,12 @@ func TestLearnerWatchProbesFrontierWhenIdle(t *testing.T) {
 func TestLearnerProbeAnswerWithNothingNewerIsDropped(t *testing.T) {
 	l, env, cfg := testLearner(t, 2, nil)
 	peer := cfg.Learners[1]
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 0, Frontier: 0})
+	l.OnMessage(peer, msg.CatchupResp{From: 0, Frontier: 0})
 	if !l.fetch.synced {
 		t.Fatal("an empty deployment did not sync at once")
 	}
 	take(env)
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 0, Frontier: 0})
+	l.OnMessage(peer, msg.CatchupResp{From: 0, Frontier: 0})
 	if !l.fetch.synced || l.merger.Next() != 0 || len(take(env)) != 0 {
 		t.Fatalf("a no-op probe answer changed state: synced %v at %d", l.fetch.synced, l.merger.Next())
 	}
@@ -159,7 +159,7 @@ func TestLearnerRefusedPullEscalatesToSnapshotTransfer(t *testing.T) {
 	if reqs, _ := sentTo[msg.CatchupReq](take(env)); len(reqs) != 1 || reqs[0].From != 64 {
 		t.Fatalf("post-install pull = %+v, want one CatchupReq From=64", reqs)
 	}
-	l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: 64, Frontier: 66,
+	l.OnMessage(peer, msg.CatchupResp{From: 64, Frontier: 66,
 		Cmds: []cstruct.Cmd{setCmd(2, 0), setCmd(2, 1)}})
 	if !l.fetch.synced || l.merger.Next() != 66 {
 		t.Fatalf("after the suffix: synced %v at %d, want synced at 66", l.fetch.synced, l.merger.Next())
@@ -262,7 +262,7 @@ func TestLearnerRetryKeepsAMovingLogPull(t *testing.T) {
 	}
 	pop()
 	for from := uint64(0); from < 12; from += 4 {
-		l.OnMessage(peer, msg.CatchupResp{Learner: peer, From: from, Frontier: 12,
+		l.OnMessage(peer, msg.CatchupResp{From: from, Frontier: 12,
 			Cmds: []cstruct.Cmd{setCmd(2, from), setCmd(2, from+1), setCmd(2, from+2), setCmd(2, from+3)}})
 		pop()
 		l.OnTimer(timerFetch)

@@ -220,9 +220,8 @@ func (c *Client) Close() error {
 const tagClientRetry = 1
 
 // proposeMsg carries one submission through the client's mailbox. It wraps
-// the real wire message — Type and Instance report the embedded proposal's —
-// but never crosses the wire itself: the handler registers and routes its
-// command.
+// the real wire message — Type reports the embedded proposal's — but never
+// crosses the wire itself: the handler registers and routes its command.
 type proposeMsg struct {
 	msg.Propose
 	call *Call

@@ -224,7 +224,7 @@ func (l *learner) onIdle() {
 	} else if held && !l.idleHinted {
 		l.idleHinted = true
 		for _, inst := range l.merger.Lagging(l.cfg.NShards()) {
-			node.Broadcast(l.env, l.group(inst), msg.Fill{Inst: inst, Learner: l.env.ID(), Idle: true})
+			node.Broadcast(l.env, l.group(inst), msg.Fill{Inst: inst, Idle: true})
 		}
 	}
 	if held {
@@ -254,7 +254,7 @@ func (l *learner) group(inst uint64) []msg.NodeID { return l.coords[l.cfg.ShardO
 // died with a crashed ingress stamper, or its shard idled while the others
 // advanced. Nudge the owning group to fill it.
 func (l *learner) onStall(frontier uint64) {
-	node.Broadcast(l.env, l.group(frontier), msg.Fill{Inst: frontier, Learner: l.env.ID()})
+	node.Broadcast(l.env, l.group(frontier), msg.Fill{Inst: frontier})
 }
 
 // gossip runs the compaction watermark protocol on the gap-watch cadence:

@@ -228,16 +228,25 @@ func TestLiveTCPAcceptorRestartIsOneWrite(t *testing.T) {
 // there on evidence, not on its timer: the lost connection moves its
 // preference to the next member, which takes the stamping over when it finds
 // the primary unreachable, so no proposal waits out a retry interval.
+//
+// The primary dies with the group in step: every member has seen its stamp
+// of the warm-up. Killed while that stamp share is still on its way, it
+// leaves a member that stamps the decided slot 0 again, and the command
+// stamped there loses the slot — a collision, which a round change and a
+// client retry resolve, and the scenario this test does not measure.
 func TestLiveTCPRetryMasksDeadWindowMember(t *testing.T) {
 	spec := LocalSpec(1, 3, 3, 1, 1)
 	spec.BatchMax = 1
 	spec.RetryEvery = 250 * time.Millisecond
 	rep, cli := openLocal(t, spec)
 
-	// Bootstrap traffic so the round is established everywhere.
+	// Bootstrap traffic so the round is established everywhere, then give
+	// the primary's stamp share of it time to reach both backups: the reply
+	// can overtake it, as the learner answers as soon as a quorum voted.
 	if err := cli.Wait([]*Call{cli.Set("warm", "up")}, 10*time.Second); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
+	time.Sleep(spec.RetryEvery)
 	if !rep.Kill(spec.Coords[0].ID) {
 		t.Fatal("kill failed")
 	}

@@ -85,22 +85,22 @@ func (t Type) String() string {
 	}
 }
 
-// Message is any protocol message. Instance scopes the message to one
-// consensus instance; generalized (single-instance) protocols use instance 0
-// throughout.
+// Message is any protocol message. Its type tag is all a receiver needs to
+// dispatch it; the instance a message concerns, if any, is a field of its
+// own type.
 type Message interface {
 	Type() Type
-	Instance() uint64
 }
 
 // Propose carries a proposed command from a proposer to coordinators (and,
 // for fast rounds, to acceptors).
 type Propose struct {
-	Inst uint64
-	Cmd  cstruct.Cmd
+	Cmd cstruct.Cmd
 	// AccQuorum optionally names the acceptor quorum the proposer chose for
 	// this command (load balancing, Section 4.1). Coordinators then send
 	// their 2a messages only to these acceptors. Empty means all acceptors.
+	// Only the simulator-only engine (core) sets or reads it, and no core
+	// node is hosted on a socket, so the codec does not frame it.
 	AccQuorum []NodeID
 	// Seq, when HasSeq is set, is the command's per-shard sequence number in
 	// a sharded deployment: the proposal stream of shard k is numbered 0, 1,
@@ -112,10 +112,10 @@ type Propose struct {
 	Seq    uint64
 	HasSeq bool
 	// Client and Req are a (client, request counter) tag the codec still
-	// carries (flagHasClient), but nothing shipped sends or reads them: an
+	// carries (flagHasClient), but no node sends or reads them: an
 	// unsequenced submission is keyed by its command ID, which embeds the
-	// same pair (classic.CmdID). They stay only for the benchmark module's
-	// codec driver, which still frames a tagged Propose.
+	// same pair (classic.CmdID). They stay because the benchmark module's
+	// codec driver (bench's voteMsgs) still frames a tagged Propose.
 	Client NodeID
 	Req    uint64
 }
@@ -123,14 +123,16 @@ type Propose struct {
 // Type implements Message.
 func (Propose) Type() Type { return TPropose }
 
-// Instance implements Message.
-func (m Propose) Instance() uint64 { return m.Inst }
-
 // P1a starts phase 1 of round Rnd ("1a", Section 2.1.2). In sharded
 // deployments (Mencius-style residue-class ownership of the instance space)
 // Shard names the residue class the round covers: the promise and the
 // per-shard round it establishes apply only to instances ≡ Shard (mod the
 // deployment's shard count). Unsharded deployments use shard 0 of 1.
+//
+// Inst is framed but no sender sets it yet, and no acceptor reads it: every
+// promise carries the shard's whole vote history. It is kept for bounded
+// promises, where the 1a names the sender's learned frontier and the acceptor
+// reports only the votes at or above it.
 type P1a struct {
 	Inst  uint64
 	Rnd   ballot.Ballot
@@ -141,13 +143,9 @@ type P1a struct {
 // Type implements Message.
 func (P1a) Type() Type { return TP1a }
 
-// Instance implements Message.
-func (m P1a) Instance() uint64 { return m.Inst }
-
 // P1b is an acceptor's phase 1 promise: it will join round Rnd and reports
 // the latest value VVal it accepted and the round VRnd it accepted it at.
 type P1b struct {
-	Inst uint64
 	Rnd  ballot.Ballot
 	Acc  NodeID
 	VRnd ballot.Ballot
@@ -156,9 +154,6 @@ type P1b struct {
 
 // Type implements Message.
 func (P1b) Type() Type { return TP1b }
-
-// Instance implements Message.
-func (m P1b) Instance() uint64 { return m.Inst }
 
 // P2a carries a coordinator's picked value for round Rnd. In a fast round
 // that value is typically ⊥, which acceptors then extend with proposals they
@@ -172,9 +167,6 @@ type P2a struct {
 
 // Type implements Message.
 func (P2a) Type() Type { return TP2a }
-
-// Instance implements Message.
-func (m P2a) Instance() uint64 { return m.Inst }
 
 // P2b is an acceptor's vote: it accepted Val at round Rnd. A learner also
 // sends one without a value to the instance's coordinators as its
@@ -203,26 +195,17 @@ type P2b struct {
 // Type implements Message.
 func (P2b) Type() Type { return TP2b }
 
-// Instance implements Message.
-func (m P2b) Instance() uint64 { return m.Inst }
-
 // Stale tells a coordinator that its round is lower than the acceptor's
 // current round, so it must start a higher-numbered round to make progress
-// (liveness extension of Section 4.3).
+// (liveness extension of Section 4.3). The acceptor's round is all the
+// coordinator acts on; the receiver learns the sender from its host.
 type Stale struct {
-	Inst uint64
-	Acc  NodeID
 	// Rnd is the acceptor's current round.
 	Rnd ballot.Ballot
-	// Got is the coordinator round that was rejected.
-	Got ballot.Ballot
 }
 
 // Type implements Message.
 func (Stale) Type() Type { return TStale }
-
-// Instance implements Message.
-func (m Stale) Instance() uint64 { return m.Inst }
 
 // Reply carries a replica's apply result back to the client that submitted
 // the command: once a learner-hosted state machine applies a command in the
@@ -233,9 +216,11 @@ func (m Stale) Instance() uint64 { return m.Inst }
 type Reply struct {
 	// CmdID identifies the applied command (the client stamped it).
 	CmdID uint64
-	// From is the replying learner.
+	// From is the replying learner and Inst the instance the command was
+	// delivered at in the merged order. No client reads either; they stay
+	// because the benchmark module's codec driver (bench's voteMsgs) frames
+	// a Reply that sets them.
 	From NodeID
-	// Inst is the instance the command was delivered at in the merged order.
 	Inst uint64
 	// Result is the state machine's apply result.
 	Result string
@@ -243,9 +228,6 @@ type Reply struct {
 
 // Type implements Message.
 func (Reply) Type() Type { return TReply }
-
-// Instance implements Message.
-func (m Reply) Instance() uint64 { return m.Inst }
 
 // CatchupReq asks a peer learner for the decided prefix at and above
 // instance From: a restarted (or gap-stalled) learner cannot re-elicit old
@@ -257,18 +239,12 @@ type CatchupReq struct {
 	// Learner is the requesting learner, where the response goes.
 	Learner NodeID
 	// From is the requester's merge frontier: the first instance it is
-	// missing.
+	// missing. The responder bounds how many instances it answers with.
 	From uint64
-	// Max bounds the number of instances one response may carry (chunked
-	// state transfer); 0 leaves the bound to the responder.
-	Max uint32
 }
 
 // Type implements Message.
 func (CatchupReq) Type() Type { return TCatchupReq }
-
-// Instance implements Message.
-func (m CatchupReq) Instance() uint64 { return m.From }
 
 // CatchupResp carries one chunk of a peer learner's decided prefix: Cmds[i]
 // is the command delivered at instance From+i. Frontier is the responder's
@@ -276,8 +252,6 @@ func (m CatchupReq) Instance() uint64 { return m.From }
 // still below it. An empty Cmds with Frontier ≤ From says the responder has
 // nothing newer — the requester is already caught up to this peer.
 type CatchupResp struct {
-	// Learner is the responding learner.
-	Learner NodeID
 	// From is the instance of Cmds[0] (echoed from the request).
 	From uint64
 	// Frontier is the responder's next-undelivered instance.
@@ -294,9 +268,6 @@ type CatchupResp struct {
 
 // Type implements Message.
 func (CatchupResp) Type() Type { return TCatchupResp }
-
-// Instance implements Message.
-func (m CatchupResp) Instance() uint64 { return m.From }
 
 // Fill asks a shard's coordinator group to make instance Inst decidable: a
 // learner whose merged order is stalled — later instances sit buffered above
@@ -323,17 +294,12 @@ type Fill struct {
 	// Inst is the stalled instance (the learner's merge frontier), or with
 	// Idle the shard's last missing instance below the highest buffered one.
 	Inst uint64
-	// Learner is the requesting learner.
-	Learner NodeID
 	// Idle marks the skip hint.
 	Idle bool
 }
 
 // Type implements Message.
 func (Fill) Type() Type { return TFill }
-
-// Instance implements Message.
-func (m Fill) Instance() uint64 { return m.Inst }
 
 // Done gossips a node's compaction frontier, the Min()/Done() watermark
 // protocol of the MIT paxos GC contract: each learner announces the
@@ -361,9 +327,6 @@ type Done struct {
 // Type implements Message.
 func (Done) Type() Type { return TDone }
 
-// Instance implements Message.
-func (m Done) Instance() uint64 { return m.Frontier }
-
 // SnapReq asks a peer learner for its newest state snapshot: the requester's
 // merge frontier From fell below the cluster's compaction watermark (a log
 // pull was refused with CatchupResp.Floor > From), so the log prefix it is
@@ -378,9 +341,6 @@ type SnapReq struct {
 
 // Type implements Message.
 func (SnapReq) Type() Type { return TSnapReq }
-
-// Instance implements Message.
-func (m SnapReq) Instance() uint64 { return m.From }
 
 // SnapResp carries one chunk of a serialized state snapshot. The requester
 // reassembles chunks 0..Total-1, verifies Crc over the whole blob, and
@@ -403,9 +363,6 @@ type SnapResp struct {
 // Type implements Message.
 func (SnapResp) Type() Type { return TSnapResp }
 
-// Instance implements Message.
-func (m SnapResp) Instance() uint64 { return m.Frontier }
-
 // PeerDown is a local event, never a wire message (the codec refuses it): a
 // node's host reports that it lost its connection to Node, or could not open
 // one. It is failure evidence in the sense of an unreliable failure detector
@@ -420,11 +377,10 @@ type PeerDown struct {
 // Type implements Message.
 func (PeerDown) Type() Type { return TPeerDown }
 
-// Instance implements Message.
-func (PeerDown) Instance() uint64 { return 0 }
-
 // Heartbeat is exchanged by coordinators for failure detection and leader
-// election.
+// election. No shipped node sends one yet; the frame is kept for the live
+// failure detector (failure.Elector hosted beside each live coordinator),
+// whose missed heartbeats will raise PeerDown.
 type Heartbeat struct {
 	From  NodeID
 	Epoch uint64
@@ -432,6 +388,3 @@ type Heartbeat struct {
 
 // Type implements Message.
 func (Heartbeat) Type() Type { return THeartbeat }
-
-// Instance implements Message.
-func (Heartbeat) Instance() uint64 { return 0 }

@@ -12,24 +12,20 @@ func TestMessageTypes(t *testing.T) {
 	cases := []struct {
 		m    Message
 		want Type
-		inst uint64
 	}{
-		{Propose{Inst: 3, Cmd: cstruct.Cmd{ID: 1}}, TPropose, 3},
-		{P1a{Inst: 1, Rnd: b}, TP1a, 1},
-		{P1b{Inst: 2, Rnd: b, Acc: 200}, TP1b, 2},
-		{P1bMulti{Rnd: b, Acc: 200}, TP1b, 0},
-		{P2a{Inst: 4, Rnd: b, Coord: 100}, TP2a, 4},
-		{P2b{Inst: 5, Rnd: b, Acc: 200}, TP2b, 5},
-		{Stale{Inst: 6, Acc: 200, Rnd: b}, TStale, 6},
-		{Heartbeat{From: 100}, THeartbeat, 0},
-		{PeerDown{Node: 100}, TPeerDown, 0},
+		{Propose{Cmd: cstruct.Cmd{ID: 1}}, TPropose},
+		{P1a{Inst: 1, Rnd: b}, TP1a},
+		{P1b{Rnd: b, Acc: 200}, TP1b},
+		{P1bMulti{Rnd: b, Acc: 200}, TP1b},
+		{P2a{Inst: 4, Rnd: b, Coord: 100}, TP2a},
+		{P2b{Inst: 5, Rnd: b, Acc: 200}, TP2b},
+		{Stale{Rnd: b}, TStale},
+		{Heartbeat{From: 100}, THeartbeat},
+		{PeerDown{Node: 100}, TPeerDown},
 	}
 	for _, c := range cases {
 		if c.m.Type() != c.want {
 			t.Errorf("%T.Type() = %v, want %v", c.m, c.m.Type(), c.want)
-		}
-		if c.m.Instance() != c.inst {
-			t.Errorf("%T.Instance() = %d, want %d", c.m, c.m.Instance(), c.inst)
 		}
 	}
 }

@@ -30,6 +30,3 @@ type P1bMulti struct {
 
 // Type implements Message.
 func (P1bMulti) Type() Type { return TP1b }
-
-// Instance implements Message: multi-instance promises are instance-less.
-func (P1bMulti) Instance() uint64 { return 0 }

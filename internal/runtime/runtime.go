@@ -196,9 +196,6 @@ type doFunc struct {
 // Type implements msg.Message.
 func (doFunc) Type() msg.Type { return msg.TUnknown }
 
-// Instance implements msg.Message.
-func (doFunc) Instance() uint64 { return 0 }
-
 func (a *Agent) enqueue(in inbound) {
 	// Check done first: once the loop has exited, both select cases below
 	// can be ready (the inbox is buffered), and picking the send would

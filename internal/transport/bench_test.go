@@ -23,8 +23,8 @@ func benchMsgs() []struct {
 		name string
 		m    msg.Message
 	}{
-		{"Propose", msg.Propose{Inst: 7, Cmd: cstruct.Cmd{ID: 5, Key: "key-12", Op: cstruct.OpWrite,
-			Payload: []byte("0123456789abcdef")}, AccQuorum: []msg.NodeID{200, 201}, Seq: 12, HasSeq: true}},
+		{"Propose", msg.Propose{Cmd: cstruct.Cmd{ID: 5, Key: "key-12", Op: cstruct.OpWrite,
+			Payload: []byte("0123456789abcdef")}, Seq: 12, HasSeq: true}},
 		{"P1a", msg.P1a{Inst: 1, Rnd: b, Coord: 100, Shard: 3}},
 		{"P1bMulti", msg.P1bMulti{Rnd: b, Acc: 201, Shard: 1, Votes: []msg.InstVote{
 			{Inst: 0, VRnd: b, VVal: sv},
@@ -32,7 +32,7 @@ func benchMsgs() []struct {
 		}}},
 		{"P2a", msg.P2a{Inst: 3, Rnd: b, Coord: 102, Val: sv}},
 		{"P2b", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: sv}},
-		{"Stale", msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero}},
+		{"Stale", msg.Stale{Rnd: b}},
 		{"Heartbeat", msg.Heartbeat{From: 100, Epoch: 9}},
 		{"Reply", msg.Reply{CmdID: 1<<40 | 3, From: 300, Inst: 11, Result: "OK"}},
 	}

@@ -8,17 +8,17 @@
 //
 // Every encoded message is one frame:
 //
-//	[version: 1 byte = 0x02]  [type tag: 1 byte]  [flags: 1 byte]  [fields...]
+//	[version: 1 byte = 0x03]  [type tag: 1 byte]  [flags: 1 byte]  [fields...]
 //
 // where flags packs the optional-field markers (HasVal, Multi, HasSeq,
 // HasClient, HasFloor, Again, Idle, HasHi) and the fields are fixed per type tag, built from the
 // layouts package wire defines (shared with the WAL's record codec):
 // integers are unsigned varints, ballots are four varints, and commands,
-// strings and node-ID sets are length-prefixed sections. The encoding is
-// canonical — one byte string per message value — so encode∘decode is the
-// identity on the wire form (FuzzCodecRoundTrip enforces it, and the golden
-// frames in golden_test.go pin the bytes). Any other version byte is
-// rejected.
+// strings are length-prefixed sections. A field is framed only if a
+// receiver reads it. The encoding is canonical — one byte string per message
+// value — so encode∘decode is the identity on the wire form
+// (FuzzCodecRoundTrip enforces it, and the golden frames in golden_test.go
+// pin the bytes). Any other version byte is rejected.
 package transport
 
 import (
@@ -29,8 +29,9 @@ import (
 	"mcpaxos/internal/wire"
 )
 
-// verBinary is the wire format version: the first byte of every frame.
-const verBinary = 0x02
+// verBinary is the wire format version: the first byte of every frame. A
+// build that changes any frame's layout takes the next number.
+const verBinary = 0x03
 
 // Flag bits of a frame's flags byte.
 const (
@@ -41,9 +42,9 @@ const (
 	flagMulti = 1 << 2
 	// flagHasSeq marks a proposal carrying its per-shard sequence number.
 	flagHasSeq = 1 << 3
-	// flagHasClient marks a proposal carrying a (Client, Req) tag. Nothing
-	// shipped sets one (see msg.Propose); the bit stays so the byte format,
-	// and the benchmark's codec driver, are unchanged.
+	// flagHasClient marks a proposal carrying a (Client, Req) tag. No node
+	// sets one (see msg.Propose); the bit stays for the benchmark's codec
+	// driver, which does.
 	flagHasClient = 1 << 4
 	// flagHasFloor marks a catch-up response carrying the responder's
 	// nonzero retention floor (log compaction: a refusal when Floor > From).
@@ -102,14 +103,6 @@ func encodable(m msg.Message) bool {
 
 // --- encoding ---
 
-func appendNodeIDs(dst []byte, ids []msg.NodeID) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = wire.AppendUvarint(dst, uint64(id))
-	}
-	return dst
-}
-
 // appendVal writes a non-nil c-struct as a length-prefixed command
 // sequence. SingleValue is special-cased so the consensus hot path encodes
 // without the slice allocation its Commands() would cost; History.Commands
@@ -142,8 +135,6 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		}
 		dst = append(dst, verBinary, byte(msg.TPropose), flags)
 		dst = wire.AppendCmd(dst, mm.Cmd)
-		dst = appendNodeIDs(dst, mm.AccQuorum)
-		dst = wire.AppendUvarint(dst, mm.Inst)
 		if mm.HasSeq {
 			dst = wire.AppendUvarint(dst, mm.Seq)
 		}
@@ -214,10 +205,7 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 		return dst, nil
 	case msg.Stale:
 		dst = append(dst, verBinary, byte(msg.TStale), 0)
-		dst = wire.AppendUvarint(dst, mm.Inst)
-		dst = wire.AppendUvarint(dst, uint64(mm.Acc))
-		dst = wire.AppendBallot(dst, mm.Rnd)
-		return wire.AppendBallot(dst, mm.Got), nil
+		return wire.AppendBallot(dst, mm.Rnd), nil
 	case msg.Heartbeat:
 		dst = append(dst, verBinary, byte(msg.THeartbeat), 0)
 		dst = wire.AppendUvarint(dst, uint64(mm.From))
@@ -231,15 +219,13 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 	case msg.CatchupReq:
 		dst = append(dst, verBinary, byte(msg.TCatchupReq), 0)
 		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
-		dst = wire.AppendUvarint(dst, mm.From)
-		return wire.AppendUvarint(dst, uint64(mm.Max)), nil
+		return wire.AppendUvarint(dst, mm.From), nil
 	case msg.CatchupResp:
 		var flags byte
 		if mm.Floor != 0 {
 			flags |= flagHasFloor
 		}
 		dst = append(dst, verBinary, byte(msg.TCatchupResp), flags)
-		dst = wire.AppendUvarint(dst, uint64(mm.Learner))
 		dst = wire.AppendUvarint(dst, mm.From)
 		dst = wire.AppendUvarint(dst, mm.Frontier)
 		if mm.Floor != 0 {
@@ -252,8 +238,7 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 			flags |= flagIdle
 		}
 		dst = append(dst, verBinary, byte(msg.TFill), flags)
-		dst = wire.AppendUvarint(dst, mm.Inst)
-		return wire.AppendUvarint(dst, uint64(mm.Learner)), nil
+		return wire.AppendUvarint(dst, mm.Inst), nil
 	case msg.Done:
 		dst = append(dst, verBinary, byte(msg.TDone), 0)
 		dst = wire.AppendUvarint(dst, uint64(mm.From))
@@ -277,18 +262,6 @@ func (c Codec) AppendEncode(dst []byte, m msg.Message) ([]byte, error) {
 }
 
 // --- decoding ---
-
-func readNodeIDs(r *wire.Reader) []msg.NodeID {
-	n := r.Count("node count", 1) // every ID takes ≥1 byte
-	if n == 0 {
-		return nil
-	}
-	out := make([]msg.NodeID, 0, n)
-	for i := 0; i < n && r.Err == nil; i++ {
-		out = append(out, msg.NodeID(r.U32("node id")))
-	}
-	return out
-}
 
 // readVal reads a non-nil c-struct of the codec's set, the inverse of
 // appendVal. A one-command value of SingleValueSet — every vote of the
@@ -317,8 +290,6 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		}
 		mm := msg.Propose{HasSeq: flags&flagHasSeq != 0}
 		mm.Cmd = r.Cmd()
-		mm.AccQuorum = readNodeIDs(r)
-		mm.Inst = r.Uvarint("inst")
 		if mm.HasSeq {
 			mm.Seq = r.Uvarint("seq")
 		}
@@ -404,12 +375,7 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		if flags != 0 {
 			return nil, fmt.Errorf("bad stale flags %#x", flags)
 		}
-		m = msg.Stale{
-			Inst: r.Uvarint("inst"),
-			Acc:  msg.NodeID(r.U32("acc")),
-			Rnd:  r.Ballot(),
-			Got:  r.Ballot(),
-		}
+		m = msg.Stale{Rnd: r.Ballot()}
 	case msg.THeartbeat:
 		if flags != 0 {
 			return nil, fmt.Errorf("bad heartbeat flags %#x", flags)
@@ -432,14 +398,12 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		m = msg.CatchupReq{
 			Learner: msg.NodeID(r.U32("learner")),
 			From:    r.Uvarint("from"),
-			Max:     r.U32("max"),
 		}
 	case msg.TCatchupResp:
 		if flags&^flagHasFloor != 0 {
 			return nil, fmt.Errorf("bad catchup-resp flags %#x", flags)
 		}
 		mm := msg.CatchupResp{
-			Learner:  msg.NodeID(r.U32("learner")),
 			From:     r.Uvarint("from"),
 			Frontier: r.Uvarint("frontier"),
 		}
@@ -456,11 +420,7 @@ func (c Codec) decode(typ msg.Type, flags byte, r *wire.Reader) (msg.Message, er
 		if flags&^flagIdle != 0 {
 			return nil, fmt.Errorf("bad fill flags %#x", flags)
 		}
-		m = msg.Fill{
-			Inst:    r.Uvarint("inst"),
-			Learner: msg.NodeID(r.U32("learner")),
-			Idle:    flags&flagIdle != 0,
-		}
+		m = msg.Fill{Inst: r.Uvarint("inst"), Idle: flags&flagIdle != 0}
 	case msg.TDone:
 		if flags != 0 {
 			return nil, fmt.Errorf("bad done flags %#x", flags)

@@ -36,26 +36,13 @@ func valEq(a, b cstruct.CStruct) bool {
 	return slices.EqualFunc(a.Commands(), b.Commands(), cstruct.Cmd.Equal)
 }
 
-func nodeIDsEq(a, b []msg.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // msgEq compares two protocol messages semantically (c-structs by command
 // sequence, nil and empty slices identified).
 func msgEq(a, b msg.Message) bool {
 	switch am := a.(type) {
 	case msg.Propose:
 		bm, ok := b.(msg.Propose)
-		return ok && am.Inst == bm.Inst && am.Cmd.Equal(bm.Cmd) &&
-			nodeIDsEq(am.AccQuorum, bm.AccQuorum) && am.Seq == bm.Seq && am.HasSeq == bm.HasSeq &&
+		return ok && am.Cmd.Equal(bm.Cmd) && am.Seq == bm.Seq && am.HasSeq == bm.HasSeq &&
 			am.Client == bm.Client && am.Req == bm.Req
 	case msg.P1a:
 		bm, ok := b.(msg.P1a)
@@ -80,7 +67,7 @@ func msgEq(a, b msg.Message) bool {
 	case msg.P2b:
 		bm, ok := b.(msg.P2b)
 		return ok && am.Inst == bm.Inst && am.Rnd == bm.Rnd && am.Acc == bm.Acc &&
-			am.Again == bm.Again && valEq(am.Val, bm.Val)
+			am.Hi == bm.Hi && am.Again == bm.Again && valEq(am.Val, bm.Val)
 	case msg.Stale:
 		bm, ok := b.(msg.Stale)
 		return ok && am == bm
@@ -95,8 +82,8 @@ func msgEq(a, b msg.Message) bool {
 		return ok && am == bm
 	case msg.CatchupResp:
 		bm, ok := b.(msg.CatchupResp)
-		return ok && am.Learner == bm.Learner && am.From == bm.From &&
-			am.Frontier == bm.Frontier && am.Floor == bm.Floor && slices.EqualFunc(am.Cmds, bm.Cmds, cstruct.Cmd.Equal)
+		return ok && am.From == bm.From && am.Frontier == bm.Frontier && am.Floor == bm.Floor &&
+			slices.EqualFunc(am.Cmds, bm.Cmds, cstruct.Cmd.Equal)
 	case msg.Fill:
 		bm, ok := b.(msg.Fill)
 		return ok && am == bm
@@ -132,9 +119,8 @@ func codecCases(set cstruct.Set) []struct {
 		name string
 		m    msg.Message
 	}{
-		{"propose", msg.Propose{Inst: 7, Cmd: cstruct.Cmd{ID: 5, Key: "k", Op: cstruct.OpWrite, Payload: []byte("v")},
-			AccQuorum: []msg.NodeID{200, 201}}},
-		{"propose-seq-max", msg.Propose{Inst: math.MaxUint64, Cmd: cstruct.Cmd{ID: math.MaxUint64},
+		{"propose", msg.Propose{Cmd: cstruct.Cmd{ID: 5, Key: "k", Op: cstruct.OpWrite, Payload: []byte("v")}}},
+		{"propose-seq-max", msg.Propose{Cmd: cstruct.Cmd{ID: math.MaxUint64},
 			Seq: math.MaxUint64, HasSeq: true}},
 		{"propose-empty-cmd", msg.Propose{Cmd: cstruct.Cmd{}}},
 		{"propose-client", msg.Propose{Cmd: cstruct.Cmd{ID: 1<<40 | 3, Key: "k"},
@@ -163,21 +149,22 @@ func codecCases(set cstruct.Set) []struct {
 		{"2b-nil-val", msg.P2b{Inst: 4, Rnd: b, Acc: 202}},
 		{"2b-bottom", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: set.Bottom()}},
 		{"2b-again", msg.P2b{Inst: 4, Rnd: b, Acc: 202, Val: val, Again: true}},
-		{"stale", msg.Stale{Inst: 5, Acc: 200, Rnd: b, Got: ballot.Zero}},
+		{"stale", msg.Stale{Rnd: b}},
+		{"stale-max", msg.Stale{Rnd: bMax}},
 		{"heartbeat", msg.Heartbeat{From: 100, Epoch: math.MaxUint64}},
 		{"reply", msg.Reply{CmdID: 1<<40 | 3, From: 300, Inst: 11, Result: "OK"}},
 		{"reply-empty-result", msg.Reply{CmdID: math.MaxUint64, From: math.MaxUint32, Inst: math.MaxUint64}},
 		{"catchup-req", msg.CatchupReq{Learner: 300, From: 42}},
-		{"catchup-req-max", msg.CatchupReq{Learner: math.MaxUint32, From: math.MaxUint64, Max: math.MaxUint32}},
-		{"catchup-resp-empty", msg.CatchupResp{Learner: 301, From: 42, Frontier: 42}},
-		{"catchup-resp", msg.CatchupResp{Learner: 301, From: 42, Frontier: 45, Cmds: []cstruct.Cmd{
+		{"catchup-req-max", msg.CatchupReq{Learner: math.MaxUint32, From: math.MaxUint64}},
+		{"catchup-resp-empty", msg.CatchupResp{From: 42, Frontier: 42}},
+		{"catchup-resp", msg.CatchupResp{From: 42, Frontier: 45, Cmds: []cstruct.Cmd{
 			{ID: 9, Key: "k", Op: cstruct.OpWrite, Payload: []byte("p")},
 			{ID: 10, Key: "q", Op: cstruct.OpRead},
 		}}},
-		{"fill", msg.Fill{Inst: 17, Learner: 300}},
-		{"fill-max", msg.Fill{Inst: math.MaxUint64, Learner: math.MaxUint32}},
-		{"fill-idle", msg.Fill{Inst: 17, Learner: 300, Idle: true}},
-		{"catchup-resp-floor", msg.CatchupResp{Learner: 301, From: 3, Frontier: 96, Floor: 64}},
+		{"fill", msg.Fill{Inst: 17}},
+		{"fill-max", msg.Fill{Inst: math.MaxUint64}},
+		{"fill-idle", msg.Fill{Inst: 17, Idle: true}},
+		{"catchup-resp-floor", msg.CatchupResp{From: 3, Frontier: 96, Floor: 64}},
 		{"done", msg.Done{From: 300, Frontier: 128, Watermark: 96}},
 		{"done-zero", msg.Done{From: 301}},
 		{"done-max", msg.Done{From: math.MaxUint32, Frontier: math.MaxUint64, Watermark: math.MaxUint64}},
@@ -231,9 +218,8 @@ func TestCodecRoundtripAllTypes(t *testing.T) {
 		{ID: 2, Key: "y"},
 	})
 
-	if got := roundtrip(t, c, msg.Propose{Inst: 7, Cmd: cstruct.Cmd{ID: 5, Key: "k"},
-		AccQuorum: []msg.NodeID{200, 201}}).(msg.Propose); got.Cmd.ID != 5 ||
-		got.Inst != 7 || len(got.AccQuorum) != 2 {
+	if got := roundtrip(t, c, msg.Propose{Cmd: cstruct.Cmd{ID: 5, Key: "k"}, Seq: 7, HasSeq: true}).(msg.Propose); got.Cmd.ID != 5 ||
+		got.Seq != 7 || !got.HasSeq {
 		t.Errorf("Propose mangled: %+v", got)
 	}
 	if got := roundtrip(t, c, msg.P1a{Rnd: b, Coord: 100, Shard: 3}).(msg.P1a); got.Rnd != b ||
@@ -253,7 +239,7 @@ func TestCodecRoundtripAllTypes(t *testing.T) {
 	if !set.Equal(p2b.Val, h) {
 		t.Errorf("P2b mangled: %+v", p2b)
 	}
-	st := roundtrip(t, c, msg.Stale{Acc: 200, Rnd: b, Got: ballot.Zero}).(msg.Stale)
+	st := roundtrip(t, c, msg.Stale{Rnd: b}).(msg.Stale)
 	if st.Rnd != b {
 		t.Errorf("Stale mangled: %+v", st)
 	}
@@ -318,7 +304,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		"retired 2a flag": {verBinary, byte(msg.TP2a), 0x02, 0x03, 0x01, 0x02, 0x03, 0x04, 0x68},
 		// A 1b without the multi flag was the single-instance promise only
 		// the simulator-only engine sends; it never crosses a socket.
-		"single-instance 1b": unhex(t, "02 03 01 02 01 02 03 04 c8 01 01 02 03 04 01 09 01 6b 02 01 70"),
+		"single-instance 1b": unhex(t, "03 03 01 02 01 02 03 04 c8 01 01 02 03 04 01 09 01 6b 02 01 70"),
 	}
 	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil {
